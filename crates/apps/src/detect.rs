@@ -1,26 +1,28 @@
 //! Wiring the online anomaly detector into the live pipeline.
 //!
-//! [`DetectorTap`] implements the store's off-path
+//! [`LiveDetectorTap`] implements the store's off-path
 //! [`IngestObserver`](darshan_ldms_connector::IngestObserver) hook: it
-//! sees every parsed `darshan_data` row batch at ingest time and
-//! buffers the fields the detector reads. Because ranks publish from
+//! sees every parsed `darshan_data` row batch at ingest time, decodes
+//! the fields the detector reads, and streams them through the engine
+//! behind a per-rank watermark frontier. Because ranks publish from
 //! OS threads, *real-time* arrival order is nondeterministic even
-//! though every virtual timestamp is deterministic — so the tap defers
-//! analysis: at job settle, [`DetectorTap::finalize`] sorts the
-//! buffered events by virtual time and replays them through the
-//! single-pass streaming engine, giving bit-identical detections for
-//! bit-identical runs. The storage path itself is untouched (the
-//! observer is read-only), so detector-on runs store byte-identical
-//! rows, ledgers, and recovery counters to detector-off runs.
+//! though every virtual timestamp is deterministic — so the canonical
+//! detection set is always the settle-replay oracle's: at job settle,
+//! [`LiveDetectorTap::finalize`] sorts the buffered events by
+//! [`event_cmp`] and replays them through a fresh single-pass engine,
+//! giving bit-identical detections for bit-identical runs. The storage
+//! path itself is untouched (the observer is read-only), so
+//! detector-on runs store byte-identical rows, ledgers, and recovery
+//! counters to detector-off runs.
 
-use darshan_ldms_connector::{column_id, IngestObserver};
+use darshan_ldms_connector::{schema::col, IngestObserver};
 use dsos_sim::Value;
 use hpcws_sim::online::{DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent};
 use iosim_telemetry::{DetectionRecord, DiagHub, HubEventKind};
 use iosim_time::Epoch;
 use parking_lot::Mutex;
 use std::cmp::Ordering;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
 /// Decodes one `darshan_data` row (in `COLUMNS` order) into the
@@ -29,68 +31,16 @@ use std::sync::Arc;
 /// lints, not the detector, own impossible-row reporting.
 pub fn row_to_event(row: &[Value]) -> Option<OnlineEvent> {
     Some(OnlineEvent {
-        job_id: row.get(column_id("job_id"))?.as_u64()?,
-        rank: row.get(column_id("rank"))?.as_u64()?,
-        producer: row.get(column_id("ProducerName"))?.as_str()?.to_string(),
-        op: row.get(column_id("op"))?.as_str()?.to_string(),
-        file: row.get(column_id("file"))?.as_str()?.to_string(),
-        len: row.get(column_id("seg_len"))?.as_i64()?,
-        off: row.get(column_id("seg_off"))?.as_i64()?,
-        dur: row.get(column_id("seg_dur"))?.as_f64()?,
-        end: row.get(column_id("seg_timestamp"))?.as_f64()?,
+        job_id: row.get(col::JOB_ID)?.as_u64()?,
+        rank: row.get(col::RANK)?.as_u64()?,
+        producer: row.get(col::PRODUCER_NAME)?.as_str()?.to_string(),
+        op: row.get(col::OP)?.as_str()?.to_string(),
+        file: row.get(col::FILE)?.as_str()?.to_string(),
+        len: row.get(col::SEG_LEN)?.as_i64()?,
+        off: row.get(col::SEG_OFF)?.as_i64()?,
+        dur: row.get(col::SEG_DUR)?.as_f64()?,
+        end: row.get(col::SEG_TIMESTAMP)?.as_f64()?,
     })
-}
-
-/// An off-path ingest observer that buffers detector events during the
-/// run and replays them deterministically at settle.
-pub struct DetectorTap {
-    cfg: DetectionConfig,
-    events: Mutex<Vec<OnlineEvent>>,
-}
-
-impl DetectorTap {
-    /// Creates a tap with the given detection thresholds.
-    pub fn new(cfg: DetectionConfig) -> Arc<Self> {
-        Arc::new(Self {
-            cfg,
-            events: Mutex::new(Vec::new()),
-        })
-    }
-
-    /// Events buffered so far.
-    pub fn buffered(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Sorts the buffered events into virtual-time order, replays them
-    /// through a fresh streaming engine, and returns the engine (for
-    /// phase queries) together with its sorted detections.
-    pub fn finalize(&self) -> (OnlineDetector, Vec<DiagnosticEvent>) {
-        let mut events = self.events.lock().clone();
-        events.sort_by(|a, b| {
-            a.end
-                .total_cmp(&b.end)
-                .then_with(|| a.job_id.cmp(&b.job_id))
-                .then_with(|| a.rank.cmp(&b.rank))
-                .then_with(|| a.op.cmp(&b.op))
-                .then_with(|| a.file.cmp(&b.file))
-                .then_with(|| a.len.cmp(&b.len))
-                .then_with(|| a.off.cmp(&b.off))
-        });
-        let mut detector = OnlineDetector::new(self.cfg.clone());
-        for e in &events {
-            detector.observe(e);
-        }
-        let detections = detector.finish();
-        (detector, detections)
-    }
-}
-
-impl IngestObserver for DetectorTap {
-    fn on_rows(&self, rows: &[Vec<Value>], _recv_time: Epoch) {
-        let mut buf = self.events.lock();
-        buf.extend(rows.iter().filter_map(|r| row_to_event(r)));
-    }
 }
 
 /// The canonical event order the settle-replay oracle uses: virtual
@@ -124,8 +74,8 @@ pub struct LiveDetection {
 pub struct LiveFinalize {
     /// The settle-replay oracle engine (for phase queries).
     pub detector: OnlineDetector,
-    /// The oracle's detections — the run's canonical detection set,
-    /// identical to what [`DetectorTap::finalize`] would return.
+    /// The oracle's detections — the run's canonical detection set:
+    /// a fresh engine fed the whole log in [`event_cmp`] order.
     pub detections: Vec<DiagnosticEvent>,
     /// The live stream: the same detection set, each finding stamped
     /// with its emit instant.
@@ -135,8 +85,9 @@ pub struct LiveFinalize {
 struct LiveState {
     /// Every decoded event, in arrival order (the oracle's input).
     log: Vec<OnlineEvent>,
-    /// Events not yet fed to the streaming engine.
-    pending: Vec<OnlineEvent>,
+    /// Events not yet fed to the streaming engine, smallest (by
+    /// [`event_cmp`], then arrival) on top.
+    pending: BinaryHeap<Pending>,
     /// Per-rank maximum `end` seen so far.
     watermark: BTreeMap<u64, f64>,
     /// The streaming engine fed in-run.
@@ -153,19 +104,47 @@ struct LiveState {
     live: Vec<LiveDetection>,
 }
 
-/// The in-run detection tap: the same off-path [`IngestObserver`] hook
-/// as [`DetectorTap`], but with **streaming window closure** — events
-/// are fed to the engine *during* the run, as soon as the per-rank
-/// watermark frontier passes them, and detections publish to the live
-/// diagnosis hub at the ingest instant that triggered them.
+/// One buffered event awaiting the watermark frontier. Ordered so the
+/// max-heap's top is the *smallest* event by [`event_cmp`]; arrival
+/// index breaks exact ties the way the oracle's stable sort does.
+struct Pending {
+    event: OnlineEvent,
+    arrival: usize,
+}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        event_cmp(&other.event, &self.event).then_with(|| other.arrival.cmp(&self.arrival))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Pending {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Pending {}
+
+/// The detection tap: an off-path [`IngestObserver`] with **streaming
+/// window closure** — events are fed to the engine *during* the run,
+/// as soon as the per-rank watermark frontier passes them, and
+/// detections publish to the live diagnosis hub (when one is attached)
+/// at the ingest instant that triggered them.
 ///
 /// # Parity with the settle-replay oracle
 ///
 /// Arrival order across ranks is nondeterministic (OS threads), so the
 /// tap holds a reorder buffer: an event is fed only once every
 /// expected rank's watermark has passed its `end` (all events that
-/// could still sort before it have necessarily arrived), and each
-/// drained batch is fed in [`event_cmp`] order. The fed sequence is
+/// could still sort before it have necessarily arrived), and passed
+/// events leave the buffer in [`event_cmp`] order. The fed sequence is
 /// therefore exactly a prefix of the oracle's fully-sorted replay, and
 /// feeding the sorted remainder at [`LiveDetectorTap::finalize`]
 /// reproduces the oracle's detection set bit-for-bit.
@@ -213,7 +192,7 @@ impl LiveDetectorTap {
             hub,
             state: Mutex::new(LiveState {
                 log: Vec::new(),
-                pending: Vec::new(),
+                pending: BinaryHeap::new(),
                 watermark: BTreeMap::new(),
                 engine: OnlineDetector::new(cfg),
                 emitted: 0,
@@ -263,25 +242,24 @@ impl LiveDetectorTap {
             .entry(event.rank)
             .and_modify(|w| *w = w.max(event.end))
             .or_insert(event.end);
-        st.pending.push(event);
-        if st.reordered || (st.watermark.len() as u64) < self.expected_ranks {
+        if st.reordered {
+            return;
+        }
+        let arrival = st.log.len();
+        st.pending.push(Pending { event, arrival });
+        if (st.watermark.len() as u64) < self.expected_ranks {
             return;
         }
         let frontier = st
             .watermark
             .values()
             .fold(f64::INFINITY, |acc, &w| acc.min(w));
-        let (mut due, keep): (Vec<OnlineEvent>, Vec<OnlineEvent>) =
-            st.pending.drain(..).partition(|e| e.end < frontier);
-        st.pending = keep;
-        if due.is_empty() {
-            return;
+        let st = &mut *st;
+        while st.pending.peek().is_some_and(|p| p.event.end < frontier) {
+            let due = st.pending.pop().expect("peeked").event;
+            st.engine.observe(&due);
+            st.last_fed = Some(due);
         }
-        due.sort_by(event_cmp);
-        for e in &due {
-            st.engine.observe(e);
-        }
-        st.last_fed = due.pop();
         let emitted_s = recv_time.as_secs_f64();
         let new: Vec<DiagnosticEvent> = st.engine.detections()[st.emitted..].to_vec();
         st.emitted += new.len();
@@ -312,10 +290,10 @@ impl LiveDetectorTap {
         let horizon_s = horizon.as_secs_f64();
 
         // The oracle: sort everything, replay, finish.
-        let mut sorted = st.log.clone();
-        sorted.sort_by(event_cmp);
+        let mut sorted: Vec<&OnlineEvent> = st.log.iter().collect();
+        sorted.sort_by(|a, b| event_cmp(a, b));
         let mut oracle = OnlineDetector::new(self.cfg.clone());
-        for e in &sorted {
+        for e in sorted {
             oracle.observe(e);
         }
         let detections = oracle.finish();
@@ -344,11 +322,13 @@ impl LiveDetectorTap {
             live
         } else {
             // Feed the sorted remainder: fed prefix + remainder is
-            // exactly the oracle's input sequence.
-            let mut rest = std::mem::take(&mut st.pending);
-            rest.sort_by(event_cmp);
-            for e in &rest {
-                st.engine.observe(e);
+            // exactly the oracle's input sequence. (`Pending`'s order
+            // is reversed for the max-heap, hence `rev`; taking the
+            // heap also frees its buffer, which otherwise outlives
+            // the run at its high-water size.)
+            let rest = std::mem::take(&mut st.pending).into_sorted_vec();
+            for p in rest.iter().rev() {
+                st.engine.observe(&p.event);
             }
             let mut live = std::mem::take(&mut st.live);
             let tail: Vec<DiagnosticEvent> = st.engine.detections()[st.emitted..].to_vec();
@@ -415,6 +395,18 @@ mod tests {
     use super::*;
     use darshan_ldms_connector::COLUMNS;
 
+    /// The settle-replay oracle, spelled inline: sort by [`event_cmp`],
+    /// replay through a fresh engine, finish.
+    fn oracle(events: &[OnlineEvent]) -> Vec<DiagnosticEvent> {
+        let mut sorted = events.to_vec();
+        sorted.sort_by(event_cmp);
+        let mut engine = OnlineDetector::new(DetectionConfig::default());
+        for e in &sorted {
+            engine.observe(e);
+        }
+        engine.finish()
+    }
+
     fn row(job: u64, rank: u64, op: &str, dur: f64, end: f64) -> Vec<Value> {
         COLUMNS
             .iter()
@@ -437,7 +429,7 @@ mod tests {
 
     #[test]
     fn rows_decode_and_replay_in_virtual_time_order() {
-        let tap = DetectorTap::new(DetectionConfig::default());
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 3, None);
         // Delivered out of virtual-time order, as OS threads would.
         tap.on_rows(
             &[
@@ -448,17 +440,21 @@ mod tests {
         );
         tap.on_rows(&[row(1, 2, "read", 0.05, 103.0)], Epoch::from_secs(1));
         assert_eq!(tap.buffered(), 3);
-        let (detector, detections) = tap.finalize();
-        assert_eq!(detector.events(), 3);
-        assert_eq!(detector.late_events(), 0, "sorted replay has no stragglers");
-        assert!(detections.is_empty());
+        let out = tap.finalize(Epoch::from_secs(10_000));
+        assert_eq!(out.detector.events(), 3);
+        assert_eq!(
+            out.detector.late_events(),
+            0,
+            "sorted replay has no stragglers"
+        );
+        assert!(out.detections.is_empty());
     }
 
     #[test]
     fn malformed_rows_are_skipped_not_fatal() {
-        let tap = DetectorTap::new(DetectionConfig::default());
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
         let mut bad = row(1, 0, "write", 0.1, 100.0);
-        bad[column_id("seg_dur")] = Value::Str("N/A".to_string());
+        bad[col::SEG_DUR] = Value::Str("N/A".to_string());
         tap.on_rows(&[bad, row(1, 0, "write", 0.1, 100.5)], Epoch::from_secs(1));
         assert_eq!(tap.buffered(), 1);
     }
@@ -497,13 +493,8 @@ mod tests {
     fn live_tap_matches_settle_replay_under_cross_rank_interleaving() {
         let ranks = outlier_workload();
         // Oracle: plain settle-replay over all events.
-        let mut all: Vec<OnlineEvent> = ranks.iter().flatten().cloned().collect();
-        all.sort_by(event_cmp);
-        let mut oracle = OnlineDetector::new(DetectionConfig::default());
-        for e in &all {
-            oracle.observe(e);
-        }
-        let want = oracle.finish();
+        let all: Vec<OnlineEvent> = ranks.iter().flatten().cloned().collect();
+        let want = oracle(&all);
         assert!(!want.is_empty(), "workload must produce detections");
 
         // Live: deliver rank streams interleaved with skew (rank 1
@@ -581,7 +572,6 @@ mod tests {
 
     #[test]
     fn live_tap_observer_matches_plain_tap_on_rows() {
-        let plain = DetectorTap::new(DetectionConfig::default());
         let live = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
         let rows: Vec<Vec<Value>> = (0..40)
             .map(|i| {
@@ -591,10 +581,11 @@ mod tests {
             })
             .collect();
         for chunk in rows.chunks(5) {
-            plain.on_rows(chunk, Epoch::from_secs(9));
             live.on_rows(chunk, Epoch::from_secs(9));
         }
-        let (_, want) = plain.finalize();
+        let decoded: Vec<OnlineEvent> = rows.iter().filter_map(|r| row_to_event(r)).collect();
+        let want = oracle(&decoded);
+        assert!(!want.is_empty(), "the slow window must be detected");
         let out = live.finalize(Epoch::from_secs(10_000));
         assert_eq!(out.detections, want);
         let live_events: Vec<DiagnosticEvent> = out.live.iter().map(|l| l.event.clone()).collect();
@@ -602,6 +593,53 @@ mod tests {
         for w in &want {
             assert!(live_events.contains(w));
         }
+    }
+
+    /// Maximal skew: every event of rank 1 arrives before the first of
+    /// rank 0, so the whole of rank 1 sits pending until the frontier
+    /// starts moving. The streaming engine must still be fed exactly
+    /// the oracle's sorted sequence — here, the sorted prefix below the
+    /// final frontier — and finalize must complete it.
+    #[test]
+    fn skewed_arrival_feeds_the_engine_the_oracle_sequence() {
+        let ranks = outlier_workload();
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 2, None);
+        let mut clock = 0u64;
+        for e in ranks[1].iter().chain(ranks[0].iter()) {
+            clock += 1;
+            tap.offer(e.clone(), Epoch::from_secs(clock));
+        }
+        assert!(!tap.reordered(), "per-rank order was preserved");
+
+        let mut sorted: Vec<OnlineEvent> = ranks.iter().flatten().cloned().collect();
+        sorted.sort_by(event_cmp);
+        let frontier = ranks
+            .iter()
+            .map(|r| r.last().expect("nonempty rank").end)
+            .fold(f64::INFINITY, f64::min);
+        let fed = sorted.iter().take_while(|e| e.end < frontier).count();
+        assert!(fed > 0 && fed < sorted.len(), "prefix and remainder");
+        let mut prefix_engine = OnlineDetector::new(DetectionConfig::default());
+        for e in &sorted[..fed] {
+            prefix_engine.observe(e);
+        }
+        {
+            let st = tap.state.lock();
+            assert_eq!(st.engine.events(), fed as u64);
+            assert_eq!(st.engine.late_events(), 0, "fed in canonical order");
+            assert_eq!(st.engine.detections(), prefix_engine.detections());
+            assert_eq!(st.last_fed.as_ref(), Some(&sorted[fed - 1]));
+            assert_eq!(st.pending.len(), sorted.len() - fed);
+        }
+
+        let out = tap.finalize(Epoch::from_secs(10_000));
+        assert_eq!(out.detections, oracle(&sorted));
+        let mut live: Vec<DiagnosticEvent> = out.live.into_iter().map(|l| l.event).collect();
+        let mut want = out.detections.clone();
+        let key = |d: &DiagnosticEvent| format!("{d:?}");
+        live.sort_by_key(key);
+        want.sort_by_key(key);
+        assert_eq!(live, want, "live stream is exactly the oracle set");
     }
 
     #[test]

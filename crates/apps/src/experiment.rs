@@ -100,16 +100,17 @@ pub struct RunSpec {
     /// [`RunResult::csv_import`].
     pub csv_seed: Vec<Vec<String>>,
     /// Online anomaly detection over the live ingest stream (`None`
-    /// by default — the run is byte-identical to an untapped one;
-    /// detections land in [`RunResult::detections`]). When the spec
+    /// by default — the run is byte-identical to an untapped one).
+    /// Detection always runs *streaming*: the canonical set lands in
+    /// [`RunResult::detections`], the same findings with their emit
+    /// instants in [`RunResult::live_detections`], and when the spec
     /// also enables the diagnosis hub (`telemetry` with a `hub`
-    /// policy), detection runs *streaming* — findings publish to the
-    /// hub in-run and [`RunResult::live_detections`] carries their
-    /// emit instants.
+    /// policy) each finding publishes to the hub as it is emitted.
     pub detection: Option<hpcws_sim::DetectionConfig>,
     /// Advisory budget (virtual seconds) from an anomaly's ground
-    /// onset to its live emission; a live-detection run exceeding it
-    /// draws the `TRC013` lint warning. Ignored without `detection`.
+    /// onset to its emission on the live stream; a detection run
+    /// exceeding it draws the `TRC013` lint warning. Ignored without
+    /// `detection`.
     pub detection_alert_budget_s: Option<f64>,
 }
 
@@ -364,12 +365,14 @@ pub struct RunResult {
     /// Online detections over the run's ingest stream, sorted by
     /// onset (empty unless the spec enabled detection; the same
     /// findings ride in [`RunResult::trace_report`] as
-    /// `TRC010`–`TRC012`). Always the settle-replay oracle's output,
-    /// whether or not detection ran streaming.
+    /// `TRC010`–`TRC012`). Always the settle-replay oracle's output:
+    /// a fresh engine fed the run's whole ingest log in
+    /// [`event_cmp`](crate::detect::event_cmp) order.
     pub detections: Vec<hpcws_sim::DiagnosticEvent>,
     /// The live stream: the same detection set with per-finding emit
-    /// instants (empty unless both detection and the diagnosis hub
-    /// were enabled). Contains exactly the events of `detections`.
+    /// instants (empty unless the spec enabled detection; filled with
+    /// or without a diagnosis hub). Contains exactly the events of
+    /// `detections`.
     pub live_detections: Vec<crate::detect::LiveDetection>,
 }
 
@@ -401,29 +404,17 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
 
     // Run-time detection taps the store's terminal ingest path
     // off-path: the observer only reads row batches, so the storage
-    // path is byte-identical whether or not the tap is attached. With
-    // the diagnosis hub enabled the tap runs streaming — windows close
-    // in-run behind the per-rank watermark frontier and findings
-    // publish to the hub at their ingest instants; without it, events
-    // buffer for settle-replay. Either way the canonical detection set
-    // is the settle-replay oracle's.
-    enum DetectTap {
-        Settle(std::sync::Arc<crate::detect::DetectorTap>),
-        Live(std::sync::Arc<crate::detect::LiveDetectorTap>),
-    }
+    // path is byte-identical whether or not the tap is attached.
+    // Windows close in-run behind the per-rank watermark frontier and
+    // findings publish to the diagnosis hub (when the spec has one) at
+    // their ingest instants; the canonical detection set is the
+    // settle-replay oracle's either way.
     let detector_tap = match (pipeline.as_ref(), &spec.detection) {
         (Some(p), Some(cfg)) => {
             let hub = p.telemetry().and_then(|t| t.diag()).cloned();
-            if spec.telemetry.as_ref().is_some_and(|t| t.hub.is_some()) {
-                let tap =
-                    crate::detect::LiveDetectorTap::new(cfg.clone(), u64::from(app.ranks()), hub);
-                p.store().attach_observer(tap.clone());
-                Some(DetectTap::Live(tap))
-            } else {
-                let tap = crate::detect::DetectorTap::new(cfg.clone());
-                p.store().attach_observer(tap.clone());
-                Some(DetectTap::Settle(tap))
-            }
+            let tap = crate::detect::LiveDetectorTap::new(cfg.clone(), u64::from(app.ranks()), hub);
+            p.store().attach_observer(tap.clone());
+            Some(tap)
         }
         _ => None,
     };
@@ -543,16 +534,12 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Replay the tapped ingest stream through the online detector:
     // the settled pipeline has delivered everything it ever will, so
     // the virtual-time sort is total and the detections deterministic.
-    // The live tap additionally yields the emit-instant stream (the
-    // oracle replay stays on as a differential check inside it).
-    let (detections, live_detections) = match &detector_tap {
-        None => (Vec::new(), Vec::new()),
-        Some(DetectTap::Settle(t)) => (t.finalize().1, Vec::new()),
-        Some(DetectTap::Live(t)) => {
-            let out = t.finalize(horizon);
-            (out.detections, out.live)
-        }
-    };
+    // The tap additionally yields the emit-instant stream its in-run
+    // engine produced.
+    let (detections, live_detections) = detector_tap.map_or_else(Default::default, |t| {
+        let out = t.finalize(horizon);
+        (out.detections, out.live)
+    });
 
     // Post-run: lint the stored trace, reconciling sequence gaps
     // against the delivery ledger. Only meaningful with a store.

@@ -18,8 +18,9 @@
 //!   Darshan-LDMS Connector} per configuration);
 //! * [`figdata`] — runs the figure experiments and extracts analysis
 //!   dataframes from DSOS;
-//! * [`detect`] — taps the store's ingest stream off-path and replays
-//!   it through the online anomaly detector at settle.
+//! * [`detect`] — taps the store's ingest stream off-path, streams it
+//!   through the online anomaly detector in-run, and re-runs the
+//!   sorted-replay oracle at settle.
 
 #![forbid(unsafe_code)]
 
@@ -31,7 +32,6 @@ pub mod stack;
 pub mod table2;
 pub mod workloads;
 
-pub use detect::DetectorTap;
 pub use experiment::{run_job, Instrumentation, RunResult, RunSpec};
 pub use platform::{FsChoice, Platform};
 pub use workloads::Workload;

@@ -639,7 +639,8 @@ fn main() {
     // oversubscribed. Accuracy is the individually-delivered fraction
     // of the event mass that reached the store; the remainder arrived
     // at summary fidelity. The ledger must balance exactly at every
-    // load point — degradation is never silent loss.
+    // load point — degradation is never silent loss — and accuracy
+    // must never rise as the offered load grows.
     println!("\n== achieved accuracy vs offered load (HMMER storm) ==");
     let storm_app = Hmmer {
         ranks: 8,
@@ -665,6 +666,7 @@ fn main() {
     ]);
     json.push_str("  \"overload\": [\n");
     let loads = [1.0f64, 4.0, 16.0];
+    let mut prev_accuracy = f64::INFINITY;
     for (li, &x) in loads.iter().enumerate() {
         let rate = offered / x;
         let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
@@ -698,6 +700,13 @@ fn main() {
         if !balanced {
             failures.push(format!("HMMER storm {x}x: ledger unbalanced"));
         }
+        if r.accuracy > prev_accuracy + 1e-9 {
+            failures.push(format!(
+                "HMMER storm {x}x: accuracy {:.4} rose above the lighter load's {prev_accuracy:.4}",
+                r.accuracy
+            ));
+        }
+        prev_accuracy = r.accuracy;
         if let Some(tel) = p.telemetry() {
             p.network().sync_overload_telemetry();
             let (rows, _) = daemon_rows(&tel.registry().families());

@@ -13,7 +13,7 @@ use ldms_sim::{DeliveryKey, DeliveryLedger, StreamMessage, StreamSink};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Column names and types of the `darshan_data` schema, in Figure 3
 /// order.
@@ -43,6 +43,25 @@ pub const COLUMNS: [(&str, Type); 24] = [
     ("seg_npoints", Type::I64),
     ("seg_timestamp", Type::F64),
 ];
+
+/// Positions in [`COLUMNS`] of the fields the per-row decoders (the
+/// detector tap's `row_to_event`, iolint's `TraceEvent::from_row`)
+/// read, so the ingest and lint paths index a row directly instead of
+/// scanning the name table per field. A unit test pins each to
+/// [`column_id`].
+pub mod col {
+    pub const MODULE: usize = 0;
+    pub const PRODUCER_NAME: usize = 2;
+    pub const FILE: usize = 4;
+    pub const RANK: usize = 5;
+    pub const RECORD_ID: usize = 7;
+    pub const JOB_ID: usize = 11;
+    pub const OP: usize = 12;
+    pub const SEG_OFF: usize = 14;
+    pub const SEG_DUR: usize = 16;
+    pub const SEG_LEN: usize = 17;
+    pub const SEG_TIMESTAMP: usize = 23;
+}
 
 /// The container name used throughout the pipeline.
 pub const CONTAINER: &str = "darshan";
@@ -155,8 +174,8 @@ pub fn darshan_schema() -> Arc<Schema> {
         .expect("static schema is well-formed")
 }
 
-/// Position of a column in the schema (compile-time constant lookup
-/// would be nicer; this is called on query paths only).
+/// Position of a column in the schema, by name: a linear scan, for
+/// query paths and tests. Per-row decoders use the [`col`] constants.
 pub fn column_id(name: &str) -> usize {
     COLUMNS
         .iter()
@@ -259,12 +278,12 @@ pub struct DsosStreamStore {
     seqs: Mutex<HashMap<StreamKey, SeqTrack>>,
     seen: Mutex<HashSet<DeliveryKey>>,
     /// Registered `ingest_dedup_hits` counter, when telemetry is on.
-    dedup_hits: Mutex<Option<Arc<iosim_telemetry::Counter>>>,
+    dedup_hits: OnceLock<Arc<iosim_telemetry::Counter>>,
     /// Rows acknowledged at the cluster's write quorum.
     quorum_acked: AtomicU64,
     /// Delivery ledger for acknowledged-at-quorum accounting, when the
     /// store is wired into a pipeline.
-    ledger: Mutex<Option<Arc<DeliveryLedger>>>,
+    ledger: OnceLock<Arc<DeliveryLedger>>,
     /// Off-path observer of parsed row batches, when run-time
     /// detection (or any other tap) is on.
     observer: Mutex<Option<Arc<dyn IngestObserver>>>,
@@ -286,26 +305,33 @@ impl DsosStreamStore {
             summary_events: AtomicU64::new(0),
             seqs: Mutex::new(HashMap::new()),
             seen: Mutex::new(HashSet::new()),
-            dedup_hits: Mutex::new(None),
+            dedup_hits: OnceLock::new(),
             quorum_acked: AtomicU64::new(0),
-            ledger: Mutex::new(None),
+            ledger: OnceLock::new(),
             observer: Mutex::new(None),
         })
     }
 
     /// Registers the store's `ingest_dedup_hits` counter with a
     /// telemetry hub, so replay-suppression shows up in exposition
-    /// next to the daemons' families.
+    /// next to the daemons' families. Called once, at pipeline build.
     pub fn attach_telemetry(&self, hub: &Arc<iosim_telemetry::Telemetry>) {
-        *self.dedup_hits.lock() = Some(hub.registry().counter("ingest_dedup_hits", "dsos-store"));
+        let counter = hub.registry().counter("ingest_dedup_hits", "dsos-store");
+        assert!(
+            self.dedup_hits.set(counter).is_ok(),
+            "store telemetry is attached once, at pipeline build"
+        );
     }
 
     /// Wires the network's delivery ledger in, so every row the cluster
     /// acknowledges at its write quorum lands in the ledger's
     /// `store_acked` column (the storage tier's extension of the
-    /// conservation law).
+    /// conservation law). Called once, at pipeline build.
     pub fn attach_ledger(&self, ledger: Arc<DeliveryLedger>) {
-        *self.ledger.lock() = Some(ledger);
+        assert!(
+            self.ledger.set(ledger).is_ok(),
+            "the store's ledger is attached once, at pipeline build"
+        );
     }
 
     /// Attaches an off-path [`IngestObserver`] that sees every parsed
@@ -326,7 +352,7 @@ impl DsosStreamStore {
             return;
         }
         self.quorum_acked.fetch_add(n, Ordering::Relaxed);
-        if let Some(ledger) = self.ledger.lock().as_ref() {
+        if let Some(ledger) = self.ledger.get() {
             ledger.record_store_acked_n(n);
         }
     }
@@ -492,7 +518,7 @@ impl StreamSink for DsosStreamStore {
         if let Some(key) = msg.delivery_key() {
             if !self.seen.lock().insert(key) {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = self.dedup_hits.lock().as_ref() {
+                if let Some(c) = self.dedup_hits.get() {
                     c.inc();
                 }
                 return;
@@ -846,6 +872,25 @@ mod tests {
         store.deliver(&sketch);
         assert_eq!(store.summaries(), 1);
         assert_eq!(store.duplicates_suppressed(), 1);
+    }
+
+    #[test]
+    fn col_constants_match_column_id() {
+        for (pos, name) in [
+            (col::MODULE, "module"),
+            (col::PRODUCER_NAME, "ProducerName"),
+            (col::FILE, "file"),
+            (col::RANK, "rank"),
+            (col::RECORD_ID, "record_id"),
+            (col::JOB_ID, "job_id"),
+            (col::OP, "op"),
+            (col::SEG_OFF, "seg_off"),
+            (col::SEG_DUR, "seg_dur"),
+            (col::SEG_LEN, "seg_len"),
+            (col::SEG_TIMESTAMP, "seg_timestamp"),
+        ] {
+            assert_eq!(pos, column_id(name), "col constant for {name}");
+        }
     }
 
     #[test]

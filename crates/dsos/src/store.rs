@@ -97,10 +97,13 @@ impl ContainerShard {
     /// queries can deduplicate copies and anti-entropy can locate rows.
     pub fn insert_tagged(&self, rid: u64, obj: Vec<Value>) -> Result<(), SchemaError> {
         self.schema.validate(&obj)?;
+        // Lock order is indices → partitions, as in the queries (which
+        // hold `indices` while fetching rows): taking them the other
+        // way round deadlocks against a concurrent query.
+        let mut indices = self.indices.write();
         let mut parts = self.partitions.write();
         let pidx = parts.len() - 1;
         let off = parts[pidx].objects.len();
-        let mut indices = self.indices.write();
         for def in self.schema.indices() {
             let key = self.schema.key_for(def, &obj);
             indices

@@ -16,7 +16,7 @@
 //! index-sorted rows. All other lints sort by timestamp themselves.
 
 use crate::diag::{self, Diagnostic};
-use darshan_ldms_connector::{column_id, GapReport, Pipeline, COLUMNS, CONTAINER};
+use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINER};
 use dsos_sim::{DsosCluster, Value};
 use ldms_sim::ledger::LossRecord;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -61,19 +61,19 @@ impl TraceEvent {
         if row.len() != COLUMNS.len() {
             return None;
         }
-        let s = |name: &str| row[column_id(name)].as_str().map(str::to_string);
+        let s = |pos: usize| row[pos].as_str().map(str::to_string);
         Some(Self {
-            producer: s("ProducerName")?,
-            job_id: row[column_id("job_id")].as_u64()?,
-            rank: row[column_id("rank")].as_u64()?,
-            module: s("module")?,
-            op: s("op")?,
-            file: s("file")?,
-            record_id: row[column_id("record_id")].as_u64()?,
-            len: row[column_id("seg_len")].as_i64()?,
-            off: row[column_id("seg_off")].as_i64()?,
-            dur: row[column_id("seg_dur")].as_f64()?,
-            end: row[column_id("seg_timestamp")].as_f64()?,
+            producer: s(col::PRODUCER_NAME)?,
+            job_id: row[col::JOB_ID].as_u64()?,
+            rank: row[col::RANK].as_u64()?,
+            module: s(col::MODULE)?,
+            op: s(col::OP)?,
+            file: s(col::FILE)?,
+            record_id: row[col::RECORD_ID].as_u64()?,
+            len: row[col::SEG_LEN].as_i64()?,
+            off: row[col::SEG_OFF].as_i64()?,
+            dur: row[col::SEG_DUR].as_f64()?,
+            end: row[col::SEG_TIMESTAMP].as_f64()?,
         })
     }
 

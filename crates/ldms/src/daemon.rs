@@ -51,7 +51,7 @@ use iosim_time::{Epoch, SimDuration};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Role of a daemon in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,8 +207,8 @@ struct CrashWindow {
 
 /// Per-daemon telemetry handles, resolved once at attach time so the
 /// hot path pays one atomic bump per metric instead of a registry
-/// lookup. Absent entirely (the default) telemetry costs one relaxed
-/// atomic load per hook site.
+/// lookup. Absent entirely (the default) telemetry costs one atomic
+/// load per hook site.
 struct DaemonTelemetry {
     hub: Arc<Telemetry>,
     /// The live diagnosis hub, resolved once at attach time (absent
@@ -247,11 +247,11 @@ pub struct Ldmsd {
     crashes: Mutex<Vec<CrashWindow>>,
     has_crashes: AtomicBool,
     crash_count: AtomicU64,
-    tel: RwLock<Option<Arc<DaemonTelemetry>>>,
-    has_tel: AtomicBool,
+    /// Set at most once, by [`Ldmsd::attach_telemetry`].
+    tel: OnceLock<DaemonTelemetry>,
     crash_dumps: Mutex<Vec<CrashDump>>,
-    overload: RwLock<Option<Arc<OverloadController>>>,
-    has_overload: AtomicBool,
+    /// Set at most once, by [`Ldmsd::attach_overload`].
+    overload: OnceLock<OverloadController>,
 }
 
 impl Ldmsd {
@@ -272,11 +272,9 @@ impl Ldmsd {
             crashes: Mutex::new(Vec::new()),
             has_crashes: AtomicBool::new(false),
             crash_count: AtomicU64::new(0),
-            tel: RwLock::new(None),
-            has_tel: AtomicBool::new(false),
+            tel: OnceLock::new(),
             crash_dumps: Mutex::new(Vec::new()),
-            overload: RwLock::new(None),
-            has_overload: AtomicBool::new(false),
+            overload: OnceLock::new(),
         })
     }
 
@@ -285,17 +283,20 @@ impl Ldmsd {
     /// disambiguates summary-sketch sequence numbers between hops).
     /// Without a controller (the default) every admission is a
     /// pass-through — byte-identical to the uncontrolled pipeline.
+    /// Called once, before traffic flows.
     pub fn attach_overload(&self, config: OverloadConfig, hop_ord: u64) {
-        *self.overload.write() = Some(Arc::new(OverloadController::new(config, hop_ord)));
-        self.has_overload.store(true, Ordering::Relaxed);
+        assert!(
+            self.overload
+                .set(OverloadController::new(config, hop_ord))
+                .is_ok(),
+            "{}: overload controller attached twice",
+            self.name
+        );
     }
 
     /// The attached overload controller, when one is configured.
-    fn overload_ctl(&self) -> Option<Arc<OverloadController>> {
-        if !self.has_overload.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.overload.read().clone()
+    fn overload_ctl(&self) -> Option<&OverloadController> {
+        self.overload.get()
     }
 
     /// Counter snapshot of the hop's overload controller, if attached.
@@ -326,11 +327,11 @@ impl Ldmsd {
 
     /// Attaches this daemon to a telemetry hub: registers its metric
     /// families (so exposition shows them even at zero) and resolves
-    /// every handle once. Must be called before traffic flows; the
+    /// every handle once. Called once, before traffic flows; the
     /// untraced default path never takes the attached branch.
     pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
         let reg = hub.registry();
-        let tel = Arc::new(DaemonTelemetry {
+        let tel = DaemonTelemetry {
             hub: hub.clone(),
             diag: hub.diag().cloned(),
             last_health: AtomicU8::new(HealthState::Healthy.to_u8()),
@@ -349,24 +350,23 @@ impl Ldmsd {
             overload_spilled: reg.gauge("overload_spilled", &self.name),
             overload_folded: reg.gauge("overload_folded", &self.name),
             overload_summaries: reg.gauge("overload_summaries", &self.name),
-        });
-        *self.tel.write() = Some(tel);
-        self.has_tel.store(true, Ordering::Relaxed);
+        };
+        assert!(
+            self.tel.set(tel).is_ok(),
+            "{}: telemetry attached twice",
+            self.name
+        );
     }
 
     /// The attached telemetry handles, when telemetry is enabled.
-    fn tel(&self) -> Option<Arc<DaemonTelemetry>> {
-        if !self.has_tel.load(Ordering::Relaxed) {
-            return None;
-        }
-        self.tel.read().clone()
+    fn tel(&self) -> Option<&DaemonTelemetry> {
+        self.tel.get()
     }
 
     /// The live diagnosis hub, when telemetry with a hub is attached.
-    fn diag(&self) -> Option<(Arc<DaemonTelemetry>, Arc<DiagHub>)> {
+    fn diag(&self) -> Option<(&DaemonTelemetry, &DiagHub)> {
         let tel = self.tel()?;
-        let diag = tel.diag.clone()?;
-        Some((tel, diag))
+        Some((tel, tel.diag.as_deref()?))
     }
 
     /// Derives the daemon's current health from its liveness window,
@@ -794,100 +794,68 @@ impl Ldmsd {
                 .record_loss_n(&self.name, LossCause::DaemonDown, msg.weight());
             return None;
         }
-        let terminal = self.upstream.read().is_none();
-        // Batch frames travel the pipeline whole and are only opened
-        // here, at the end of their path.
-        if terminal && msg.is_frame() {
-            self.deliver_frame(&msg);
-            return None;
-        }
-        // Idempotent terminal delivery: claim the key *before* the
-        // dispatch so a duplicate (a WAL replay of an
-        // already-delivered message) never reaches the store sinks.
-        // Only keys that will actually be delivered are claimed, so
-        // unstored runs keep no key set.
-        if terminal && self.hub.subscriber_count(&msg.tag) > 0 {
-            if let Some(key) = msg.delivery_key() {
-                if !self.ledger.try_claim_delivery(key) {
-                    return None;
-                }
-            }
-        }
-        let fanout = self.hub.dispatch(&msg);
         let guard = self.upstream.read();
-        match guard.as_ref() {
-            None => {
-                // Terminal daemon: this is where end-to-end delivery
-                // is decided. Intermediate dispatches above are taps.
-                if fanout > 0 {
-                    if msg.is_summary() {
-                        // A delivered sketch accounts its folded mass
-                        // in the ledger's summarized column — not
-                        // delivered, not lost.
-                        self.ledger.record_summarized_n(msg.weight());
-                    } else {
-                        self.ledger.record_delivered();
-                        if msg.replayed {
-                            self.ledger.record_recovered();
-                        }
-                    }
-                    self.note_ingest(&msg);
-                } else {
-                    self.ledger
-                        .record_loss_n(&self.name, LossCause::NoSubscriber, msg.weight());
-                }
-                None
+        let Some(up) = guard.as_ref() else {
+            // Terminal daemon: this is where end-to-end delivery is
+            // decided. Batch frames travel the pipeline whole and are
+            // only opened here, at the end of their path.
+            drop(guard);
+            if msg.is_frame() {
+                self.deliver_frame(&msg);
+            } else {
+                self.deliver_terminal(&msg);
             }
-            Some(up) => {
-                let Some(ctl) = self.overload_ctl() else {
-                    return self.try_send(up, msg, 0, None, None, now);
-                };
-                let rung_before = ctl.state();
-                let outcome = ctl.admit(msg, now);
-                let rung_after = ctl.state();
-                if rung_before != rung_after {
-                    if let Some((_, diag)) = self.diag() {
-                        diag.publish(
-                            &self.name,
-                            now,
-                            HubEventKind::Overload {
-                                from: rung_before.as_str(),
-                                to: rung_after.as_str(),
-                            },
-                        );
-                    }
-                    self.note_health(now);
-                }
-                for s in outcome.summaries {
-                    let at = s.recv_time.max(now);
-                    if let Some(c) = self.try_send(up, s, 0, None, None, at) {
-                        pending.push(c);
-                    }
-                }
-                if let Some((spilled, release)) = outcome.spill {
-                    self.park(
-                        up,
-                        QueueEntry {
-                            msg: spilled,
-                            attempts: 0,
-                            next_attempt: release,
-                            expire: None,
-                            cause: LossCause::Backpressure,
-                            lsn: None,
-                        },
-                        now,
-                    );
-                }
-                match outcome.forward {
-                    Some(m) => {
-                        // A paced message leaves at its service slot,
-                        // not its arrival instant.
-                        let at = m.recv_time.max(now);
-                        self.try_send(up, m, 0, None, None, at)
-                    }
-                    None => None,
-                }
+            return None;
+        };
+        // Intermediate dispatches are taps, not deliveries.
+        self.hub.dispatch(&msg);
+        let Some(ctl) = self.overload_ctl() else {
+            return self.try_send(up, msg, 0, None, None, now);
+        };
+        let rung_before = ctl.state();
+        let outcome = ctl.admit(msg, now);
+        let rung_after = ctl.state();
+        if rung_before != rung_after {
+            if let Some((_, diag)) = self.diag() {
+                diag.publish(
+                    &self.name,
+                    now,
+                    HubEventKind::Overload {
+                        from: rung_before.as_str(),
+                        to: rung_after.as_str(),
+                    },
+                );
             }
+            self.note_health(now);
+        }
+        for s in outcome.summaries {
+            let at = s.recv_time.max(now);
+            if let Some(c) = self.try_send(up, s, 0, None, None, at) {
+                pending.push(c);
+            }
+        }
+        if let Some((spilled, release)) = outcome.spill {
+            self.park(
+                up,
+                QueueEntry {
+                    msg: spilled,
+                    attempts: 0,
+                    next_attempt: release,
+                    expire: None,
+                    cause: LossCause::Backpressure,
+                    lsn: None,
+                },
+                now,
+            );
+        }
+        match outcome.forward {
+            Some(m) => {
+                // A paced message leaves at its service slot,
+                // not its arrival instant.
+                let at = m.recv_time.max(now);
+                self.try_send(up, m, 0, None, None, at)
+            }
+            None => None,
         }
     }
 
@@ -929,7 +897,7 @@ impl Ldmsd {
     }
 
     /// Terminal delivery of a batch frame: decode it and deliver every
-    /// member as if it had arrived unbatched — each member claims its
+    /// member through the unbatched routine — each member claims its
     /// own `(producer, job, rank, seq)` idempotency key before the
     /// store sees it, so dedup, gap detection, and ingest observe
     /// exactly the logical messages the sampler coalesced.
@@ -949,26 +917,43 @@ impl Ldmsd {
                 return;
             }
         };
-        for member in members {
-            if self.hub.subscriber_count(&member.tag) > 0 {
-                if let Some(key) = member.delivery_key() {
-                    if !self.ledger.try_claim_delivery(key) {
-                        // Suppressed duplicate: already counted when
-                        // first delivered, nothing moves.
-                        continue;
-                    }
+        for member in &members {
+            self.deliver_terminal(member);
+        }
+    }
+
+    /// Terminal delivery of one logical (non-frame) message: claim its
+    /// idempotency key, dispatch to the store sinks, account it in the
+    /// ledger, and close its trace.
+    fn deliver_terminal(&self, msg: &StreamMessage) {
+        // Claim the key *before* the dispatch so a duplicate (a WAL
+        // replay of an already-delivered message) never reaches the
+        // store sinks: it was counted when first delivered, nothing
+        // moves. Only keys that will actually be delivered are
+        // claimed, so unstored runs keep no key set.
+        if self.hub.subscriber_count(&msg.tag) > 0 {
+            if let Some(key) = msg.delivery_key() {
+                if !self.ledger.try_claim_delivery(key) {
+                    return;
                 }
-            }
-            if self.hub.dispatch(&member) > 0 {
-                self.ledger.record_delivered();
-                if member.replayed {
-                    self.ledger.record_recovered();
-                }
-                self.note_ingest(&member);
-            } else {
-                self.ledger.record_loss(&self.name, LossCause::NoSubscriber);
             }
         }
+        if self.hub.dispatch(msg) == 0 {
+            self.ledger
+                .record_loss_n(&self.name, LossCause::NoSubscriber, msg.weight());
+            return;
+        }
+        if msg.is_summary() {
+            // A delivered sketch accounts its folded mass in the
+            // ledger's summarized column — not delivered, not lost.
+            self.ledger.record_summarized_n(msg.weight());
+        } else {
+            self.ledger.record_delivered();
+            if msg.replayed {
+                self.ledger.record_recovered();
+            }
+        }
+        self.note_ingest(msg);
     }
 
     /// Telemetry for one terminal delivery: bumps the ingest counter
@@ -1252,7 +1237,7 @@ impl Ldmsd {
             let tel = self.tel();
             let mut conts = Vec::new();
             while let Some(mut entry) = up.queue.pop_due(now) {
-                if let Some(tel) = &tel {
+                if let Some(tel) = tel {
                     tel.retries.inc();
                     if let Some(trace) = entry.msg.trace {
                         // Latency of the retry hop: how long the entry
@@ -1275,7 +1260,7 @@ impl Ldmsd {
                     conts.push(c);
                 }
             }
-            if let Some(tel) = &tel {
+            if let Some(tel) = tel {
                 tel.queue_depth.set(up.queue.len() as u64);
             }
             conts
@@ -1333,7 +1318,7 @@ impl Ldmsd {
             // A terminal daemon has no queue to lose, but its flight
             // recorder still explains what it saw before dying.
             if let Some(tel) = tel {
-                self.snapshot_crash_dump(&tel, at, 0, 0);
+                self.snapshot_crash_dump(tel, at, 0, 0);
             }
             return;
         };
@@ -1355,7 +1340,7 @@ impl Ldmsd {
         }
         if let Some(tel) = tel {
             tel.queue_depth.set(0);
-            self.snapshot_crash_dump(&tel, at, dropped, wal_covered);
+            self.snapshot_crash_dump(tel, at, dropped, wal_covered);
         }
     }
 
@@ -1392,7 +1377,7 @@ impl Ldmsd {
         let tel = self.tel();
         for rec in w.replay() {
             let mut msg = rec.msg;
-            if let Some(tel) = &tel {
+            if let Some(tel) = tel {
                 tel.wal_replayed.inc();
                 tel.flight.note(
                     restart,
@@ -1427,7 +1412,7 @@ impl Ldmsd {
                 self.attribute(up, evicted);
             }
         }
-        if let Some(tel) = &tel {
+        if let Some(tel) = tel {
             tel.queue_depth.set(up.queue.len() as u64);
         }
     }

@@ -183,11 +183,6 @@ impl DeliveryLedger {
         self.debug_check_attribution();
     }
 
-    /// Attributes one lost message to `(hop, cause)`.
-    pub(crate) fn record_loss(&self, hop: &str, cause: LossCause) {
-        self.record_loss_n(hop, cause, 1);
-    }
-
     /// Attributes `n` lost messages to `(hop, cause)`. Dropping a batch
     /// frame loses every message coalesced into it, so loss accounting
     /// is weighted by frame size.
@@ -362,8 +357,8 @@ mod tests {
         l.record_published();
         l.record_published();
         l.record_delivered();
-        l.record_loss("ugni", LossCause::LinkLoss);
-        l.record_loss("ugni", LossCause::LinkLoss);
+        l.record_loss_n("ugni", LossCause::LinkLoss, 1);
+        l.record_loss_n("ugni", LossCause::LinkLoss, 1);
         assert_eq!(l.published(), 3);
         assert_eq!(l.delivered(), 1);
         assert_eq!(l.total_lost(), 2);
@@ -396,7 +391,7 @@ mod tests {
         l.record_delivered_n(6);
         assert!(!l.balances());
         l.record_summarized_n(3);
-        l.record_loss("q", LossCause::Backpressure);
+        l.record_loss_n("q", LossCause::Backpressure, 1);
         assert!(l.balances());
         assert_eq!(l.summarized(), 3);
         assert!((l.accuracy() - 6.0 / 9.0).abs() < 1e-12);
@@ -411,7 +406,7 @@ mod tests {
         let l = DeliveryLedger::new();
         l.record_published();
         assert!(!l.balances()); // parked in a queue somewhere
-        l.record_loss("q", LossCause::QueueOverflow);
+        l.record_loss_n("q", LossCause::QueueOverflow, 1);
         assert!(l.balances());
     }
 }
