@@ -6,8 +6,8 @@
 //! data by job, rank then timestamp" (Section IV.D). The schema's 24
 //! attributes are exactly the CSV columns of Figure 3.
 
-use dsos_sim::{DsosCluster, Schema, Type, Value};
-use iosim_util::json::{self, JsonValue};
+use dsos_sim::{BatchAck, DsosCluster, Schema, Type, Value};
+use iosim_util::json::{ParseError, Scanner, Token};
 use ldms_sim::store::field_to_string;
 use ldms_sim::{DeliveryKey, DeliveryLedger, StreamMessage, StreamSink};
 use parking_lot::Mutex;
@@ -118,47 +118,200 @@ const SEG_FIELDS: [&str; 10] = [
     "timestamp",
 ];
 
-/// Converts one JSON field straight to a typed [`Value`], skipping the
-/// CSV-string intermediate on the store hot path. The accept/reject set
-/// is byte-identical to rendering the field with
-/// [`field_to_string`] and re-parsing with [`Value::parse`] — the
-/// equivalence test below checks every (column type × JSON shape)
-/// combination against that oracle. Shapes the fast arms don't cover
-/// (floats in integer columns, booleans, nested values) fall back to
-/// the string rendering so exotic payloads keep the exact semantics.
-fn json_field_to_value(ty: Type, v: Option<&JsonValue>) -> Option<Value> {
-    match ty {
-        Type::Str => Some(Value::Str(field_to_string(v))),
-        Type::U64 => match v? {
-            JsonValue::Int(i) => (*i >= 0).then_some(Value::U64(*i as u64)),
-            JsonValue::UInt(u) => Some(Value::U64(*u)),
-            JsonValue::Str(s) => s.parse().ok().map(Value::U64),
-            other => field_to_string(Some(other)).parse().ok().map(Value::U64),
-        },
-        Type::I64 => match v? {
-            JsonValue::Int(i) => Some(Value::I64(*i)),
-            JsonValue::UInt(u) => (*u <= i64::MAX as u64).then_some(Value::I64(*u as i64)),
-            JsonValue::Str(s) => s.parse().ok().map(Value::I64),
-            other => field_to_string(Some(other)).parse().ok().map(Value::I64),
-        },
-        Type::F64 => match v? {
-            // `i as f64` and `i.to_string().parse::<f64>()` both round
-            // to nearest, so the direct cast matches the string path.
-            JsonValue::Int(i) => Some(Value::F64(*i as f64)),
-            JsonValue::UInt(u) => Some(Value::F64(*u as f64)),
-            JsonValue::Float(f) => Some(Value::F64(*f)),
-            JsonValue::Str(s) => s.parse().ok().map(Value::F64),
-            other => field_to_string(Some(other)).parse().ok().map(Value::F64),
-        },
+/// Reads the next JSON value as a column of type `ty`. `None` is a
+/// `null` or a value the column rejects. The accept/reject set is
+/// byte-identical to rendering the field with [`field_to_string`] and
+/// re-parsing with [`Value::parse`] — the equivalence test below checks
+/// every (column type × JSON shape) combination against that oracle.
+/// Shapes the fast arms don't cover (floats in integer columns,
+/// booleans, nested values, numeric strings) take that very route, so
+/// exotic payloads keep the exact semantics.
+fn decode_field(sc: &mut Scanner<'_>, ty: Type) -> Result<Option<Value>, ParseError> {
+    Ok(match (ty, sc.next_value()?) {
+        (_, Token::Null) => None,
+        (Type::Str, Token::Str(s)) => Some(Value::Str(s.into_owned())),
+        (Type::U64, Token::Int(i)) if i >= 0 => Some(Value::U64(i as u64)),
+        (Type::U64, Token::UInt(u)) => Some(Value::U64(u)),
+        (Type::I64, Token::Int(i)) => Some(Value::I64(i)),
+        // `i as f64` and `i.to_string().parse::<f64>()` both round to
+        // nearest, so the direct cast matches the string path.
+        (Type::F64, Token::Int(i)) => Some(Value::F64(i as f64)),
+        (Type::F64, Token::UInt(u)) => Some(Value::F64(u as f64)),
+        (Type::F64, Token::Float(f)) => Some(Value::F64(f)),
+        (ty, first) => Value::parse(ty, &field_to_string(Some(&sc.dom(first)?))),
+    })
+}
+
+/// What a column holds once its message is read: a missing (or `null`)
+/// field reads `N/A`, as in the CSV flattening — which only a `Str`
+/// column accepts. `None` rejects the row.
+fn column_value(slot: Option<Value>, ty: Type) -> Option<Value> {
+    slot.or_else(|| (ty == Type::Str).then(|| Value::Str("N/A".to_string())))
+}
+
+/// Reads one value. When it is an object, each member named in `names`
+/// is decoded into its slot as the parallel column's type (a duplicate
+/// key overwrites, so the last wins) and every other member goes to
+/// `other`, which must consume its value. Any other value leaves the
+/// slots untouched: all its fields are missing.
+fn decode_object<'a>(
+    sc: &mut Scanner<'a>,
+    names: &[&str],
+    columns: &[(&str, Type)],
+    slots: &mut [Option<Value>],
+    mut other: impl FnMut(&mut Scanner<'a>, &str) -> Result<(), ParseError>,
+) -> Result<(), ParseError> {
+    let first = sc.next_value()?;
+    if first != Token::BeginObject {
+        return sc.skip_rest(&first);
+    }
+    while let Some(key) = sc.next_key()? {
+        match names.iter().position(|&name| name == key) {
+            Some(i) => slots[i] = decode_field(sc, columns[i].1)?,
+            None => other(sc, &key)?,
+        }
+    }
+    Ok(())
+}
+
+/// Assembles a row from decoded slots, after `lead` placeholder cells
+/// the caller overwrites; `None` when a column rejects its slot. The
+/// row is allocated once at its final size: it is what the store keeps.
+fn row_of(
+    lead: usize,
+    slots: impl IntoIterator<Item = Option<Value>>,
+    columns: &[(&str, Type)],
+) -> Option<Vec<Value>> {
+    let mut row = Vec::with_capacity(lead + columns.len());
+    row.resize(lead, Value::U64(0));
+    for (slot, &(_, ty)) in slots.into_iter().zip(columns) {
+        row.push(column_value(slot, ty)?);
+    }
+    Some(row)
+}
+
+/// The rows of a message's `seg` entries and the number of entries a
+/// seg column rejected.
+#[derive(Default)]
+struct SegRows {
+    rows: Vec<Vec<Value>>,
+    rejected: u64,
+}
+
+impl SegRows {
+    /// Adds one entry as a row in [`COLUMNS`] order. Its top-level
+    /// columns hold placeholders until the whole message is read
+    /// ([`decode_event`] fills them in).
+    fn push(&mut self, seg: [Option<Value>; SEG_FIELDS.len()]) {
+        match row_of(TOP_FIELDS.len(), seg, &COLUMNS[TOP_FIELDS.len()..]) {
+            Some(row) => self.rows.push(row),
+            None => self.rejected += 1,
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.rows.is_empty() && self.rejected == 0
     }
 }
 
-/// Extracts an unsigned field with the CSV accept semantics.
-fn json_u64(v: Option<&JsonValue>) -> Option<u64> {
-    match json_field_to_value(Type::U64, v)? {
-        Value::U64(u) => Some(u),
-        _ => None,
+/// Reads the `seg` member, one row per entry; no entries when it is
+/// not an array.
+fn decode_segs(sc: &mut Scanner<'_>) -> Result<SegRows, ParseError> {
+    let mut segs = SegRows::default();
+    let first = sc.next_value()?;
+    if first != Token::BeginArray {
+        sc.skip_rest(&first)?;
+        return Ok(segs);
     }
+    while sc.next_element()? {
+        let mut seg: [Option<Value>; SEG_FIELDS.len()] = Default::default();
+        let seg_columns = &COLUMNS[TOP_FIELDS.len()..];
+        decode_object(sc, &SEG_FIELDS, seg_columns, &mut seg, |sc, _| {
+            sc.skip_value()
+        })?;
+        segs.push(seg);
+    }
+    Ok(segs)
+}
+
+/// One connector message, decoded.
+struct DecodedEvent {
+    /// The accepted rows, one per `seg` entry, in [`COLUMNS`] order.
+    rows: Vec<Vec<Value>>,
+    /// Rows a column's type rejected.
+    rejected: u64,
+    /// The publisher's `(job_id, rank)`, for gap tracking.
+    origin: Option<(u64, u64)>,
+}
+
+/// Decodes one connector message in a single pass over its text: each
+/// field goes straight into its [`COLUMNS`] slot, the top-level fields
+/// are shared by every `seg` row, unknown keys are skipped. A missing,
+/// empty or non-array `seg` counts as one entry of `N/A` fields,
+/// exactly like the CSV flattening.
+fn decode_event(data: &str) -> Result<DecodedEvent, ParseError> {
+    let mut sc = Scanner::new(data);
+    let mut top: [Option<Value>; TOP_FIELDS.len()] = Default::default();
+    let mut segs = SegRows::default();
+    let top_columns = &COLUMNS[..TOP_FIELDS.len()];
+    decode_object(&mut sc, &TOP_FIELDS, top_columns, &mut top, |sc, key| {
+        if key == "seg" {
+            segs = decode_segs(sc)?;
+            Ok(())
+        } else {
+            sc.skip_value()
+        }
+    })?;
+    sc.finish()?;
+    let origin = match (&top[col::JOB_ID], &top[col::RANK]) {
+        (Some(Value::U64(job_id)), Some(Value::U64(rank))) => Some((*job_id, *rank)),
+        _ => None,
+    };
+    if segs.is_empty() {
+        segs.push(Default::default());
+    }
+    let SegRows {
+        mut rows,
+        mut rejected,
+    } = segs;
+    // The top-level values move into the last row and are cloned from
+    // there into the others; one that its column rejects takes every
+    // row of the message with it.
+    if let Some((last, others)) = rows.split_last_mut() {
+        let filled = top
+            .into_iter()
+            .zip(top_columns)
+            .zip(last.iter_mut())
+            .try_for_each(|((slot, &(_, ty)), cell)| column_value(slot, ty).map(|v| *cell = v));
+        if filled.is_some() {
+            for row in others {
+                row[..TOP_FIELDS.len()].clone_from_slice(&last[..TOP_FIELDS.len()]);
+            }
+        } else {
+            rejected += rows.len() as u64;
+            rows.clear();
+        }
+    }
+    Ok(DecodedEvent {
+        rows,
+        rejected,
+        origin,
+    })
+}
+
+/// Decodes one summary sketch into a [`SUMMARY_COLUMNS`] row, `None`
+/// when a column rejects its field. `ProducerName` is the message's,
+/// whatever the document says.
+fn decode_summary(data: &str, producer: &str) -> Result<Option<Vec<Value>>, ParseError> {
+    let mut sc = Scanner::new(data);
+    let names = SUMMARY_COLUMNS.map(|(name, _)| name);
+    let mut slots: [Option<Value>; SUMMARY_COLUMNS.len()] = Default::default();
+    decode_object(&mut sc, &names, &SUMMARY_COLUMNS, &mut slots, |sc, _| {
+        sc.skip_value()
+    })?;
+    sc.finish()?;
+    slots[summary_column_id("ProducerName")] = Some(Value::Str(producer.to_string()));
+    Ok(row_of(0, slots, &SUMMARY_COLUMNS))
 }
 
 /// Builds the `darshan_data` schema with the paper's joint indices.
@@ -253,7 +406,11 @@ pub trait IngestObserver: Send + Sync {
 type StreamKey = (Arc<str>, u64, u64);
 
 /// A store plugin that ingests connector stream messages straight into
-/// a DSOS cluster (JSON → CSV row → typed object, as in Figure 3).
+/// a DSOS cluster. Figure 3's JSON → CSV row → typed object happens in
+/// one pass over the payload text (`decode_event`): no CSV string and
+/// no JSON tree in between, same rows. The CSV flattening itself lives
+/// on as `ldms_sim::store::CsvStreamStore` and as this decoder's test
+/// oracle.
 ///
 /// Sequence-stamped messages additionally feed per-publisher gap
 /// detection: connectors number their messages from 1, so any sequence
@@ -422,59 +579,12 @@ impl DsosStreamStore {
             .sum()
     }
 
-    /// Updates gap tracking for one sequence-stamped message, reading
-    /// the job/rank key straight off the parsed JSON document.
-    fn track_seq(&self, msg: &StreamMessage, dom: &JsonValue) {
-        let Some(seq) = msg.seq else { return };
-        let (Some(job_id), Some(rank)) = (json_u64(dom.get("job_id")), json_u64(dom.get("rank")))
-        else {
-            return;
-        };
+    /// Updates gap tracking for one sequence-stamped message.
+    fn track_seq(&self, producer: &Arc<str>, (job_id, rank): (u64, u64), seq: u64) {
         let mut seqs = self.seqs.lock();
-        let t = seqs
-            .entry((msg.producer.clone(), job_id, rank))
-            .or_default();
+        let t = seqs.entry((producer.clone(), job_id, rank)).or_default();
         t.received += 1;
         t.max_seq = t.max_seq.max(seq);
-    }
-
-    /// Converts one parsed message into typed objects, one per `seg`
-    /// entry (or one row of `N/A` fields when `seg` is missing or
-    /// empty, exactly like the CSV flattening). Returns the accepted
-    /// objects and the count of rejected (mistyped) rows.
-    fn message_to_objects(&self, dom: &JsonValue) -> (Vec<Vec<Value>>, u64) {
-        let segs: Vec<Option<&JsonValue>> = match dom.get("seg").and_then(JsonValue::as_array) {
-            Some(arr) if !arr.is_empty() => arr.iter().map(Some).collect(),
-            _ => vec![None],
-        };
-        // The 14 top-level columns are shared by every row of the
-        // message: convert them once, clone per row.
-        let base: Option<Vec<Value>> = TOP_FIELDS
-            .iter()
-            .zip(COLUMNS.iter())
-            .map(|(name, &(_, ty))| json_field_to_value(ty, dom.get(name)))
-            .collect();
-        let Some(base) = base else {
-            return (Vec::new(), segs.len() as u64);
-        };
-        let mut objs = Vec::with_capacity(segs.len());
-        let mut rejected = 0;
-        for seg in segs {
-            let tail: Option<Vec<Value>> = SEG_FIELDS
-                .iter()
-                .zip(COLUMNS[TOP_FIELDS.len()..].iter())
-                .map(|(name, &(_, ty))| json_field_to_value(ty, seg.and_then(|s| s.get(name))))
-                .collect();
-            match tail {
-                Some(tail) => {
-                    let mut obj = base.clone();
-                    obj.extend(tail);
-                    objs.push(obj);
-                }
-                None => rejected += 1,
-            }
-        }
-        (objs, rejected)
     }
 
     /// Ingests one overload summary sketch into [`SUMMARY_CONTAINER`].
@@ -483,25 +593,15 @@ impl DsosStreamStore {
     /// they bypass sequence-gap tracking too: their synthetic sequence
     /// space (`SUMMARY_SEQ_BIT`-tagged, per hop and key) would read as
     /// one giant gap against connector numbering.
-    fn ingest_summary(&self, msg: &StreamMessage, dom: &JsonValue) {
-        let obj: Option<Vec<Value>> = SUMMARY_COLUMNS
-            .iter()
-            .map(|&(name, ty)| {
-                if name == "ProducerName" {
-                    Some(Value::Str(msg.producer.to_string()))
-                } else {
-                    json_field_to_value(ty, dom.get(name))
-                }
-            })
-            .collect();
-        let Some(obj) = obj else {
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return;
+    fn ingest_summary(&self, msg: &StreamMessage) {
+        let ack = match decode_summary(&msg.data, &msg.producer) {
+            Ok(Some(row)) => self
+                .cluster
+                .ingest_batch_at(SUMMARY_CONTAINER, vec![row], msg.recv_time)
+                .unwrap_or_default(),
+            // Malformed, or a column rejected its field.
+            _ => BatchAck::default(),
         };
-        let ack = self
-            .cluster
-            .ingest_batch_at(SUMMARY_CONTAINER, vec![obj], msg.recv_time)
-            .unwrap_or_default();
         if ack.accepted == 0 {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return;
@@ -524,25 +624,23 @@ impl StreamSink for DsosStreamStore {
                 return;
             }
         }
-        let dom = match json::parse(&msg.data) {
-            Ok(dom) => dom,
-            Err(_) => {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        };
         if msg.is_summary() {
-            self.ingest_summary(msg, &dom);
+            self.ingest_summary(msg);
             return;
         }
-        self.track_seq(msg, &dom);
-        // All rows of one message convert DOM→typed directly (no CSV
-        // string intermediate) and ingest as one batch: a single shard
-        // pick, one lock acquisition per message instead of per row.
-        let (objs, bad_rows) = self.message_to_objects(&dom);
-        if bad_rows > 0 {
-            self.rejected.fetch_add(bad_rows, Ordering::Relaxed);
+        // One pass over the text yields the typed rows and the gap
+        // key; all rows of one message ingest as one batch.
+        let Ok(event) = decode_event(&msg.data) else {
+            self.rejected.fetch_add(1, Ordering::Relaxed);
+            return;
+        };
+        if let (Some(seq), Some(origin)) = (msg.seq, event.origin) {
+            self.track_seq(&msg.producer, origin, seq);
         }
+        if event.rejected > 0 {
+            self.rejected.fetch_add(event.rejected, Ordering::Relaxed);
+        }
+        let objs = event.rows;
         let total = objs.len() as u64;
         // The observer peeks at the batch before it moves into the
         // cluster; storage behavior is independent of the peek.
@@ -720,10 +818,10 @@ mod tests {
         assert_eq!(store.total_missing(), 0);
     }
 
-    /// Oracle for the direct DOM→[`Value`] conversion: the original
-    /// string path — flatten to CSV rows, then [`Value::parse`] each
-    /// field. The fast path must accept and reject exactly the same
-    /// payloads with exactly the same resulting values.
+    /// Oracle for the single-pass decode: the original string path —
+    /// flatten to CSV rows, then [`Value::parse`] each field. The
+    /// decoder must accept and reject exactly the same payloads with
+    /// exactly the same resulting values.
     fn objects_via_strings(data: &str) -> Option<(Vec<Vec<Value>>, u64)> {
         let rows = ldms_sim::store::json_to_rows(data).ok()?;
         let mut objs = Vec::new();
@@ -744,7 +842,6 @@ mod tests {
 
     #[test]
     fn direct_conversion_matches_string_path_for_every_shape() {
-        let store = DsosStreamStore::new(DsosCluster::new(1));
         // Every JSON shape a field can take, including ones the fast
         // arms don't special-case (floats in integer columns, huge
         // floats, booleans, nested values, numeric strings).
@@ -806,45 +903,157 @@ mod tests {
         for (ci, &(col, _)) in COLUMNS.iter().enumerate() {
             for shape in shapes {
                 let data = payload_with(ci, shape);
-                let dom = json::parse(&data).unwrap();
-                let fast = store.message_to_objects(&dom);
-                let slow = objects_via_strings(&data).unwrap();
-                assert_eq!(fast, slow, "column {col}, shape {shape}");
-                accepted += fast.0.len();
+                let fast = decoded(&data);
+                assert_eq!(
+                    fast,
+                    objects_via_strings(&data),
+                    "column {col}, shape {shape}"
+                );
+                accepted += fast.unwrap().0.len();
             }
         }
         // Sanity: the battery exercises both accepted and rejected rows.
         assert!(accepted > 0 && accepted < 24 * shapes.len());
-        // Structural shapes: missing seg, empty seg, multiple segs with
-        // one bad row, missing fields everywhere.
         for data in [
+            // Structural shapes: missing seg, empty seg, multiple segs
+            // with one bad row, missing fields everywhere, `seg` that
+            // is no array, entries that are no objects, no object at all.
             r#"{"module": "POSIX"}"#,
             r#"{"module": "POSIX", "seg": []}"#,
             r#"{"uid": 1, "seg": [{"dur": 0.5, "timestamp": 1.0},
                 {"dur": "oops", "timestamp": 2.0}]}"#,
             r#"{}"#,
             MSG,
+            r#"{"module": "POSIX", "seg": 7}"#,
+            r#"{"module": "POSIX", "seg": {"off": 1}}"#,
+            r#"{"module": "POSIX", "seg": [1, [2], "x", null]}"#,
+            r#"[{"module": "POSIX"}]"#,
+            r#"42"#,
+            // Malformed documents: both sides refuse the message whole.
+            r#"{"module": "POSIX","#,
+            r#"{"module": "POSIX"} x"#,
+            r#"{"uid": 1-2}"#,
+            r#"{"module": "a\qb"}"#,
+            r#"{"nope": [1, {"k": tru}]}"#,
         ] {
-            let dom = json::parse(data).unwrap();
-            assert_eq!(
-                store.message_to_objects(&dom),
-                objects_via_strings(data).unwrap(),
-                "payload {data}"
-            );
+            assert_eq!(decoded(data), objects_via_strings(data), "payload {data}");
         }
+        // A valid message rewritten without changing what it says.
+        let with = |from: &str, to: &str| {
+            assert!(MSG.contains(from), "{from} is in MSG");
+            MSG.replace(from, to)
+        };
+        for (what, data) in [
+            (
+                "keys out of connector order",
+                with(r#""uid":99066,"#, "").replace(r#"]}"#, r#"],"uid":99066}"#),
+            ),
+            (
+                "seg before the top-level fields",
+                format!(
+                    r#"{{"seg":[{{"off":0,"len":1,"dur":0.5,"timestamp":2.0,"pt_sel":-1,
+                    "irreg_hslab":-1,"reg_hslab":-1,"ndims":-1,"npoints":-1}},{{"off":9}}],{}"#,
+                    MSG[1..MSG.find(r#""seg""#).unwrap()]
+                        .trim_end()
+                        .trim_end_matches(',')
+                ) + "}",
+            ),
+            (
+                "duplicate keys, last wins",
+                with(r#""rank":3"#, r#""rank":"oops","rank":3,"op":"read""#),
+            ),
+            (
+                "duplicate key whose last value is rejected",
+                with(r#""rank":3"#, r#""rank":3,"rank":-1"#),
+            ),
+            (
+                "duplicate seg, last wins",
+                with(r#""seg":["#, r#""seg":[{"off":1},{"off":2}],"seg":["#),
+            ),
+            (
+                "duplicate seg, last is no array",
+                with(r#"]}"#, r#"],"seg":null}"#),
+            ),
+            (
+                "duplicate key inside a seg entry",
+                with(r#""len":4096"#, r#""len":1.5,"len":4096"#),
+            ),
+            (
+                "escapes and non-ASCII text in Str columns",
+                with(
+                    "/scratch/o.dat",
+                    r#"/scr\\atch/\"naïve\"\t\u00e9\ud83d\ude00\ud83d/データ"#,
+                ),
+            ),
+            (
+                "unknown keys holding nested values",
+                with(
+                    r#""op":"write""#,
+                    r#""op":"write","extra":{"a":[1,{"b":"\n"}],"c":{}},"more":[[],[[]]]"#,
+                )
+                .replace(r#""off":0"#, r#""off":0,"why":{"seg":[{"off":5}]}"#),
+            ),
+            (
+                "extra whitespace",
+                MSG.replace(':', " :\t")
+                    .replace(',', " ,\n ")
+                    .replace('[', " [ ")
+                    + " \n",
+            ),
+        ] {
+            let fast = decoded(&data);
+            assert_eq!(fast, objects_via_strings(&data), "{what}: {data}");
+            assert!(fast.is_some(), "{what} is well-formed: {data}");
+        }
+    }
+
+    /// `(rows, rejected)` of [`decode_event`], `None` when malformed.
+    fn decoded(data: &str) -> Option<(Vec<Vec<Value>>, u64)> {
+        decode_event(data).ok().map(|e| (e.rows, e.rejected))
+    }
+
+    const SKETCH: &str = r#"{"type":"summary","job_id":7,"rank":3,"window":12,
+        "first_ts":1650000000.25,"last_ts":1650000001.5,"count":40,"bytes":163840,
+        "dur_min":0.001,"dur_max":0.009,"dur_sum":0.21}"#;
+
+    #[test]
+    fn every_truncation_is_one_rejected_message_and_nothing_ingested() {
+        let cluster = DsosCluster::new(1);
+        let store = DsosStreamStore::new(cluster.clone());
+        let mut sent = 0;
+        for (payload, summary) in [(MSG, false), (SKETCH, true)] {
+            for cut in 0..payload.len() {
+                let msg = StreamMessage::new(
+                    "darshanConnector",
+                    MsgFormat::Json,
+                    payload[..cut].to_string(),
+                    "nid00046",
+                    iosim_time::Epoch::from_secs(1),
+                )
+                .with_seq(sent);
+                store.deliver(&if summary {
+                    msg.with_summary_count(40)
+                } else {
+                    msg
+                });
+                sent += 1;
+                assert_eq!(store.rejected(), sent, "prefix of {cut} bytes");
+            }
+        }
+        assert_eq!((store.ingested(), store.summaries()), (0, 0));
+        assert_eq!(cluster.object_count(CONTAINER), 0);
+        assert_eq!(cluster.object_count(SUMMARY_CONTAINER), 0);
+        assert!(store.gap_reports().is_empty());
     }
 
     #[test]
     fn summary_sketches_route_to_their_own_container() {
         let cluster = DsosCluster::new(1);
         let store = DsosStreamStore::new(cluster.clone());
-        let payload = r#"{"type":"summary","job_id":7,"rank":3,"window":12,
-            "first_ts":1650000000.25,"last_ts":1650000001.5,"count":40,"bytes":163840,
-            "dur_min":0.001,"dur_max":0.009,"dur_sum":0.21}"#;
         let sketch = StreamMessage::new(
             "darshanConnector",
             MsgFormat::Json,
-            payload.to_string(),
+            SKETCH.to_string(),
             "nid00046",
             iosim_time::Epoch::from_secs(1),
         )

@@ -33,7 +33,7 @@ use crate::replication::{
     ReplicationConfig, ShardHealth, ShardMap, StoreError, NO_RID,
 };
 use crate::schema::Schema;
-use crate::store::{Dsosd, TaggedRow};
+use crate::store::{ContainerShard, Dsosd, TaggedRow};
 use crate::value::Value;
 use iosim_telemetry::{Counter, DiagHub, FaultKind, Gauge, HealthState, HubEventKind, Telemetry};
 use iosim_time::Epoch;
@@ -61,6 +61,8 @@ struct ContainerRepl {
     /// Attribute positions forming the shard key (`job_id`/`job`,
     /// `rank`); empty = hash the whole object.
     key_attrs: Vec<usize>,
+    /// The container's shard on each daemon, by daemon index.
+    shards: Vec<Arc<ContainerShard>>,
     rows: HashMap<u64, RowMeta>,
     acked_per_shard: Vec<u64>,
     /// Per daemon: row id → arrival instant (ingest or rebuild time).
@@ -70,7 +72,7 @@ struct ContainerRepl {
 }
 
 impl ContainerRepl {
-    fn new(schema: Arc<Schema>, daemons: usize, shards: usize) -> Self {
+    fn new(schema: Arc<Schema>, shards: Vec<Arc<ContainerShard>>, shard_count: usize) -> Self {
         let mut key_attrs = Vec::new();
         for name in ["job_id", "job", "rank"] {
             if let Some(i) = schema.attr_id(name) {
@@ -83,16 +85,17 @@ impl ContainerRepl {
             schema,
             key_attrs,
             rows: HashMap::new(),
-            acked_per_shard: vec![0; shards],
-            holders: (0..daemons).map(|_| HashMap::new()).collect(),
+            acked_per_shard: vec![0; shard_count],
+            holders: shards.iter().map(|_| HashMap::new()).collect(),
+            shards,
         }
     }
 
     fn shard_hash(&self, obj: &[Value]) -> u64 {
         if self.key_attrs.is_empty() {
-            shard_key_hash(&obj.iter().collect::<Vec<_>>())
+            shard_key_hash(obj)
         } else {
-            shard_key_hash(&self.key_attrs.iter().map(|&i| &obj[i]).collect::<Vec<_>>())
+            shard_key_hash(self.key_attrs.iter().map(|&i| &obj[i]))
         }
     }
 }
@@ -209,15 +212,15 @@ impl DsosCluster {
     /// Ensures the container exists on every daemon and sets up its
     /// replication bookkeeping.
     pub fn create_container(&self, name: &str, schema: &Arc<Schema>) {
-        for d in &self.daemons {
-            d.container(name, schema);
-        }
+        let shards = self
+            .daemons
+            .iter()
+            .map(|d| d.container(name, schema))
+            .collect();
         self.repl
             .write()
             .entry(name.to_string())
-            .or_insert_with(|| {
-                ContainerRepl::new(schema.clone(), self.daemons.len(), self.map.shard_count())
-            });
+            .or_insert_with(|| ContainerRepl::new(schema.clone(), shards, self.map.shard_count()));
     }
 
     // ------------------------------------------------------------------
@@ -384,7 +387,7 @@ impl DsosCluster {
         schedules: &[DaemonSchedule],
     ) -> u64 {
         let mut rebuilt = 0u64;
-        for (cname, cr) in repl.iter_mut() {
+        for cr in repl.values_mut() {
             let mut to_add: Vec<u64> = Vec::new();
             for (&rid, meta) in &cr.rows {
                 // Only rows that exist by the restart instant: replay
@@ -403,26 +406,20 @@ impl DsosCluster {
                     to_add.push(rid);
                 }
             }
-            if to_add.is_empty() {
-                continue;
-            }
-            let dest = self.daemons[d]
-                .get_container(cname)
-                .expect("container exists on every daemon by construction");
+            let dest = &cr.shards[d];
             for rid in to_add {
                 // Copy the bytes from any peer that physically has the
                 // row (dedup check: skip if an earlier rebuild already
                 // materialized it on this daemon).
                 if !dest.has_rid(rid) {
                     let meta = cr.rows[&rid];
-                    let obj = self.map.replicas_of(meta.shard).iter().find_map(|&p| {
-                        self.daemons[p]
-                            .get_container(cname)
-                            .and_then(|c| c.fetch_by_rid(rid))
-                    });
+                    let obj = self
+                        .map
+                        .replicas_of(meta.shard)
+                        .iter()
+                        .find_map(|&p| cr.shards[p].fetch_by_rid(rid));
                     if let Some(obj) = obj {
-                        dest.insert_tagged(rid, obj)
-                            .expect("replica copy matches schema");
+                        dest.insert_tagged(rid, obj);
                     }
                 }
                 cr.holders[d].insert(rid, at);
@@ -471,36 +468,43 @@ impl DsosCluster {
         t: Epoch,
     ) -> Result<IngestAck, StoreError> {
         let mut repl = self.repl.write();
-        self.ingest_locked(&mut repl, container, obj, t)
-    }
-
-    fn ingest_locked(
-        &self,
-        repl: &mut HashMap<String, ContainerRepl>,
-        container: &str,
-        obj: Vec<Value>,
-        t: Epoch,
-    ) -> Result<IngestAck, StoreError> {
         let cr = repl
             .get_mut(container)
             .ok_or_else(|| StoreError::NoSuchContainer(container.to_string()))?;
+        self.ingest_locked(cr, &self.schedules.read(), obj, t)
+    }
+
+    /// Validates `obj` (the one check on the ingest path: the shards
+    /// take it as is) and writes it to every replica of its shard that
+    /// is up at `t`: cloned for all but the last, which takes the row
+    /// itself.
+    fn ingest_locked(
+        &self,
+        cr: &mut ContainerRepl,
+        schedules: &[DaemonSchedule],
+        obj: Vec<Value>,
+        t: Epoch,
+    ) -> Result<IngestAck, StoreError> {
         cr.schema.validate(&obj)?;
         let shard = self.map.shard_of_hash(cr.shard_hash(&obj));
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
-        let schedules = self.schedules.read();
+        let mut live = self
+            .map
+            .replicas_of(shard)
+            .iter()
+            .filter(|&&d| schedules[d].is_up(t));
+        let last = live.next_back();
         let mut acked = 0;
-        for &d in self.map.replicas_of(shard) {
-            if !schedules[d].is_up(t) {
-                continue;
-            }
-            let shard_store = self.daemons[d]
-                .get_container(container)
-                .ok_or_else(|| StoreError::NoSuchContainer(container.to_string()))?;
-            shard_store
-                .insert_tagged(rid, obj.clone())
-                .expect("validated above");
+        let mut write = |d: usize, row: Vec<Value>| {
+            cr.shards[d].insert_tagged(rid, row);
             cr.holders[d].insert(rid, t);
             acked += 1;
+        };
+        for &d in live {
+            write(d, obj.clone());
+        }
+        if let Some(&d) = last {
+            write(d, obj);
         }
         let quorum = acked >= self.cfg.write_quorum;
         if quorum {
@@ -537,17 +541,14 @@ impl DsosCluster {
         objs: Vec<Vec<Value>>,
         t: Epoch,
     ) -> Result<BatchAck, StoreError> {
-        let mut ack = BatchAck::default();
-        if objs.is_empty() {
-            // Still surface a bad container name.
-            if !self.repl.read().contains_key(container) {
-                return Err(StoreError::NoSuchContainer(container.to_string()));
-            }
-            return Ok(ack);
-        }
         let mut repl = self.repl.write();
+        let cr = repl
+            .get_mut(container)
+            .ok_or_else(|| StoreError::NoSuchContainer(container.to_string()))?;
+        let schedules = self.schedules.read();
+        let mut ack = BatchAck::default();
         for obj in objs {
-            match self.ingest_locked(&mut repl, container, obj, t) {
+            match self.ingest_locked(cr, &schedules, obj, t) {
                 Ok(a) => {
                     ack.accepted += 1;
                     if a.quorum {
@@ -775,14 +776,12 @@ impl DsosCluster {
                 if cr.holders[d].contains_key(&rid) {
                     continue;
                 }
-                if let Some(dest) = self.daemons[d].get_container(container) {
-                    if !dest.has_rid(rid) {
-                        dest.insert_tagged(rid, obj)
-                            .expect("replica copy matches schema");
-                    }
-                    cr.holders[d].insert(rid, at);
-                    repaired += 1;
+                let dest = &cr.shards[d];
+                if !dest.has_rid(rid) {
+                    dest.insert_tagged(rid, obj);
                 }
+                cr.holders[d].insert(rid, at);
+                repaired += 1;
             }
         }
         drop(repl);

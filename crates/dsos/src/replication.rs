@@ -216,7 +216,7 @@ impl ShardMap {
 
 /// Stable FNV-1a hash over the shard-key attribute values. Each value
 /// is folded with a type tag so `U64(1)` and `I64(1)` hash apart.
-pub fn shard_key_hash(values: &[&Value]) -> u64 {
+pub fn shard_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut h = FNV_OFFSET;
     for v in values {
         h = match v {
@@ -442,13 +442,13 @@ mod tests {
 
     #[test]
     fn shard_key_hash_is_stable_and_type_tagged() {
-        let a = shard_key_hash(&[&Value::U64(7), &Value::U64(3)]);
-        let b = shard_key_hash(&[&Value::U64(7), &Value::U64(3)]);
+        let a = shard_key_hash(&[Value::U64(7), Value::U64(3)]);
+        let b = shard_key_hash(&[Value::U64(7), Value::U64(3)]);
         assert_eq!(a, b);
-        assert_ne!(a, shard_key_hash(&[&Value::U64(3), &Value::U64(7)]));
+        assert_ne!(a, shard_key_hash(&[Value::U64(3), Value::U64(7)]));
         assert_ne!(
-            shard_key_hash(&[&Value::U64(1)]),
-            shard_key_hash(&[&Value::I64(1)])
+            shard_key_hash(&[Value::U64(1)]),
+            shard_key_hash(&[Value::I64(1)])
         );
     }
 

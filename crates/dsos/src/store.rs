@@ -32,9 +32,10 @@ struct Partition {
 pub struct ContainerShard {
     schema: Arc<Schema>,
     partitions: RwLock<Vec<Partition>>,
-    /// index name → ordered key → object locations (insertion order
-    /// preserved within equal keys).
-    indices: RwLock<HashMap<String, IndexMap>>,
+    /// One index per `schema.indices()` entry, in that order: ordered
+    /// key → object locations (insertion order preserved within equal
+    /// keys).
+    indices: RwLock<Vec<IndexMap>>,
     /// Cluster row id → location, for anti-entropy rebuild and read
     /// repair (direct [`NO_RID`] inserts are not tracked).
     by_rid: RwLock<HashMap<u64, ObjLoc>>,
@@ -42,11 +43,7 @@ pub struct ContainerShard {
 
 impl ContainerShard {
     fn new(schema: Arc<Schema>) -> Self {
-        let indices = schema
-            .indices()
-            .iter()
-            .map(|i| (i.name.clone(), BTreeMap::new()))
-            .collect();
+        let indices = schema.indices().iter().map(|_| BTreeMap::new()).collect();
         Self {
             schema,
             partitions: RwLock::new(vec![Partition {
@@ -90,13 +87,15 @@ impl ContainerShard {
     /// Inserts an object: validates, appends to the active partition,
     /// and updates every joint index.
     pub fn insert(&self, obj: Vec<Value>) -> Result<(), SchemaError> {
-        self.insert_tagged(NO_RID, obj)
+        self.schema.validate(&obj)?;
+        self.insert_tagged(NO_RID, obj);
+        Ok(())
     }
 
-    /// Inserts an object under a cluster-global row id so replicated
-    /// queries can deduplicate copies and anti-entropy can locate rows.
-    pub fn insert_tagged(&self, rid: u64, obj: Vec<Value>) -> Result<(), SchemaError> {
-        self.schema.validate(&obj)?;
+    /// Inserts an object the cluster has validated, under its
+    /// cluster-global row id, so replicated queries can deduplicate
+    /// copies and anti-entropy can locate rows.
+    pub(crate) fn insert_tagged(&self, rid: u64, obj: Vec<Value>) {
         // Lock order is indices → partitions, as in the queries (which
         // hold `indices` while fetching rows): taking them the other
         // way round deadlocks against a concurrent query.
@@ -104,41 +103,22 @@ impl ContainerShard {
         let mut parts = self.partitions.write();
         let pidx = parts.len() - 1;
         let off = parts[pidx].objects.len();
-        for def in self.schema.indices() {
+        for (def, index) in self.schema.indices().iter().zip(indices.iter_mut()) {
             let key = self.schema.key_for(def, &obj);
-            indices
-                .get_mut(&def.name)
-                .expect("index exists by construction")
-                .entry(key)
-                .or_default()
-                .push((pidx, off));
+            index.entry(key).or_default().push((pidx, off));
         }
         parts[pidx].objects.push(obj);
         parts[pidx].rids.push(rid);
         if rid != NO_RID {
             self.by_rid.write().insert(rid, (pidx, off));
         }
-        Ok(())
-    }
-
-    fn fetch(&self, loc: ObjLoc) -> Vec<Value> {
-        let parts = self.partitions.read();
-        parts[loc.0].objects[loc.1].clone()
-    }
-
-    fn fetch_tagged(&self, loc: ObjLoc) -> (u64, Vec<Value>) {
-        let parts = self.partitions.read();
-        (
-            parts[loc.0].rids[loc.1],
-            parts[loc.0].objects[loc.1].clone(),
-        )
     }
 
     /// Looks up a row by its cluster-global row id (anti-entropy /
     /// read-repair source path).
     pub fn fetch_by_rid(&self, rid: u64) -> Option<Vec<Value>> {
-        let loc = *self.by_rid.read().get(&rid)?;
-        Some(self.fetch(loc))
+        let (part, off) = *self.by_rid.read().get(&rid)?;
+        Some(self.partitions.read()[part].objects[off].clone())
     }
 
     /// Whether this shard physically holds a row id.
@@ -164,24 +144,15 @@ impl ContainerShard {
     /// Like [`query_prefix`](Self::query_prefix), keeping each row's
     /// cluster row id for replica dedup.
     pub fn query_prefix_tagged(&self, index: &str, prefix: &[Value]) -> Option<Vec<TaggedRow>> {
+        let pos = self.index_pos(index)?;
+        // One acquisition of each lock per query, indices → partitions
+        // as in `insert_tagged`.
         let indices = self.indices.read();
-        let idx = indices.get(index)?;
-        let mut out = Vec::new();
-        let range: Box<dyn Iterator<Item = (&Vec<Value>, &Vec<ObjLoc>)>> = if prefix.is_empty() {
-            Box::new(idx.iter())
-        } else {
-            Box::new(idx.range(prefix.to_vec()..))
-        };
-        for (key, locs) in range {
-            if !key.starts_with(prefix) {
-                break;
-            }
-            for &loc in locs {
-                let (rid, obj) = self.fetch_tagged(loc);
-                out.push((key.clone(), rid, obj));
-            }
-        }
-        Some(out)
+        let parts = self.partitions.read();
+        let hits = indices[pos]
+            .range(prefix.to_vec()..)
+            .take_while(|(key, _)| key.starts_with(prefix));
+        Some(tagged_rows(&parts, hits))
     }
 
     /// Iterates objects with `from <= key < to` in key order.
@@ -206,25 +177,42 @@ impl ContainerShard {
         from: &[Value],
         to: &[Value],
     ) -> Option<Vec<TaggedRow>> {
-        let indices = self.indices.read();
-        let idx = indices.get(index)?;
-        let mut out = Vec::new();
+        let pos = self.index_pos(index)?;
         if from >= to {
-            return Some(out); // degenerate or empty range
+            return Some(Vec::new()); // degenerate or empty range
         }
-        for (key, locs) in idx.range(from.to_vec()..to.to_vec()) {
-            for &loc in locs {
-                let (rid, obj) = self.fetch_tagged(loc);
-                out.push((key.clone(), rid, obj));
-            }
-        }
-        Some(out)
+        let indices = self.indices.read();
+        let parts = self.partitions.read();
+        Some(tagged_rows(
+            &parts,
+            indices[pos].range(from.to_vec()..to.to_vec()),
+        ))
+    }
+
+    /// Position of a named index in `schema.indices()` and `indices`.
+    fn index_pos(&self, name: &str) -> Option<usize> {
+        self.schema.indices().iter().position(|i| i.name == name)
     }
 
     /// The index definition backing a named index.
     pub fn index_def(&self, name: &str) -> Option<&IndexDef> {
         self.schema.index_def(name)
     }
+}
+
+/// Clones out the rows an index scan hit, in scan order.
+fn tagged_rows<'a>(
+    parts: &[Partition],
+    hits: impl Iterator<Item = (&'a Vec<Value>, &'a Vec<ObjLoc>)>,
+) -> Vec<TaggedRow> {
+    let mut out = Vec::new();
+    for (key, locs) in hits {
+        for &(part, off) in locs {
+            let part = &parts[part];
+            out.push((key.clone(), part.rids[off], part.objects[off].clone()));
+        }
+    }
+    out
 }
 
 /// One DSOS storage daemon holding container shards.

@@ -4,7 +4,9 @@
 //! that converts each JSON stream message into CSV rows (Figure 3 shows
 //! the exact header) before DSOS ingest. [`CsvStreamStore`] implements
 //! that conversion; the DSOS-backed store lives in the connector crate
-//! to keep this crate independent of the database.
+//! to keep this crate independent of the database. That store decodes
+//! the JSON text straight into typed rows, and its tests hold it to
+//! [`json_to_rows`] as the oracle: same rows, same rejects.
 
 use crate::stream::{StreamMessage, StreamSink};
 use iosim_util::json::{self, JsonValue};
@@ -39,9 +41,9 @@ pub const CSV_HEADER: [&str; 24] = [
 ];
 
 /// Renders one JSON field the way the CSV store prints it: `N/A` for
-/// missing or null fields, bare scalars otherwise. Exported so typed
-/// stores can reproduce the exact CSV accept/reject semantics without
-/// materialising the intermediate string row.
+/// missing or null fields, bare scalars otherwise. Exported so the
+/// typed store sends the JSON shapes it has no direct conversion for
+/// through the very same rendering.
 pub fn field_to_string(v: Option<&JsonValue>) -> String {
     match v {
         None => "N/A".to_string(),

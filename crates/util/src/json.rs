@@ -7,9 +7,11 @@
 //! conversion, so the encoder also reports how many bytes were formatted
 //! so the simulation can charge a calibrated cost for them.
 //!
-//! The decoder is a small recursive-descent parser used by the LDMS
-//! stream store plugin and by tests to round-trip connector messages.
+//! The decoder is one zero-copy pull [`Scanner`]. [`parse`] drives it
+//! into a [`JsonValue`] tree (the CSV store, tests and tools); the DSOS
+//! store plugin drives it straight into typed columns.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -240,6 +242,12 @@ impl JsonWriter {
     /// Writes a JSON string with escaping.
     pub fn string(&mut self, s: &str) {
         self.buf.push('"');
+        // Every key and almost every value needs no escape: one copy.
+        if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+            self.buf.push_str(s);
+            self.buf.push('"');
+            return;
+        }
         for c in s.chars() {
             match c {
                 '"' => self.buf.push_str("\\\""),
@@ -260,19 +268,30 @@ impl JsonWriter {
     /// Writes an integer, counting the converted digits (the `sprintf`
     /// analogue the cost model charges for).
     pub fn int(&mut self, v: i64) {
-        use fmt::Write as _;
-        let before = self.buf.len();
-        let _ = write!(self.buf, "{v}");
-        self.formatted_digits += self.buf.len() - before;
+        if v < 0 {
+            self.buf.push('-');
+            self.formatted_digits += 1;
+        }
+        self.uint(v.unsigned_abs());
     }
 
     /// Writes an unsigned integer, counting the converted digits.
     /// Needed for Darshan record ids, whose high bit is often set.
-    pub fn uint(&mut self, v: u64) {
-        use fmt::Write as _;
-        let before = self.buf.len();
-        let _ = write!(self.buf, "{v}");
-        self.formatted_digits += self.buf.len() - before;
+    pub fn uint(&mut self, mut v: u64) {
+        // `u64::MAX` has 20 digits.
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        let text = std::str::from_utf8(&digits[start..]).expect("ASCII digits");
+        self.buf.push_str(text);
+        self.formatted_digits += text.len();
     }
 
     /// Writes a float, counting the converted digits.
@@ -340,27 +359,71 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document.
+/// Parses a complete JSON document into a [`JsonValue`] tree.
 pub fn parse(input: &str) -> Result<JsonValue, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters"));
-    }
+    let mut sc = Scanner::new(input);
+    let first = sc.next_value()?;
+    let v = sc.dom(first)?;
+    sc.finish()?;
     Ok(v)
 }
 
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Containers nested deeper than this are a parse error, so a hostile
+/// payload cannot overflow the stack of a recursive consumer.
+const MAX_DEPTH: usize = 128;
+
+/// One step of a [`Scanner`]: a complete scalar, or the opening of a
+/// container whose members the caller pulls next.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    /// Only for integers beyond `i64::MAX`.
+    UInt(u64),
+    Float(f64),
+    /// Borrowed from the input unless the literal held an escape.
+    Str(Cow<'a, str>),
+    BeginArray,
+    BeginObject,
 }
 
-impl<'a> Parser<'a> {
+/// The JSON tokenizer: a zero-copy pull scanner over one document.
+///
+/// ```text
+/// match sc.next_value()? {
+///     Token::BeginObject => while let Some(key) = sc.next_key()? { /* one value */ },
+///     Token::BeginArray => while sc.next_element()? { /* one value */ },
+///     scalar => ...
+/// }
+/// sc.finish()?;
+/// ```
+///
+/// "One value" is [`next_value`](Self::next_value) (and, for a
+/// container, its members in turn), [`skip_value`](Self::skip_value),
+/// or [`dom`](Self::dom). [`parse`] is this loop building a
+/// [`JsonValue`]; the store plugin runs the same loop writing typed
+/// columns instead.
+pub struct Scanner<'a> {
+    input: &'a str,
+    pos: usize,
+    /// A container was just opened: the next key or element is its
+    /// first, so no comma precedes it.
+    fresh: bool,
+    depth: usize,
+}
+
+impl<'a> Scanner<'a> {
+    /// Starts scanning at the beginning of `input`.
+    pub fn new(input: &'a str) -> Self {
+        Self {
+            input,
+            pos: 0,
+            fresh: false,
+            depth: 0,
+        }
+    }
+
     fn err(&self, msg: &str) -> ParseError {
         ParseError {
             at: self.pos,
@@ -369,7 +432,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Option<u8> {
@@ -395,121 +458,194 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn value(&mut self) -> Result<JsonValue, ParseError> {
+    /// Reads a scalar whole, or the opening bracket of a container.
+    pub fn next_value(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(JsonValue::Str(self.string()?)),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
+        let tok = match self.peek() {
+            Some(b'{') => return self.open(Token::BeginObject),
+            Some(b'[') => return self.open(Token::BeginArray),
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b't') => self.literal("true", Token::Bool(true))?,
+            Some(b'f') => self.literal("false", Token::Bool(false))?,
+            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
+            _ => return Err(self.err("expected a JSON value")),
+        };
+        self.fresh = false;
+        Ok(tok)
     }
 
-    fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+    fn open(&mut self, tok: Token<'a>) -> Result<Token<'a>, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.pos += 1;
+        self.depth += 1;
+        self.fresh = true;
+        Ok(tok)
+    }
+
+    /// Inside an object: the next member's key, positioned before its
+    /// value, or `None` once the closing brace is consumed.
+    pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
+        if !self.next_member(b'}')? {
+            return Ok(None);
+        }
+        self.skip_ws();
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        Ok(Some(key))
+    }
+
+    /// Inside an array: `true` when positioned before another element,
+    /// `false` once the closing bracket is consumed.
+    pub fn next_element(&mut self) -> Result<bool, ParseError> {
+        self.next_member(b']')
+    }
+
+    fn next_member(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        if std::mem::take(&mut self.fresh) {
+            if self.peek() != Some(close) {
+                return Ok(true);
+            }
+            self.pos += 1;
+        } else {
+            match self.bump() {
+                Some(b',') => return Ok(true),
+                Some(b) if b == close => {}
+                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
+            }
+        }
+        self.depth = self.depth.saturating_sub(1);
+        Ok(false)
+    }
+
+    /// Checks that only whitespace follows the document's one value.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.pos != self.input.len() {
+            return Err(self.err("trailing characters"));
+        }
+        Ok(())
+    }
+
+    /// Skips one value, validating it exactly as reading it would,
+    /// without allocating.
+    pub fn skip_value(&mut self) -> Result<(), ParseError> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            self.fresh = false;
+            return self.raw_string().map(drop);
+        }
+        let first = self.next_value()?;
+        self.skip_rest(&first)
+    }
+
+    /// Skips what is left of a value whose `first` token was just read
+    /// (nothing, unless it opened a container).
+    pub fn skip_rest(&mut self, first: &Token<'a>) -> Result<(), ParseError> {
+        match first {
+            Token::BeginObject => {
+                while self.next_key()?.is_some() {
+                    self.skip_value()?;
+                }
+            }
+            Token::BeginArray => {
+                while self.next_element()? {
+                    self.skip_value()?;
+                }
+            }
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Builds the tree of the value whose `first` token was just read.
+    pub fn dom(&mut self, first: Token<'a>) -> Result<JsonValue, ParseError> {
+        Ok(match first {
+            Token::Null => JsonValue::Null,
+            Token::Bool(b) => JsonValue::Bool(b),
+            Token::Int(i) => JsonValue::Int(i),
+            Token::UInt(u) => JsonValue::UInt(u),
+            Token::Float(f) => JsonValue::Float(f),
+            Token::Str(s) => JsonValue::Str(s.into_owned()),
+            Token::BeginArray => {
+                let mut items = Vec::new();
+                while self.next_element()? {
+                    let first = self.next_value()?;
+                    items.push(self.dom(first)?);
+                }
+                JsonValue::Array(items)
+            }
+            Token::BeginObject => {
+                let mut map = BTreeMap::new();
+                while let Some(key) = self.next_key()? {
+                    let first = self.next_value()?;
+                    map.insert(key.into_owned(), self.dom(first)?);
+                }
+                JsonValue::Object(map)
+            }
+        })
+    }
+
+    fn literal(&mut self, word: &str, tok: Token<'a>) -> Result<Token<'a>, ParseError> {
+        if self.input.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(v)
+            Ok(tok)
         } else {
             Err(self.err(&format!("expected '{word}'")))
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let val = self.value()?;
-            map.insert(key, val);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => return Ok(JsonValue::Object(map)),
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
+    fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
+        let (raw, escaped) = self.raw_string()?;
+        Ok(if escaped {
+            Cow::Owned(unescape(raw))
+        } else {
+            Cow::Borrowed(raw)
+        })
     }
 
-    fn array(&mut self) -> Result<JsonValue, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => return Ok(JsonValue::Array(items)),
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
+    /// Scans a string literal and validates its escapes; returns the
+    /// text between the quotes and whether it holds any escape. The
+    /// quotes and backslashes it stops at are ASCII, so every slice
+    /// boundary is a character boundary of the (valid UTF-8) input.
+    fn raw_string(&mut self) -> Result<(&'a str, bool), ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let bytes = self.input.as_bytes();
+        let start = self.pos;
+        let mut escaped = false;
         loop {
+            let stop = bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\');
+            let Some(stop) = stop else {
+                self.pos = bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += stop + 1;
+            if bytes[self.pos - 1] == b'"' {
+                return Ok((&self.input[start..self.pos - 1], escaped));
+            }
+            escaped = true;
             match self.bump() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self.bump().ok_or_else(|| self.err("bad \\u escape"))?;
-                            let v = (d as char)
-                                .to_digit(16)
-                                .ok_or_else(|| self.err("bad hex digit"))?;
-                            code = code * 16 + v;
+                Some(b'"' | b'\\' | b'/' | b'n' | b'r' | b't' | b'b' | b'f') => {}
+                Some(b'u') => {
+                    for _ in 0..4 {
+                        let d = self.bump().ok_or_else(|| self.err("bad \\u escape"))?;
+                        if !d.is_ascii_hexdigit() {
+                            return Err(self.err("bad hex digit"));
                         }
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
-                    _ => return Err(self.err("bad escape")),
-                },
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(c) => {
-                    // Re-assemble a UTF-8 sequence.
-                    let start = self.pos - 1;
-                    let width = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (start + width).min(self.bytes.len());
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
                 }
+                _ => return Err(self.err("bad escape")),
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, ParseError> {
+    fn number(&mut self) -> Result<Token<'a>, ParseError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -525,19 +661,57 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
+        let text = &self.input[start..self.pos];
         if is_float {
             text.parse::<f64>()
-                .map(JsonValue::Float)
+                .map(Token::Float)
                 .map_err(|_| self.err("bad float"))
         } else {
             text.parse::<i64>()
-                .map(JsonValue::Int)
-                .or_else(|_| text.parse::<u64>().map(JsonValue::UInt))
-                .or_else(|_| text.parse::<f64>().map(JsonValue::Float))
+                .map(Token::Int)
+                .or_else(|_| text.parse::<u64>().map(Token::UInt))
+                .or_else(|_| text.parse::<f64>().map(Token::Float))
                 .map_err(|_| self.err("bad integer"))
         }
     }
+}
+
+/// Decodes the escapes of a string literal that
+/// [`Scanner::raw_string`] has validated. A `\ud83d\ude00` surrogate
+/// pair is one scalar; a surrogate without its partner is U+FFFD.
+fn unescape(raw: &str) -> String {
+    // Four hex digits, validated and hence ASCII.
+    let hex4 = |s: &str| u32::from_str_radix(&s[..4], 16).expect("validated hex digits");
+    let mut out = String::with_capacity(raw.len());
+    let mut rest = raw;
+    while let Some(i) = rest.find('\\') {
+        out.push_str(&rest[..i]);
+        let esc = rest.as_bytes()[i + 1];
+        rest = &rest[i + 2..];
+        out.push(match esc {
+            b'n' => '\n',
+            b'r' => '\r',
+            b't' => '\t',
+            b'b' => '\u{8}',
+            b'f' => '\u{c}',
+            b'u' => {
+                let mut code = hex4(rest);
+                rest = &rest[4..];
+                if (0xD800..0xDC00).contains(&code) && rest.starts_with("\\u") {
+                    let low = hex4(&rest[2..]);
+                    if (0xDC00..0xE000).contains(&low) {
+                        code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                        rest = &rest[6..];
+                    }
+                }
+                char::from_u32(code).unwrap_or('\u{fffd}')
+            }
+            // `"`, `\` and `/` stand for themselves.
+            other => other as char,
+        });
+    }
+    out.push_str(rest);
+    out
 }
 
 #[cfg(test)]
@@ -561,6 +735,20 @@ mod tests {
         w.int(-1234); // 5 bytes
         w.float(2.5); // 3 bytes
         assert_eq!(w.formatted_digits(), 8);
+    }
+
+    #[test]
+    fn writer_integers_match_display_at_the_extremes() {
+        for v in [0, 7, -7, 10, i64::MAX, i64::MIN] {
+            let mut w = JsonWriter::new();
+            w.int(v);
+            assert_eq!(w.as_str(), v.to_string());
+            assert_eq!(w.formatted_digits(), v.to_string().len());
+        }
+        let mut w = JsonWriter::new();
+        w.uint(u64::MAX);
+        assert_eq!(w.as_str(), u64::MAX.to_string());
+        assert_eq!(w.formatted_digits(), 20);
     }
 
     #[test]
@@ -627,6 +815,67 @@ mod tests {
             parse("\"\\u0041\"").unwrap(),
             JsonValue::Str("A".to_string())
         );
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_are_replaced() {
+        let s = |text: &str| parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s(r#""\ud83d\ude00""#), "\u{1f600}");
+        assert_eq!(s(r#""a\uD83D\uDE00b""#), "a\u{1f600}b");
+        assert_eq!(s(r#""\ud83d""#), "\u{fffd}");
+        assert_eq!(s(r#""\ude00x""#), "\u{fffd}x");
+        assert_eq!(s(r#""\ud83d\u0041""#), "\u{fffd}A");
+        assert_eq!(s(r#""\ud83d\ud83d\ude00""#), "\u{fffd}\u{1f600}");
+        assert_eq!(s(r#""\ud83d\n""#), "\u{fffd}\n");
+    }
+
+    #[test]
+    fn scanner_pulls_borrowed_tokens_and_skips_without_building() {
+        let src = r#" { "a" : [1, {"b": "x\ny"}] , "k\u0041": "plain", "n": -2.5 } "#;
+        let mut sc = Scanner::new(src);
+        assert_eq!(sc.next_value().unwrap(), Token::BeginObject);
+        assert_eq!(sc.next_key().unwrap().as_deref(), Some("a"));
+        sc.skip_value().unwrap();
+        let key = sc.next_key().unwrap().unwrap();
+        assert!(matches!(key, Cow::Owned(_)), "an escape forces a copy");
+        assert_eq!(key, "kA");
+        match sc.next_value().unwrap() {
+            Token::Str(Cow::Borrowed(s)) => assert_eq!(s, "plain"),
+            other => panic!("expected a borrowed string, got {other:?}"),
+        }
+        assert_eq!(sc.next_key().unwrap().as_deref(), Some("n"));
+        assert_eq!(sc.next_value().unwrap(), Token::Float(-2.5));
+        assert_eq!(sc.next_key().unwrap(), None);
+        sc.finish().unwrap();
+    }
+
+    #[test]
+    fn skipping_validates_like_parsing() {
+        for bad in [
+            r#"{"a": [1, 2}"#,
+            r#"{"a": {"b": tru}}"#,
+            r#"{"a": "x\q"}"#,
+            r#"{"a": "\u12g4"}"#,
+            r#"{"a": 1-2}"#,
+            r#"{"a": [1,]}"#,
+            r#"{"a": "open"#,
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            let mut sc = Scanner::new(bad);
+            let skipped = sc.skip_value().and_then(|()| sc.finish());
+            assert!(skipped.is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&"[".repeat(1 << 20)).is_err());
+        assert!(Scanner::new(&"{\"a\":".repeat(1 << 20))
+            .skip_value()
+            .is_err());
     }
 
     #[test]

@@ -53,6 +53,15 @@ proptest! {
         w.string(&s);
         let v = json::parse(w.as_str()).expect("escaped string parses");
         prop_assert_eq!(v.as_str(), Some(s.as_str()));
+        // The same text as `\uXXXX` escapes throughout: a character
+        // beyond the BMP is a surrogate pair and comes back as one
+        // scalar...
+        let units: String = s.encode_utf16().map(|u| format!("\\u{u:04x}")).collect();
+        let v = json::parse(&format!("\"{units}\"")).expect("\\u escapes parse");
+        prop_assert_eq!(v.as_str(), Some(s.as_str()));
+        // ...and a surrogate without its partner is U+FFFD.
+        let v = json::parse(&format!("\"\\ud83d{units}|\\ude00\"")).expect("lone surrogates parse");
+        prop_assert_eq!(v.as_str(), Some(format!("\u{fffd}{s}|\u{fffd}").as_str()));
     }
 
     // --- CSV ----------------------------------------------------------
@@ -337,6 +346,112 @@ proptest! {
         prop_assert_eq!(rows.len(), nsegs);
         for row in rows {
             prop_assert_eq!(row.len(), 24);
+        }
+    }
+
+    #[test]
+    fn decoded_connector_messages_equal_the_events_reference_rows(
+        ids in (any::<u64>(), any::<u32>(), any::<u64>(), any::<u32>(), any::<u64>()),
+        counters in (any::<i64>(), any::<i64>(), any::<i64>(), any::<i64>(), any::<i64>()),
+        times in (prop::num::f64::NORMAL, any::<u64>()),
+        kind in (0usize..7, 0usize..4),
+        text in ("\\PC{0,24}", "\\PC{0,24}", "[a-z0-9]{1,8}"),
+        h5 in (any::<bool>(), "\\PC{0,12}", any::<i64>(), any::<i64>(), any::<i64>()),
+    ) {
+        use repro_suite::connector::message::build_message;
+        use repro_suite::connector::{column_id, DsosStreamStore, COLUMNS, CONTAINER};
+        use repro_suite::darshan::hooks::{Hdf5Info, IoEvent};
+        use repro_suite::darshan::runtime::JobMeta;
+        use repro_suite::darshan::{ModuleId, OpKind};
+        use repro_suite::ldms::{MsgFormat, StreamMessage, StreamSink};
+        use repro_suite::simtime::TimePair;
+
+        let (job_id, uid, record_id, rank, cnt) = ids;
+        let (len, offset, switches, flushes, max_byte) = counters;
+        let (dur, end_ns) = times;
+        let (file, exe, producer) = text;
+        let (has_h5, data_set, ndims, npoints, hslab) = h5;
+        let modules = [
+            ModuleId::Posix, ModuleId::Mpiio, ModuleId::Stdio, ModuleId::H5f,
+            ModuleId::H5d, ModuleId::Lustre, ModuleId::Pnetcdf,
+        ];
+        let end = TimePair { rel: 0.0, abs: Epoch::from_nanos(end_ns) };
+        let job = JobMeta { job_id, uid, exe, nprocs: 1 };
+        let cluster = DsosCluster::new(1);
+        let store = DsosStreamStore::new(cluster.clone());
+        let mut w = JsonWriter::new();
+        // An open is a MET message, every other operation a MOD one.
+        let other = [OpKind::Close, OpKind::Read, OpKind::Write, OpKind::Flush][kind.1];
+        for (n, op) in [OpKind::Open, other].into_iter().enumerate() {
+            let event = IoEvent {
+                module: modules[kind.0],
+                op,
+                file: file.clone(),
+                record_id, rank, len, offset,
+                start: end,
+                end,
+                dur, cnt, switches, flushes, max_byte,
+                hdf5: has_h5.then(|| Hdf5Info {
+                    data_set: data_set.clone(),
+                    ndims, npoints,
+                    reg_hslab: hslab,
+                    irreg_hslab: hslab.wrapping_add(1),
+                    pt_sel: hslab.wrapping_sub(1),
+                }),
+            };
+            build_message(&mut w, &event, &job, &producer);
+            store.deliver(&StreamMessage::new(
+                "darshanConnector", MsgFormat::Json, w.as_str().to_string(), &producer,
+                Epoch::from_secs(1),
+            ));
+            prop_assert_eq!((store.ingested(), store.rejected()), (n as u64 + 1, 0));
+
+            // Table I straight from the event, never through JSON.
+            let met = op == OpKind::Open;
+            let h = event.hdf5.as_ref();
+            let text = |s: &str| Value::Str(s.to_string());
+            let reference = vec![
+                text(event.module.name()),
+                Value::U64(u64::from(uid)),
+                text(&producer),
+                Value::I64(switches),
+                text(if met { &file } else { "N/A" }),
+                Value::U64(u64::from(rank)),
+                Value::I64(flushes),
+                Value::U64(record_id),
+                text(if met { &job.exe } else { "N/A" }),
+                Value::I64(max_byte),
+                text(if met { "MET" } else { "MOD" }),
+                Value::U64(job_id),
+                text(op.name()),
+                Value::U64(cnt),
+                Value::I64(offset),
+                Value::I64(h.map_or(-1, |h| h.pt_sel)),
+                Value::F64(dur),
+                Value::I64(len),
+                Value::I64(h.map_or(-1, |h| h.ndims)),
+                Value::I64(h.map_or(-1, |h| h.reg_hslab)),
+                Value::I64(h.map_or(-1, |h| h.irreg_hslab)),
+                text(h.map_or("N/A", |h| &h.data_set)),
+                Value::I64(h.map_or(-1, |h| h.npoints)),
+                Value::F64(end.abs.as_secs_f64()),
+            ];
+            prop_assert_eq!(reference.len(), COLUMNS.len());
+            // Floats by bits, not by `==`.
+            let bits = |row: &[Value]| -> Vec<Value> {
+                row.iter()
+                    .map(|v| match v {
+                        Value::F64(x) => Value::U64(x.to_bits()),
+                        other => other.clone(),
+                    })
+                    .collect()
+            };
+            let stored = cluster.query_prefix(CONTAINER, "job_rank_time", &[]);
+            let row = stored
+                .iter()
+                .find(|row| row[column_id("op")] == reference[column_id("op")])
+                .expect("the message's row is stored");
+            prop_assert_eq!(bits(row), bits(&reference));
         }
     }
 
