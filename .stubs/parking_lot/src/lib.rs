@@ -51,6 +51,8 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 pub struct RwLock<T: ?Sized>(std::sync::RwLock<T>);
 
+pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
+
 impl<T> RwLock<T> {
     pub const fn new(t: T) -> Self {
         Self(std::sync::RwLock::new(t))
@@ -62,7 +64,7 @@ impl<T> RwLock<T> {
 }
 
 impl<T: ?Sized> RwLock<T> {
-    pub fn read(&self) -> std::sync::RwLockReadGuard<'_, T> {
+    pub fn read(&self) -> RwLockReadGuard<'_, T> {
         self.0.read().unwrap_or_else(|e| e.into_inner())
     }
 

@@ -3,11 +3,51 @@
 //! Each module consumes a [`DataFrame`] whose columns follow the
 //! connector's `darshan_data` schema (`op`, `rank`, `job_id`,
 //! `ProducerName`, `seg_dur`, `seg_len`, `seg_timestamp`, …) and
-//! produces the series the corresponding figure plots.
+//! produces the series the corresponding figure plots, in one or two
+//! passes over the frame's rows that aggregate by borrowed cells: a
+//! dashboard refresh runs every figure over the same frame, and none
+//! of them copies a row.
 
 use crate::frame::DataFrame;
 use dsos_sim::Value;
 use iosim_util::stats::{Histogram, Summary};
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Mean of a group's numeric cells, accumulated as the rows go by.
+/// The sum starts from the identity `Iterator::sum` starts from and
+/// adds in row order, so it equals collecting the cells and summing
+/// them to the bit.
+#[derive(Debug, Clone, Copy)]
+struct Mean {
+    sum: f64,
+    n: u64,
+}
+
+impl Mean {
+    fn new() -> Self {
+        Self {
+            sum: std::iter::empty::<f64>().sum(),
+            n: 0,
+        }
+    }
+
+    /// Adds a cell; non-numeric cells are skipped.
+    fn add(&mut self, cell: &Value) {
+        if let Some(v) = cell.as_f64() {
+            self.sum += v;
+            self.n += 1;
+        }
+    }
+
+    /// The mean, 0 for a group without numeric cells.
+    fn get(&self) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.sum / self.n as f64
+        }
+    }
+}
 
 /// Figure 5: mean occurrences of each operation over a set of jobs,
 /// with 95% confidence interval error bars.
@@ -24,34 +64,42 @@ pub struct OpOccurrence {
 }
 
 /// Computes Figure 5's series: per operation, the mean count per job
-/// and its 95% confidence interval.
+/// and its 95% confidence interval. One pass counts rows per
+/// (op, job); a job an operation never ran in counts as zero.
 pub fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
-    let jobs = df.distinct("job_id");
-    let mut out = Vec::new();
-    for op in df.distinct("op") {
-        let op_name = op.as_str().unwrap_or_default().to_string();
-        let of_op = df.filter_eq("op", &op);
-        let mut per_job = Vec::with_capacity(jobs.len());
-        for j in &jobs {
-            let n = of_op.filter_eq("job_id", j).len() as u64;
-            per_job.push((j.as_u64().unwrap_or(0), n));
-        }
-        let sample: Vec<f64> = per_job.iter().map(|&(_, n)| n as f64).collect();
-        let s = Summary::of(&sample).unwrap_or(Summary {
-            n: 0,
-            mean: 0.0,
-            stddev: 0.0,
-            min: 0.0,
-            max: 0.0,
-        });
-        out.push(OpOccurrence {
-            op: op_name,
-            mean: s.mean,
-            ci95: s.ci95_half_width(),
-            per_job,
-        });
+    let (op, job) = (df.col("op"), df.col("job_id"));
+    let mut counts: BTreeMap<&Value, BTreeMap<&Value, u64>> = BTreeMap::new();
+    for r in df.rows() {
+        *counts
+            .entry(&r[op])
+            .or_default()
+            .entry(&r[job])
+            .or_default() += 1;
     }
-    out
+    let jobs: BTreeSet<&Value> = counts.values().flat_map(BTreeMap::keys).copied().collect();
+    counts
+        .iter()
+        .map(|(op, by_job)| {
+            let per_job: Vec<(u64, u64)> = jobs
+                .iter()
+                .map(|j| (j.as_u64().unwrap_or(0), by_job.get(j).copied().unwrap_or(0)))
+                .collect();
+            let sample: Vec<f64> = per_job.iter().map(|&(_, n)| n as f64).collect();
+            let s = Summary::of(&sample).unwrap_or(Summary {
+                n: 0,
+                mean: 0.0,
+                stddev: 0.0,
+                min: 0.0,
+                max: 0.0,
+            });
+            OpOccurrence {
+                op: op.as_str().unwrap_or_default().to_string(),
+                mean: s.mean,
+                ci95: s.ci95_half_width(),
+                per_job,
+            }
+        })
+        .collect()
 }
 
 /// Figure 6: operation counts per compute node, per job.
@@ -68,22 +116,24 @@ pub struct NodeOps {
 }
 
 /// Computes Figure 6's series for the given operations (the paper shows
-/// open and close).
+/// open and close), sorted by (node, job, op).
 pub fn per_node_ops(df: &DataFrame, ops: &[&str]) -> Vec<NodeOps> {
-    let mut out = Vec::new();
-    for (key, count) in df.group_by(&["ProducerName", "job_id", "op"], |rows| rows.len()) {
-        let op = key[2].as_str().unwrap_or_default();
-        if !ops.contains(&op) {
-            continue;
+    let (node, job, op) = (df.col("ProducerName"), df.col("job_id"), df.col("op"));
+    let mut counts: BTreeMap<(&Value, &Value, &Value), u64> = BTreeMap::new();
+    for r in df.rows() {
+        if ops.contains(&r[op].as_str().unwrap_or_default()) {
+            *counts.entry((&r[node], &r[job], &r[op])).or_default() += 1;
         }
-        out.push(NodeOps {
-            node: key[0].as_str().unwrap_or_default().to_string(),
-            job: key[1].as_u64().unwrap_or(0),
-            op: op.to_string(),
-            count: count as u64,
-        });
     }
-    out
+    counts
+        .into_iter()
+        .map(|((node, job, op), count)| NodeOps {
+            node: node.as_str().unwrap_or_default().to_string(),
+            job: job.as_u64().unwrap_or(0),
+            op: op.as_str().unwrap_or_default().to_string(),
+            count,
+        })
+        .collect()
 }
 
 /// Figure 7: read/write duration statistics per rank per job.
@@ -102,37 +152,49 @@ pub struct RankDurations {
 }
 
 /// Computes Figure 7's series: per (job, rank, op ∈ {read, write})
-/// mean duration.
+/// mean duration, sorted by that key.
 pub fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
+    let (job, rank, op) = (df.col("job_id"), df.col("rank"), df.col("op"));
     let dur = df.col("seg_dur");
-    df.group_by(&["job_id", "rank", "op"], |rows| {
-        (DataFrame::mean_of(rows, dur), rows.len() as u64)
-    })
-    .into_iter()
-    .filter_map(|(key, (mean_dur, count))| {
-        let op = key[2].as_str()?.to_string();
-        if op != "read" && op != "write" {
-            return None;
-        }
-        Some(RankDurations {
-            job: key[0].as_u64()?,
-            rank: key[1].as_u64()?,
-            op,
-            mean_dur,
-            count,
+    let mut groups: BTreeMap<(&Value, &Value, &str), (Mean, u64)> = BTreeMap::new();
+    for r in df.rows() {
+        let Some(name @ ("read" | "write")) = r[op].as_str() else {
+            continue;
+        };
+        let (mean, count) = groups
+            .entry((&r[job], &r[rank], name))
+            .or_insert_with(|| (Mean::new(), 0));
+        mean.add(&r[dur]);
+        *count += 1;
+    }
+    groups
+        .into_iter()
+        .filter_map(|((job, rank, op), (mean, count))| {
+            Some(RankDurations {
+                job: job.as_u64()?,
+                rank: rank.as_u64()?,
+                op: op.to_string(),
+                mean_dur: mean.get(),
+                count,
+            })
         })
-    })
-    .collect()
+        .collect()
 }
 
 /// Per-job mean duration of an operation — the summary the paper quotes
-/// when spotting job 2's anomaly (reads 6.75 s vs 0.05 s).
+/// when spotting job 2's anomaly (reads 6.75 s vs 0.05 s). Sorted by
+/// job id.
 pub fn job_mean_durations(df: &DataFrame, op: &str) -> Vec<(u64, f64)> {
-    let dur = df.col("seg_dur");
-    df.filter_eq("op", &Value::Str(op.to_string()))
-        .group_by(&["job_id"], |rows| DataFrame::mean_of(rows, dur))
+    let (job, opc, dur) = (df.col("job_id"), df.col("op"), df.col("seg_dur"));
+    let mut means: BTreeMap<&Value, Mean> = BTreeMap::new();
+    for r in df.rows() {
+        if r[opc].as_str() == Some(op) {
+            means.entry(&r[job]).or_insert_with(Mean::new).add(&r[dur]);
+        }
+    }
+    means
         .into_iter()
-        .filter_map(|(key, mean)| Some((key[0].as_u64()?, mean)))
+        .filter_map(|(job, mean)| Some((job.as_u64()?, mean.get())))
         .collect()
 }
 
@@ -192,33 +254,45 @@ pub struct TimePoint {
     pub rank: u64,
 }
 
-/// Computes Figure 8's scatter for one job's frame.
-pub fn time_distribution(df: &DataFrame) -> Vec<TimePoint> {
-    let ts = df.col("seg_timestamp");
+/// Figure 8's points before sorting, borrowed: `(seconds from the
+/// frame's first timestamp, duration, op, rank)` for every row where
+/// all four decode. Empty when there is no finite first timestamp
+/// (the smallest numeric `seg_timestamp`, NaN skipped).
+fn job_points(df: &DataFrame) -> impl Iterator<Item = (f64, f64, &str, u64)> {
+    let (ts, dur, op, rank) = (
+        df.col("seg_timestamp"),
+        df.col("seg_dur"),
+        df.col("op"),
+        df.col("rank"),
+    );
     let t0 = df
         .rows()
         .iter()
         .filter_map(|r| r[ts].as_f64())
         .fold(f64::INFINITY, f64::min);
-    if !t0.is_finite() {
-        return Vec::new();
-    }
-    let dur = df.col("seg_dur");
-    let op = df.col("op");
-    let rank = df.col("rank");
-    let mut out: Vec<TimePoint> = df
-        .rows()
-        .iter()
-        .filter_map(|r| {
-            Some(TimePoint {
-                t: r[ts].as_f64()? - t0,
-                dur: r[dur].as_f64()?,
-                op: r[op].as_str()?.to_string(),
-                rank: r[rank].as_u64()?,
-            })
+    let rows = if t0.is_finite() { df.rows() } else { &[] };
+    rows.iter().filter_map(move |r| {
+        Some((
+            r[ts].as_f64()? - t0,
+            r[dur].as_f64()?,
+            r[op].as_str()?,
+            r[rank].as_u64()?,
+        ))
+    })
+}
+
+/// Computes Figure 8's scatter for one job's frame, sorted by time (a
+/// NaN timestamp sorts last, as it does in a DSOS index).
+pub fn time_distribution(df: &DataFrame) -> Vec<TimePoint> {
+    let mut out: Vec<TimePoint> = job_points(df)
+        .map(|(t, dur, op, rank)| TimePoint {
+            t,
+            dur,
+            op: op.to_string(),
+            rank,
         })
         .collect();
-    out.sort_by(|a, b| a.t.partial_cmp(&b.t).unwrap());
+    out.sort_by(|a, b| a.t.total_cmp(&b.t));
     out
 }
 
@@ -238,29 +312,37 @@ pub struct Timeline {
     pub read_bytes: Vec<f64>,
 }
 
-/// Computes Figure 9's timeline over `bins` equal time bins.
+/// Computes Figure 9's timeline over `bins` equal time bins spanning
+/// Figure 8's first to last point: one pass for the first timestamp
+/// and that span, one to bin.
 pub fn timeline(df: &DataFrame, bins: usize) -> Timeline {
-    let points = time_distribution(df);
-    let len_col = df.col("seg_len");
-    // Pair each point with its byte count by re-walking rows in the
-    // same sorted order; simpler: recompute from rows directly.
-    let ts = df.col("seg_timestamp");
-    let op = df.col("op");
-    let t0 = points.first().map_or(0.0, |p| 0.0f64.min(p.t));
-    let t_max = points.last().map_or(1.0, |p| p.t).max(1e-9);
+    let (ts, op, len) = (df.col("seg_timestamp"), df.col("op"), df.col("seg_len"));
+    let (dur, rank) = (df.col("seg_dur"), df.col("rank"));
+    let mut base = f64::INFINITY;
+    let mut span: Option<(f64, f64)> = None;
+    for r in df.rows() {
+        let Some(t) = r[ts].as_f64() else {
+            continue;
+        };
+        base = base.min(t);
+        // Figure 8 plots a row only if these decode too (`job_points`).
+        if r[dur].as_f64().is_some() && r[op].as_str().is_some() && r[rank].as_u64().is_some() {
+            span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
+        }
+    }
+    // Subtracting the first timestamp keeps the order, so the span of
+    // the relative times is the relative span.
+    let span = span.filter(|_| base.is_finite());
+    let t0 = span.map_or(0.0, |(first, _)| 0.0f64.min(first - base));
+    let t_max = span.map_or(1.0, |(_, last)| last - base).max(1e-9);
     let mut writes = Histogram::new(t0, t_max * 1.0001, bins.max(1));
     let mut reads = Histogram::new(t0, t_max * 1.0001, bins.max(1));
-    let base = df
-        .rows()
-        .iter()
-        .filter_map(|r| r[ts].as_f64())
-        .fold(f64::INFINITY, f64::min);
     for r in df.rows() {
         let (Some(t), Some(o)) = (r[ts].as_f64(), r[op].as_str()) else {
             continue;
         };
         let rel = t - base;
-        let bytes = r[len_col].as_f64().unwrap_or(0.0).max(0.0);
+        let bytes = r[len].as_f64().unwrap_or(0.0).max(0.0);
         match o {
             "write" => writes.add(rel, bytes),
             "read" => reads.add(rel, bytes),
@@ -298,10 +380,13 @@ pub struct LoadCorrelation {
 /// Correlates a job's per-bin mean operation duration with an external
 /// `(seconds_into_job, value)` telemetry series.
 pub fn correlate_load(df: &DataFrame, telemetry: &[(f64, f64)], bins: usize) -> LoadCorrelation {
-    let pts = time_distribution(df);
+    // Durations are summed per bin in time order, as Figure 8 lists
+    // them: only the (time, duration) pairs are sorted, not the rows.
+    let mut pts: Vec<(f64, f64)> = job_points(df).map(|(t, dur, ..)| (t, dur)).collect();
+    pts.sort_by(|a, b| a.0.total_cmp(&b.0));
     let t_max = pts
         .iter()
-        .map(|p| p.t)
+        .map(|&(t, _)| t)
         .fold(0.0f64, f64::max)
         .max(telemetry.iter().map(|&(t, _)| t).fold(0.0, f64::max))
         .max(1e-9);
@@ -309,9 +394,9 @@ pub fn correlate_load(df: &DataFrame, telemetry: &[(f64, f64)], bins: usize) -> 
     let width = t_max * 1.0001 / bins as f64;
     let mut dur_sum = vec![0.0; bins];
     let mut dur_n = vec![0u64; bins];
-    for p in &pts {
-        let i = ((p.t / width) as usize).min(bins - 1);
-        dur_sum[i] += p.dur;
+    for &(t, dur) in &pts {
+        let i = ((t / width) as usize).min(bins - 1);
+        dur_sum[i] += dur;
         dur_n[i] += 1;
     }
     let mean_dur: Vec<f64> = dur_sum
@@ -351,23 +436,260 @@ pub fn correlate_load(df: &DataFrame, telemetry: &[(f64, f64)], bins: usize) -> 
     }
 }
 
+/// The figure definitions as first written: clone the frame per view
+/// (`filter_eq`, `distinct`, `group_by`, `mean_of`), sort whole points.
+/// The one-pass kernels above must equal them on every frame.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    pub fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
+        let jobs = df.distinct("job_id");
+        let mut out = Vec::new();
+        for op in df.distinct("op") {
+            let op_name = op.as_str().unwrap_or_default().to_string();
+            let of_op = df.filter_eq("op", &op);
+            let mut per_job = Vec::with_capacity(jobs.len());
+            for j in &jobs {
+                let n = of_op.filter_eq("job_id", j).len() as u64;
+                per_job.push((j.as_u64().unwrap_or(0), n));
+            }
+            let sample: Vec<f64> = per_job.iter().map(|&(_, n)| n as f64).collect();
+            let s = Summary::of(&sample).unwrap_or(Summary {
+                n: 0,
+                mean: 0.0,
+                stddev: 0.0,
+                min: 0.0,
+                max: 0.0,
+            });
+            out.push(OpOccurrence {
+                op: op_name,
+                mean: s.mean,
+                ci95: s.ci95_half_width(),
+                per_job,
+            });
+        }
+        out
+    }
+
+    pub fn per_node_ops(df: &DataFrame, ops: &[&str]) -> Vec<NodeOps> {
+        let mut out = Vec::new();
+        for (key, count) in df.group_by(&["ProducerName", "job_id", "op"], |rows| rows.len()) {
+            let op = key[2].as_str().unwrap_or_default();
+            if !ops.contains(&op) {
+                continue;
+            }
+            out.push(NodeOps {
+                node: key[0].as_str().unwrap_or_default().to_string(),
+                job: key[1].as_u64().unwrap_or(0),
+                op: op.to_string(),
+                count: count as u64,
+            });
+        }
+        out
+    }
+
+    pub fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
+        let dur = df.col("seg_dur");
+        df.group_by(&["job_id", "rank", "op"], |rows| {
+            (DataFrame::mean_of(rows, dur), rows.len() as u64)
+        })
+        .into_iter()
+        .filter_map(|(key, (mean_dur, count))| {
+            let op = key[2].as_str()?.to_string();
+            if op != "read" && op != "write" {
+                return None;
+            }
+            Some(RankDurations {
+                job: key[0].as_u64()?,
+                rank: key[1].as_u64()?,
+                op,
+                mean_dur,
+                count,
+            })
+        })
+        .collect()
+    }
+
+    pub fn job_mean_durations(df: &DataFrame, op: &str) -> Vec<(u64, f64)> {
+        let dur = df.col("seg_dur");
+        df.filter_eq("op", &Value::Str(op.to_string()))
+            .group_by(&["job_id"], |rows| DataFrame::mean_of(rows, dur))
+            .into_iter()
+            .filter_map(|(key, mean)| Some((key[0].as_u64()?, mean)))
+            .collect()
+    }
+
+    pub fn anomalous_jobs(df: &DataFrame, op: &str, min_z: f64) -> Vec<JobAnomaly> {
+        use iosim_util::stats::{mad, median, robust_z};
+        let per_job = job_mean_durations(df, op);
+        let means: Vec<f64> = per_job.iter().map(|&(_, m)| m).collect();
+        let (Some(fleet_median), Some(fleet_mad)) = (median(&means), mad(&means)) else {
+            return Vec::new();
+        };
+        let mut out: Vec<JobAnomaly> = per_job
+            .into_iter()
+            .filter_map(|(job, mean_dur)| {
+                let z = robust_z(mean_dur, fleet_median, fleet_mad);
+                (z >= min_z).then_some(JobAnomaly {
+                    job,
+                    mean_dur,
+                    fleet_median,
+                    z,
+                })
+            })
+            .collect();
+        out.sort_by(|a, b| b.z.total_cmp(&a.z).then_with(|| a.job.cmp(&b.job)));
+        out
+    }
+
+    pub fn time_distribution(df: &DataFrame) -> Vec<TimePoint> {
+        let ts = df.col("seg_timestamp");
+        let t0 = df
+            .rows()
+            .iter()
+            .filter_map(|r| r[ts].as_f64())
+            .fold(f64::INFINITY, f64::min);
+        if !t0.is_finite() {
+            return Vec::new();
+        }
+        let dur = df.col("seg_dur");
+        let op = df.col("op");
+        let rank = df.col("rank");
+        let mut out: Vec<TimePoint> = df
+            .rows()
+            .iter()
+            .filter_map(|r| {
+                Some(TimePoint {
+                    t: r[ts].as_f64()? - t0,
+                    dur: r[dur].as_f64()?,
+                    op: r[op].as_str()?.to_string(),
+                    rank: r[rank].as_u64()?,
+                })
+            })
+            .collect();
+        // The one edit: the parent's `partial_cmp(..).unwrap()` panics on
+        // a NaN timestamp.
+        out.sort_by(|a, b| a.t.total_cmp(&b.t));
+        out
+    }
+
+    pub fn timeline(df: &DataFrame, bins: usize) -> Timeline {
+        let points = time_distribution(df);
+        let len_col = df.col("seg_len");
+        // Pair each point with its byte count by re-walking rows in the
+        // same sorted order; simpler: recompute from rows directly.
+        let ts = df.col("seg_timestamp");
+        let op = df.col("op");
+        let t0 = points.first().map_or(0.0, |p| 0.0f64.min(p.t));
+        let t_max = points.last().map_or(1.0, |p| p.t).max(1e-9);
+        let mut writes = Histogram::new(t0, t_max * 1.0001, bins.max(1));
+        let mut reads = Histogram::new(t0, t_max * 1.0001, bins.max(1));
+        let base = df
+            .rows()
+            .iter()
+            .filter_map(|r| r[ts].as_f64())
+            .fold(f64::INFINITY, f64::min);
+        for r in df.rows() {
+            let (Some(t), Some(o)) = (r[ts].as_f64(), r[op].as_str()) else {
+                continue;
+            };
+            let rel = t - base;
+            let bytes = r[len_col].as_f64().unwrap_or(0.0).max(0.0);
+            match o {
+                "write" => writes.add(rel, bytes),
+                "read" => reads.add(rel, bytes),
+                _ => {}
+            }
+        }
+        Timeline {
+            bin_start: (0..writes.bins()).map(|i| writes.bin_start(i)).collect(),
+            writes: writes.counts().to_vec(),
+            reads: reads.counts().to_vec(),
+            write_bytes: writes.weights().to_vec(),
+            read_bytes: reads.weights().to_vec(),
+        }
+    }
+
+    pub fn correlate_load(
+        df: &DataFrame,
+        telemetry: &[(f64, f64)],
+        bins: usize,
+    ) -> LoadCorrelation {
+        let pts = time_distribution(df);
+        let t_max = pts
+            .iter()
+            .map(|p| p.t)
+            .fold(0.0f64, f64::max)
+            .max(telemetry.iter().map(|&(t, _)| t).fold(0.0, f64::max))
+            .max(1e-9);
+        let bins = bins.max(1);
+        let width = t_max * 1.0001 / bins as f64;
+        let mut dur_sum = vec![0.0; bins];
+        let mut dur_n = vec![0u64; bins];
+        for p in &pts {
+            let i = ((p.t / width) as usize).min(bins - 1);
+            dur_sum[i] += p.dur;
+            dur_n[i] += 1;
+        }
+        let mean_dur: Vec<f64> = dur_sum
+            .iter()
+            .zip(&dur_n)
+            .map(|(&s, &n)| if n > 0 { s / n as f64 } else { 0.0 })
+            .collect();
+        // Bin the telemetry; carry the last seen value through empty bins.
+        let mut tel_sum = vec![0.0; bins];
+        let mut tel_n = vec![0u64; bins];
+        for &(t, v) in telemetry {
+            let i = ((t / width) as usize).min(bins - 1);
+            tel_sum[i] += v;
+            tel_n[i] += 1;
+        }
+        let mut tel = Vec::with_capacity(bins);
+        let mut last = telemetry.first().map_or(0.0, |&(_, v)| v);
+        for i in 0..bins {
+            if tel_n[i] > 0 {
+                last = tel_sum[i] / tel_n[i] as f64;
+            }
+            tel.push(last);
+        }
+        // Correlate over bins that actually contain I/O.
+        let (xs, ys): (Vec<f64>, Vec<f64>) = mean_dur
+            .iter()
+            .zip(&tel)
+            .zip(&dur_n)
+            .filter(|&(_, &n)| n > 0)
+            .map(|((&d, &t), _)| (d, t))
+            .unzip();
+        LoadCorrelation {
+            bin_start: (0..bins).map(|i| i as f64 * width).collect(),
+            mean_dur,
+            telemetry: tel,
+            r: iosim_util::stats::pearson(&xs, &ys),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The connector columns the figures read.
+    const COLS: [&str; 7] = [
+        "job_id",
+        "rank",
+        "ProducerName",
+        "op",
+        "seg_dur",
+        "seg_len",
+        "seg_timestamp",
+    ];
 
     /// Builds a frame shaped like connector output: columns we use.
     fn frame(rows: Vec<(u64, u64, &str, &str, f64, i64, f64)>) -> DataFrame {
         // (job, rank, node, op, dur, len, ts)
         DataFrame::new(
-            vec![
-                "job_id",
-                "rank",
-                "ProducerName",
-                "op",
-                "seg_dur",
-                "seg_len",
-                "seg_timestamp",
-            ],
+            COLS.to_vec(),
             rows.into_iter()
                 .map(|(j, r, n, o, d, l, t)| {
                     vec![
@@ -530,5 +852,188 @@ mod tests {
         assert!(time_distribution(&df).is_empty());
         let tl = timeline(&df, 4);
         assert_eq!(tl.writes.iter().sum::<u64>(), 0);
+    }
+
+    #[test]
+    fn nan_timestamp_from_csv_import_sorts_last_and_keeps_the_timeline() {
+        // `Value::parse(Type::F64, "NaN")` succeeds, so a CSV import can
+        // store a NaN `seg_timestamp`; Figures 8 and 9 used to panic on
+        // it in `partial_cmp(..).unwrap()`.
+        use dsos_sim::{DsosCluster, Schema, Type};
+        let schema = Schema::builder("darshan_data")
+            .attr("job_id", Type::U64)
+            .attr("rank", Type::U64)
+            .attr("ProducerName", Type::Str)
+            .attr("op", Type::Str)
+            .attr("seg_dur", Type::F64)
+            .attr("seg_len", Type::I64)
+            .attr("seg_timestamp", Type::F64)
+            .index("job_rank_time", &["job_id", "rank", "seg_timestamp"])
+            .build()
+            .unwrap();
+        let cluster = DsosCluster::new(2);
+        cluster.create_container("darshan", &schema);
+        let csv = [
+            "1,0,n1,write,0.1,100,1000.0",
+            "1,0,n1,write,0.1,100,NaN",
+            "1,1,n1,read,0.2,50,1009.0",
+            "1,1,n1,write,0.1,100,1001.0",
+        ];
+        let rows: Vec<Vec<String>> = csv
+            .iter()
+            .map(|l| l.split(',').map(str::to_string).collect())
+            .collect();
+        assert_eq!(
+            cluster.import_csv_rows("darshan", &schema, &rows).imported,
+            4
+        );
+        let columns: Vec<&str> = schema.attrs().iter().map(|a| a.name.as_str()).collect();
+        let df = DataFrame::new(
+            columns,
+            cluster.query_prefix("darshan", "job_rank_time", &[]),
+        );
+
+        let pts = time_distribution(&df);
+        let ts: Vec<f64> = pts.iter().map(|p| p.t).collect();
+        assert_eq!(ts[..3], [0.0, 1.0, 9.0]);
+        assert!(ts[3].is_nan(), "NaN sorts last: {ts:?}");
+        // The span is still first-to-last real point; the NaN row is
+        // counted (in the first bin), not lost.
+        let tl = timeline(&df, 2);
+        assert_eq!(tl.writes, vec![3, 0]);
+        assert_eq!(tl.reads, vec![0, 1]);
+        assert!((tl.bin_start[1] - 4.5).abs() < 1e-3);
+        let c = correlate_load(&df, &[(0.0, 1.0), (9.0, 2.0)], 2);
+        assert_eq!(c.mean_dur.len(), 2);
+    }
+
+    /// `kernel == oracle`, with every float the same to the bit.
+    fn assert_same<T: PartialEq + std::fmt::Debug>(
+        what: &str,
+        kernel: &[T],
+        oracle: &[T],
+        floats: impl Fn(&T) -> Vec<f64>,
+    ) {
+        assert_eq!(kernel, oracle, "{what}");
+        let bits = |v: &[T]| -> Vec<u64> { v.iter().flat_map(&floats).map(f64::to_bits).collect() };
+        assert_eq!(bits(kernel), bits(oracle), "{what}: float bits");
+    }
+
+    /// Every figure kernel against its clone-based definition.
+    fn assert_kernels_match_oracles(df: &DataFrame) {
+        assert_same(
+            "fig5",
+            &op_occurrence(df),
+            &oracle::op_occurrence(df),
+            |o| vec![o.mean, o.ci95],
+        );
+        let ops = ["open", "close", "flush", ""];
+        assert_same(
+            "fig6",
+            &per_node_ops(df, &ops),
+            &oracle::per_node_ops(df, &ops),
+            |_| vec![],
+        );
+        assert_same(
+            "fig7",
+            &per_rank_durations(df),
+            &oracle::per_rank_durations(df),
+            |r| vec![r.mean_dur],
+        );
+        for op in ["read", "write", "open", "nope"] {
+            assert_same(
+                "job means",
+                &job_mean_durations(df, op),
+                &oracle::job_mean_durations(df, op),
+                |&(_, mean)| vec![mean],
+            );
+            assert_same(
+                "anomalies",
+                &anomalous_jobs(df, op, 0.5),
+                &oracle::anomalous_jobs(df, op, 0.5),
+                |a| vec![a.mean_dur, a.fleet_median, a.z],
+            );
+        }
+        assert_same(
+            "fig8",
+            &time_distribution(df),
+            &oracle::time_distribution(df),
+            |p| vec![p.t, p.dur],
+        );
+        for bins in [0, 1, 7] {
+            assert_same(
+                "fig9",
+                &[timeline(df, bins)],
+                &[oracle::timeline(df, bins)],
+                |t| [&t.bin_start[..], &t.write_bytes, &t.read_bytes].concat(),
+            );
+            let telemetry = [(0.0, 1.0), (40.0, 3.0), (300.0, 2.0)];
+            assert_same(
+                "correlation",
+                &[correlate_load(df, &telemetry, bins)],
+                &[oracle::correlate_load(df, &telemetry, bins)],
+                |c| {
+                    let mut f = [&c.bin_start[..], &c.mean_dur, &c.telemetry].concat();
+                    f.extend(c.r);
+                    f
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_match_oracles_on_the_fixed_frames() {
+        assert_kernels_match_oracles(&frame(vec![]));
+        // One job, one row.
+        assert_kernels_match_oracles(&frame(vec![(7, 0, "n", "read", 0.5, 10, 3.0)]));
+        // Nothing but ops outside read/write.
+        assert_kernels_match_oracles(&frame(vec![
+            (1, 0, "n1", "open", 0.0, -1, 100.0),
+            (1, 1, "n2", "close", 0.0, -1, 101.0),
+            (2, 0, "n1", "flush", 0.3, -1, 99.0),
+        ]));
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn kernels_match_oracles_on_generated_frames(
+            jobs in 1u64..5,
+            rows in prop::collection::vec(
+                ((0u64..8, 0u64..4, 0usize..3), 0usize..6, (0usize..5, 0u64..4_000), -3_000i64..70_000, 0u64..2_400),
+                0..120,
+            ),
+        ) {
+            const NODES: [&str; 3] = ["nid00040", "nid00041", "nid00052"];
+            const OPS: [&str; 6] = ["read", "write", "open", "close", "flush", "read"];
+            let rows = rows
+                .into_iter()
+                .map(|((job, rank, node), op, (dur_kind, dur), len, ts)| {
+                    // `seg_dur` cells: mostly floats, some integers,
+                    // some not numbers at all, some negative zero.
+                    let dur = match dur_kind {
+                        0 => Value::Str("N/A".to_string()),
+                        1 => Value::U64(dur % 3),
+                        2 => Value::F64(-0.0),
+                        _ => Value::F64(dur as f64 / 512.0),
+                    };
+                    vec![
+                        Value::U64(300 + job % jobs),
+                        Value::U64(rank),
+                        Value::Str(NODES[node].to_string()),
+                        Value::Str(OPS[op].to_string()),
+                        dur,
+                        Value::I64(len),
+                        // Eighths of a second: repeated timestamps are
+                        // common, so the stable sorts are exercised.
+                        Value::F64(1_650_000_000.0 + ts as f64 / 8.0),
+                    ]
+                })
+                .collect();
+            assert_kernels_match_oracles(&DataFrame::new(COLS.to_vec(), rows));
+        }
     }
 }

@@ -7,7 +7,8 @@
 //! * [`frame`] — a small dataframe ("queried data is converted into a
 //!   pandas dataframe to allow for easier application of complex
 //!   calculations, transformations and aggregations"): column-named
-//!   rows of [`dsos_sim::Value`] with select/filter/group-aggregate;
+//!   rows of [`dsos_sim::Value`] that the figure analyses read in
+//!   place, with row filtering and CSV export;
 //! * [`figures`] — one analysis module per paper figure: operation
 //!   occurrence statistics (Fig 5), per-node operation counts (Fig 6),
 //!   per-rank read/write durations (Fig 7), the temporal distribution

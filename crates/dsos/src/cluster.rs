@@ -21,23 +21,25 @@
 //!   replays the schedule: each restart runs an anti-entropy pass that
 //!   rebuilds the returning replica from any live holder (sequence-
 //!   keyed by row id, idempotent, dedup-checked).
-//! * **Queries** scatter-gather only over daemons that are up at the
-//!   query instant, deduplicate replica copies by row id, repair
-//!   lagging live replicas opportunistically, and attach an exact
-//!   [`Completeness`] report: with R≥2 and ≤R−1 concurrent failures it
-//!   proves zero acknowledged-row loss (see `replication` module docs
-//!   for the argument).
+//! * **Queries** are one scan ([`scan_at`](DsosCluster::scan_at)) of the
+//!   shards of the daemons that are up at the query instant, read in
+//!   place and merged in index order in the caller's thread: replica
+//!   copies are dropped by row id, lagging live replicas repaired
+//!   opportunistically, and an exact [`Completeness`] report attached
+//!   (with R≥2 and ≤R−1 concurrent failures it proves zero
+//!   acknowledged-row loss; see `replication` module docs for the
+//!   argument). `query_*` collect that scan, one clone per row.
 
 use crate::replication::{
     shard_key_hash, BatchAck, Completeness, CsvImportReport, DaemonSchedule, IngestAck,
     ReplicationConfig, ShardHealth, ShardMap, StoreError, NO_RID,
 };
 use crate::schema::Schema;
-use crate::store::{ContainerShard, Dsosd, TaggedRow};
+use crate::store::{ContainerShard, Dsosd, Scan, ShardRead};
 use crate::value::Value;
 use iosim_telemetry::{Counter, DiagHub, FaultKind, Gauge, HealthState, HubEventKind, Telemetry};
 use iosim_time::Epoch;
-use iosim_util::merge::merge_sorted;
+use iosim_util::merge::KWayMerge;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -89,6 +91,15 @@ impl ContainerRepl {
             holders: shards.iter().map(|_| HashMap::new()).collect(),
             shards,
         }
+    }
+
+    /// Row ids at least one daemon holds.
+    fn held_rids(&self) -> HashSet<u64> {
+        let mut held = HashSet::new();
+        for holder in &self.holders {
+            held.extend(holder.keys().copied());
+        }
+        held
     }
 
     fn shard_hash(&self, obj: &[Value]) -> u64 {
@@ -576,13 +587,9 @@ impl DsosCluster {
     pub fn object_count(&self, container: &str) -> usize {
         let repl = self.repl.read();
         match repl.get(container) {
-            Some(cr) => {
-                let mut live: HashSet<u64> = HashSet::new();
-                for held in &cr.holders {
-                    live.extend(held.keys().copied());
-                }
-                live.len()
-            }
+            // No fault ever scheduled: every ingested row is held.
+            Some(cr) if self.fault_free() => cr.rows.len(),
+            Some(cr) => cr.held_rids().len(),
             None => 0,
         }
     }
@@ -591,31 +598,110 @@ impl DsosCluster {
     // Query
     // ------------------------------------------------------------------
 
-    fn parallel_fetch<F>(&self, live: &[bool], fetch: F) -> Vec<Vec<TaggedRow>>
-    where
-        F: Fn(&Arc<Dsosd>) -> Option<Vec<TaggedRow>> + Sync,
-    {
-        let mut per_daemon: Vec<Vec<TaggedRow>> =
-            (0..self.daemons.len()).map(|_| Vec::new()).collect();
-        std::thread::scope(|s| {
-            for ((d, slot), &up) in self.daemons.iter().zip(per_daemon.iter_mut()).zip(live) {
-                if !up {
-                    continue; // dead daemons answer nothing
+    /// The one read primitive: scans every daemon that is up at `at`
+    /// in place, k-way merges the borrowed hits in index-key order
+    /// (equal keys tie-break on object content, then row id, then
+    /// daemon order), drops replica copies by row id (first copy wins)
+    /// and hands each surviving row to `visit`, in this thread, while
+    /// the shards are held for reading. Lagging live replicas are
+    /// repaired once the scan is over, and the [`Completeness`] report
+    /// says what the scan could and could not reach.
+    ///
+    /// Locks: `repl` first, as in ingest, then each live shard's
+    /// indices → partitions once, in daemon order. `visit` runs under
+    /// all of them and must not call back into the cluster.
+    pub fn scan_at(
+        &self,
+        container: &str,
+        index: &str,
+        scan: Scan<'_>,
+        at: Epoch,
+        mut visit: impl FnMut(&[Value]),
+    ) -> Completeness {
+        let (live, healthy) = self.liveness(at);
+        let repl = self.repl.read();
+        let mut completeness = self.completeness_locked(&repl, container, &live, healthy);
+        let cr = repl.get(container);
+        // Dead daemons answer nothing; neither does a missing container
+        // or an unknown index.
+        let shards: Vec<(usize, ShardRead<'_>)> = cr
+            .and_then(|cr| Some((cr, cr.schema.index_pos(index)?)))
+            .map(|(cr, pos)| {
+                (0..self.daemons.len())
+                    .filter(|&d| live[d])
+                    .map(|d| (d, cr.shards[d].read(pos)))
+                    .collect()
+            })
+            .unwrap_or_default();
+        // On a fault-free cluster every physical row is held by its
+        // daemon, and with one replica no row id comes back twice: the
+        // per-row holder, dedup and repair checks apply only otherwise.
+        let degraded = cr.filter(|_| !healthy);
+        let dedup = !healthy || self.cfg.replicas > 1;
+        let sources = shards
+            .iter()
+            .map(|(d, shard)| {
+                // Keep only rows the daemon currently *holds* (crash
+                // replay may have invalidated some).
+                let held = degraded.map(|cr| &cr.holders[*d]);
+                shard.hits(scan).filter(move |&(_, _, rid)| {
+                    rid == NO_RID || held.is_none_or(|h| h.contains_key(&rid))
+                })
+            })
+            .collect();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
+        for (_, obj, rid) in KWayMerge::new(sources) {
+            if dedup && rid != NO_RID {
+                if !seen.insert(rid) {
+                    completeness.duplicates_suppressed += 1;
+                    continue;
                 }
-                let fetch = &fetch;
-                s.spawn(move || {
-                    *slot = fetch(d).unwrap_or_default();
-                });
+                // Opportunistic read repair: a returned row goes onto
+                // the live replicas of its shard that lack it.
+                if let Some(cr) = degraded {
+                    let replicas = cr
+                        .rows
+                        .get(&rid)
+                        .map(|meta| self.map.replicas_of(meta.shard));
+                    for &d in replicas.into_iter().flatten() {
+                        if live[d] && !cr.holders[d].contains_key(&rid) {
+                            plan.push((d, rid, obj.clone()));
+                        }
+                    }
+                }
             }
-        });
-        per_daemon
+            completeness.rows_returned += 1;
+            visit(obj);
+        }
+        drop(shards);
+        drop(repl);
+        completeness.read_repairs = self.read_repair(container, plan, at);
+        completeness
     }
 
-    /// Failure-aware scatter-gather at query instant `at`: skips dead
-    /// daemons, merges the live per-daemon streams in index-key order,
-    /// deduplicates replica copies by row id (first copy wins, so the
-    /// merge order stays deterministic), opportunistically repairs
-    /// lagging live replicas, and attaches a [`Completeness`] report.
+    /// [`scan_at`](Self::scan_at) after all scheduled faults.
+    pub fn scan(&self, container: &str, index: &str, scan: Scan<'_>, visit: impl FnMut(&[Value])) {
+        self.scan_at(container, index, scan, END_OF_TIME, visit);
+    }
+
+    /// [`scan_at`](Self::scan_at) collected: each returned row is
+    /// cloned once, here.
+    fn collect(
+        &self,
+        container: &str,
+        index: &str,
+        scan: Scan<'_>,
+        at: Epoch,
+    ) -> (Vec<Vec<Value>>, Completeness) {
+        let mut rows = Vec::new();
+        let completeness = self.scan_at(container, index, scan, at, |row| rows.push(row.to_vec()));
+        (rows, completeness)
+    }
+
+    /// Failure-aware query at instant `at` for the objects whose
+    /// `index` key starts with `prefix`: [`scan_at`](Self::scan_at),
+    /// collected.
     pub fn query_prefix_at(
         &self,
         container: &str,
@@ -623,12 +709,7 @@ impl DsosCluster {
         prefix: &[Value],
         at: Epoch,
     ) -> (Vec<Vec<Value>>, Completeness) {
-        let live = self.liveness(at);
-        let parts = self.parallel_fetch(&live, |d| {
-            d.get_container(container)
-                .and_then(|c| c.query_prefix_tagged(index, prefix))
-        });
-        self.finish_query(container, parts, &live, at)
+        self.collect(container, index, Scan::Prefix(prefix), at)
     }
 
     /// Failure-aware range query (`from <= key < to`) at instant `at`.
@@ -641,12 +722,7 @@ impl DsosCluster {
         to: &[Value],
         at: Epoch,
     ) -> (Vec<Vec<Value>>, Completeness) {
-        let live = self.liveness(at);
-        let parts = self.parallel_fetch(&live, |d| {
-            d.get_container(container)
-                .and_then(|c| c.query_range_tagged(index, from, to))
-        });
-        self.finish_query(container, parts, &live, at)
+        self.collect(container, index, Scan::Range(from, to), at)
     }
 
     /// Queries all objects whose `index` key starts with `prefix`,
@@ -669,101 +745,18 @@ impl DsosCluster {
             .0
     }
 
-    fn liveness(&self, at: Epoch) -> Vec<bool> {
+    /// Which daemons are up at `at`, and whether no fault was ever
+    /// scheduled (one acquisition of the schedule for both).
+    fn liveness(&self, at: Epoch) -> (Vec<bool>, bool) {
         let schedules = self.schedules.read();
-        schedules.iter().map(|s| s.is_up(at)).collect()
+        (
+            schedules.iter().map(|s| s.is_up(at)).collect(),
+            schedules.iter().all(|s| s.is_empty()),
+        )
     }
 
-    /// Merge + dedup + read repair + completeness for a fetched result.
-    fn finish_query(
-        &self,
-        container: &str,
-        parts: Vec<Vec<TaggedRow>>,
-        live: &[bool],
-        at: Epoch,
-    ) -> (Vec<Vec<Value>>, Completeness) {
-        // On a fault-free cluster every physical row is held by its
-        // daemon and no repair can apply: skip the per-row holder
-        // filtering and accounting scans entirely (hot path).
-        let healthy = self.fault_free();
-        let repl = self.repl.read();
-        let cr = repl.get(container);
-        // Merge items are (key, (obj, rid)) so equal index keys still
-        // tie-break on object content exactly like the seed did; the
-        // row id only orders identical rows (replica copies).
-        type MergeItem = (Vec<Value>, (Vec<Value>, u64));
-        let filtered: Vec<Vec<MergeItem>> = parts
-            .into_iter()
-            .enumerate()
-            .map(|(d, rows)| {
-                rows.into_iter()
-                    .filter(|(_, rid, _)| {
-                        // Keep only rows the daemon currently *holds*
-                        // (crash replay may have invalidated some).
-                        healthy
-                            || *rid == NO_RID
-                            || cr.is_none_or(|cr| cr.holders[d].contains_key(rid))
-                    })
-                    .map(|(key, rid, obj)| (key, (obj, rid)))
-                    .collect()
-            })
-            .collect();
-        let merged = merge_sorted(filtered);
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut out: Vec<Vec<Value>> = Vec::with_capacity(merged.len());
-        let mut kept_rids: Vec<(u64, Vec<Value>)> = Vec::new();
-        let mut duplicates_suppressed = 0u64;
-        for (_, (obj, rid)) in merged {
-            if rid != NO_RID {
-                if !seen.insert(rid) {
-                    duplicates_suppressed += 1;
-                    continue;
-                }
-                if !healthy {
-                    kept_rids.push((rid, obj.clone()));
-                }
-            }
-            out.push(obj);
-        }
-        let mut completeness = self.completeness_locked(&repl, container, live, at);
-        completeness.rows_returned = out.len();
-        completeness.duplicates_suppressed = duplicates_suppressed;
-        drop(repl);
-        // Opportunistic read repair: copy returned rows onto live
-        // replicas of their shard that lack them.
-        let repaired = self.read_repair(container, &kept_rids, live, at);
-        completeness.read_repairs = repaired;
-        (out, completeness)
-    }
-
-    fn read_repair(
-        &self,
-        container: &str,
-        kept: &[(u64, Vec<Value>)],
-        live: &[bool],
-        at: Epoch,
-    ) -> u64 {
-        // Fast path: nothing to do on a healthy, fault-free cluster.
-        if self.fault_free() {
-            return 0;
-        }
-        let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
-        {
-            let repl = self.repl.read();
-            let Some(cr) = repl.get(container) else {
-                return 0;
-            };
-            for (rid, obj) in kept {
-                let Some(meta) = cr.rows.get(rid) else {
-                    continue;
-                };
-                for &d in self.map.replicas_of(meta.shard) {
-                    if live[d] && !cr.holders[d].contains_key(rid) {
-                        plan.push((d, *rid, obj.clone()));
-                    }
-                }
-            }
-        }
+    /// Applies a read-repair plan of `(daemon, row id, row)` copies.
+    fn read_repair(&self, container: &str, plan: Vec<(usize, u64, Vec<Value>)>, at: Epoch) -> u64 {
         if plan.is_empty() {
             return 0;
         }
@@ -797,9 +790,9 @@ impl DsosCluster {
     /// Standalone completeness report for a container at instant `at`
     /// (what a full query would prove).
     pub fn completeness(&self, container: &str, at: Epoch) -> Completeness {
-        let live = self.liveness(at);
+        let (live, healthy) = self.liveness(at);
         let repl = self.repl.read();
-        self.completeness_locked(&repl, container, &live, at)
+        self.completeness_locked(&repl, container, &live, healthy)
     }
 
     fn completeness_locked(
@@ -807,7 +800,7 @@ impl DsosCluster {
         repl: &HashMap<String, ContainerRepl>,
         container: &str,
         live: &[bool],
-        _at: Epoch,
+        healthy: bool,
     ) -> Completeness {
         let dead_daemons = live.iter().filter(|&&u| !u).count();
         let Some(cr) = repl.get(container) else {
@@ -816,7 +809,7 @@ impl DsosCluster {
                 ..Completeness::default()
             };
         };
-        if dead_daemons == 0 && self.fault_free() {
+        if dead_daemons == 0 && healthy {
             // No fault ever scheduled: every acked row sits on every
             // live replica of its shard; skip the per-row scan.
             let acked_rows: u64 = cr.acked_per_shard.iter().sum();
@@ -1272,5 +1265,258 @@ mod tests {
         });
         let rows = cl.query_prefix("darshan", "job_rank_time", &[]);
         assert_eq!(rows.len() as u64, total);
+    }
+
+    #[test]
+    fn object_count_equals_the_union_of_holders() {
+        // The fault-free shortcut (`rows.len()`) and the per-call union
+        // must agree wherever both apply, and the union alone decides
+        // once a crash has destroyed copies.
+        let union = |cl: &DsosCluster| cl.repl.read()["darshan"].held_rids().len();
+        let fill = |cl: &DsosCluster| {
+            for r in 0..40 {
+                cl.ingest_at("darshan", obj(1, r, r as f64), Epoch::from_secs(1))
+                    .unwrap();
+            }
+        };
+        for replicas in [1, 2] {
+            let cl = DsosCluster::new_replicated(3, ReplicationConfig::new(replicas)).unwrap();
+            cl.create_container("darshan", &schema());
+            assert_eq!(cl.object_count("darshan"), 0);
+            fill(&cl);
+            assert!(cl.fault_free());
+            assert_eq!((cl.object_count("darshan"), union(&cl)), (40, 40));
+        }
+        // R=1: the crashed daemon's rows are gone for good.
+        let cl = DsosCluster::new(3);
+        cl.create_container("darshan", &schema());
+        fill(&cl);
+        let lost = cl.daemon(0).object_count();
+        assert!(lost > 0);
+        cl.crash_dsosd(0, Epoch::from_secs(10));
+        cl.restart_dsosd(0, Epoch::from_secs(20));
+        cl.recover(Epoch::from_secs(100));
+        assert_eq!(cl.object_count("darshan"), 40 - lost);
+        assert_eq!(cl.object_count("darshan"), union(&cl));
+        // R=2: a peer still holds every row, before and after rebuild.
+        let cl = DsosCluster::new_replicated(3, ReplicationConfig::new(2)).unwrap();
+        cl.create_container("darshan", &schema());
+        fill(&cl);
+        cl.crash_dsosd(0, Epoch::from_secs(10));
+        cl.recover(Epoch::from_secs(15));
+        assert_eq!((cl.object_count("darshan"), union(&cl)), (40, 40));
+        cl.restart_dsosd(0, Epoch::from_secs(20));
+        cl.recover(Epoch::from_secs(100));
+        assert_eq!((cl.object_count("darshan"), union(&cl)), (40, 40));
+        assert_eq!(cl.object_count("nope"), 0);
+    }
+
+    /// The query as it was before the in-place scan — clone every hit
+    /// out of each live daemon, `merge_sorted`, dedup through a
+    /// `HashSet`, clone the kept rows again for read repair — kept as
+    /// the reference for [`scans_match_the_clone_and_merge_oracle`].
+    impl DsosCluster {
+        fn oracle_query_at(
+            &self,
+            container: &str,
+            index: &str,
+            scan: Scan<'_>,
+            at: Epoch,
+        ) -> (Vec<Vec<Value>>, Completeness) {
+            let (live, healthy) = self.liveness(at);
+            let parts: Vec<Vec<crate::store::TaggedRow>> = self
+                .daemons
+                .iter()
+                .zip(&live)
+                .map(|(d, &up)| {
+                    up.then(|| d.get_container(container)?.oracle_fetch(index, scan))
+                        .flatten()
+                        .unwrap_or_default()
+                })
+                .collect();
+            let repl = self.repl.read();
+            let cr = repl.get(container);
+            type MergeItem = (Vec<Value>, (Vec<Value>, u64));
+            let filtered: Vec<Vec<MergeItem>> = parts
+                .into_iter()
+                .enumerate()
+                .map(|(d, rows)| {
+                    rows.into_iter()
+                        .filter(|(_, rid, _)| {
+                            healthy
+                                || *rid == NO_RID
+                                || cr.is_none_or(|cr| cr.holders[d].contains_key(rid))
+                        })
+                        .map(|(key, rid, obj)| (key, (obj, rid)))
+                        .collect()
+                })
+                .collect();
+            let merged = iosim_util::merge::merge_sorted(filtered);
+            let mut seen: HashSet<u64> = HashSet::new();
+            let mut out: Vec<Vec<Value>> = Vec::with_capacity(merged.len());
+            let mut kept_rids: Vec<(u64, Vec<Value>)> = Vec::new();
+            let mut duplicates_suppressed = 0u64;
+            for (_, (obj, rid)) in merged {
+                if rid != NO_RID {
+                    if !seen.insert(rid) {
+                        duplicates_suppressed += 1;
+                        continue;
+                    }
+                    if !healthy {
+                        kept_rids.push((rid, obj.clone()));
+                    }
+                }
+                out.push(obj);
+            }
+            let mut completeness = self.completeness_locked(&repl, container, &live, healthy);
+            completeness.rows_returned = out.len();
+            completeness.duplicates_suppressed = duplicates_suppressed;
+            let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
+            if let Some(cr) = cr {
+                for (rid, obj) in &kept_rids {
+                    let Some(meta) = cr.rows.get(rid) else {
+                        continue;
+                    };
+                    for &d in self.map.replicas_of(meta.shard) {
+                        if live[d] && !cr.holders[d].contains_key(rid) {
+                            plan.push((d, *rid, obj.clone()));
+                        }
+                    }
+                }
+            }
+            drop(repl);
+            completeness.read_repairs = self.read_repair(container, plan, at);
+            (out, completeness)
+        }
+    }
+
+    use proptest::prelude::*;
+
+    fn wide_schema() -> Arc<Schema> {
+        Schema::builder("darshan_data")
+            .attr("job_id", Type::U64)
+            .attr("rank", Type::U64)
+            .attr("timestamp", Type::F64)
+            .attr("op", Type::Str)
+            .index("job_rank_time", &["job_id", "rank", "timestamp"])
+            .index("job_time_rank", &["job_id", "timestamp", "rank"])
+            .build()
+            .unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn scans_match_the_clone_and_merge_oracle(
+            shape in (1usize..5, 0usize..3, 0usize..3, 0u64..3_000),
+            rows in prop::collection::vec(
+                ((1u64..4, 0u64..4, 0u64..5), 0usize..3, 0u64..2_000, 0usize..10),
+                0..70,
+            ),
+            windows in prop::collection::vec((0usize..4, 0u64..2_000, 1u64..900), 0..4),
+            queries in prop::collection::vec((0usize..7, 0u64..5, 0u64..5, 0u64..3_000), 1..10),
+        ) {
+            // Two clusters built by the same steps: the oracle queries
+            // one, the scan the other. Queries repair as they go, so
+            // the two stay in step only while every answer is equal.
+            let (n, r_draw, w_draw, recover_ms) = shape;
+            let r = 1 + r_draw.min(n - 1);
+            let cfg = ReplicationConfig::new(r).with_quorum(1 + w_draw.min(r - 1));
+            let at = |ms: u64| Epoch::from_nanos(ms * 1_000_000);
+            let build = || {
+                let cl = DsosCluster::new_replicated(n, cfg).unwrap();
+                cl.create_container("darshan", &wide_schema());
+                for &(d, from, dur) in &windows {
+                    cl.crash_dsosd(d % n, at(from));
+                    // Some windows never close.
+                    if dur % 5 != 0 {
+                        cl.restart_dsosd(d % n, at(from + dur));
+                    }
+                }
+                for &((job, rank, ts), op, at_ms, kind) in &rows {
+                    // Few distinct timestamps and ops: equal index keys
+                    // and wholly equal rows are common.
+                    let row = vec![
+                        Value::U64(job),
+                        Value::U64(rank),
+                        Value::F64(ts as f64),
+                        Value::Str(["read", "write", "open"][op].to_string()),
+                    ];
+                    match kind {
+                        // A direct insert on one daemon: no row id.
+                        0 => {
+                            let shard = cl.daemon(rank as usize % n).get_container("darshan");
+                            shard.unwrap().insert(row).unwrap();
+                        }
+                        // Rotate every shard's partition, then ingest.
+                        1 => {
+                            for d in 0..n {
+                                cl.daemon(d).get_container("darshan").unwrap().begin_partition("next");
+                            }
+                            cl.ingest_at("darshan", row, at(at_ms)).unwrap();
+                        }
+                        _ => {
+                            cl.ingest_at("darshan", row, at(at_ms)).unwrap();
+                        }
+                    }
+                }
+                if recover_ms % 2 == 0 {
+                    cl.recover(at(recover_ms));
+                }
+                cl
+            };
+            let (oracle, scanned) = (build(), build());
+            let key = |vals: &[u64]| -> Vec<Value> {
+                vals.iter()
+                    .enumerate()
+                    .map(|(i, &v)| if i == 2 { Value::F64(v as f64) } else { Value::U64(v) })
+                    .collect()
+            };
+            for &(kind, a, b, at_ms) in &queries {
+                let index = if at_ms % 2 == 0 { "job_rank_time" } else { "job_time_rank" };
+                let (from, to) = match kind {
+                    0 => (key(&[]), key(&[])),
+                    1 => (key(&[a]), key(&[])),
+                    2 => (key(&[a, b]), key(&[])),
+                    // Ranges: over jobs (empty and inverted ones too),
+                    // and inside one job.
+                    3 => (key(&[a]), key(&[b])),
+                    4 => (key(&[a, 0, a]), key(&[a, b, b])),
+                    _ => (key(&[a]), key(&[a + 1])),
+                };
+                let scan = if kind < 3 { Scan::Prefix(&from) } else { Scan::Range(&from, &to) };
+                let index = if kind == 6 { "no_such_index" } else { index };
+                let want = oracle.oracle_query_at("darshan", index, scan, at(at_ms));
+                let got = match scan {
+                    Scan::Prefix(p) => scanned.query_prefix_at("darshan", index, p, at(at_ms)),
+                    Scan::Range(f, t) => scanned.query_range_at("darshan", index, f, t, at(at_ms)),
+                };
+                prop_assert_eq!(&got, &want, "{:?} on {} at {} ms", scan, index, at_ms);
+                // The visitor sees the same rows the adaptor collects.
+                let mut visited = Vec::new();
+                scanned.scan_at("darshan", index, scan, at(at_ms), |row| visited.push(row.to_vec()));
+                let again = oracle.oracle_query_at("darshan", index, scan, at(at_ms)).0;
+                prop_assert_eq!(&visited, &again);
+                // A shard's own queries collect from the same scan.
+                for d in 0..n {
+                    let shard = scanned.daemon(d).get_container("darshan").unwrap();
+                    let want = shard.oracle_fetch(index, scan).map(|hits| {
+                        hits.into_iter().map(|(key, _, obj)| (key, obj)).collect::<Vec<_>>()
+                    });
+                    let got = match scan {
+                        Scan::Prefix(p) => shard.query_prefix(index, p),
+                        Scan::Range(f, t) => shard.query_range(index, f, t),
+                    };
+                    prop_assert_eq!(got, want);
+                }
+            }
+            prop_assert_eq!(scanned.read_repair_count(), oracle.read_repair_count());
+            prop_assert_eq!(scanned.object_count("darshan"), oracle.object_count("darshan"));
+            // A container the cluster never created answers nothing.
+            let (rows, c) = scanned.query_prefix_at("nope", "job_rank_time", &[], at(0));
+            prop_assert!(rows.is_empty());
+            prop_assert_eq!(c.rows_returned, 0);
+        }
     }
 }

@@ -13,8 +13,9 @@
 //! * [`replication`] — shard maps, crash schedules, write quorums, and
 //!   exact completeness accounting for degraded queries;
 //! * [`cluster`] — the client API: hash-sharded replicated ingest,
-//!   failure-aware parallel query + k-way merge with replica dedup,
-//!   anti-entropy recovery, CSV import/export.
+//!   one failure-aware in-place scan (k-way merge of the live shards
+//!   with replica dedup) behind every query, anti-entropy recovery,
+//!   CSV import/export.
 
 #![forbid(unsafe_code)]
 
@@ -30,5 +31,5 @@ pub use replication::{
     StoreError,
 };
 pub use schema::{AttrDef, Schema};
-pub use store::Dsosd;
+pub use store::{Dsosd, Scan};
 pub use value::{Type, Value};

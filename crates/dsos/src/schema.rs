@@ -163,6 +163,11 @@ impl Schema {
         self.indices.iter().find(|i| i.name == name)
     }
 
+    /// Position of a named index in [`indices`](Self::indices).
+    pub fn index_pos(&self, name: &str) -> Option<usize> {
+        self.indices.iter().position(|i| i.name == name)
+    }
+
     /// Validates an object against this schema.
     pub fn validate(&self, obj: &[Value]) -> Result<(), SchemaError> {
         if obj.len() != self.attrs.len() {

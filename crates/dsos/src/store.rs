@@ -3,8 +3,9 @@
 use crate::replication::NO_RID;
 use crate::schema::{IndexDef, Schema, SchemaError};
 use crate::value::Value;
-use parking_lot::RwLock;
+use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, HashMap};
+use std::ops::Bound;
 use std::sync::Arc;
 
 /// Location of an object: (partition index, offset within partition).
@@ -12,10 +13,6 @@ type ObjLoc = (usize, usize);
 
 /// An index: ordered composite key → object locations.
 type IndexMap = BTreeMap<Vec<Value>, Vec<ObjLoc>>;
-
-/// A fetched row tagged for replica dedup: `(index key, cluster row
-/// id, object values)`.
-pub type TaggedRow = (Vec<Value>, u64, Vec<Value>);
 
 /// A named storage partition (DSOS rotates partitions for retention;
 /// queries span all of them). `rids` parallels `objects`: the
@@ -126,72 +123,46 @@ impl ContainerShard {
         self.by_rid.read().contains_key(&rid)
     }
 
-    /// Iterates objects whose index key starts with `prefix`, in key
-    /// order. An empty prefix scans the whole index.
+    /// Objects whose index key starts with `prefix`, as `(key, object)`
+    /// in key order. An empty prefix scans the whole index.
     pub fn query_prefix(
         &self,
         index: &str,
         prefix: &[Value],
     ) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
-        Some(
-            self.query_prefix_tagged(index, prefix)?
-                .into_iter()
-                .map(|(key, _, obj)| (key, obj))
-                .collect(),
-        )
+        self.collect(index, Scan::Prefix(prefix))
     }
 
-    /// Like [`query_prefix`](Self::query_prefix), keeping each row's
-    /// cluster row id for replica dedup.
-    pub fn query_prefix_tagged(&self, index: &str, prefix: &[Value]) -> Option<Vec<TaggedRow>> {
-        let pos = self.index_pos(index)?;
-        // One acquisition of each lock per query, indices → partitions
-        // as in `insert_tagged`.
-        let indices = self.indices.read();
-        let parts = self.partitions.read();
-        let hits = indices[pos]
-            .range(prefix.to_vec()..)
-            .take_while(|(key, _)| key.starts_with(prefix));
-        Some(tagged_rows(&parts, hits))
-    }
-
-    /// Iterates objects with `from <= key < to` in key order.
+    /// Objects with `from <= key < to`, as `(key, object)` in key order.
     pub fn query_range(
         &self,
         index: &str,
         from: &[Value],
         to: &[Value],
     ) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
-        Some(
-            self.query_range_tagged(index, from, to)?
-                .into_iter()
-                .map(|(key, _, obj)| (key, obj))
-                .collect(),
-        )
+        self.collect(index, Scan::Range(from, to))
     }
 
-    /// Like [`query_range`](Self::query_range), keeping row ids.
-    pub fn query_range_tagged(
-        &self,
-        index: &str,
-        from: &[Value],
-        to: &[Value],
-    ) -> Option<Vec<TaggedRow>> {
-        let pos = self.index_pos(index)?;
-        if from >= to {
-            return Some(Vec::new()); // degenerate or empty range
-        }
+    fn collect(&self, index: &str, scan: Scan<'_>) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
+        let shard = self.read(self.schema.index_pos(index)?);
+        let rows = shard
+            .hits(scan)
+            .map(|(key, obj, _)| (key.clone(), obj.clone()));
+        Some(rows.collect())
+    }
+
+    /// Holds the shard for reading through index `pos` (a position in
+    /// `schema.indices()`). The one place the read side takes its
+    /// locks: once each, indices → partitions as in
+    /// [`insert_tagged`](Self::insert_tagged).
+    pub(crate) fn read(&self, pos: usize) -> ShardRead<'_> {
         let indices = self.indices.read();
         let parts = self.partitions.read();
-        Some(tagged_rows(
-            &parts,
-            indices[pos].range(from.to_vec()..to.to_vec()),
-        ))
-    }
-
-    /// Position of a named index in `schema.indices()` and `indices`.
-    fn index_pos(&self, name: &str) -> Option<usize> {
-        self.schema.indices().iter().position(|i| i.name == name)
+        ShardRead {
+            indices,
+            parts,
+            pos,
+        }
     }
 
     /// The index definition backing a named index.
@@ -200,19 +171,83 @@ impl ContainerShard {
     }
 }
 
-/// Clones out the rows an index scan hit, in scan order.
-fn tagged_rows<'a>(
-    parts: &[Partition],
-    hits: impl Iterator<Item = (&'a Vec<Value>, &'a Vec<ObjLoc>)>,
-) -> Vec<TaggedRow> {
-    let mut out = Vec::new();
-    for (key, locs) in hits {
-        for &(part, off) in locs {
-            let part = &parts[part];
-            out.push((key.clone(), part.rids[off], part.objects[off].clone()));
-        }
+/// What an index scan selects: every key that starts with a prefix
+/// (the empty prefix is the whole index), or the half-open key range
+/// `from <= key < to` (empty when `from >= to`).
+#[derive(Debug, Clone, Copy)]
+pub enum Scan<'a> {
+    /// Keys starting with these leading values.
+    Prefix(&'a [Value]),
+    /// Keys in `from <= key < to`.
+    Range(&'a [Value], &'a [Value]),
+}
+
+/// One index hit, read in place: `(index key, object, cluster row id)`.
+pub(crate) type Hit<'a> = (&'a Vec<Value>, &'a Vec<Value>, u64);
+
+/// A shard held for reading (see [`ContainerShard::read`]): hits borrow
+/// from it, so nothing is copied until a caller decides to.
+pub(crate) struct ShardRead<'a> {
+    indices: RwLockReadGuard<'a, Vec<IndexMap>>,
+    parts: RwLockReadGuard<'a, Vec<Partition>>,
+    pos: usize,
+}
+
+impl ShardRead<'_> {
+    /// The objects `scan` selects, in key order, insertion order among
+    /// equal keys.
+    pub(crate) fn hits<'s>(&'s self, scan: Scan<'s>) -> impl Iterator<Item = Hit<'s>> {
+        let (from, to, prefix) = match scan {
+            Scan::Prefix(prefix) => (prefix, Bound::Unbounded, prefix),
+            // `BTreeMap::range` panics on an inverted range; `from..from`
+            // is the empty one it accepts.
+            Scan::Range(from, to) => (from, Bound::Excluded(to.max(from)), &[][..]),
+        };
+        let parts = &*self.parts;
+        self.indices[self.pos]
+            .range::<[Value], _>((Bound::Included(from), to))
+            .take_while(move |(key, _)| key.starts_with(prefix))
+            .flat_map(move |(key, locs)| {
+                locs.iter().map(move |&(part, off)| {
+                    let part = &parts[part];
+                    (key, &part.objects[off], part.rids[off])
+                })
+            })
     }
-    out
+}
+
+/// What the read path cloned out per hit before the in-place scan:
+/// `(index key, cluster row id, object)`.
+#[cfg(test)]
+pub(crate) type TaggedRow = (Vec<Value>, u64, Vec<Value>);
+
+/// That read path, kept as the reference the cluster's query proptest
+/// compares against.
+#[cfg(test)]
+impl ContainerShard {
+    /// Clones every hit out.
+    pub(crate) fn oracle_fetch(&self, index: &str, scan: Scan<'_>) -> Option<Vec<TaggedRow>> {
+        let pos = self.schema.index_pos(index)?;
+        let indices = self.indices.read();
+        let parts = self.partitions.read();
+        let hits: Box<dyn Iterator<Item = (&Vec<Value>, &Vec<ObjLoc>)>> = match scan {
+            Scan::Prefix(prefix) => Box::new(
+                indices[pos]
+                    .range(prefix.to_vec()..)
+                    .take_while(move |(key, _)| key.starts_with(prefix)),
+            ),
+            Scan::Range(from, to) if from >= to => return Some(Vec::new()),
+            Scan::Range(from, to) => Box::new(indices[pos].range(from.to_vec()..to.to_vec())),
+        };
+        let mut out = Vec::new();
+        for (key, locs) in hits {
+            for &(part, off) in locs {
+                let part = &parts[part];
+                out.push((key.clone(), part.rids[off], part.objects[off].clone()));
+            }
+        }
+        Some(out)
+    }
 }
 
 /// One DSOS storage daemon holding container shards.

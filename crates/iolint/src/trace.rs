@@ -17,7 +17,7 @@
 
 use crate::diag::{self, Diagnostic};
 use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINER};
-use dsos_sim::{DsosCluster, Value};
+use dsos_sim::{DsosCluster, Scan, Value};
 use ldms_sim::ledger::LossRecord;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -93,13 +93,13 @@ impl TraceEvent {
 }
 
 /// Reads every stored event from a cluster, in `job_rank_time` index
-/// order.
+/// order, decoding each row where it is stored.
 pub fn events_from_cluster(cluster: &DsosCluster) -> Vec<TraceEvent> {
-    cluster
-        .query_prefix(CONTAINER, "job_rank_time", &[])
-        .iter()
-        .filter_map(|row| TraceEvent::from_row(row))
-        .collect()
+    let mut events = Vec::new();
+    cluster.scan(CONTAINER, "job_rank_time", Scan::Prefix(&[]), |row| {
+        events.extend(TraceEvent::from_row(row));
+    });
+    events
 }
 
 /// Tunables for the anti-pattern lints.
