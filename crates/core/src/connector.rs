@@ -143,6 +143,23 @@ struct PendingFrame {
     has_meta: bool,
 }
 
+/// One event's formatted payload, in the form its carrier holds.
+enum Payload {
+    /// Bound for a batch frame, whose records own their text.
+    Record(String),
+    /// Bound for a message of its own, which shares it.
+    Message(Arc<str>),
+}
+
+impl Payload {
+    fn len(&self) -> usize {
+        match self {
+            Payload::Record(text) => text.len(),
+            Payload::Message(text) => text.len(),
+        }
+    }
+}
+
 /// The Darshan-LDMS Connector for one rank.
 ///
 /// One instance is registered per rank (matching the real connector,
@@ -151,8 +168,11 @@ struct PendingFrame {
 /// allocation, as the C implementation does.
 pub struct DarshanConnector {
     config: ConnectorConfig,
+    /// `config.tag`, shared with every message published.
+    tag: Arc<str>,
     job: Arc<JobMeta>,
-    producer: String,
+    /// The rank's compute-node name, shared with every message.
+    producer: Arc<str>,
     network: Arc<LdmsNetwork>,
     /// Trace-stamping hub; `None` leaves every message untraced.
     telemetry: Option<Arc<Telemetry>>,
@@ -192,9 +212,10 @@ impl DarshanConnector {
         telemetry: Option<Arc<Telemetry>>,
     ) -> Arc<Self> {
         Arc::new(Self {
+            tag: Arc::from(config.tag.as_str()),
             config,
             job,
-            producer,
+            producer: Arc::from(producer),
             network,
             telemetry,
             stats: Arc::new(ConnectorStats::default()),
@@ -255,11 +276,11 @@ impl DarshanConnector {
             MsgClass::Bulk
         };
         self.emit(
-            StreamMessage::new(
-                &self.config.tag,
+            StreamMessage::from_shared(
+                self.tag.clone(),
                 MsgFormat::Json,
-                encode_frame(&records),
-                &self.producer,
+                Arc::from(encode_frame(&records)),
+                self.producer.clone(),
                 at,
             )
             .with_origin(self.job.job_id, rank)
@@ -295,6 +316,15 @@ impl EventSink for DarshanConnector {
             clock.advance(self.config.cost.skip());
             return;
         }
+        // The payload is copied out of the workhorse buffer once, into
+        // the form its carrier holds.
+        let own = |text: &str| {
+            if self.config.batch.enabled() {
+                Payload::Record(text.to_string())
+            } else {
+                Payload::Message(Arc::from(text))
+            }
+        };
         let payload = match self.config.format_mode {
             FormatMode::Json => {
                 let mut w = self.writer.lock();
@@ -304,11 +334,11 @@ impl EventSink for DarshanConnector {
                     .formatted_bytes
                     .fetch_add(formatted as u64, Ordering::Relaxed);
                 clock.advance(self.config.cost.format_and_publish(formatted));
-                w.as_str().to_string()
+                own(w.as_str())
             }
             FormatMode::NoFormat => {
                 clock.advance(self.config.cost.publish_only());
-                String::new()
+                own("")
             }
         };
         self.stats
@@ -341,45 +371,46 @@ impl EventSink for DarshanConnector {
             .telemetry
             .as_ref()
             .and_then(|t| t.sample(self.job.job_id, u64::from(event.rank), seq));
-        if self.config.batch.enabled() {
-            let mut pending = self.pending.lock();
-            // Time bound: a frame whose oldest record has aged past
-            // max_delay flushes before this record starts a new one.
-            if let Some((first, _, _)) = pending.context {
-                if now.since(first) >= self.config.batch.max_delay {
+        match payload {
+            Payload::Record(payload) => {
+                let mut pending = self.pending.lock();
+                // Time bound: a frame whose oldest record has aged past
+                // max_delay flushes before this record starts a new one.
+                if let Some((first, _, _)) = pending.context {
+                    if now.since(first) >= self.config.batch.max_delay {
+                        self.flush_pending(&mut pending, now);
+                    }
+                }
+                pending.context = match pending.context {
+                    Some((first, _, rank)) => Some((first, now, rank)),
+                    None => Some((now, now, u64::from(event.rank))),
+                };
+                pending.bytes += payload.len();
+                pending.trace = pending.trace.or(trace);
+                pending.has_meta |= class == MsgClass::Meta;
+                pending.records.push(FrameRecord {
+                    seq: Some(seq),
+                    payload,
+                });
+                if pending.records.len() >= self.config.batch.max_messages
+                    || pending.bytes >= self.config.batch.max_bytes
+                {
                     self.flush_pending(&mut pending, now);
                 }
             }
-            pending.context = match pending.context {
-                Some((first, _, rank)) => Some((first, now, rank)),
-                None => Some((now, now, u64::from(event.rank))),
-            };
-            pending.bytes += payload.len();
-            pending.trace = pending.trace.or(trace);
-            pending.has_meta |= class == MsgClass::Meta;
-            pending.records.push(FrameRecord {
-                seq: Some(seq),
-                payload,
-            });
-            if pending.records.len() >= self.config.batch.max_messages
-                || pending.bytes >= self.config.batch.max_bytes
-            {
-                self.flush_pending(&mut pending, now);
-            }
-        } else {
-            self.emit(
-                StreamMessage::new(
-                    &self.config.tag,
+            Payload::Message(payload) => self.emit(
+                StreamMessage::from_shared(
+                    self.tag.clone(),
                     MsgFormat::Json,
                     payload,
-                    &self.producer,
+                    self.producer.clone(),
                     now,
                 )
                 .with_seq(seq)
                 .with_origin(self.job.job_id, u64::from(event.rank))
                 .with_trace(trace)
                 .with_class(class),
-            );
+            ),
         }
     }
 }

@@ -9,9 +9,8 @@
 use dsos_sim::{BatchAck, DsosCluster, Schema, Type, Value};
 use iosim_util::json::{ParseError, Scanner, Token};
 use ldms_sim::store::field_to_string;
-use ldms_sim::{DeliveryKey, DeliveryLedger, StreamMessage, StreamSink};
+use ldms_sim::{DeliveryLedger, SeqRanges, StreamMessage, StreamSink};
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -380,12 +379,6 @@ pub struct GapReport {
     pub missing: u64,
 }
 
-#[derive(Debug, Default)]
-struct SeqTrack {
-    received: u64,
-    max_seq: u64,
-}
-
 /// An off-path observer of the store's terminal ingest stream.
 ///
 /// Implementors see every parsed `darshan_data` row batch at the
@@ -399,11 +392,6 @@ pub trait IngestObserver: Send + Sync {
     /// and the message's arrival instant.
     fn on_rows(&self, rows: &[Vec<Value>], recv_time: iosim_time::Epoch);
 }
-
-/// One publisher's gap-tracking identity: `(producer, job_id, rank)`.
-/// The producer is shared via `Arc` — it arrives as `Arc<str>` on the
-/// message, so keying avoids a per-message allocation.
-type StreamKey = (Arc<str>, u64, u64);
 
 /// A store plugin that ingests connector stream messages straight into
 /// a DSOS cluster. Figure 3's JSON → CSV row → typed object happens in
@@ -420,8 +408,11 @@ type StreamKey = (Arc<str>, u64, u64);
 /// Ingest is idempotent on the `(producer, job, rank, seq)` delivery
 /// key: a duplicate delivery (a write-ahead-log replay after a crash
 /// restart) is suppressed and counted, never stored twice. The network
-/// terminal already deduplicates keyed messages; the store's own check
-/// is defense in depth for sinks wired up outside an `LdmsNetwork`.
+/// terminal already deduplicates keyed messages; the store checks again
+/// because it can be subscribed outside an `LdmsNetwork`, where nothing
+/// else would. Both this check and gap detection keep a [`SeqRanges`]:
+/// a pair of integers per stream and one more per gap, not an entry per
+/// message.
 pub struct DsosStreamStore {
     cluster: Arc<DsosCluster>,
     schema: Arc<Schema>,
@@ -432,8 +423,14 @@ pub struct DsosStreamStore {
     summaries_ingested: AtomicU64,
     /// Folded bulk events the ingested sketches stand in for.
     summary_events: AtomicU64,
-    seqs: Mutex<HashMap<StreamKey, SeqTrack>>,
-    seen: Mutex<HashSet<DeliveryKey>>,
+    /// Sequence numbers of the decoded event messages, by the
+    /// `(producer, job_id, rank)` their payload names — what gap
+    /// reports read. Apart from `seen`: that one is keyed as the
+    /// message is stamped, and also holds sketches and messages that
+    /// failed to decode.
+    gaps: Mutex<SeqRanges>,
+    /// Delivery keys of every message accepted so far.
+    seen: Mutex<SeqRanges>,
     /// Registered `ingest_dedup_hits` counter, when telemetry is on.
     dedup_hits: OnceLock<Arc<iosim_telemetry::Counter>>,
     /// Rows acknowledged at the cluster's write quorum.
@@ -460,8 +457,8 @@ impl DsosStreamStore {
             duplicates: AtomicU64::new(0),
             summaries_ingested: AtomicU64::new(0),
             summary_events: AtomicU64::new(0),
-            seqs: Mutex::new(HashMap::new()),
-            seen: Mutex::new(HashSet::new()),
+            gaps: Mutex::default(),
+            seen: Mutex::default(),
             dedup_hits: OnceLock::new(),
             quorum_acked: AtomicU64::new(0),
             ledger: OnceLock::new(),
@@ -554,16 +551,16 @@ impl DsosStreamStore {
     /// included (with `missing == 0`) so callers can see coverage.
     pub fn gap_reports(&self) -> Vec<GapReport> {
         let mut out: Vec<GapReport> = self
-            .seqs
+            .gaps
             .lock()
-            .iter()
-            .map(|((producer, job_id, rank), t)| GapReport {
-                producer: producer.to_string(),
-                job_id: *job_id,
-                rank: *rank,
-                received: t.received,
-                max_seq: t.max_seq,
-                missing: t.max_seq.saturating_sub(t.received),
+            .streams()
+            .map(|s| GapReport {
+                producer: s.producer.to_string(),
+                job_id: s.job_id,
+                rank: s.rank,
+                received: s.received,
+                max_seq: s.max_seq,
+                missing: s.missing(),
             })
             .collect();
         out.sort_by(|a, b| (&a.producer, a.job_id, a.rank).cmp(&(&b.producer, b.job_id, b.rank)));
@@ -572,19 +569,13 @@ impl DsosStreamStore {
 
     /// Total sequence numbers known to be missing, over all publishers.
     pub fn total_missing(&self) -> u64 {
-        self.seqs
-            .lock()
-            .values()
-            .map(|t| t.max_seq.saturating_sub(t.received))
-            .sum()
+        self.gaps.lock().streams().map(|s| s.missing()).sum()
     }
 
-    /// Updates gap tracking for one sequence-stamped message.
-    fn track_seq(&self, producer: &Arc<str>, (job_id, rank): (u64, u64), seq: u64) {
-        let mut seqs = self.seqs.lock();
-        let t = seqs.entry((producer.clone(), job_id, rank)).or_default();
-        t.received += 1;
-        t.max_seq = t.max_seq.max(seq);
+    /// Runs held by the duplicate check and by gap tracking: each is
+    /// one per stream after an in-order run, plus one per gap.
+    pub fn seq_intervals(&self) -> (usize, usize) {
+        (self.seen.lock().intervals(), self.gaps.lock().intervals())
     }
 
     /// Ingests one overload summary sketch into [`SUMMARY_CONTAINER`].
@@ -616,7 +607,7 @@ impl DsosStreamStore {
 impl StreamSink for DsosStreamStore {
     fn deliver(&self, msg: &StreamMessage) {
         if let Some(key) = msg.delivery_key() {
-            if !self.seen.lock().insert(key) {
+            if !self.seen.lock().claim(key) {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
                 if let Some(c) = self.dedup_hits.get() {
                     c.inc();
@@ -634,8 +625,8 @@ impl StreamSink for DsosStreamStore {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if let (Some(seq), Some(origin)) = (msg.seq, event.origin) {
-            self.track_seq(&msg.producer, origin, seq);
+        if let (Some(seq), Some((job_id, rank))) = (msg.seq, event.origin) {
+            self.gaps.lock().claim((&msg.producer, job_id, rank, seq));
         }
         if event.rejected > 0 {
             self.rejected.fetch_add(event.rejected, Ordering::Relaxed);
@@ -1081,6 +1072,58 @@ mod tests {
         store.deliver(&sketch);
         assert_eq!(store.summaries(), 1);
         assert_eq!(store.duplicates_suppressed(), 1);
+    }
+
+    #[test]
+    fn the_store_keeps_runs_not_keys() {
+        let cluster = DsosCluster::new(1);
+        let store = DsosStreamStore::new(cluster);
+        let event = |rank: u64, seq: u64| {
+            StreamMessage::new(
+                "darshanConnector",
+                MsgFormat::Json,
+                MSG.replace(r#""rank":3"#, &format!(r#""rank":{rank}"#)),
+                "nid00046",
+                iosim_time::Epoch::from_secs(1),
+            )
+            .with_seq(seq)
+            .with_origin(7, rank)
+        };
+        // Four streams in order; rank 1 loses 50 and 60..=62 for good.
+        for seq in 1..=200 {
+            for rank in 0..4 {
+                if rank == 1 && (seq == 50 || (60..63).contains(&seq)) {
+                    continue;
+                }
+                store.deliver(&event(rank, seq));
+            }
+        }
+        assert_eq!(store.seq_intervals(), (4 + 2, 4 + 2));
+        assert_eq!(store.total_missing(), 4);
+        // Sketches are deduplicated like any keyed message, on their
+        // own numbering, and stay out of gap tracking.
+        let sketch = |counter: u64| {
+            StreamMessage::new(
+                "darshanConnector",
+                MsgFormat::Json,
+                SKETCH.to_string(),
+                "nid00046",
+                iosim_time::Epoch::from_secs(1),
+            )
+            .with_seq(ldms_sim::overload::SUMMARY_SEQ_BIT | counter)
+            .with_origin(7, 3)
+            .with_summary_count(40)
+        };
+        for counter in [1, 2, 2, 3] {
+            store.deliver(&sketch(counter));
+        }
+        assert_eq!((store.summaries(), store.duplicates_suppressed()), (3, 1));
+        assert_eq!(store.seq_intervals(), (4 + 2 + 1, 4 + 2));
+        let rank3 = &store.gap_reports()[3];
+        assert_eq!(
+            (rank3.received, rank3.max_seq, rank3.missing),
+            (200, 200, 0)
+        );
     }
 
     #[test]

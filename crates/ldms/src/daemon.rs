@@ -39,7 +39,7 @@ use crate::fault::{FaultScript, FaultSpec, Lifecycle};
 use crate::heartbeat::HeartbeatConfig;
 use crate::ledger::{DeliveryLedger, LossCause};
 use crate::overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};
-use crate::queue::{QueueConfig, QueueEntry, RetryQueue};
+use crate::queue::{QueueConfig, QueueEntry, RetryQueue, WakeSchedule};
 use crate::stream::{StreamHub, StreamMessage, StreamSink, StreamStats};
 use crate::transport::TransportLink;
 use crate::wal::{WalConfig, WalStats, WriteAheadLog};
@@ -48,10 +48,14 @@ use iosim_telemetry::{
     Histogram, HopKind, HubEventKind, Telemetry,
 };
 use iosim_time::{Epoch, SimDuration};
+use iosim_util::hash::FnvBuildHasher;
 use parking_lot::{Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// A wake-schedule instant that every pass is past.
+const NEXT_PASS: Epoch = Epoch::from_nanos(0);
 
 /// Role of a daemon in the topology.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -252,6 +256,43 @@ pub struct Ldmsd {
     crash_dumps: Mutex<Vec<CrashDump>>,
     /// Set at most once, by [`Ldmsd::attach_overload`].
     overload: OnceLock<OverloadController>,
+    /// The owning network's wake schedule and this daemon's position
+    /// in its pump order; unset for a daemon wired up by hand, which
+    /// is pumped by hand too.
+    wakes: OnceLock<(Arc<WakeSchedule>, usize)>,
+}
+
+/// The daemons one chain walk has passed, for cycle detection. The
+/// paper's chains are three daemons long, so the first few sit inline
+/// and a walk allocates nothing.
+struct Visited {
+    inline: [*const Ldmsd; 4],
+    len: usize,
+    beyond: Vec<*const Ldmsd>,
+}
+
+impl Visited {
+    fn new() -> Self {
+        Self {
+            inline: [std::ptr::null(); 4],
+            len: 0,
+            beyond: Vec::new(),
+        }
+    }
+
+    /// Notes a daemon; `false` when the walk has been here before.
+    fn enter(&mut self, daemon: *const Ldmsd) -> bool {
+        if self.inline[..self.len].contains(&daemon) || self.beyond.contains(&daemon) {
+            return false;
+        }
+        if self.len < self.inline.len() {
+            self.inline[self.len] = daemon;
+            self.len += 1;
+        } else {
+            self.beyond.push(daemon);
+        }
+        true
+    }
 }
 
 impl Ldmsd {
@@ -275,7 +316,34 @@ impl Ldmsd {
             tel: OnceLock::new(),
             crash_dumps: Mutex::new(Vec::new()),
             overload: OnceLock::new(),
+            wakes: OnceLock::new(),
         })
+    }
+
+    /// Asks the owning network to pump this daemon at the first pass
+    /// at or after `at`.
+    fn wake(&self, at: Epoch) {
+        if let Some((wakes, index)) = self.wakes.get() {
+            wakes.add([(at, *index)]);
+        }
+    }
+
+    /// Books a visit at the next pass, whatever its instant, when
+    /// only a visit would find a health report due: a drain has just
+    /// moved the daemon's health without reporting it (the report
+    /// carries the instant of the pass that makes it, so it cannot be
+    /// made here), or a scripted downtime window lets the clock alone
+    /// move it — and publishes need not come in clock order. Such a
+    /// daemon is visited every pass while a hub listens, as the sweep
+    /// visited every daemon; with no hub there is nothing to report.
+    fn keep_health_watch(&self, now: Epoch) {
+        if let Some((tel, _)) = self.diag() {
+            if !self.lifecycle.always_up()
+                || self.health_at(now).to_u8() != tel.last_health.load(Ordering::Relaxed)
+            {
+                self.wake(NEXT_PASS);
+            }
+        }
     }
 
     /// Attaches an overload controller to this daemon's forwarding
@@ -519,6 +587,9 @@ impl Ldmsd {
     /// [`Ldmsd::schedule_crash`], the retry queue survives.
     pub fn schedule_outage(&self, from: Epoch, until: Epoch) {
         self.lifecycle.schedule_down(from, until);
+        // Nothing happens to the daemon at the window's edges, but its
+        // health report changes there.
+        self.wake(NEXT_PASS);
     }
 
     /// Schedules a crash-stop at `at` with restart at `restart`: the
@@ -539,6 +610,9 @@ impl Ldmsd {
             replayed: false,
         });
         self.has_crashes.store(true, Ordering::Relaxed);
+        self.wake(at);
+        self.wake(restart);
+        self.wake(NEXT_PASS);
     }
 
     /// True when the daemon is up at `t`.
@@ -704,20 +778,15 @@ impl Ldmsd {
             .map_or(0, |u| u.queue.high_water())
     }
 
-    /// Earliest virtual instant at which this daemon's retry queue has
-    /// something actionable (a retry due or a deadline expiring).
-    pub fn queue_next_event(&self) -> Option<Epoch> {
-        self.upstream
-            .read()
-            .as_ref()
-            .and_then(|u| u.queue.next_event())
-    }
-
     /// Earliest virtual instant at which *anything* scheduled happens
     /// at this daemon: a queue retry/deadline, an unprocessed crash,
     /// or a restart with WAL records awaiting replay.
     pub fn next_event(&self) -> Option<Epoch> {
-        let queue = self.queue_next_event();
+        let queue = self
+            .upstream
+            .read()
+            .as_ref()
+            .and_then(|u| u.queue.next_event());
         let crash = if self.has_crashes.load(Ordering::Relaxed) {
             self.crashes
                 .lock()
@@ -748,18 +817,17 @@ impl Ldmsd {
         // queue here and each starts a fresh walk — with a fresh
         // visited list, so a summary flushed mid-walk is not mistaken
         // for a forwarding cycle.
-        let mut pending: Vec<(Arc<Ldmsd>, StreamMessage)> = Vec::new();
+        let mut pending: VecDeque<(Arc<Ldmsd>, StreamMessage)> = VecDeque::new();
         self.walk(msg, &mut pending);
-        while !pending.is_empty() {
-            let (daemon, carried) = pending.remove(0);
+        while let Some((daemon, carried)) = pending.pop_front() {
             daemon.walk(carried, &mut pending);
         }
     }
 
     /// One full chain walk from this daemon, collecting side-channel
     /// continuations into `pending`.
-    fn walk(&self, msg: StreamMessage, pending: &mut Vec<(Arc<Ldmsd>, StreamMessage)>) {
-        let mut visited: Vec<*const Ldmsd> = Vec::with_capacity(4);
+    fn walk(&self, msg: StreamMessage, pending: &mut VecDeque<(Arc<Ldmsd>, StreamMessage)>) {
+        let mut visited = Visited::new();
         let mut hop = self.process_hop(msg, &mut visited, pending);
         while let Some((daemon, carried)) = hop {
             hop = daemon.process_hop(carried, &mut visited, pending);
@@ -775,16 +843,14 @@ impl Ldmsd {
     fn process_hop(
         &self,
         msg: StreamMessage,
-        visited: &mut Vec<*const Ldmsd>,
-        pending: &mut Vec<(Arc<Ldmsd>, StreamMessage)>,
+        visited: &mut Visited,
+        pending: &mut VecDeque<(Arc<Ldmsd>, StreamMessage)>,
     ) -> Option<(Arc<Ldmsd>, StreamMessage)> {
-        let me = self as *const Ldmsd;
-        if visited.contains(&me) {
+        if !visited.enter(self) {
             self.ledger
                 .record_loss_n(&self.name, LossCause::CycleDropped, msg.weight());
             return None;
         }
-        visited.push(me);
         let now = msg.recv_time;
         self.note_health(now);
         if !self.lifecycle.is_up(now) {
@@ -831,7 +897,7 @@ impl Ldmsd {
         for s in outcome.summaries {
             let at = s.recv_time.max(now);
             if let Some(c) = self.try_send(up, s, 0, None, None, at) {
-                pending.push(c);
+                pending.push_back(c);
             }
         }
         if let Some((spilled, release)) = outcome.spill {
@@ -926,22 +992,23 @@ impl Ldmsd {
     /// idempotency key, dispatch to the store sinks, account it in the
     /// ledger, and close its trace.
     fn deliver_terminal(&self, msg: &StreamMessage) {
-        // Claim the key *before* the dispatch so a duplicate (a WAL
-        // replay of an already-delivered message) never reaches the
-        // store sinks: it was counted when first delivered, nothing
-        // moves. Only keys that will actually be delivered are
-        // claimed, so unstored runs keep no key set.
-        if self.hub.subscriber_count(&msg.tag) > 0 {
-            if let Some(key) = msg.delivery_key() {
-                if !self.ledger.try_claim_delivery(key) {
-                    return;
-                }
+        // Claim the key *before* the sinks see the message so a
+        // duplicate (a WAL replay of an already-delivered message)
+        // never reaches them: it was counted when first delivered,
+        // nothing moves. The hub asks only when the tag has a sink, so
+        // unstored runs keep no key set.
+        let claim = || {
+            msg.delivery_key()
+                .is_none_or(|key| self.ledger.try_claim_delivery(key))
+        };
+        match self.hub.dispatch_if(msg, claim) {
+            None => return,
+            Some(0) => {
+                self.ledger
+                    .record_loss_n(&self.name, LossCause::NoSubscriber, msg.weight());
+                return;
             }
-        }
-        if self.hub.dispatch(msg) == 0 {
-            self.ledger
-                .record_loss_n(&self.name, LossCause::NoSubscriber, msg.weight());
-            return;
+            Some(_) => {}
         }
         if msg.is_summary() {
             // A delivered sketch accounts its folded mass in the
@@ -1166,13 +1233,23 @@ impl Ldmsd {
                 tel.hub.span(trace, HopKind::Park, &tel.site, now, backoff);
             }
         }
-        for evicted in up.queue.push(entry, now) {
-            self.attribute(up, evicted);
-        }
+        self.enqueue(up, entry, now);
         if let Some(tel) = self.tel() {
             tel.queue_depth.set(up.queue.len() as u64);
         }
         self.note_health(now);
+    }
+
+    /// Puts an entry in the hop's queue, attributes what the overflow
+    /// policy evicted to admit it, and books the pump that will find
+    /// it due.
+    fn enqueue(&self, up: &UpstreamSet, mut entry: QueueEntry, now: Epoch) {
+        up.queue.stamp_deadline(&mut entry, now);
+        let due = entry.first_event();
+        for evicted in up.queue.push(entry, now) {
+            self.attribute(up, evicted);
+        }
+        self.wake(due);
     }
 
     /// Records an abandoned queue entry as lost, attributed to the hop
@@ -1215,16 +1292,22 @@ impl Ldmsd {
         }
     }
 
-    /// Drains this daemon's retry queue as of virtual instant `now`:
-    /// processes any scheduled crash/restart events first, then
-    /// expires over-deadline entries and re-attempts every entry whose
-    /// retry time has come. Successful re-sends continue walking the
-    /// chain from the target.
+    /// Brings this daemon up to virtual instant `now`: processes any
+    /// scheduled crash/restart events, reports its health, then drains
+    /// its retry queue.
     pub fn pump(&self, now: Epoch) {
         if self.has_crashes.load(Ordering::Relaxed) {
             self.process_crashes(now);
         }
         self.note_health(now);
+        self.drain_queue(now);
+        self.keep_health_watch(now);
+    }
+
+    /// Expires over-deadline entries and re-attempts every entry whose
+    /// retry time has come. Successful re-sends continue walking the
+    /// chain from the target.
+    fn drain_queue(&self, now: Epoch) {
         let continuations = {
             let guard = self.upstream.read();
             let Some(up) = guard.as_ref() else { return };
@@ -1408,9 +1491,7 @@ impl Ldmsd {
                 cause: LossCause::Crash,
                 lsn: Some(rec.lsn),
             };
-            for evicted in up.queue.push(entry, restart) {
-                self.attribute(up, evicted);
-            }
+            self.enqueue(up, entry, restart);
         }
         if let Some(tel) = tel {
             tel.queue_depth.set(up.queue.len() as u64);
@@ -1420,14 +1501,18 @@ impl Ldmsd {
     /// Abandons everything still parked, attributing each entry to the
     /// hop of its last failure. Returns how many were abandoned. Used
     /// when settling a campaign past its horizon.
-    pub fn abandon_queue(&self) -> usize {
-        let guard = self.upstream.read();
-        let Some(up) = guard.as_ref() else { return 0 };
-        let entries = up.queue.drain_all();
-        let n = entries.len();
-        for e in entries {
-            self.attribute(up, e);
-        }
+    pub fn abandon_queue(&self, now: Epoch) -> usize {
+        let n = {
+            let guard = self.upstream.read();
+            let Some(up) = guard.as_ref() else { return 0 };
+            let entries = up.queue.drain_all();
+            let n = entries.len();
+            for e in entries {
+                self.attribute(up, e);
+            }
+            n
+        };
+        self.keep_health_watch(now);
         n
     }
 }
@@ -1523,10 +1608,16 @@ impl RecoveryReport {
 /// aggregator, optionally with a standby L1. All daemons share one
 /// [`DeliveryLedger`].
 pub struct LdmsNetwork {
-    nodes: HashMap<String, Arc<Ldmsd>>,
+    /// Entry daemon by producer name, looked up on every publish.
+    nodes: HashMap<String, Arc<Ldmsd>, FnvBuildHasher>,
     /// Deterministic pump/settle order: sorted samplers, then L1, the
     /// standby (if any), and L2.
     ordered: Vec<Arc<Ldmsd>>,
+    /// When each daemon next has something to do, by index into
+    /// `ordered`; every daemon holds a handle and books itself.
+    wakes: Arc<WakeSchedule>,
+    /// Daemon pumps [`LdmsNetwork::pump`] has made.
+    daemon_pumps: AtomicU64,
     l1: Arc<Ldmsd>,
     standby: Option<Arc<Ldmsd>>,
     l2: Arc<Ldmsd>,
@@ -1586,7 +1677,7 @@ impl LdmsNetwork {
         });
         let mut sorted: Vec<String> = node_names.to_vec();
         sorted.sort();
-        let mut nodes = HashMap::with_capacity(sorted.len());
+        let mut nodes = HashMap::with_capacity_and_hasher(sorted.len(), FnvBuildHasher::default());
         let mut ordered = Vec::with_capacity(sorted.len() + 3);
         for (i, n) in sorted.iter().enumerate() {
             let d = Ldmsd::with_ledger(n, DaemonRole::Sampler, ledger.clone());
@@ -1610,6 +1701,12 @@ impl LdmsNetwork {
             ordered.push(s.clone());
         }
         ordered.push(l2.clone());
+        let wakes = Arc::new(WakeSchedule::new());
+        for (i, d) in ordered.iter().enumerate() {
+            d.wakes
+                .set((wakes.clone(), i))
+                .expect("a daemon joins one network, once");
+        }
         if let Some(tel) = &opts.telemetry {
             for d in &ordered {
                 d.attach_telemetry(tel);
@@ -1629,6 +1726,8 @@ impl LdmsNetwork {
         Self {
             nodes,
             ordered,
+            wakes,
+            daemon_pumps: AtomicU64::new(0),
             l1,
             standby,
             l2,
@@ -1755,10 +1854,19 @@ impl LdmsNetwork {
 
     /// Publishes a message from a compute node into the pipeline. An
     /// unknown producer publishes directly at L1 (matching LDMS's
-    /// tolerance for external stream sources). Retries that have come
-    /// due by the message's publish instant are drained first, so
-    /// buffered traffic re-flows in virtual-time order.
+    /// tolerance for external stream sources). Daemons with work that
+    /// has come due by the message's publish instant are pumped first,
+    /// so buffered traffic re-flows in virtual-time order; with
+    /// nothing due — every publish of a fault-free run — that is one
+    /// load, whatever the fleet size.
     pub fn publish(&self, msg: StreamMessage) {
+        self.note_publish(&msg);
+        self.pump(msg.recv_time);
+        self.inject(msg);
+    }
+
+    /// Accounts a message entering the pipeline and opens its trace.
+    fn note_publish(&self, msg: &StreamMessage) {
         self.ledger.record_published_n(msg.weight());
         if let Some(tel) = &self.telemetry {
             if let Some(trace) = msg.trace {
@@ -1773,14 +1881,23 @@ impl LdmsNetwork {
                 );
             }
         }
-        self.pump(msg.recv_time);
+    }
+
+    /// Hands a message to its producer's daemon.
+    fn inject(&self, msg: StreamMessage) {
         match self.nodes.get(msg.producer.as_ref()) {
             Some(d) => d.receive(msg),
             None => self.l1.receive(msg),
         }
     }
 
-    /// Drains every daemon's retry queue as of virtual instant `now`.
+    /// One pass at virtual instant `now`: pumps every daemon with a
+    /// wake-schedule entry due, in topology order, each with that same
+    /// `now`. A daemon that books itself during the pass (a drained
+    /// retry parked again one hop up) is pumped in this pass when it
+    /// comes later in the order than the daemon being pumped, and at
+    /// the next pass otherwise — what a sweep over every daemon in
+    /// order would do, without the visits that find nothing.
     pub fn pump(&self, now: Epoch) {
         if let Some(tel) = &self.telemetry {
             // Drive the diagnosis hub's metric-snapshot cadence from
@@ -1788,24 +1905,77 @@ impl LdmsNetwork {
             // hub).
             tel.advance_diag(now);
         }
-        for d in &self.ordered {
-            d.pump(now);
+        if !self.wakes.any_due(now) {
+            return;
         }
+        let mut due = BTreeSet::new();
+        // Entries that came due behind the pass's position; they go
+        // back at the end, so a concurrent pass may not see them until
+        // then, but no entry is ever dropped.
+        let mut behind = Vec::new();
+        let mut at: Option<usize> = None;
+        loop {
+            while let Some((t, daemon)) = self.wakes.pop_due(now) {
+                if at.is_some_and(|at| daemon <= at) {
+                    behind.push((t, daemon));
+                } else {
+                    due.insert(daemon);
+                }
+            }
+            let Some(daemon) = due.pop_first() else {
+                break;
+            };
+            at = Some(daemon);
+            self.daemon_pumps.fetch_add(1, Ordering::Relaxed);
+            self.ordered[daemon].pump(now);
+        }
+        self.wakes.add(behind);
+    }
+
+    /// Daemon pumps made so far: one per daemon per pass that found a
+    /// wake-schedule entry of the daemon's due. Zero after a run in
+    /// which no message was ever parked and no daemon fault scripted.
+    pub fn daemon_pumps(&self) -> u64 {
+        self.daemon_pumps.load(Ordering::Relaxed)
+    }
+
+    /// The earliest instant up to `horizon` at which a daemon has a
+    /// queued retry, a deadline, a crash or a restart replay to
+    /// process. Schedule entries that no longer (or never did) stand
+    /// for one — the queue entry was evicted, the entry marks a health
+    /// edge — are not instants a settle stops at; they stay in the
+    /// schedule, due at the pass this returns the instant of.
+    fn next_event(&self, horizon: Epoch) -> Option<Epoch> {
+        let mut passed = Vec::new();
+        let found = loop {
+            let Some((t, daemon)) = self.wakes.pop_due(horizon) else {
+                break None;
+            };
+            passed.push((t, daemon));
+            let next = self.ordered[daemon].next_event();
+            debug_assert!(
+                next.is_none_or(|e| e >= t),
+                "{}: event at {next:?} was never scheduled",
+                self.ordered[daemon].name()
+            );
+            if next == Some(t) {
+                break Some(t);
+            }
+        };
+        self.wakes.add(passed);
+        found
     }
 
     /// Runs the network to quiescence: repeatedly advances virtual
     /// time to the next scheduled event (queued retry, deadline,
-    /// crash, or restart replay) up to `horizon`, then abandons (and
-    /// attributes) anything still parked. After this returns, the
-    /// ledger balances: `published == delivered + total_lost`.
+    /// crash, or restart replay) up to `horizon` — read off the wake
+    /// schedule, not searched for — then abandons (and attributes)
+    /// anything still parked. After this returns, the ledger balances:
+    /// `published == delivered + total_lost`.
     pub fn settle(&self, horizon: Epoch) -> usize {
         loop {
-            loop {
-                let next = self.ordered.iter().filter_map(|d| d.next_event()).min();
-                match next {
-                    Some(t) if t <= horizon => self.pump(t),
-                    _ => break,
-                }
+            while let Some(t) = self.next_event(horizon) {
+                self.pump(t);
             }
             // Close out any open summary sketches: their folded mass
             // re-enters the pipeline (and may park or fold again at a
@@ -1816,7 +1986,7 @@ impl LdmsNetwork {
                 break;
             }
         }
-        self.ordered.iter().map(|d| d.abandon_queue()).sum()
+        self.ordered.iter().map(|d| d.abandon_queue(horizon)).sum()
     }
 
     /// Per-hop overload-controller snapshots, in topology order
@@ -1863,6 +2033,11 @@ impl LdmsNetwork {
         r
     }
 }
+
+/// The sweep the wake schedule replaced, kept as the oracle the
+/// schedule is tested against.
+#[cfg(test)]
+mod sweep_oracle;
 
 #[cfg(test)]
 mod tests {

@@ -26,15 +26,135 @@
 //! [`crate::LdmsNetwork::settle`] — and at any quiescent instant in
 //! between.
 
+use iosim_util::hash::FnvBuildHasher;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Idempotency key of one keyed message:
+/// Idempotency key of one keyed message, borrowed from it:
 /// `(producer, job_id, rank, seq)`. Messages without a sequence number
 /// have no key and are never deduplicated.
-pub type DeliveryKey = (Arc<str>, u64, u64, u64);
+pub type DeliveryKey<'a> = (&'a Arc<str>, u64, u64, u64);
+
+/// The sequence numbers seen on one `(producer, job_id, rank)` stream.
+#[derive(Debug)]
+struct SeqStream {
+    producer: Arc<str>,
+    /// Disjoint, non-adjacent inclusive `[lo, hi]` runs, ascending.
+    runs: Vec<(u64, u64)>,
+}
+
+impl SeqStream {
+    /// Adds `seq` to the runs; `false` when a run already holds it.
+    fn insert(&mut self, seq: u64) -> bool {
+        let runs = &mut self.runs;
+        // In-order arrival extends the last run.
+        if let Some(last) = runs.last_mut() {
+            if last.1.checked_add(1) == Some(seq) {
+                last.1 = seq;
+                return true;
+            }
+        }
+        // `at` is the first run starting above `seq`; the one before
+        // it is the only run that can hold or end just below `seq`.
+        let at = runs.partition_point(|&(lo, _)| lo <= seq);
+        if at > 0 && seq <= runs[at - 1].1 {
+            return false;
+        }
+        let joins_prev = at > 0 && runs[at - 1].1 + 1 == seq;
+        let joins_next = at < runs.len() && seq.checked_add(1) == Some(runs[at].0);
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                runs[at - 1].1 = runs[at].1;
+                runs.remove(at);
+            }
+            (true, false) => runs[at - 1].1 = seq,
+            (false, true) => runs[at].0 = seq,
+            (false, false) => runs.insert(at, (seq, seq)),
+        }
+        true
+    }
+}
+
+/// What a [`SeqRanges`] holds of one stream, for gap accounting.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamSeqs {
+    /// Producer (compute-node) name.
+    pub producer: Arc<str>,
+    /// Job the publisher belonged to.
+    pub job_id: u64,
+    /// Publishing rank.
+    pub rank: u64,
+    /// Distinct sequence numbers seen.
+    pub received: u64,
+    /// Highest sequence number seen.
+    pub max_seq: u64,
+}
+
+impl StreamSeqs {
+    /// Sequence numbers missing below `max_seq` on a stream numbered
+    /// from 1.
+    pub fn missing(&self) -> u64 {
+        self.max_seq.saturating_sub(self.received)
+    }
+}
+
+/// The set of `(producer, job_id, rank, seq)` keys seen so far, kept
+/// per stream as runs of consecutive sequence numbers: a publisher
+/// numbers its messages in order, so a stream delivered without loss
+/// is one `[lo, hi]` pair however long it runs, and each permanent gap
+/// adds one more. Exact on gaps, late fills and replays.
+#[derive(Debug, Default)]
+pub struct SeqRanges {
+    /// Streams by `(job_id, rank)`. A rank lives on one node, so the
+    /// inner list almost always has one entry; the producer name is
+    /// compared, never hashed.
+    streams: HashMap<(u64, u64), Vec<SeqStream>, FnvBuildHasher>,
+}
+
+impl SeqRanges {
+    /// Adds a key. Returns `false` when it was already held.
+    pub fn claim(&mut self, (producer, job_id, rank, seq): DeliveryKey<'_>) -> bool {
+        let streams = self.streams.entry((job_id, rank)).or_default();
+        let stream = match streams
+            .iter()
+            .position(|s| Arc::ptr_eq(&s.producer, producer) || s.producer == *producer)
+        {
+            Some(i) => &mut streams[i],
+            None => {
+                streams.push(SeqStream {
+                    producer: producer.clone(),
+                    runs: Vec::with_capacity(1),
+                });
+                streams.last_mut().expect("just pushed")
+            }
+        };
+        stream.insert(seq)
+    }
+
+    /// Runs held over all streams — what the set costs in memory.
+    pub fn intervals(&self) -> usize {
+        self.streams.values().flatten().map(|s| s.runs.len()).sum()
+    }
+
+    /// Every stream's totals, in no particular order.
+    pub fn streams(&self) -> impl Iterator<Item = StreamSeqs> + '_ {
+        self.streams.iter().flat_map(|(&(job_id, rank), streams)| {
+            streams.iter().map(move |s| StreamSeqs {
+                producer: s.producer.clone(),
+                job_id,
+                rank,
+                received: s
+                    .runs
+                    .iter()
+                    .map(|&(lo, hi)| (hi - lo).saturating_add(1))
+                    .fold(0, u64::saturating_add),
+                max_seq: s.runs.last().map_or(0, |&(_, hi)| hi),
+            })
+        })
+    }
+}
 
 /// Why a message failed to reach the end of the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -103,10 +223,11 @@ pub struct LossRecord {
 pub struct DeliveryLedger {
     published: AtomicU64,
     delivered: AtomicU64,
-    losses: Mutex<HashMap<(String, LossCause), u64>>,
+    /// Loss buckets by hop, then cause.
+    losses: Mutex<HashMap<String, Vec<(LossCause, u64)>>>,
     /// Keys of messages already delivered at a terminal daemon; a WAL
     /// replay re-delivering one is a duplicate and is suppressed.
-    delivered_keys: Mutex<HashSet<DeliveryKey>>,
+    delivered_keys: Mutex<SeqRanges>,
     duplicates: AtomicU64,
     recovered: AtomicU64,
     summarized: AtomicU64,
@@ -152,8 +273,8 @@ impl DeliveryLedger {
     /// then suppress the duplicate (neither `delivered` nor any loss
     /// bucket moves, keeping the conservation invariant exact: each
     /// published message is still counted exactly once).
-    pub(crate) fn try_claim_delivery(&self, key: DeliveryKey) -> bool {
-        if self.delivered_keys.lock().insert(key) {
+    pub(crate) fn try_claim_delivery(&self, key: DeliveryKey<'_>) -> bool {
+        if self.delivered_keys.lock().claim(key) {
             true
         } else {
             self.duplicates.fetch_add(1, Ordering::Relaxed);
@@ -187,12 +308,38 @@ impl DeliveryLedger {
     /// frame loses every message coalesced into it, so loss accounting
     /// is weighted by frame size.
     pub(crate) fn record_loss_n(&self, hop: &str, cause: LossCause, n: u64) {
-        *self
-            .losses
-            .lock()
-            .entry((hop.to_string(), cause))
-            .or_insert(0) += n;
+        let add = |buckets: &mut Vec<(LossCause, u64)>| match buckets
+            .iter_mut()
+            .find(|(c, _)| *c == cause)
+        {
+            Some((_, count)) => *count += n,
+            None => buckets.push((cause, n)),
+        };
+        {
+            let mut losses = self.losses.lock();
+            // The hop label is copied for a hop's first loss only.
+            match losses.get_mut(hop) {
+                Some(buckets) => add(buckets),
+                None => add(losses.entry(hop.to_string()).or_default()),
+            }
+        }
         self.debug_check_attribution();
+    }
+
+    /// Runs the delivered-key set holds (see [`SeqRanges::intervals`]).
+    pub fn delivered_key_intervals(&self) -> usize {
+        self.delivered_keys.lock().intervals()
+    }
+
+    /// Sum of the loss buckets `keep` selects.
+    fn lost_where(&self, keep: impl Fn(&str, LossCause) -> bool) -> u64 {
+        self.losses
+            .lock()
+            .iter()
+            .flat_map(|(hop, buckets)| buckets.iter().map(move |&(c, n)| (hop, c, n)))
+            .filter(|&(hop, c, _)| keep(hop, c))
+            .map(|(_, _, n)| n)
+            .sum()
     }
 
     /// Debug invariant, checked after every attribution: no ledger may
@@ -225,27 +372,20 @@ impl DeliveryLedger {
 
     /// Total messages lost, over all hops and causes.
     pub fn total_lost(&self) -> u64 {
-        self.losses.lock().values().sum()
+        self.lost_where(|_, _| true)
     }
 
     /// Messages lost for a specific cause, over all hops.
     pub fn lost_with_cause(&self, cause: LossCause) -> u64 {
-        self.losses
-            .lock()
-            .iter()
-            .filter(|((_, c), _)| *c == cause)
-            .map(|(_, n)| n)
-            .sum()
+        self.lost_where(|_, c| c == cause)
     }
 
     /// Messages lost at a specific hop, over all causes.
     pub fn lost_at(&self, hop: &str) -> u64 {
         self.losses
             .lock()
-            .iter()
-            .filter(|((h, _), _)| h == hop)
-            .map(|(_, n)| n)
-            .sum()
+            .get(hop)
+            .map_or(0, |buckets| buckets.iter().map(|&(_, n)| n).sum())
     }
 
     /// Duplicate deliveries suppressed (a WAL replay re-sent a message
@@ -306,10 +446,12 @@ impl DeliveryLedger {
             .losses
             .lock()
             .iter()
-            .map(|((hop, cause), &count)| LossRecord {
-                hop: hop.clone(),
-                cause: *cause,
-                count,
+            .flat_map(|(hop, buckets)| {
+                buckets.iter().map(move |&(cause, count)| LossRecord {
+                    hop: hop.clone(),
+                    cause,
+                    count,
+                })
             })
             .collect();
         out.sort_by(|a, b| (&a.hop, a.cause).cmp(&(&b.hop, b.cause)));
@@ -349,6 +491,8 @@ impl DeliveryLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::{BTreeMap, HashSet};
 
     #[test]
     fn ledger_buckets_by_hop_and_cause() {
@@ -375,11 +519,14 @@ mod tests {
     #[test]
     fn duplicate_claims_are_counted_not_delivered() {
         let l = DeliveryLedger::new();
-        let key: DeliveryKey = (Arc::from("nid0"), 7, 0, 1);
-        assert!(l.try_claim_delivery(key.clone()));
-        assert!(!l.try_claim_delivery(key));
+        let nid0: Arc<str> = Arc::from("nid0");
+        assert!(l.try_claim_delivery((&nid0, 7, 0, 1)));
+        assert!(!l.try_claim_delivery((&nid0, 7, 0, 1)));
         assert_eq!(l.duplicates(), 1);
-        assert!(l.try_claim_delivery((Arc::from("nid0"), 7, 0, 2)));
+        // A second allocation of the same name is the same producer.
+        assert!(l.try_claim_delivery((&Arc::from("nid0"), 7, 0, 2)));
+        assert!(!l.try_claim_delivery((&Arc::from("nid0"), 7, 0, 2)));
+        assert_eq!(l.delivered_key_intervals(), 1);
         l.record_recovered();
         assert_eq!(l.recovered(), 1);
     }
@@ -408,5 +555,99 @@ mod tests {
         assert!(!l.balances()); // parked in a queue somewhere
         l.record_loss_n("q", LossCause::QueueOverflow, 1);
         assert!(l.balances());
+    }
+
+    #[test]
+    fn in_order_streams_cost_one_run_each_and_a_gap_one_more() {
+        let mut set = SeqRanges::default();
+        let nodes: Vec<Arc<str>> = (0..4).map(|n| Arc::from(format!("nid{n}"))).collect();
+        for seq in 1..=1_000 {
+            for (rank, node) in nodes.iter().enumerate() {
+                // Rank 2 never sees 400 and 700..=709.
+                if rank == 2 && (seq == 400 || (700..710).contains(&seq)) {
+                    continue;
+                }
+                assert!(set.claim((node, 7, rank as u64, seq)));
+            }
+        }
+        assert_eq!(set.intervals(), 4 + 2);
+        let gappy = set.streams().find(|s| s.rank == 2).unwrap();
+        assert_eq!(
+            (gappy.received, gappy.max_seq, gappy.missing()),
+            (989, 1_000, 11)
+        );
+        // A late fill closes its gap; a replay changes nothing.
+        assert!(set.claim((&nodes[2], 7, 2, 400)));
+        assert!(!set.claim((&nodes[2], 7, 2, 400)));
+        assert!(!set.claim((&nodes[0], 7, 0, 1)));
+        assert_eq!(set.intervals(), 4 + 1);
+    }
+
+    /// Sequence numbers that collide, neighbour and wrap: a dense low
+    /// range, both ends of `u64`, and both sides of the bit that tags
+    /// an overload sketch's synthetic numbering.
+    fn tricky_seq() -> impl Strategy<Value = u64> {
+        let tag = crate::overload::SUMMARY_SEQ_BIT;
+        prop_oneof![
+            0u64..24,
+            0u64..24,
+            (0u64..4).prop_map(|d| u64::MAX - d),
+            (0u64..6).prop_map(move |d| tag - 3 + d),
+            (0u64..4).prop_map(move |d| tag | (2 << 48) | d),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn seq_ranges_equal_a_key_set(
+            keys in prop::collection::vec((0usize..3, 0u64..2, 0u64..3, tricky_seq()), 0..250),
+        ) {
+            // Producers by name, each claim through an allocation of
+            // its own: identity is the text, not the pointer.
+            let mut ranges = SeqRanges::default();
+            let mut oracle: HashSet<(String, u64, u64, u64)> = HashSet::new();
+            let mut duplicates = (0, 0);
+            for &(node, job, rank, seq) in &keys {
+                let name = format!("nid{node}");
+                let fresh = oracle.insert((name.clone(), job, rank, seq));
+                duplicates.1 += u64::from(!fresh);
+                let claimed = ranges.claim((&Arc::from(name), job, rank, seq));
+                duplicates.0 += u64::from(!claimed);
+                prop_assert_eq!(claimed, fresh, "{:?} after {:?}", (node, job, rank, seq), keys);
+            }
+            prop_assert_eq!(duplicates.0, duplicates.1);
+            // Per stream: how many, how high, how many missing below.
+            let mut streams: BTreeMap<(String, u64, u64), Vec<u64>> = BTreeMap::new();
+            for (name, job, rank, seq) in oracle {
+                streams.entry((name, job, rank)).or_default().push(seq);
+            }
+            let mut got: Vec<StreamSeqs> = ranges.streams().collect();
+            got.sort_by(|a, b| (&a.producer, a.job_id, a.rank).cmp(&(&b.producer, b.job_id, b.rank)));
+            let mut runs = 0;
+            let want: Vec<StreamSeqs> = streams
+                .into_iter()
+                .map(|((name, job_id, rank), mut seqs)| {
+                    seqs.sort_unstable();
+                    runs += 1 + seqs.windows(2).filter(|w| w[1] - w[0] > 1).count();
+                    StreamSeqs {
+                        producer: Arc::from(name),
+                        job_id,
+                        rank,
+                        received: seqs.len() as u64,
+                        max_seq: *seqs.last().unwrap(),
+                    }
+                })
+                .collect();
+            prop_assert_eq!(&got, &want);
+            // (Wrapping: several streams here reach the top of `u64`.)
+            let missing = |s: &[StreamSeqs]| {
+                s.iter().map(StreamSeqs::missing).fold(0u64, u64::wrapping_add)
+            };
+            prop_assert_eq!(missing(&got), missing(&want));
+            // No run is split or left touching its neighbour.
+            prop_assert_eq!(ranges.intervals(), runs);
+        }
     }
 }

@@ -66,7 +66,7 @@ pub use daemon::{DaemonRole, LdmsNetwork, Ldmsd, NetworkOpts, RecoveryReport};
 pub use fault::{FaultScript, FaultSpec, Lifecycle, SimRng};
 pub use heartbeat::HeartbeatConfig;
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
-pub use ledger::{DeliveryKey, DeliveryLedger, LossCause, LossRecord};
+pub use ledger::{DeliveryKey, DeliveryLedger, LossCause, LossRecord, SeqRanges, StreamSeqs};
 pub use overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};
 pub use queue::{OverflowPolicy, QueueConfig, RetryQueue};
 pub use stream::{MsgClass, MsgFormat, StreamMessage, StreamSink, StreamStats};

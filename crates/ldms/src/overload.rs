@@ -48,7 +48,7 @@ use crate::ledger::LossCause;
 use crate::stream::{MsgClass, MsgFormat, StreamMessage};
 use iosim_time::{Epoch, SimDuration};
 use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -259,7 +259,9 @@ struct Inner {
     pending: Option<(OverloadState, Epoch)>,
     next_slot: Epoch,
     max_depth: f64,
-    keys: HashMap<(Arc<str>, u64, u64), KeyState>,
+    /// Ordered, so sketches flushed together leave in the same
+    /// `(producer, job, rank)` order in every run.
+    keys: BTreeMap<(Arc<str>, u64, u64), KeyState>,
 }
 
 /// Monotone counters snapshot for reports.
@@ -346,7 +348,7 @@ impl OverloadController {
                 pending: None,
                 next_slot: Epoch::from_nanos(0),
                 max_depth: 0.0,
-                keys: HashMap::new(),
+                keys: BTreeMap::new(),
             }),
             throttled: AtomicU64::new(0),
             spilled: AtomicU64::new(0),
@@ -449,19 +451,7 @@ impl OverloadController {
     /// Flushes every open sketch (campaign settle, or an explicit
     /// window close). Returned messages are forwarded by the caller.
     pub fn flush_all(&self, now: Epoch) -> Vec<StreamMessage> {
-        let mut inner = self.inner.lock();
-        let keys: Vec<_> = inner.keys.keys().cloned().collect();
-        let mut out = Vec::new();
-        for key in keys {
-            if let Some(state) = inner.keys.get_mut(&key) {
-                if let Some(sketch) = state.sketch.take() {
-                    state.emitted += 1;
-                    let counter = state.emitted;
-                    out.push(self.summary_msg(&key, sketch, counter, now));
-                }
-            }
-        }
-        out
+        self.drain_sketches(&mut self.inner.lock(), now)
     }
 
     /// Integrates the fluid meter up to `now` and adds this arrival.
@@ -601,15 +591,11 @@ impl OverloadController {
 
     /// Drains every open sketch under the lock (Sample-state exit).
     fn drain_sketches(&self, inner: &mut Inner, now: Epoch) -> Vec<StreamMessage> {
-        let keys: Vec<_> = inner.keys.keys().cloned().collect();
         let mut out = Vec::new();
-        for key in keys {
-            if let Some(state) = inner.keys.get_mut(&key) {
-                if let Some(sketch) = state.sketch.take() {
-                    state.emitted += 1;
-                    let counter = state.emitted;
-                    out.push(self.summary_msg(&key, sketch, counter, now));
-                }
+        for (key, state) in &mut inner.keys {
+            if let Some(sketch) = state.sketch.take() {
+                state.emitted += 1;
+                out.push(self.summary_msg(key, sketch, state.emitted, now));
             }
         }
         out

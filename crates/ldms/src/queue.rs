@@ -8,6 +8,10 @@
 //! capacity and overflow policy are explicit — so a long outage
 //! degrades into quantified loss instead of unbounded memory growth.
 //!
+//! The network's one `WakeSchedule` also lives here: the heap of
+//! `(instant, daemon)` entries that says which queues (and scripted
+//! crashes) have come due, so a publish visits those daemons only.
+//!
 //! The default configuration ([`QueueConfig::best_effort`]) disables
 //! queueing entirely (one attempt, zero capacity), preserving the
 //! paper's semantics byte for byte; [`QueueConfig::reliable`] is the
@@ -18,7 +22,8 @@ use crate::ledger::LossCause;
 use crate::stream::{MsgClass, StreamMessage};
 use iosim_time::{Epoch, SimDuration};
 use parking_lot::Mutex;
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to do when a message arrives at a full queue.
@@ -175,6 +180,83 @@ pub(crate) struct QueueEntry {
     pub lsn: Option<u64>,
 }
 
+impl QueueEntry {
+    /// Earliest instant at which the entry is actionable: its retry
+    /// coming due or its deadline expiring.
+    pub(crate) fn first_event(&self) -> Epoch {
+        match self.expire {
+            Some(deadline) => self.next_attempt.min(deadline),
+            None => self.next_attempt,
+        }
+    }
+}
+
+/// The network's one wake schedule: `(instant, daemon)` entries, the
+/// daemon named by its position in the network's pump order. Every
+/// site that leaves a daemon something to do at a later virtual
+/// instant — a parked or spilled message, a scripted crash or restart,
+/// a health report only a visit would make — adds an entry, so a
+/// publish visits the daemons with an entry due and no other.
+///
+/// An entry is a reason to look, not a promise of work: the queue entry
+/// behind it may have been evicted or drained since. Visiting a daemon
+/// with nothing to do changes nothing, so stale entries are harmless
+/// and are never searched for.
+#[derive(Debug)]
+pub(crate) struct WakeSchedule {
+    heap: Mutex<BinaryHeap<Reverse<(Epoch, usize)>>>,
+    /// Instant of the earliest entry in nanoseconds, `u64::MAX` when
+    /// there is none; written under the heap's lock. It lets a publish
+    /// with nothing due return after one load. It is a hint and
+    /// publishes no data (the heap is only ever read under its lock),
+    /// hence `Relaxed`: a reader racing a [`WakeSchedule::add`] may
+    /// miss the new entry, which then waits in the heap for the next
+    /// publish — as if the add had come just after this publish's
+    /// check.
+    earliest: AtomicU64,
+}
+
+impl WakeSchedule {
+    pub(crate) fn new() -> Self {
+        Self {
+            heap: Mutex::new(BinaryHeap::new()),
+            earliest: AtomicU64::new(u64::MAX),
+        }
+    }
+
+    fn note_earliest(&self, heap: &BinaryHeap<Reverse<(Epoch, usize)>>) {
+        let earliest = heap
+            .peek()
+            .map_or(u64::MAX, |Reverse((at, _))| at.as_nanos());
+        self.earliest.store(earliest, Ordering::Relaxed);
+    }
+
+    /// Adds entries.
+    pub(crate) fn add(&self, entries: impl IntoIterator<Item = (Epoch, usize)>) {
+        let mut heap = self.heap.lock();
+        heap.extend(entries.into_iter().map(Reverse));
+        self.note_earliest(&heap);
+    }
+
+    /// True when some entry's instant is `now` or earlier.
+    pub(crate) fn any_due(&self, now: Epoch) -> bool {
+        self.earliest.load(Ordering::Relaxed) <= now.as_nanos()
+    }
+
+    /// Removes and returns the earliest entry if its instant is `by`
+    /// or earlier; entries of one instant leave in daemon order.
+    pub(crate) fn pop_due(&self, by: Epoch) -> Option<(Epoch, usize)> {
+        let mut heap = self.heap.lock();
+        let &Reverse(entry) = heap.peek()?;
+        if entry.0 > by {
+            return None;
+        }
+        heap.pop();
+        self.note_earliest(&heap);
+        Some(entry)
+    }
+}
+
 /// A bounded retry queue for one upstream hop.
 #[derive(Debug)]
 pub struct RetryQueue {
@@ -265,13 +347,22 @@ impl RetryQueue {
         None
     }
 
+    /// Stamps the sojourn deadline a `BlockWithDeadline` queue gives
+    /// an entry first parked at `now` (one already stamped keeps its
+    /// deadline across re-parks).
+    pub(crate) fn stamp_deadline(&self, entry: &mut QueueEntry, now: Epoch) {
+        if let OverflowPolicy::BlockWithDeadline(d) = self.config.policy {
+            entry.expire.get_or_insert(now + d);
+        }
+    }
+
     /// Parks an entry, applying the overflow policy. Returns the
     /// entries evicted to admit it (each to be attributed by the
     /// caller), with the incoming entry itself returned if rejected.
     pub(crate) fn push(&self, mut entry: QueueEntry, now: Epoch) -> Vec<QueueEntry> {
+        self.stamp_deadline(&mut entry, now);
         let mut entries = self.entries.lock();
-        if let OverflowPolicy::BlockWithDeadline(d) = self.config.policy {
-            entry.expire.get_or_insert(now + d);
+        if let OverflowPolicy::BlockWithDeadline(_) = self.config.policy {
             self.parked_total.fetch_add(1, Ordering::Relaxed);
             entries.push_back(entry);
             self.note_depth(entries.len());
@@ -372,10 +463,7 @@ impl RetryQueue {
         self.entries
             .lock()
             .iter()
-            .map(|e| match e.expire {
-                Some(d) => e.next_attempt.min(d),
-                None => e.next_attempt,
-            })
+            .map(QueueEntry::first_event)
             .min()
     }
 

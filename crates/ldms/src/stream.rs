@@ -90,11 +90,30 @@ impl StreamMessage {
         producer: &str,
         publish_time: Epoch,
     ) -> Self {
-        Self {
-            tag: Arc::from(tag),
+        Self::from_shared(
+            Arc::from(tag),
             format,
-            data: Arc::from(data.as_str()),
-            producer: Arc::from(producer),
+            Arc::from(data),
+            Arc::from(producer),
+            publish_time,
+        )
+    }
+
+    /// Creates a message at the publisher from text it already shares:
+    /// a publisher keeps its tag and producer name and clones the
+    /// handles, so a message costs its payload and nothing else.
+    pub fn from_shared(
+        tag: Arc<str>,
+        format: MsgFormat,
+        data: Arc<str>,
+        producer: Arc<str>,
+        publish_time: Epoch,
+    ) -> Self {
+        Self {
+            tag,
+            format,
+            data,
+            producer,
             publish_time,
             recv_time: publish_time,
             hops: 0,
@@ -173,10 +192,10 @@ impl StreamMessage {
     /// `None` for unsequenced messages (which are never deduplicated).
     /// Sequenced messages without an origin key on `(producer, 0, 0,
     /// seq)` — still unique per producer.
-    pub fn delivery_key(&self) -> Option<crate::ledger::DeliveryKey> {
+    pub fn delivery_key(&self) -> Option<crate::ledger::DeliveryKey<'_>> {
         let seq = self.seq?;
         let (job, rank) = self.origin.unwrap_or((0, 0));
-        Some((self.producer.clone(), job, rank, seq))
+        Some((&self.producer, job, rank, seq))
     }
 
     /// Payload size in bytes.
@@ -266,27 +285,40 @@ impl StreamHub {
     /// Counters move in logical-message units: a batch frame counts
     /// for every message coalesced into it.
     pub fn dispatch(&self, msg: &StreamMessage) -> usize {
+        self.dispatch_if(msg, || true)
+            .expect("an unconditional dispatch is never refused")
+    }
+
+    /// [`StreamHub::dispatch`] with a say for the caller once the
+    /// tag's sinks are resolved: when there is at least one, `admit`
+    /// is asked, and a refusal returns `None` with nothing delivered
+    /// and no counter moved. A message nobody subscribes to is dropped
+    /// and counted without asking.
+    pub(crate) fn dispatch_if(
+        &self,
+        msg: &StreamMessage,
+        admit: impl FnOnce() -> bool,
+    ) -> Option<usize> {
         let weight = msg.weight();
+        let subs = self.subs.read();
+        let sinks = subs.get(msg.tag.as_ref()).map_or(&[][..], Vec::as_slice);
+        if !sinks.is_empty() && !admit() {
+            return None;
+        }
         self.stats.published.fetch_add(weight, Ordering::Relaxed);
         self.stats
             .bytes
             .fetch_add(msg.len() as u64, Ordering::Relaxed);
-        let subs = self.subs.read();
-        match subs.get(msg.tag.as_ref()) {
-            Some(sinks) if !sinks.is_empty() => {
-                for s in sinks {
-                    s.deliver(msg);
-                }
-                self.stats.delivered.fetch_add(weight, Ordering::Relaxed);
-                sinks.len()
-            }
-            _ => {
-                self.stats
-                    .dropped_no_subscriber
-                    .fetch_add(weight, Ordering::Relaxed);
-                0
-            }
+        for s in sinks {
+            s.deliver(msg);
         }
+        let outcome = if sinks.is_empty() {
+            &self.stats.dropped_no_subscriber
+        } else {
+            &self.stats.delivered
+        };
+        outcome.fetch_add(weight, Ordering::Relaxed);
+        Some(sinks.len())
     }
 
     /// Hub delivery counters.
@@ -448,7 +480,7 @@ mod tests {
         assert_eq!((job, rank, seq), (0, 0, 3));
         let m = msg("t", "{}").with_seq(3).with_origin(99, 4);
         let (p, job, rank, seq) = m.delivery_key().unwrap();
-        assert_eq!((p.as_ref(), job, rank, seq), ("nid00001", 99, 4, 3));
+        assert_eq!((&**p, job, rank, seq), ("nid00001", 99, 4, 3));
         assert!(!m.replayed);
     }
 

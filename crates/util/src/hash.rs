@@ -30,6 +30,37 @@ pub fn fnv1a64_continue(mut h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
+/// A [`std::hash::Hasher`] for map keys made inside the program (node
+/// names, job and rank numbers): FNV-1a over bytes, one multiply per
+/// integer word. Not for keys an outside party could craft to collide.
+#[derive(Debug, Clone, Copy)]
+pub struct FnvHasher(u64);
+
+impl Default for FnvHasher {
+    fn default() -> Self {
+        Self(FNV_OFFSET)
+    }
+}
+
+impl std::hash::Hasher for FnvHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = fnv1a64_continue(self.0, bytes);
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        // The rotation carries the previous word's high bits into the
+        // low ones, which pick a hash map's bucket.
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FNV_PRIME);
+    }
+}
+
+/// [`std::hash::BuildHasher`] of [`FnvHasher`], for `HashMap::with_hasher`.
+pub type FnvBuildHasher = std::hash::BuildHasherDefault<FnvHasher>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -49,6 +80,24 @@ mod tests {
         let c = fnv1a64(b"/scratch/run2/output.dat");
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn hasher_matches_fnv_on_bytes_and_spreads_small_integers() {
+        use std::hash::{BuildHasher, Hasher};
+        let mut h = FnvBuildHasher::default().build_hasher();
+        h.write(b"foobar");
+        assert_eq!(h.finish(), fnv1a64(b"foobar"));
+        // (job, rank) pairs differing in one small word land in
+        // different low-bit buckets.
+        let low = |job: u64, rank: u64| {
+            let mut h = FnvHasher::default();
+            h.write_u64(job);
+            h.write_u64(rank);
+            h.finish() & 0xff
+        };
+        let buckets: std::collections::HashSet<u64> = (0..64).map(|r| low(7, r)).collect();
+        assert!(buckets.len() > 48, "{} of 64 distinct", buckets.len());
     }
 
     #[test]
