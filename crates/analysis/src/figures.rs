@@ -443,7 +443,7 @@ pub fn correlate_load(df: &DataFrame, telemetry: &[(f64, f64)], bins: usize) -> 
 mod oracle {
     use super::*;
 
-    pub fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
+    pub(crate) fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
         let jobs = df.distinct("job_id");
         let mut out = Vec::new();
         for op in df.distinct("op") {
@@ -472,7 +472,7 @@ mod oracle {
         out
     }
 
-    pub fn per_node_ops(df: &DataFrame, ops: &[&str]) -> Vec<NodeOps> {
+    pub(crate) fn per_node_ops(df: &DataFrame, ops: &[&str]) -> Vec<NodeOps> {
         let mut out = Vec::new();
         for (key, count) in df.group_by(&["ProducerName", "job_id", "op"], |rows| rows.len()) {
             let op = key[2].as_str().unwrap_or_default();
@@ -489,7 +489,7 @@ mod oracle {
         out
     }
 
-    pub fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
+    pub(crate) fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
         let dur = df.col("seg_dur");
         df.group_by(&["job_id", "rank", "op"], |rows| {
             (DataFrame::mean_of(rows, dur), rows.len() as u64)
@@ -511,7 +511,7 @@ mod oracle {
         .collect()
     }
 
-    pub fn job_mean_durations(df: &DataFrame, op: &str) -> Vec<(u64, f64)> {
+    pub(crate) fn job_mean_durations(df: &DataFrame, op: &str) -> Vec<(u64, f64)> {
         let dur = df.col("seg_dur");
         df.filter_eq("op", &Value::Str(op.to_string()))
             .group_by(&["job_id"], |rows| DataFrame::mean_of(rows, dur))
@@ -520,7 +520,7 @@ mod oracle {
             .collect()
     }
 
-    pub fn anomalous_jobs(df: &DataFrame, op: &str, min_z: f64) -> Vec<JobAnomaly> {
+    pub(crate) fn anomalous_jobs(df: &DataFrame, op: &str, min_z: f64) -> Vec<JobAnomaly> {
         use iosim_util::stats::{mad, median, robust_z};
         let per_job = job_mean_durations(df, op);
         let means: Vec<f64> = per_job.iter().map(|&(_, m)| m).collect();
@@ -543,7 +543,7 @@ mod oracle {
         out
     }
 
-    pub fn time_distribution(df: &DataFrame) -> Vec<TimePoint> {
+    pub(crate) fn time_distribution(df: &DataFrame) -> Vec<TimePoint> {
         let ts = df.col("seg_timestamp");
         let t0 = df
             .rows()
@@ -574,7 +574,7 @@ mod oracle {
         out
     }
 
-    pub fn timeline(df: &DataFrame, bins: usize) -> Timeline {
+    pub(crate) fn timeline(df: &DataFrame, bins: usize) -> Timeline {
         let points = time_distribution(df);
         let len_col = df.col("seg_len");
         // Pair each point with its byte count by re-walking rows in the
@@ -611,7 +611,7 @@ mod oracle {
         }
     }
 
-    pub fn correlate_load(
+    pub(crate) fn correlate_load(
         df: &DataFrame,
         telemetry: &[(f64, f64)],
         bins: usize,

@@ -28,11 +28,6 @@ impl DataFrame {
         Self { columns, rows }
     }
 
-    /// The column names.
-    pub fn columns(&self) -> &[String] {
-        &self.columns
-    }
-
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -49,7 +44,7 @@ impl DataFrame {
     }
 
     /// Index of a column by name.
-    pub fn col(&self, name: &str) -> usize {
+    pub(crate) fn col(&self, name: &str) -> usize {
         self.columns
             .iter()
             .position(|c| c == name)
@@ -72,7 +67,8 @@ impl DataFrame {
 
     /// Renders the frame as CSV (header + rows) for export to external
     /// plotting tools, mirroring the store plugin's format.
-    pub fn to_csv(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = iosim_util::csv::encode_row(&self.columns);
         out.push('\n');
         for r in &self.rows {
@@ -90,13 +86,13 @@ impl DataFrame {
 #[cfg(test)]
 impl DataFrame {
     /// Keeps rows whose `col` equals `v`.
-    pub fn filter_eq(&self, col_name: &str, v: &Value) -> DataFrame {
+    pub(crate) fn filter_eq(&self, col_name: &str, v: &Value) -> DataFrame {
         let c = self.col(col_name);
         self.filter(|r| &r[c] == v)
     }
 
     /// Distinct values of a column, sorted.
-    pub fn distinct(&self, col_name: &str) -> Vec<Value> {
+    pub(crate) fn distinct(&self, col_name: &str) -> Vec<Value> {
         let c = self.col(col_name);
         let mut vals: Vec<Value> = Vec::new();
         for r in &self.rows {
@@ -110,7 +106,7 @@ impl DataFrame {
 
     /// Groups rows by the values of `key_cols` and applies `agg` to
     /// each group, producing `(key, aggregate)` pairs sorted by key.
-    pub fn group_by<T, F>(&self, key_cols: &[&str], agg: F) -> Vec<(Vec<Value>, T)>
+    pub(crate) fn group_by<T, F>(&self, key_cols: &[&str], agg: F) -> Vec<(Vec<Value>, T)>
     where
         F: Fn(&[&Vec<Value>]) -> T,
     {
@@ -130,7 +126,7 @@ impl DataFrame {
     }
 
     /// Mean of a numeric column over a set of rows.
-    pub fn mean_of(rows: &[&Vec<Value>], col_id: usize) -> f64 {
+    pub(crate) fn mean_of(rows: &[&Vec<Value>], col_id: usize) -> f64 {
         let vals: Vec<f64> = rows.iter().filter_map(|r| r[col_id].as_f64()).collect();
         if vals.is_empty() {
             0.0

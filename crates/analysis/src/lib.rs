@@ -25,12 +25,10 @@
 
 pub mod dashboard;
 pub mod figures;
-pub mod frame;
-pub mod grafana;
+mod frame;
 pub mod online;
 
 pub use frame::DataFrame;
-pub use grafana::{Dashboard, Panel};
 pub use online::{
     AnomalyKind, DetectionConfig, DetectionSeverity, DiagnosticEvent, OnlineDetector, OnlineEvent,
 };

@@ -134,7 +134,7 @@ pub struct DiagnosticEvent {
 /// One segmented I/O phase of a job: a maximal run of windows sharing
 /// a dominant operation.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Phase {
+pub(crate) struct Phase {
     /// Dominant operation of the phase.
     pub op: String,
     /// Phase start (absolute virtual seconds, window-aligned).
@@ -325,15 +325,6 @@ impl OnlineDetector {
     /// Detections emitted so far, in emission order.
     pub fn detections(&self) -> &[DiagnosticEvent] {
         &self.detections
-    }
-
-    /// The phases segmented so far for one job (call after
-    /// [`OnlineDetector::finish`] to include the final window).
-    pub fn phases(&self, job_id: u64) -> Vec<Phase> {
-        self.jobs
-            .get(&job_id)
-            .map(|j| j.phases.clone())
-            .unwrap_or_default()
     }
 
     /// Feeds one event. Events should arrive in non-decreasing `end`
@@ -680,7 +671,7 @@ mod tests {
             d.observe(&e);
         }
         assert!(d.finish().is_empty());
-        let phases = d.phases(1);
+        let phases = &d.jobs[&1].phases;
         // Write phase then read phase, recovered from op transitions.
         assert_eq!(phases.len(), 2, "phases: {phases:?}");
         assert_eq!(phases[0].op, "write");

@@ -210,14 +210,9 @@ impl LiveDetectorTap {
 
     /// True when a per-rank order violation forced the tap off the
     /// streaming path.
-    pub fn reordered(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn reordered(&self) -> bool {
         self.state.lock().reordered
-    }
-
-    /// Live detections emitted so far (in-run emissions only until
-    /// finalize).
-    pub fn live_so_far(&self) -> Vec<LiveDetection> {
-        self.state.lock().live.clone()
     }
 
     /// Offers one event to the tap at ingest instant `recv_time`:

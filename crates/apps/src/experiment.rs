@@ -35,7 +35,7 @@ impl Instrumentation {
     }
 
     /// True for connector runs.
-    pub fn is_connector(&self) -> bool {
+    pub(crate) fn is_connector(&self) -> bool {
         matches!(self, Instrumentation::Connector(_))
     }
 }
@@ -145,7 +145,7 @@ impl RunSpec {
     }
 
     /// Sets the job id (figures run several jobs).
-    pub fn with_job_id(mut self, job_id: u64) -> Self {
+    pub(crate) fn with_job_id(mut self, job_id: u64) -> Self {
         self.job_id = job_id;
         self
     }
@@ -157,13 +157,13 @@ impl RunSpec {
     }
 
     /// Sets the job start epoch.
-    pub fn with_epoch(mut self, epoch_base: Epoch) -> Self {
+    pub(crate) fn with_epoch(mut self, epoch_base: Epoch) -> Self {
         self.epoch_base = epoch_base;
         self
     }
 
     /// Sets the campaign weather seed.
-    pub fn with_campaign(mut self, seed: u64) -> Self {
+    pub(crate) fn with_campaign(mut self, seed: u64) -> Self {
         self.campaign_seed = Some(seed);
         self
     }
@@ -201,12 +201,6 @@ impl RunSpec {
     /// Deploys a standby L1 aggregator with heartbeat failover.
     pub fn with_standby(mut self, standby: bool) -> Self {
         self.standby_l1 = standby;
-        self
-    }
-
-    /// Sets the heartbeat/failover policy.
-    pub fn with_heartbeat(mut self, hb: HeartbeatConfig) -> Self {
-        self.heartbeat = hb;
         self
     }
 
@@ -248,7 +242,8 @@ impl RunSpec {
     }
 
     /// Seeds the event container from CSV rows before the run.
-    pub fn with_csv_seed(mut self, rows: Vec<Vec<String>>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_csv_seed(mut self, rows: Vec<Vec<String>>) -> Self {
         self.csv_seed = rows;
         self
     }
@@ -266,7 +261,7 @@ impl RunSpec {
     }
 
     /// The effective replication policy for the run's DSOS cluster.
-    pub fn replication(&self) -> ReplicationConfig {
+    pub(crate) fn replication(&self) -> ReplicationConfig {
         let base = if self.replicas <= 1 {
             ReplicationConfig::none()
         } else {
@@ -297,7 +292,7 @@ impl RunSpec {
     }
 
     /// The delivery mode in force (Immediate for baselines).
-    pub fn delivery(&self) -> DeliveryMode {
+    pub(crate) fn delivery(&self) -> DeliveryMode {
         match &self.instrumentation {
             Instrumentation::Connector(cfg) => cfg.delivery,
             Instrumentation::DarshanOnly => DeliveryMode::Immediate,

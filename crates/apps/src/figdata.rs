@@ -11,13 +11,13 @@ use iosim_time::{Epoch, SimDuration};
 
 /// Extracts all of a job's stored events as a dataframe with the
 /// `darshan_data` column names.
-pub fn job_frame(pipeline: &Pipeline, job_id: u64) -> DataFrame {
+pub(crate) fn job_frame(pipeline: &Pipeline, job_id: u64) -> DataFrame {
     let columns: Vec<String> = COLUMNS.iter().map(|&(n, _)| n.to_string()).collect();
     DataFrame::new(columns, pipeline.events_of_job(job_id))
 }
 
 /// Concatenates several jobs' events into one dataframe.
-pub fn jobs_frame(runs: &[(u64, &Pipeline)]) -> DataFrame {
+pub(crate) fn jobs_frame(runs: &[(u64, &Pipeline)]) -> DataFrame {
     let columns: Vec<String> = COLUMNS.iter().map(|&(n, _)| n.to_string()).collect();
     let mut rows = Vec::new();
     for &(job_id, pipeline) in runs {

@@ -29,7 +29,7 @@ pub enum FsChoice {
 
 impl FsChoice {
     /// Display name, as in the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FsChoice::Nfs => "NFS",
             FsChoice::Lustre => "Lustre",
@@ -37,13 +37,13 @@ impl FsChoice {
     }
 
     /// Both file systems, NFS first (Table II column order).
-    pub fn both() -> [FsChoice; 2] {
+    pub(crate) fn both() -> [FsChoice; 2] {
         [FsChoice::Nfs, FsChoice::Lustre]
     }
 }
 
 /// Voltrino's tuned NFS parameters.
-pub fn voltrino_nfs_params() -> NfsParams {
+pub(crate) fn voltrino_nfs_params() -> NfsParams {
     NfsParams {
         rpc_latency_s: 1.2e-3,
         // actimeo=0-style revalidation: every client-cached operation
@@ -61,7 +61,7 @@ pub fn voltrino_nfs_params() -> NfsParams {
 }
 
 /// Voltrino's tuned Lustre parameters.
-pub fn voltrino_lustre_params() -> LustreParams {
+pub(crate) fn voltrino_lustre_params() -> LustreParams {
     LustreParams {
         mds_latency_s: 0.35e-3,
         cached_op_latency_s: 6e-6,
@@ -86,16 +86,16 @@ pub struct Platform;
 impl Platform {
     /// Natural alignment used by both file systems (NFS wsize / Lustre
     /// stripe size).
-    pub const ALIGNMENT: u64 = 1024 * 1024;
+    pub(crate) const ALIGNMENT: u64 = 1024 * 1024;
 
     /// First compute-node id (Cray `nid00040`-style numbering, matching
     /// the `nid00046` of the paper's Figure 3).
-    pub const FIRST_NODE: u32 = 40;
+    pub(crate) const FIRST_NODE: u32 = 40;
 
     /// Builds a file system with the given campaign weather (`None` =
     /// calm) and any congestion windows (for the job-2 anomaly
     /// injection).
-    pub fn filesystem(
+    pub(crate) fn filesystem(
         fs: FsChoice,
         campaign_seed: Option<u64>,
         congestion: &[CongestionWindow],
@@ -123,17 +123,18 @@ impl Platform {
 
     /// A calm-weather file system (unit load factor) for tests and
     /// calibration.
-    pub fn calm_filesystem(fs: FsChoice) -> SimFs {
+    #[cfg(test)]
+    pub(crate) fn calm_filesystem(fs: FsChoice) -> SimFs {
         Self::filesystem(fs, None, &[])
     }
 
     /// The Aries interconnect.
-    pub fn interconnect() -> Interconnect {
+    pub(crate) fn interconnect() -> Interconnect {
         Interconnect::default()
     }
 
     /// Node names for a job of `nodes` nodes.
-    pub fn node_names(nodes: u32) -> Vec<String> {
+    pub(crate) fn node_names(nodes: u32) -> Vec<String> {
         (0..nodes)
             .map(|i| format!("nid{:05}", Self::FIRST_NODE + i))
             .collect()

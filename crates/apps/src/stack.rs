@@ -46,7 +46,7 @@ impl DarshanStack {
     }
 
     /// Finalizes the rank, returning its record snapshot for the log.
-    pub fn finalize(&self) -> RankSnapshot {
+    pub(crate) fn finalize(&self) -> RankSnapshot {
         self.rt.finalize()
     }
 }

@@ -70,7 +70,7 @@ impl Default for CampaignOptions {
 const TWELVE_DAYS_S: u64 = 12 * 86_400;
 
 /// Runs the two batches for one configuration.
-pub fn run_campaign(
+pub(crate) fn run_campaign(
     app: &dyn Workload,
     fs: FsChoice,
     label: &str,

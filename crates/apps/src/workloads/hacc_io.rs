@@ -16,7 +16,7 @@ use iosim_fs::FsResult;
 use iosim_mpi::{PosixLayer, RankCtx};
 
 /// Bytes per particle in a HACC checkpoint record.
-pub const PARTICLE_BYTES: u64 = 38;
+pub(crate) const PARTICLE_BYTES: u64 = 38;
 
 /// HACC-IO configuration.
 #[derive(Debug, Clone)]
@@ -33,7 +33,7 @@ pub struct HaccIo {
 
 impl HaccIo {
     /// The paper's configuration with the given particle count.
-    pub fn paper_config(particles_per_rank: u64) -> Self {
+    pub(crate) fn paper_config(particles_per_rank: u64) -> Self {
         Self {
             nodes: 16,
             ranks_per_node: 16,
@@ -53,7 +53,7 @@ impl HaccIo {
     }
 
     /// Bytes one rank checkpoints.
-    pub fn bytes_per_rank(&self) -> u64 {
+    pub(crate) fn bytes_per_rank(&self) -> u64 {
         self.particles_per_rank * PARTICLE_BYTES
     }
 

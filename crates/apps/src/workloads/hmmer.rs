@@ -45,7 +45,7 @@ pub struct Hmmer {
 
 impl Hmmer {
     /// The paper's Pfam-A.seed configuration.
-    pub fn paper_config() -> Self {
+    pub(crate) fn paper_config() -> Self {
         Self {
             ranks: 32,
             families: 19_632,

@@ -1,9 +1,9 @@
 //! The four applications of Section V.A.
 
-pub mod hacc_io;
-pub mod hmmer;
-pub mod mpi_io_test;
-pub mod sw4;
+pub(crate) mod hacc_io;
+pub(crate) mod hmmer;
+pub(crate) mod mpi_io_test;
+pub(crate) mod sw4;
 
 pub use hacc_io::HaccIo;
 pub use hmmer::Hmmer;

@@ -40,19 +40,6 @@ pub struct Sw4 {
 }
 
 impl Sw4 {
-    /// A realistic mid-size run (~50% of a 64 GB node across 4 nodes).
-    pub fn paper_config() -> Self {
-        Self {
-            nodes: 4,
-            ranks_per_node: 16,
-            grid: [512, 512, 256],
-            steps: 40,
-            checkpoint_every: 10,
-            compute_s_per_step: 0.6,
-            path: "/scratch/sw4".to_string(),
-        }
-    }
-
     /// A scaled-down configuration for tests.
     pub fn tiny() -> Self {
         Self {

@@ -122,7 +122,7 @@ pub mod figcsv {
 
 pub mod paper {
     /// (config label, fs, avg messages, rate, darshan s, dC s, overhead %)
-    pub type Row = (&'static str, &'static str, f64, f64, f64, f64, f64);
+    pub(crate) type Row = (&'static str, &'static str, f64, f64, f64, f64, f64);
 
     /// Table IIa as printed in the paper.
     pub const TABLE2A: [Row; 4] = [

@@ -104,21 +104,6 @@ impl ConnectorStats {
         self.messages_published.load(Ordering::Relaxed)
     }
 
-    /// Events observed so far.
-    pub fn seen(&self) -> u64 {
-        self.events_seen.load(Ordering::Relaxed)
-    }
-
-    /// Events sampled out.
-    pub fn skipped(&self) -> u64 {
-        self.events_skipped.load(Ordering::Relaxed)
-    }
-
-    /// Payload bytes published.
-    pub fn bytes(&self) -> u64 {
-        self.bytes_published.load(Ordering::Relaxed)
-    }
-
     /// Wire messages (frames count once however many records they
     /// carry).
     pub fn wire(&self) -> u64 {
@@ -188,23 +173,13 @@ pub struct DarshanConnector {
 }
 
 impl DarshanConnector {
-    /// Creates a connector for one rank.
+    /// Creates a connector for one rank; with `telemetry` it stamps a
+    /// trace context onto the hub-sampled subset of its published
+    /// messages.
     ///
     /// `producer` is the rank's compute-node name (`nidXXXXX`); the
     /// publish enters the LDMS pipeline at that node's daemon.
-    pub fn new(
-        config: ConnectorConfig,
-        job: Arc<JobMeta>,
-        producer: String,
-        network: Arc<LdmsNetwork>,
-    ) -> Arc<Self> {
-        Self::with_telemetry(config, job, producer, network, None)
-    }
-
-    /// Creates a connector that stamps a trace context onto the
-    /// hub-sampled subset of its published messages. With `None` the
-    /// connector behaves exactly like [`DarshanConnector::new`].
-    pub fn with_telemetry(
+    pub(crate) fn with_telemetry(
         config: ConnectorConfig,
         job: Arc<JobMeta>,
         producer: String,
@@ -229,11 +204,6 @@ impl DarshanConnector {
     /// Shared statistics handle.
     pub fn stats(&self) -> Arc<ConnectorStats> {
         self.stats.clone()
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &ConnectorConfig {
-        &self.config
     }
 
     fn should_publish(&self, event: &IoEvent, seen: u64) -> bool {
@@ -449,7 +419,7 @@ mod tests {
         let sink = BufferSink::new();
         net.l2().subscribe(&config.tag, sink.clone());
         let job = JobMeta::new(1, 10, "/apps/x", 1);
-        let conn = DarshanConnector::new(config, job, "nid00040".to_string(), net);
+        let conn = DarshanConnector::with_telemetry(config, job, "nid00040".to_string(), net, None);
         (conn, sink, Clock::new(Epoch::from_secs(1_650_000_000)))
     }
 
@@ -564,7 +534,10 @@ mod tests {
         assert_eq!(opens, 1);
         assert_eq!(closes, 1);
         assert!(writes == 10, "expected ~1/10th of writes, got {writes}");
-        assert_eq!(conn.stats().skipped(), 102 - msgs.len() as u64);
+        assert_eq!(
+            conn.stats().events_skipped.load(Ordering::Relaxed),
+            102 - msgs.len() as u64
+        );
     }
 
     #[test]
@@ -610,7 +583,8 @@ mod tests {
         };
         net.l2().subscribe(&cfg.tag, sink.clone());
         let job = JobMeta::new(1, 10, "/apps/x", 1);
-        let conn = DarshanConnector::new(cfg, job, "nid00040".to_string(), net.clone());
+        let conn =
+            DarshanConnector::with_telemetry(cfg, job, "nid00040".to_string(), net.clone(), None);
         let mut clock = Clock::new(iosim_time::Epoch::from_secs(1_650_000_000));
         let ev = event(OpKind::Write, &mut clock);
         conn.on_event(&ev, &mut clock);

@@ -52,7 +52,8 @@ impl Default for CostModel {
 
 impl CostModel {
     /// A zero-cost model (for tests that assert pure I/O timing).
-    pub fn free() -> Self {
+    #[cfg(test)]
+    pub(crate) fn free() -> Self {
         Self {
             base_ns: 0,
             per_formatted_byte_ns: 0,
@@ -63,17 +64,17 @@ impl CostModel {
 
     /// Cost of formatting and publishing a message whose numeric
     /// conversions produced `formatted_bytes` bytes.
-    pub fn format_and_publish(&self, formatted_bytes: usize) -> SimDuration {
+    pub(crate) fn format_and_publish(&self, formatted_bytes: usize) -> SimDuration {
         SimDuration::from_nanos(self.base_ns + self.per_formatted_byte_ns * formatted_bytes as u64)
     }
 
     /// Cost of the publish-only (no-format) path.
-    pub fn publish_only(&self) -> SimDuration {
+    pub(crate) fn publish_only(&self) -> SimDuration {
         SimDuration::from_nanos(self.publish_only_ns)
     }
 
     /// Cost of skipping an event under sampling.
-    pub fn skip(&self) -> SimDuration {
+    pub(crate) fn skip(&self) -> SimDuration {
         SimDuration::from_nanos(self.skip_ns)
     }
 }

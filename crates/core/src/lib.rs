@@ -33,11 +33,11 @@
 #![forbid(unsafe_code)]
 
 pub mod connector;
-pub mod cost;
+mod cost;
 pub mod message;
-pub mod pipeline;
+mod pipeline;
 pub mod schema;
-pub mod workload;
+mod workload;
 
 pub use connector::{ConnectorConfig, ConnectorStats, DarshanConnector, DeliveryMode, FormatMode};
 pub use cost::CostModel;

@@ -26,7 +26,7 @@ pub enum MsgType {
 
 impl MsgType {
     /// The `type` string published in the JSON.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             MsgType::Met => "MET",
             MsgType::Mod => "MOD",
@@ -35,7 +35,7 @@ impl MsgType {
 
     /// Classifies an event per Section IV.C: MET for opens, MOD
     /// otherwise.
-    pub fn of(event: &IoEvent) -> Self {
+    pub(crate) fn of(event: &IoEvent) -> Self {
         if event.op == OpKind::Open {
             MsgType::Met
         } else {

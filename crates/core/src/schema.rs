@@ -433,8 +433,6 @@ pub struct DsosStreamStore {
     seen: Mutex<SeqRanges>,
     /// Registered `ingest_dedup_hits` counter, when telemetry is on.
     dedup_hits: OnceLock<Arc<iosim_telemetry::Counter>>,
-    /// Rows acknowledged at the cluster's write quorum.
-    quorum_acked: AtomicU64,
     /// Delivery ledger for acknowledged-at-quorum accounting, when the
     /// store is wired into a pipeline.
     ledger: OnceLock<Arc<DeliveryLedger>>,
@@ -460,7 +458,6 @@ impl DsosStreamStore {
             gaps: Mutex::default(),
             seen: Mutex::default(),
             dedup_hits: OnceLock::new(),
-            quorum_acked: AtomicU64::new(0),
             ledger: OnceLock::new(),
             observer: Mutex::new(None),
         })
@@ -469,7 +466,7 @@ impl DsosStreamStore {
     /// Registers the store's `ingest_dedup_hits` counter with a
     /// telemetry hub, so replay-suppression shows up in exposition
     /// next to the daemons' families. Called once, at pipeline build.
-    pub fn attach_telemetry(&self, hub: &Arc<iosim_telemetry::Telemetry>) {
+    pub(crate) fn attach_telemetry(&self, hub: &Arc<iosim_telemetry::Telemetry>) {
         let counter = hub.registry().counter("ingest_dedup_hits", "dsos-store");
         assert!(
             self.dedup_hits.set(counter).is_ok(),
@@ -481,7 +478,7 @@ impl DsosStreamStore {
     /// acknowledges at its write quorum lands in the ledger's
     /// `store_acked` column (the storage tier's extension of the
     /// conservation law). Called once, at pipeline build.
-    pub fn attach_ledger(&self, ledger: Arc<DeliveryLedger>) {
+    pub(crate) fn attach_ledger(&self, ledger: Arc<DeliveryLedger>) {
         assert!(
             self.ledger.set(ledger).is_ok(),
             "the store's ledger is attached once, at pipeline build"
@@ -496,16 +493,10 @@ impl DsosStreamStore {
         *self.observer.lock() = Some(observer);
     }
 
-    /// Rows acknowledged at the cluster's write quorum.
-    pub fn quorum_acked(&self) -> u64 {
-        self.quorum_acked.load(Ordering::Relaxed)
-    }
-
     fn record_acked(&self, n: u64) {
         if n == 0 {
             return;
         }
-        self.quorum_acked.fetch_add(n, Ordering::Relaxed);
         if let Some(ledger) = self.ledger.get() {
             ledger.record_store_acked_n(n);
         }
@@ -526,12 +517,6 @@ impl DsosStreamStore {
     /// already-ingested message after a crash restart).
     pub fn duplicates_suppressed(&self) -> u64 {
         self.duplicates.load(Ordering::Relaxed)
-    }
-
-    /// Summary-sketch rows ingested (only nonzero when an overload
-    /// controller degraded into adaptive sampling).
-    pub fn summaries(&self) -> u64 {
-        self.summaries_ingested.load(Ordering::Relaxed)
     }
 
     /// Folded bulk events the ingested sketches stand in for — the
@@ -572,12 +557,6 @@ impl DsosStreamStore {
         self.gaps.lock().streams().map(|s| s.missing()).sum()
     }
 
-    /// Runs held by the duplicate check and by gap tracking: each is
-    /// one per stream after an in-order run, plus one per gap.
-    pub fn seq_intervals(&self) -> (usize, usize) {
-        (self.seen.lock().intervals(), self.gaps.lock().intervals())
-    }
-
     /// Ingests one overload summary sketch into [`SUMMARY_CONTAINER`].
     /// Sketches carry their own schema (they are pipeline-made, not
     /// connector-made), so they bypass the Figure 3 flattening — and
@@ -601,6 +580,22 @@ impl DsosStreamStore {
         self.summaries_ingested.fetch_add(1, Ordering::Relaxed);
         self.summary_events
             .fetch_add(msg.weight(), Ordering::Relaxed);
+    }
+}
+
+/// Counter and range-set reads for the unit tests.
+#[cfg(test)]
+impl DsosStreamStore {
+    /// Summary-sketch rows ingested (only nonzero when an overload
+    /// controller degraded into adaptive sampling).
+    pub(crate) fn summaries(&self) -> u64 {
+        self.summaries_ingested.load(Ordering::Relaxed)
+    }
+
+    /// Runs held by the duplicate check and by gap tracking: each is
+    /// one per stream after an in-order run, plus one per gap.
+    pub(crate) fn seq_intervals(&self) -> (usize, usize) {
+        (self.seen.lock().intervals(), self.gaps.lock().intervals())
     }
 }
 

@@ -60,13 +60,6 @@ impl WorkloadSpec {
         self
     }
 
-    /// Scales every sampler's declared rate by `storm`.
-    #[must_use]
-    pub fn with_storm(mut self, storm: f64) -> Self {
-        self.storm = storm.max(0.0);
-        self
-    }
-
     /// Sets the fallback rate for samplers without a declared one.
     #[must_use]
     pub fn with_default_rate(mut self, rate_hz: f64) -> Self {
@@ -74,23 +67,35 @@ impl WorkloadSpec {
         self
     }
 
+    /// Virtual instant the publish phase ends.
+    pub fn end_s(&self) -> f64 {
+        self.start_s + self.duration_s
+    }
+}
+
+/// Builders only the unit tests call; everything else sets the
+/// `pub` fields.
+#[cfg(test)]
+impl WorkloadSpec {
+    /// Scales every sampler's declared rate by `storm`.
+    #[must_use]
+    pub(crate) fn with_storm(mut self, storm: f64) -> Self {
+        self.storm = storm.max(0.0);
+        self
+    }
+
     /// Declares the minimum acceptable accuracy ratio.
     #[must_use]
-    pub fn with_accuracy_floor(mut self, floor: f64) -> Self {
+    pub(crate) fn with_accuracy_floor(mut self, floor: f64) -> Self {
         self.accuracy_floor = Some(floor.clamp(0.0, 1.0));
         self
     }
 
     /// Declares the end-to-end latency budget in seconds.
     #[must_use]
-    pub fn with_latency_budget(mut self, budget_s: f64) -> Self {
+    pub(crate) fn with_latency_budget(mut self, budget_s: f64) -> Self {
         self.latency_budget_s = Some(budget_s.max(0.0));
         self
-    }
-
-    /// Virtual instant the publish phase ends.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + self.duration_s
     }
 }
 

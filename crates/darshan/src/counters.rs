@@ -8,7 +8,7 @@
 //! access-size histogram Darshan reports in its job summaries.
 
 /// Darshan's access-size histogram buckets (upper bounds in bytes).
-pub const SIZE_BUCKETS: [u64; 10] = [
+pub(crate) const SIZE_BUCKETS: [u64; 10] = [
     100,
     1_024,
     10_240,
@@ -22,7 +22,7 @@ pub const SIZE_BUCKETS: [u64; 10] = [
 ];
 
 /// Returns the histogram bucket index for an access of `bytes`.
-pub fn size_bucket(bytes: u64) -> usize {
+pub(crate) fn size_bucket(bytes: u64) -> usize {
     SIZE_BUCKETS
         .iter()
         .position(|&ub| bytes <= ub)
@@ -72,7 +72,7 @@ pub struct RecordCounters {
 
 impl RecordCounters {
     /// Fresh counters with sentinel values matching Darshan's defaults.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             max_byte_read: -1,
             max_byte_written: -1,
@@ -83,7 +83,7 @@ impl RecordCounters {
     }
 
     /// Records an open at relative time `t`.
-    pub fn record_open(&mut self, t: f64, meta_time: f64) {
+    pub(crate) fn record_open(&mut self, t: f64, meta_time: f64) {
         self.opens += 1;
         if self.f_open_start < 0.0 {
             self.f_open_start = t;
@@ -92,21 +92,21 @@ impl RecordCounters {
     }
 
     /// Records a close at relative time `t`.
-    pub fn record_close(&mut self, t: f64, meta_time: f64) {
+    pub(crate) fn record_close(&mut self, t: f64, meta_time: f64) {
         self.closes += 1;
         self.f_close_end = t;
         self.f_meta_time += meta_time;
     }
 
     /// Records a flush.
-    pub fn record_flush(&mut self, meta_time: f64) {
+    pub(crate) fn record_flush(&mut self, meta_time: f64) {
         self.flushes += 1;
         self.f_meta_time += meta_time;
     }
 
     /// Records a read of `bytes` at `offset` taking `dur` seconds.
     /// Returns `true` when the access switched direction.
-    pub fn record_read(&mut self, offset: u64, bytes: u64, dur: f64) -> bool {
+    pub(crate) fn record_read(&mut self, offset: u64, bytes: u64, dur: f64) -> bool {
         self.reads += 1;
         self.bytes_read += bytes;
         let high = offset.saturating_add(bytes).saturating_sub(1) as i64;
@@ -123,7 +123,7 @@ impl RecordCounters {
 
     /// Records a write of `bytes` at `offset` taking `dur` seconds.
     /// Returns `true` when the access switched direction.
-    pub fn record_write(&mut self, offset: u64, bytes: u64, dur: f64) -> bool {
+    pub(crate) fn record_write(&mut self, offset: u64, bytes: u64, dur: f64) -> bool {
         self.writes += 1;
         self.bytes_written += bytes;
         let high = offset.saturating_add(bytes).saturating_sub(1) as i64;
@@ -145,7 +145,7 @@ impl RecordCounters {
 
     /// Merges another record into this one (rank reduction at log
     /// time). Times accumulate; extrema combine.
-    pub fn merge(&mut self, other: &RecordCounters) {
+    pub(crate) fn merge(&mut self, other: &RecordCounters) {
         self.opens += other.opens;
         self.closes += other.closes;
         self.reads += other.reads;

@@ -29,7 +29,13 @@ pub struct DxtSegment {
 
 impl DxtSegment {
     /// Builds a segment from module-wrapper timing.
-    pub fn new(op: OpKind, offset: u64, length: u64, start: TimePair, end: TimePair) -> Self {
+    pub(crate) fn new(
+        op: OpKind,
+        offset: u64,
+        length: u64,
+        start: TimePair,
+        end: TimePair,
+    ) -> Self {
         Self {
             op,
             offset,
@@ -39,18 +45,13 @@ impl DxtSegment {
             end_abs: end.abs.as_secs_f64(),
         }
     }
-
-    /// Duration in seconds.
-    pub fn dur(&self) -> f64 {
-        (self.end_rel - self.start_rel).max(0.0)
-    }
 }
 
 /// Per-rank DXT trace store with a configurable per-record segment cap
 /// (real DXT bounds its memory; default 16 Ki segments per record, ours
 /// mirrors that).
 #[derive(Debug)]
-pub struct DxtTracer {
+pub(crate) struct DxtTracer {
     segments: HashMap<(ModuleId, u64), Vec<DxtSegment>>,
     cap_per_record: usize,
     /// Segments dropped because a record hit its cap.
@@ -66,7 +67,7 @@ impl Default for DxtTracer {
 
 impl DxtTracer {
     /// Creates a tracer with the given per-record segment cap.
-    pub fn new(cap_per_record: usize) -> Self {
+    pub(crate) fn new(cap_per_record: usize) -> Self {
         Self {
             segments: HashMap::new(),
             cap_per_record,
@@ -75,19 +76,8 @@ impl DxtTracer {
         }
     }
 
-    /// Enables or disables tracing ("DXT … can be enabled and disabled
-    /// as desired at runtime", Section IV.C).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
-    /// Whether tracing is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records a segment for `(module, record_id)`.
-    pub fn trace(&mut self, module: ModuleId, record_id: u64, seg: DxtSegment) {
+    pub(crate) fn trace(&mut self, module: ModuleId, record_id: u64, seg: DxtSegment) {
         if !self.enabled {
             return;
         }
@@ -99,25 +89,35 @@ impl DxtTracer {
         v.push(seg);
     }
 
-    /// Segments recorded for a record, if any.
-    pub fn segments(&self, module: ModuleId, record_id: u64) -> Option<&[DxtSegment]> {
-        self.segments.get(&(module, record_id)).map(Vec::as_slice)
-    }
-
     /// Iterates all `(module, record_id, segments)` triples.
-    pub fn iter(&self) -> impl Iterator<Item = (ModuleId, u64, &[DxtSegment])> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (ModuleId, u64, &[DxtSegment])> {
         self.segments
             .iter()
             .map(|(&(m, r), v)| (m, r, v.as_slice()))
     }
+}
+
+/// Switch and reads only the unit tests use.
+#[cfg(test)]
+impl DxtTracer {
+    /// Enables or disables tracing ("DXT … can be enabled and disabled
+    /// as desired at runtime", Section IV.C).
+    pub(crate) fn set_enabled(&mut self, on: bool) {
+        self.enabled = on;
+    }
+
+    /// Segments recorded for a record, if any.
+    pub(crate) fn segments(&self, module: ModuleId, record_id: u64) -> Option<&[DxtSegment]> {
+        self.segments.get(&(module, record_id)).map(Vec::as_slice)
+    }
 
     /// Total segments currently stored.
-    pub fn total_segments(&self) -> usize {
+    pub(crate) fn total_segments(&self) -> usize {
         self.segments.values().map(Vec::len).sum()
     }
 
     /// Segments dropped due to the cap.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped
     }
 }
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn segment_times_are_consistent() {
         let s = seg(OpKind::Write, 10);
-        assert!((s.dur() - 0.005).abs() < 1e-9);
+        assert!((s.end_rel - s.start_rel - 0.005).abs() < 1e-9);
         assert!(s.end_abs > 100.0);
     }
 

@@ -46,7 +46,7 @@ pub enum Selection {
 impl Selection {
     /// Number of elements this selection covers out of a dataspace of
     /// `total` points.
-    pub fn npoints(&self, total: u64) -> u64 {
+    pub(crate) fn npoints(&self, total: u64) -> u64 {
         match *self {
             Selection::All => total,
             Selection::RegularHyperslab { count, block } => (count * block).min(total),
@@ -64,13 +64,6 @@ pub struct H5File {
     cnt: u64,
     /// Next free byte for dataset allocation.
     alloc_cursor: u64,
-}
-
-impl H5File {
-    /// The file path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
 }
 
 /// An open dataset within an [`H5File`].
@@ -93,18 +86,13 @@ pub struct H5Dataset {
 
 impl H5Dataset {
     /// Total points in the dataspace.
-    pub fn npoints_total(&self) -> u64 {
+    pub(crate) fn npoints_total(&self) -> u64 {
         self.dims.iter().product::<u64>()
     }
 
     /// Number of dimensions.
-    pub fn ndims(&self) -> usize {
+    pub(crate) fn ndims(&self) -> usize {
         self.dims.len()
-    }
-
-    /// The dataset name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 }
 

@@ -93,16 +93,6 @@ impl CollectingSink {
     pub fn take(&self) -> Vec<IoEvent> {
         std::mem::take(&mut self.events.lock())
     }
-
-    /// Number of events collected so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when no events were collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl EventSink for CollectingSink {
@@ -140,10 +130,9 @@ mod tests {
         };
         sink.on_event(&ev, &mut clock);
         sink.on_event(&ev, &mut clock);
-        assert_eq!(sink.len(), 2);
         let drained = sink.take();
         assert_eq!(drained.len(), 2);
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
         assert_eq!(drained[0].op, OpKind::Write);
     }
 }

@@ -28,14 +28,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod counters;
-pub mod dxt;
+mod counters;
+mod dxt;
 pub mod hdf5;
 pub mod hooks;
 pub mod log;
-pub mod lustre;
 pub mod mpiio;
-pub mod pnetcdf;
 pub mod posix;
 pub mod runtime;
 pub mod stdio;

@@ -346,7 +346,7 @@ pub fn parse_log(data: &[u8]) -> Result<LogFile, LogError> {
 impl LogFile {
     /// Reduces per-rank records into per-file totals (Darshan's
     /// shared-record reduction), keyed by (module, record id).
-    pub fn reduce_shared(&self) -> HashMap<(ModuleId, u64), RecordCounters> {
+    pub(crate) fn reduce_shared(&self) -> HashMap<(ModuleId, u64), RecordCounters> {
         let mut out: HashMap<(ModuleId, u64), RecordCounters> = HashMap::new();
         for r in &self.records {
             // Not `or_default()`: `new()` seeds the -1 sentinels.

@@ -28,27 +28,10 @@ pub struct MpiioHandle {
     cnt: u64,
 }
 
-impl MpiioHandle {
-    /// The file path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// The Darshan record id.
-    pub fn record_id(&self) -> u64 {
-        self.record_id
-    }
-}
-
 impl DarshanMpiio {
     /// Builds the MPI-IO layer over an instrumented POSIX layer.
     pub fn new(posix: DarshanPosix) -> Self {
         Self { posix }
-    }
-
-    /// The POSIX layer underneath.
-    pub fn posix(&self) -> &DarshanPosix {
-        &self.posix
     }
 
     fn fire(

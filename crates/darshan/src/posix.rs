@@ -30,51 +30,14 @@ pub struct PosixHandle {
     cnt: u64,
 }
 
-impl PosixHandle {
-    /// The file path.
-    pub fn path(&self) -> &str {
-        &self.file
-    }
-
-    /// The Darshan record id.
-    pub fn record_id(&self) -> u64 {
-        self.record_id
-    }
-
-    /// Current operation count since open.
-    pub fn cnt(&self) -> u64 {
-        self.cnt
-    }
-
-    /// Repositions the sequential cursor.
-    pub fn seek(&mut self, offset: u64) {
-        self.inner.seek(offset);
-    }
-
-    /// Current file size.
-    pub fn size(&self) -> u64 {
-        self.inner.size()
-    }
-
-    /// Current cursor position.
-    pub fn cursor(&self) -> u64 {
-        self.inner.cursor()
-    }
-}
-
 impl DarshanPosix {
     /// Wraps a file system with instrumentation for one rank.
     pub fn new(fs: SimFs, rt: RankRuntime) -> Self {
         Self { fs, rt }
     }
 
-    /// The underlying file system.
-    pub fn fs(&self) -> &SimFs {
-        &self.fs
-    }
-
     /// The rank runtime.
-    pub fn runtime(&self) -> &RankRuntime {
+    pub(crate) fn runtime(&self) -> &RankRuntime {
         &self.rt
     }
 
@@ -127,7 +90,13 @@ impl DarshanPosix {
     }
 
     /// Sequential write at the handle cursor.
-    pub fn write(&self, io: &mut IoCtx, h: &mut PosixHandle, len: u64) -> FsResult<OpTiming> {
+    #[cfg(test)]
+    pub(crate) fn write(
+        &self,
+        io: &mut IoCtx,
+        h: &mut PosixHandle,
+        len: u64,
+    ) -> FsResult<OpTiming> {
         let off = h.inner.cursor();
         let t = self.fs.write(io, &mut h.inner, len)?;
         h.cnt += 1;
@@ -135,17 +104,8 @@ impl DarshanPosix {
         Ok(t)
     }
 
-    /// Sequential read at the handle cursor.
-    pub fn read(&self, io: &mut IoCtx, h: &mut PosixHandle, len: u64) -> FsResult<OpTiming> {
-        let off = h.inner.cursor();
-        let t = self.fs.read(io, &mut h.inner, len)?;
-        h.cnt += 1;
-        self.fire(io, h, OpKind::Read, Some(off), Some(t.bytes), &t);
-        Ok(t)
-    }
-
     /// `fsync` analogue.
-    pub fn flush(&self, io: &mut IoCtx, h: &mut PosixHandle) -> FsResult<OpTiming> {
+    pub(crate) fn flush(&self, io: &mut IoCtx, h: &mut PosixHandle) -> FsResult<OpTiming> {
         let t = self.fs.flush(io, &mut h.inner)?;
         h.cnt += 1;
         self.fire(io, h, OpKind::Flush, None, None, &t);
@@ -250,7 +210,7 @@ mod tests {
         let cnts: Vec<u64> = evs.iter().map(|e| e.cnt).collect();
         assert_eq!(cnts, vec![1, 2, 3, 4, 5]);
         // cnt resets after close.
-        assert_eq!(h.cnt(), 0);
+        assert_eq!(h.cnt, 0);
         // All events carry the module and record id.
         assert!(evs.iter().all(|e| e.module == ModuleId::Posix));
         assert!(evs.iter().all(|e| e.record_id == record_id_of("/out.dat")));
@@ -294,7 +254,7 @@ mod tests {
         assert!(posix
             .open_instrumented(&mut io, "/missing", false, false, false)
             .is_err());
-        assert!(sink.is_empty());
+        assert!(sink.take().is_empty());
     }
 
     #[test]

@@ -113,26 +113,11 @@ impl RankRuntime {
         }
     }
 
-    /// The job metadata.
-    pub fn job(&self) -> &Arc<JobMeta> {
-        &self.job
-    }
-
-    /// This runtime's rank.
-    pub fn rank(&self) -> u32 {
-        self.rank
-    }
-
     /// Registers the event sink (the connector's attach point). Passing
     /// a sink enables run-time streaming; without one, the runtime is
     /// "Darshan only" as in the paper's baseline runs.
     pub fn set_sink(&self, sink: Option<Arc<dyn EventSink>>) {
         self.inner.lock().sink = sink;
-    }
-
-    /// Enables or disables DXT tracing.
-    pub fn set_dxt_enabled(&self, on: bool) {
-        self.inner.lock().dxt.set_enabled(on);
     }
 
     /// Number of events fired to the sink so far.

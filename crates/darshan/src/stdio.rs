@@ -33,42 +33,10 @@ pub struct StdioHandle {
     cnt: u64,
 }
 
-impl StdioHandle {
-    /// The file path.
-    pub fn path(&self) -> &str {
-        &self.file
-    }
-
-    /// The Darshan record id.
-    pub fn record_id(&self) -> u64 {
-        self.record_id
-    }
-
-    /// `fseek` analogue.
-    pub fn seek(&mut self, offset: u64) {
-        self.inner.seek(offset);
-    }
-
-    /// Current stream position.
-    pub fn tell(&self) -> u64 {
-        self.inner.cursor()
-    }
-
-    /// Current file size.
-    pub fn size(&self) -> u64 {
-        self.inner.size()
-    }
-}
-
 impl DarshanStdio {
     /// Wraps a file system with stdio instrumentation for one rank.
     pub fn new(fs: SimFs, rt: RankRuntime) -> Self {
         Self { fs, rt }
-    }
-
-    /// The rank runtime.
-    pub fn runtime(&self) -> &RankRuntime {
-        &self.rt
     }
 
     fn fire(
@@ -209,7 +177,7 @@ mod tests {
         let (stdio, sink, mut io) = setup();
         let mut h = stdio.fopen(&mut io, "/short", true, true).unwrap();
         stdio.fwrite(&mut io, &mut h, 100).unwrap();
-        h.seek(0);
+        h.inner.seek(0);
         let t = stdio.fread(&mut io, &mut h, 1000).unwrap();
         assert_eq!(t.bytes, 100);
         let evs = sink.take();

@@ -50,7 +50,7 @@ impl ModuleId {
     }
 
     /// Inverse of [`ModuleId::code`].
-    pub fn from_code(c: u8) -> Option<Self> {
+    pub(crate) fn from_code(c: u8) -> Option<Self> {
         Some(match c {
             0 => ModuleId::Posix,
             1 => ModuleId::Mpiio,
@@ -64,7 +64,8 @@ impl ModuleId {
     }
 
     /// All modules, in log order.
-    pub fn all() -> [ModuleId; 7] {
+    #[cfg(test)]
+    pub(crate) fn all() -> [ModuleId; 7] {
         [
             ModuleId::Posix,
             ModuleId::Mpiio,
@@ -117,7 +118,7 @@ impl OpKind {
     }
 
     /// Inverse of [`OpKind::code`].
-    pub fn from_code(c: u8) -> Option<Self> {
+    pub(crate) fn from_code(c: u8) -> Option<Self> {
         Some(match c {
             0 => OpKind::Open,
             1 => OpKind::Close,

@@ -19,11 +19,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cluster;
-pub mod replication;
-pub mod schema;
-pub mod store;
-pub mod value;
+mod cluster;
+mod replication;
+mod schema;
+mod store;
+mod value;
 
 pub use cluster::DsosCluster;
 pub use replication::{

@@ -32,12 +32,12 @@ use std::fmt;
 /// Sentinel row id for objects inserted directly into a
 /// [`crate::store::ContainerShard`] without going through the cluster
 /// (they are always returned, never deduplicated).
-pub const NO_RID: u64 = u64::MAX;
+pub(crate) const NO_RID: u64 = u64::MAX;
 
 /// Virtual shards per daemon: more shards than daemons keeps the
 /// completeness report's shard-mass accounting finer-grained than the
 /// daemon count without changing placement determinism.
-pub const VIRTUAL_SHARDS_PER_DAEMON: usize = 4;
+pub(crate) const VIRTUAL_SHARDS_PER_DAEMON: usize = 4;
 
 /// Replication policy for a cluster: how many copies of each row, and
 /// how many must land before the write counts as *acknowledged*.
@@ -75,7 +75,7 @@ impl ReplicationConfig {
     }
 
     /// Checks `1 <= W <= R <= daemons`.
-    pub fn validate(&self, daemons: usize) -> Result<(), StoreError> {
+    pub(crate) fn validate(&self, daemons: usize) -> Result<(), StoreError> {
         if self.replicas == 0
             || self.write_quorum == 0
             || self.write_quorum > self.replicas
@@ -156,7 +156,7 @@ impl ShardMap {
     /// Builds the placement for `daemons` daemons and `replicas` copies.
     /// `domains[d]` is daemon `d`'s failure domain; pass one distinct
     /// domain per daemon (the default) when racks are unknown.
-    pub fn new(daemons: usize, replicas: usize, domains: &[usize]) -> Self {
+    pub(crate) fn new(daemons: usize, replicas: usize, domains: &[usize]) -> Self {
         assert!(daemons > 0, "shard map needs at least one daemon");
         assert!(
             replicas >= 1 && replicas <= daemons,
@@ -199,24 +199,24 @@ impl ShardMap {
     }
 
     /// Number of virtual shards.
-    pub fn shard_count(&self) -> usize {
+    pub(crate) fn shard_count(&self) -> usize {
         self.replica_sets.len()
     }
 
     /// The shard a key hash maps to.
-    pub fn shard_of_hash(&self, h: u64) -> usize {
+    pub(crate) fn shard_of_hash(&self, h: u64) -> usize {
         (h % self.replica_sets.len() as u64) as usize
     }
 
     /// Daemon indices hosting a shard, primary first.
-    pub fn replicas_of(&self, shard: usize) -> &[usize] {
+    pub(crate) fn replicas_of(&self, shard: usize) -> &[usize] {
         &self.replica_sets[shard]
     }
 }
 
 /// Stable FNV-1a hash over the shard-key attribute values. Each value
 /// is folded with a type tag so `U64(1)` and `I64(1)` hash apart.
-pub fn shard_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+pub(crate) fn shard_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
     let mut h = FNV_OFFSET;
     for v in values {
         h = match v {
@@ -237,26 +237,26 @@ pub fn shard_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
 /// instant. A crash with no later restart leaves the daemon down
 /// forever.
 #[derive(Debug, Clone, Default)]
-pub struct DaemonSchedule {
+pub(crate) struct DaemonSchedule {
     crashes: Vec<Epoch>,
     restarts: Vec<Epoch>,
 }
 
 impl DaemonSchedule {
     /// Records a crash at `at`.
-    pub fn crash(&mut self, at: Epoch) {
+    pub(crate) fn crash(&mut self, at: Epoch) {
         self.crashes.push(at);
         self.crashes.sort_unstable();
     }
 
     /// Records a restart at `at`.
-    pub fn restart(&mut self, at: Epoch) {
+    pub(crate) fn restart(&mut self, at: Epoch) {
         self.restarts.push(at);
         self.restarts.sort_unstable();
     }
 
     /// Down windows `[from, until)`; `None` until = down forever.
-    pub fn windows(&self) -> Vec<(Epoch, Option<Epoch>)> {
+    pub(crate) fn windows(&self) -> Vec<(Epoch, Option<Epoch>)> {
         let mut out: Vec<(Epoch, Option<Epoch>)> = Vec::new();
         for &c in &self.crashes {
             // Already inside an open window: ignore the double crash.
@@ -272,14 +272,14 @@ impl DaemonSchedule {
     }
 
     /// Is the daemon up at `t`?
-    pub fn is_up(&self, t: Epoch) -> bool {
+    pub(crate) fn is_up(&self, t: Epoch) -> bool {
         self.windows()
             .iter()
             .all(|&(from, until)| t < from || until.is_some_and(|u| t >= u))
     }
 
     /// True when no fault was ever scheduled.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.crashes.is_empty() && self.restarts.is_empty()
     }
 }
@@ -373,13 +373,6 @@ pub struct CsvImportReport {
     pub skipped_parse: usize,
     /// Rows rejected by the store (schema validation).
     pub rejected: usize,
-}
-
-impl CsvImportReport {
-    /// Total rows that did not make it in.
-    pub fn skipped(&self) -> usize {
-        self.skipped_arity + self.skipped_parse + self.rejected
-    }
 }
 
 #[cfg(test)]

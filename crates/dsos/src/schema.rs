@@ -77,7 +77,7 @@ pub struct SchemaBuilder {
 
 impl SchemaBuilder {
     /// Starts a schema with the given name.
-    pub fn new(name: &str) -> Self {
+    pub(crate) fn new(name: &str) -> Self {
         Self {
             name: name.to_string(),
             attrs: Vec::new(),
@@ -138,11 +138,6 @@ impl Schema {
         SchemaBuilder::new(name)
     }
 
-    /// Schema name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// The attribute definitions, in declaration order.
     pub fn attrs(&self) -> &[AttrDef] {
         &self.attrs
@@ -154,7 +149,7 @@ impl Schema {
     }
 
     /// Looks up an attribute position by name.
-    pub fn attr_id(&self, name: &str) -> Option<usize> {
+    pub(crate) fn attr_id(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 
@@ -164,7 +159,7 @@ impl Schema {
     }
 
     /// Position of a named index in [`indices`](Self::indices).
-    pub fn index_pos(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_pos(&self, name: &str) -> Option<usize> {
         self.indices.iter().position(|i| i.name == name)
     }
 
@@ -188,7 +183,7 @@ impl Schema {
     }
 
     /// Extracts an index key from an object.
-    pub fn key_for(&self, index: &IndexDef, obj: &[Value]) -> Vec<Value> {
+    pub(crate) fn key_for(&self, index: &IndexDef, obj: &[Value]) -> Vec<Value> {
         index.attrs.iter().map(|&i| obj[i].clone()).collect()
     }
 }

@@ -1,7 +1,7 @@
 //! One `dsosd` storage daemon: containers, partitions, joint indices.
 
 use crate::replication::NO_RID;
-use crate::schema::{IndexDef, Schema, SchemaError};
+use crate::schema::Schema;
 use crate::value::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeMap, HashMap};
@@ -14,28 +14,33 @@ type ObjLoc = (usize, usize);
 /// An index: ordered composite key → object locations.
 type IndexMap = BTreeMap<Vec<Value>, Vec<ObjLoc>>;
 
-/// A named storage partition (DSOS rotates partitions for retention;
+/// A storage partition (DSOS rotates partitions for retention;
 /// queries span all of them). `rids` parallels `objects`: the
 /// cluster-global row id each object was replicated under, or
 /// [`NO_RID`] for direct inserts.
 #[derive(Debug, Default)]
 struct Partition {
-    name: String,
     objects: Vec<Vec<Value>>,
     rids: Vec<u64>,
 }
 
-/// One container shard on one daemon.
-pub struct ContainerShard {
-    schema: Arc<Schema>,
-    partitions: RwLock<Vec<Partition>>,
+/// Everything a shard stores, behind the shard's one lock.
+struct ShardState {
+    /// The last partition is the active one.
+    partitions: Vec<Partition>,
     /// One index per `schema.indices()` entry, in that order: ordered
     /// key → object locations (insertion order preserved within equal
     /// keys).
-    indices: RwLock<Vec<IndexMap>>,
+    indices: Vec<IndexMap>,
     /// Cluster row id → location, for anti-entropy rebuild and read
     /// repair (direct [`NO_RID`] inserts are not tracked).
-    by_rid: RwLock<HashMap<u64, ObjLoc>>,
+    by_rid: HashMap<u64, ObjLoc>,
+}
+
+/// One container shard on one daemon.
+pub(crate) struct ContainerShard {
+    schema: Arc<Schema>,
+    state: RwLock<ShardState>,
 }
 
 impl ContainerShard {
@@ -43,89 +48,81 @@ impl ContainerShard {
         let indices = schema.indices().iter().map(|_| BTreeMap::new()).collect();
         Self {
             schema,
-            partitions: RwLock::new(vec![Partition {
-                name: "default".to_string(),
-                objects: Vec::new(),
-                rids: Vec::new(),
-            }]),
-            indices: RwLock::new(indices),
-            by_rid: RwLock::new(HashMap::new()),
+            state: RwLock::new(ShardState {
+                partitions: vec![Partition::default()],
+                indices,
+                by_rid: HashMap::new(),
+            }),
         }
     }
 
-    /// The schema of this container.
-    pub fn schema(&self) -> &Arc<Schema> {
-        &self.schema
-    }
-
-    /// Starts a new active partition with the given name.
-    pub fn begin_partition(&self, name: &str) {
-        self.partitions.write().push(Partition {
-            name: name.to_string(),
-            objects: Vec::new(),
-            rids: Vec::new(),
-        });
-    }
-
-    /// Names of all partitions.
-    pub fn partition_names(&self) -> Vec<String> {
-        self.partitions
-            .read()
-            .iter()
-            .map(|p| p.name.clone())
-            .collect()
-    }
-
     /// Total stored objects across partitions.
-    pub fn object_count(&self) -> usize {
-        self.partitions.read().iter().map(|p| p.objects.len()).sum()
-    }
-
-    /// Inserts an object: validates, appends to the active partition,
-    /// and updates every joint index.
-    pub fn insert(&self, obj: Vec<Value>) -> Result<(), SchemaError> {
-        self.schema.validate(&obj)?;
-        self.insert_tagged(NO_RID, obj);
-        Ok(())
+    pub(crate) fn object_count(&self) -> usize {
+        let st = self.state.read();
+        st.partitions.iter().map(|p| p.objects.len()).sum()
     }
 
     /// Inserts an object the cluster has validated, under its
     /// cluster-global row id, so replicated queries can deduplicate
     /// copies and anti-entropy can locate rows.
     pub(crate) fn insert_tagged(&self, rid: u64, obj: Vec<Value>) {
-        // Lock order is indices → partitions, as in the queries (which
-        // hold `indices` while fetching rows): taking them the other
-        // way round deadlocks against a concurrent query.
-        let mut indices = self.indices.write();
-        let mut parts = self.partitions.write();
-        let pidx = parts.len() - 1;
-        let off = parts[pidx].objects.len();
-        for (def, index) in self.schema.indices().iter().zip(indices.iter_mut()) {
+        let st = &mut *self.state.write();
+        let pidx = st.partitions.len() - 1;
+        let off = st.partitions[pidx].objects.len();
+        for (def, index) in self.schema.indices().iter().zip(st.indices.iter_mut()) {
             let key = self.schema.key_for(def, &obj);
             index.entry(key).or_default().push((pidx, off));
         }
-        parts[pidx].objects.push(obj);
-        parts[pidx].rids.push(rid);
+        st.partitions[pidx].objects.push(obj);
+        st.partitions[pidx].rids.push(rid);
         if rid != NO_RID {
-            self.by_rid.write().insert(rid, (pidx, off));
+            st.by_rid.insert(rid, (pidx, off));
         }
     }
 
     /// Looks up a row by its cluster-global row id (anti-entropy /
     /// read-repair source path).
-    pub fn fetch_by_rid(&self, rid: u64) -> Option<Vec<Value>> {
-        let (part, off) = *self.by_rid.read().get(&rid)?;
-        Some(self.partitions.read()[part].objects[off].clone())
+    pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<Value>> {
+        let st = self.state.read();
+        let (part, off) = *st.by_rid.get(&rid)?;
+        Some(st.partitions[part].objects[off].clone())
     }
 
     /// Whether this shard physically holds a row id.
-    pub fn has_rid(&self, rid: u64) -> bool {
-        self.by_rid.read().contains_key(&rid)
+    pub(crate) fn has_rid(&self, rid: u64) -> bool {
+        self.state.read().by_rid.contains_key(&rid)
+    }
+
+    /// Holds the shard for reading through index `pos` (a position in
+    /// `schema.indices()`).
+    pub(crate) fn read(&self, pos: usize) -> ShardRead<'_> {
+        ShardRead {
+            state: self.state.read(),
+            pos,
+        }
+    }
+}
+
+/// Direct shard access for the unit tests; everything else reaches a
+/// shard through the cluster, which validates and tags its rows.
+#[cfg(test)]
+impl ContainerShard {
+    /// Starts a new active partition.
+    pub(crate) fn begin_partition(&self) {
+        self.state.write().partitions.push(Partition::default());
+    }
+
+    /// Inserts an object: validates, appends to the active partition,
+    /// and updates every joint index.
+    pub(crate) fn insert(&self, obj: Vec<Value>) -> Result<(), crate::schema::SchemaError> {
+        self.schema.validate(&obj)?;
+        self.insert_tagged(NO_RID, obj);
+        Ok(())
     }
 
     /// Objects whose index key starts with `prefix`, as `(key, object)`
     /// in key order. An empty prefix scans the whole index.
-    pub fn query_prefix(
+    pub(crate) fn query_prefix(
         &self,
         index: &str,
         prefix: &[Value],
@@ -134,7 +131,7 @@ impl ContainerShard {
     }
 
     /// Objects with `from <= key < to`, as `(key, object)` in key order.
-    pub fn query_range(
+    pub(crate) fn query_range(
         &self,
         index: &str,
         from: &[Value],
@@ -149,25 +146,6 @@ impl ContainerShard {
             .hits(scan)
             .map(|(key, obj, _)| (key.clone(), obj.clone()));
         Some(rows.collect())
-    }
-
-    /// Holds the shard for reading through index `pos` (a position in
-    /// `schema.indices()`). The one place the read side takes its
-    /// locks: once each, indices → partitions as in
-    /// [`insert_tagged`](Self::insert_tagged).
-    pub(crate) fn read(&self, pos: usize) -> ShardRead<'_> {
-        let indices = self.indices.read();
-        let parts = self.partitions.read();
-        ShardRead {
-            indices,
-            parts,
-            pos,
-        }
-    }
-
-    /// The index definition backing a named index.
-    pub fn index_def(&self, name: &str) -> Option<&IndexDef> {
-        self.schema.index_def(name)
     }
 }
 
@@ -188,8 +166,7 @@ pub(crate) type Hit<'a> = (&'a Vec<Value>, &'a Vec<Value>, u64);
 /// A shard held for reading (see [`ContainerShard::read`]): hits borrow
 /// from it, so nothing is copied until a caller decides to.
 pub(crate) struct ShardRead<'a> {
-    indices: RwLockReadGuard<'a, Vec<IndexMap>>,
-    parts: RwLockReadGuard<'a, Vec<Partition>>,
+    state: RwLockReadGuard<'a, ShardState>,
     pos: usize,
 }
 
@@ -203,8 +180,8 @@ impl ShardRead<'_> {
             // is the empty one it accepts.
             Scan::Range(from, to) => (from, Bound::Excluded(to.max(from)), &[][..]),
         };
-        let parts = &*self.parts;
-        self.indices[self.pos]
+        let parts = &self.state.partitions;
+        self.state.indices[self.pos]
             .range::<[Value], _>((Bound::Included(from), to))
             .take_while(move |(key, _)| key.starts_with(prefix))
             .flat_map(move |(key, locs)| {
@@ -228,8 +205,8 @@ impl ContainerShard {
     /// Clones every hit out.
     pub(crate) fn oracle_fetch(&self, index: &str, scan: Scan<'_>) -> Option<Vec<TaggedRow>> {
         let pos = self.schema.index_pos(index)?;
-        let indices = self.indices.read();
-        let parts = self.partitions.read();
+        let st = self.state.read();
+        let (indices, parts) = (&st.indices, &st.partitions);
         let hits: Box<dyn Iterator<Item = (&Vec<Value>, &Vec<ObjLoc>)>> = match scan {
             Scan::Prefix(prefix) => Box::new(
                 indices[pos]
@@ -258,7 +235,7 @@ pub struct Dsosd {
 
 impl Dsosd {
     /// Creates a daemon.
-    pub fn new(name: &str) -> Arc<Self> {
+    pub(crate) fn new(name: &str) -> Arc<Self> {
         Arc::new(Self {
             name: name.to_string(),
             containers: RwLock::new(HashMap::new()),
@@ -266,12 +243,12 @@ impl Dsosd {
     }
 
     /// The daemon name.
-    pub fn name(&self) -> &str {
+    pub(crate) fn name(&self) -> &str {
         &self.name
     }
 
     /// Creates (or returns) a container with the given schema.
-    pub fn container(&self, name: &str, schema: &Arc<Schema>) -> Arc<ContainerShard> {
+    pub(crate) fn container(&self, name: &str, schema: &Arc<Schema>) -> Arc<ContainerShard> {
         self.containers
             .write()
             .entry(name.to_string())
@@ -280,7 +257,8 @@ impl Dsosd {
     }
 
     /// Looks up an existing container.
-    pub fn get_container(&self, name: &str) -> Option<Arc<ContainerShard>> {
+    #[cfg(test)]
+    pub(crate) fn get_container(&self, name: &str) -> Option<Arc<ContainerShard>> {
         self.containers.read().get(name).cloned()
     }
 
@@ -392,9 +370,9 @@ mod tests {
         let d = Dsosd::new("dsosd-0");
         let c = d.container("darshan", &schema());
         c.insert(obj(1, 0, 1.0, "w")).unwrap();
-        c.begin_partition("2022-07");
+        c.begin_partition();
         c.insert(obj(1, 0, 2.0, "w")).unwrap();
-        assert_eq!(c.partition_names(), vec!["default", "2022-07"]);
+        assert_eq!(c.state.read().partitions.len(), 2);
         let rows = c.query_prefix("job_rank_time", &[Value::U64(1)]).unwrap();
         assert_eq!(rows.len(), 2);
     }

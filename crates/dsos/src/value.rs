@@ -32,7 +32,7 @@ pub enum Value {
 
 impl Value {
     /// The value's type.
-    pub fn ty(&self) -> Type {
+    pub(crate) fn ty(&self) -> Type {
         match self {
             Value::U64(_) => Type::U64,
             Value::I64(_) => Type::I64,

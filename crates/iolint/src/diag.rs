@@ -27,7 +27,7 @@ pub enum Severity {
 
 impl Severity {
     /// Stable lowercase label (`"warning"` / `"error"`).
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
             Severity::Error => "error",
@@ -94,13 +94,6 @@ lint!(
     "missing-subscriber",
     Error,
     "a forwarding path terminates at a daemon with no subscriber for the stream tag"
-);
-lint!(
-    TOP005,
-    "TOP005",
-    "queue-overflow-risk",
-    Warning,
-    "a scheduled outage must park more messages than the hop's retry queue can hold"
 );
 lint!(
     TOP006,
@@ -295,9 +288,9 @@ lint!(
 /// Every lint, in code order. `TOP*` codes come from the topology
 /// pass, `TRC*` codes from the trace pass.
 pub const REGISTRY: &[LintCode] = &[
-    TOP001, TOP002, TOP003, TOP004, TOP005, TOP006, TOP007, TOP008, TOP009, TOP010, TOP011, TOP012,
-    TOP013, TOP014, FLOW001, FLOW002, FLOW003, FLOW004, CONF001, TRC001, TRC002, TRC003, TRC004,
-    TRC005, TRC006, TRC007, TRC008, TRC009, TRC010, TRC011, TRC012, TRC013,
+    TOP001, TOP002, TOP003, TOP004, TOP006, TOP007, TOP008, TOP009, TOP010, TOP011, TOP012, TOP013,
+    TOP014, FLOW001, FLOW002, FLOW003, FLOW004, CONF001, TRC001, TRC002, TRC003, TRC004, TRC005,
+    TRC006, TRC007, TRC008, TRC009, TRC010, TRC011, TRC012, TRC013,
 ];
 
 /// Looks a lint up by code (`"TOP001"`, case-insensitive) or by name
@@ -345,7 +338,7 @@ impl Diagnostic {
 
     /// Overrides the severity (e.g. a softer variant of a code).
     #[must_use]
-    pub fn with_severity(mut self, severity: Severity) -> Self {
+    pub(crate) fn with_severity(mut self, severity: Severity) -> Self {
         self.severity = severity;
         self
     }
@@ -409,15 +402,16 @@ impl LintConfig {
     }
 
     /// Shorthand for [`LintConfig::set`] with [`LintLevel::Deny`].
+    #[cfg(test)]
     #[must_use]
-    pub fn deny(mut self, code_or_name: &str) -> Self {
+    pub(crate) fn deny(mut self, code_or_name: &str) -> Self {
         self.set(code_or_name, LintLevel::Deny)
             .expect("known lint code");
         self
     }
 
     /// The override for a code, if any.
-    pub fn level_of(&self, code: &LintCode) -> Option<LintLevel> {
+    pub(crate) fn level_of(&self, code: &LintCode) -> Option<LintLevel> {
         self.levels.get(code.code).copied()
     }
 }
@@ -455,18 +449,13 @@ impl Report {
         Self { diags }
     }
 
-    /// The findings, errors first.
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diags
-    }
-
     /// The distinct codes that fired.
     pub fn codes(&self) -> BTreeSet<&'static str> {
         self.diags.iter().map(|d| d.code.code).collect()
     }
 
     /// Error-severity findings.
-    pub fn error_count(&self) -> usize {
+    pub(crate) fn error_count(&self) -> usize {
         self.diags
             .iter()
             .filter(|d| d.severity == Severity::Error)
@@ -474,7 +463,7 @@ impl Report {
     }
 
     /// Warning-severity findings.
-    pub fn warning_count(&self) -> usize {
+    pub(crate) fn warning_count(&self) -> usize {
         self.diags.len() - self.error_count()
     }
 
@@ -612,9 +601,9 @@ mod tests {
         ];
         let cfg = LintConfig::new().allow("TOP001").deny("unmatched-open");
         let r = Report::new(raw, &cfg);
-        assert_eq!(r.diagnostics().len(), 1);
-        assert_eq!(r.diagnostics()[0].code.code, "TRC001");
-        assert_eq!(r.diagnostics()[0].severity, Severity::Error);
+        assert_eq!(r.diags.len(), 1);
+        assert_eq!(r.diags[0].code.code, "TRC001");
+        assert_eq!(r.diags[0].severity, Severity::Error);
         assert!(r.has_errors());
     }
 
@@ -632,7 +621,7 @@ mod tests {
             Diagnostic::new(&TRC003, "job 1 rank 0", "dur=-1").with_help("check the tracer"),
         ];
         let r = Report::new(raw, &LintConfig::new());
-        assert_eq!(r.diagnostics()[0].code.code, "TRC003");
+        assert_eq!(r.diags[0].code.code, "TRC003");
         let text = r.render_text();
         assert!(text.contains("error[TRC003]: dur=-1"));
         assert!(text.contains("= help: check the tracer"));

@@ -805,25 +805,6 @@ pub fn lint_flow(spec: &TopologySpec, report: &FlowReport) -> Vec<Diagnostic> {
     diags
 }
 
-/// Downgrades the pre-solver heuristic lints (TOP005/TOP012/TOP013)
-/// to advisories that defer to the solver verdict, so a conf is not
-/// double-flagged for the same risk by both generations of analysis.
-pub fn soften_heuristics(diags: &mut [Diagnostic], report: &FlowReport) {
-    for d in diags.iter_mut() {
-        if matches!(d.code.code, "TOP005" | "TOP012" | "TOP013") {
-            let pointer = format!(
-                "advisory heuristic — superseded by the flow solver ({}); see \
-                 `iolint analyze` for the per-hop bound table",
-                report.verdict
-            );
-            d.help = Some(match d.help.take() {
-                Some(h) => format!("{h}; {pointer}"),
-                None => pointer,
-            });
-        }
-    }
-}
-
 impl FlowReport {
     /// Renders the per-hop bound table plus the verdict, aligned for
     /// terminals.

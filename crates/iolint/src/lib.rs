@@ -56,16 +56,14 @@
 #![allow(clippy::too_many_lines)] // lint_topology/lint_trace are deliberately single linear sweeps
 
 pub mod diag;
-pub mod flow;
-pub mod topology;
-pub mod trace;
+mod flow;
+mod topology;
+mod trace;
 
 pub use diag::{
     find_lint, Diagnostic, LintCode, LintConfig, LintLevel, Report, Severity, REGISTRY,
 };
-pub use flow::{
-    analyze_flow, effective_workload, lint_flow, soften_heuristics, FlowReport, HopBounds,
-};
+pub use flow::{analyze_flow, effective_workload, lint_flow, FlowReport, HopBounds};
 pub use topology::{
     lint_topology, parse_conf, ConfError, DaemonSpec, OutageKind, OutageSpec, OverloadSpec, Role,
     TopologySpec,
@@ -99,10 +97,8 @@ pub fn check_pipeline_topology(
 
 /// Whole-pipeline flow analysis: runs the abstract interpreter over
 /// the spec's workload envelope (or `workload`, when given), folds the
-/// solver-backed FLOW lints together with the topology pass — with the
-/// pre-solver heuristics (TOP005/TOP012/TOP013) downgraded to
-/// advisories that defer to the solver verdict — and returns both the
-/// configured [`Report`] and the bound table.
+/// solver-backed FLOW lints together with the topology pass, and
+/// returns both the configured [`Report`] and the bound table.
 pub fn check_flow(
     spec: &TopologySpec,
     workload: Option<&darshan_ldms_connector::WorkloadSpec>,
@@ -110,7 +106,6 @@ pub fn check_flow(
 ) -> (Report, flow::FlowReport) {
     let flow_report = analyze_flow(spec, workload);
     let mut diags = lint_topology(spec);
-    soften_heuristics(&mut diags, &flow_report);
     diags.extend(lint_flow(spec, &flow_report));
     (Report::new(diags, config), flow_report)
 }

@@ -99,7 +99,8 @@ pub enum Role {
 
 impl Role {
     /// The conf-file spelling of the role.
-    pub fn as_str(self) -> &'static str {
+    #[cfg(test)]
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             Role::Sampler => "sampler",
             Role::AggregatorL1 => "l1",
@@ -247,7 +248,7 @@ pub struct TopologySpec {
     pub stream_tag: String,
     /// Store schema column names, when known (enables `TOP008`).
     pub schema_columns: Option<Vec<String>>,
-    /// Scheduled downtime windows (enables `TOP005` / `TOP009`).
+    /// Scheduled downtime windows (enables `TOP009`).
     pub outages: Vec<OutageSpec>,
     /// Daemons whose upstream link drops traffic *silently*
     /// (probabilistic loss / drop-every faults). Unlike downtime
@@ -284,7 +285,7 @@ impl TopologySpec {
     /// wiring, per-hop queue configs, and which daemons have
     /// subscribers for `tag`. `faults` contributes the downtime
     /// windows (the same script later handed to `apply_faults`).
-    pub fn from_network(net: &LdmsNetwork, tag: &str, faults: &FaultScript) -> Self {
+    pub(crate) fn from_network(net: &LdmsNetwork, tag: &str, faults: &FaultScript) -> Self {
         let daemons = net
             .daemons()
             .iter()
@@ -361,7 +362,7 @@ impl TopologySpec {
     /// `LdmsNetwork::apply_faults` tolerance. Probabilistic loss specs
     /// carry no window and are ignored here (the delivery ledger, not
     /// the topology linter, accounts for them).
-    pub fn absorb_faults(&mut self, faults: &FaultScript) {
+    pub(crate) fn absorb_faults(&mut self, faults: &FaultScript) {
         // Pair every dsosd crash with the earliest scripted restart of
         // the same daemon after it; unpaired crashes stay down forever.
         let mut dsosd_crashes: Vec<(&str, Epoch)> = Vec::new();
@@ -1183,31 +1184,6 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
                     ),
                 )
                 .with_help("give the hop a retry queue (attempts > 1) to ride the outage out"),
-            );
-            continue;
-        }
-        // TOP005 — retrying hop whose bounded queue cannot absorb the
-        // window. Needs publish rates, so conf-file specs only.
-        if matches!(d.queue.policy, OverflowPolicy::BlockWithDeadline(_)) {
-            continue; // deadline policy bounds time, not space
-        }
-        let (rate, unit) = through_rate(i);
-        if rate <= 0.0 {
-            continue;
-        }
-        let expected = rate * down_secs;
-        if expected > d.queue.capacity as f64 {
-            diags.push(
-                Diagnostic::new(
-                    &diag::TOP005,
-                    format!("daemon `{}`", d.name),
-                    format!(
-                        "queue at `{}` (capacity {}) must park ~{expected:.0} {unit} over \
-                         {down_secs:.0}s of scheduled downtime at ~{rate:.0} {unit}/s",
-                        d.name, d.queue.capacity
-                    ),
-                )
-                .with_help("raise the queue capacity or shorten the outage window"),
             );
         }
     }

@@ -50,14 +50,14 @@ pub struct TraceEvent {
 
 impl TraceEvent {
     /// When the operation started.
-    pub fn start(&self) -> f64 {
+    pub(crate) fn start(&self) -> f64 {
         self.end - self.dur
     }
 
     /// Decodes a row returned by a `darshan_data` query. Returns
     /// `None` when the row does not have the 24-column arity or a
     /// typed field does not decode.
-    pub fn from_row(row: &[Value]) -> Option<Self> {
+    pub(crate) fn from_row(row: &[Value]) -> Option<Self> {
         if row.len() != COLUMNS.len() {
             return None;
         }
@@ -357,7 +357,7 @@ pub struct LossBudget {
 impl LossBudget {
     /// Splits a ledger report into per-producer and shared pools.
     /// `producers` is the set of sampler daemon names.
-    pub fn new<'a, I>(records: &[LossRecord], producers: I) -> Self
+    pub(crate) fn new<'a, I>(records: &[LossRecord], producers: I) -> Self
     where
         I: IntoIterator<Item = &'a str>,
     {
@@ -386,7 +386,7 @@ impl LossBudget {
     /// Draws up to `want` losses attributable to `producer` — its own
     /// bucket first, then the shared pool. Returns how many were
     /// actually available.
-    pub fn consume(&mut self, producer: &str, want: u64) -> u64 {
+    pub(crate) fn consume(&mut self, producer: &str, want: u64) -> u64 {
         let own = self.specific.entry(producer.to_string()).or_default();
         let from_own = want.min(*own);
         *own -= from_own;
@@ -433,7 +433,7 @@ pub fn lint_gaps(gaps: &[GapReport], budget: &mut LossBudget) -> Vec<Diagnostic>
 /// Runs the full trace pass over an assembled pipeline: decodes every
 /// stored event, lints the trace, and reconciles sequence gaps against
 /// the pipeline's own ledger.
-pub fn lint_pipeline_trace(p: &Pipeline, opts: &TraceLintOpts) -> Vec<Diagnostic> {
+pub(crate) fn lint_pipeline_trace(p: &Pipeline, opts: &TraceLintOpts) -> Vec<Diagnostic> {
     let events = events_from_cluster(p.cluster());
     let mut diags = lint_trace(&events, opts);
     let producers: Vec<String> = p

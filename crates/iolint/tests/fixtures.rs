@@ -4,8 +4,8 @@
 
 use darshan_ldms_connector::{Pipeline, PipelineOpts, DEFAULT_STREAM_TAG};
 use iolint::{
-    check_pipeline_topology, check_pipeline_trace, check_topology, lint_gaps, parse_conf,
-    LintConfig, LossBudget, Report, TraceEvent, TraceLintOpts,
+    check_flow, check_pipeline_topology, check_pipeline_trace, check_topology, lint_gaps,
+    parse_conf, LintConfig, LossBudget, Report, TraceEvent, TraceLintOpts,
 };
 use iosim_time::{Epoch, SimDuration};
 use ldms_sim::{FaultScript, MsgFormat, StreamMessage};
@@ -13,6 +13,13 @@ use ldms_sim::{FaultScript, MsgFormat, StreamMessage};
 fn report_for(conf: &str) -> Report {
     let spec = parse_conf(conf).expect("fixture parses");
     check_topology(&spec, &LintConfig::new())
+}
+
+/// The report `iolint analyze` prints: the topology pass plus the
+/// solver-backed `FLOW` lints.
+fn flow_report_for(conf: &str) -> Report {
+    let spec = parse_conf(conf).expect("fixture parses");
+    check_flow(&spec, None, &LintConfig::new()).0
 }
 
 /// Asserts the fixture fires exactly the named code (possibly several
@@ -58,9 +65,17 @@ fn top004_missing_subscriber() {
     assert_only(include_str!("fixtures/top004_no_subscriber.conf"), "TOP004");
 }
 
+// The `top005_*` fixtures are named after the queue-capacity heuristic
+// they were written for. The flow solver convicts the same confs (and
+// clears the absorbed one), so the heuristic is gone and the fixtures
+// pin the solver's verdict instead.
+
 #[test]
 fn top005_queue_overflow_risk() {
-    assert_only(include_str!("fixtures/top005_overflow_risk.conf"), "TOP005");
+    let report = flow_report_for(include_str!("fixtures/top005_overflow_risk.conf"));
+    let codes: Vec<&str> = report.codes().into_iter().collect();
+    assert_eq!(codes, vec!["FLOW001"], "report:\n{}", report.render_text());
+    assert!(report.render_text().contains("≥59900 of the 220000"));
 }
 
 #[test]
@@ -68,23 +83,22 @@ fn top005_counts_frames_not_messages_when_batching() {
     // Batched sampler: 1000 records/s over a 60s outage is 60000
     // records, but only ~3750 wire frames at 16 records/frame — the
     // head node's 4096-slot queue absorbs it, so the fixture is clean.
-    let report = report_for(include_str!("fixtures/top005_batched_absorbed.conf"));
+    let report = flow_report_for(include_str!("fixtures/top005_batched_absorbed.conf"));
     assert!(report.is_clean(), "report:\n{}", report.render_text());
 
     // Removing the batch directive restores message units: the very
-    // same topology overflows again, and says so in messages/s.
+    // same topology overflows again.
     let unbatched = include_str!("fixtures/top005_batched_absorbed.conf").replace("batch 16", "");
-    let report = report_for(&unbatched);
+    let report = flow_report_for(&unbatched);
     let codes: Vec<&str> = report.codes().into_iter().collect();
-    assert_eq!(codes, vec!["TOP005"], "report:\n{}", report.render_text());
-    assert!(report.render_text().contains("messages/s"));
+    assert_eq!(codes, vec!["FLOW001"], "report:\n{}", report.render_text());
 
-    // A thinner frame still overflows — and the diagnostic reports its
-    // math in frames.
-    let report = report_for(include_str!("fixtures/top005_batched_overflow.conf"));
+    // A thinner frame still overflows: ~15000 frames against the same
+    // 4096 slots.
+    let report = flow_report_for(include_str!("fixtures/top005_batched_overflow.conf"));
     let codes: Vec<&str> = report.codes().into_iter().collect();
-    assert_eq!(codes, vec!["TOP005"], "report:\n{}", report.render_text());
-    assert!(report.render_text().contains("frames/s"));
+    assert_eq!(codes, vec!["FLOW001"], "report:\n{}", report.render_text());
+    assert!(report.render_text().contains("≥10904 of the 220000"));
 }
 
 #[test]

@@ -27,7 +27,7 @@ use crate::stream::StreamMessage;
 use iosim_time::SimDuration;
 
 /// Magic prefix identifying a frame payload.
-pub const FRAME_HEADER: &str = "%LDMSFRAME1%";
+pub(crate) const FRAME_HEADER: &str = "%LDMSFRAME1%";
 
 /// Sampler-side batching policy: a frame is flushed when it holds
 /// `max_messages` records, when its encoded payload would exceed
@@ -63,18 +63,6 @@ impl BatchConfig {
             max_bytes: 1 << 20,
             max_delay: SimDuration::from_secs(1),
         }
-    }
-
-    /// Byte-bound override.
-    pub fn with_max_bytes(mut self, max_bytes: usize) -> Self {
-        self.max_bytes = max_bytes;
-        self
-    }
-
-    /// Time-bound override.
-    pub fn with_max_delay(mut self, max_delay: SimDuration) -> Self {
-        self.max_delay = max_delay;
-        self
     }
 
     /// True when this configuration actually batches.
@@ -205,7 +193,7 @@ pub fn decode_frame(data: &str) -> Result<Vec<FrameRecord>, FrameError> {
 /// origin, replay flag) and restoring each member's own sequence
 /// number. Inverse of framing up to the fields batching deliberately
 /// coarsens: members share the frame's publish/recv times.
-pub fn unbatch(frame: &StreamMessage, records: Vec<FrameRecord>) -> Vec<StreamMessage> {
+pub(crate) fn unbatch(frame: &StreamMessage, records: Vec<FrameRecord>) -> Vec<StreamMessage> {
     records
         .into_iter()
         .map(|r| StreamMessage {

@@ -302,7 +302,11 @@ impl Ldmsd {
     }
 
     /// Creates a daemon sharing a network-wide delivery ledger.
-    pub fn with_ledger(name: &str, role: DaemonRole, ledger: Arc<DeliveryLedger>) -> Arc<Self> {
+    pub(crate) fn with_ledger(
+        name: &str,
+        role: DaemonRole,
+        ledger: Arc<DeliveryLedger>,
+    ) -> Arc<Self> {
         Arc::new(Self {
             name: name.to_string(),
             role,
@@ -352,10 +356,10 @@ impl Ldmsd {
     /// Without a controller (the default) every admission is a
     /// pass-through — byte-identical to the uncontrolled pipeline.
     /// Called once, before traffic flows.
-    pub fn attach_overload(&self, config: OverloadConfig, hop_ord: u64) {
+    pub(crate) fn attach_overload(&self, config: OverloadConfig, hop_ord: u64) {
         assert!(
             self.overload
-                .set(OverloadController::new(config, hop_ord))
+                .set(OverloadController::new(config, hop_ord).with_ledger(self.ledger.clone()))
                 .is_ok(),
             "{}: overload controller attached twice",
             self.name
@@ -368,7 +372,7 @@ impl Ldmsd {
     }
 
     /// Counter snapshot of the hop's overload controller, if attached.
-    pub fn overload_stats(&self) -> Option<OverloadStats> {
+    pub(crate) fn overload_stats(&self) -> Option<OverloadStats> {
         self.overload_ctl().map(|c| c.stats())
     }
 
@@ -382,7 +386,7 @@ impl Ldmsd {
     /// Mirrors the overload controller's counters into the telemetry
     /// registry's gauges (no-op unless both are attached). Called at
     /// report/exposition points, not per admission.
-    pub fn sync_overload_telemetry(&self) {
+    pub(crate) fn sync_overload_telemetry(&self) {
         let (Some(tel), Some(st)) = (self.tel(), self.overload_stats()) else {
             return;
         };
@@ -397,7 +401,7 @@ impl Ldmsd {
     /// families (so exposition shows them even at zero) and resolves
     /// every handle once. Called once, before traffic flows; the
     /// untraced default path never takes the attached branch.
-    pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
+    pub(crate) fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
         let reg = hub.registry();
         let tel = DaemonTelemetry {
             hub: hub.clone(),
@@ -502,7 +506,7 @@ impl Ldmsd {
 
     /// Crash dumps recorded at this daemon's crash-stop instants
     /// (empty unless telemetry was attached and a crash fired).
-    pub fn crash_dumps(&self) -> Vec<CrashDump> {
+    pub(crate) fn crash_dumps(&self) -> Vec<CrashDump> {
         self.crash_dumps.lock().clone()
     }
 
@@ -516,11 +520,6 @@ impl Ldmsd {
         self.role
     }
 
-    /// The delivery ledger this daemon reports to.
-    pub fn ledger(&self) -> &Arc<DeliveryLedger> {
-        &self.ledger
-    }
-
     /// Connects this daemon's push target with best-effort semantics
     /// (the paper's behavior: no retry, no queueing).
     pub fn connect_upstream(&self, link: TransportLink, target: Arc<Ldmsd>) {
@@ -529,7 +528,7 @@ impl Ldmsd {
 
     /// Connects this daemon's push target with an explicit retry-queue
     /// configuration for the hop.
-    pub fn connect_upstream_with(
+    pub(crate) fn connect_upstream_with(
         &self,
         link: TransportLink,
         target: Arc<Ldmsd>,
@@ -546,7 +545,7 @@ impl Ldmsd {
     /// Connects a ranked set of upstream routes (index 0 = primary)
     /// sharing one retry queue, a heartbeat/failover policy, and an
     /// optional write-ahead log making the queue crash-durable.
-    pub fn connect_upstream_routes(
+    pub(crate) fn connect_upstream_routes(
         &self,
         routes: Vec<(TransportLink, Arc<Ldmsd>)>,
         config: QueueConfig,
@@ -585,7 +584,7 @@ impl Ldmsd {
     /// While down it neither delivers locally nor forwards; senders
     /// with retry queues park messages until the restart. Unlike
     /// [`Ldmsd::schedule_crash`], the retry queue survives.
-    pub fn schedule_outage(&self, from: Epoch, until: Epoch) {
+    pub(crate) fn schedule_outage(&self, from: Epoch, until: Epoch) {
         self.lifecycle.schedule_down(from, until);
         // Nothing happens to the daemon at the window's edges, but its
         // health report changes there.
@@ -598,7 +597,7 @@ impl Ldmsd {
     /// (`lost-crash`) unless a durable WAL record covers them, in
     /// which case the restart replays them. Inverted windows are
     /// ignored.
-    pub fn schedule_crash(&self, at: Epoch, restart: Epoch) {
+    pub(crate) fn schedule_crash(&self, at: Epoch, restart: Epoch) {
         if restart <= at {
             return;
         }
@@ -615,14 +614,9 @@ impl Ldmsd {
         self.wake(NEXT_PASS);
     }
 
-    /// True when the daemon is up at `t`.
-    pub fn is_up(&self, t: Epoch) -> bool {
-        self.lifecycle.is_up(t)
-    }
-
     /// Schedules a flap window on the primary upstream link. Returns
     /// false if this daemon has no upstream.
-    pub fn schedule_link_flap(&self, from: Epoch, until: Epoch) -> bool {
+    pub(crate) fn schedule_link_flap(&self, from: Epoch, until: Epoch) -> bool {
         match self.upstream.read().as_ref() {
             Some(up) => {
                 up.routes[0].link.schedule_flap(from, until);
@@ -634,7 +628,7 @@ impl Ldmsd {
 
     /// Enables seeded probabilistic loss on the primary upstream link.
     /// Returns false if this daemon has no upstream.
-    pub fn set_link_loss_prob(&self, prob: f64, seed: u64) -> bool {
+    pub(crate) fn set_link_loss_prob(&self, prob: f64, seed: u64) -> bool {
         match self.upstream.read().as_ref() {
             Some(up) => {
                 up.routes[0].link.set_loss_prob(prob, seed);
@@ -646,7 +640,7 @@ impl Ldmsd {
 
     /// Enables deterministic every-`n`-th loss on the primary upstream
     /// link. Returns false if this daemon has no upstream.
-    pub fn set_link_drop_every(&self, every: u64) -> bool {
+    pub(crate) fn set_link_drop_every(&self, every: u64) -> bool {
         match self.upstream.read().as_ref() {
             Some(up) => {
                 up.routes[0].link.set_drop_every(every);
@@ -667,14 +661,6 @@ impl Ldmsd {
         self.hub.subscriber_count(tag)
     }
 
-    /// The daemon this one forwards to on its *primary* route, if any.
-    pub fn upstream_target(&self) -> Option<Arc<Ldmsd>> {
-        self.upstream
-            .read()
-            .as_ref()
-            .map(|u| u.routes[0].target.clone())
-    }
-
     /// Every upstream target in rank order (primary first, then
     /// standbys).
     pub fn upstream_targets(&self) -> Vec<Arc<Ldmsd>> {
@@ -685,7 +671,8 @@ impl Ldmsd {
 
     /// The currently *elected* upstream target (primary unless a
     /// failover switched routes), if any.
-    pub fn active_upstream(&self) -> Option<Arc<Ldmsd>> {
+    #[cfg(test)]
+    pub(crate) fn active_upstream(&self) -> Option<Arc<Ldmsd>> {
         self.upstream
             .read()
             .as_ref()
@@ -727,7 +714,7 @@ impl Ldmsd {
 
     /// Route failovers performed (standby elected after missed
     /// heartbeats).
-    pub fn failovers(&self) -> u64 {
+    pub(crate) fn failovers(&self) -> u64 {
         self.upstream
             .read()
             .as_ref()
@@ -736,7 +723,7 @@ impl Ldmsd {
 
     /// Route failbacks performed (primary re-elected after the
     /// hysteresis hold).
-    pub fn failbacks(&self) -> u64 {
+    pub(crate) fn failbacks(&self) -> u64 {
         self.upstream
             .read()
             .as_ref()
@@ -745,7 +732,7 @@ impl Ldmsd {
 
     /// Longest observed failover delay (route-down to election) in
     /// virtual time.
-    pub fn max_failover_latency(&self) -> SimDuration {
+    pub(crate) fn max_failover_latency(&self) -> SimDuration {
         SimDuration::from_nanos(
             self.upstream
                 .read()
@@ -755,7 +742,7 @@ impl Ldmsd {
     }
 
     /// Crash-stop events this daemon has processed.
-    pub fn crashes_seen(&self) -> u64 {
+    pub(crate) fn crashes_seen(&self) -> u64 {
         self.crash_count.load(Ordering::Relaxed)
     }
 
@@ -771,7 +758,7 @@ impl Ldmsd {
 
     /// Deepest this daemon's retry queue has ever been (entries; a
     /// batch frame counts as one entry).
-    pub fn queue_high_water(&self) -> u64 {
+    pub(crate) fn queue_high_water(&self) -> u64 {
         self.upstream
             .read()
             .as_ref()
@@ -781,7 +768,7 @@ impl Ldmsd {
     /// Earliest virtual instant at which *anything* scheduled happens
     /// at this daemon: a queue retry/deadline, an unprocessed crash,
     /// or a restart with WAL records awaiting replay.
-    pub fn next_event(&self) -> Option<Epoch> {
+    pub(crate) fn next_event(&self) -> Option<Epoch> {
         let queue = self
             .upstream
             .read()
@@ -847,8 +834,7 @@ impl Ldmsd {
         pending: &mut VecDeque<(Arc<Ldmsd>, StreamMessage)>,
     ) -> Option<(Arc<Ldmsd>, StreamMessage)> {
         if !visited.enter(self) {
-            self.ledger
-                .record_loss_n(&self.name, LossCause::CycleDropped, msg.weight());
+            self.record_loss(&self.name, LossCause::CycleDropped, &msg);
             return None;
         }
         let now = msg.recv_time;
@@ -856,8 +842,7 @@ impl Ldmsd {
         if !self.lifecycle.is_up(now) {
             // The message arrived at a crashed daemon (it was in
             // flight when the crash hit, or was injected directly).
-            self.ledger
-                .record_loss_n(&self.name, LossCause::DaemonDown, msg.weight());
+            self.record_loss(&self.name, LossCause::DaemonDown, &msg);
             return None;
         }
         let guard = self.upstream.read();
@@ -929,7 +914,7 @@ impl Ldmsd {
     /// controller is attached) and forwards them upstream. Returns how
     /// many sketches were flushed. Called when settling a campaign so
     /// folded mass re-enters the pipeline before final accounting.
-    pub fn flush_overload(&self, now: Epoch) -> usize {
+    pub(crate) fn flush_overload(&self, now: Epoch) -> usize {
         let Some(ctl) = self.overload_ctl() else {
             return 0;
         };
@@ -949,8 +934,7 @@ impl Ldmsd {
                 // the forward path), but account defensively.
                 None => {
                     for s in summaries {
-                        self.ledger
-                            .record_loss_n(&self.name, LossCause::NoSubscriber, s.weight());
+                        self.record_loss(&self.name, LossCause::NoSubscriber, &s);
                     }
                     Vec::new()
                 }
@@ -977,8 +961,7 @@ impl Ldmsd {
                 if self.hub.dispatch(frame) > 0 {
                     self.ledger.record_delivered_n(frame.weight());
                 } else {
-                    self.ledger
-                        .record_loss_n(&self.name, LossCause::NoSubscriber, frame.weight());
+                    self.record_loss(&self.name, LossCause::NoSubscriber, frame);
                 }
                 return;
             }
@@ -1004,8 +987,7 @@ impl Ldmsd {
         match self.hub.dispatch_if(msg, claim) {
             None => return,
             Some(0) => {
-                self.ledger
-                    .record_loss_n(&self.name, LossCause::NoSubscriber, msg.weight());
+                self.record_loss(&self.name, LossCause::NoSubscriber, msg);
                 return;
             }
             Some(_) => {}
@@ -1048,14 +1030,13 @@ impl Ldmsd {
     fn try_send(
         &self,
         up: &UpstreamSet,
-        msg: StreamMessage,
+        mut msg: StreamMessage,
         prior_attempts: u32,
         expire: Option<Epoch>,
         lsn: Option<u64>,
         now: Epoch,
     ) -> Option<(Arc<Ldmsd>, StreamMessage)> {
         let attempts = prior_attempts + 1;
-        let weight = msg.weight();
         let cfg = up.queue.config();
         let retryable = cfg.retries_enabled() && attempts < cfg.max_attempts;
         let route = match self.diag() {
@@ -1141,69 +1122,59 @@ impl Ldmsd {
                 );
             } else {
                 self.complete_wal_durable(up, lsn);
-                match cause {
-                    LossCause::DaemonDown => {
-                        self.ledger
-                            .record_loss_n(route.target.name(), cause, weight);
-                    }
-                    _ => self.ledger.record_loss_n(&route.link_hop, cause, weight),
-                }
+                let hop = match cause {
+                    LossCause::DaemonDown => route.target.name(),
+                    _ => &route.link_hop,
+                };
+                self.record_loss(hop, cause, &msg);
             }
             return None;
         }
 
         // Silent loss: the link accepts the message and may drop it in
-        // transit. Clone first only when a retry could use the copy.
-        let backup = if retryable { Some(msg.clone()) } else { None };
-        match route.link.carry(msg) {
-            Some(carried) => {
-                // The hop succeeded: mark the WAL record completed (a
-                // volatile mark — only a checkpoint makes it durable,
-                // which is exactly what makes duplicate replay
-                // possible and the idempotent path necessary).
-                if let (Some(l), Some(w)) = (lsn, up.wal.as_ref()) {
-                    w.complete(l);
-                }
-                if let Some(tel) = self.tel() {
-                    tel.forwarded.add(weight);
-                    if let Some(trace) = carried.trace {
-                        tel.hub.span(
-                            trace,
-                            HopKind::Forward,
-                            &tel.site,
-                            carried.recv_time,
-                            carried.recv_time.since(now),
-                        );
-                    }
-                }
-                Some((route.target.clone(), carried))
+        // transit; a dropped message is still here for the retry or
+        // the attribution.
+        if route.link.carry(&mut msg) {
+            // The hop succeeded: mark the WAL record completed (a
+            // volatile mark — only a checkpoint makes it durable,
+            // which is exactly what makes duplicate replay possible
+            // and the idempotent path necessary).
+            if let (Some(l), Some(w)) = (lsn, up.wal.as_ref()) {
+                w.complete(l);
             }
-            None => {
-                match backup {
-                    Some(m) => {
-                        let next_attempt = up.queue.backoff_after(attempts, now);
-                        self.park(
-                            up,
-                            QueueEntry {
-                                msg: m,
-                                attempts,
-                                next_attempt,
-                                expire,
-                                cause: LossCause::LinkLoss,
-                                lsn,
-                            },
-                            now,
-                        );
-                    }
-                    None => {
-                        self.complete_wal_durable(up, lsn);
-                        self.ledger
-                            .record_loss_n(&route.link_hop, LossCause::LinkLoss, weight);
-                    }
+            if let Some(tel) = self.tel() {
+                tel.forwarded.add(msg.weight());
+                if let Some(trace) = msg.trace {
+                    tel.hub.span(
+                        trace,
+                        HopKind::Forward,
+                        &tel.site,
+                        msg.recv_time,
+                        msg.recv_time.since(now),
+                    );
                 }
-                None
             }
+            return Some((route.target.clone(), msg));
         }
+        if retryable {
+            let next_attempt = up.queue.backoff_after(attempts, now);
+            self.park(
+                up,
+                QueueEntry {
+                    msg,
+                    attempts,
+                    next_attempt,
+                    expire,
+                    cause: LossCause::LinkLoss,
+                    lsn,
+                },
+                now,
+            );
+        } else {
+            self.complete_wal_durable(up, lsn);
+            self.record_loss(&route.link_hop, LossCause::LinkLoss, &msg);
+        }
+        None
     }
 
     /// Parks an entry in the hop's queue, journaling it in the WAL
@@ -1269,21 +1240,44 @@ impl Ldmsd {
                 ),
             );
         }
-        let weight = entry.msg.weight();
         let route = &up.routes[up.active_idx()];
-        match entry.cause {
-            LossCause::LinkLoss => self
-                .ledger
-                .record_loss_n(&route.link_hop, entry.cause, weight),
-            LossCause::DaemonDown => {
-                self.ledger
-                    .record_loss_n(route.target.name(), entry.cause, weight)
-            }
-            LossCause::Crash => self.ledger.record_loss_n(&self.name, entry.cause, weight),
-            _ => self
-                .ledger
-                .record_loss_n(&up.queue_hop, entry.cause, weight),
+        let hop = match entry.cause {
+            LossCause::LinkLoss => &route.link_hop,
+            LossCause::DaemonDown => route.target.name(),
+            LossCause::Crash => &self.name,
+            _ => &up.queue_hop,
+        };
+        self.record_loss(hop, entry.cause, &entry.msg);
+    }
+
+    /// Attributes `msg` lost at `(hop, cause)`, claiming its delivery
+    /// keys: whatever of it already has an outcome (the message is a
+    /// WAL-replayed copy of one that was delivered, folded or lost
+    /// after it left the crashed hop) is a duplicate, not a second
+    /// loss, so only the rest is booked.
+    fn record_loss(&self, hop: &str, cause: LossCause, msg: &StreamMessage) {
+        let weight = msg.weight().saturating_sub(self.settled_weight(msg));
+        if weight > 0 {
+            self.ledger.record_loss_n(hop, cause, weight);
         }
+    }
+
+    /// Claims `msg`'s keys — its own for a plain message or a sketch,
+    /// its members' for a frame (each weighs one) — and returns the
+    /// weight that was already settled.
+    fn settled_weight(&self, msg: &StreamMessage) -> u64 {
+        if !msg.is_frame() {
+            return self.ledger.claim_outcomes(msg.delivery_key().into_iter()) * msg.weight();
+        }
+        let Ok(records) = crate::batch::decode_frame(&msg.data) else {
+            return 0;
+        };
+        let (job, rank) = msg.origin.unwrap_or((0, 0));
+        self.ledger.claim_outcomes(
+            records
+                .iter()
+                .filter_map(|r| Some((&msg.producer, job, rank, r.seq?))),
+        )
     }
 
     fn complete_wal_durable(&self, up: &UpstreamSet, lsn: Option<u64>) {
@@ -1295,7 +1289,7 @@ impl Ldmsd {
     /// Brings this daemon up to virtual instant `now`: processes any
     /// scheduled crash/restart events, reports its health, then drains
     /// its retry queue.
-    pub fn pump(&self, now: Epoch) {
+    pub(crate) fn pump(&self, now: Epoch) {
         if self.has_crashes.load(Ordering::Relaxed) {
             self.process_crashes(now);
         }
@@ -1417,8 +1411,7 @@ impl Ldmsd {
             if covered {
                 wal_covered += 1;
             } else {
-                self.ledger
-                    .record_loss_n(&self.name, LossCause::Crash, e.msg.weight());
+                self.record_loss(&self.name, LossCause::Crash, &e.msg);
             }
         }
         if let Some(tel) = tel {
@@ -1501,7 +1494,7 @@ impl Ldmsd {
     /// Abandons everything still parked, attributing each entry to the
     /// hop of its last failure. Returns how many were abandoned. Used
     /// when settling a campaign past its horizon.
-    pub fn abandon_queue(&self, now: Epoch) -> usize {
+    pub(crate) fn abandon_queue(&self, now: Epoch) -> usize {
         let n = {
             let guard = self.upstream.read();
             let Some(up) = guard.as_ref() else { return 0 };
@@ -1634,7 +1627,7 @@ impl LdmsNetwork {
 
     /// Builds the network with an explicit retry-queue configuration
     /// applied to every hop.
-    pub fn build_with(node_names: &[String], queue: QueueConfig) -> Self {
+    pub(crate) fn build_with(node_names: &[String], queue: QueueConfig) -> Self {
         Self::build_full(
             node_names,
             &NetworkOpts {
@@ -1736,35 +1729,15 @@ impl LdmsNetwork {
         }
     }
 
-    /// The telemetry hub every daemon reports into, when attached.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
     /// The first-level (head node) aggregator.
     pub fn l1(&self) -> &Arc<Ldmsd> {
         &self.l1
-    }
-
-    /// The standby L1 aggregator, when one was deployed.
-    pub fn standby(&self) -> Option<&Arc<Ldmsd>> {
-        self.standby.as_ref()
     }
 
     /// The second-level (remote cluster) aggregator — where store
     /// plugins subscribe.
     pub fn l2(&self) -> &Arc<Ldmsd> {
         &self.l2
-    }
-
-    /// The daemon on a compute node, if present.
-    pub fn node(&self, name: &str) -> Option<&Arc<Ldmsd>> {
-        self.nodes.get(name)
-    }
-
-    /// Number of compute-node daemons.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Every daemon in deterministic order: sorted samplers, then the
@@ -1898,7 +1871,7 @@ impl LdmsNetwork {
     /// comes later in the order than the daemon being pumped, and at
     /// the next pass otherwise — what a sweep over every daemon in
     /// order would do, without the visits that find nothing.
-    pub fn pump(&self, now: Epoch) {
+    pub(crate) fn pump(&self, now: Epoch) {
         if let Some(tel) = &self.telemetry {
             // Drive the diagnosis hub's metric-snapshot cadence from
             // the network's virtual-time progression (no-op without a
@@ -1935,7 +1908,8 @@ impl LdmsNetwork {
     /// Daemon pumps made so far: one per daemon per pass that found a
     /// wake-schedule entry of the daemon's due. Zero after a run in
     /// which no message was ever parked and no daemon fault scripted.
-    pub fn daemon_pumps(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn daemon_pumps(&self) -> u64 {
         self.daemon_pumps.load(Ordering::Relaxed)
     }
 
@@ -2113,8 +2087,8 @@ mod tests {
         let net = network();
         net.publish(msg("nid00040", "{}"));
         net.publish(msg("nid00040", "{}"));
-        assert_eq!(net.node("nid00040").unwrap().stream_stats().published(), 2);
-        assert_eq!(net.node("nid00041").unwrap().stream_stats().published(), 0);
+        assert_eq!(net.nodes["nid00040"].stream_stats().published(), 2);
+        assert_eq!(net.nodes["nid00041"].stream_stats().published(), 0);
         // L1 saw both; L2 saw both.
         assert_eq!(net.l1().stream_stats().published(), 2);
         assert_eq!(net.l2().stream_stats().published(), 2);
@@ -2327,6 +2301,109 @@ mod tests {
     }
 
     #[test]
+    fn a_replayed_copy_of_a_delivered_message_is_never_also_lost() {
+        use crate::batch::{encode_frame, FrameRecord};
+        use crate::queue::OverflowPolicy;
+
+        // Deliver, crash before the checkpoint, and the restart replays
+        // a copy — which this time cannot be delivered (and suppressed
+        // at the terminal) but meets one of the hop's own ends.
+        let l2_stays_down =
+            |s: FaultScript| s.daemon_outage("l2", Epoch::from_secs(125), Epoch::from_secs(10_000));
+        let reliable = QueueConfig::reliable;
+        type Ending = (
+            &'static str,
+            QueueConfig,
+            fn(FaultScript) -> FaultScript,
+            bool,
+        );
+        let endings: [Ending; 5] = [
+            (
+                "abandoned at the settle horizon",
+                reliable(),
+                l2_stays_down,
+                false,
+            ),
+            (
+                "evicted by a newer entry",
+                reliable().with_capacity(1),
+                l2_stays_down,
+                true,
+            ),
+            (
+                "expired",
+                reliable().with_policy(OverflowPolicy::BlockWithDeadline(SimDuration::from_secs(
+                    20,
+                ))),
+                l2_stays_down,
+                false,
+            ),
+            (
+                "out of attempts at a refused send",
+                reliable().with_max_attempts(2),
+                l2_stays_down,
+                false,
+            ),
+            (
+                "out of attempts at a silent drop",
+                reliable().with_max_attempts(2),
+                |s| s.link_drop_every("l1", 2),
+                false,
+            ),
+        ];
+        for framed in [false, true] {
+            for (ending, queue, fault, crowd) in endings.clone() {
+                let net = LdmsNetwork::build_full(
+                    &["nid0".into()],
+                    &NetworkOpts {
+                        queue,
+                        wal: Some(WalConfig::durable().with_checkpoint_every(1000)),
+                        ..NetworkOpts::default()
+                    },
+                );
+                net.apply_faults(&fault(
+                    FaultScript::new()
+                        .daemon_outage("l2", Epoch::from_secs(100), Epoch::from_secs(110))
+                        .crash("l1", Epoch::from_secs(120), Epoch::from_secs(130)),
+                ));
+                let sink = BufferSink::new();
+                net.l2().subscribe("darshanConnector", sink.clone());
+                let first = msg_at("nid0", Epoch::from_secs(105));
+                let (first, weight) = if framed {
+                    let records: Vec<FrameRecord> = (1..=3)
+                        .map(|seq| FrameRecord {
+                            seq: Some(seq),
+                            payload: "{}".to_string(),
+                        })
+                        .collect();
+                    let mut frame = first.with_batch(3);
+                    frame.data = Arc::from(encode_frame(&records).as_str());
+                    (frame, 3)
+                } else {
+                    (first.with_seq(1), 1)
+                };
+                net.publish(first);
+                net.settle(Epoch::from_secs(115));
+                assert_eq!(sink.len() as u64, weight, "delivered before the crash");
+                let crowd = u64::from(crowd);
+                if crowd > 0 {
+                    // Parks behind the copy in a one-slot queue.
+                    net.publish(msg_at("nid0", Epoch::from_secs(140)).with_seq(9));
+                }
+                net.settle(Epoch::from_secs(1000));
+                let ledger = net.ledger();
+                let case = format!("{ending}, framed={framed}: {}", ledger.summary());
+                assert_eq!(sink.len() as u64, weight, "{case}");
+                assert_eq!(ledger.delivered(), weight, "{case}");
+                assert_eq!(ledger.duplicates(), weight, "{case}");
+                assert_eq!(ledger.total_lost(), crowd, "{case}");
+                assert_eq!(net.recovery_report().wal_replayed, 1, "{case}");
+                assert!(ledger.balances(), "{case}");
+            }
+        }
+    }
+
+    #[test]
     fn standby_failover_elects_after_missed_heartbeats() {
         let net = recovery_net(Some(WalConfig::durable()), true);
         net.apply_faults(&FaultScript::new().crash(
@@ -2347,7 +2424,7 @@ mod tests {
         assert!(got.iter().all(|m| m.recv_time < Epoch::from_secs(400)));
         assert_eq!(net.ledger().delivered(), 2);
         assert!(net.ledger().balances());
-        let nid = net.node("nid0").unwrap();
+        let nid = &net.nodes["nid0"];
         assert_eq!(nid.failovers(), 1);
         assert_eq!(
             nid.active_upstream().unwrap().name(),
@@ -2367,7 +2444,7 @@ mod tests {
             Epoch::from_secs(120),
         ));
         net.l2().subscribe("darshanConnector", BufferSink::new());
-        let nid = net.node("nid0").unwrap();
+        let nid = &net.nodes["nid0"];
         net.publish(msg_at("nid0", Epoch::from_secs(110)).with_seq(1));
         net.settle(Epoch::from_secs(115));
         assert_eq!(nid.active_upstream().unwrap().name(), "voltrino-standby");
@@ -2480,7 +2557,7 @@ mod tests {
     #[test]
     fn default_network_has_no_recovery_machinery() {
         let net = network();
-        assert!(net.standby().is_none());
+        assert!(net.standby.is_none());
         assert_eq!(net.l1().wal_capacity(), None);
         net.l2().subscribe("darshanConnector", BufferSink::new());
         net.publish(msg("nid00040", "{}"));

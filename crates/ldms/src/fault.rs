@@ -85,20 +85,20 @@ pub struct Lifecycle {
 
 impl Lifecycle {
     /// Creates an always-up lifecycle.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Schedules a downtime window `[from, until)`. Empty or inverted
     /// windows are ignored.
-    pub fn schedule_down(&self, from: Epoch, until: Epoch) {
+    pub(crate) fn schedule_down(&self, from: Epoch, until: Epoch) {
         if until > from {
             self.windows.write().push((from, until));
         }
     }
 
     /// True when the component is up at `t`.
-    pub fn is_up(&self, t: Epoch) -> bool {
+    pub(crate) fn is_up(&self, t: Epoch) -> bool {
         !self
             .windows
             .read()
@@ -108,7 +108,7 @@ impl Lifecycle {
 
     /// Earliest instant `>= t` at which the component is up. Chained
     /// and overlapping windows are resolved transitively.
-    pub fn next_up(&self, t: Epoch) -> Epoch {
+    pub(crate) fn next_up(&self, t: Epoch) -> Epoch {
         let windows = self.windows.read();
         let mut t = t;
         loop {
@@ -123,7 +123,7 @@ impl Lifecycle {
     }
 
     /// True when no downtime is scheduled at all (fast path).
-    pub fn always_up(&self) -> bool {
+    pub(crate) fn always_up(&self) -> bool {
         self.windows.read().is_empty()
     }
 
@@ -131,7 +131,7 @@ impl Lifecycle {
     /// overlapping and chained windows backwards. `None` when the
     /// component is up at `t`. This is what heartbeat-based liveness
     /// detection measures missed beats against.
-    pub fn down_since(&self, t: Epoch) -> Option<Epoch> {
+    pub(crate) fn down_since(&self, t: Epoch) -> Option<Epoch> {
         let windows = self.windows.read();
         let mut start = windows
             .iter()
@@ -152,7 +152,7 @@ impl Lifecycle {
     /// `t` (the epoch origin when it never went down). `None` when the
     /// component is down at `t`. Failback hysteresis compares this
     /// against a hold time before trusting a recovered route again.
-    pub fn up_since(&self, t: Epoch) -> Option<Epoch> {
+    pub(crate) fn up_since(&self, t: Epoch) -> Option<Epoch> {
         if !self.is_up(t) {
             return None;
         }
@@ -334,11 +334,6 @@ impl FaultScript {
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs
     }
-
-    /// True when the script injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.specs.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -404,7 +399,6 @@ mod tests {
             .daemon_outage("l2", Epoch::from_secs(1), Epoch::from_secs(2))
             .link_loss_prob("nid00040", 0.25, 7);
         assert_eq!(s.specs().len(), 2);
-        assert!(!s.is_empty());
         assert!(matches!(
             s.specs()[1],
             FaultSpec::LinkLossProb { prob, seed: 7, .. } if (prob - 0.25).abs() < 1e-12

@@ -32,24 +32,29 @@ pub struct HeartbeatConfig {
 impl HeartbeatConfig {
     /// Virtual time from a route going down to its death being
     /// detectable (`interval × miss_threshold`).
-    pub fn detect_after(&self) -> SimDuration {
+    pub(crate) fn detect_after(&self) -> SimDuration {
         self.interval * u64::from(self.miss_threshold.max(1))
     }
+}
 
+/// Builders only the unit tests call; everything else sets the
+/// `pub` fields.
+#[cfg(test)]
+impl HeartbeatConfig {
     /// Sets the heartbeat interval.
-    pub fn with_interval(mut self, interval: SimDuration) -> Self {
+    pub(crate) fn with_interval(mut self, interval: SimDuration) -> Self {
         self.interval = interval;
         self
     }
 
     /// Sets the missed-beat threshold (clamped to at least 1).
-    pub fn with_miss_threshold(mut self, n: u32) -> Self {
+    pub(crate) fn with_miss_threshold(mut self, n: u32) -> Self {
         self.miss_threshold = n.max(1);
         self
     }
 
     /// Sets the failback hold time.
-    pub fn with_hold(mut self, hold: SimDuration) -> Self {
+    pub(crate) fn with_hold(mut self, hold: SimDuration) -> Self {
         self.hold = hold;
         self
     }

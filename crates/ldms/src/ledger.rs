@@ -186,7 +186,7 @@ pub enum LossCause {
 
 impl LossCause {
     /// Stable human-readable label.
-    pub fn as_str(self) -> &'static str {
+    pub(crate) fn as_str(self) -> &'static str {
         match self {
             LossCause::NoSubscriber => "no-subscriber",
             LossCause::LinkLoss => "link-loss",
@@ -225,9 +225,11 @@ pub struct DeliveryLedger {
     delivered: AtomicU64,
     /// Loss buckets by hop, then cause.
     losses: Mutex<HashMap<String, Vec<(LossCause, u64)>>>,
-    /// Keys of messages already delivered at a terminal daemon; a WAL
-    /// replay re-delivering one is a duplicate and is suppressed.
-    delivered_keys: Mutex<SeqRanges>,
+    /// Keys of messages whose one outcome is on the books: delivered
+    /// at a terminal daemon, folded into a sketch, or lost. A WAL
+    /// replay bringing a copy of one to any of those ends is a
+    /// duplicate and books nothing.
+    settled_keys: Mutex<SeqRanges>,
     duplicates: AtomicU64,
     recovered: AtomicU64,
     summarized: AtomicU64,
@@ -239,7 +241,7 @@ pub struct DeliveryLedger {
 
 impl DeliveryLedger {
     /// Creates an empty ledger.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -269,17 +271,28 @@ impl DeliveryLedger {
     }
 
     /// Atomically claims the delivery of a keyed message. Returns
-    /// `false` when the key was already delivered — the caller must
+    /// `false` when the key already has its outcome — the caller must
     /// then suppress the duplicate (neither `delivered` nor any loss
     /// bucket moves, keeping the conservation invariant exact: each
     /// published message is still counted exactly once).
     pub(crate) fn try_claim_delivery(&self, key: DeliveryKey<'_>) -> bool {
-        if self.delivered_keys.lock().claim(key) {
-            true
-        } else {
-            self.duplicates.fetch_add(1, Ordering::Relaxed);
-            false
+        self.claim_outcomes(std::iter::once(key)) == 0
+    }
+
+    /// Claims the keys of messages about to be booked lost or folded
+    /// into a sketch, and returns how many of them already had their
+    /// one outcome — a WAL replay resurrects copies of messages that
+    /// had left the hop and were delivered, folded or lost further on.
+    /// Those count as duplicates here; the caller books only the rest.
+    pub(crate) fn claim_outcomes<'a>(&self, keys: impl Iterator<Item = DeliveryKey<'a>>) -> u64 {
+        let dups = {
+            let mut settled = self.settled_keys.lock();
+            keys.filter(|&key| !settled.claim(key)).count() as u64
+        };
+        if dups > 0 {
+            self.duplicates.fetch_add(dups, Ordering::Relaxed);
         }
+        dups
     }
 
     /// Counts one delivered message that reached the terminal via WAL
@@ -326,9 +339,10 @@ impl DeliveryLedger {
         self.debug_check_attribution();
     }
 
-    /// Runs the delivered-key set holds (see [`SeqRanges::intervals`]).
-    pub fn delivered_key_intervals(&self) -> usize {
-        self.delivered_keys.lock().intervals()
+    /// Runs the settled-key set holds (see [`SeqRanges::intervals`]).
+    #[cfg(test)]
+    pub(crate) fn settled_key_intervals(&self) -> usize {
+        self.settled_keys.lock().intervals()
     }
 
     /// Sum of the loss buckets `keep` selects.
@@ -397,7 +411,7 @@ impl DeliveryLedger {
     /// Messages delivered via WAL replay after a crash (each counted
     /// inside `delivered` as well — recovery *prevents* a loss, it
     /// never reclassifies one).
-    pub fn recovered(&self) -> u64 {
+    pub(crate) fn recovered(&self) -> u64 {
         self.recovered.load(Ordering::Relaxed)
     }
 
@@ -526,7 +540,7 @@ mod tests {
         // A second allocation of the same name is the same producer.
         assert!(l.try_claim_delivery((&Arc::from("nid0"), 7, 0, 2)));
         assert!(!l.try_claim_delivery((&Arc::from("nid0"), 7, 0, 2)));
-        assert_eq!(l.delivered_key_intervals(), 1);
+        assert_eq!(l.settled_key_intervals(), 1);
         l.record_recovered();
         assert_eq!(l.recovered(), 1);
     }

@@ -51,15 +51,15 @@
 pub mod batch;
 pub mod daemon;
 pub mod fault;
-pub mod heartbeat;
+mod heartbeat;
 pub mod ledger;
 pub mod overload;
 pub mod queue;
 pub mod sampler;
 pub mod store;
 pub mod stream;
-pub mod transport;
-pub mod wal;
+mod transport;
+mod wal;
 
 pub use batch::{BatchConfig, FrameRecord};
 pub use daemon::{DaemonRole, LdmsNetwork, Ldmsd, NetworkOpts, RecoveryReport};

@@ -115,21 +115,9 @@ impl QueueConfig {
         self
     }
 
-    /// Sets the attempt budget.
-    pub fn with_max_attempts(mut self, max_attempts: u32) -> Self {
-        self.max_attempts = max_attempts.max(1);
-        self
-    }
-
     /// Sets the jitter seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Enables priority-class shedding on `DropOldest` overflow.
-    pub fn with_priority_shed(mut self, on: bool) -> Self {
-        self.priority_shed = on;
         self
     }
 
@@ -152,6 +140,22 @@ impl QueueConfig {
             total += base.min(self.max_backoff.as_secs_f64());
         }
         SimDuration::from_secs_f64(total)
+    }
+}
+
+/// Builders only the unit tests and the sweep oracle call.
+#[cfg(test)]
+impl QueueConfig {
+    /// Sets the attempt budget.
+    pub(crate) fn with_max_attempts(mut self, max_attempts: u32) -> Self {
+        self.max_attempts = max_attempts.max(1);
+        self
+    }
+
+    /// Enables priority-class shedding on `DropOldest` overflow.
+    pub(crate) fn with_priority_shed(mut self, on: bool) -> Self {
+        self.priority_shed = on;
+        self
     }
 }
 
@@ -263,53 +267,47 @@ pub struct RetryQueue {
     config: QueueConfig,
     entries: Mutex<VecDeque<QueueEntry>>,
     rng: AtomicRng,
-    parked_total: AtomicU64,
     overflowed: AtomicU64,
     high_water: AtomicU64,
 }
 
 impl RetryQueue {
     /// Creates a queue with the given configuration.
-    pub fn new(config: QueueConfig) -> Self {
+    pub(crate) fn new(config: QueueConfig) -> Self {
         let rng = AtomicRng::new(config.seed);
         Self {
             config,
             entries: Mutex::new(VecDeque::new()),
             rng,
-            parked_total: AtomicU64::new(0),
             overflowed: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
         }
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &QueueConfig {
+    pub(crate) fn config(&self) -> &QueueConfig {
         &self.config
     }
 
     /// Currently parked messages.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.lock().len()
     }
 
     /// True when nothing is parked.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.entries.lock().is_empty()
     }
 
-    /// Messages ever parked (retry admissions, not attempts).
-    pub fn parked_total(&self) -> u64 {
-        self.parked_total.load(Ordering::Relaxed)
-    }
-
     /// Messages evicted by the overflow policy.
-    pub fn overflowed(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn overflowed(&self) -> u64 {
         self.overflowed.load(Ordering::Relaxed)
     }
 
     /// Deepest the queue has ever been (entries, frames counting as
     /// one — this measures buffer pressure, not logical messages).
-    pub fn high_water(&self) -> u64 {
+    pub(crate) fn high_water(&self) -> u64 {
         self.high_water.load(Ordering::Relaxed)
     }
 
@@ -363,13 +361,11 @@ impl RetryQueue {
         self.stamp_deadline(&mut entry, now);
         let mut entries = self.entries.lock();
         if let OverflowPolicy::BlockWithDeadline(_) = self.config.policy {
-            self.parked_total.fetch_add(1, Ordering::Relaxed);
             entries.push_back(entry);
             self.note_depth(entries.len());
             return Vec::new();
         }
         if entries.len() < self.config.capacity {
-            self.parked_total.fetch_add(1, Ordering::Relaxed);
             entries.push_back(entry);
             self.note_depth(entries.len());
             return Vec::new();
@@ -399,7 +395,6 @@ impl RetryQueue {
                     Ordering::Relaxed,
                 );
                 if self.config.capacity > 0 {
-                    self.parked_total.fetch_add(1, Ordering::Relaxed);
                     entries.push_back(entry);
                     self.note_depth(entries.len());
                     debug_assert!(

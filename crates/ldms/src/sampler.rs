@@ -119,7 +119,7 @@ impl SamplerPlugin for VmstatSampler {
 impl MetricSet {
     /// Encodes the set as a JSON stream payload (schema, producer,
     /// timestamp, and the metric map).
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut w = iosim_util::JsonWriter::with_capacity(256);
         w.begin_object();
         w.field_str("schema", &self.schema);

@@ -13,7 +13,7 @@ use iosim_util::json::{self, JsonValue};
 use parking_lot::Mutex;
 
 /// The CSV header of Figure 3 (bottom), in order.
-pub const CSV_HEADER: [&str; 24] = [
+pub(crate) const CSV_HEADER: [&str; 24] = [
     "module",
     "uid",
     "ProducerName",
@@ -124,27 +124,6 @@ impl CsvStreamStore {
         std::sync::Arc::new(Self::default())
     }
 
-    /// Number of stored rows.
-    pub fn len(&self) -> usize {
-        self.rows.lock().len()
-    }
-
-    /// True when no rows are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Messages that failed to parse (counted, not fatal — best-effort
-    /// pipeline).
-    pub fn parse_errors(&self) -> u64 {
-        *self.parse_errors.lock()
-    }
-
-    /// Snapshot of the stored rows.
-    pub fn rows(&self) -> Vec<Vec<String>> {
-        self.rows.lock().clone()
-    }
-
     /// Renders header + rows as a CSV document.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("#");
@@ -230,8 +209,8 @@ mod tests {
         store.deliver(&good);
         store.deliver(&bad);
         store.deliver(&good);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.parse_errors(), 1);
+        assert_eq!(store.rows.lock().len(), 2);
+        assert_eq!(*store.parse_errors.lock(), 1);
         let csv = store.to_csv();
         assert!(csv.starts_with("#module,uid,ProducerName"));
         assert_eq!(csv.lines().count(), 3);

@@ -232,42 +232,47 @@ pub struct StreamStats {
 }
 
 impl StreamStats {
-    /// Published count.
-    pub fn published(&self) -> u64 {
-        self.published.load(Ordering::Relaxed)
-    }
-
-    /// Delivered count.
-    pub fn delivered(&self) -> u64 {
-        self.delivered.load(Ordering::Relaxed)
-    }
-
     /// Dropped-for-lack-of-subscriber count.
     pub fn dropped(&self) -> u64 {
         self.dropped_no_subscriber.load(Ordering::Relaxed)
     }
+}
+
+/// Counter reads for the unit tests; everything else reads the `pub`
+/// atomics or [`StreamStats::dropped`].
+#[cfg(test)]
+impl StreamStats {
+    /// Published count.
+    pub(crate) fn published(&self) -> u64 {
+        self.published.load(Ordering::Relaxed)
+    }
+
+    /// Delivered count.
+    pub(crate) fn delivered(&self) -> u64 {
+        self.delivered.load(Ordering::Relaxed)
+    }
 
     /// Total bytes published.
-    pub fn bytes(&self) -> u64 {
+    pub(crate) fn bytes(&self) -> u64 {
         self.bytes.load(Ordering::Relaxed)
     }
 }
 
 /// The per-daemon stream hub: subscriptions by exact tag.
 #[derive(Default)]
-pub struct StreamHub {
+pub(crate) struct StreamHub {
     subs: RwLock<HashMap<String, Vec<Arc<dyn StreamSink>>>>,
     stats: StreamStats,
 }
 
 impl StreamHub {
     /// Creates an empty hub.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Subscribes a sink to a tag.
-    pub fn subscribe(&self, tag: &str, sink: Arc<dyn StreamSink>) {
+    pub(crate) fn subscribe(&self, tag: &str, sink: Arc<dyn StreamSink>) {
         self.subs
             .write()
             .entry(tag.to_string())
@@ -276,7 +281,7 @@ impl StreamHub {
     }
 
     /// Number of subscribers on a tag.
-    pub fn subscriber_count(&self, tag: &str) -> usize {
+    pub(crate) fn subscriber_count(&self, tag: &str) -> usize {
         self.subs.read().get(tag).map_or(0, Vec::len)
     }
 
@@ -284,7 +289,7 @@ impl StreamHub {
     /// many sinks received it (0 = dropped, best-effort semantics).
     /// Counters move in logical-message units: a batch frame counts
     /// for every message coalesced into it.
-    pub fn dispatch(&self, msg: &StreamMessage) -> usize {
+    pub(crate) fn dispatch(&self, msg: &StreamMessage) -> usize {
         self.dispatch_if(msg, || true)
             .expect("an unconditional dispatch is never refused")
     }
@@ -322,7 +327,7 @@ impl StreamHub {
     }
 
     /// Hub delivery counters.
-    pub fn stats(&self) -> &StreamStats {
+    pub(crate) fn stats(&self) -> &StreamStats {
         &self.stats
     }
 }
@@ -344,15 +349,6 @@ impl BufferSink {
         Arc::new(Self::default())
     }
 
-    /// Creates a bounded buffer sink holding at most `capacity`
-    /// messages (0 = unbounded).
-    pub fn with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            capacity,
-            ..Self::default()
-        })
-    }
-
     /// Number of buffered messages.
     pub fn len(&self) -> usize {
         self.messages.lock().len()
@@ -363,11 +359,6 @@ impl BufferSink {
         self.len() == 0
     }
 
-    /// Messages rejected because the sink was full.
-    pub fn overflowed(&self) -> u64 {
-        self.overflowed.load(Ordering::Relaxed)
-    }
-
     /// Drains the buffered messages.
     pub fn take(&self) -> Vec<StreamMessage> {
         std::mem::take(&mut self.messages.lock())
@@ -376,6 +367,24 @@ impl BufferSink {
     /// Clones the buffered messages without draining.
     pub fn snapshot(&self) -> Vec<StreamMessage> {
         self.messages.lock().clone()
+    }
+}
+
+/// The bounded sink: only the unit tests bound one.
+#[cfg(test)]
+impl BufferSink {
+    /// Creates a bounded buffer sink holding at most `capacity`
+    /// messages (0 = unbounded).
+    pub(crate) fn with_capacity(capacity: usize) -> Arc<Self> {
+        Arc::new(Self {
+            capacity,
+            ..Self::default()
+        })
+    }
+
+    /// Messages rejected because the sink was full.
+    pub(crate) fn overflowed(&self) -> u64 {
+        self.overflowed.load(Ordering::Relaxed)
     }
 }
 

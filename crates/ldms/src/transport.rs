@@ -39,12 +39,11 @@ pub struct TransportLink {
     lifecycle: Lifecycle,
     sent: AtomicU64,
     dropped: AtomicU64,
-    bytes: AtomicU64,
 }
 
 impl TransportLink {
     /// Creates a link with the given performance characteristics.
-    pub fn new(name: &str, latency_s: f64, bandwidth: f64) -> Self {
+    pub(crate) fn new(name: &str, latency_s: f64, bandwidth: f64) -> Self {
         Self {
             name: name.to_string(),
             latency_s,
@@ -55,7 +54,6 @@ impl TransportLink {
             lifecycle: Lifecycle::new(),
             sent: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            bytes: AtomicU64::new(0),
         }
     }
 
@@ -76,27 +74,20 @@ impl TransportLink {
         self
     }
 
-    /// Enables seeded probabilistic loss: each carried message is
-    /// dropped with probability `prob`. 0 disables.
-    pub fn with_loss_prob(self, prob: f64, seed: u64) -> Self {
-        self.set_loss_prob(prob, seed);
-        self
-    }
-
     /// Reconfigures probabilistic loss on a live link.
-    pub fn set_loss_prob(&self, prob: f64, seed: u64) {
+    pub(crate) fn set_loss_prob(&self, prob: f64, seed: u64) {
         self.loss_prob_bits
             .store(prob.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
         self.rng.reseed(seed);
     }
 
     /// Reconfigures deterministic every-`n`-th loss on a live link.
-    pub fn set_drop_every(&self, n: u64) {
+    pub(crate) fn set_drop_every(&self, n: u64) {
         self.drop_every.store(n, Ordering::Relaxed);
     }
 
     /// Current probabilistic drop rate.
-    pub fn loss_prob(&self) -> f64 {
+    pub(crate) fn loss_prob(&self) -> f64 {
         f64::from_bits(self.loss_prob_bits.load(Ordering::Relaxed))
     }
 
@@ -104,73 +95,79 @@ impl TransportLink {
     /// virtual time. A down link refuses messages outright — the
     /// failure is visible to the sender, so the daemon layer can park
     /// the message for retry rather than losing it silently.
-    pub fn schedule_flap(&self, from: Epoch, until: Epoch) {
+    pub(crate) fn schedule_flap(&self, from: Epoch, until: Epoch) {
         self.lifecycle.schedule_down(from, until);
     }
 
     /// True when the link is flapped down at `t`.
-    pub fn is_down(&self, t: Epoch) -> bool {
+    pub(crate) fn is_down(&self, t: Epoch) -> bool {
         !self.lifecycle.is_up(t)
     }
 
     /// Earliest instant `>= t` at which the link is up again.
-    pub fn next_up(&self, t: Epoch) -> Epoch {
+    pub(crate) fn next_up(&self, t: Epoch) -> Epoch {
         self.lifecycle.next_up(t)
     }
 
     /// Start of the contiguous flap window containing `t` (`None`
     /// when the link is up). Heartbeat-based route election measures
     /// missed beats against this.
-    pub fn down_since(&self, t: Epoch) -> Option<Epoch> {
+    pub(crate) fn down_since(&self, t: Epoch) -> Option<Epoch> {
         self.lifecycle.down_since(t)
     }
 
     /// Instant since which the link has been continuously up at `t`
     /// (`None` when down). Used by failback hysteresis.
-    pub fn up_since(&self, t: Epoch) -> Option<Epoch> {
+    pub(crate) fn up_since(&self, t: Epoch) -> Option<Epoch> {
         self.lifecycle.up_since(t)
     }
 
     /// Transit time for a message of `bytes`.
-    pub fn delay(&self, bytes: usize) -> SimDuration {
+    pub(crate) fn delay(&self, bytes: usize) -> SimDuration {
         SimDuration::from_secs_f64(self.latency_s + bytes as f64 / self.bandwidth)
     }
 
     /// Carries a message across the link: stamps delay and hop count.
-    /// Returns `None` when the message is dropped (silent loss — the
-    /// sender cannot tell; flap windows are checked by the sender via
-    /// [`TransportLink::is_down`] *before* offering the message).
-    pub fn carry(&self, mut msg: StreamMessage) -> Option<StreamMessage> {
+    /// Returns `false`, leaving the message untouched, when it is
+    /// dropped (silent loss — the sender cannot tell; flap windows are
+    /// checked by the sender via [`TransportLink::is_down`] *before*
+    /// offering the message).
+    pub(crate) fn carry(&self, msg: &mut StreamMessage) -> bool {
         let n = self.sent.fetch_add(1, Ordering::Relaxed) + 1;
         let drop_every = self.drop_every.load(Ordering::Relaxed);
         if drop_every > 0 && n % drop_every == 0 {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         }
         let loss_prob = self.loss_prob();
         if loss_prob > 0.0 && self.rng.next_f64() < loss_prob {
             self.dropped.fetch_add(1, Ordering::Relaxed);
-            return None;
+            return false;
         }
-        self.bytes.fetch_add(msg.len() as u64, Ordering::Relaxed);
         msg.recv_time = msg.recv_time + self.delay(msg.len());
         msg.hops += 1;
-        Some(msg)
+        true
+    }
+}
+
+/// Loss set-up and counter reads for the unit tests.
+#[cfg(test)]
+impl TransportLink {
+    /// Enables seeded probabilistic loss: each carried message is
+    /// dropped with probability `prob`. 0 disables.
+    pub(crate) fn with_loss_prob(self, prob: f64, seed: u64) -> Self {
+        self.set_loss_prob(prob, seed);
+        self
     }
 
     /// Messages offered to the link.
-    pub fn sent(&self) -> u64 {
+    pub(crate) fn sent(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
     }
 
     /// Messages dropped by the link.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Bytes carried.
-    pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
     }
 }
 
@@ -194,8 +191,8 @@ mod tests {
     fn carry_accumulates_delay_and_hops() {
         let l1 = TransportLink::ugni();
         let l2 = TransportLink::site_network();
-        let m = l1.carry(msg("hello")).unwrap();
-        let m = l2.carry(m).unwrap();
+        let mut m = msg("hello");
+        assert!(l1.carry(&mut m) && l2.carry(&mut m));
         assert_eq!(m.hops, 2);
         let total_delay = m.recv_time.since(m.publish_time).as_secs_f64();
         assert!(total_delay >= 250.0e-6);
@@ -207,7 +204,7 @@ mod tests {
         let l = TransportLink::ugni().with_loss_every(3);
         let mut delivered = 0;
         for _ in 0..9 {
-            if l.carry(msg("x")).is_some() {
+            if l.carry(&mut msg("x")) {
                 delivered += 1;
             }
         }
@@ -220,7 +217,7 @@ mod tests {
     fn probabilistic_loss_is_seeded_and_near_rate() {
         let run = |seed| {
             let l = TransportLink::ugni().with_loss_prob(0.25, seed);
-            (0..2000).filter(|_| l.carry(msg("x")).is_none()).count()
+            (0..2000).filter(|_| !l.carry(&mut msg("x"))).count()
         };
         let a = run(7);
         assert_eq!(a, run(7), "same seed reproduces the same drops");
@@ -233,7 +230,7 @@ mod tests {
     fn zero_probability_never_drops() {
         let l = TransportLink::ugni().with_loss_prob(0.0, 1);
         for _ in 0..100 {
-            assert!(l.carry(msg("x")).is_some());
+            assert!(l.carry(&mut msg("x")));
         }
         assert_eq!(l.dropped(), 0);
     }

@@ -58,9 +58,20 @@ impl WalConfig {
         }
     }
 
+    /// Sets the fsync cadence (clamped to at least 1).
+    pub fn with_fsync_every(mut self, n: u32) -> Self {
+        self.fsync_every = n.max(1);
+        self
+    }
+}
+
+/// Policies and overrides only the unit tests and the sweep oracle
+/// configure.
+#[cfg(test)]
+impl WalConfig {
     /// Group-committed variant: appends become durable in batches of
     /// eight, so a crash can lose up to seven parked messages.
-    pub fn group_commit() -> Self {
+    pub(crate) fn group_commit() -> Self {
         Self {
             fsync_every: 8,
             ..Self::durable()
@@ -68,19 +79,13 @@ impl WalConfig {
     }
 
     /// Sets the record capacity.
-    pub fn with_capacity(mut self, capacity: usize) -> Self {
+    pub(crate) fn with_capacity(mut self, capacity: usize) -> Self {
         self.capacity = capacity;
         self
     }
 
-    /// Sets the fsync cadence (clamped to at least 1).
-    pub fn with_fsync_every(mut self, n: u32) -> Self {
-        self.fsync_every = n.max(1);
-        self
-    }
-
     /// Sets the checkpoint cadence (clamped to at least 1).
-    pub fn with_checkpoint_every(mut self, n: u32) -> Self {
+    pub(crate) fn with_checkpoint_every(mut self, n: u32) -> Self {
         self.checkpoint_every = n.max(1);
         self
     }
@@ -182,18 +187,14 @@ impl WriteAheadLog {
     }
 
     /// The configuration in force.
-    pub fn config(&self) -> &WalConfig {
+    pub(crate) fn config(&self) -> &WalConfig {
         &self.config
     }
 
     /// Live (uncompleted or un-truncated) records.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.inner.lock().slots.len()
-    }
-
-    /// True when the log holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Appends a record for a parked message. Returns its LSN, or
@@ -222,11 +223,6 @@ impl WriteAheadLog {
             Self::fsync_locked(&mut inner, &self.fsyncs);
         }
         Some(lsn)
-    }
-
-    /// Flushes all pending appends to durable storage.
-    pub fn fsync(&self) {
-        Self::fsync_locked(&mut self.inner.lock(), &self.fsyncs);
     }
 
     fn fsync_locked(inner: &mut WalInner, fsyncs: &AtomicU64) {
@@ -260,14 +256,9 @@ impl WriteAheadLog {
     /// entry is *attributed as lost* (evicted, expired, abandoned), so
     /// an accounted-for message can never be replayed and double
     /// counted.
-    pub fn complete_durable(&self, lsn: u64) {
+    pub(crate) fn complete_durable(&self, lsn: u64) {
         let mut inner = self.inner.lock();
         inner.slots.retain(|s| s.lsn != lsn);
-    }
-
-    /// Durably truncates the completed prefix and fsyncs the rest.
-    pub fn checkpoint(&self) {
-        Self::checkpoint_locked(&mut self.inner.lock(), &self.checkpoints, &self.fsyncs);
     }
 
     fn checkpoint_locked(inner: &mut WalInner, checkpoints: &AtomicU64, fsyncs: &AtomicU64) {
@@ -282,7 +273,7 @@ impl WriteAheadLog {
     /// volatile completion marks are reverted. Returns the LSNs that
     /// survived (the caller attributes queue entries whose LSN did
     /// *not* survive — or that never had one — as `lost-crash`).
-    pub fn crash(&self) -> HashSet<u64> {
+    pub(crate) fn crash(&self) -> HashSet<u64> {
         let mut inner = self.inner.lock();
         let before = inner.slots.len();
         inner.slots.retain(|s| s.durable);
@@ -305,7 +296,7 @@ impl WriteAheadLog {
     /// Restart recovery: returns every durable, uncompleted record for
     /// the daemon to re-park. Records stay in the log (keyed by their
     /// LSN) until completed, so a second crash replays them again.
-    pub fn replay(&self) -> Vec<WalRecord> {
+    pub(crate) fn replay(&self) -> Vec<WalRecord> {
         let inner = self.inner.lock();
         let records: Vec<WalRecord> = inner
             .slots

@@ -53,7 +53,7 @@ impl IoCtx {
     }
 
     /// Draws a multiplicative jitter factor in `[1-j, 1+j]`.
-    pub fn jitter_factor(&mut self) -> f64 {
+    pub(crate) fn jitter_factor(&mut self) -> f64 {
         if self.jitter == 0.0 {
             1.0
         } else {

@@ -11,7 +11,7 @@ use crate::ctx::IoCtx;
 use crate::error::{FsError, FsResult};
 use crate::model::{CacheState, MetaKind, OpCtx, PerfModel, XferKind};
 use crate::stats::{FsStats, FsStatsSnapshot};
-use crate::vfs::{FileId, FileMeta, FileStore};
+use crate::vfs::{FileMeta, FileStore};
 use crate::weather::Weather;
 use iosim_time::{SimDuration, TimePair};
 use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
@@ -40,7 +40,6 @@ pub struct OpTiming {
 /// a cursor for the sequential (`read`/`write`) convenience API.
 #[derive(Debug)]
 pub struct FileHandle {
-    fid: FileId,
     path: Arc<str>,
     meta: Arc<FileMeta>,
     writable: bool,
@@ -62,16 +61,6 @@ pub struct FileHandle {
 }
 
 impl FileHandle {
-    /// The path this handle refers to.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// The store-level file id.
-    pub fn file_id(&self) -> FileId {
-        self.fid
-    }
-
     /// Current sequential cursor position.
     pub fn cursor(&self) -> u64 {
         self.cursor
@@ -155,7 +144,7 @@ impl SimFs {
     }
 
     /// The configured client count.
-    pub fn active_clients(&self) -> u32 {
+    pub(crate) fn active_clients(&self) -> u32 {
         self.inner.active_clients.load(Ordering::Relaxed)
     }
 
@@ -167,11 +156,6 @@ impl SimFs {
     /// Snapshot of cumulative traffic counters.
     pub fn stats(&self) -> FsStatsSnapshot {
         self.inner.stats.snapshot()
-    }
-
-    /// True when `path` exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.inner.store.exists(path)
     }
 
     /// Size of `path` if it exists.
@@ -232,13 +216,12 @@ impl SimFs {
         writable: bool,
         shared: bool,
     ) -> FsResult<(FileHandle, OpTiming)> {
-        let (fid, meta) = self.inner.store.open(path, create)?;
+        let (_, meta) = self.inner.store.open(path, create)?;
         self.inner.stats.opens.fetch_add(1, Ordering::Relaxed);
         let opctx = self.op_ctx(ctx, 0, 0, shared, CacheState::Miss);
         let timing = self.timed(ctx, 0, |fs| fs.inner.model.meta_op(MetaKind::Open, &opctx));
         Ok((
             FileHandle {
-                fid,
                 path: Arc::from(path),
                 meta,
                 writable,
@@ -375,11 +358,6 @@ impl SimFs {
         let opctx = self.op_ctx(ctx, 0, 0, h.shared, CacheState::Miss);
         self.inner.stats.closes.fetch_add(1, Ordering::Relaxed);
         Ok(self.timed(ctx, 0, |fs| fs.inner.model.meta_op(MetaKind::Close, &opctx)))
-    }
-
-    /// Removes a file from the namespace.
-    pub fn unlink(&self, path: &str) -> FsResult<()> {
-        self.inner.store.unlink(path)
     }
 }
 

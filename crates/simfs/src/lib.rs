@@ -29,15 +29,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ctx;
-pub mod error;
-pub mod fs;
+mod ctx;
+mod error;
+mod fs;
 pub mod lustre;
 pub mod model;
 pub mod nfs;
 pub mod stats;
-pub mod vfs;
-pub mod weather;
+mod vfs;
+mod weather;
 
 pub use ctx::IoCtx;
 pub use error::{FsError, FsResult};

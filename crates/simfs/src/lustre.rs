@@ -82,11 +82,6 @@ impl LustreModel {
         Self { params }
     }
 
-    /// Access to the parameters (used by calibration tooling).
-    pub fn params(&self) -> &LustreParams {
-        &self.params
-    }
-
     /// Effective per-client bandwidth: the client's share of the OSTs
     /// its file stripes over, capped by its link.
     fn shared_bw(&self, clients: u32) -> f64 {

@@ -13,7 +13,7 @@ pub enum FsKind {
 
 impl FsKind {
     /// Display name as used in the paper's tables.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FsKind::Nfs => "NFS",
             FsKind::Lustre => "Lustre",
@@ -86,7 +86,8 @@ pub struct OpCtx {
 impl OpCtx {
     /// A neutral context used by unit tests: one client, calm weather,
     /// no jitter, aligned access to an unshared file.
-    pub fn neutral() -> Self {
+    #[cfg(test)]
+    pub(crate) fn neutral() -> Self {
         Self {
             active_clients: 1,
             load_factor: 1.0,

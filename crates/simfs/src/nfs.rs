@@ -78,11 +78,6 @@ impl NfsModel {
         Self { params }
     }
 
-    /// Access to the parameters (used by calibration tooling).
-    pub fn params(&self) -> &NfsParams {
-        &self.params
-    }
-
     fn shared_bw(&self, kind: XferKind, clients: u32) -> f64 {
         let server = match kind {
             XferKind::Read => self.params.server_read_bw,

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Cumulative operation and byte counters, updated lock-free by all
 /// rank threads.
 #[derive(Debug, Default)]
-pub struct FsStats {
+pub(crate) struct FsStats {
     /// Number of open operations.
     pub opens: AtomicU64,
     /// Number of close operations.
@@ -43,7 +43,7 @@ pub struct FsStatsSnapshot {
 
 impl FsStats {
     /// Takes a consistent-enough snapshot (counters are independent).
-    pub fn snapshot(&self) -> FsStatsSnapshot {
+    pub(crate) fn snapshot(&self) -> FsStatsSnapshot {
         FsStatsSnapshot {
             opens: self.opens.load(Ordering::Relaxed),
             closes: self.closes.load(Ordering::Relaxed),
@@ -53,13 +53,6 @@ impl FsStats {
             bytes_read: self.bytes_read.load(Ordering::Relaxed),
             bytes_written: self.bytes_written.load(Ordering::Relaxed),
         }
-    }
-}
-
-impl FsStatsSnapshot {
-    /// Total operation count across all classes.
-    pub fn total_ops(&self) -> u64 {
-        self.opens + self.closes + self.reads + self.writes + self.flushes
     }
 }
 
@@ -75,6 +68,9 @@ mod tests {
         let snap = s.snapshot();
         assert_eq!(snap.reads, 3);
         assert_eq!(snap.bytes_read, 4096);
-        assert_eq!(snap.total_ops(), 3);
+        assert_eq!(
+            snap.opens + snap.closes + snap.reads + snap.writes + snap.flushes,
+            3
+        );
     }
 }

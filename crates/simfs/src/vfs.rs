@@ -13,11 +13,11 @@ use std::sync::Arc;
 
 /// Stable identifier of a file within one store instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FileId(pub u64);
+pub(crate) struct FileId(pub u64);
 
 /// Metadata for one file.
 #[derive(Debug, Default)]
-pub struct FileMeta {
+pub(crate) struct FileMeta {
     /// Current size in bytes (highest written offset + length).
     pub size: AtomicU64,
     /// Number of times the file has been opened over its lifetime.
@@ -26,7 +26,7 @@ pub struct FileMeta {
 
 /// The shared namespace: path → id → metadata.
 #[derive(Debug, Default)]
-pub struct FileStore {
+pub(crate) struct FileStore {
     by_path: RwLock<HashMap<String, FileId>>,
     metas: RwLock<HashMap<FileId, Arc<FileMeta>>>,
     next_id: AtomicU64,
@@ -34,12 +34,12 @@ pub struct FileStore {
 
 impl FileStore {
     /// Creates an empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Looks up a file, creating it when `create` is set.
-    pub fn open(&self, path: &str, create: bool) -> FsResult<(FileId, Arc<FileMeta>)> {
+    pub(crate) fn open(&self, path: &str, create: bool) -> FsResult<(FileId, Arc<FileMeta>)> {
         if let Some(&fid) = self.by_path.read().get(path) {
             let meta = self.metas.read()[&fid].clone();
             meta.open_count.fetch_add(1, Ordering::Relaxed);
@@ -65,7 +65,7 @@ impl FileStore {
     }
 
     /// Returns a file's current size, or an error if it does not exist.
-    pub fn size_of(&self, path: &str) -> FsResult<u64> {
+    pub(crate) fn size_of(&self, path: &str) -> FsResult<u64> {
         let by_path = self.by_path.read();
         let fid = by_path
             .get(path)
@@ -73,19 +73,24 @@ impl FileStore {
         Ok(self.metas.read()[fid].size.load(Ordering::Relaxed))
     }
 
-    /// True when the path exists.
-    pub fn exists(&self, path: &str) -> bool {
-        self.by_path.read().contains_key(path)
+    /// Grows `meta` to cover a write of `len` bytes at `offset`.
+    pub(crate) fn extend(meta: &FileMeta, offset: u64, len: u64) {
+        let end = offset.saturating_add(len);
+        meta.size.fetch_max(end, Ordering::Relaxed);
     }
+}
 
-    /// Number of files in the namespace.
-    pub fn file_count(&self) -> usize {
-        self.by_path.read().len()
+/// Namespace operations only the unit tests use.
+#[cfg(test)]
+impl FileStore {
+    /// True when the path exists.
+    pub(crate) fn exists(&self, path: &str) -> bool {
+        self.by_path.read().contains_key(path)
     }
 
     /// Removes a file from the namespace (unlink). Open handles keep
     /// their metadata alive through the `Arc`.
-    pub fn unlink(&self, path: &str) -> FsResult<()> {
+    pub(crate) fn unlink(&self, path: &str) -> FsResult<()> {
         let fid = self
             .by_path
             .write()
@@ -93,12 +98,6 @@ impl FileStore {
             .ok_or_else(|| FsError::NotFound(path.to_string()))?;
         self.metas.write().remove(&fid);
         Ok(())
-    }
-
-    /// Grows `meta` to cover a write of `len` bytes at `offset`.
-    pub fn extend(meta: &FileMeta, offset: u64, len: u64) {
-        let end = offset.saturating_add(len);
-        meta.size.fetch_max(end, Ordering::Relaxed);
     }
 }
 
@@ -156,6 +155,6 @@ mod tests {
         }
         let ids: Vec<FileId> = handles.into_iter().map(|h| h.join().unwrap()).collect();
         assert!(ids.windows(2).all(|w| w[0] == w[1]));
-        assert_eq!(store.file_count(), 1);
+        assert_eq!(store.by_path.read().len(), 1);
     }
 }

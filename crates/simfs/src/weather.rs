@@ -31,7 +31,8 @@ pub struct CongestionWindow {
 
 impl CongestionWindow {
     /// A pure-slowdown window.
-    pub fn slowdown(start: Epoch, end: Epoch, factor: f64) -> Self {
+    #[cfg(test)]
+    pub(crate) fn slowdown(start: Epoch, end: Epoch, factor: f64) -> Self {
         Self {
             start,
             end,
@@ -51,7 +52,7 @@ impl CongestionWindow {
     }
 
     /// True when `t` falls inside the window.
-    pub fn contains(&self, t: Epoch) -> bool {
+    pub(crate) fn contains(&self, t: Epoch) -> bool {
         t >= self.start && t < self.end
     }
 }
@@ -136,19 +137,14 @@ impl Weather {
         self
     }
 
-    /// Registered congestion windows.
-    pub fn windows(&self) -> &[CongestionWindow] {
-        &self.windows
-    }
-
     /// True when any active window at `t` defeats the client caches.
-    pub fn caches_dropped_at(&self, t: Epoch) -> bool {
+    pub(crate) fn caches_dropped_at(&self, t: Epoch) -> bool {
         self.windows.iter().any(|w| w.drops_caches && w.contains(t))
     }
 
     /// The slowdown factor at absolute time `t` (≥ some small positive
     /// floor; multiplies every modelled duration).
-    pub fn factor_at(&self, t: Epoch) -> f64 {
+    pub(crate) fn factor_at(&self, t: Epoch) -> f64 {
         let diurnal = 1.0
             + self.params.diurnal_amplitude
                 * (TAU * (t.seconds_of_day() - self.params.diurnal_phase_s) / 86_400.0).sin();

@@ -54,7 +54,7 @@ pub struct Communicator {
 impl Communicator {
     /// Creates the rank-0 handle of a new communicator of `size` ranks
     /// over the given interconnect.
-    pub fn new(size: u32, interconnect: Interconnect) -> Self {
+    pub(crate) fn new(size: u32, interconnect: Interconnect) -> Self {
         assert!(size > 0, "communicator needs at least one rank");
         let shared = Arc::new(Shared {
             state: Mutex::new(ExchangeState {
@@ -76,7 +76,7 @@ impl Communicator {
 
     /// Returns the handle for a specific rank (used when spawning rank
     /// threads).
-    pub fn for_rank(&self, rank: u32) -> Self {
+    pub(crate) fn for_rank(&self, rank: u32) -> Self {
         assert!(rank < self.shared.size, "rank out of range");
         Self {
             shared: self.shared.clone(),
@@ -85,24 +85,24 @@ impl Communicator {
     }
 
     /// This handle's rank.
-    pub fn rank(&self) -> u32 {
+    pub(crate) fn rank(&self) -> u32 {
         self.rank
     }
 
     /// Number of ranks in the communicator.
-    pub fn size(&self) -> u32 {
+    pub(crate) fn size(&self) -> u32 {
         self.shared.size
     }
 
     /// The interconnect model.
-    pub fn interconnect(&self) -> &Interconnect {
+    pub(crate) fn interconnect(&self) -> &Interconnect {
         &self.shared.interconnect
     }
 
     /// Marks the communicator as dead (`MPI_Abort` analogue): every
     /// rank blocked in — or later entering — a collective panics
     /// instead of waiting for a participant that will never arrive.
-    pub fn poison(&self) {
+    pub(crate) fn poison(&self) {
         let mut st = self.shared.state.lock();
         st.poisoned = true;
         self.shared.cv.notify_all();
@@ -182,7 +182,11 @@ impl Communicator {
     /// All-gather of a fixed-size byte payload. Returns every rank's
     /// payload in rank order; clocks synchronize as in a barrier and
     /// pay for moving the gathered bytes.
-    pub fn allgather(&self, clock: &mut iosim_time::Clock, payload: Vec<u8>) -> Vec<Vec<u8>> {
+    pub(crate) fn allgather(
+        &self,
+        clock: &mut iosim_time::Clock,
+        payload: Vec<u8>,
+    ) -> Vec<Vec<u8>> {
         let bytes_moved = payload.len() as u64 * u64::from(self.size());
         let (all, synced) = self.exchange(clock.now(), payload);
         clock.advance_to(synced);
@@ -193,9 +197,19 @@ impl Communicator {
         );
         all
     }
+}
 
+/// Collectives the workloads do not call, kept for the tests that
+/// drive `allgather` through them.
+#[cfg(test)]
+impl Communicator {
     /// Broadcast from `root`: every rank receives root's payload.
-    pub fn bcast(&self, clock: &mut iosim_time::Clock, root: u32, payload: Vec<u8>) -> Vec<u8> {
+    pub(crate) fn bcast(
+        &self,
+        clock: &mut iosim_time::Clock,
+        root: u32,
+        payload: Vec<u8>,
+    ) -> Vec<u8> {
         let to_send = if self.rank == root {
             payload
         } else {
@@ -206,7 +220,7 @@ impl Communicator {
     }
 
     /// All-reduce of a `u64` with the given associative operation.
-    pub fn allreduce_u64(
+    pub(crate) fn allreduce_u64(
         &self,
         clock: &mut iosim_time::Clock,
         value: u64,
@@ -220,7 +234,7 @@ impl Communicator {
     }
 
     /// All-reduce max of an `f64` (used to compute job elapsed time).
-    pub fn allreduce_max_f64(&self, clock: &mut iosim_time::Clock, value: f64) -> f64 {
+    pub(crate) fn allreduce_max_f64(&self, clock: &mut iosim_time::Clock, value: f64) -> f64 {
         let all = self.allgather(clock, value.to_le_bytes().to_vec());
         all.into_iter()
             .map(|b| f64::from_le_bytes(b.try_into().expect("8-byte payload")))
@@ -249,18 +263,16 @@ mod tests {
     {
         let comm0 = Communicator::new(n, Interconnect::default());
         let mut out: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
-            let mut handles = Vec::new();
+        std::thread::scope(|s| {
             for (rank, slot) in out.iter_mut().enumerate() {
                 let comm = comm0.for_rank(rank as u32);
                 let f = &f;
-                handles.push(s.spawn(move |_| {
+                s.spawn(move || {
                     let clock = Clock::new(iosim_time::Epoch::from_secs(1000));
                     *slot = Some(f(comm, clock));
-                }));
+                });
             }
-        })
-        .unwrap();
+        });
         out.into_iter().map(Option::unwrap).collect()
     }
 

@@ -25,19 +25,20 @@ impl Default for Interconnect {
 impl Interconnect {
     /// Latency of a dissemination-style collective over `ranks`
     /// participants: `latency × ⌈log2 ranks⌉`.
-    pub fn collective_latency(&self, ranks: u32) -> SimDuration {
+    pub(crate) fn collective_latency(&self, ranks: u32) -> SimDuration {
         let rounds = 32 - ranks.max(1).leading_zeros();
         SimDuration::from_secs_f64(self.latency_s * f64::from(rounds.max(1)))
     }
 
     /// Time for a collective that moves `bytes` through each
     /// participant's injection port, plus the dissemination latency.
-    pub fn collective_transfer(&self, ranks: u32, bytes: u64) -> SimDuration {
+    pub(crate) fn collective_transfer(&self, ranks: u32, bytes: u64) -> SimDuration {
         self.collective_latency(ranks) + SimDuration::from_secs_f64(bytes as f64 / self.node_bw)
     }
 
     /// Point-to-point transfer of `bytes`.
-    pub fn p2p(&self, bytes: u64) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn p2p(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(self.latency_s + bytes as f64 / self.node_bw)
     }
 }

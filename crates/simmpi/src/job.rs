@@ -41,12 +41,13 @@ impl Default for JobParams {
 
 impl JobParams {
     /// Number of nodes this job occupies.
-    pub fn nodes(&self) -> u32 {
+    #[cfg(test)]
+    pub(crate) fn nodes(&self) -> u32 {
         self.ranks.div_ceil(self.ranks_per_node.max(1))
     }
 
     /// The node index a rank is placed on.
-    pub fn node_of(&self, rank: u32) -> u32 {
+    pub(crate) fn node_of(&self, rank: u32) -> u32 {
         self.first_node + rank / self.ranks_per_node.max(1)
     }
 }
@@ -95,12 +96,12 @@ impl Job {
         assert!(params.ranks > 0, "job needs at least one rank");
         let comm0 = Communicator::new(params.ranks, params.interconnect);
         let mut slots: Vec<Option<(SimDuration, R)>> = (0..params.ranks).map(|_| None).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (rank, slot) in slots.iter_mut().enumerate() {
                 let rank = rank as u32;
                 let comm = comm0.for_rank(rank);
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let io = IoCtx::new(params.seed, rank, params.node_of(rank), params.epoch_base)
                         .with_jitter(params.jitter);
                     let mut ctx = RankCtx { io, comm };
@@ -120,8 +121,7 @@ impl Job {
                     }
                 });
             }
-        })
-        .expect("rank thread panicked");
+        });
         let mut rank_elapsed = Vec::with_capacity(slots.len());
         let mut results = Vec::with_capacity(slots.len());
         for s in slots {

@@ -20,10 +20,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod comm;
-pub mod interconnect;
-pub mod job;
-pub mod mpiio;
+mod comm;
+mod interconnect;
+mod job;
+mod mpiio;
 
 pub use comm::Communicator;
 pub use interconnect::Interconnect;

@@ -168,16 +168,6 @@ impl<P: PosixLayer> MpiFile<P> {
         Ok(Self { handle, hints })
     }
 
-    /// The hints in force.
-    pub fn hints(&self) -> CollectiveHints {
-        self.hints
-    }
-
-    /// Direct access to the underlying POSIX handle.
-    pub fn posix_handle(&mut self) -> &mut P::Handle {
-        &mut self.handle
-    }
-
     /// Independent write at an explicit offset.
     pub fn write_at(
         &mut self,

@@ -55,14 +55,10 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Saturating subtraction.
-    pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(rhs.0))
-    }
-
     /// Checked scaling by a non-negative float (used for weather
     /// factors); NaN or negative factors clamp to zero.
-    pub fn scale(self, factor: f64) -> SimDuration {
+    #[cfg(test)]
+    pub(crate) fn scale(self, factor: f64) -> SimDuration {
         if factor.is_finite() && factor > 0.0 {
             SimDuration((self.0 as f64 * factor).round() as u64)
         } else {

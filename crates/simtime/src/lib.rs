@@ -20,9 +20,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod clock;
-pub mod duration;
-pub mod epoch;
+mod clock;
+mod duration;
+mod epoch;
 
 pub use clock::{Clock, TimePair};
 pub use duration::SimDuration;

@@ -43,7 +43,7 @@ impl AnomalyClass {
 
     /// The detection kind a correct detector reports for this class
     /// (`None` for the calm control — any detection is a false alarm).
-    pub fn expected_kind(self) -> Option<AnomalyKind> {
+    pub(crate) fn expected_kind(self) -> Option<AnomalyKind> {
         match self {
             AnomalyClass::StragglerRank => Some(AnomalyKind::StragglerRank),
             AnomalyClass::CongestionRamp => Some(AnomalyKind::DurationOutlier),
@@ -119,21 +119,21 @@ impl Default for ScenarioConfig {
 impl ScenarioConfig {
     /// Sets the seed.
     #[must_use]
-    pub fn with_seed(mut self, seed: u64) -> Self {
+    pub(crate) fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
         self
     }
 
     /// Sets the job id.
     #[must_use]
-    pub fn with_job_id(mut self, job_id: u64) -> Self {
+    pub(crate) fn with_job_id(mut self, job_id: u64) -> Self {
         self.job_id = job_id;
         self
     }
 
     /// End of the workload (start of the instant after the last
     /// window).
-    pub fn t_end(&self) -> f64 {
+    pub(crate) fn t_end(&self) -> f64 {
         self.t0 + (self.write_windows + self.read_windows) as f64 * self.window_s
     }
 }

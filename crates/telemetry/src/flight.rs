@@ -35,7 +35,6 @@ impl FlightEvent {
 pub struct FlightRecorder {
     cap: usize,
     events: Mutex<VecDeque<FlightEvent>>,
-    total: std::sync::atomic::AtomicU64,
 }
 
 /// Default ring capacity — enough to cover the fault window a chaos
@@ -50,11 +49,10 @@ impl Default for FlightRecorder {
 
 impl FlightRecorder {
     /// New recorder holding the most recent `cap` events.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
             cap: cap.max(1),
             events: Mutex::new(VecDeque::new()),
-            total: std::sync::atomic::AtomicU64::new(0),
         }
     }
 
@@ -65,29 +63,11 @@ impl FlightRecorder {
             events.pop_front();
         }
         events.push_back(FlightEvent { at, what });
-        self.total
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Events currently in the ring, oldest first.
     pub fn snapshot(&self) -> Vec<FlightEvent> {
         self.events.lock().iter().cloned().collect()
-    }
-
-    /// Events recorded over the recorder's lifetime (including
-    /// evicted ones).
-    pub fn total(&self) -> u64 {
-        self.total.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Number of events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// True when nothing has been recorded (or everything evicted).
-    pub fn is_empty(&self) -> bool {
-        self.events.lock().is_empty()
     }
 }
 
@@ -141,8 +121,6 @@ mod tests {
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].what, "event 2");
         assert_eq!(snap[2].what, "event 4");
-        assert_eq!(fr.total(), 5);
-        assert!(!fr.is_empty());
     }
 
     #[test]

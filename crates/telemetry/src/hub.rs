@@ -4,7 +4,7 @@
 //! is still in flight — periodic metric snapshots at a configurable
 //! virtual-time cadence, per-daemon health transitions, overload-ladder
 //! changes, crash/failover/rebuild faults, and online-detector findings.
-//! The hub fans each event out to bounded per-subscriber queues, folds
+//! The hub appends each event to a bounded retained log, folds
 //! numeric series into a multi-resolution downsampling timeline ring,
 //! and routes alert-worthy events through a deduplicating,
 //! flap-suppressing alert router.
@@ -198,7 +198,7 @@ pub enum HubEventKind {
 
 impl HubEventKind {
     /// Stable event-class label for exports.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             HubEventKind::MetricSnapshot { .. } => "snapshot",
             HubEventKind::Health { .. } => "health",
@@ -229,7 +229,7 @@ impl HubEvent {
     }
 
     /// One CSV row: `vtime_s,source,seq,class,detail`.
-    pub fn csv_row(&self) -> String {
+    pub(crate) fn csv_row(&self) -> String {
         let detail = match &self.kind {
             HubEventKind::MetricSnapshot {
                 series,
@@ -271,9 +271,6 @@ pub struct HubConfig {
     /// Metric-snapshot cadence in virtual seconds (0 disables periodic
     /// snapshots).
     pub snapshot_every_s: u64,
-    /// Per-subscriber queue bound; overflow drops the newest event and
-    /// counts it.
-    pub queue_cap: usize,
     /// Retained-event-log bound (the `iowatch`/`pipestat` export
     /// source); overflow drops the oldest.
     pub log_cap: usize,
@@ -292,7 +289,6 @@ impl Default for HubConfig {
     fn default() -> Self {
         Self {
             snapshot_every_s: 10,
-            queue_cap: 4096,
             log_cap: 65_536,
             ring_slots: 256,
             dedup_window_s: 30,
@@ -316,41 +312,6 @@ pub struct Alert {
     pub key: String,
     /// Human-readable message.
     pub message: String,
-}
-
-/// One subscriber's bounded queue. Dropped-event counts are visible so
-/// consumers can tell a quiet run from an overflowing one.
-#[derive(Debug)]
-pub struct HubSubscription {
-    inner: Arc<SubQueue>,
-}
-
-#[derive(Debug)]
-struct SubQueue {
-    cap: usize,
-    state: Mutex<SubState>,
-}
-
-#[derive(Debug, Default)]
-struct SubState {
-    events: Vec<HubEvent>,
-    dropped: u64,
-}
-
-impl HubSubscription {
-    /// Takes everything queued so far, sorted by `(vtime, source,
-    /// seq)`, leaving the queue empty.
-    pub fn drain(&self) -> Vec<HubEvent> {
-        let mut st = self.inner.state.lock();
-        let mut out = std::mem::take(&mut st.events);
-        out.sort_by(|a, b| a.key().cmp(&b.key()));
-        out
-    }
-
-    /// Events dropped on this queue because it was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.state.lock().dropped
-    }
 }
 
 /// One downsampling resolution level of the timeline ring.
@@ -457,7 +418,6 @@ struct RouterState {
 #[derive(Debug)]
 struct HubState {
     seq: BTreeMap<String, u64>,
-    subs: Vec<Arc<SubQueue>>,
     log: Vec<HubEvent>,
     log_dropped: u64,
     ring: TimelineRing,
@@ -482,7 +442,6 @@ impl DiagHub {
             cfg,
             state: Mutex::new(HubState {
                 seq: BTreeMap::new(),
-                subs: Vec::new(),
                 log: Vec::new(),
                 log_dropped: 0,
                 ring: TimelineRing::new(cfg.snapshot_every_s, cfg.ring_slots.max(1)),
@@ -493,24 +452,8 @@ impl DiagHub {
         })
     }
 
-    /// The hub policy.
-    pub fn config(&self) -> HubConfig {
-        self.cfg
-    }
-
-    /// Registers a new bounded subscriber queue. Events published
-    /// before subscription are not replayed.
-    pub fn subscribe(&self) -> HubSubscription {
-        let q = Arc::new(SubQueue {
-            cap: self.cfg.queue_cap.max(1),
-            state: Mutex::new(SubState::default()),
-        });
-        self.state.lock().subs.push(q.clone());
-        HubSubscription { inner: q }
-    }
-
     /// Publishes one event: assigns the per-source sequence number,
-    /// appends to the retained log, fans out to subscriber queues, and
+    /// appends to the retained log, and
     /// routes alert-worthy payloads.
     pub fn publish(&self, source: &str, vtime: Epoch, kind: HubEventKind) {
         let mut st = self.state.lock();
@@ -530,14 +473,6 @@ impl DiagHub {
         if let Some(alert) = alert_for(&ev) {
             route(&mut st.router, self.cfg, alert);
         }
-        for q in &st.subs {
-            let mut sub = q.state.lock();
-            if sub.events.len() >= q.cap {
-                sub.dropped += 1;
-            } else {
-                sub.events.push(ev.clone());
-            }
-        }
         if st.log.len() >= self.cfg.log_cap.max(1) {
             st.log.remove(0);
             st.log_dropped += 1;
@@ -551,7 +486,7 @@ impl DiagHub {
     /// the timeline ring and publishes one `MetricSnapshot` event at
     /// the boundary instant. Idempotent within a boundary, so any
     /// number of call sites may drive it.
-    pub fn advance(&self, now: Epoch, registry: &MetricRegistry) {
+    pub(crate) fn advance(&self, now: Epoch, registry: &MetricRegistry) {
         if self.cfg.snapshot_every_s == 0 {
             return;
         }
@@ -768,7 +703,6 @@ fn route(router: &mut RouterState, cfg: HubConfig, alert: Alert) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::MetricRegistry;
 
     fn health(from: HealthState, to: HealthState) -> HubEventKind {
         HubEventKind::Health {
@@ -781,7 +715,6 @@ mod tests {
     #[test]
     fn events_order_by_vtime_source_seq() {
         let hub = DiagHub::new(HubConfig::default());
-        let sub = hub.subscribe();
         let t = Epoch::from_secs(100);
         hub.publish("b", t, health(HealthState::Healthy, HealthState::Degraded));
         hub.publish("a", t, health(HealthState::Healthy, HealthState::Down));
@@ -790,32 +723,12 @@ mod tests {
             Epoch::from_secs(90),
             health(HealthState::Down, HealthState::Healthy),
         );
-        let drained = sub.drain();
-        let keys: Vec<(u64, &str, u64)> = drained
+        let events = hub.events();
+        let keys: Vec<(u64, &str, u64)> = events
             .iter()
             .map(|e| (e.vtime.as_nanos() / 1_000_000_000, e.source.as_str(), e.seq))
             .collect();
         assert_eq!(keys, vec![(90, "a", 1), (100, "a", 0), (100, "b", 0)]);
-        assert!(sub.drain().is_empty(), "drain consumes");
-    }
-
-    #[test]
-    fn subscriber_queue_is_bounded() {
-        let hub = DiagHub::new(HubConfig {
-            queue_cap: 2,
-            ..HubConfig::default()
-        });
-        let sub = hub.subscribe();
-        for i in 0..5 {
-            hub.publish(
-                "d",
-                Epoch::from_secs(i),
-                health(HealthState::Healthy, HealthState::Degraded),
-            );
-        }
-        assert_eq!(sub.drain().len(), 2);
-        assert_eq!(sub.dropped(), 3);
-        assert_eq!(hub.published(), 5);
     }
 
     #[test]

@@ -26,15 +26,15 @@
 
 #![forbid(unsafe_code)]
 
-pub mod flight;
-pub mod hub;
-pub mod metrics;
-pub mod trace;
+mod flight;
+mod hub;
+mod metrics;
+mod trace;
 
 pub use flight::{CrashDump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
 pub use hub::{
     Alert, AlertSeverity, DetectionRecord, DiagHub, FaultKind, HealthState, HubConfig, HubEvent,
-    HubEventKind, HubSubscription, TimelineRow,
+    HubEventKind, TimelineRow,
 };
 pub use metrics::{
     bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Metric,
@@ -49,7 +49,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Number of distinct [`HopKind`]s (the length of per-hop arrays).
-pub const HOP_KINDS: usize = HopKind::ALL.len();
+pub(crate) const HOP_KINDS: usize = HopKind::ALL.len();
 
 /// How a pipeline's telemetry behaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,11 +129,6 @@ impl Telemetry {
         })
     }
 
-    /// The behavior this hub was built with.
-    pub fn config(&self) -> TelemetryConfig {
-        self.config
-    }
-
     /// The live diagnosis hub, when enabled via
     /// [`TelemetryConfig::hub`].
     pub fn diag(&self) -> Option<&Arc<DiagHub>> {
@@ -196,15 +191,6 @@ impl Telemetry {
             .entry(daemon.to_string())
             .or_insert_with(|| Arc::new(FlightRecorder::new(self.config.flight_capacity)))
             .clone()
-    }
-
-    /// Every daemon's flight recorder, in name order.
-    pub fn flights(&self) -> Vec<(String, Arc<FlightRecorder>)> {
-        self.flights
-            .lock()
-            .iter()
-            .map(|(n, f)| (n.clone(), f.clone()))
-            .collect()
     }
 
     /// Folds the span log into per-run latency histograms: end-to-end
@@ -378,7 +364,7 @@ impl LatencySummary {
     }
 
     /// Writes the summary as a JSON object.
-    pub fn write_json(&self, w: &mut JsonWriter) {
+    pub(crate) fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
         w.field_uint("traces", self.traces);
         w.field_uint("spans", self.spans);
@@ -545,9 +531,9 @@ mod tests {
         let a = tel.flight("l1");
         let b = tel.flight("l1");
         a.note(Epoch::from_secs(100), "park".to_string());
-        assert_eq!(b.len(), 1, "same daemon shares one ring");
+        assert_eq!(b.snapshot().len(), 1, "same daemon shares one ring");
         let _ = tel.flight("l2");
-        let names: Vec<String> = tel.flights().into_iter().map(|(n, _)| n).collect();
+        let names: Vec<String> = tel.flights.lock().keys().cloned().collect();
         assert_eq!(names, vec!["l1", "l2"]);
     }
 }

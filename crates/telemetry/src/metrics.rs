@@ -37,7 +37,7 @@ impl Counter {
 }
 
 /// A point-in-time level that can move both ways (queue depth,
-/// in-flight frames). Non-negative by construction.
+/// in-flight frames).
 #[derive(Debug, Default)]
 pub struct Gauge {
     v: AtomicU64,
@@ -47,20 +47,6 @@ impl Gauge {
     /// Sets the level outright.
     pub fn set(&self, v: u64) {
         self.v.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the level by `n`.
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Lowers the level by `n`, saturating at zero.
-    pub fn sub(&self, n: u64) {
-        let _ = self
-            .v
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
-                Some(cur.saturating_sub(n))
-            });
     }
 
     /// Current level.
@@ -123,7 +109,7 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 impl Histogram {
     /// New, empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -140,17 +126,17 @@ impl Histogram {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count.load(Ordering::Relaxed)
     }
 
     /// Sum of observations (saturating).
-    pub fn sum(&self) -> u64 {
+    pub(crate) fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
     }
 
     /// Exact observed maximum.
-    pub fn max(&self) -> u64 {
+    pub(crate) fn max(&self) -> u64 {
         self.max.load(Ordering::Relaxed)
     }
 
@@ -158,7 +144,7 @@ impl Histogram {
     /// holding the `ceil(q * count)`-th observation, clamped to the
     /// observed maximum. Returns 0 for an empty histogram; `q` is
     /// clamped to `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -188,7 +174,7 @@ impl Histogram {
 
     /// Non-empty buckets as `(inclusive upper bound, count)`, in
     /// ascending bound order — the exposition format's `le` series.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
         self.buckets
             .iter()
             .enumerate()
@@ -240,7 +226,7 @@ pub enum Metric {
 
 impl Metric {
     /// The exposition type keyword.
-    pub fn kind(&self) -> &'static str {
+    pub(crate) fn kind(&self) -> &'static str {
         match self {
             Metric::Counter(_) => "counter",
             Metric::Gauge(_) => "gauge",
@@ -261,7 +247,7 @@ pub struct MetricRegistry {
 
 impl MetricRegistry {
     /// New, empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -342,11 +328,7 @@ mod tests {
 
         let g = Gauge::default();
         g.set(10);
-        g.add(3);
-        g.sub(5);
-        assert_eq!(g.get(), 8);
-        g.sub(100);
-        assert_eq!(g.get(), 0, "gauge saturates at zero");
+        assert_eq!(g.get(), 10);
     }
 
     #[test]

@@ -60,7 +60,7 @@ impl HopKind {
     }
 
     /// Dense index into per-hop arrays.
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         match self {
             HopKind::Publish => 0,
             HopKind::Forward => 1,
@@ -107,7 +107,7 @@ pub struct SpanLog {
 
 impl SpanLog {
     /// New log holding at most `cap` spans.
-    pub fn new(cap: usize) -> Self {
+    pub(crate) fn new(cap: usize) -> Self {
         Self {
             cap,
             spans: Mutex::new(Vec::new()),
@@ -116,7 +116,7 @@ impl SpanLog {
     }
 
     /// Appends a span, or counts it as dropped if the log is full.
-    pub fn record(&self, span: SpanRecord) {
+    pub(crate) fn record(&self, span: SpanRecord) {
         let mut spans = self.spans.lock();
         if spans.len() < self.cap {
             spans.push(span);
@@ -125,23 +125,13 @@ impl SpanLog {
         }
     }
 
-    /// Number of stored spans.
-    pub fn len(&self) -> usize {
-        self.spans.lock().len()
-    }
-
-    /// True when no span has been stored.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Spans dropped after the cap was reached.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
     /// Every stored span, in record order.
-    pub fn spans(&self) -> Vec<SpanRecord> {
+    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
         self.spans.lock().clone()
     }
 
@@ -156,7 +146,7 @@ impl SpanLog {
     }
 
     /// Number of distinct trace ids seen.
-    pub fn trace_count(&self) -> usize {
+    pub(crate) fn trace_count(&self) -> usize {
         let spans = self.spans.lock();
         let mut ids: Vec<u64> = spans.iter().map(|s| s.trace).collect();
         ids.sort_unstable();
@@ -199,7 +189,7 @@ mod tests {
         log.record(span(1, HopKind::Publish));
         log.record(span(1, HopKind::Forward));
         log.record(span(2, HopKind::Publish));
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.spans().len(), 2);
         assert_eq!(log.dropped(), 1);
         assert_eq!(log.spans_of(1).len(), 2);
         assert_eq!(log.trace_count(), 1);

@@ -6,7 +6,7 @@
 //! RFC 4180.
 
 /// Escapes one field for CSV output.
-pub fn escape_field(field: &str) -> String {
+pub(crate) fn escape_field(field: &str) -> String {
     if field.contains(',') || field.contains('"') || field.contains('\n') || field.contains('\r') {
         let mut out = String::with_capacity(field.len() + 2);
         out.push('"');

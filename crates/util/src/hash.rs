@@ -9,7 +9,7 @@
 /// 64-bit FNV-1a offset basis.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// 64-bit FNV-1a prime.
-pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+pub(crate) const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Hashes a byte slice with 64-bit FNV-1a.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {

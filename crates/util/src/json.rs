@@ -267,7 +267,7 @@ impl JsonWriter {
 
     /// Writes an integer, counting the converted digits (the `sprintf`
     /// analogue the cost model charges for).
-    pub fn int(&mut self, v: i64) {
+    pub(crate) fn int(&mut self, v: i64) {
         if v < 0 {
             self.buf.push('-');
             self.formatted_digits += 1;
@@ -277,7 +277,7 @@ impl JsonWriter {
 
     /// Writes an unsigned integer, counting the converted digits.
     /// Needed for Darshan record ids, whose high bit is often set.
-    pub fn uint(&mut self, mut v: u64) {
+    pub(crate) fn uint(&mut self, mut v: u64) {
         // `u64::MAX` has 20 digits.
         let mut digits = [0u8; 20];
         let mut start = digits.len();
@@ -295,7 +295,7 @@ impl JsonWriter {
     }
 
     /// Writes a float, counting the converted digits.
-    pub fn float(&mut self, v: f64) {
+    pub(crate) fn float(&mut self, v: f64) {
         use fmt::Write as _;
         let before = self.buf.len();
         if v.is_finite() {

@@ -61,7 +61,7 @@ impl Summary {
 /// Two-sided 95% critical value of Student's t for `dof` degrees of
 /// freedom. Table values for small dof (the harness uses 4), with the
 /// normal approximation beyond the table.
-pub fn t_critical_95(dof: usize) -> f64 {
+pub(crate) fn t_critical_95(dof: usize) -> f64 {
     const TABLE: [f64; 30] = [
         12.706, 4.303, 3.182, 2.776, 2.571, 2.447, 2.365, 2.306, 2.262, 2.228, 2.201, 2.179, 2.160,
         2.145, 2.131, 2.120, 2.110, 2.101, 2.093, 2.086, 2.080, 2.074, 2.069, 2.064, 2.060, 2.056,
@@ -126,7 +126,7 @@ pub fn mad(sample: &[f64]) -> Option<f64> {
 /// Consistency constant making `1.4826 × MAD` estimate the standard
 /// deviation of normally distributed data, so robust z-scores read on
 /// the familiar sigma scale.
-pub const MAD_SIGMA: f64 = 1.4826;
+pub(crate) const MAD_SIGMA: f64 = 1.4826;
 
 /// Robust z-score of `x` against a `(median, mad)` baseline:
 /// `(x - median) / (MAD_SIGMA * mad)`. A degenerate baseline
@@ -257,7 +257,7 @@ impl Histogram {
     }
 
     /// Width of one bin.
-    pub fn bin_width(&self) -> f64 {
+    pub(crate) fn bin_width(&self) -> f64 {
         (self.hi - self.lo) / self.counts.len() as f64
     }
 

@@ -26,16 +26,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when there are no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table with a separator line under the header.
     pub fn render(&self) -> String {
         let ncols = self
@@ -76,7 +66,8 @@ impl TextTable {
     }
 
     /// Renders as CSV (header + rows).
-    pub fn to_csv(&self) -> String {
+    #[cfg(test)]
+    pub(crate) fn to_csv(&self) -> String {
         let mut out = crate::csv::encode_row(&self.header);
         out.push('\n');
         for row in &self.rows {
@@ -111,7 +102,7 @@ mod tests {
     fn pads_short_rows() {
         let mut t = TextTable::new(vec!["a", "b", "c"]);
         t.row(vec!["only-one"]);
-        assert_eq!(t.len(), 1);
+        assert_eq!(t.rows.len(), 1);
         assert!(t.render().contains("only-one"));
     }
 
