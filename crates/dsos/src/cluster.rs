@@ -39,6 +39,7 @@ use crate::store::{ContainerShard, Dsosd, Scan, ShardRead};
 use crate::value::Value;
 use iosim_telemetry::{Counter, DiagHub, FaultKind, Gauge, HealthState, HubEventKind, Telemetry};
 use iosim_time::Epoch;
+use iosim_util::hash::FnvBuildHasher;
 use iosim_util::merge::KWayMerge;
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
@@ -52,8 +53,9 @@ const END_OF_TIME: Epoch = Epoch::from_nanos(u64::MAX);
 /// Per-row replication record.
 #[derive(Debug, Clone, Copy)]
 struct RowMeta {
-    shard: usize,
+    rid: u64,
     write_t: Epoch,
+    shard: u32,
     quorum: bool,
 }
 
@@ -65,16 +67,27 @@ struct ContainerRepl {
     key_attrs: Vec<usize>,
     /// The container's shard on each daemon, by daemon index.
     shards: Vec<Arc<ContainerShard>>,
-    rows: HashMap<u64, RowMeta>,
+    /// Every ingested row, in row-id order: ids are handed out under
+    /// the `repl` write lock, so within a container they only grow and
+    /// a push keeps the order.
+    rows: Vec<RowMeta>,
+    /// `replicas` slots per row, parallel to `rows`: when the row
+    /// arrived (ingest, rebuild or repair instant) on each daemon of
+    /// its shard's replica set, in `ShardMap::replicas_of` order. A
+    /// daemon "holds" a row iff its slot is set; crash replay clears
+    /// slots, restart replay and read repair set them.
+    arrivals: Vec<Option<Epoch>>,
+    replicas: usize,
     acked_per_shard: Vec<u64>,
-    /// Per daemon: row id → arrival instant (ingest or rebuild time).
-    /// A daemon "holds" a row iff its id is here; crash replay removes
-    /// entries, restart replay re-adds them.
-    holders: Vec<HashMap<u64, Epoch>>,
 }
 
 impl ContainerRepl {
-    fn new(schema: Arc<Schema>, shards: Vec<Arc<ContainerShard>>, shard_count: usize) -> Self {
+    fn new(
+        schema: Arc<Schema>,
+        shards: Vec<Arc<ContainerShard>>,
+        shard_count: usize,
+        replicas: usize,
+    ) -> Self {
         let mut key_attrs = Vec::new();
         for name in ["job_id", "job", "rank"] {
             if let Some(i) = schema.attr_id(name) {
@@ -86,20 +99,50 @@ impl ContainerRepl {
         Self {
             schema,
             key_attrs,
-            rows: HashMap::new(),
-            acked_per_shard: vec![0; shard_count],
-            holders: shards.iter().map(|_| HashMap::new()).collect(),
             shards,
+            rows: Vec::new(),
+            arrivals: Vec::new(),
+            replicas,
+            acked_per_shard: vec![0; shard_count],
         }
     }
 
-    /// Row ids at least one daemon holds.
-    fn held_rids(&self) -> HashSet<u64> {
-        let mut held = HashSet::new();
-        for holder in &self.holders {
-            held.extend(holder.keys().copied());
-        }
-        held
+    /// Position in `rows` of a row id.
+    fn find(&self, rid: u64) -> Option<usize> {
+        self.rows.binary_search_by_key(&rid, |meta| meta.rid).ok()
+    }
+
+    /// The daemons of row `i`'s replica set, each with when the row
+    /// arrived there (`None`: that daemon does not hold it).
+    fn copies<'a>(
+        &'a self,
+        map: &'a ShardMap,
+        i: usize,
+    ) -> impl Iterator<Item = (usize, Option<Epoch>)> + 'a {
+        let peers = map.replicas_of(self.rows[i].shard as usize);
+        let held = &self.arrivals[i * self.replicas..][..self.replicas];
+        peers.iter().copied().zip(held.iter().copied())
+    }
+
+    /// Row `i`'s arrival slot on daemon `d`, if `d` hosts its shard.
+    fn slot(&self, map: &ShardMap, i: usize, d: usize) -> Option<usize> {
+        let peers = map.replicas_of(self.rows[i].shard as usize);
+        Some(i * self.replicas + peers.iter().position(|&p| p == d)?)
+    }
+
+    /// Whether daemon `d` holds row `rid`.
+    fn holds(&self, map: &ShardMap, rid: u64, d: usize) -> bool {
+        self.find(rid)
+            .and_then(|i| self.slot(map, i, d))
+            .is_some_and(|slot| self.arrivals[slot].is_some())
+    }
+
+    /// Rows at least one daemon holds.
+    fn held_rows(&self) -> usize {
+        self.arrivals
+            .chunks(self.replicas)
+            .filter(|held| held.iter().any(Option::is_some))
+            .count()
     }
 
     fn shard_hash(&self, obj: &[Value]) -> u64 {
@@ -226,7 +269,10 @@ impl DsosCluster {
         self.repl
             .write()
             .entry(name.to_string())
-            .or_insert_with(|| ContainerRepl::new(schema.clone(), shards, self.map.shard_count()));
+            .or_insert_with(|| {
+                let shard_count = self.map.shard_count();
+                ContainerRepl::new(schema.clone(), shards, shard_count, self.cfg.replicas)
+            });
     }
 
     // ------------------------------------------------------------------
@@ -303,7 +349,11 @@ impl DsosCluster {
                     // Crash-stop: everything that arrived before the
                     // crash instant is volatile and lost.
                     for cr in repl.values_mut() {
-                        cr.holders[*d].retain(|_, arr| *arr >= *at);
+                        for i in 0..cr.rows.len() {
+                            if let Some(slot) = cr.slot(&self.map, i, *d) {
+                                cr.arrivals[slot] = cr.arrivals[slot].filter(|arr| arr >= at);
+                            }
+                        }
                     }
                     if let Some(diag) = &diag {
                         diag.publish(
@@ -389,41 +439,37 @@ impl DsosCluster {
     ) -> u64 {
         let mut rebuilt = 0u64;
         for cr in repl.values_mut() {
-            let mut to_add: Vec<u64> = Vec::new();
-            for (&rid, meta) in &cr.rows {
+            // In row-id order, so the rebuilt shard indexes its copies
+            // in the order they were first ingested.
+            for i in 0..cr.rows.len() {
+                let meta = cr.rows[i];
                 // Only rows that exist by the restart instant: replay
                 // must not hand the returning daemon future writes.
                 if meta.write_t >= at {
                     continue;
                 }
-                let peers = self.map.replicas_of(meta.shard);
-                if !peers.contains(&d) || cr.holders[d].contains_key(&rid) {
+                let Some(slot) = cr.slot(&self.map, i, d) else {
+                    continue;
+                };
+                let source = cr
+                    .copies(&self.map, i)
+                    .any(|(p, held)| p != d && held.is_some() && schedules[p].is_up(at));
+                if cr.arrivals[slot].is_some() || !source {
                     continue;
                 }
-                let source = peers
-                    .iter()
-                    .any(|&p| p != d && schedules[p].is_up(at) && cr.holders[p].contains_key(&rid));
-                if source {
-                    to_add.push(rid);
-                }
-            }
-            let dest = &cr.shards[d];
-            for rid in to_add {
                 // Copy the bytes from any peer that physically has the
                 // row (dedup check: skip if an earlier rebuild already
                 // materialized it on this daemon).
-                if !dest.has_rid(rid) {
-                    let meta = cr.rows[&rid];
-                    let obj = self
-                        .map
-                        .replicas_of(meta.shard)
-                        .iter()
-                        .find_map(|&p| cr.shards[p].fetch_by_rid(rid));
+                let dest = &cr.shards[d];
+                if !dest.has_rid(meta.rid) {
+                    let obj = cr
+                        .copies(&self.map, i)
+                        .find_map(|(p, _)| cr.shards[p].fetch_by_rid(meta.rid));
                     if let Some(obj) = obj {
-                        dest.insert_tagged(rid, obj);
+                        dest.insert_tagged(meta.rid, obj);
                     }
                 }
-                cr.holders[d].insert(rid, at);
+                cr.arrivals[slot] = Some(at);
                 rebuilt += 1;
             }
         }
@@ -441,15 +487,11 @@ impl DsosCluster {
     ) -> u64 {
         let mut lag = 0u64;
         for cr in repl.values() {
-            for (rid, meta) in &cr.rows {
-                if !meta.quorum {
-                    continue;
-                }
-                for &d in self.map.replicas_of(meta.shard) {
-                    if schedules[d].is_up(at) && !cr.holders[d].contains_key(rid) {
-                        lag += 1;
-                    }
-                }
+            for (i, _) in cr.rows.iter().enumerate().filter(|(_, meta)| meta.quorum) {
+                let lagging = cr
+                    .copies(&self.map, i)
+                    .filter(|&(d, held)| held.is_none() && schedules[d].is_up(at));
+                lag += lagging.count() as u64;
             }
         }
         lag
@@ -489,36 +531,34 @@ impl DsosCluster {
         cr.schema.validate(&obj)?;
         let shard = self.map.shard_of_hash(cr.shard_hash(&obj));
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
-        let mut live = self
-            .map
-            .replicas_of(shard)
+        let peers = self.map.replicas_of(shard);
+        let first = cr.arrivals.len();
+        cr.arrivals
+            .extend(peers.iter().map(|&d| schedules[d].is_up(t).then_some(t)));
+        let held = &cr.arrivals[first..];
+        let acked = held.iter().flatten().count();
+        let mut live = peers
             .iter()
-            .filter(|&&d| schedules[d].is_up(t));
+            .zip(held)
+            .filter_map(|(&d, held)| held.map(|_| d));
         let last = live.next_back();
-        let mut acked = 0;
-        let mut write = |d: usize, row: Vec<Value>| {
-            cr.shards[d].insert_tagged(rid, row);
-            cr.holders[d].insert(rid, t);
-            acked += 1;
-        };
-        for &d in live {
-            write(d, obj.clone());
+        for d in live {
+            cr.shards[d].insert_tagged(rid, obj.clone());
         }
-        if let Some(&d) = last {
-            write(d, obj);
+        if let Some(d) = last {
+            cr.shards[d].insert_tagged(rid, obj);
         }
         let quorum = acked >= self.cfg.write_quorum;
         if quorum {
             cr.acked_per_shard[shard] += 1;
         }
-        cr.rows.insert(
+        debug_assert!(cr.rows.last().is_none_or(|prev| prev.rid < rid));
+        cr.rows.push(RowMeta {
             rid,
-            RowMeta {
-                shard,
-                write_t: t,
-                quorum,
-            },
-        );
+            write_t: t,
+            shard: u32::try_from(shard).expect("shard ids fit u32"),
+            quorum,
+        });
         Ok(IngestAck {
             rid,
             shard,
@@ -580,7 +620,7 @@ impl DsosCluster {
         match repl.get(container) {
             // No fault ever scheduled: every ingested row is held.
             Some(cr) if self.fault_free() => cr.rows.len(),
-            Some(cr) => cr.held_rids().len(),
+            Some(cr) => cr.held_rows(),
             None => 0,
         }
     }
@@ -612,35 +652,39 @@ impl DsosCluster {
         let (live, healthy) = self.liveness(at);
         let repl = self.repl.read();
         let mut completeness = self.completeness_locked(&repl, container, &live, healthy);
-        let cr = repl.get(container);
-        // Dead daemons answer nothing; neither does a missing container
-        // or an unknown index.
-        let shards: Vec<(usize, ShardRead<'_>)> = cr
-            .and_then(|cr| Some((cr, cr.schema.index_pos(index)?)))
-            .map(|(cr, pos)| {
-                (0..self.daemons.len())
-                    .filter(|&d| live[d])
-                    .map(|d| (d, cr.shards[d].read(pos)))
-                    .collect()
-            })
-            .unwrap_or_default();
+        // A missing container, an unknown index or bounds no key lies
+        // between select nothing; dead daemons answer nothing.
+        let target = repl.get(container).and_then(|cr| {
+            let pos = cr.schema.index_pos(index)?;
+            Some((
+                cr,
+                pos,
+                scan.key_range(&cr.schema, &cr.schema.indices()[pos])?,
+            ))
+        });
+        let Some((cr, pos, range)) = target else {
+            return completeness;
+        };
+        let shards: Vec<(usize, ShardRead<'_>)> = (0..self.daemons.len())
+            .filter(|&d| live[d])
+            .map(|d| (d, cr.shards[d].read(pos)))
+            .collect();
         // On a fault-free cluster every physical row is held by its
         // daemon, and with one replica no row id comes back twice: the
         // per-row holder, dedup and repair checks apply only otherwise.
-        let degraded = cr.filter(|_| !healthy);
+        let degraded = (!healthy).then_some(cr);
         let dedup = !healthy || self.cfg.replicas > 1;
         let sources = shards
             .iter()
-            .map(|(d, shard)| {
+            .map(|&(d, ref shard)| {
                 // Keep only rows the daemon currently *holds* (crash
                 // replay may have invalidated some).
-                let held = degraded.map(|cr| &cr.holders[*d]);
-                shard.hits(scan).filter(move |&(_, _, rid)| {
-                    rid == NO_RID || held.is_none_or(|h| h.contains_key(&rid))
+                shard.hits(range).filter(move |&(_, _, rid)| {
+                    rid == NO_RID || degraded.is_none_or(|cr| cr.holds(&self.map, rid, d))
                 })
             })
             .collect();
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut seen: HashSet<u64, FnvBuildHasher> = HashSet::default();
         let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
         for (_, obj, rid) in KWayMerge::new(sources) {
             if dedup && rid != NO_RID {
@@ -650,14 +694,10 @@ impl DsosCluster {
                 }
                 // Opportunistic read repair: a returned row goes onto
                 // the live replicas of its shard that lack it.
-                if let Some(cr) = degraded {
-                    let replicas = cr
-                        .rows
-                        .get(&rid)
-                        .map(|meta| self.map.replicas_of(meta.shard));
-                    for &d in replicas.into_iter().flatten() {
-                        if live[d] && !cr.holders[d].contains_key(&rid) {
-                            plan.push((d, rid, obj.clone()));
+                if let Some((cr, i)) = degraded.and_then(|cr| Some((cr, cr.find(rid)?))) {
+                    for (d, held) in cr.copies(&self.map, i) {
+                        if live[d] && held.is_none() {
+                            plan.push((d, rid, obj.to_vec()));
                         }
                     }
                 }
@@ -746,25 +786,34 @@ impl DsosCluster {
         )
     }
 
-    /// Applies a read-repair plan of `(daemon, row id, row)` copies.
-    fn read_repair(&self, container: &str, plan: Vec<(usize, u64, Vec<Value>)>, at: Epoch) -> u64 {
+    /// Applies a read-repair plan of `(daemon, row id, row)` copies, in
+    /// row-id order: a repaired shard indexes its copies in the order
+    /// they were first ingested, whatever order the scan met them in.
+    fn read_repair(
+        &self,
+        container: &str,
+        mut plan: Vec<(usize, u64, Vec<Value>)>,
+        at: Epoch,
+    ) -> u64 {
         if plan.is_empty() {
             return 0;
         }
+        plan.sort_unstable_by_key(|&(d, rid, _)| (rid, d));
         let mut repaired = 0u64;
         let mut repl = self.repl.write();
         if let Some(cr) = repl.get_mut(container) {
             for (d, rid, obj) in plan {
                 // Re-check under the write lock: a concurrent query may
                 // have repaired it already (idempotent).
-                if cr.holders[d].contains_key(&rid) {
+                let slot = cr.find(rid).and_then(|i| cr.slot(&self.map, i, d));
+                let Some(slot) = slot.filter(|&slot| cr.arrivals[slot].is_none()) else {
                     continue;
-                }
+                };
                 let dest = &cr.shards[d];
                 if !dest.has_rid(rid) {
                     dest.insert_tagged(rid, obj);
                 }
-                cr.holders[d].insert(rid, at);
+                cr.arrivals[slot] = Some(at);
                 repaired += 1;
             }
         }
@@ -812,17 +861,12 @@ impl DsosCluster {
         }
         let shards = self.map.shard_count();
         let mut reachable_per_shard = vec![0u64; shards];
-        for (rid, meta) in &cr.rows {
-            if !meta.quorum {
-                continue;
-            }
-            let reachable = self
-                .map
-                .replicas_of(meta.shard)
-                .iter()
-                .any(|&d| live[d] && cr.holders[d].contains_key(rid));
+        for (i, meta) in cr.rows.iter().enumerate().filter(|(_, meta)| meta.quorum) {
+            let reachable = cr
+                .copies(&self.map, i)
+                .any(|(d, held)| live[d] && held.is_some());
             if reachable {
-                reachable_per_shard[meta.shard] += 1;
+                reachable_per_shard[meta.shard as usize] += 1;
             }
         }
         let mut degraded_shards = Vec::new();
@@ -1262,7 +1306,7 @@ mod tests {
         // The fault-free shortcut (`rows.len()`) and the per-call union
         // must agree wherever both apply, and the union alone decides
         // once a crash has destroyed copies.
-        let union = |cl: &DsosCluster| cl.repl.read()["darshan"].held_rids().len();
+        let union = |cl: &DsosCluster| cl.repl.read()["darshan"].held_rows();
         let fill = |cl: &DsosCluster| {
             for r in 0..40 {
                 cl.ingest_at("darshan", obj(1, r, r as f64), Epoch::from_secs(1))
@@ -1335,7 +1379,7 @@ mod tests {
                         .filter(|(_, rid, _)| {
                             healthy
                                 || *rid == NO_RID
-                                || cr.is_none_or(|cr| cr.holders[d].contains_key(rid))
+                                || cr.is_none_or(|cr| cr.holds(&self.map, *rid, d))
                         })
                         .map(|(key, rid, obj)| (key, (obj, rid)))
                         .collect()
@@ -1364,11 +1408,11 @@ mod tests {
             let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
             if let Some(cr) = cr {
                 for (rid, obj) in &kept_rids {
-                    let Some(meta) = cr.rows.get(rid) else {
+                    let Some(i) = cr.find(*rid) else {
                         continue;
                     };
-                    for &d in self.map.replicas_of(meta.shard) {
-                        if live[d] && !cr.holders[d].contains_key(rid) {
+                    for &d in self.map.replicas_of(cr.rows[i].shard as usize) {
+                        if live[d] && !cr.holds(&self.map, *rid, d) {
                             plan.push((d, *rid, obj.clone()));
                         }
                     }
@@ -1382,16 +1426,71 @@ mod tests {
 
     use proptest::prelude::*;
 
+    /// Every key width (one to four words) and every key type.
     fn wide_schema() -> Arc<Schema> {
         Schema::builder("darshan_data")
             .attr("job_id", Type::U64)
             .attr("rank", Type::U64)
             .attr("timestamp", Type::F64)
+            .attr("delta", Type::I64)
             .attr("op", Type::Str)
             .index("job_rank_time", &["job_id", "rank", "timestamp"])
             .index("job_time_rank", &["job_id", "timestamp", "rank"])
+            .index("time", &["timestamp"])
+            .index("delta_time", &["delta", "timestamp"])
+            .index(
+                "job_delta_rank_time",
+                &["job_id", "delta", "rank", "timestamp"],
+            )
             .build()
             .unwrap()
+    }
+
+    /// Few distinct timestamps, the awkward ones among them: equal index
+    /// keys, and keys equal only as `Value::cmp` sees them, are common.
+    const TIMESTAMPS: [f64; 8] = [
+        f64::NEG_INFINITY,
+        -1.5,
+        -0.0,
+        0.0,
+        1.0,
+        2.0,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    const DELTAS: [i64; 5] = [i64::MIN, -1, 0, 1, i64::MAX];
+
+    /// A scan bound of `len` components for `index` from raw draws: each
+    /// a value of the component's type, or (draws from 36 up) of some
+    /// variant chosen without looking at it. Components past the key's
+    /// arity are `U64`s.
+    fn bound(schema: &Schema, index: &str, len: usize, draws: &[u64]) -> Vec<Value> {
+        let attrs = schema.index_def(index).map_or(&[][..], |def| &def.attrs);
+        (0..len)
+            .map(|j| {
+                let draw = draws[j] as usize;
+                if draw >= 36 {
+                    return [
+                        Value::U64(1),
+                        Value::I64(0),
+                        Value::F64(1.0),
+                        Value::Str("w".into()),
+                    ][draw % 4]
+                        .clone();
+                }
+                match attrs.get(j).map_or(Type::U64, |&a| schema.attrs()[a].ty) {
+                    Type::I64 => Value::I64(DELTAS[draw % DELTAS.len()]),
+                    Type::F64 => Value::F64(TIMESTAMPS[draw % TIMESTAMPS.len()]),
+                    _ => Value::U64(draw as u64 % 5),
+                }
+            })
+            .collect()
+    }
+
+    /// Rows compare by what they print: `F64(NaN) != F64(NaN)`, and a
+    /// `-0.0` cell is not the `0.0` cell it equals.
+    fn printed<T: std::fmt::Debug>(rows: &T) -> String {
+        format!("{rows:?}")
     }
 
     proptest! {
@@ -1401,11 +1500,19 @@ mod tests {
         fn scans_match_the_clone_and_merge_oracle(
             shape in (1usize..5, 0usize..3, 0usize..3, 0u64..3_000),
             rows in prop::collection::vec(
-                ((1u64..4, 0u64..4, 0u64..5), 0usize..3, 0u64..2_000, 0usize..10),
+                ((1u64..4, 0u64..4, 0usize..8, 0usize..5), 0usize..3, 0u64..2_000, 0usize..10),
                 0..70,
             ),
             windows in prop::collection::vec((0usize..4, 0u64..2_000, 1u64..900), 0..4),
-            queries in prop::collection::vec((0usize..7, 0u64..5, 0u64..5, 0u64..3_000), 1..10),
+            queries in prop::collection::vec(
+                (
+                    (0usize..6, 0usize..3, 0usize..6, 0usize..6),
+                    prop::collection::vec(0u64..40, 5),
+                    prop::collection::vec(0u64..40, 5),
+                    0u64..3_000,
+                ),
+                1..10,
+            ),
         ) {
             // Two clusters built by the same steps: the oracle queries
             // one, the scan the other. Queries repair as they go, so
@@ -1414,9 +1521,10 @@ mod tests {
             let r = 1 + r_draw.min(n - 1);
             let cfg = ReplicationConfig::new(r).with_quorum(1 + w_draw.min(r - 1));
             let at = |ms: u64| Epoch::from_nanos(ms * 1_000_000);
+            let schema = wide_schema();
             let build = || {
                 let cl = DsosCluster::new_replicated(n, cfg).unwrap();
-                cl.create_container("darshan", &wide_schema());
+                cl.create_container("darshan", &schema);
                 for &(d, from, dur) in &windows {
                     cl.crash_dsosd(d % n, at(from));
                     // Some windows never close.
@@ -1424,13 +1532,13 @@ mod tests {
                         cl.restart_dsosd(d % n, at(from + dur));
                     }
                 }
-                for &((job, rank, ts), op, at_ms, kind) in &rows {
-                    // Few distinct timestamps and ops: equal index keys
-                    // and wholly equal rows are common.
+                for &((job, rank, ts, delta), op, at_ms, kind) in &rows {
+                    // Few distinct ops too: wholly equal rows are common.
                     let row = vec![
                         Value::U64(job),
                         Value::U64(rank),
-                        Value::F64(ts as f64),
+                        Value::F64(TIMESTAMPS[ts]),
+                        Value::I64(DELTAS[delta]),
                         Value::Str(["read", "write", "open"][op].to_string()),
                     ];
                     match kind {
@@ -1457,37 +1565,29 @@ mod tests {
                 cl
             };
             let (oracle, scanned) = (build(), build());
-            let key = |vals: &[u64]| -> Vec<Value> {
-                vals.iter()
-                    .enumerate()
-                    .map(|(i, &v)| if i == 2 { Value::F64(v as f64) } else { Value::U64(v) })
-                    .collect()
-            };
-            for &(kind, a, b, at_ms) in &queries {
-                let index = if at_ms % 2 == 0 { "job_rank_time" } else { "job_time_rank" };
-                let (from, to) = match kind {
-                    0 => (key(&[]), key(&[])),
-                    1 => (key(&[a]), key(&[])),
-                    2 => (key(&[a, b]), key(&[])),
-                    // Ranges: over jobs (empty and inverted ones too),
-                    // and inside one job.
-                    3 => (key(&[a]), key(&[b])),
-                    4 => (key(&[a, 0, a]), key(&[a, b, b])),
-                    _ => (key(&[a]), key(&[a + 1])),
-                };
-                let scan = if kind < 3 { Scan::Prefix(&from) } else { Scan::Range(&from, &to) };
-                let index = if kind == 6 { "no_such_index" } else { index };
+            for ((index, kind, from_len, to_len), from, to, at_ms) in &queries {
+                let index = schema.indices().get(*index).map_or("no_such_index", |def| &def.name);
+                // Bounds of every length from none to one past the
+                // key's; a range is over anything (empty and inverted
+                // ones too) or inside what its first component selects.
+                let from = bound(&schema, index, *from_len, from);
+                let mut to = bound(&schema, index, *to_len, to);
+                if *kind == 2 && !from.is_empty() && !to.is_empty() {
+                    to[0] = from[0].clone();
+                }
+                let scan = if *kind == 0 { Scan::Prefix(&from) } else { Scan::Range(&from, &to) };
+                let at_ms = *at_ms;
                 let want = oracle.oracle_query_at("darshan", index, scan, at(at_ms));
                 let got = match scan {
                     Scan::Prefix(p) => scanned.query_prefix_at("darshan", index, p, at(at_ms)),
                     Scan::Range(f, t) => scanned.query_range_at("darshan", index, f, t, at(at_ms)),
                 };
-                prop_assert_eq!(&got, &want, "{:?} on {} at {} ms", scan, index, at_ms);
+                prop_assert_eq!(printed(&got), printed(&want), "{:?} on {} at {} ms", scan, index, at_ms);
                 // The visitor sees the same rows the adaptor collects.
                 let mut visited = Vec::new();
                 scanned.scan_at("darshan", index, scan, at(at_ms), |row| visited.push(row.to_vec()));
                 let again = oracle.oracle_query_at("darshan", index, scan, at(at_ms)).0;
-                prop_assert_eq!(&visited, &again);
+                prop_assert_eq!(printed(&visited), printed(&again));
                 // A shard's own queries collect from the same scan.
                 for d in 0..n {
                     let shard = scanned.daemon(d).get_container("darshan").unwrap();
@@ -1498,7 +1598,7 @@ mod tests {
                         Scan::Prefix(p) => shard.query_prefix(index, p),
                         Scan::Range(f, t) => shard.query_range(index, f, t),
                     };
-                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(printed(&got), printed(&want));
                 }
             }
             prop_assert_eq!(scanned.read_repair_count(), oracle.read_repair_count());

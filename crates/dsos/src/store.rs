@@ -1,40 +1,73 @@
 //! One `dsosd` storage daemon: containers, partitions, joint indices.
 
 use crate::replication::NO_RID;
-use crate::schema::Schema;
+use crate::schema::{IndexDef, IndexKey, Schema};
 use crate::value::Value;
+use iosim_util::hash::FnvBuildHasher;
 use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeSet, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
-/// Location of an object: (partition index, offset within partition).
-type ObjLoc = (usize, usize);
+/// An object's insertion ordinal within its shard.
+type RowNo = u32;
 
-/// An index: ordered composite key → object locations.
-type IndexMap = BTreeMap<Vec<Value>, Vec<ObjLoc>>;
+/// One index entry: the object's packed key, then its ordinal, so equal
+/// keys stay in insertion order.
+type Entry = (IndexKey, RowNo);
 
-/// A storage partition (DSOS rotates partitions for retention;
-/// queries span all of them). `rids` parallels `objects`: the
-/// cluster-global row id each object was replicated under, or
-/// [`NO_RID`] for direct inserts.
-#[derive(Debug, Default)]
-struct Partition {
-    objects: Vec<Vec<Value>>,
-    rids: Vec<u64>,
+/// One joint index: its entries in order, stored at the width of the
+/// `N` words the index keys, so an entry costs what its key costs.
+/// Words beyond `N` are zero in every key and bound of the index.
+trait Index: Send + Sync {
+    fn add(&mut self, entry: Entry);
+    fn between(&self, range: KeyRange) -> Box<dyn Iterator<Item = Entry> + '_>;
+}
+
+impl<const N: usize> Index for BTreeSet<([u64; N], RowNo)> {
+    fn add(&mut self, (key, row): Entry) {
+        self.insert((narrow(key), row));
+    }
+
+    fn between(&self, (lo, hi): KeyRange) -> Box<dyn Iterator<Item = Entry> + '_> {
+        let at_width = |bound: Bound<Entry>| bound.map(|(key, row)| (narrow(key), row));
+        Box::new(self.range((at_width(lo), at_width(hi))).map(|&(key, row)| {
+            let mut wide = IndexKey::default();
+            wide[..N].copy_from_slice(&key);
+            (wide, row)
+        }))
+    }
+}
+
+fn narrow<const N: usize>(key: IndexKey) -> [u64; N] {
+    std::array::from_fn(|word| key[word])
+}
+
+/// An empty index as wide as `def`'s key.
+fn new_index(def: &IndexDef) -> Box<dyn Index> {
+    match def.attrs.len() {
+        0 | 1 => Box::new(BTreeSet::<([u64; 1], RowNo)>::new()),
+        2 => Box::new(BTreeSet::<([u64; 2], RowNo)>::new()),
+        3 => Box::new(BTreeSet::<([u64; 3], RowNo)>::new()),
+        _ => Box::new(BTreeSet::<(IndexKey, RowNo)>::new()),
+    }
 }
 
 /// Everything a shard stores, behind the shard's one lock.
 struct ShardState {
-    /// The last partition is the active one.
-    partitions: Vec<Partition>,
-    /// One index per `schema.indices()` entry, in that order: ordered
-    /// key → object locations (insertion order preserved within equal
-    /// keys).
-    indices: Vec<IndexMap>,
-    /// Cluster row id → location, for anti-entropy rebuild and read
+    /// Every object with the cluster-global row id it was replicated
+    /// under ([`NO_RID`] for direct inserts), by [`RowNo`].
+    objects: Vec<(u64, Vec<Value>)>,
+    /// One index per `schema.indices()` entry, in that order.
+    indices: Vec<Box<dyn Index>>,
+    /// Cluster row id → object, for anti-entropy rebuild and read
     /// repair (direct [`NO_RID`] inserts are not tracked).
-    by_rid: HashMap<u64, ObjLoc>,
+    by_rid: HashMap<u64, RowNo, FnvBuildHasher>,
+    /// First ordinal of each storage partition, the last being the
+    /// active one (DSOS rotates partitions for retention; queries span
+    /// all of them). Nothing outside the tests rotates one yet.
+    #[cfg(test)]
+    partitions: Vec<RowNo>,
 }
 
 /// One container shard on one daemon.
@@ -45,21 +78,22 @@ pub(crate) struct ContainerShard {
 
 impl ContainerShard {
     fn new(schema: Arc<Schema>) -> Self {
-        let indices = schema.indices().iter().map(|_| BTreeMap::new()).collect();
+        let indices = schema.indices().iter().map(new_index).collect();
         Self {
             schema,
             state: RwLock::new(ShardState {
-                partitions: vec![Partition::default()],
+                objects: Vec::new(),
                 indices,
-                by_rid: HashMap::new(),
+                by_rid: HashMap::default(),
+                #[cfg(test)]
+                partitions: vec![0],
             }),
         }
     }
 
     /// Total stored objects across partitions.
     pub(crate) fn object_count(&self) -> usize {
-        let st = self.state.read();
-        st.partitions.iter().map(|p| p.objects.len()).sum()
+        self.state.read().objects.len()
     }
 
     /// Inserts an object the cluster has validated, under its
@@ -67,16 +101,13 @@ impl ContainerShard {
     /// copies and anti-entropy can locate rows.
     pub(crate) fn insert_tagged(&self, rid: u64, obj: Vec<Value>) {
         let st = &mut *self.state.write();
-        let pidx = st.partitions.len() - 1;
-        let off = st.partitions[pidx].objects.len();
+        let row = RowNo::try_from(st.objects.len()).expect("a shard holds under 2^32 objects");
         for (def, index) in self.schema.indices().iter().zip(st.indices.iter_mut()) {
-            let key = self.schema.key_for(def, &obj);
-            index.entry(key).or_default().push((pidx, off));
+            index.add((self.schema.pack_key(def, &obj), row));
         }
-        st.partitions[pidx].objects.push(obj);
-        st.partitions[pidx].rids.push(rid);
+        st.objects.push((rid, obj));
         if rid != NO_RID {
-            st.by_rid.insert(rid, (pidx, off));
+            st.by_rid.insert(rid, row);
         }
     }
 
@@ -84,8 +115,8 @@ impl ContainerShard {
     /// read-repair source path).
     pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<Value>> {
         let st = self.state.read();
-        let (part, off) = *st.by_rid.get(&rid)?;
-        Some(st.partitions[part].objects[off].clone())
+        let row = *st.by_rid.get(&rid)?;
+        Some(st.objects[row as usize].1.clone())
     }
 
     /// Whether this shard physically holds a row id.
@@ -109,7 +140,8 @@ impl ContainerShard {
 impl ContainerShard {
     /// Starts a new active partition.
     pub(crate) fn begin_partition(&self) {
-        self.state.write().partitions.push(Partition::default());
+        let st = &mut *self.state.write();
+        st.partitions.push(st.objects.len() as RowNo);
     }
 
     /// Inserts an object: validates, appends to the active partition,
@@ -141,17 +173,23 @@ impl ContainerShard {
     }
 
     fn collect(&self, index: &str, scan: Scan<'_>) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
-        let shard = self.read(self.schema.index_pos(index)?);
-        let rows = shard
-            .hits(scan)
-            .map(|(key, obj, _)| (key.clone(), obj.clone()));
+        let pos = self.schema.index_pos(index)?;
+        let def = &self.schema.indices()[pos];
+        let shard = self.read(pos);
+        let rows = scan
+            .key_range(&self.schema, def)
+            .into_iter()
+            .flat_map(|range| shard.hits(range))
+            .map(|(_, obj, _)| (self.schema.key_for(def, obj), obj.to_vec()));
         Some(rows.collect())
     }
 }
 
 /// What an index scan selects: every key that starts with a prefix
 /// (the empty prefix is the whole index), or the half-open key range
-/// `from <= key < to` (empty when `from >= to`).
+/// `from <= key < to` (empty when `from >= to`). Keys compare as
+/// [`Value`]'s `Ord` compares them: `-0.0` is `+0.0`, a NaN is every
+/// NaN.
 #[derive(Debug, Clone, Copy)]
 pub enum Scan<'a> {
     /// Keys starting with these leading values.
@@ -160,8 +198,37 @@ pub enum Scan<'a> {
     Range(&'a [Value], &'a [Value]),
 }
 
-/// One index hit, read in place: `(index key, object, cluster row id)`.
-pub(crate) type Hit<'a> = (&'a Vec<Value>, &'a Vec<Value>, u64);
+/// The index entries a scan visits: its bounds, packed.
+pub(crate) type KeyRange = (Bound<Entry>, Bound<Entry>);
+
+impl Scan<'_> {
+    /// Packs the scan's bounds for `index`, once for every shard it
+    /// reads; `None` when no key can lie between them.
+    pub(crate) fn key_range(&self, schema: &Schema, index: &IndexDef) -> Option<KeyRange> {
+        let (lo, hi) = match *self {
+            Scan::Prefix(prefix) => (
+                schema.cut(index, prefix, false),
+                schema.cut(index, prefix, true),
+            ),
+            Scan::Range(from, to) => (schema.cut(index, from, false), schema.cut(index, to, false)),
+        };
+        // `BTreeSet::range` panics on an inverted range.
+        (lo < hi).then_some((
+            match lo {
+                (key, false) => Bound::Included((key, 0)),
+                (key, true) => Bound::Excluded((key, RowNo::MAX)),
+            },
+            match hi {
+                (key, false) => Bound::Excluded((key, 0)),
+                (key, true) => Bound::Included((key, RowNo::MAX)),
+            },
+        ))
+    }
+}
+
+/// One index hit, read in place: `(packed index key, object, cluster
+/// row id)`.
+pub(crate) type Hit<'a> = (IndexKey, &'a [Value], u64);
 
 /// A shard held for reading (see [`ContainerShard::read`]): hits borrow
 /// from it, so nothing is copied until a caller decides to.
@@ -171,24 +238,15 @@ pub(crate) struct ShardRead<'a> {
 }
 
 impl ShardRead<'_> {
-    /// The objects `scan` selects, in key order, insertion order among
-    /// equal keys.
-    pub(crate) fn hits<'s>(&'s self, scan: Scan<'s>) -> impl Iterator<Item = Hit<'s>> {
-        let (from, to, prefix) = match scan {
-            Scan::Prefix(prefix) => (prefix, Bound::Unbounded, prefix),
-            // `BTreeMap::range` panics on an inverted range; `from..from`
-            // is the empty one it accepts.
-            Scan::Range(from, to) => (from, Bound::Excluded(to.max(from)), &[][..]),
-        };
-        let parts = &self.state.partitions;
+    /// The objects between `range`'s bounds, in key order, insertion
+    /// order among equal keys.
+    pub(crate) fn hits(&self, range: KeyRange) -> impl Iterator<Item = Hit<'_>> {
+        let objects = &self.state.objects;
         self.state.indices[self.pos]
-            .range::<[Value], _>((Bound::Included(from), to))
-            .take_while(move |(key, _)| key.starts_with(prefix))
-            .flat_map(move |(key, locs)| {
-                locs.iter().map(move |&(part, off)| {
-                    let part = &parts[part];
-                    (key, &part.objects[off], part.rids[off])
-                })
+            .between(range)
+            .map(move |(key, row)| {
+                let (rid, obj) = &objects[row as usize];
+                (key, obj.as_slice(), *rid)
             })
     }
 }
@@ -198,31 +256,28 @@ impl ShardRead<'_> {
 #[cfg(test)]
 pub(crate) type TaggedRow = (Vec<Value>, u64, Vec<Value>);
 
-/// That read path, kept as the reference the cluster's query proptest
-/// compares against.
+/// A scan as `[Value]` slices define it, worked out from the stored
+/// objects alone — no index, no packed key — as the reference the
+/// cluster's query proptest compares against.
 #[cfg(test)]
 impl ContainerShard {
-    /// Clones every hit out.
+    /// Every stored object whose key `scan` selects, cloned out in key
+    /// order, insertion order among equal keys.
     pub(crate) fn oracle_fetch(&self, index: &str, scan: Scan<'_>) -> Option<Vec<TaggedRow>> {
-        let pos = self.schema.index_pos(index)?;
+        let def = self.schema.index_def(index)?;
         let st = self.state.read();
-        let (indices, parts) = (&st.indices, &st.partitions);
-        let hits: Box<dyn Iterator<Item = (&Vec<Value>, &Vec<ObjLoc>)>> = match scan {
-            Scan::Prefix(prefix) => Box::new(
-                indices[pos]
-                    .range(prefix.to_vec()..)
-                    .take_while(move |(key, _)| key.starts_with(prefix)),
-            ),
-            Scan::Range(from, to) if from >= to => return Some(Vec::new()),
-            Scan::Range(from, to) => Box::new(indices[pos].range(from.to_vec()..to.to_vec())),
-        };
-        let mut out = Vec::new();
-        for (key, locs) in hits {
-            for &(part, off) in locs {
-                let part = &parts[part];
-                out.push((key.clone(), part.rids[off], part.objects[off].clone()));
-            }
-        }
+        let mut out: Vec<TaggedRow> = st
+            .objects
+            .iter()
+            .map(|(rid, obj)| (self.schema.key_for(def, obj), *rid, obj.clone()))
+            .filter(|(key, _, _)| match scan {
+                Scan::Prefix(prefix) => {
+                    prefix.len() <= key.len() && key[..prefix.len()].cmp(prefix).is_eq()
+                }
+                Scan::Range(from, to) => from <= key.as_slice() && key.as_slice() < to,
+            })
+            .collect();
+        out.sort_by(|a, b| a.0.cmp(&b.0));
         Some(out)
     }
 }
@@ -372,7 +427,7 @@ mod tests {
         c.insert(obj(1, 0, 1.0, "w")).unwrap();
         c.begin_partition();
         c.insert(obj(1, 0, 2.0, "w")).unwrap();
-        assert_eq!(c.state.read().partitions.len(), 2);
+        assert_eq!(c.state.read().partitions, [0, 1]);
         let rows = c.query_prefix("job_rank_time", &[Value::U64(1)]).unwrap();
         assert_eq!(rows.len(), 2);
     }
@@ -395,5 +450,53 @@ mod tests {
         let d = Dsosd::new("dsosd-0");
         let c = d.container("darshan", &schema());
         assert!(c.query_prefix("nope", &[]).is_none());
+    }
+
+    #[test]
+    fn bounds_of_every_length_select_what_value_slices_order() {
+        // Keys on a grid that includes each word's extremes, so a bound
+        // padded with all-zero or all-one words meets stored keys there;
+        // every key stored twice. Bounds are every grid key cut to every
+        // length from none to one past the key's.
+        let d = Dsosd::new("dsosd-0");
+        let c = d.container("darshan", &schema());
+        let jobs = [0, 7, u64::MAX];
+        let times = [f64::NEG_INFINITY, -0.0, 1.5, f64::INFINITY, f64::NAN];
+        let mut bounds = vec![Vec::new()];
+        for &job in &jobs {
+            for rank in [0, u64::MAX] {
+                for &t in &times {
+                    c.insert(obj(job, rank, t, "a")).unwrap();
+                    c.insert(obj(job, rank, t, "b")).unwrap();
+                    let by_rank = [Value::U64(job), Value::U64(rank), Value::F64(t)];
+                    let by_time = [Value::U64(job), Value::F64(t), Value::U64(rank)];
+                    for key in [by_rank, by_time] {
+                        bounds.extend((1..=3).map(|len| key[..len].to_vec()));
+                        bounds.push([&key[..], &[Value::U64(0)]].concat());
+                    }
+                }
+            }
+        }
+        bounds.sort();
+        bounds.dedup();
+        // Either index meets the other's bounds too: wrong variants.
+        for index in ["job_rank_time", "job_time_rank"] {
+            let check = |scan: Scan<'_>| {
+                let want = c.oracle_fetch(index, scan).unwrap();
+                let want: Vec<_> = want.into_iter().map(|(key, _, obj)| (key, obj)).collect();
+                let got = c.collect(index, scan).unwrap();
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{want:?}"),
+                    "{scan:?} on {index}"
+                );
+            };
+            for from in &bounds {
+                check(Scan::Prefix(from));
+                for to in &bounds {
+                    check(Scan::Range(from, to));
+                }
+            }
+        }
     }
 }

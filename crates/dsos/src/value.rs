@@ -3,8 +3,9 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-/// Attribute types supported by schemas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Attribute types supported by schemas. Declaration order is the
+/// order values of different types sort in (see [`Value`]'s `Ord`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Type {
     /// Unsigned 64-bit integer.
     U64,
@@ -86,15 +87,6 @@ impl Value {
             Type::Str => Value::Str(s.to_string()),
         })
     }
-
-    fn rank(&self) -> u8 {
-        match self {
-            Value::U64(_) => 0,
-            Value::I64(_) => 1,
-            Value::F64(_) => 2,
-            Value::Str(_) => 3,
-        }
-    }
 }
 
 impl Eq for Value {}
@@ -120,10 +112,10 @@ impl Ord for Value {
                 }
             }),
             (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            // Heterogeneous comparisons order by type rank; schemas make
+            // Heterogeneous comparisons order by type; schemas make
             // this unreachable for well-formed keys, but the total order
             // must still be lawful.
-            (a, b) => a.rank().cmp(&b.rank()),
+            (a, b) => a.ty().cmp(&b.ty()),
         }
     }
 }

@@ -275,10 +275,6 @@ pub struct OverloadStats {
     pub kept_events: u64,
     /// Bulk events folded into sketches.
     pub folded_events: u64,
-    /// Payload bytes of individually kept events.
-    pub kept_bytes: u64,
-    /// Payload bytes folded into sketches.
-    pub folded_bytes: u64,
     /// Summary sketches emitted.
     pub summaries: u64,
     /// Ladder state changes taken (after propagation).
@@ -302,8 +298,6 @@ pub struct OverloadController {
     spilled: AtomicU64,
     kept_events: AtomicU64,
     folded_events: AtomicU64,
-    kept_bytes: AtomicU64,
-    folded_bytes: AtomicU64,
     summaries: AtomicU64,
     transitions: AtomicU64,
 }
@@ -329,8 +323,6 @@ impl OverloadController {
             spilled: AtomicU64::new(0),
             kept_events: AtomicU64::new(0),
             folded_events: AtomicU64::new(0),
-            kept_bytes: AtomicU64::new(0),
-            folded_bytes: AtomicU64::new(0),
             summaries: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
         }
@@ -365,8 +357,6 @@ impl OverloadController {
             spilled: self.spilled.load(Ordering::Relaxed),
             kept_events: self.kept_events.load(Ordering::Relaxed),
             folded_events: self.folded_events.load(Ordering::Relaxed),
-            kept_bytes: self.kept_bytes.load(Ordering::Relaxed),
-            folded_bytes: self.folded_bytes.load(Ordering::Relaxed),
             summaries: self.summaries.load(Ordering::Relaxed),
             transitions: self.transitions.load(Ordering::Relaxed),
         }
@@ -510,8 +500,6 @@ impl OverloadController {
             for r in records {
                 if self.keep(job, rank, r.seq) {
                     self.kept_events.fetch_add(1, Ordering::Relaxed);
-                    self.kept_bytes
-                        .fetch_add(r.payload.len() as u64, Ordering::Relaxed);
                     kept.push(r);
                 } else {
                     self.fold_event(inner, &msg, r.seq, &r.payload, now, out);
@@ -526,8 +514,6 @@ impl OverloadController {
             }
         } else if self.keep(job, rank, msg.seq) {
             self.kept_events.fetch_add(1, Ordering::Relaxed);
-            self.kept_bytes
-                .fetch_add(msg.len() as u64, Ordering::Relaxed);
             out.forward = Some(self.pace(inner, msg, 1));
         } else {
             let payload = msg.data.clone();
@@ -561,7 +547,6 @@ impl OverloadController {
         let bytes = payload.len() as u64;
         let dur = scan_f64(payload, "dur").unwrap_or(0.0);
         self.folded_events.fetch_add(1, Ordering::Relaxed);
-        self.folded_bytes.fetch_add(bytes, Ordering::Relaxed);
 
         let state = inner.keys.entry(key.clone()).or_default();
         let needs_flush = state
