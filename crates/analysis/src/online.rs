@@ -145,7 +145,40 @@ pub(crate) struct Phase {
     pub windows: u64,
 }
 
-/// Detection thresholds and window policy.
+/// Minimum same-op events inside a window for its median to be judged
+/// (thin windows still extend the history).
+const MIN_WINDOW_EVENTS: usize = 3;
+
+/// Robust-z floor for a duration outlier.
+const Z_OUTLIER: f64 = 6.0;
+
+/// A rank is a straggler at `STRAGGLER_FACTOR ×` its job's median
+/// cumulative I/O time; the post-run `TRC008` lint uses the same factor.
+pub const STRAGGLER_FACTOR: f64 = 3.0;
+
+/// Minimum ranks seen in a job before straggler detection engages (and
+/// before `TRC008` is considered).
+pub const STRAGGLER_MIN_RANKS: usize = 4;
+
+/// Median cumulative I/O time (seconds) required before rank ratios
+/// are judged — keeps the first instants of a job quiet.
+const STRAGGLER_MIN_MEDIAN_S: f64 = 0.01;
+
+/// Writes strictly shorter than this are "tiny" (bytes).
+pub const TINY_WRITE_LEN: i64 = 4096;
+
+/// Offset alignment boundary (bytes).
+pub const ALIGNMENT: i64 = 4096;
+
+/// Minimum writes before a tiny-write finding is judged: by one rank
+/// in one window here, tiny unaligned ones per file for `TRC007`.
+pub const TINY_WRITE_MIN: usize = 8;
+
+/// Tiny-unaligned fraction of a rank's window writes at which the
+/// phase anomaly fires.
+const TINY_WRITE_FRAC: f64 = 0.5;
+
+/// Detection window policy.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetectionConfig {
     /// Width of one statistics window in virtual seconds.
@@ -153,33 +186,10 @@ pub struct DetectionConfig {
     /// Closed windows required in an operation's baseline history
     /// before duration outliers can fire (the warm-up budget).
     pub baseline_min_windows: usize,
-    /// Minimum same-op events inside a window for its median to be
-    /// judged (thin windows still extend the history).
-    pub min_window_events: usize,
-    /// Robust-z floor for a duration outlier.
-    pub z_outlier: f64,
     /// Multiplicative floor for a duration outlier: the window median
     /// must also exceed `outlier_factor ×` the baseline median, so a
     /// spread-free baseline cannot alert on microscopic jitter.
     pub outlier_factor: f64,
-    /// A rank is a straggler at `straggler_factor ×` the job's median
-    /// cumulative I/O time (mirrors the post-run `TRC008` lint).
-    pub straggler_factor: f64,
-    /// Minimum ranks seen in a job before straggler detection engages.
-    pub straggler_min_ranks: usize,
-    /// Median cumulative I/O time (seconds) required before rank
-    /// ratios are judged — keeps the first instants of a job quiet.
-    pub straggler_min_median_s: f64,
-    /// Writes strictly shorter than this are "tiny" (bytes).
-    pub tiny_write_len: i64,
-    /// Offset alignment boundary (bytes).
-    pub alignment: i64,
-    /// Minimum writes by one rank in one window before its tiny
-    /// fraction is judged.
-    pub tiny_write_min: u64,
-    /// Tiny-unaligned fraction of a rank's window writes at which the
-    /// phase anomaly fires.
-    pub tiny_write_frac: f64,
 }
 
 impl Default for DetectionConfig {
@@ -187,16 +197,7 @@ impl Default for DetectionConfig {
         Self {
             window_s: 10.0,
             baseline_min_windows: 3,
-            min_window_events: 3,
-            z_outlier: 6.0,
             outlier_factor: 3.0,
-            straggler_factor: 3.0,
-            straggler_min_ranks: 4,
-            straggler_min_median_s: 0.01,
-            tiny_write_len: 4096,
-            alignment: 4096,
-            tiny_write_min: 8,
-            tiny_write_frac: 0.5,
         }
     }
 }
@@ -340,8 +341,6 @@ impl OnlineDetector {
             .entry(e.job_id)
             .or_insert_with(|| JobState::new(e.end));
         self.advance();
-        let tiny_len = self.cfg.tiny_write_len;
-        let alignment = self.cfg.alignment;
         let window_s = self.cfg.window_s;
         let job = self.jobs.get_mut(&e.job_id).expect("job state exists");
         let raw = ((e.end - job.t0) / window_s).floor();
@@ -358,7 +357,7 @@ impl OnlineDetector {
         if e.op == "write" {
             let w = a.writes.entry(e.rank).or_default();
             w.0 += 1;
-            if e.len >= 0 && e.len < tiny_len && e.off >= 0 && e.off % alignment != 0 {
+            if e.len >= 0 && e.len < TINY_WRITE_LEN && e.off >= 0 && e.off % ALIGNMENT != 0 {
                 w.1 += 1;
             }
         }
@@ -375,14 +374,7 @@ impl OnlineDetector {
             }
         }
         let mut out = self.detections.clone();
-        out.sort_by(|a, b| {
-            a.onset
-                .total_cmp(&b.onset)
-                .then_with(|| a.job_id.cmp(&b.job_id))
-                .then_with(|| a.kind.cmp(&b.kind))
-                .then_with(|| a.rank.cmp(&b.rank))
-                .then_with(|| a.op.cmp(&b.op))
-        });
+        out.sort_by(report_order);
         out
     }
 
@@ -456,14 +448,14 @@ impl OnlineDetector {
             } else {
                 fleet
             };
-            if durs.len() >= cfg.min_window_events
+            if durs.len() >= MIN_WINDOW_EVENTS
                 && hist.len() >= cfg.baseline_min_windows
                 && !job.outlier_flagged.contains(op)
             {
                 let base_med = median(hist).expect("non-empty history");
                 let base_mad = mad(hist).expect("non-empty history");
                 let z = robust_z(m, base_med, base_mad);
-                if z >= cfg.z_outlier && base_med > 0.0 && m >= cfg.outlier_factor * base_med {
+                if z >= Z_OUTLIER && base_med > 0.0 && m >= cfg.outlier_factor * base_med {
                     job.outlier_flagged.insert(op.clone());
                     // Onset: where the within-job median series breaks
                     // regime (the shared change-point kernel); the
@@ -471,7 +463,7 @@ impl OnlineDetector {
                     // prefix to break from.
                     let mut series = within_vals;
                     series.push(m);
-                    let onset_window = change_point(&series, 1, cfg.z_outlier).map_or(w, |cp| {
+                    let onset_window = change_point(&series, 1, Z_OUTLIER).map_or(w, |cp| {
                         if cp.index < within.len() {
                             within[cp.index].0
                         } else {
@@ -513,22 +505,20 @@ impl OnlineDetector {
         for (rank, t) in &accum.rank_time {
             *job.cum_rank_time.entry(*rank).or_default() += t;
         }
-        if job.cum_rank_time.len() >= cfg.straggler_min_ranks {
+        if job.cum_rank_time.len() >= STRAGGLER_MIN_RANKS {
             let times: Vec<f64> = job.cum_rank_time.values().copied().collect();
             let med = median(&times).expect("non-empty rank set");
-            if med >= cfg.straggler_min_median_s {
+            if med >= STRAGGLER_MIN_MEDIAN_S {
                 let (&worst_rank, &worst) = job
                     .cum_rank_time
                     .iter()
                     .max_by(|a, b| a.1.total_cmp(b.1).then_with(|| b.0.cmp(a.0)))
                     .expect("non-empty rank set");
-                if worst >= cfg.straggler_factor * med
-                    && !job.straggler_flagged.contains(&worst_rank)
-                {
+                if worst >= STRAGGLER_FACTOR * med && !job.straggler_flagged.contains(&worst_rank) {
                     job.straggler_flagged.insert(worst_rank);
                     let ranks = job.cum_rank_time.len();
                     let ratio = worst / med;
-                    let severity = if ratio >= 2.0 * cfg.straggler_factor {
+                    let severity = if ratio >= 2.0 * STRAGGLER_FACTOR {
                         DetectionSeverity::Critical
                     } else {
                         DetectionSeverity::Warning
@@ -556,9 +546,9 @@ impl OnlineDetector {
         // tiny unaligned writes.
         let job = self.jobs.get_mut(&job_id).expect("job state exists");
         for (rank, &(writes, tiny)) in &accum.writes {
-            if writes >= cfg.tiny_write_min && !job.tiny_flagged.contains(rank) {
+            if writes >= TINY_WRITE_MIN as u64 && !job.tiny_flagged.contains(rank) {
                 let frac = tiny as f64 / writes as f64;
-                if frac >= cfg.tiny_write_frac {
+                if frac >= TINY_WRITE_FRAC {
                     job.tiny_flagged.insert(*rank);
                     let severity = if frac >= 0.9 {
                         DetectionSeverity::Critical
@@ -578,17 +568,27 @@ impl OnlineDetector {
                         onset: w_start,
                         detected_at: w_end,
                         observed: frac,
-                        baseline: cfg.tiny_write_frac,
+                        baseline: TINY_WRITE_FRAC,
                         evidence: format!(
                             "{tiny} of {writes} writes by rank {rank} in a `{phase}` phase window \
-                             are tiny (<{} B) and unaligned (to {} B)",
-                            cfg.tiny_write_len, cfg.alignment
+                             are tiny (<{TINY_WRITE_LEN} B) and unaligned (to {ALIGNMENT} B)"
                         ),
                     });
                 }
             }
         }
     }
+}
+
+/// The order [`OnlineDetector::finish`] reports detections in:
+/// (onset, job, kind, rank, op).
+pub fn report_order(a: &DiagnosticEvent, b: &DiagnosticEvent) -> std::cmp::Ordering {
+    a.onset
+        .total_cmp(&b.onset)
+        .then_with(|| a.job_id.cmp(&b.job_id))
+        .then_with(|| a.kind.cmp(&b.kind))
+        .then_with(|| a.rank.cmp(&b.rank))
+        .then_with(|| a.op.cmp(&b.op))
 }
 
 /// Renders detections as a deterministic CSV (one line per detection,

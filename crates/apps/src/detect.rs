@@ -7,17 +7,21 @@
 //! behind a per-rank watermark frontier. Because ranks publish from
 //! OS threads, *real-time* arrival order is nondeterministic even
 //! though every virtual timestamp is deterministic — so the canonical
-//! detection set is always the settle-replay oracle's: at job settle,
-//! [`LiveDetectorTap::finalize`] sorts the buffered events by
-//! [`event_cmp`] and replays them through a fresh single-pass engine,
-//! giving bit-identical detections for bit-identical runs. The storage
+//! detection set is always the settle-replay oracle's: that of one
+//! single-pass engine fed every buffered event in [`event_cmp`] order,
+//! giving bit-identical detections for bit-identical runs. At job
+//! settle, [`LiveDetectorTap::finalize`] completes the streaming engine
+//! when it was fed in that order, and replays the sorted log through a
+//! fresh engine only when arrivals broke it. The storage
 //! path itself is untouched (the observer is read-only), so
 //! detector-on runs store byte-identical rows, ledgers, and recovery
 //! counters to detector-off runs.
 
 use darshan_ldms_connector::{schema::col, IngestObserver};
 use dsos_sim::Value;
-use hpcws_sim::online::{DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent};
+use hpcws_sim::online::{
+    report_order, DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent,
+};
 use iosim_telemetry::{DetectionRecord, DiagHub, HubEventKind};
 use iosim_time::Epoch;
 use parking_lot::Mutex;
@@ -75,7 +79,7 @@ pub struct LiveFinalize {
     /// The settle-replay oracle engine (for phase queries).
     pub detector: OnlineDetector,
     /// The oracle's detections — the run's canonical detection set:
-    /// a fresh engine fed the whole log in [`event_cmp`] order.
+    /// those of an engine fed the whole log in [`event_cmp`] order.
     pub detections: Vec<DiagnosticEvent>,
     /// The live stream: the same detection set, each finding stamped
     /// with its emit instant.
@@ -146,8 +150,8 @@ impl Eq for Pending {}
 /// could still sort before it have necessarily arrived), and passed
 /// events leave the buffer in [`event_cmp`] order. The fed sequence is
 /// therefore exactly a prefix of the oracle's fully-sorted replay, and
-/// feeding the sorted remainder at [`LiveDetectorTap::finalize`]
-/// reproduces the oracle's detection set bit-for-bit.
+/// feeding the sorted remainder at [`LiveDetectorTap::finalize`] makes
+/// the streaming engine the oracle itself.
 ///
 /// If per-rank order itself breaks (a retry or WAL replay delivered a
 /// row after a later-stamped row of the same rank), the prefix
@@ -274,94 +278,81 @@ impl LiveDetectorTap {
         }
     }
 
-    /// Closes the stream at the settle `horizon`: replays the full
-    /// buffered log through a fresh oracle engine (the differential
-    /// oracle stays on), feeds the streaming engine its remainder, and
-    /// returns the canonical detections together with the reconciled
-    /// live stream. Every finding not already emitted in-run is
-    /// emitted at the horizon.
+    /// Closes the stream at the settle `horizon` and returns the
+    /// canonical detections together with the reconciled live stream.
+    /// While per-rank order held, the streaming engine fed its sorted
+    /// remainder has seen exactly the oracle's input sequence, so its
+    /// `finish` is the canonical set; only a reordered run sorts the
+    /// whole buffered log and replays it through a fresh engine. Every
+    /// finding not already emitted in-run is emitted at the horizon.
     pub fn finalize(&self, horizon: Epoch) -> LiveFinalize {
         let mut st = self.state.lock();
-        let horizon_s = horizon.as_secs_f64();
-
-        // The oracle: sort everything, replay, finish.
-        let mut sorted: Vec<&OnlineEvent> = st.log.iter().collect();
-        sorted.sort_by(|a, b| event_cmp(a, b));
-        let mut oracle = OnlineDetector::new(self.cfg.clone());
-        for e in sorted {
-            oracle.observe(e);
+        let st = &mut *st;
+        let inrun = std::mem::take(&mut st.live);
+        if st.reordered {
+            let mut sorted: Vec<&OnlineEvent> = st.log.iter().collect();
+            sorted.sort_by(|a, b| event_cmp(a, b));
+            let mut oracle = OnlineDetector::new(self.cfg.clone());
+            for e in sorted {
+                oracle.observe(e);
+            }
+            let detections = oracle.finish();
+            let live = self.reconcile(inrun, &detections, horizon);
+            return LiveFinalize {
+                detector: oracle,
+                detections,
+                live,
+            };
         }
-        let detections = oracle.finish();
-
-        let live = if st.reordered {
-            // Reconcile: oracle findings that were already emitted
-            // in-run keep their instants; the rest land now. In-run
-            // emissions the oracle does not confirm are dropped from
-            // the stream (their hub records remain, marked in_run, as
-            // provisional).
-            let inrun = std::mem::take(&mut st.live);
-            let mut pool = inrun;
-            let mut live = Vec::with_capacity(detections.len());
-            for d in &detections {
-                if let Some(i) = pool.iter().position(|l| &l.event == d) {
-                    live.push(pool.swap_remove(i));
-                } else {
-                    self.publish_final(d, horizon);
-                    live.push(LiveDetection {
-                        event: d.clone(),
-                        emitted_s: horizon_s,
-                        in_run: false,
-                    });
-                }
-            }
-            live
-        } else {
-            // Feed the sorted remainder: fed prefix + remainder is
-            // exactly the oracle's input sequence. (`Pending`'s order
-            // is reversed for the max-heap, hence `rev`; taking the
-            // heap also frees its buffer, which otherwise outlives
-            // the run at its high-water size.)
-            let rest = std::mem::take(&mut st.pending).into_sorted_vec();
-            for p in rest.iter().rev() {
-                st.engine.observe(&p.event);
-            }
-            let mut live = std::mem::take(&mut st.live);
-            let tail: Vec<DiagnosticEvent> = st.engine.detections()[st.emitted..].to_vec();
-            st.emitted += tail.len();
-            for d in tail {
-                self.publish_final(&d, horizon);
-                live.push(LiveDetection {
-                    event: d,
-                    emitted_s: horizon_s,
-                    in_run: false,
-                });
-            }
-            // finish() may close still-open windows and emit more.
-            let finished = st.engine.finish();
-            let mut seen: Vec<&DiagnosticEvent> = live.iter().map(|l| &l.event).collect();
-            let mut extra = Vec::new();
-            for d in &finished {
-                if let Some(i) = seen.iter().position(|e| *e == d) {
-                    seen.swap_remove(i);
-                } else {
-                    extra.push(d.clone());
-                }
-            }
-            for d in extra {
-                self.publish_final(&d, horizon);
-                live.push(LiveDetection {
-                    event: d,
-                    emitted_s: horizon_s,
-                    in_run: false,
-                });
-            }
-            live
-        };
+        // Feed the sorted remainder: fed prefix + remainder is exactly
+        // the oracle's input sequence. (`Pending`'s order is reversed
+        // for the max-heap, hence `rev`; taking the heap also frees its
+        // buffer, which otherwise outlives the run at its high-water
+        // size.)
+        let rest = std::mem::take(&mut st.pending).into_sorted_vec();
+        for p in rest.iter().rev() {
+            st.engine.observe(&p.event);
+        }
+        let fed = st.engine.detections().len();
+        let detections = st.engine.finish();
+        // The stream's order: emission order for what feeding found,
+        // then report order for what closing the open windows found.
+        let mut order = st.engine.detections().to_vec();
+        order[fed..].sort_by(report_order);
+        let live = self.reconcile(inrun, &order, horizon);
+        let detector = std::mem::replace(&mut st.engine, OnlineDetector::new(self.cfg.clone()));
         LiveFinalize {
-            detector: oracle,
+            detector,
             detections,
             live,
         }
+    }
+
+    /// The live stream over `detections`, in their order: an in-run
+    /// emission of a finding keeps its instant, and every other finding
+    /// is emitted at `horizon`. In-run emissions that `detections` does
+    /// not confirm are dropped from the stream (their hub records
+    /// remain, marked in_run, as provisional).
+    fn reconcile(
+        &self,
+        mut inrun: Vec<LiveDetection>,
+        detections: &[DiagnosticEvent],
+        horizon: Epoch,
+    ) -> Vec<LiveDetection> {
+        let mut live = Vec::with_capacity(detections.len());
+        for d in detections {
+            if let Some(i) = inrun.iter().position(|l| &l.event == d) {
+                live.push(inrun.swap_remove(i));
+            } else {
+                self.publish_final(d, horizon);
+                live.push(LiveDetection {
+                    event: d.clone(),
+                    emitted_s: horizon.as_secs_f64(),
+                    in_run: false,
+                });
+            }
+        }
+        live
     }
 
     fn publish_final(&self, d: &DiagnosticEvent, horizon: Epoch) {

@@ -4,10 +4,9 @@ use crate::platform::{FsChoice, Platform};
 use crate::stack::DarshanStack;
 use crate::workloads::Workload;
 use darshan_ldms_connector::{
-    darshan_schema, BatchConfig, Completeness, ConnectorConfig, CsvImportReport, DarshanConnector,
-    DeliveryMode, FaultScript, HeartbeatConfig, LatencySummary, OverloadConfig, Pipeline,
-    PipelineOpts, QueueConfig, RecoveryReport, ReplicationConfig, TelemetryConfig, WalConfig,
-    CONTAINER, DEFAULT_STREAM_TAG,
+    BatchConfig, Completeness, ConnectorConfig, DarshanConnector, DeliveryMode, FaultScript,
+    LatencySummary, OverloadConfig, Pipeline, PipelineOpts, QueueConfig, RecoveryReport,
+    ReplicationConfig, TelemetryConfig, WalConfig, DEFAULT_STREAM_TAG,
 };
 use darshan_sim::log::write_log;
 use darshan_sim::runtime::JobMeta;
@@ -73,8 +72,6 @@ pub struct RunSpec {
     /// Deploy a standby L1 aggregator with heartbeat-driven failover
     /// (off by default — the paper runs a single head-node aggregator).
     pub standby_l1: bool,
-    /// Heartbeat/failover policy (meaningful with `standby_l1`).
-    pub heartbeat: HeartbeatConfig,
     /// Crash-durable write-ahead log attached to every hop (`None` by
     /// default — retry queues are volatile).
     pub wal: Option<WalConfig>,
@@ -94,11 +91,6 @@ pub struct RunSpec {
     /// Write quorum for replicated ingest (`None` = majority of
     /// `replicas`).
     pub write_quorum: Option<usize>,
-    /// CSV rows (LDMS CSV-store format, one field per schema column)
-    /// imported into the event container before the run. Empty by
-    /// default; the per-reason import report lands in
-    /// [`RunResult::csv_import`].
-    pub csv_seed: Vec<Vec<String>>,
     /// Online anomaly detection over the live ingest stream (`None`
     /// by default — the run is byte-identical to an untapped one).
     /// Detection always runs *streaming*: the canonical set lands in
@@ -131,14 +123,12 @@ impl RunSpec {
             faults: FaultScript::new(),
             queue: QueueConfig::default(),
             standby_l1: false,
-            heartbeat: HeartbeatConfig::default(),
             wal: None,
             telemetry: None,
             latency_budget_s: None,
             overload: None,
             replicas: 1,
             write_quorum: None,
-            csv_seed: Vec::new(),
             detection: None,
             detection_alert_budget_s: None,
         }
@@ -238,13 +228,6 @@ impl RunSpec {
     /// Sets the write quorum for replicated ingest.
     pub fn with_write_quorum(mut self, quorum: usize) -> Self {
         self.write_quorum = Some(quorum);
-        self
-    }
-
-    /// Seeds the event container from CSV rows before the run.
-    #[cfg(test)]
-    pub(crate) fn with_csv_seed(mut self, rows: Vec<Vec<String>>) -> Self {
-        self.csv_seed = rows;
         self
     }
 
@@ -354,14 +337,11 @@ pub struct RunResult {
     /// schedule, per-shard liveness (`None` for baselines and unstored
     /// runs).
     pub completeness: Option<Completeness>,
-    /// Per-reason accounting for the pre-run CSV seed import (`None`
-    /// unless the spec carried `csv_seed` rows).
-    pub csv_import: Option<CsvImportReport>,
     /// Online detections over the run's ingest stream, sorted by
     /// onset (empty unless the spec enabled detection; the same
     /// findings ride in [`RunResult::trace_report`] as
     /// `TRC010`–`TRC012`). Always the settle-replay oracle's output:
-    /// a fresh engine fed the run's whole ingest log in
+    /// that of an engine fed the run's whole ingest log in
     /// [`event_cmp`](crate::detect::event_cmp) order.
     pub detections: Vec<hpcws_sim::DiagnosticEvent>,
     /// The live stream: the same detection set with per-finding emit
@@ -386,7 +366,6 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
                 queue: spec.queue.clone(),
                 faults: spec.faults.clone(),
                 standby_l1: spec.standby_l1,
-                heartbeat: spec.heartbeat,
                 wal: spec.wal.clone(),
                 telemetry: spec.telemetry,
                 overload: spec.overload.clone(),
@@ -411,17 +390,6 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
             p.store().attach_observer(tap.clone());
             Some(tap)
         }
-        _ => None,
-    };
-
-    // Seed the event container from CSV rows (the LDMS CSV-store
-    // import path) before any stream message flows.
-    let csv_import = match pipeline.as_ref() {
-        Some(p) if !spec.csv_seed.is_empty() => Some(p.cluster().import_csv_rows(
-            CONTAINER,
-            &darshan_schema(),
-            &spec.csv_seed,
-        )),
         _ => None,
     };
 
@@ -526,11 +494,10 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
         .map(|t| t.latency_summary())
         .unwrap_or_default();
 
-    // Replay the tapped ingest stream through the online detector:
-    // the settled pipeline has delivered everything it ever will, so
-    // the virtual-time sort is total and the detections deterministic.
-    // The tap additionally yields the emit-instant stream its in-run
-    // engine produced.
+    // Close the tapped ingest stream: the settled pipeline has
+    // delivered everything it ever will, so the virtual-time order is
+    // total and the detections deterministic. The tap additionally
+    // yields the emit-instant stream its in-run engine produced.
     let (detections, live_detections) = detector_tap.map_or_else(Default::default, |t| {
         let out = t.finalize(horizon);
         (out.detections, out.live)
@@ -618,7 +585,6 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
         recovery,
         latency,
         completeness,
-        csv_import,
         detections,
         live_detections,
     }
@@ -868,38 +834,6 @@ mod tests {
         assert_eq!(c.acked_rows, r.messages);
         assert_eq!(p.stored_events() as u64, r.messages);
         assert_eq!(p.ledger().store_acked(), r.messages);
-    }
-
-    #[test]
-    fn csv_seed_import_reports_per_reason_skips() {
-        let app = MpiIoTest::tiny(false);
-        let schema = darshan_schema();
-        // One parseable row, one arity miss, one parse failure (uid
-        // column is not a u64).
-        let mut good: Vec<String> = Vec::new();
-        for (_, ty) in darshan_ldms_connector::COLUMNS {
-            good.push(match ty {
-                dsos_sim::Type::Str => "x".to_string(),
-                dsos_sim::Type::F64 => "0.5".to_string(),
-                _ => "7".to_string(),
-            });
-        }
-        assert_eq!(good.len(), schema.attrs().len());
-        let mut bad_parse = good.clone();
-        bad_parse[1] = "not-a-u64".to_string();
-        let spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_csv_seed(vec![good, vec!["short".to_string()], bad_parse]);
-        let r = run_job(&app, &spec);
-        let report = r.csv_import.as_ref().unwrap();
-        assert_eq!(report.imported, 1);
-        assert_eq!(report.skipped_arity, 1);
-        assert_eq!(report.skipped_parse, 1);
-        assert_eq!(report.rejected, 0);
-        assert_eq!(
-            r.pipeline.as_ref().unwrap().stored_events() as u64,
-            r.messages + 1
-        );
     }
 
     #[test]

@@ -262,7 +262,6 @@ pub mod livehub {
             .with_store(true)
             .with_telemetry(TelemetryConfig::trace_all().with_hub(HubConfig {
                 snapshot_every_s: SNAPSHOT_EVERY_S,
-                ..HubConfig::default()
             }))
             .with_detection(detection)
             .with_detection_alert_budget(writes_end * 2.0);

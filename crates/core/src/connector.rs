@@ -49,11 +49,9 @@ pub struct ConnectorConfig {
     pub tag: String,
     /// Publish every n-th event (1 = every event). The paper's
     /// future-work sampling knob: "allow users to collect every n-th
-    /// I/O event detected by Darshan".
+    /// I/O event detected by Darshan". Open/close events always
+    /// publish, so the stored stream stays interpretable per file.
     pub sample_every: u64,
-    /// Always publish open/close events even when sampling, so the
-    /// stored stream stays interpretable per file.
-    pub always_publish_meta: bool,
     /// Payload production mode.
     pub format_mode: FormatMode,
     /// Virtual-time cost model.
@@ -70,7 +68,6 @@ impl Default for ConnectorConfig {
         Self {
             tag: DEFAULT_STREAM_TAG.to_string(),
             sample_every: 1,
-            always_publish_meta: true,
             format_mode: FormatMode::Json,
             cost: CostModel::default(),
             batch: BatchConfig::disabled(),
@@ -207,18 +204,7 @@ impl DarshanConnector {
     }
 
     fn should_publish(&self, event: &IoEvent, seen: u64) -> bool {
-        if self.config.sample_every <= 1 {
-            return true;
-        }
-        if self.config.always_publish_meta
-            && matches!(
-                event.op,
-                darshan_sim::OpKind::Open | darshan_sim::OpKind::Close
-            )
-        {
-            return true;
-        }
-        seen % self.config.sample_every == 0
+        self.config.sample_every <= 1 || is_meta(event) || seen % self.config.sample_every == 0
     }
 
     /// Routes a wire message per the configured delivery mode.
@@ -278,6 +264,15 @@ impl DarshanConnector {
     }
 }
 
+/// Open and close events: the metadata that keeps a stored stream
+/// interpretable per file.
+fn is_meta(event: &IoEvent) -> bool {
+    matches!(
+        event.op,
+        darshan_sim::OpKind::Open | darshan_sim::OpKind::Close
+    )
+}
+
 impl EventSink for DarshanConnector {
     fn on_event(&self, event: &IoEvent, clock: &mut Clock) {
         let seen = self.stats.events_seen.fetch_add(1, Ordering::Relaxed) + 1;
@@ -328,11 +323,8 @@ impl EventSink for DarshanConnector {
         // Open/close events ride the metadata priority class: the
         // overload controller delivers them individually no matter how
         // hard it is shedding bulk traffic, keeping the stored stream
-        // interpretable per file (mirrors `always_publish_meta`).
-        let class = if matches!(
-            event.op,
-            darshan_sim::OpKind::Open | darshan_sim::OpKind::Close
-        ) {
+        // interpretable per file, as sampling does.
+        let class = if is_meta(event) {
             MsgClass::Meta
         } else {
             MsgClass::Bulk
@@ -605,7 +597,6 @@ mod tests {
         let run = |every: u64| {
             let (conn, _sink, mut clock) = setup(ConnectorConfig {
                 sample_every: every,
-                always_publish_meta: false,
                 ..Default::default()
             });
             let before = clock.elapsed();

@@ -41,12 +41,12 @@ mod workload;
 
 pub use connector::{ConnectorConfig, ConnectorStats, DarshanConnector, DeliveryMode, FormatMode};
 pub use cost::CostModel;
-pub use dsos_sim::{Completeness, CsvImportReport, ReplicationConfig, ShardHealth, StoreError};
+pub use dsos_sim::{Completeness, ReplicationConfig, ShardHealth, StoreError};
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
 pub use ldms_sim::{
-    BatchConfig, DeliveryLedger, FaultScript, FaultSpec, HeartbeatConfig, LossCause, LossRecord,
-    MsgClass, OverflowPolicy, OverloadConfig, OverloadState, OverloadStats, QueueConfig,
-    RecoveryReport, WalConfig,
+    BatchConfig, DeliveryLedger, FaultScript, FaultSpec, LossCause, LossRecord, MsgClass,
+    OverflowPolicy, OverloadConfig, OverloadState, OverloadStats, QueueConfig, RecoveryReport,
+    WalConfig,
 };
 pub use pipeline::{Pipeline, PipelineOpts};
 pub use schema::{

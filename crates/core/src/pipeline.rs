@@ -12,8 +12,8 @@ use dsos_sim::{Completeness, DsosCluster, ReplicationConfig, Value};
 use iosim_telemetry::{Telemetry, TelemetryConfig};
 use iosim_time::Epoch;
 use ldms_sim::{
-    DeliveryLedger, FaultScript, FaultSpec, HeartbeatConfig, LdmsNetwork, NetworkOpts,
-    OverloadConfig, QueueConfig, RecoveryReport, WalConfig,
+    DeliveryLedger, FaultScript, FaultSpec, LdmsNetwork, NetworkOpts, OverloadConfig, QueueConfig,
+    RecoveryReport, WalConfig,
 };
 use std::sync::Arc;
 
@@ -34,8 +34,6 @@ pub struct PipelineOpts {
     pub faults: FaultScript,
     /// Deploy a standby L1 aggregator and ranked sampler routes.
     pub standby_l1: bool,
-    /// Heartbeat/failover policy (meaningful with `standby_l1`).
-    pub heartbeat: HeartbeatConfig,
     /// Attach a crash-durable write-ahead log to every hop.
     pub wal: Option<WalConfig>,
     /// Self-telemetry policy: `Some` builds one [`Telemetry`] hub and
@@ -64,7 +62,6 @@ impl Default for PipelineOpts {
             queue: QueueConfig::default(),
             faults: FaultScript::new(),
             standby_l1: false,
-            heartbeat: HeartbeatConfig::default(),
             wal: None,
             telemetry: None,
             overload: None,
@@ -113,8 +110,7 @@ impl Pipeline {
 
     /// Builds the pipeline with full options: per-hop retry-queue
     /// configuration, crash-recovery machinery (standby aggregator,
-    /// heartbeat policy, write-ahead logs), and a chaos schedule
-    /// applied before the run.
+    /// write-ahead logs), and a chaos schedule applied before the run.
     pub fn build_with(node_names: &[String], opts: &PipelineOpts) -> Self {
         let telemetry = opts.telemetry.map(Telemetry::new);
         let network = Arc::new(LdmsNetwork::build_full(
@@ -122,7 +118,6 @@ impl Pipeline {
             &NetworkOpts {
                 queue: opts.queue.clone(),
                 standby_l1: opts.standby_l1,
-                heartbeat: opts.heartbeat,
                 wal: opts.wal.clone(),
                 telemetry: telemetry.clone(),
                 overload: opts.overload.clone(),

@@ -18,6 +18,7 @@
 use crate::diag::{self, Diagnostic};
 use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINER};
 use dsos_sim::{DsosCluster, Scan, Value};
+use hpcws_sim::online;
 use ldms_sim::ledger::LossRecord;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -123,11 +124,11 @@ pub struct TraceLintOpts {
 impl Default for TraceLintOpts {
     fn default() -> Self {
         Self {
-            alignment: 4096,
-            tiny_write_len: 4096,
-            tiny_write_min: 8,
-            straggler_factor: 3.0,
-            straggler_min_ranks: 4,
+            alignment: online::ALIGNMENT,
+            tiny_write_len: online::TINY_WRITE_LEN,
+            tiny_write_min: online::TINY_WRITE_MIN,
+            straggler_factor: online::STRAGGLER_FACTOR,
+            straggler_min_ranks: online::STRAGGLER_MIN_RANKS,
             time_tolerance: 1e-9,
         }
     }

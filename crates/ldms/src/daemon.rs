@@ -23,9 +23,9 @@
 //!   ([`crate::FaultSpec::Crash`]) destroys the volatile queue but the
 //!   daemon replays durable records at restart.
 //! * **Ranked upstream routes with heartbeat election** — a daemon may
-//!   hold several upstream routes; after [`HeartbeatConfig`] misses
-//!   the active route is declared dead and the best live standby is
-//!   elected, with a hold-time hysteresis before failing back.
+//!   hold several upstream routes; after [`crate::heartbeat`]'s missed
+//!   beats the active route is declared dead and the best live standby
+//!   is elected, with a hold-time hysteresis before failing back.
 //! * **Idempotent terminal delivery** — sequenced messages are keyed
 //!   `(producer, job, rank, seq)`; a WAL replay re-delivering an
 //!   already-delivered key is suppressed and counted, never double
@@ -36,7 +36,7 @@
 //! message and counts it instead of overflowing the stack.
 
 use crate::fault::{FaultScript, FaultSpec, Lifecycle};
-use crate::heartbeat::HeartbeatConfig;
+use crate::heartbeat::{DETECT_AFTER, FAILBACK_HOLD};
 use crate::ledger::{DeliveryLedger, LossCause};
 use crate::overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};
 use crate::queue::{QueueConfig, QueueEntry, RetryQueue, WakeSchedule};
@@ -119,7 +119,6 @@ struct UpstreamSet {
     /// Loss-attribution label for the queue (`"<owner>/queue"`).
     queue_hop: String,
     wal: Option<WriteAheadLog>,
-    hb: HeartbeatConfig,
     /// Index of the currently elected route.
     active: AtomicUsize,
     failovers: AtomicU64,
@@ -149,7 +148,7 @@ impl UpstreamSet {
             // flapping primary does not bounce traffic (hysteresis).
             for (i, r) in self.routes.iter().enumerate().take(cur) {
                 if let Some(since) = r.up_since(now) {
-                    if since + self.hb.hold <= now {
+                    if since + FAILBACK_HOLD <= now {
                         self.active.store(i, Ordering::Relaxed);
                         self.failbacks.fetch_add(1, Ordering::Relaxed);
                         return i;
@@ -159,9 +158,9 @@ impl UpstreamSet {
             return cur;
         }
         // The active route is down: declare it dead only after the
-        // configured number of missed heartbeats.
+        // threshold of missed heartbeats.
         let down_since = route.down_since(now).unwrap_or(now);
-        if now < down_since + self.hb.detect_after() {
+        if now < down_since + DETECT_AFTER {
             return cur;
         }
         // Elect the best-ranked live alternative.
@@ -185,7 +184,7 @@ impl UpstreamSet {
             return component_up;
         }
         let down_since = route.down_since(now).unwrap_or(now);
-        let detect_at = down_since + self.hb.detect_after();
+        let detect_at = down_since + DETECT_AFTER;
         if detect_at > now {
             component_up.min(detect_at)
         } else {
@@ -534,22 +533,16 @@ impl Ldmsd {
         target: Arc<Ldmsd>,
         config: QueueConfig,
     ) {
-        self.connect_upstream_routes(
-            vec![(link, target)],
-            config,
-            HeartbeatConfig::default(),
-            None,
-        );
+        self.connect_upstream_routes(vec![(link, target)], config, None);
     }
 
     /// Connects a ranked set of upstream routes (index 0 = primary)
-    /// sharing one retry queue, a heartbeat/failover policy, and an
-    /// optional write-ahead log making the queue crash-durable.
+    /// sharing one retry queue, with heartbeat failover between them
+    /// and an optional write-ahead log making the queue crash-durable.
     pub(crate) fn connect_upstream_routes(
         &self,
         routes: Vec<(TransportLink, Arc<Ldmsd>)>,
         config: QueueConfig,
-        hb: HeartbeatConfig,
         wal: Option<WalConfig>,
     ) {
         let routes: Vec<Route> = routes
@@ -572,7 +565,6 @@ impl Ldmsd {
             queue: RetryQueue::new(config),
             queue_hop: format!("{}/queue", self.name),
             wal: wal.map(WriteAheadLog::new),
-            hb,
             active: AtomicUsize::new(0),
             failovers: AtomicU64::new(0),
             failbacks: AtomicU64::new(0),
@@ -1528,9 +1520,6 @@ pub struct NetworkOpts {
     /// Deploy a standby L1 aggregator (`"voltrino-standby"`) and give
     /// every sampler a ranked two-route upstream list.
     pub standby_l1: bool,
-    /// Heartbeat/failover policy for every hop (only meaningful with
-    /// more than one route, i.e. `standby_l1`).
-    pub heartbeat: HeartbeatConfig,
     /// Attach a write-ahead log with this configuration to every
     /// forwarding hop, making retry queues crash-durable.
     pub wal: Option<WalConfig>,
@@ -1638,10 +1627,9 @@ impl LdmsNetwork {
     }
 
     /// Builds the network with full recovery options: queue preset,
-    /// optional standby L1 aggregator, heartbeat policy, and optional
-    /// per-hop write-ahead logs. Each hop's jitter RNG is decorrelated
-    /// by deriving its seed from the configured seed and the hop
-    /// index.
+    /// optional standby L1 aggregator, and optional per-hop
+    /// write-ahead logs. Each hop's jitter RNG is decorrelated by
+    /// deriving its seed from the configured seed and the hop index.
     pub fn build_full(node_names: &[String], opts: &NetworkOpts) -> Self {
         let queue = &opts.queue;
         let ledger = Arc::new(DeliveryLedger::new());
@@ -1652,7 +1640,6 @@ impl LdmsNetwork {
             queue
                 .clone()
                 .with_seed(queue.seed ^ crate::fault::mix64(u64::MAX)),
-            opts.heartbeat,
             opts.wal.clone(),
         );
         let standby = opts.standby_l1.then(|| {
@@ -1663,7 +1650,6 @@ impl LdmsNetwork {
                 queue
                     .clone()
                     .with_seed(queue.seed ^ crate::fault::mix64(u64::MAX - 1)),
-                opts.heartbeat,
                 opts.wal.clone(),
             );
             d
@@ -1683,7 +1669,6 @@ impl LdmsNetwork {
                 queue
                     .clone()
                     .with_seed(queue.seed ^ crate::fault::mix64(i as u64)),
-                opts.heartbeat,
                 opts.wal.clone(),
             );
             nodes.insert(n.clone(), d.clone());
@@ -2221,7 +2206,6 @@ mod tests {
             &NetworkOpts {
                 queue: QueueConfig::reliable(),
                 standby_l1: standby,
-                heartbeat: HeartbeatConfig::default(),
                 wal,
                 telemetry: None,
                 overload: None,
@@ -2468,7 +2452,6 @@ mod tests {
             &NetworkOpts {
                 queue: QueueConfig::reliable(),
                 standby_l1: false,
-                heartbeat: HeartbeatConfig::default(),
                 wal,
                 telemetry: Some(hub.clone()),
                 overload: None,

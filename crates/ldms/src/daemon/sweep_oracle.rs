@@ -58,6 +58,22 @@ fn ms(t: u64) -> Epoch {
     Epoch::from_nanos(100_000_000_000 + t * 1_000_000)
 }
 
+/// The drawn scenarios' unit of time. Heartbeats keep their fixed
+/// 1 s beat, 3 misses and 10 s hold, so every other interval of a
+/// scenario — fault windows, traffic gaps, settles, backoffs, deadlines
+/// and overload windows — is dilated until a drawn outage outlasts
+/// failover detection and a recovered primary outlasts the failback
+/// hold.
+const TICK_MS: u64 = 12;
+
+fn tick(t: u64) -> Epoch {
+    ms(t * TICK_MS)
+}
+
+fn ticks(t: u64) -> SimDuration {
+    SimDuration::from_millis(t * TICK_MS)
+}
+
 /// A sink that keeps every message, in arrival order.
 #[derive(Default)]
 struct Recorder(Mutex<Vec<StreamMessage>>);
@@ -93,31 +109,29 @@ struct Scenario {
 impl Scenario {
     fn network(&self) -> LdmsNetwork {
         let (standby_l1, queue, wal, overload, telemetry) = self.opts;
+        let reliable = QueueConfig {
+            base_backoff: ticks(1),
+            max_backoff: ticks(1_000),
+            ..QueueConfig::reliable()
+        };
         let queue = match queue {
             0 => QueueConfig::best_effort(),
-            1 => QueueConfig::reliable(),
-            2 => QueueConfig::reliable().with_capacity(3),
-            3 => QueueConfig::reliable()
+            1 => reliable,
+            2 => reliable.with_capacity(3),
+            3 => reliable
                 .with_capacity(2)
                 .with_policy(OverflowPolicy::DropNewest)
                 .with_max_attempts(3),
-            4 => QueueConfig::reliable()
-                .with_policy(OverflowPolicy::BlockWithDeadline(SimDuration::from_millis(
-                    300,
-                )))
+            4 => reliable
+                .with_policy(OverflowPolicy::BlockWithDeadline(ticks(300)))
                 .with_max_attempts(4),
-            _ => QueueConfig::reliable()
-                .with_capacity(4)
-                .with_priority_shed(true),
+            _ => reliable.with_capacity(4),
         };
         let net = LdmsNetwork::build_full(
             &node_names(self.nodes),
             &NetworkOpts {
                 queue,
                 standby_l1,
-                heartbeat: HeartbeatConfig::default()
-                    .with_interval(SimDuration::from_millis(100))
-                    .with_hold(SimDuration::from_millis(400)),
                 wal: match wal {
                     0 => None,
                     1 => Some(WalConfig::durable()),
@@ -129,7 +143,6 @@ impl Scenario {
                     _ => Some(Telemetry::new(TelemetryConfig::trace_all().with_hub(
                         HubConfig {
                             snapshot_every_s: 1,
-                            ..HubConfig::default()
                         },
                     ))),
                 },
@@ -137,9 +150,12 @@ impl Scenario {
                     0 => None,
                     1 => Some(OverloadConfig::for_rate(1e6)),
                     _ => Some(
-                        OverloadConfig::for_rate(5.0)
-                            .with_window(SimDuration::from_millis(200))
-                            .with_propagation(SimDuration::from_millis(20)),
+                        OverloadConfig {
+                            service_rate: 5.0 / TICK_MS as f64,
+                            ..OverloadConfig::for_rate(5.0)
+                        }
+                        .with_window(ticks(200))
+                        .with_propagation(ticks(20)),
                     ),
                 },
             },
@@ -149,8 +165,8 @@ impl Scenario {
         let mut script = FaultScript::new();
         for &(kind, target, from, dur) in &self.faults {
             let daemon = &targets[target % targets.len()];
-            let again = ms(from + 2 * dur);
-            let (from, until) = (ms(from), ms(from + dur));
+            let again = tick(from + 2 * dur);
+            let (from, until) = (tick(from), tick(from + dur));
             script = match kind {
                 0 => script.daemon_outage(daemon, from, until),
                 1 => script.link_flap(daemon, from, until),
@@ -180,7 +196,7 @@ impl Scenario {
         let mut seqs = vec![0u64; self.nodes + 1];
         for (i, &(node, gap, meta)) in self.traffic.iter().enumerate() {
             if i == self.settle_after {
-                abandoned.push(settle(&net, ms(now + 150)));
+                abandoned.push(settle(&net, tick(now + 150)));
             }
             now += gap;
             // One past the last node is a producer the network does
@@ -198,7 +214,7 @@ impl Scenario {
                 MsgFormat::Json,
                 payload,
                 &format!("nid{node:05}"),
-                ms(now),
+                tick(now),
             )
             .with_seq(seqs[node])
             .with_origin(7, node as u64)
@@ -206,7 +222,7 @@ impl Scenario {
             .with_class(class);
             publish(&net, msg);
         }
-        abandoned.push(settle(&net, ms(now + 2_000)));
+        abandoned.push(settle(&net, tick(now + 2_000)));
         assert!(net.ledger().balances(), "{}", net.ledger().summary());
         let delivered = std::mem::take(&mut *sink.0.lock());
         Outcome {

@@ -64,7 +64,6 @@ mod wal;
 pub use batch::{BatchConfig, FrameRecord};
 pub use daemon::{DaemonRole, LdmsNetwork, Ldmsd, NetworkOpts, RecoveryReport};
 pub use fault::{FaultScript, FaultSpec, Lifecycle, SimRng};
-pub use heartbeat::HeartbeatConfig;
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
 pub use ledger::{DeliveryKey, DeliveryLedger, LossCause, LossRecord, SeqRanges, StreamSeqs};
 pub use overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};

@@ -19,7 +19,7 @@
 
 use crate::fault::AtomicRng;
 use crate::ledger::LossCause;
-use crate::stream::{MsgClass, StreamMessage};
+use crate::stream::StreamMessage;
 use iosim_time::{Epoch, SimDuration};
 use parking_lot::Mutex;
 use std::cmp::Reverse;
@@ -63,11 +63,6 @@ pub struct QueueConfig {
     pub jitter: f64,
     /// Seed for the jitter RNG (reproducible schedules).
     pub seed: u64,
-    /// Shed by priority class on `DropOldest` overflow: evict the
-    /// oldest *bulk* entry first, then summaries, and metadata last.
-    /// `false` (the default) keeps strict FIFO eviction, so existing
-    /// topologies are byte-identical.
-    pub priority_shed: bool,
 }
 
 impl QueueConfig {
@@ -83,7 +78,6 @@ impl QueueConfig {
             backoff_factor: 2.0,
             jitter: 0.0,
             seed: 0,
-            priority_shed: false,
         }
     }
 
@@ -99,7 +93,6 @@ impl QueueConfig {
             backoff_factor: 2.0,
             jitter: 0.1,
             seed: 0x5EED,
-            priority_shed: false,
         }
     }
 
@@ -143,18 +136,12 @@ impl QueueConfig {
     }
 }
 
-/// Builders only the unit tests and the sweep oracle call.
+/// A builder only the unit tests and the sweep oracle call.
 #[cfg(test)]
 impl QueueConfig {
     /// Sets the attempt budget.
     pub(crate) fn with_max_attempts(mut self, max_attempts: u32) -> Self {
         self.max_attempts = max_attempts.max(1);
-        self
-    }
-
-    /// Enables priority-class shedding on `DropOldest` overflow.
-    pub(crate) fn with_priority_shed(mut self, on: bool) -> Self {
-        self.priority_shed = on;
         self
     }
 }
@@ -332,19 +319,6 @@ impl RetryQueue {
         now + SimDuration::from_nanos(((jittered * 1e9) as u64).max(1))
     }
 
-    /// Index of the entry to evict under priority shedding: the
-    /// oldest entry of the least-protected class present — bulk
-    /// records first, then summary sketches, metadata (open/close)
-    /// last. Within a class, FIFO.
-    fn shed_victim(&self, entries: &VecDeque<QueueEntry>) -> Option<usize> {
-        for class in [MsgClass::Bulk, MsgClass::Summary, MsgClass::Meta] {
-            if let Some(i) = entries.iter().position(|e| e.msg.class == class) {
-                return Some(i);
-            }
-        }
-        None
-    }
-
     /// Stamps the sojourn deadline a `BlockWithDeadline` queue gives
     /// an entry first parked at `now` (one already stamped keeps its
     /// deadline across re-parks).
@@ -374,12 +348,7 @@ impl RetryQueue {
             OverflowPolicy::DropOldest => {
                 let mut evicted = Vec::new();
                 while entries.len() + 1 > self.config.capacity {
-                    let victim = if self.config.priority_shed {
-                        self.shed_victim(&entries)
-                    } else {
-                        entries.front().map(|_| 0)
-                    };
-                    match victim.and_then(|i| entries.remove(i)) {
+                    match entries.pop_front() {
                         Some(mut old) => {
                             old.cause = LossCause::QueueOverflow;
                             evicted.push(old);
@@ -472,7 +441,7 @@ impl RetryQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stream::MsgFormat;
+    use crate::stream::{MsgClass, MsgFormat};
 
     fn entry(tag: &str, at: u64) -> QueueEntry {
         QueueEntry {
@@ -554,36 +523,6 @@ mod tests {
         assert_eq!(got.msg.tag.as_ref(), "soon");
         assert!(q.pop_due(Epoch::from_secs(10)).is_none());
         assert_eq!(q.next_event(), Some(Epoch::from_secs(50)));
-    }
-
-    #[test]
-    fn priority_shed_evicts_bulk_before_meta() {
-        let q = RetryQueue::new(
-            QueueConfig::reliable()
-                .with_capacity(3)
-                .with_priority_shed(true),
-        );
-        let classed = |tag: &str, at: u64, class: MsgClass| {
-            let mut e = entry(tag, at);
-            e.msg.class = class;
-            e
-        };
-        q.push(classed("meta", 1, MsgClass::Meta), Epoch::from_secs(1));
-        q.push(classed("bulk-old", 2, MsgClass::Bulk), Epoch::from_secs(2));
-        q.push(classed("bulk-new", 3, MsgClass::Bulk), Epoch::from_secs(3));
-        // Oldest bulk goes first, even though the meta entry is older.
-        let evicted = q.push(classed("in1", 4, MsgClass::Bulk), Epoch::from_secs(4));
-        assert_eq!(evicted.len(), 1);
-        assert_eq!(evicted[0].msg.tag.as_ref(), "bulk-old");
-        // Then the remaining bulk entries, newest admission included.
-        let evicted = q.push(classed("sum", 5, MsgClass::Summary), Epoch::from_secs(5));
-        assert_eq!(evicted[0].msg.tag.as_ref(), "bulk-new");
-        let evicted = q.push(classed("in2", 6, MsgClass::Meta), Epoch::from_secs(6));
-        assert_eq!(evicted[0].msg.tag.as_ref(), "in1");
-        // No bulk left: summaries shed before metadata.
-        let evicted = q.push(classed("in3", 7, MsgClass::Meta), Epoch::from_secs(7));
-        assert_eq!(evicted[0].msg.tag.as_ref(), "sum");
-        assert_eq!(q.len(), 3);
     }
 
     #[test]

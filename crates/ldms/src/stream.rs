@@ -73,8 +73,8 @@ pub struct StreamMessage {
     /// path skips all span recording.
     pub trace: Option<u64>,
     /// Priority class (shed order under overload). Defaults to
-    /// [`MsgClass::Bulk`]; inert unless an overload controller or
-    /// priority-shedding queue is configured.
+    /// [`MsgClass::Bulk`]; inert unless an overload controller is
+    /// configured.
     pub class: MsgClass,
     /// For [`MsgClass::Summary`] messages: how many folded bulk events
     /// this sketch stands in for (its ledger mass). `0` otherwise.
@@ -333,14 +333,10 @@ impl StreamHub {
 }
 
 /// A sink that buffers messages for later inspection (tests, analysis
-/// taps, and the simple store plugins). Optionally bounded: a full
-/// bounded sink rejects new messages and counts the overflow rather
-/// than growing without limit.
+/// taps, and the simple store plugins).
 #[derive(Default)]
 pub struct BufferSink {
     messages: Mutex<Vec<StreamMessage>>,
-    capacity: usize,
-    overflowed: AtomicU64,
 }
 
 impl BufferSink {
@@ -370,32 +366,9 @@ impl BufferSink {
     }
 }
 
-/// The bounded sink: only the unit tests bound one.
-#[cfg(test)]
-impl BufferSink {
-    /// Creates a bounded buffer sink holding at most `capacity`
-    /// messages (0 = unbounded).
-    pub(crate) fn with_capacity(capacity: usize) -> Arc<Self> {
-        Arc::new(Self {
-            capacity,
-            ..Self::default()
-        })
-    }
-
-    /// Messages rejected because the sink was full.
-    pub(crate) fn overflowed(&self) -> u64 {
-        self.overflowed.load(Ordering::Relaxed)
-    }
-}
-
 impl StreamSink for BufferSink {
     fn deliver(&self, msg: &StreamMessage) {
-        let mut messages = self.messages.lock();
-        if self.capacity > 0 && messages.len() >= self.capacity {
-            self.overflowed.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        messages.push(msg.clone());
+        self.messages.lock().push(msg.clone());
     }
 }
 
@@ -456,22 +429,6 @@ mod tests {
         assert_eq!(hub.dispatch(&msg("t", "x")), 2);
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
-    }
-
-    #[test]
-    fn bounded_sink_counts_overflow() {
-        let hub = StreamHub::new();
-        let sink = BufferSink::with_capacity(2);
-        hub.subscribe("t", sink.clone());
-        for i in 0..5 {
-            hub.dispatch(&msg("t", &format!("{i}")));
-        }
-        assert_eq!(sink.len(), 2);
-        assert_eq!(sink.overflowed(), 3);
-        // Draining makes room again.
-        assert_eq!(sink.take().len(), 2);
-        hub.dispatch(&msg("t", "again"));
-        assert_eq!(sink.len(), 1);
     }
 
     #[test]

@@ -159,7 +159,7 @@ pub struct Scenario {
 const STRAGGLER_FACTOR: f64 = 8.0;
 const CONGESTION_FACTOR: f64 = 6.0;
 /// Tiny-write burst: events per affected window (above the detector's
-/// default `tiny_write_min` of 8).
+/// `TINY_WRITE_MIN` of 8).
 const TINY_PER_WINDOW: u64 = 10;
 
 /// Generates the labeled scenario for one anomaly class.

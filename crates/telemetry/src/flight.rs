@@ -30,36 +30,22 @@ impl FlightEvent {
     }
 }
 
-/// Bounded ring buffer of recent [`FlightEvent`]s.
-#[derive(Debug)]
+/// Ring capacity — enough to cover the fault window a chaos drill
+/// opens, small enough to be negligible per daemon.
+const FLIGHT_CAPACITY: usize = 64;
+
+/// Bounded ring buffer of the [`FLIGHT_CAPACITY`] most recent
+/// [`FlightEvent`]s.
+#[derive(Debug, Default)]
 pub struct FlightRecorder {
-    cap: usize,
     events: Mutex<VecDeque<FlightEvent>>,
 }
 
-/// Default ring capacity — enough to cover the fault window a chaos
-/// drill opens, small enough to be negligible per daemon.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 64;
-
-impl Default for FlightRecorder {
-    fn default() -> Self {
-        Self::new(DEFAULT_FLIGHT_CAPACITY)
-    }
-}
-
 impl FlightRecorder {
-    /// New recorder holding the most recent `cap` events.
-    pub(crate) fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            events: Mutex::new(VecDeque::new()),
-        }
-    }
-
     /// Records an event, evicting the oldest once the ring is full.
     pub fn note(&self, at: Epoch, what: String) {
         let mut events = self.events.lock();
-        if events.len() == self.cap {
+        if events.len() == FLIGHT_CAPACITY {
             events.pop_front();
         }
         events.push_back(FlightEvent { at, what });
@@ -113,14 +99,15 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest() {
-        let fr = FlightRecorder::new(3);
-        for i in 0..5 {
+        let fr = FlightRecorder::default();
+        let n = FLIGHT_CAPACITY as u64 + 2;
+        for i in 0..n {
             fr.note(Epoch::from_secs(100 + i), format!("event {i}"));
         }
         let snap = fr.snapshot();
-        assert_eq!(snap.len(), 3);
+        assert_eq!(snap.len(), FLIGHT_CAPACITY);
         assert_eq!(snap[0].what, "event 2");
-        assert_eq!(snap[2].what, "event 4");
+        assert_eq!(snap[FLIGHT_CAPACITY - 1].what, format!("event {}", n - 1));
     }
 
     #[test]

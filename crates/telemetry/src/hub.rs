@@ -265,35 +265,35 @@ impl HubEvent {
     }
 }
 
+/// Retained-event-log bound (the `iowatch`/`pipestat` export source);
+/// overflow drops the oldest.
+const LOG_CAP: usize = 65_536;
+
+/// Slots per timeline-ring resolution level.
+const RING_SLOTS: usize = 256;
+
+/// Identical alerts within this many virtual seconds collapse into one.
+const DEDUP_WINDOW_S: u64 = 30;
+
+/// Flap-suppression observation window in virtual seconds.
+const FLAP_WINDOW_S: u64 = 60;
+
+/// Alerts of one flap class within the window beyond this count are
+/// suppressed.
+const FLAP_THRESHOLD: usize = 4;
+
 /// Hub policy. `Copy` so [`crate::TelemetryConfig`] stays `Copy`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HubConfig {
     /// Metric-snapshot cadence in virtual seconds (0 disables periodic
     /// snapshots).
     pub snapshot_every_s: u64,
-    /// Retained-event-log bound (the `iowatch`/`pipestat` export
-    /// source); overflow drops the oldest.
-    pub log_cap: usize,
-    /// Slots per timeline-ring resolution level.
-    pub ring_slots: usize,
-    /// Identical alerts within this window collapse into one.
-    pub dedup_window_s: u64,
-    /// Flap-suppression observation window.
-    pub flap_window_s: u64,
-    /// Alerts of one flap class within the window beyond this count
-    /// are suppressed.
-    pub flap_threshold: u32,
 }
 
 impl Default for HubConfig {
     fn default() -> Self {
         Self {
             snapshot_every_s: 10,
-            log_cap: 65_536,
-            ring_slots: 256,
-            dedup_window_s: 30,
-            flap_window_s: 60,
-            flap_threshold: 4,
         }
     }
 }
@@ -318,7 +318,6 @@ pub struct Alert {
 #[derive(Debug)]
 struct RingLevel {
     width_s: u64,
-    slots: usize,
     /// bucket-start-second → series → (last, max).
     buckets: BTreeMap<u64, BTreeMap<String, (f64, f64)>>,
 }
@@ -332,7 +331,7 @@ impl RingLevel {
         if value > cell.1 {
             cell.1 = value;
         }
-        while self.buckets.len() > self.slots {
+        while self.buckets.len() > RING_SLOTS {
             self.buckets.pop_first();
         }
     }
@@ -357,7 +356,7 @@ pub struct TimelineRow {
 
 /// Multi-resolution downsampling ring: every sample lands in all
 /// levels; coarser levels keep the same slot count over 8× the width,
-/// so total retention spans `slots * width * 64` seconds at the
+/// so total retention spans `RING_SLOTS * width * 64` seconds at the
 /// coarsest level while memory stays bounded.
 #[derive(Debug)]
 struct TimelineRing {
@@ -365,13 +364,12 @@ struct TimelineRing {
 }
 
 impl TimelineRing {
-    fn new(base_width_s: u64, slots: usize) -> Self {
+    fn new(base_width_s: u64) -> Self {
         let base = base_width_s.max(1);
         Self {
             levels: (0..3)
                 .map(|i| RingLevel {
                     width_s: base * 8u64.pow(i),
-                    slots,
                     buckets: BTreeMap::new(),
                 })
                 .collect(),
@@ -444,7 +442,7 @@ impl DiagHub {
                 seq: BTreeMap::new(),
                 log: Vec::new(),
                 log_dropped: 0,
-                ring: TimelineRing::new(cfg.snapshot_every_s, cfg.ring_slots.max(1)),
+                ring: TimelineRing::new(cfg.snapshot_every_s),
                 router: RouterState::default(),
                 last_snapshot: None,
                 published: 0,
@@ -471,9 +469,9 @@ impl DiagHub {
         };
         st.published += 1;
         if let Some(alert) = alert_for(&ev) {
-            route(&mut st.router, self.cfg, alert);
+            route(&mut st.router, alert);
         }
-        if st.log.len() >= self.cfg.log_cap.max(1) {
+        if st.log.len() >= LOG_CAP {
             st.log.remove(0);
             st.log_dropped += 1;
         }
@@ -668,7 +666,7 @@ fn alert_for(ev: &HubEvent) -> Option<Alert> {
 
 /// Alert routing: flap suppression first (same class oscillating
 /// within the window), then exact-key dedup within the dedup window.
-fn route(router: &mut RouterState, cfg: HubConfig, alert: Alert) {
+fn route(router: &mut RouterState, alert: Alert) {
     let class = alert
         .key
         .split(':')
@@ -678,20 +676,20 @@ fn route(router: &mut RouterState, cfg: HubConfig, alert: Alert) {
     let window_start = alert
         .vtime
         .as_nanos()
-        .saturating_sub(cfg.flap_window_s * 1_000_000_000);
+        .saturating_sub(FLAP_WINDOW_S * 1_000_000_000);
     let recent = router
         .recent
         .entry((alert.source.clone(), class))
         .or_default();
     recent.retain(|t| t.as_nanos() >= window_start);
-    if recent.len() as u32 >= cfg.flap_threshold {
+    if recent.len() >= FLAP_THRESHOLD {
         router.suppressed += 1;
         return;
     }
     recent.push(alert.vtime);
     let dedup_key = (alert.source.clone(), alert.key.clone());
     if let Some(last) = router.last_emit.get(&dedup_key) {
-        if alert.vtime.since(*last).as_secs_f64() < cfg.dedup_window_s as f64 {
+        if alert.vtime.since(*last).as_secs_f64() < DEDUP_WINDOW_S as f64 {
             router.deduped += 1;
             return;
         }
@@ -735,7 +733,6 @@ mod tests {
     fn snapshot_counts_and_timeline() {
         let hub = DiagHub::new(HubConfig {
             snapshot_every_s: 10,
-            ..HubConfig::default()
         });
         let reg = MetricRegistry::new();
         reg.counter("forwarded", "l1").add(7);
@@ -779,12 +776,11 @@ mod tests {
     fn timeline_ring_is_bounded() {
         let hub = DiagHub::new(HubConfig {
             snapshot_every_s: 1,
-            ring_slots: 4,
-            ..HubConfig::default()
         });
         let reg = MetricRegistry::new();
         reg.counter("forwarded", "l1").inc();
-        for s in 0..50 {
+        let last = RING_SLOTS as u64 + 50;
+        for s in 0..=last {
             hub.advance(Epoch::from_secs(s), &reg);
         }
         let level0: Vec<TimelineRow> = hub
@@ -792,55 +788,60 @@ mod tests {
             .into_iter()
             .filter(|r| r.level == 0)
             .collect();
-        assert!(level0.len() <= 4, "finest level bounded at ring_slots");
+        assert_eq!(
+            level0.len(),
+            RING_SLOTS,
+            "finest level bounded at RING_SLOTS"
+        );
         // The most recent buckets survive.
-        assert!(level0.iter().any(|r| r.bucket_s == 49));
+        assert!(level0.iter().any(|r| r.bucket_s == last));
+        assert!(level0.iter().all(|r| r.bucket_s > last - RING_SLOTS as u64));
     }
 
     #[test]
     fn alerts_dedup_within_window() {
-        let hub = DiagHub::new(HubConfig {
-            dedup_window_s: 30,
-            flap_threshold: 100,
-            ..HubConfig::default()
-        });
-        hub.publish(
-            "l1",
-            Epoch::from_secs(100),
-            health(HealthState::Healthy, HealthState::Degraded),
-        );
-        hub.publish(
-            "l1",
-            Epoch::from_secs(110),
-            health(HealthState::Healthy, HealthState::Degraded),
-        );
-        hub.publish(
-            "l1",
-            Epoch::from_secs(140),
-            health(HealthState::Healthy, HealthState::Degraded),
-        );
+        let hub = DiagHub::new(HubConfig::default());
+        // Three alerts, inside the flap window and under its threshold:
+        // only the dedup window decides.
+        for at in [100, 100 + DEDUP_WINDOW_S - 1, 100 + DEDUP_WINDOW_S] {
+            hub.publish(
+                "l1",
+                Epoch::from_secs(at),
+                health(HealthState::Healthy, HealthState::Degraded),
+            );
+        }
         assert_eq!(hub.alerts().len(), 2, "second alert deduped");
         assert_eq!(hub.alert_stats().0, 1);
     }
 
     #[test]
     fn flapping_health_is_suppressed() {
-        let hub = DiagHub::new(HubConfig {
-            dedup_window_s: 0,
-            flap_window_s: 60,
-            flap_threshold: 4,
-            ..HubConfig::default()
-        });
-        for i in 0..10u64 {
-            let (from, to) = if i % 2 == 0 {
-                (HealthState::Healthy, HealthState::Degraded)
-            } else {
-                (HealthState::Degraded, HealthState::Healthy)
-            };
-            hub.publish("l1", Epoch::from_secs(100 + i), health(from, to));
+        let hub = DiagHub::new(HubConfig::default());
+        // A daemon cycling through every health state once a second:
+        // each alert has its own dedup key, but all share one flap class.
+        let cycle = [
+            HealthState::Healthy,
+            HealthState::Degraded,
+            HealthState::Overloaded,
+            HealthState::Down,
+        ];
+        for i in 0..10usize {
+            let (from, to) = (cycle[i % 4], cycle[(i + 1) % 4]);
+            hub.publish("l1", Epoch::from_secs(100 + i as u64), health(from, to));
         }
-        assert_eq!(hub.alerts().len(), 4, "first four pass, rest suppressed");
-        assert_eq!(hub.alert_stats().1, 6);
+        assert_eq!(
+            hub.alerts().len(),
+            FLAP_THRESHOLD,
+            "first ones pass, rest suppressed"
+        );
+        assert_eq!(hub.alert_stats(), (0, 10 - FLAP_THRESHOLD as u64));
+        // Once the window has passed, the class alerts again.
+        hub.publish(
+            "l1",
+            Epoch::from_secs(100 + FLAP_WINDOW_S + 10),
+            health(HealthState::Healthy, HealthState::Down),
+        );
+        assert_eq!(hub.alerts().len(), FLAP_THRESHOLD + 1);
     }
 
     #[test]
@@ -880,18 +881,17 @@ mod tests {
 
     #[test]
     fn log_is_bounded_with_drop_count() {
-        let hub = DiagHub::new(HubConfig {
-            log_cap: 3,
-            ..HubConfig::default()
-        });
-        for i in 0..5 {
+        let hub = DiagHub::new(HubConfig::default());
+        for i in 0..LOG_CAP as u64 + 2 {
             hub.publish(
                 "d",
                 Epoch::from_secs(i),
                 health(HealthState::Healthy, HealthState::Degraded),
             );
         }
-        assert_eq!(hub.events().len(), 3);
+        let events = hub.events();
+        assert_eq!(events.len(), LOG_CAP);
         assert_eq!(hub.log_dropped(), 2);
+        assert_eq!(events[0].seq, 2, "the oldest were dropped");
     }
 }

@@ -31,7 +31,7 @@ mod hub;
 mod metrics;
 mod trace;
 
-pub use flight::{CrashDump, FlightEvent, FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
+pub use flight::{CrashDump, FlightEvent, FlightRecorder};
 pub use hub::{
     Alert, AlertSeverity, DetectionRecord, DiagHub, FaultKind, HealthState, HubConfig, HubEvent,
     HubEventKind, TimelineRow,
@@ -58,11 +58,6 @@ pub struct TelemetryConfig {
     /// trace id, so reruns sample the same messages). `1` traces
     /// everything; `0` disables tracing while keeping metrics on.
     pub sample_every: u64,
-    /// Maximum spans retained per run; excess spans are counted as
-    /// dropped, never allocated.
-    pub span_cap: usize,
-    /// Ring capacity of each daemon's flight recorder.
-    pub flight_capacity: usize,
     /// Live diagnosis hub policy: `Some` builds a [`DiagHub`] alongside
     /// the registry and the instrumented sites publish health,
     /// overload, fault, and detection events into it during the run.
@@ -74,8 +69,6 @@ impl Default for TelemetryConfig {
     fn default() -> Self {
         Self {
             sample_every: 4,
-            span_cap: 65_536,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             hub: None,
         }
     }
@@ -123,7 +116,7 @@ impl Telemetry {
         Arc::new(Self {
             config,
             registry: MetricRegistry::new(),
-            spans: SpanLog::new(config.span_cap),
+            spans: SpanLog::default(),
             flights: Mutex::new(BTreeMap::new()),
             diag: config.hub.map(DiagHub::new),
         })
@@ -189,7 +182,7 @@ impl Telemetry {
         self.flights
             .lock()
             .entry(daemon.to_string())
-            .or_insert_with(|| Arc::new(FlightRecorder::new(self.config.flight_capacity)))
+            .or_default()
             .clone()
     }
 

@@ -95,30 +95,23 @@ pub struct SpanRecord {
     pub latency: SimDuration,
 }
 
-/// Bounded, append-only store of span records. Once the cap is hit,
-/// further spans are counted as dropped rather than grown — tracing
-/// must never turn into an unbounded allocation in a long run.
-#[derive(Debug)]
+/// Maximum spans retained per run.
+const SPAN_CAP: usize = 65_536;
+
+/// Bounded, append-only store of span records. Once [`SPAN_CAP`] is
+/// hit, further spans are counted as dropped rather than grown —
+/// tracing must never turn into an unbounded allocation in a long run.
+#[derive(Debug, Default)]
 pub struct SpanLog {
-    cap: usize,
     spans: Mutex<Vec<SpanRecord>>,
     dropped: AtomicU64,
 }
 
 impl SpanLog {
-    /// New log holding at most `cap` spans.
-    pub(crate) fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            spans: Mutex::new(Vec::new()),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
     /// Appends a span, or counts it as dropped if the log is full.
     pub(crate) fn record(&self, span: SpanRecord) {
         let mut spans = self.spans.lock();
-        if spans.len() < self.cap {
+        if spans.len() < SPAN_CAP {
             spans.push(span);
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
@@ -185,13 +178,15 @@ mod tests {
 
     #[test]
     fn log_caps_and_counts_drops() {
-        let log = SpanLog::new(2);
+        let log = SpanLog::default();
         log.record(span(1, HopKind::Publish));
-        log.record(span(1, HopKind::Forward));
+        for _ in 1..SPAN_CAP {
+            log.record(span(1, HopKind::Forward));
+        }
         log.record(span(2, HopKind::Publish));
-        assert_eq!(log.spans().len(), 2);
+        assert_eq!(log.spans().len(), SPAN_CAP);
         assert_eq!(log.dropped(), 1);
-        assert_eq!(log.spans_of(1).len(), 2);
+        assert_eq!(log.spans_of(1).len(), SPAN_CAP);
         assert_eq!(log.trace_count(), 1);
     }
 

@@ -436,7 +436,6 @@ const HUB: Feature = Feature {
     edit: |opts, _| {
         opts.telemetry = Some(TelemetryConfig::trace_all().with_hub(HubConfig {
             snapshot_every_s: 1,
-            ..HubConfig::default()
         }))
     },
     tap: false,
