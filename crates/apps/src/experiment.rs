@@ -361,7 +361,6 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
             &Platform::node_names(app.nodes()),
             &PipelineOpts {
                 dsosd_count: spec.dsosd,
-                tag: DEFAULT_STREAM_TAG.to_string(),
                 attach_store: spec.store,
                 queue: spec.queue.clone(),
                 faults: spec.faults.clone(),

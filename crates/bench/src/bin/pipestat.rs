@@ -52,7 +52,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Metric families rendered as table columns, in display order. Must
-/// track the families registered by `Ldmsd::attach_telemetry` and the
+/// track the families every daemon registers when it is built and the
 /// DSOS store.
 const FAMILIES: [&str; 14] = [
     "forwarded",

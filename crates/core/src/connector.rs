@@ -1,6 +1,6 @@
 //! The connector itself: the [`EventSink`] implementation.
 
-use crate::cost::CostModel;
+use crate::cost::COST;
 use crate::message::build_message;
 use crate::DEFAULT_STREAM_TAG;
 use darshan_sim::hooks::{EventSink, IoEvent};
@@ -42,11 +42,10 @@ pub enum DeliveryMode {
     Deferred,
 }
 
-/// Connector configuration.
+/// Connector configuration. Every connector publishes under
+/// [`DEFAULT_STREAM_TAG`] and charges the calibrated [`COST`] model.
 #[derive(Debug, Clone)]
 pub struct ConnectorConfig {
-    /// LDMS Streams tag to publish under.
-    pub tag: String,
     /// Publish every n-th event (1 = every event). The paper's
     /// future-work sampling knob: "allow users to collect every n-th
     /// I/O event detected by Darshan". Open/close events always
@@ -54,8 +53,6 @@ pub struct ConnectorConfig {
     pub sample_every: u64,
     /// Payload production mode.
     pub format_mode: FormatMode,
-    /// Virtual-time cost model.
-    pub cost: CostModel,
     /// Frame-level batching policy (disabled by default — every event
     /// publishes its own message, byte-for-byte the seed path).
     pub batch: BatchConfig,
@@ -66,10 +63,8 @@ pub struct ConnectorConfig {
 impl Default for ConnectorConfig {
     fn default() -> Self {
         Self {
-            tag: DEFAULT_STREAM_TAG.to_string(),
             sample_every: 1,
             format_mode: FormatMode::Json,
-            cost: CostModel::default(),
             batch: BatchConfig::disabled(),
             delivery: DeliveryMode::Immediate,
         }
@@ -150,7 +145,7 @@ impl Payload {
 /// allocation, as the C implementation does.
 pub struct DarshanConnector {
     config: ConnectorConfig,
-    /// `config.tag`, shared with every message published.
+    /// [`DEFAULT_STREAM_TAG`], shared with every message published.
     tag: Arc<str>,
     job: Arc<JobMeta>,
     /// The rank's compute-node name, shared with every message.
@@ -184,7 +179,7 @@ impl DarshanConnector {
         telemetry: Option<Arc<Telemetry>>,
     ) -> Arc<Self> {
         Arc::new(Self {
-            tag: Arc::from(config.tag.as_str()),
+            tag: Arc::from(DEFAULT_STREAM_TAG),
             config,
             job,
             producer: Arc::from(producer),
@@ -278,7 +273,7 @@ impl EventSink for DarshanConnector {
         let seen = self.stats.events_seen.fetch_add(1, Ordering::Relaxed) + 1;
         if !self.should_publish(event, seen) {
             self.stats.events_skipped.fetch_add(1, Ordering::Relaxed);
-            clock.advance(self.config.cost.skip());
+            clock.advance(COST.skip());
             return;
         }
         // The payload is copied out of the workhorse buffer once, into
@@ -298,11 +293,11 @@ impl EventSink for DarshanConnector {
                 self.stats
                     .formatted_bytes
                     .fetch_add(formatted as u64, Ordering::Relaxed);
-                clock.advance(self.config.cost.format_and_publish(formatted));
+                clock.advance(COST.format_and_publish(formatted));
                 own(w.as_str())
             }
             FormatMode::NoFormat => {
-                clock.advance(self.config.cost.publish_only());
+                clock.advance(COST.publish_only());
                 own("")
             }
         };
@@ -383,6 +378,7 @@ mod tests {
     use darshan_sim::{ModuleId, OpKind};
     use iosim_time::{Epoch, SimDuration};
     use ldms_sim::stream::BufferSink;
+    use ldms_sim::NetworkOpts;
 
     fn event(op: OpKind, clock: &mut Clock) -> IoEvent {
         let start = clock.time_pair();
@@ -407,9 +403,12 @@ mod tests {
     }
 
     fn setup(config: ConnectorConfig) -> (Arc<DarshanConnector>, Arc<BufferSink>, Clock) {
-        let net = Arc::new(LdmsNetwork::build(&["nid00040".to_string()]));
+        let net = Arc::new(LdmsNetwork::build(
+            &["nid00040".to_string()],
+            &NetworkOpts::default(),
+        ));
         let sink = BufferSink::new();
-        net.l2().subscribe(&config.tag, sink.clone());
+        net.l2().subscribe(DEFAULT_STREAM_TAG, sink.clone());
         let job = JobMeta::new(1, 10, "/apps/x", 1);
         let conn = DarshanConnector::with_telemetry(config, job, "nid00040".to_string(), net, None);
         (conn, sink, Clock::new(Epoch::from_secs(1_650_000_000)))
@@ -567,13 +566,16 @@ mod tests {
 
     #[test]
     fn deferred_mode_stages_messages_until_injected() {
-        let net = Arc::new(LdmsNetwork::build(&["nid00040".to_string()]));
+        let net = Arc::new(LdmsNetwork::build(
+            &["nid00040".to_string()],
+            &NetworkOpts::default(),
+        ));
         let sink = BufferSink::new();
         let cfg = ConnectorConfig {
             delivery: DeliveryMode::Deferred,
             ..Default::default()
         };
-        net.l2().subscribe(&cfg.tag, sink.clone());
+        net.l2().subscribe(DEFAULT_STREAM_TAG, sink.clone());
         let job = JobMeta::new(1, 10, "/apps/x", 1);
         let conn =
             DarshanConnector::with_telemetry(cfg, job, "nid00040".to_string(), net.clone(), None);

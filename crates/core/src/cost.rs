@@ -25,30 +25,27 @@ use iosim_time::SimDuration;
 
 /// Virtual-time cost charged per published message.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
+pub(crate) struct CostModel {
     /// Fixed cost per formatted message (ns): buffer management,
     /// field-name emission, publish syscall path.
-    pub base_ns: u64,
+    base_ns: u64,
     /// Cost per byte produced by integer/float-to-string conversion
     /// (ns) — the `sprintf` term.
-    pub per_formatted_byte_ns: u64,
+    per_formatted_byte_ns: u64,
     /// Cost of a publish with *no* formatting (ns) — the paper's
     /// "only LDMS Streams API is enabled" ablation (0.37 % overhead).
-    pub publish_only_ns: u64,
+    publish_only_ns: u64,
     /// Cost of skipping a sampled-out event (ns).
-    pub skip_ns: u64,
+    skip_ns: u64,
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        Self {
-            base_ns: 420_000,             // 420 µs
-            per_formatted_byte_ns: 1_500, // 1.5 µs per converted byte
-            publish_only_ns: 900,         // sub-µs streams call
-            skip_ns: 60,
-        }
-    }
-}
+/// The calibrated model every connector charges.
+pub(crate) const COST: CostModel = CostModel {
+    base_ns: 420_000,             // 420 µs
+    per_formatted_byte_ns: 1_500, // 1.5 µs per converted byte
+    publish_only_ns: 900,         // sub-µs streams call
+    skip_ns: 60,
+};
 
 impl CostModel {
     /// A zero-cost model (for tests that assert pure I/O timing).
@@ -85,7 +82,7 @@ mod tests {
 
     #[test]
     fn default_reproduces_hmmer_scale_overhead() {
-        let m = CostModel::default();
+        let m = COST;
         // ~150 formatted bytes per message is typical for a MOD message.
         let per_msg = m.format_and_publish(150).as_secs_f64();
         let total = per_msg * 3.1e6; // HMMER/NFS message count
@@ -98,7 +95,7 @@ mod tests {
 
     #[test]
     fn publish_only_is_negligible_at_hmmer_scale() {
-        let m = CostModel::default();
+        let m = COST;
         let total = m.publish_only().as_secs_f64() * 3.1e6;
         // Paper: 0.37% of ~750 s ≈ 2.8 s.
         assert!(total < 10.0, "publish-only must stay sub-1%: {total}");
@@ -106,7 +103,7 @@ mod tests {
 
     #[test]
     fn formatting_dominates_publish() {
-        let m = CostModel::default();
+        let m = COST;
         assert!(m.format_and_publish(150) > m.publish_only() * 100);
     }
 

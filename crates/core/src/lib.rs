@@ -17,12 +17,12 @@
 //!    (which carry the executable and file paths) and `type: "MOD"` for
 //!    everything else "to reduce the message size and latency";
 //! 3. charges the formatting cost to the application's virtual clock
-//!    through a calibrated [`cost::CostModel`] — the integer-to-string
+//!    through one calibrated cost model (`cost::COST`) — the integer-to-string
 //!    conversion the paper measured at 277–1277 % overhead on HMMER and
 //!    0.37 % with formatting disabled ([`ConnectorConfig::format_mode`]);
 //! 4. publishes the message to the LDMS Streams tag
-//!    (`"darshanConnector"` by default) from the rank's compute-node
-//!    daemon, whence it is aggregated and stored.
+//!    [`DEFAULT_STREAM_TAG`] from the rank's compute-node daemon,
+//!    whence it is aggregated and stored.
 //!
 //! [`schema`] defines the DSOS `darshan_data` schema (the 24 columns of
 //! Figure 3) with the joint indices the paper describes
@@ -40,7 +40,6 @@ pub mod schema;
 mod workload;
 
 pub use connector::{ConnectorConfig, ConnectorStats, DarshanConnector, DeliveryMode, FormatMode};
-pub use cost::CostModel;
 pub use dsos_sim::{Completeness, ReplicationConfig, ShardHealth, StoreError};
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
 pub use ldms_sim::{

@@ -7,6 +7,7 @@
 
 use crate::connector::{ConnectorConfig, DarshanConnector};
 use crate::schema::{DsosStreamStore, CONTAINER};
+use crate::DEFAULT_STREAM_TAG;
 use darshan_sim::runtime::JobMeta;
 use dsos_sim::{Completeness, DsosCluster, ReplicationConfig, Value};
 use iosim_telemetry::{Telemetry, TelemetryConfig};
@@ -24,13 +25,15 @@ use std::sync::Arc;
 pub struct PipelineOpts {
     /// `dsosd` backend count for the DSOS cluster.
     pub dsosd_count: usize,
-    /// Stream tag the store subscribes under.
-    pub tag: String,
-    /// Whether to subscribe the DSOS store at L2.
+    /// Whether to subscribe the DSOS store at L2 (under
+    /// [`DEFAULT_STREAM_TAG`]). Overhead campaigns that only need
+    /// message counts run without a subscriber — LDMS Streams'
+    /// no-caching semantics drop the payloads at L2 while every
+    /// counter still ticks, keeping multi-million-event runs cheap.
     pub attach_store: bool,
     /// Retry-queue configuration applied to every aggregation hop.
     pub queue: QueueConfig,
-    /// Chaos schedule applied to the network before the run.
+    /// Chaos schedule the network and the DSOS cluster are built with.
     pub faults: FaultScript,
     /// Deploy a standby L1 aggregator and ranked sampler routes.
     pub standby_l1: bool,
@@ -57,7 +60,6 @@ impl Default for PipelineOpts {
     fn default() -> Self {
         Self {
             dsosd_count: 2,
-            tag: crate::DEFAULT_STREAM_TAG.to_string(),
             attach_store: true,
             queue: QueueConfig::default(),
             faults: FaultScript::new(),
@@ -79,41 +81,13 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// Builds the pipeline for the given compute nodes and `dsosd`
-    /// count, and subscribes the DSOS store at the L2 aggregator under
-    /// `tag`.
-    pub fn build(node_names: &[String], dsosd_count: usize, tag: &str) -> Self {
-        Self::build_opts(node_names, dsosd_count, tag, true)
-    }
-
-    /// Like [`Pipeline::build`], but the DSOS store subscription is
-    /// optional. Overhead campaigns that only need message counts run
-    /// without a subscriber — LDMS Streams' no-caching semantics drop
-    /// the payloads at L2 while every counter still ticks, keeping
-    /// multi-million-event runs cheap.
-    pub fn build_opts(
-        node_names: &[String],
-        dsosd_count: usize,
-        tag: &str,
-        attach_store: bool,
-    ) -> Self {
-        Self::build_with(
-            node_names,
-            &PipelineOpts {
-                dsosd_count,
-                tag: tag.to_string(),
-                attach_store,
-                ..PipelineOpts::default()
-            },
-        )
-    }
-
-    /// Builds the pipeline with full options: per-hop retry-queue
-    /// configuration, crash-recovery machinery (standby aggregator,
-    /// write-ahead logs), and a chaos schedule applied before the run.
+    /// Builds the pipeline for the given compute nodes, complete:
+    /// per-hop retry-queue configuration, crash-recovery machinery
+    /// (standby aggregator, write-ahead logs), telemetry, overload
+    /// control, the replicated DSOS cluster, and the chaos schedule.
     pub fn build_with(node_names: &[String], opts: &PipelineOpts) -> Self {
         let telemetry = opts.telemetry.map(Telemetry::new);
-        let network = Arc::new(LdmsNetwork::build_full(
+        let network = Arc::new(LdmsNetwork::build(
             node_names,
             &NetworkOpts {
                 queue: opts.queue.clone(),
@@ -121,9 +95,9 @@ impl Pipeline {
                 wal: opts.wal.clone(),
                 telemetry: telemetry.clone(),
                 overload: opts.overload.clone(),
+                faults: opts.faults.clone(),
             },
         ));
-        network.apply_faults(&opts.faults);
         let cluster = DsosCluster::new_replicated(opts.dsosd_count, opts.replication)
             .unwrap_or_else(|e| panic!("invalid pipeline replication policy: {e}"));
         for spec in opts.faults.specs() {
@@ -141,14 +115,16 @@ impl Pipeline {
                 _ => {}
             }
         }
-        let store = DsosStreamStore::new(cluster.clone());
-        store.attach_ledger(network.ledger().clone());
+        let store = DsosStreamStore::new(
+            cluster.clone(),
+            Some(network.ledger().clone()),
+            telemetry.as_ref(),
+        );
         if let Some(tel) = &telemetry {
-            store.attach_telemetry(tel);
             cluster.attach_telemetry(tel);
         }
         if opts.attach_store {
-            network.l2().subscribe(&opts.tag, store.clone());
+            network.l2().subscribe(DEFAULT_STREAM_TAG, store.clone());
         }
         Self {
             network,
@@ -267,7 +243,7 @@ mod tests {
     #[test]
     fn full_pipeline_event_to_queryable_row() {
         let nodes = vec!["nid00040".to_string(), "nid00041".to_string()];
-        let p = Pipeline::build(&nodes, 2, crate::DEFAULT_STREAM_TAG);
+        let p = Pipeline::build_with(&nodes, &PipelineOpts::default());
         let job = JobMeta::new(555, 10, "/apps/demo", 2);
         let mut clock = Clock::new(Epoch::from_secs(1_650_000_000));
 
@@ -314,7 +290,13 @@ mod tests {
 
     #[test]
     fn events_of_missing_job_is_empty() {
-        let p = Pipeline::build(&["nid00001".to_string()], 1, crate::DEFAULT_STREAM_TAG);
+        let p = Pipeline::build_with(
+            &["nid00001".to_string()],
+            &PipelineOpts {
+                dsosd_count: 1,
+                ..PipelineOpts::default()
+            },
+        );
         assert!(p.events_of_job(1).is_empty());
         assert_eq!(p.stored_events(), 0);
     }

@@ -432,18 +432,28 @@ pub struct DsosStreamStore {
     /// Delivery keys of every message accepted so far.
     seen: Mutex<SeqRanges>,
     /// Registered `ingest_dedup_hits` counter, when telemetry is on.
-    dedup_hits: OnceLock<Arc<iosim_telemetry::Counter>>,
+    dedup_hits: Option<Arc<iosim_telemetry::Counter>>,
     /// Delivery ledger for acknowledged-at-quorum accounting, when the
     /// store is wired into a pipeline.
-    ledger: OnceLock<Arc<DeliveryLedger>>,
+    ledger: Option<Arc<DeliveryLedger>>,
     /// Off-path observer of parsed row batches, when run-time
     /// detection (or any other tap) is on.
-    observer: Mutex<Option<Arc<dyn IngestObserver>>>,
+    observer: OnceLock<Arc<dyn IngestObserver>>,
 }
 
 impl DsosStreamStore {
-    /// Creates the store and its container on the cluster.
-    pub fn new(cluster: Arc<DsosCluster>) -> Arc<Self> {
+    /// Creates the store and its containers on the cluster. With a
+    /// `ledger` (the network's, in a pipeline) every row the cluster
+    /// acknowledges at its write quorum lands in the ledger's
+    /// `store_acked` column — the storage tier's extension of the
+    /// conservation law. With `telemetry` the store registers its
+    /// `ingest_dedup_hits` counter, so replay suppression shows up in
+    /// exposition next to the daemons' families.
+    pub fn new(
+        cluster: Arc<DsosCluster>,
+        ledger: Option<Arc<DeliveryLedger>>,
+        telemetry: Option<&Arc<iosim_telemetry::Telemetry>>,
+    ) -> Arc<Self> {
         let schema = darshan_schema();
         cluster.create_container(CONTAINER, &schema);
         cluster.create_container(SUMMARY_CONTAINER, &summary_schema());
@@ -457,47 +467,30 @@ impl DsosStreamStore {
             summary_events: AtomicU64::new(0),
             gaps: Mutex::default(),
             seen: Mutex::default(),
-            dedup_hits: OnceLock::new(),
-            ledger: OnceLock::new(),
-            observer: Mutex::new(None),
+            dedup_hits: telemetry
+                .map(|hub| hub.registry().counter("ingest_dedup_hits", "dsos-store")),
+            ledger,
+            observer: OnceLock::new(),
         })
-    }
-
-    /// Registers the store's `ingest_dedup_hits` counter with a
-    /// telemetry hub, so replay-suppression shows up in exposition
-    /// next to the daemons' families. Called once, at pipeline build.
-    pub(crate) fn attach_telemetry(&self, hub: &Arc<iosim_telemetry::Telemetry>) {
-        let counter = hub.registry().counter("ingest_dedup_hits", "dsos-store");
-        assert!(
-            self.dedup_hits.set(counter).is_ok(),
-            "store telemetry is attached once, at pipeline build"
-        );
-    }
-
-    /// Wires the network's delivery ledger in, so every row the cluster
-    /// acknowledges at its write quorum lands in the ledger's
-    /// `store_acked` column (the storage tier's extension of the
-    /// conservation law). Called once, at pipeline build.
-    pub(crate) fn attach_ledger(&self, ledger: Arc<DeliveryLedger>) {
-        assert!(
-            self.ledger.set(ledger).is_ok(),
-            "the store's ledger is attached once, at pipeline build"
-        );
     }
 
     /// Attaches an off-path [`IngestObserver`] that sees every parsed
     /// row batch before it is handed to the cluster. Purely
     /// observational: rows, acknowledgements, and ledger accounting
-    /// are byte-identical with and without an observer attached.
+    /// are byte-identical with and without an observer attached. A
+    /// store takes one observer; attaching a second panics.
     pub fn attach_observer(&self, observer: Arc<dyn IngestObserver>) {
-        *self.observer.lock() = Some(observer);
+        assert!(
+            self.observer.set(observer).is_ok(),
+            "the store's ingest observer is attached once"
+        );
     }
 
     fn record_acked(&self, n: u64) {
         if n == 0 {
             return;
         }
-        if let Some(ledger) = self.ledger.get() {
+        if let Some(ledger) = &self.ledger {
             ledger.record_store_acked_n(n);
         }
     }
@@ -604,7 +597,7 @@ impl StreamSink for DsosStreamStore {
         if let Some(key) = msg.delivery_key() {
             if !self.seen.lock().claim(key) {
                 self.duplicates.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = self.dedup_hits.get() {
+                if let Some(c) = &self.dedup_hits {
                     c.inc();
                 }
                 return;
@@ -630,8 +623,7 @@ impl StreamSink for DsosStreamStore {
         let total = objs.len() as u64;
         // The observer peeks at the batch before it moves into the
         // cluster; storage behavior is independent of the peek.
-        let obs = self.observer.lock().clone();
-        if let Some(obs) = obs {
+        if let Some(obs) = self.observer.get() {
             obs.on_rows(&objs, msg.recv_time);
         }
         // Rows are written at the message's arrival instant so the
@@ -687,7 +679,7 @@ mod tests {
     #[test]
     fn messages_land_in_dsos_queryable_by_index() {
         let cluster = DsosCluster::new(2);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         deliver(&store, MSG);
         assert_eq!(store.ingested(), 1);
         let rows = cluster.query_prefix(CONTAINER, "job_rank_time", &[Value::U64(7)]);
@@ -713,7 +705,7 @@ mod tests {
             }
         }
         let cluster = DsosCluster::new(2);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         let tap = Arc::new(Tap {
             rows: Mutex::new(Vec::new()),
             batches: AtomicU64::new(0),
@@ -737,7 +729,7 @@ mod tests {
     #[test]
     fn malformed_messages_are_counted_not_fatal() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         deliver(&store, "{broken");
         deliver(&store, r#"{"module":"POSIX"}"#); // missing columns → N/A in numeric fields
         deliver(&store, MSG);
@@ -748,7 +740,7 @@ mod tests {
     #[test]
     fn sequence_gaps_are_detected_per_publisher() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster);
+        let store = DsosStreamStore::new(cluster, None, None);
         // Sequences 1, 2, 5 arrive; 3 and 4 were lost upstream.
         for seq in [1u64, 2, 5] {
             store.deliver(
@@ -776,7 +768,7 @@ mod tests {
     #[test]
     fn duplicate_keyed_delivery_is_ingested_once() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster);
+        let store = DsosStreamStore::new(cluster, None, None);
         let keyed = StreamMessage::new(
             "darshanConnector",
             MsgFormat::Json,
@@ -797,7 +789,7 @@ mod tests {
     #[test]
     fn unsequenced_messages_do_not_enter_gap_tracking() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster);
+        let store = DsosStreamStore::new(cluster, None, None);
         deliver(&store, MSG);
         assert_eq!(store.ingested(), 1);
         assert!(store.gap_reports().is_empty());
@@ -1005,7 +997,7 @@ mod tests {
     #[test]
     fn every_truncation_is_one_rejected_message_and_nothing_ingested() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         let mut sent = 0;
         for (payload, summary) in [(MSG, false), (SKETCH, true)] {
             for cut in 0..payload.len() {
@@ -1035,7 +1027,7 @@ mod tests {
     #[test]
     fn summary_sketches_route_to_their_own_container() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         let sketch = StreamMessage::new(
             "darshanConnector",
             MsgFormat::Json,
@@ -1072,7 +1064,7 @@ mod tests {
     #[test]
     fn the_store_keeps_runs_not_keys() {
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster);
+        let store = DsosStreamStore::new(cluster, None, None);
         let event = |rank: u64, seq: u64| {
             StreamMessage::new(
                 "darshanConnector",

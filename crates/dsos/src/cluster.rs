@@ -8,8 +8,8 @@
 //! implements that client, hardened against `dsosd` failures:
 //!
 //! * **Placement** is deterministic hash-sharding by `(job, rank)`
-//!   through a [`ShardMap`], with a replication factor R and
-//!   failure-domain-aware replica placement — no more round-robin.
+//!   through a [`ShardMap`], with a replication factor R whose
+//!   replicas land on distinct daemons — no more round-robin.
 //! * **Ingest** writes all R replicas that are up at the write's
 //!   virtual time and acknowledges at a configurable write quorum
 //!   ([`ReplicationConfig`]); missing containers are a typed
@@ -41,10 +41,10 @@ use iosim_telemetry::{Counter, DiagHub, FaultKind, Gauge, HealthState, HubEventK
 use iosim_time::Epoch;
 use iosim_util::hash::FnvBuildHasher;
 use iosim_util::merge::KWayMerge;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Query instant used by the non-`_at` query APIs: after every
 /// scheduled fault has played out.
@@ -180,7 +180,7 @@ pub struct DsosCluster {
     recovered_events: AtomicUsize,
     read_repairs: AtomicU64,
     rebuild_rows: AtomicU64,
-    metrics: Mutex<Option<ClusterMetrics>>,
+    metrics: OnceLock<ClusterMetrics>,
 }
 
 impl DsosCluster {
@@ -191,33 +191,21 @@ impl DsosCluster {
     }
 
     /// Builds a cluster of `n` daemons with the given replication
-    /// policy; each daemon is its own failure domain.
+    /// policy.
     pub fn new_replicated(n: usize, cfg: ReplicationConfig) -> Result<Arc<Self>, StoreError> {
-        let domains: Vec<usize> = (0..n).collect();
-        Self::with_domains(n, cfg, &domains)
-    }
-
-    /// Builds a cluster with explicit failure domains (`domains[d]` is
-    /// daemon `d`'s rack); replica placement avoids co-locating copies
-    /// in one domain whenever enough domains exist.
-    pub(crate) fn with_domains(
-        n: usize,
-        cfg: ReplicationConfig,
-        domains: &[usize],
-    ) -> Result<Arc<Self>, StoreError> {
         assert!(n > 0, "cluster needs at least one daemon");
         cfg.validate(n)?;
         Ok(Arc::new(Self {
             daemons: (0..n).map(|i| Dsosd::new(&format!("dsosd-{i}"))).collect(),
             cfg,
-            map: ShardMap::new(n, cfg.replicas, domains),
+            map: ShardMap::new(n, cfg.replicas),
             next_rid: AtomicU64::new(0),
             repl: RwLock::new(HashMap::new()),
             schedules: RwLock::new((0..n).map(|_| DaemonSchedule::default()).collect()),
             recovered_events: AtomicUsize::new(0),
             read_repairs: AtomicU64::new(0),
             rebuild_rows: AtomicU64::new(0),
-            metrics: Mutex::new(None),
+            metrics: OnceLock::new(),
         }))
     }
 
@@ -247,15 +235,20 @@ impl DsosCluster {
     }
 
     /// Registers `replica_lag` / `read_repairs` / `rebuild_rows` with a
-    /// telemetry hub (daemon label `dsos-cluster`).
+    /// telemetry hub (daemon label `dsos-cluster`). A cluster reports
+    /// to one hub; attaching a second panics.
     pub fn attach_telemetry(&self, hub: &Arc<Telemetry>) {
         let reg = hub.registry();
-        *self.metrics.lock() = Some(ClusterMetrics {
+        let metrics = ClusterMetrics {
             read_repairs: reg.counter("read_repairs", "dsos-cluster"),
             rebuild_rows: reg.counter("rebuild_rows", "dsos-cluster"),
             replica_lag: reg.gauge("replica_lag", "dsos-cluster"),
             diag: hub.diag().cloned(),
-        });
+        };
+        assert!(
+            self.metrics.set(metrics).is_ok(),
+            "cluster telemetry is attached once"
+        );
     }
 
     /// Ensures the container exists on every daemon and sets up its
@@ -334,7 +327,7 @@ impl DsosCluster {
         }
         events.sort_by(|a, b| (a.0, &a.1, a.2).cmp(&(b.0, &b.1, b.2)));
         let start = self.recovered_events.load(Ordering::Acquire);
-        let diag = self.metrics.lock().as_ref().and_then(|m| m.diag.clone());
+        let diag = self.metrics.get().and_then(|m| m.diag.as_ref());
         let mut rebuilt = 0u64;
         let mut processed = start;
         let mut repl = self.repl.write();
@@ -419,7 +412,7 @@ impl DsosCluster {
             self.rebuild_rows.fetch_add(rebuilt, Ordering::Relaxed);
         }
         let lag = self.replica_lag(&repl, &schedules, horizon);
-        if let Some(m) = &*self.metrics.lock() {
+        if let Some(m) = self.metrics.get() {
             if rebuilt > 0 {
                 m.rebuild_rows.add(rebuilt);
             }
@@ -820,7 +813,7 @@ impl DsosCluster {
         drop(repl);
         if repaired > 0 {
             self.read_repairs.fetch_add(repaired, Ordering::Relaxed);
-            if let Some(m) = &*self.metrics.lock() {
+            if let Some(m) = self.metrics.get() {
                 m.read_repairs.add(repaired);
             }
         }

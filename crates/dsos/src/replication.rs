@@ -4,8 +4,8 @@
 //! failure story: a lost daemon silently loses every row it held. This
 //! module gives the cluster the same conservation-law discipline the
 //! transport tier already has (PR 1/3/6): deterministic hash-sharding
-//! by `(job, rank)` with a replication factor R and failure-domain-aware
-//! replica placement ([`ShardMap`]), a configurable write quorum
+//! by `(job, rank)` with a replication factor R and replicas on
+//! distinct daemons ([`ShardMap`]), a configurable write quorum
 //! ([`ReplicationConfig`]), per-daemon crash/restart schedules in
 //! virtual time ([`DaemonSchedule`]), and exact [`Completeness`]
 //! accounting so a degraded query can *prove* what it is missing.
@@ -142,11 +142,9 @@ impl From<SchemaError> for StoreError {
 /// Deterministic shard → replica-set placement.
 ///
 /// `shards = daemons × VIRTUAL_SHARDS_PER_DAEMON` virtual shards; a
-/// row's shard is `hash(job, rank) mod shards`; shard `s`'s replicas
-/// start at daemon `s mod n` and walk forward, skipping daemons whose
-/// failure domain is already represented while distinct domains remain
-/// available, so R copies land in R distinct failure domains whenever
-/// the cluster has that many.
+/// row's shard is `hash(job, rank) mod shards`; shard `s`'s R replicas
+/// are the daemons `(s + i) mod n` for `i < R` — R distinct daemons,
+/// the primary at `s mod n`.
 #[derive(Debug, Clone)]
 pub struct ShardMap {
     replica_sets: Vec<Vec<usize>>,
@@ -154,48 +152,17 @@ pub struct ShardMap {
 
 impl ShardMap {
     /// Builds the placement for `daemons` daemons and `replicas` copies.
-    /// `domains[d]` is daemon `d`'s failure domain; pass one distinct
-    /// domain per daemon (the default) when racks are unknown.
-    pub(crate) fn new(daemons: usize, replicas: usize, domains: &[usize]) -> Self {
+    pub(crate) fn new(daemons: usize, replicas: usize) -> Self {
         assert!(daemons > 0, "shard map needs at least one daemon");
         assert!(
             replicas >= 1 && replicas <= daemons,
             "need 1 <= replicas <= daemons"
         );
-        assert_eq!(domains.len(), daemons, "one failure domain per daemon");
         let shards = daemons * VIRTUAL_SHARDS_PER_DAEMON;
         let replica_sets = (0..shards)
-            .map(|s| Self::place(s, daemons, replicas, domains))
+            .map(|s| (0..replicas).map(|i| (s + i) % daemons).collect())
             .collect();
         Self { replica_sets }
-    }
-
-    fn place(shard: usize, daemons: usize, replicas: usize, domains: &[usize]) -> Vec<usize> {
-        let mut picked: Vec<usize> = Vec::with_capacity(replicas);
-        let mut used_domains: Vec<usize> = Vec::with_capacity(replicas);
-        // First pass: insist on distinct failure domains.
-        for i in 0..daemons {
-            if picked.len() == replicas {
-                break;
-            }
-            let d = (shard + i) % daemons;
-            if !used_domains.contains(&domains[d]) {
-                picked.push(d);
-                used_domains.push(domains[d]);
-            }
-        }
-        // Second pass: fewer domains than replicas — fill with any
-        // daemon not yet picked, still deterministically.
-        for i in 0..daemons {
-            if picked.len() == replicas {
-                break;
-            }
-            let d = (shard + i) % daemons;
-            if !picked.contains(&d) {
-                picked.push(d);
-            }
-        }
-        picked
     }
 
     /// Number of virtual shards.
@@ -399,37 +366,13 @@ mod tests {
 
     #[test]
     fn shard_map_places_replicas_on_distinct_daemons() {
-        let domains: Vec<usize> = (0..4).collect();
-        let map = ShardMap::new(4, 2, &domains);
+        let map = ShardMap::new(4, 2);
         assert_eq!(map.shard_count(), 4 * VIRTUAL_SHARDS_PER_DAEMON);
         for s in 0..map.shard_count() {
             let r = map.replicas_of(s);
             assert_eq!(r.len(), 2);
             assert_ne!(r[0], r[1]);
             assert_eq!(r[0], s % 4); // primary = shard mod n
-        }
-    }
-
-    #[test]
-    fn shard_map_respects_failure_domains() {
-        // Daemons 0,1 share rack 0; daemons 2,3 share rack 1. R=2 must
-        // always straddle the racks.
-        let map = ShardMap::new(4, 2, &[0, 0, 1, 1]);
-        for s in 0..map.shard_count() {
-            let r = map.replicas_of(s);
-            let d0 = if r[0] < 2 { 0 } else { 1 };
-            let d1 = if r[1] < 2 { 0 } else { 1 };
-            assert_ne!(d0, d1, "shard {s} placed both copies in one rack");
-        }
-        // More replicas than domains: falls back to distinct daemons.
-        let map = ShardMap::new(4, 3, &[0, 0, 1, 1]);
-        for s in 0..map.shard_count() {
-            let r = map.replicas_of(s);
-            assert_eq!(r.len(), 3);
-            let mut sorted = r.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 3, "shard {s} reused a daemon");
         }
     }
 

@@ -9,7 +9,7 @@
 //!   duplicate producer names, Table I schema coverage,
 //!   single-point-of-failure aggregators, WAL and sampling-watermark
 //!   sizing. Runs on a live
-//!   [`Pipeline`]/[`LdmsNetwork`](ldms_sim::daemon::LdmsNetwork)
+//!   [`Pipeline`]/[`LdmsNetwork`](ldms_sim::LdmsNetwork)
 //!   *before* any message flows, or on a declarative conf file in CI.
 //! * **Flow** (`FLOW001`–`FLOW004`): a whole-pipeline abstract
 //!   interpretation ([`analyze_flow`]) deriving sound per-hop

@@ -2,7 +2,7 @@
 //!
 //! Works on a [`TopologySpec`] — a plain-data intermediate
 //! representation of the Figure 4 topology that can be extracted from
-//! a live [`ldms_sim::daemon::LdmsNetwork`] / `Pipeline` *or* parsed
+//! a live [`ldms_sim::LdmsNetwork`] / `Pipeline` *or* parsed
 //! from a declarative conf file, so the same lints run pre-flight
 //! inside the experiment driver and ahead of time in CI.
 //!
@@ -80,9 +80,9 @@
 use crate::diag::{self, Diagnostic, Severity};
 use darshan_ldms_connector::{Pipeline, WorkloadSpec, COLUMNS};
 use iosim_time::{Epoch, SimDuration};
-use ldms_sim::daemon::{DaemonRole, LdmsNetwork};
 use ldms_sim::fault::{FaultScript, FaultSpec};
 use ldms_sim::queue::{OverflowPolicy, QueueConfig};
+use ldms_sim::{DaemonRole, LdmsNetwork};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
@@ -284,7 +284,7 @@ impl TopologySpec {
     /// Extracts the IR from a live network: daemon roles, upstream
     /// wiring, per-hop queue configs, and which daemons have
     /// subscribers for `tag`. `faults` contributes the downtime
-    /// windows (the same script later handed to `apply_faults`).
+    /// windows (the script the network was built with).
     pub(crate) fn from_network(net: &LdmsNetwork, tag: &str, faults: &FaultScript) -> Self {
         let daemons = net
             .daemons()
@@ -358,8 +358,8 @@ impl TopologySpec {
 
     /// Folds a chaos script's downtime windows into the spec. The
     /// aliases `"l1"` / `"l2"` resolve to the first daemon with the
-    /// matching role; unknown components are skipped, mirroring
-    /// `LdmsNetwork::apply_faults` tolerance. Probabilistic loss specs
+    /// matching role; unknown components are skipped, as the network
+    /// builder skips them. Probabilistic loss specs
     /// carry no window and are ignored here (the delivery ledger, not
     /// the topology linter, accounts for them).
     pub(crate) fn absorb_faults(&mut self, faults: &FaultScript) {
@@ -620,7 +620,7 @@ pub fn parse_conf(text: &str) -> Result<TopologySpec, ConfError> {
     }
     // Outage components referencing aliases resolve after all daemons
     // are known; unknown names are kept verbatim (they simply never
-    // match a hop, like apply_faults skipping unknown targets).
+    // match a hop, as the network builder skips unknown targets).
     for o in &mut spec.outages {
         if let Some(resolved) = resolve_after_parse(&spec.daemons, &o.component) {
             o.component = resolved;
@@ -1034,8 +1034,8 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
                         format!("forwarding cycle: {rendered}"),
                     )
                     .with_help(
-                        "aggregation must be a DAG; every message entering the cycle is dropped \
-                         with cause `cycle-dropped`",
+                        "aggregation must be a DAG; a message entering the cycle never reaches \
+                         a terminal store",
                     ),
                 );
             }
@@ -1414,6 +1414,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ldms_sim::NetworkOpts;
 
     const PAPER: &str = "
 tag darshanConnector
@@ -1594,7 +1595,10 @@ daemon store l2
 
     #[test]
     fn spec_from_live_network_carries_only_the_spof_warning() {
-        let net = LdmsNetwork::build(&["nid00040".into(), "nid00041".into()]);
+        let net = LdmsNetwork::build(
+            &["nid00040".into(), "nid00041".into()],
+            &NetworkOpts::default(),
+        );
         net.l2()
             .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
         let spec = TopologySpec::from_network(&net, "darshanConnector", &FaultScript::new());
@@ -1606,12 +1610,12 @@ daemon store l2
 
     #[test]
     fn spec_from_standby_network_is_clean() {
-        let net = ldms_sim::LdmsNetwork::build_full(
+        let net = LdmsNetwork::build(
             &["nid00040".into(), "nid00041".into()],
-            &ldms_sim::NetworkOpts {
+            &NetworkOpts {
                 queue: QueueConfig::reliable(),
                 standby_l1: true,
-                ..ldms_sim::NetworkOpts::default()
+                ..NetworkOpts::default()
             },
         );
         net.l2()
@@ -1624,7 +1628,7 @@ daemon store l2
 
     #[test]
     fn network_faults_become_outage_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()]);
+        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
         net.l2()
             .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
         let faults = FaultScript::new()
@@ -1641,7 +1645,7 @@ daemon store l2
 
     #[test]
     fn crash_faults_become_crash_outage_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()]);
+        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
         net.l2()
             .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
         let faults = FaultScript::new().crash("l1", Epoch::from_secs(100), Epoch::from_secs(130));
@@ -1701,7 +1705,7 @@ daemon store l2
 
     #[test]
     fn dsosd_fault_specs_become_paired_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()]);
+        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
         net.l2()
             .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
         let faults = FaultScript::new()

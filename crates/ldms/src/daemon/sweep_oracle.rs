@@ -7,8 +7,11 @@
 use super::*;
 use crate::queue::OverflowPolicy;
 use crate::stream::{MsgClass, MsgFormat, StreamSink};
-use iosim_telemetry::{HubConfig, HubEvent, TelemetryConfig};
+use crate::{FaultScript, LdmsNetwork, RecoveryReport, WalConfig};
+use iosim_telemetry::{HubConfig, HubEvent, Telemetry, TelemetryConfig};
+use iosim_time::SimDuration;
 use proptest::prelude::*;
+use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 
 impl LdmsNetwork {
@@ -127,7 +130,24 @@ impl Scenario {
                 .with_max_attempts(4),
             _ => reliable.with_capacity(4),
         };
-        let net = LdmsNetwork::build_full(
+        let mut targets = node_names(self.nodes);
+        targets.extend(["l1", "l2", "standby"].map(String::from));
+        let mut faults = FaultScript::new();
+        for &(kind, target, from, dur) in &self.faults {
+            let daemon = &targets[target % targets.len()];
+            let again = tick(from + 2 * dur);
+            let (from, until) = (tick(from), tick(from + dur));
+            faults = match kind {
+                0 => faults.daemon_outage(daemon, from, until),
+                1 => faults.link_flap(daemon, from, until),
+                2 => faults.link_loss_prob(daemon, dur as f64 / 3000.0, from.as_nanos()),
+                3 => faults.link_drop_every(daemon, 2 + dur % 5),
+                // A second outage starting where another may end.
+                4 => faults.daemon_outage(daemon, until, again),
+                _ => faults.crash(daemon, from, until),
+            };
+        }
+        LdmsNetwork::build(
             &node_names(self.nodes),
             &NetworkOpts {
                 queue,
@@ -158,27 +178,9 @@ impl Scenario {
                         .with_propagation(ticks(20)),
                     ),
                 },
+                faults,
             },
-        );
-        let mut targets = node_names(self.nodes);
-        targets.extend(["l1", "l2", "standby"].map(String::from));
-        let mut script = FaultScript::new();
-        for &(kind, target, from, dur) in &self.faults {
-            let daemon = &targets[target % targets.len()];
-            let again = tick(from + 2 * dur);
-            let (from, until) = (tick(from), tick(from + dur));
-            script = match kind {
-                0 => script.daemon_outage(daemon, from, until),
-                1 => script.link_flap(daemon, from, until),
-                2 => script.link_loss_prob(daemon, dur as f64 / 3000.0, from.as_nanos()),
-                3 => script.link_drop_every(daemon, 2 + dur % 5),
-                // A second outage starting where another may end.
-                4 => script.daemon_outage(daemon, until, again),
-                _ => script.crash(daemon, from, until),
-            };
-        }
-        net.apply_faults(&script);
-        net
+        )
     }
 
     /// Publishes the traffic, settling once part-way and once at the
@@ -337,7 +339,7 @@ fn the_differential_scenarios_reach_every_mechanism() {
 
 #[test]
 fn a_fault_free_fleet_is_never_visited() {
-    let net = LdmsNetwork::build(&node_names(128));
+    let net = LdmsNetwork::build(&node_names(128), &NetworkOpts::default());
     let sink = Arc::new(Recorder::default());
     net.l2().subscribe(TAG, sink.clone());
     for i in 0..2_000u64 {
@@ -363,8 +365,14 @@ fn a_fault_free_fleet_is_never_visited() {
 
 #[test]
 fn a_parked_message_costs_one_visit_per_retry_not_one_per_publish() {
-    let net = LdmsNetwork::build_with(&node_names(8), QueueConfig::reliable());
-    net.apply_faults(&FaultScript::new().link_flap("nid00003", ms(0), ms(500)));
+    let net = LdmsNetwork::build(
+        &node_names(8),
+        &NetworkOpts {
+            queue: QueueConfig::reliable(),
+            faults: FaultScript::new().link_flap("nid00003", ms(0), ms(500)),
+            ..NetworkOpts::default()
+        },
+    );
     net.l2().subscribe(TAG, Arc::new(Recorder::default()));
     let publish = |node: u64, at: u64| {
         net.publish(
@@ -415,13 +423,17 @@ impl StreamSink for Gate {
 
 #[test]
 fn a_wake_booked_behind_a_running_pass_waits_for_the_next_one() {
-    let net = LdmsNetwork::build_with(&node_names(2), QueueConfig::reliable());
     // L2 is out until 140: a message published at 120 parks at L1
     // (position 2). nid00000's link (position 0) is down around 130.
-    net.apply_faults(
-        &FaultScript::new()
-            .daemon_outage("l2", ms(100), ms(140))
-            .link_flap("nid00000", ms(125), ms(135)),
+    let net = LdmsNetwork::build(
+        &node_names(2),
+        &NetworkOpts {
+            queue: QueueConfig::reliable(),
+            faults: FaultScript::new()
+                .daemon_outage("l2", ms(100), ms(140))
+                .link_flap("nid00000", ms(125), ms(135)),
+            ..NetworkOpts::default()
+        },
     );
     let (entered_tx, entered) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();

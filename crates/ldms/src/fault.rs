@@ -5,13 +5,12 @@
 //! and links never flap. Production-scale monitoring cannot assume
 //! that, so this module models scheduled *downtime windows* in virtual
 //! time ([`Lifecycle`]) for both daemons and transport links, plus a
-//! declarative [`FaultScript`] the experiment driver can hand to
-//! [`crate::LdmsNetwork::apply_faults`] to run a whole overhead
-//! campaign under injected faults. All randomness is drawn from the
-//! seeded, reproducible [`SimRng`] so campaigns stay replayable.
+//! declarative [`FaultScript`] a network is built with
+//! ([`crate::NetworkOpts::faults`]) to run a whole overhead campaign
+//! under injected faults. All randomness is drawn from the seeded,
+//! reproducible [`SimRng`] so campaigns stay replayable.
 
 use iosim_time::Epoch;
-use parking_lot::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A small deterministic PRNG (splitmix64), used for probabilistic
@@ -47,7 +46,7 @@ pub(crate) fn mix64(mut z: u64) -> u64 {
 }
 
 /// Lock-free variant of [`SimRng`] for sampling from shared components
-/// (a [`crate::TransportLink`] is sampled under a read lock).
+/// (a [`crate::TransportLink`] or a retry queue draws through `&self`).
 #[derive(Debug)]
 pub(crate) struct AtomicRng {
     state: AtomicU64,
@@ -58,10 +57,6 @@ impl AtomicRng {
         Self {
             state: AtomicU64::new(seed),
         }
-    }
-
-    pub(crate) fn reseed(&self, seed: u64) {
-        self.state.store(seed, Ordering::Relaxed);
     }
 
     pub(crate) fn next_f64(&self) -> f64 {
@@ -77,23 +72,19 @@ impl AtomicRng {
 ///
 /// A component is up unless the queried instant falls inside a
 /// scheduled downtime window `[from, until)`. Windows may overlap or
-/// chain; [`Lifecycle::next_up`] resolves through all of them.
+/// chain; [`Lifecycle::next_up`] resolves through all of them. The
+/// windows are fixed when the component is built.
 #[derive(Debug, Default)]
 pub struct Lifecycle {
-    windows: RwLock<Vec<(Epoch, Epoch)>>,
+    windows: Vec<(Epoch, Epoch)>,
 }
 
 impl Lifecycle {
-    /// Creates an always-up lifecycle.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Schedules a downtime window `[from, until)`. Empty or inverted
     /// windows are ignored.
-    pub(crate) fn schedule_down(&self, from: Epoch, until: Epoch) {
+    pub(crate) fn schedule_down(&mut self, from: Epoch, until: Epoch) {
         if until > from {
-            self.windows.write().push((from, until));
+            self.windows.push((from, until));
         }
     }
 
@@ -101,7 +92,6 @@ impl Lifecycle {
     pub(crate) fn is_up(&self, t: Epoch) -> bool {
         !self
             .windows
-            .read()
             .iter()
             .any(|&(from, until)| from <= t && t < until)
     }
@@ -109,10 +99,10 @@ impl Lifecycle {
     /// Earliest instant `>= t` at which the component is up. Chained
     /// and overlapping windows are resolved transitively.
     pub(crate) fn next_up(&self, t: Epoch) -> Epoch {
-        let windows = self.windows.read();
         let mut t = t;
         loop {
-            match windows
+            match self
+                .windows
                 .iter()
                 .find(|&&(from, until)| from <= t && t < until)
             {
@@ -124,7 +114,7 @@ impl Lifecycle {
 
     /// True when no downtime is scheduled at all (fast path).
     pub(crate) fn always_up(&self) -> bool {
-        self.windows.read().is_empty()
+        self.windows.is_empty()
     }
 
     /// Start of the contiguous downtime containing `t`, resolving
@@ -132,13 +122,14 @@ impl Lifecycle {
     /// component is up at `t`. This is what heartbeat-based liveness
     /// detection measures missed beats against.
     pub(crate) fn down_since(&self, t: Epoch) -> Option<Epoch> {
-        let windows = self.windows.read();
-        let mut start = windows
+        let mut start = self
+            .windows
             .iter()
             .find(|&&(from, until)| from <= t && t < until)?
             .0;
         loop {
-            match windows
+            match self
+                .windows
                 .iter()
                 .find(|&&(from, until)| from < start && until >= start)
             {
@@ -158,7 +149,6 @@ impl Lifecycle {
         }
         Some(
             self.windows
-                .read()
                 .iter()
                 .filter(|&&(_, until)| until <= t)
                 .map(|&(_, until)| until)
@@ -246,8 +236,8 @@ pub enum FaultSpec {
     },
 }
 
-/// A declarative chaos schedule: an ordered list of faults to apply to
-/// a network before (or while) a campaign runs.
+/// A declarative chaos schedule: an ordered list of faults a network is
+/// built with.
 #[derive(Debug, Clone, Default)]
 pub struct FaultScript {
     specs: Vec<FaultSpec>,
@@ -334,6 +324,75 @@ impl FaultScript {
     pub fn specs(&self) -> &[FaultSpec] {
         &self.specs
     }
+
+    /// Sorts the transport faults by the daemon they target: entry `i`
+    /// holds what the script does to the daemon `resolve` maps to `i`,
+    /// of `daemons`. Specs naming no daemon are skipped, so one script
+    /// serves any topology; storage-tier specs are the DSOS cluster's.
+    /// A repeated loss spec on one link overrides the earlier one.
+    pub(crate) fn by_daemon(
+        &self,
+        daemons: usize,
+        resolve: impl Fn(&str) -> Option<usize>,
+    ) -> Vec<DaemonFaults> {
+        let mut out: Vec<DaemonFaults> = (0..daemons).map(|_| DaemonFaults::default()).collect();
+        for spec in &self.specs {
+            let (FaultSpec::DaemonOutage { daemon, .. }
+            | FaultSpec::LinkFlap { daemon, .. }
+            | FaultSpec::LinkLossProb { daemon, .. }
+            | FaultSpec::LinkDropEvery { daemon, .. }
+            | FaultSpec::Crash { daemon, .. }
+            | FaultSpec::CrashDsosd { daemon, .. }
+            | FaultSpec::RestartDsosd { daemon, .. }) = spec;
+            let Some(i) = resolve(daemon) else { continue };
+            let target = &mut out[i];
+            match *spec {
+                FaultSpec::DaemonOutage { from, until, .. } => {
+                    target.down.schedule_down(from, until)
+                }
+                FaultSpec::Crash { at, restart, .. } if restart > at => {
+                    target.down.schedule_down(at, restart);
+                    target.crashes.push((at, restart));
+                }
+                FaultSpec::LinkFlap { from, until, .. } => {
+                    target.link.flaps.schedule_down(from, until);
+                }
+                FaultSpec::LinkLossProb { prob, seed, .. } => {
+                    target.link.loss = (prob.clamp(0.0, 1.0), seed);
+                }
+                FaultSpec::LinkDropEvery { every, .. } => target.link.drop_every = every,
+                FaultSpec::Crash { .. }
+                | FaultSpec::CrashDsosd { .. }
+                | FaultSpec::RestartDsosd { .. } => {}
+            }
+        }
+        out
+    }
+}
+
+/// What a [`FaultScript`] does to one daemon of a network: its downtime
+/// and crash-stop windows, and the faults of its primary upstream link
+/// (ignored when it has none).
+#[derive(Debug, Default)]
+pub(crate) struct DaemonFaults {
+    /// Outage and crash windows, in script order.
+    pub(crate) down: Lifecycle,
+    /// Crash-stop windows `(at, restart)`, in script order.
+    pub(crate) crashes: Vec<(Epoch, Epoch)>,
+    /// The primary upstream link's faults.
+    pub(crate) link: LinkFaults,
+}
+
+/// The faults of one transport link.
+#[derive(Debug, Default)]
+pub(crate) struct LinkFaults {
+    /// Flap windows: the link refuses messages while down.
+    pub(crate) flaps: Lifecycle,
+    /// Drop every `n`-th message crossing the link (0 = never).
+    pub(crate) drop_every: u64,
+    /// Per-message drop probability in `[0, 1]`, and the seed its
+    /// draws come from.
+    pub(crate) loss: (f64, u64),
 }
 
 #[cfg(test)]
@@ -354,7 +413,7 @@ mod tests {
 
     #[test]
     fn lifecycle_windows_and_next_up() {
-        let lc = Lifecycle::new();
+        let mut lc = Lifecycle::default();
         assert!(lc.always_up());
         lc.schedule_down(Epoch::from_secs(10), Epoch::from_secs(20));
         lc.schedule_down(Epoch::from_secs(20), Epoch::from_secs(25));
@@ -369,7 +428,7 @@ mod tests {
 
     #[test]
     fn down_since_and_up_since_resolve_chained_windows() {
-        let lc = Lifecycle::new();
+        let mut lc = Lifecycle::default();
         assert_eq!(lc.up_since(Epoch::from_secs(5)), Some(Epoch::from_nanos(0)));
         assert_eq!(lc.down_since(Epoch::from_secs(5)), None);
         lc.schedule_down(Epoch::from_secs(10), Epoch::from_secs(20));
@@ -388,7 +447,7 @@ mod tests {
 
     #[test]
     fn inverted_window_is_ignored() {
-        let lc = Lifecycle::new();
+        let mut lc = Lifecycle::default();
         lc.schedule_down(Epoch::from_secs(20), Epoch::from_secs(10));
         assert!(lc.always_up());
     }

@@ -173,9 +173,6 @@ pub enum LossCause {
     /// The message exceeded its block-with-deadline sojourn budget
     /// while parked in a retry queue.
     DeadlineExceeded,
-    /// Forwarding detected a topology cycle (or an absurdly deep
-    /// chain) and dropped the message instead of looping.
-    CycleDropped,
     /// A crash-stop fault destroyed the message while it sat in a
     /// volatile retry queue with no durable WAL record covering it.
     Crash,
@@ -193,7 +190,6 @@ impl LossCause {
             LossCause::DaemonDown => "daemon-down",
             LossCause::QueueOverflow => "queue-overflow",
             LossCause::DeadlineExceeded => "deadline-exceeded",
-            LossCause::CycleDropped => "cycle-dropped",
             LossCause::Crash => "lost-crash",
             LossCause::Backpressure => "backpressure",
         }

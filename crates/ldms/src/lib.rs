@@ -11,10 +11,12 @@
 //!   IV.B: push-based, tag-matched, best-effort ("without a reconnect
 //!   or resend"), uncached (published data is only received by parties
 //!   already subscribed), and variable-length string/JSON payloads.
-//! * **Transport & aggregation** ([`daemon`], [`transport`]) — compute
-//!   node daemons push to a first-level aggregator (the paper's head
-//!   node) which pushes to a second-level aggregator on another cluster
-//!   (Shirley) where the store plugin runs.
+//! * **Transport & aggregation** ([`daemon`], [`LdmsNetwork`],
+//!   [`TransportLink`]) — compute node daemons push to a first-level
+//!   aggregator (the paper's head node) which pushes to a second-level
+//!   aggregator on another cluster (Shirley) where the store plugin
+//!   runs. The network is built complete, faults included, before the
+//!   first publish.
 //!
 //! [`sampler`] adds conventional metric-set sampling (meminfo/vmstat
 //! style) so system telemetry can be collected alongside the Darshan
@@ -53,6 +55,7 @@ pub mod daemon;
 pub mod fault;
 mod heartbeat;
 pub mod ledger;
+mod network;
 pub mod overload;
 pub mod queue;
 pub mod sampler;
@@ -62,10 +65,11 @@ mod transport;
 mod wal;
 
 pub use batch::{BatchConfig, FrameRecord};
-pub use daemon::{DaemonRole, LdmsNetwork, Ldmsd, NetworkOpts, RecoveryReport};
+pub use daemon::{DaemonRole, Ldmsd};
 pub use fault::{FaultScript, FaultSpec, Lifecycle, SimRng};
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
 pub use ledger::{DeliveryKey, DeliveryLedger, LossCause, LossRecord, SeqRanges, StreamSeqs};
+pub use network::{LdmsNetwork, NetworkOpts, RecoveryReport};
 pub use overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};
 pub use queue::{OverflowPolicy, QueueConfig, RetryQueue};
 pub use stream::{MsgClass, MsgFormat, StreamMessage, StreamSink, StreamStats};

@@ -43,7 +43,11 @@ pub enum OverflowPolicy {
     BlockWithDeadline(SimDuration),
 }
 
-/// Retry/queue configuration for one upstream hop.
+/// Multiplier applied to the backoff per retry.
+const BACKOFF_FACTOR: f64 = 2.0;
+
+/// Retry/queue configuration for one upstream hop. Backoff doubles
+/// per attempt (`BACKOFF_FACTOR`).
 #[derive(Debug, Clone)]
 pub struct QueueConfig {
     /// Maximum parked messages (`DropOldest`/`DropNewest`; the
@@ -57,8 +61,6 @@ pub struct QueueConfig {
     pub base_backoff: SimDuration,
     /// Backoff ceiling.
     pub max_backoff: SimDuration,
-    /// Multiplier applied per retry.
-    pub backoff_factor: f64,
     /// Jitter half-width as a fraction of the backoff (0 = none).
     pub jitter: f64,
     /// Seed for the jitter RNG (reproducible schedules).
@@ -75,7 +77,6 @@ impl QueueConfig {
             max_attempts: 1,
             base_backoff: SimDuration::from_millis(1),
             max_backoff: SimDuration::from_secs(1),
-            backoff_factor: 2.0,
             jitter: 0.0,
             seed: 0,
         }
@@ -90,7 +91,6 @@ impl QueueConfig {
             max_attempts: 8,
             base_backoff: SimDuration::from_millis(1),
             max_backoff: SimDuration::from_secs(1),
-            backoff_factor: 2.0,
             jitter: 0.1,
             seed: 0x5EED,
         }
@@ -128,8 +128,7 @@ impl QueueConfig {
         let mut total = 0.0f64;
         for attempt in 1..self.max_attempts {
             let exp = attempt.saturating_sub(1).min(32);
-            let base =
-                self.base_backoff.as_secs_f64() * self.backoff_factor.max(1.0).powi(exp as i32);
+            let base = self.base_backoff.as_secs_f64() * BACKOFF_FACTOR.powi(exp as i32);
             total += base.min(self.max_backoff.as_secs_f64());
         }
         SimDuration::from_secs_f64(total)
@@ -308,8 +307,7 @@ impl RetryQueue {
     /// `now` so retry draining makes progress.
     pub(crate) fn backoff_after(&self, attempts: u32, now: Epoch) -> Epoch {
         let exp = attempts.saturating_sub(1).min(32);
-        let base = self.config.base_backoff.as_secs_f64()
-            * self.config.backoff_factor.max(1.0).powi(exp as i32);
+        let base = self.config.base_backoff.as_secs_f64() * BACKOFF_FACTOR.powi(exp as i32);
         let capped = base.min(self.config.max_backoff.as_secs_f64());
         let jittered = if self.config.jitter > 0.0 {
             capped * (1.0 + self.config.jitter * (self.rng.next_f64() - 0.5))

@@ -145,7 +145,7 @@ impl MetricSet {
 /// name as the tag — how system telemetry rides the same transport as
 /// the Darshan stream, enabling the paper's "correlate I/O performance
 /// variability with system behaviour" analyses.
-pub fn publish_metric_set(network: &crate::daemon::LdmsNetwork, set: &MetricSet) {
+pub fn publish_metric_set(network: &crate::LdmsNetwork, set: &MetricSet) {
     network.publish(crate::stream::StreamMessage::new(
         &set.schema,
         crate::stream::MsgFormat::Json,
@@ -224,9 +224,9 @@ mod tests {
 
     #[test]
     fn metric_sets_publish_through_the_pipeline() {
-        use crate::daemon::LdmsNetwork;
         use crate::stream::BufferSink;
-        let net = LdmsNetwork::build(&["nid00040".to_string()]);
+        use crate::{LdmsNetwork, NetworkOpts};
+        let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
         let sink = BufferSink::new();
         net.l2().subscribe("vmstat", sink.clone());
         let s = VmstatSampler { seed: 3 };

@@ -14,9 +14,10 @@
 //! [`Lifecycle`] so a chaos script can flap them for a virtual-time
 //! window; a flap is *detectable* by the sender (the connection is
 //! down), unlike silent loss, so the daemon layer can park the message
-//! for retry instead of offering it to a dead link.
+//! for retry instead of offering it to a dead link. All of it is fixed
+//! when the link is built ([`LinkFaults`]).
 
-use crate::fault::{AtomicRng, Lifecycle};
+use crate::fault::{AtomicRng, Lifecycle, LinkFaults};
 use crate::stream::StreamMessage;
 use iosim_time::{Epoch, SimDuration};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,10 +32,9 @@ pub struct TransportLink {
     /// Link bandwidth (bytes/s).
     pub bandwidth: f64,
     /// Drop one message every `n` (0 = never); models best-effort loss.
-    drop_every: AtomicU64,
-    /// Per-message drop probability in `[0, 1]`, stored as f64 bits
-    /// (0 = never).
-    loss_prob_bits: AtomicU64,
+    drop_every: u64,
+    /// Per-message drop probability in `[0, 1]` (0 = never).
+    loss_prob: f64,
     rng: AtomicRng,
     lifecycle: Lifecycle,
     sent: AtomicU64,
@@ -48,10 +48,10 @@ impl TransportLink {
             name: name.to_string(),
             latency_s,
             bandwidth,
-            drop_every: AtomicU64::new(0),
-            loss_prob_bits: AtomicU64::new(0f64.to_bits()),
+            drop_every: 0,
+            loss_prob: 0.0,
             rng: AtomicRng::new(0),
-            lifecycle: Lifecycle::new(),
+            lifecycle: Lifecycle::default(),
             sent: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
         }
@@ -67,36 +67,19 @@ impl TransportLink {
         Self::new("site-net", 250.0e-6, 1.0e9)
     }
 
-    /// Enables dropping every `n`-th message (testing best-effort
-    /// delivery). 0 disables.
-    pub fn with_loss_every(self, n: u64) -> Self {
-        self.drop_every.store(n, Ordering::Relaxed);
-        self
-    }
-
-    /// Reconfigures probabilistic loss on a live link.
-    pub(crate) fn set_loss_prob(&self, prob: f64, seed: u64) {
-        self.loss_prob_bits
-            .store(prob.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-        self.rng.reseed(seed);
-    }
-
-    /// Reconfigures deterministic every-`n`-th loss on a live link.
-    pub(crate) fn set_drop_every(&self, n: u64) {
-        self.drop_every.store(n, Ordering::Relaxed);
-    }
-
-    /// Current probabilistic drop rate.
-    pub(crate) fn loss_prob(&self) -> f64 {
-        f64::from_bits(self.loss_prob_bits.load(Ordering::Relaxed))
-    }
-
-    /// Schedules a connectivity outage (flap) for `[from, until)` in
-    /// virtual time. A down link refuses messages outright — the
-    /// failure is visible to the sender, so the daemon layer can park
-    /// the message for retry rather than losing it silently.
-    pub(crate) fn schedule_flap(&self, from: Epoch, until: Epoch) {
-        self.lifecycle.schedule_down(from, until);
+    /// The link with `faults` scripted on it. A flapped-down link
+    /// refuses messages outright — the failure is visible to the
+    /// sender, so the daemon layer can park the message for retry
+    /// rather than losing it silently.
+    pub(crate) fn with_faults(self, faults: LinkFaults) -> Self {
+        let (loss_prob, seed) = faults.loss;
+        Self {
+            drop_every: faults.drop_every,
+            loss_prob,
+            rng: AtomicRng::new(seed),
+            lifecycle: faults.flaps,
+            ..self
+        }
     }
 
     /// True when the link is flapped down at `t`.
@@ -134,13 +117,11 @@ impl TransportLink {
     /// offering the message).
     pub(crate) fn carry(&self, msg: &mut StreamMessage) -> bool {
         let n = self.sent.fetch_add(1, Ordering::Relaxed) + 1;
-        let drop_every = self.drop_every.load(Ordering::Relaxed);
-        if drop_every > 0 && n % drop_every == 0 {
+        if self.drop_every > 0 && n % self.drop_every == 0 {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let loss_prob = self.loss_prob();
-        if loss_prob > 0.0 && self.rng.next_f64() < loss_prob {
+        if self.loss_prob > 0.0 && self.rng.next_f64() < self.loss_prob {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return false;
         }
@@ -150,16 +131,9 @@ impl TransportLink {
     }
 }
 
-/// Loss set-up and counter reads for the unit tests.
+/// Counter reads for the unit tests.
 #[cfg(test)]
 impl TransportLink {
-    /// Enables seeded probabilistic loss: each carried message is
-    /// dropped with probability `prob`. 0 disables.
-    pub(crate) fn with_loss_prob(self, prob: f64, seed: u64) -> Self {
-        self.set_loss_prob(prob, seed);
-        self
-    }
-
     /// Messages offered to the link.
     pub(crate) fn sent(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
@@ -199,9 +173,19 @@ mod tests {
         assert!(total_delay < 1e-3);
     }
 
+    fn lossy(loss: (f64, u64)) -> TransportLink {
+        TransportLink::ugni().with_faults(LinkFaults {
+            loss,
+            ..LinkFaults::default()
+        })
+    }
+
     #[test]
     fn loss_injection_drops_every_nth() {
-        let l = TransportLink::ugni().with_loss_every(3);
+        let l = TransportLink::ugni().with_faults(LinkFaults {
+            drop_every: 3,
+            ..LinkFaults::default()
+        });
         let mut delivered = 0;
         for _ in 0..9 {
             if l.carry(&mut msg("x")) {
@@ -216,7 +200,7 @@ mod tests {
     #[test]
     fn probabilistic_loss_is_seeded_and_near_rate() {
         let run = |seed| {
-            let l = TransportLink::ugni().with_loss_prob(0.25, seed);
+            let l = lossy((0.25, seed));
             (0..2000).filter(|_| !l.carry(&mut msg("x"))).count()
         };
         let a = run(7);
@@ -228,7 +212,7 @@ mod tests {
 
     #[test]
     fn zero_probability_never_drops() {
-        let l = TransportLink::ugni().with_loss_prob(0.0, 1);
+        let l = lossy((0.0, 1));
         for _ in 0..100 {
             assert!(l.carry(&mut msg("x")));
         }
@@ -237,9 +221,14 @@ mod tests {
 
     #[test]
     fn flap_window_marks_link_down() {
-        let l = TransportLink::site_network();
+        assert!(!TransportLink::site_network().is_down(Epoch::from_secs(5)));
+        let mut flaps = Lifecycle::default();
+        flaps.schedule_down(Epoch::from_secs(10), Epoch::from_secs(20));
+        let l = TransportLink::site_network().with_faults(LinkFaults {
+            flaps,
+            ..LinkFaults::default()
+        });
         assert!(!l.is_down(Epoch::from_secs(5)));
-        l.schedule_flap(Epoch::from_secs(10), Epoch::from_secs(20));
         assert!(l.is_down(Epoch::from_secs(15)));
         assert!(!l.is_down(Epoch::from_secs(20)));
         assert_eq!(l.next_up(Epoch::from_secs(15)), Epoch::from_secs(20));

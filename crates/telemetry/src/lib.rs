@@ -44,8 +44,6 @@ pub use trace::{trace_id, HopKind, SpanLog, SpanRecord};
 
 use iosim_time::{Epoch, SimDuration};
 use iosim_util::json::JsonWriter;
-use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Number of distinct [`HopKind`]s (the length of per-hop arrays).
@@ -98,15 +96,14 @@ impl TelemetryConfig {
     }
 }
 
-/// The per-pipeline telemetry hub: one metric registry, one span log,
-/// and a flight recorder per daemon. Shared as an `Arc` by every
-/// instrumented component of one pipeline.
+/// The per-pipeline telemetry hub: one metric registry and one span
+/// log (each daemon owns its [`FlightRecorder`]). Shared as an `Arc`
+/// by every instrumented component of one pipeline.
 #[derive(Debug)]
 pub struct Telemetry {
     config: TelemetryConfig,
     registry: MetricRegistry,
     spans: SpanLog,
-    flights: Mutex<BTreeMap<String, Arc<FlightRecorder>>>,
     diag: Option<Arc<DiagHub>>,
 }
 
@@ -117,7 +114,6 @@ impl Telemetry {
             config,
             registry: MetricRegistry::new(),
             spans: SpanLog::default(),
-            flights: Mutex::new(BTreeMap::new()),
             diag: config.hub.map(DiagHub::new),
         })
     }
@@ -175,15 +171,6 @@ impl Telemetry {
             at,
             latency,
         });
-    }
-
-    /// Get-or-create the flight recorder of one daemon.
-    pub fn flight(&self, daemon: &str) -> Arc<FlightRecorder> {
-        self.flights
-            .lock()
-            .entry(daemon.to_string())
-            .or_default()
-            .clone()
     }
 
     /// Folds the span log into per-run latency histograms: end-to-end
@@ -516,17 +503,5 @@ mod tests {
             .get("latency")
             .and_then(|l| l.get("hop_ingest_ns"))
             .is_some());
-    }
-
-    #[test]
-    fn flight_recorders_are_per_daemon_and_shared() {
-        let tel = Telemetry::new(TelemetryConfig::default());
-        let a = tel.flight("l1");
-        let b = tel.flight("l1");
-        a.note(Epoch::from_secs(100), "park".to_string());
-        assert_eq!(b.snapshot().len(), 1, "same daemon shares one ring");
-        let _ = tel.flight("l2");
-        let names: Vec<String> = tel.flights.lock().keys().cloned().collect();
-        assert_eq!(names, vec!["l1", "l2"]);
     }
 }

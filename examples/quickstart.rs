@@ -6,7 +6,7 @@
 //! Run with: `cargo run -p repro-suite --example quickstart`
 
 use repro_suite::apps::stack::DarshanStack;
-use repro_suite::connector::{schema::column_id, ConnectorConfig, Pipeline, DEFAULT_STREAM_TAG};
+use repro_suite::connector::{schema::column_id, ConnectorConfig, Pipeline, PipelineOpts};
 use repro_suite::darshan::runtime::JobMeta;
 use repro_suite::dsos::Value;
 use repro_suite::simfs::nfs::NfsModel;
@@ -21,7 +21,7 @@ fn main() {
     // 2. The monitoring pipeline of the paper's Figure 4: compute-node
     //    ldmsds -> L1 aggregator -> L2 aggregator -> DSOS store.
     let nodes: Vec<String> = (0..2).map(|i| format!("nid{:05}", 40 + i)).collect();
-    let pipeline = Pipeline::build(&nodes, 2, DEFAULT_STREAM_TAG);
+    let pipeline = Pipeline::build_with(&nodes, &PipelineOpts::default());
 
     // 3. A 4-rank MPI job whose every I/O call is wrapped by Darshan,
     //    with the connector registered as the per-event hook.

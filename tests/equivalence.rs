@@ -22,9 +22,7 @@
 
 mod fault_common;
 
-use fault_common::{
-    base_epoch, check_invariants, check_no_duplicate_rows, node_names, Outcome, TAG,
-};
+use fault_common::{base_epoch, check_invariants, check_no_duplicate_rows, node_names, Outcome};
 use repro_suite::apps::detect::{event_cmp, LiveDetectorTap};
 use repro_suite::apps::experiment::{run_job, Instrumentation, RunResult, RunSpec};
 use repro_suite::apps::figdata::estimate_write_phase_s;
@@ -289,7 +287,6 @@ fn drive(sc: &Scn, batch: BatchConfig, feature: &Feature, label: String) -> Run 
     let nodes = node_names(sc.nodes);
     let mut opts = PipelineOpts {
         dsosd_count: 1,
-        tag: TAG.to_string(),
         attach_store: true,
         queue: sc.queue.clone(),
         faults: sc.script.clone(),

@@ -15,7 +15,6 @@ use fault_common::{
 use repro_suite::apps::stack::DarshanStack;
 use repro_suite::connector::{
     ConnectorConfig, FaultScript, LossCause, OverflowPolicy, Pipeline, PipelineOpts, QueueConfig,
-    DEFAULT_STREAM_TAG,
 };
 use repro_suite::darshan::runtime::JobMeta;
 use repro_suite::ldms::stream::BufferSink;
@@ -84,11 +83,14 @@ fn connector_pipeline_survives_subscriber_absence_and_loss() {
     // The monitoring side is best-effort by design: no subscriber, or a
     // lossy hop, must never fail the application's I/O path.
     let fs = fs();
-    let pipeline = Pipeline::build_opts(
+    let pipeline = Pipeline::build_with(
         &["nid00040".to_string()],
-        1,
-        DEFAULT_STREAM_TAG,
-        false, // no store subscribed: every message is dropped at L2
+        &PipelineOpts {
+            dsosd_count: 1,
+            // No store subscribed: every message is dropped at L2.
+            attach_store: false,
+            ..PipelineOpts::default()
+        },
     );
     let job = JobMeta::new(7, 1, "/apps/x", 1);
     let report = Job::run(

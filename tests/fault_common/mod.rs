@@ -94,7 +94,6 @@ fn build_pipeline(sc: &Scenario, telemetry: bool) -> Pipeline {
         &nodes,
         &PipelineOpts {
             dsosd_count: 1,
-            tag: TAG.to_string(),
             attach_store: true,
             queue: sc.queue.clone(),
             faults: sc.script.clone(),

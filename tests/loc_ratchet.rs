@@ -1,5 +1,6 @@
 //! The size ratchet: no crate's non-test source may grow past its entry
-//! in `LOC.json` at the repository root.
+//! in `LOC.json` at the repository root, and no file's non-test part
+//! may exceed [`FILE_LIMIT`] lines unless `LOC.json` lists it.
 //!
 //! Counting rule, per `.rs` file under `crates/<crate>/src`:
 //! * a file counts its lines up to its first top-level
@@ -9,14 +10,21 @@
 //!   declaration (`ldms/src/daemon/sweep_oracle.rs`), or nested below
 //!   such a file, counts as test and adds nothing.
 //!
-//! `crates/pipebench`, the benchmark, is not counted. A change that
-//! shrinks a crate lowers its entry; one that must grow it raises the
-//! entry and says in CHANGES.md what the lines bought.
+//! `LOC.json` holds `crates`, each crate's allowed total, and `files`,
+//! the allowed count of every file over the limit by its path from the
+//! repository root. `crates/pipebench`, the benchmark, is not counted.
+//! A change that shrinks a crate or a listed file lowers its entry, and
+//! drops a file's entry once the file is back under the limit; one
+//! that must grow a crate raises the entry and says in CHANGES.md what
+//! the lines bought. A listed file may not grow.
 
 use iosim_util::json;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
+
+/// Non-test lines a file may have without a `LOC.json` entry.
+const FILE_LIMIT: usize = 1_000;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../..")
@@ -87,10 +95,12 @@ fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// Non-test lines per crate directory name.
-fn count() -> BTreeMap<String, usize> {
+/// Non-test lines of every counted file, by crate directory name, then
+/// by path from the repository root.
+fn count() -> BTreeMap<String, BTreeMap<String, usize>> {
+    let root = repo_root();
     let mut counts = BTreeMap::new();
-    for entry in fs::read_dir(repo_root().join("crates")).expect("crates/") {
+    for entry in fs::read_dir(root.join("crates")).expect("crates/") {
         let dir = entry.expect("crate directory").path();
         let name = dir.file_name().unwrap().to_string_lossy().into_owned();
         let src = dir.join("src");
@@ -102,29 +112,44 @@ fn count() -> BTreeMap<String, usize> {
         let lines = files
             .iter()
             .filter(|f| !test_only(&src, f))
-            .map(|f| non_test_lines(&fs::read_to_string(f).expect("readable source")))
-            .sum();
+            .map(|f| {
+                let path = f.strip_prefix(&root).expect("under the root");
+                let text = fs::read_to_string(f).expect("readable source");
+                (path.to_string_lossy().into_owned(), non_test_lines(&text))
+            })
+            .collect();
         counts.insert(name, lines);
     }
     counts
 }
 
-#[test]
-fn no_crate_grows_past_its_loc_entry() {
+/// One section of `LOC.json`: name → allowed lines.
+fn allowed(section: &str) -> BTreeMap<String, u64> {
     let path = repo_root().join("LOC.json");
     let text = fs::read_to_string(&path).expect("LOC.json at the repository root");
     let doc = json::parse(&text).expect("LOC.json parses");
-    let allowed = doc
-        .as_object()
-        .expect("LOC.json is an object of crate: lines");
-    let counts = count();
+    doc.get(section)
+        .and_then(|s| s.as_object())
+        .unwrap_or_else(|| panic!("LOC.json has an object `{section}` of name: lines"))
+        .iter()
+        .map(|(name, v)| (name.clone(), v.as_u64().expect("a line count")))
+        .collect()
+}
+
+#[test]
+fn no_crate_grows_past_its_loc_entry() {
+    let allowed = allowed("crates");
+    let counts: BTreeMap<String, usize> = count()
+        .into_iter()
+        .map(|(name, files)| (name, files.values().sum()))
+        .collect();
     let mut failures = Vec::new();
     for (name, &lines) in &counts {
-        match allowed.get(name).and_then(|v| v.as_u64()) {
+        match allowed.get(name) {
             None => failures.push(format!(
                 "crate `{name}` ({lines} lines) has no LOC.json entry"
             )),
-            Some(max) if lines as u64 > max => failures.push(format!(
+            Some(&max) if lines as u64 > max => failures.push(format!(
                 "crate `{name}` has {lines} non-test lines, {} over its LOC.json entry of {max}",
                 lines as u64 - max
             )),
@@ -140,11 +165,52 @@ fn no_crate_grows_past_its_loc_entry() {
 }
 
 #[test]
+fn no_file_grows_past_the_file_limit() {
+    let allowed = allowed("files");
+    let counts: BTreeMap<String, usize> = count().into_values().flatten().collect();
+    let mut failures = Vec::new();
+    for (path, &lines) in &counts {
+        match allowed.get(path) {
+            None if lines > FILE_LIMIT => failures.push(format!(
+                "`{path}` has {lines} non-test lines, over the {FILE_LIMIT}-line limit, \
+                 and no LOC.json entry"
+            )),
+            Some(&max) if lines as u64 > max => failures.push(format!(
+                "`{path}` has {lines} non-test lines, {} over its LOC.json entry of {max}",
+                lines as u64 - max
+            )),
+            Some(_) if lines <= FILE_LIMIT => failures.push(format!(
+                "`{path}` is back under the {FILE_LIMIT}-line limit ({lines}): \
+                 drop its LOC.json entry"
+            )),
+            _ => {}
+        }
+    }
+    for path in allowed.keys().filter(|p| !counts.contains_key(*p)) {
+        failures.push(format!(
+            "LOC.json lists `{path}`, which is not a counted file"
+        ));
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+#[test]
 fn test_only_modules_count_as_test() {
     let src = repo_root().join("crates/ldms/src");
     assert!(test_only(&src, &src.join("daemon/sweep_oracle.rs")));
-    assert!(!test_only(&src, &src.join("daemon.rs")));
-    assert!(!test_only(&src, &src.join("lib.rs")));
+    for module in [
+        "lib.rs",
+        "daemon.rs",
+        "daemon/recovery.rs",
+        "daemon/route.rs",
+        "daemon/telemetry.rs",
+        "network.rs",
+    ] {
+        assert!(
+            !test_only(&src, &src.join(module)),
+            "{module} is not test-only"
+        );
+    }
     let daemon = fs::read_to_string(src.join("daemon.rs")).expect("daemon.rs");
     let counted = non_test_lines(&daemon);
     assert!(counted < daemon.lines().count());

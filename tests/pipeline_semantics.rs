@@ -4,11 +4,10 @@
 
 use repro_suite::connector::{darshan_schema, DsosStreamStore, DEFAULT_STREAM_TAG};
 use repro_suite::dsos::{DsosCluster, Value};
-use repro_suite::ldms::daemon::DaemonRole;
 use repro_suite::ldms::store::CsvStreamStore;
 use repro_suite::ldms::stream::{BufferSink, MsgFormat};
 use repro_suite::ldms::StreamSink;
-use repro_suite::ldms::{LdmsNetwork, Ldmsd, StreamMessage, TransportLink};
+use repro_suite::ldms::{FaultScript, LdmsNetwork, NetworkOpts, StreamMessage};
 use repro_suite::simtime::Epoch;
 
 fn connector_msg(ts: f64) -> StreamMessage {
@@ -45,27 +44,32 @@ impl EpochExt for Epoch {
 fn lossy_link_drops_are_tolerated_not_fatal() {
     // Best effort "without a reconnect or resend": build a topology
     // with a lossy UGNI hop and verify the store simply sees fewer rows.
-    let l2 = Ldmsd::new("l2", DaemonRole::AggregatorL2);
-    let l1 = Ldmsd::new("l1", DaemonRole::AggregatorL1);
-    l1.connect_upstream(TransportLink::site_network(), l2.clone());
-    let node = Ldmsd::new("nid00040", DaemonRole::Sampler);
-    node.connect_upstream(TransportLink::ugni().with_loss_every(4), l1.clone());
+    let net = LdmsNetwork::build(
+        &["nid00040".to_string()],
+        &NetworkOpts {
+            faults: FaultScript::new().link_drop_every("nid00040", 4),
+            ..NetworkOpts::default()
+        },
+    );
 
     let cluster = DsosCluster::new(2);
-    let store = DsosStreamStore::new(cluster.clone());
-    l2.subscribe(DEFAULT_STREAM_TAG, store.clone());
+    let store = DsosStreamStore::new(cluster.clone(), Some(net.ledger().clone()), None);
+    net.l2().subscribe(DEFAULT_STREAM_TAG, store.clone());
 
     for i in 0..20 {
-        node.receive(connector_msg(1_650_000_000.0 + i as f64));
+        net.publish(connector_msg(1_650_000_000.0 + i as f64));
     }
     assert_eq!(store.ingested(), 15); // every 4th dropped on the wire
     assert_eq!(store.rejected(), 0);
     assert_eq!(cluster.object_count("darshan"), 15);
+    // The drops are attributed, not silent, in the network's ledger.
+    assert_eq!(net.ledger().total_lost(), 5);
+    assert!(net.ledger().balances());
 }
 
 #[test]
 fn no_caching_means_late_subscribers_lose_history() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()]);
+    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
     net.publish(connector_msg(1.0));
     let sink = BufferSink::new();
     net.l2().subscribe(DEFAULT_STREAM_TAG, sink.clone());
@@ -76,7 +80,7 @@ fn no_caching_means_late_subscribers_lose_history() {
 
 #[test]
 fn csv_store_matches_figure3_header_shape() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()]);
+    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
     let csv_store = CsvStreamStore::new();
     net.l2().subscribe(DEFAULT_STREAM_TAG, csv_store.clone());
     net.publish(connector_msg(1_650_000_000.5));
@@ -90,7 +94,7 @@ fn csv_store_matches_figure3_header_shape() {
 
 #[test]
 fn aggregation_adds_measurable_transport_delay() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()]);
+    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
     let at_l1 = BufferSink::new();
     let at_l2 = BufferSink::new();
     net.l1().subscribe(DEFAULT_STREAM_TAG, at_l1.clone());
@@ -108,7 +112,7 @@ fn dsos_parallel_query_totals_match_ingest_across_daemons() {
     let cluster = DsosCluster::new(3);
     let schema = darshan_schema();
     cluster.create_container("darshan", &schema);
-    let store = DsosStreamStore::new(cluster.clone());
+    let store = DsosStreamStore::new(cluster.clone(), None, None);
     for i in 0..30 {
         // Rows shard by (job, rank): ten ranks spread the 30 rows
         // across the three backends.

@@ -378,7 +378,7 @@ proptest! {
         let end = TimePair { rel: 0.0, abs: Epoch::from_nanos(end_ns) };
         let job = JobMeta { job_id, uid, exe, nprocs: 1 };
         let cluster = DsosCluster::new(1);
-        let store = DsosStreamStore::new(cluster.clone());
+        let store = DsosStreamStore::new(cluster.clone(), None, None);
         let mut w = JsonWriter::new();
         // An open is a MET message, every other operation a MOD one.
         let other = [OpKind::Close, OpKind::Read, OpKind::Write, OpKind::Flush][kind.1];
