@@ -4,9 +4,8 @@ use crate::platform::{FsChoice, Platform};
 use crate::stack::DarshanStack;
 use crate::workloads::Workload;
 use darshan_ldms_connector::{
-    BatchConfig, Completeness, ConnectorConfig, DarshanConnector, DeliveryMode, FaultScript,
-    LatencySummary, OverloadConfig, Pipeline, PipelineOpts, QueueConfig, RecoveryReport,
-    ReplicationConfig, TelemetryConfig, WalConfig, DEFAULT_STREAM_TAG,
+    Completeness, ConnectorConfig, DarshanConnector, DeliveryMode, LatencySummary, Pipeline,
+    PipelineOpts, RecoveryReport, TelemetryConfig, DEFAULT_STREAM_TAG,
 };
 use darshan_sim::log::write_log;
 use darshan_sim::runtime::JobMeta;
@@ -33,6 +32,15 @@ impl Instrumentation {
         Instrumentation::Connector(ConnectorConfig::default())
     }
 
+    /// Connector that stages each rank's publishes and merges them
+    /// deterministically after the run ([`DeliveryMode::Deferred`]).
+    pub fn connector_deferred() -> Self {
+        Instrumentation::Connector(ConnectorConfig {
+            delivery: DeliveryMode::Deferred,
+            ..ConnectorConfig::default()
+        })
+    }
+
     /// True for connector runs.
     pub(crate) fn is_connector(&self) -> bool {
         matches!(self, Instrumentation::Connector(_))
@@ -56,41 +64,18 @@ pub struct RunSpec {
     pub campaign_seed: Option<u64>,
     /// Congestion windows to inject (the Figure 7–9 job-2 anomaly).
     pub congestion: Vec<CongestionWindow>,
-    /// Attach the DSOS store (figure runs) or drop payloads at L2
-    /// (overhead runs).
-    pub store: bool,
-    /// DSOS daemons in the cluster.
-    pub dsosd: usize,
+    /// The monitoring pipeline the run builds for connector runs: DSOS
+    /// cluster, retry queues, faults, standby L1, WAL, overload control
+    /// and replication, passed to [`Pipeline::build_with`] as it is.
+    /// `attach_store` is off in [`RunSpec::calm`] (overhead runs drop
+    /// payloads at L2). Its `telemetry` must stay `None`: the run's one
+    /// telemetry switch is [`RunSpec::telemetry`].
+    pub pipeline: PipelineOpts,
     /// Jitter half-width for I/O durations.
     pub jitter: f64,
-    /// Chaos schedule applied to the LDMS network before the run
-    /// (empty = the paper's fault-free deployment).
-    pub faults: FaultScript,
-    /// Retry-queue configuration for every aggregation hop
-    /// (best-effort by default, exactly as the paper).
-    pub queue: QueueConfig,
-    /// Deploy a standby L1 aggregator with heartbeat-driven failover
-    /// (off by default — the paper runs a single head-node aggregator).
-    pub standby_l1: bool,
-    /// Crash-durable write-ahead log attached to every hop (`None` by
-    /// default — retry queues are volatile).
-    pub wal: Option<WalConfig>,
     /// Pipeline self-telemetry policy (`None` by default — the run is
     /// byte-identical to an uninstrumented one).
     pub telemetry: Option<TelemetryConfig>,
-    /// Advisory end-to-end p95 latency budget in virtual seconds; a
-    /// telemetry run exceeding it draws the `TRC009` lint warning.
-    pub latency_budget_s: Option<f64>,
-    /// Overload-control policy attached to every forwarding hop
-    /// (`None` by default — storms degrade exactly as the paper's
-    /// best-effort pipeline would).
-    pub overload: Option<OverloadConfig>,
-    /// Replication factor for the DSOS cluster (`1` by default — the
-    /// paper's unreplicated deployment).
-    pub replicas: usize,
-    /// Write quorum for replicated ingest (`None` = majority of
-    /// `replicas`).
-    pub write_quorum: Option<usize>,
     /// Online anomaly detection over the live ingest stream (`None`
     /// by default — the run is byte-identical to an untapped one).
     /// Detection always runs *streaming*: the canonical set lands in
@@ -117,18 +102,12 @@ impl RunSpec {
             epoch_base: Epoch::from_secs(1_650_000_000),
             campaign_seed: None,
             congestion: Vec::new(),
-            store: false,
-            dsosd: 2,
+            pipeline: PipelineOpts {
+                attach_store: false,
+                ..PipelineOpts::default()
+            },
             jitter: 0.0,
-            faults: FaultScript::new(),
-            queue: QueueConfig::default(),
-            standby_l1: false,
-            wal: None,
             telemetry: None,
-            latency_budget_s: None,
-            overload: None,
-            replicas: 1,
-            write_quorum: None,
             detection: None,
             detection_alert_budget_s: None,
         }
@@ -160,7 +139,7 @@ impl RunSpec {
 
     /// Enables or disables DSOS storage.
     pub fn with_store(mut self, store: bool) -> Self {
-        self.store = store;
+        self.pipeline.attach_store = store;
         self
     }
 
@@ -176,58 +155,9 @@ impl RunSpec {
         self
     }
 
-    /// Applies a chaos schedule to the run's LDMS network.
-    pub fn with_faults(mut self, faults: FaultScript) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the retry-queue configuration for every aggregation hop.
-    pub fn with_queue(mut self, queue: QueueConfig) -> Self {
-        self.queue = queue;
-        self
-    }
-
-    /// Deploys a standby L1 aggregator with heartbeat failover.
-    pub fn with_standby(mut self, standby: bool) -> Self {
-        self.standby_l1 = standby;
-        self
-    }
-
-    /// Attaches a crash-durable write-ahead log to every hop.
-    pub fn with_wal(mut self, wal: WalConfig) -> Self {
-        self.wal = Some(wal);
-        self
-    }
-
     /// Enables pipeline self-telemetry with the given policy.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Sets the advisory end-to-end p95 latency budget (`TRC009`).
-    pub fn with_latency_budget(mut self, budget_s: f64) -> Self {
-        self.latency_budget_s = Some(budget_s);
-        self
-    }
-
-    /// Attaches an overload controller to every forwarding hop.
-    pub fn with_overload(mut self, overload: OverloadConfig) -> Self {
-        self.overload = Some(overload);
-        self
-    }
-
-    /// Sets the DSOS replication factor (majority write quorum unless
-    /// [`RunSpec::with_write_quorum`] overrides it).
-    pub fn with_replication(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
-    /// Sets the write quorum for replicated ingest.
-    pub fn with_write_quorum(mut self, quorum: usize) -> Self {
-        self.write_quorum = Some(quorum);
         self
     }
 
@@ -241,45 +171,6 @@ impl RunSpec {
     pub fn with_detection_alert_budget(mut self, budget_s: f64) -> Self {
         self.detection_alert_budget_s = Some(budget_s);
         self
-    }
-
-    /// The effective replication policy for the run's DSOS cluster.
-    pub(crate) fn replication(&self) -> ReplicationConfig {
-        let base = if self.replicas <= 1 {
-            ReplicationConfig::none()
-        } else {
-            ReplicationConfig::new(self.replicas)
-        };
-        match self.write_quorum {
-            Some(q) => base.with_quorum(q),
-            None => base,
-        }
-    }
-
-    /// Sets the connector's frame-batching policy. No-op for
-    /// Darshan-only baselines (they publish nothing).
-    pub fn with_batch(mut self, batch: BatchConfig) -> Self {
-        if let Instrumentation::Connector(cfg) = &mut self.instrumentation {
-            cfg.batch = batch;
-        }
-        self
-    }
-
-    /// Sets the connector's delivery mode. No-op for Darshan-only
-    /// baselines.
-    pub fn with_delivery(mut self, delivery: DeliveryMode) -> Self {
-        if let Instrumentation::Connector(cfg) = &mut self.instrumentation {
-            cfg.delivery = delivery;
-        }
-        self
-    }
-
-    /// The delivery mode in force (Immediate for baselines).
-    pub(crate) fn delivery(&self) -> DeliveryMode {
-        match &self.instrumentation {
-            Instrumentation::Connector(cfg) => cfg.delivery,
-            Instrumentation::DarshanOnly => DeliveryMode::Immediate,
-        }
     }
 }
 
@@ -356,19 +247,16 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     let fs = Platform::filesystem(spec.fs, spec.campaign_seed, &spec.congestion);
     fs.set_active_clients(app.io_clients());
 
+    assert!(
+        spec.pipeline.telemetry.is_none(),
+        "set telemetry through RunSpec::telemetry, not RunSpec::pipeline.telemetry"
+    );
     let pipeline = if spec.instrumentation.is_connector() {
         Some(Pipeline::build_with(
             &Platform::node_names(app.nodes()),
             &PipelineOpts {
-                dsosd_count: spec.dsosd,
-                attach_store: spec.store,
-                queue: spec.queue.clone(),
-                faults: spec.faults.clone(),
-                standby_l1: spec.standby_l1,
-                wal: spec.wal.clone(),
                 telemetry: spec.telemetry,
-                overload: spec.overload.clone(),
-                replication: spec.replication(),
+                ..spec.pipeline.clone()
             },
         ))
     } else {
@@ -395,7 +283,12 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Pre-flight: statically validate the topology (including the
     // chaos script's downtime windows) before a single message flows.
     let topology_report = pipeline.as_ref().map_or_else(iolint::Report::default, |p| {
-        check_pipeline_topology(p, DEFAULT_STREAM_TAG, &spec.faults, &LintConfig::new())
+        check_pipeline_topology(
+            p,
+            DEFAULT_STREAM_TAG,
+            &spec.pipeline.faults,
+            &LintConfig::new(),
+        )
     });
 
     let job = JobMeta::new(spec.job_id, 99_066, app.exe(), app.ranks());
@@ -450,8 +343,8 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // instant, rank), which is independent of thread interleaving
     // because each outbox is already in that rank's program order —
     // and inject them sequentially.
-    if spec.delivery() == DeliveryMode::Deferred {
-        if let Some(p) = pipeline.as_ref() {
+    if let (Some(p), Instrumentation::Connector(cfg)) = (pipeline.as_ref(), &spec.instrumentation) {
+        if cfg.delivery == DeliveryMode::Deferred {
             let mut connectors = connectors.into_inner();
             connectors.sort_by_key(|&(r, _)| r);
             let mut staged = Vec::new();
@@ -481,7 +374,7 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Post-settle completeness: what fraction of the quorum-acked rows
     // a degraded query can still prove reachable.
     let completeness = match pipeline.as_ref() {
-        Some(p) if spec.store => Some(p.store_completeness(horizon)),
+        Some(p) if spec.pipeline.attach_store => Some(p.store_completeness(horizon)),
         _ => None,
     };
 
@@ -505,19 +398,11 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Post-run: lint the stored trace, reconciling sequence gaps
     // against the delivery ledger. Only meaningful with a store.
     let mut trace_report = match pipeline.as_ref() {
-        Some(p) if spec.store => {
+        Some(p) if spec.pipeline.attach_store => {
             check_pipeline_trace(p, &TraceLintOpts::default(), &LintConfig::new())
         }
         _ => iolint::Report::default(),
     };
-    if let Some(budget_s) = spec.latency_budget_s {
-        trace_report.merge(iolint::check_latency_budget(
-            latency.p95_end_to_end_s(),
-            latency.traces,
-            budget_s,
-            &LintConfig::new(),
-        ));
-    }
     if !detections.is_empty() {
         trace_report.merge(iolint::check_detections(&detections, &LintConfig::new()));
     }
@@ -593,7 +478,34 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
 mod tests {
     use super::*;
     use crate::workloads::MpiIoTest;
+    use darshan_ldms_connector::{BatchConfig, FaultScript, ReplicationConfig};
     use darshan_sim::log::parse_log;
+
+    /// A stored connector spec whose pipeline `edit` adjusts.
+    fn stored(edit: impl FnOnce(&mut PipelineOpts)) -> RunSpec {
+        let mut s =
+            RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true);
+        edit(&mut s.pipeline);
+        s
+    }
+
+    #[test]
+    fn calm_spec_carries_the_default_pipeline_unstored() {
+        let spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default());
+        let expected = PipelineOpts {
+            attach_store: false,
+            ..PipelineOpts::default()
+        };
+        assert_eq!(format!("{:?}", spec.pipeline), format!("{expected:?}"));
+    }
+
+    #[test]
+    #[should_panic(expected = "RunSpec::telemetry")]
+    fn telemetry_set_on_the_pipeline_is_refused() {
+        let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default());
+        spec.pipeline.telemetry = Some(TelemetryConfig::metrics_only());
+        run_job(&MpiIoTest::tiny(false), &spec);
+    }
 
     #[test]
     fn baseline_and_connector_runs_share_io_shape() {
@@ -649,9 +561,7 @@ mod tests {
     #[test]
     fn faulted_run_accounts_every_message() {
         let app = MpiIoTest::tiny(false);
-        let spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_faults(FaultScript::new().link_loss_prob("l1", 0.2, 11));
+        let spec = stored(|p| p.faults = FaultScript::new().link_loss_prob("l1", 0.2, 11));
         let r = run_job(&app, &spec);
         let p = r.pipeline.as_ref().unwrap();
         assert!(r.messages_lost > 0, "20% loss on the L1→L2 hop must bite");
@@ -722,9 +632,7 @@ mod tests {
         // Losses the ledger attributes must never surface as TRC006:
         // a diagnosed outage is not a monitoring-integrity defect.
         let app = MpiIoTest::tiny(false);
-        let spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_faults(FaultScript::new().link_loss_prob("l1", 0.2, 11));
+        let spec = stored(|p| p.faults = FaultScript::new().link_loss_prob("l1", 0.2, 11));
         let r = run_job(&app, &spec);
         assert!(r.messages_lost > 0);
         assert!(
@@ -743,9 +651,14 @@ mod tests {
         );
         let batched = run_job(
             &app,
-            &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-                .with_store(true)
-                .with_batch(BatchConfig::frames_of(8)),
+            &RunSpec::calm(
+                FsChoice::Lustre,
+                Instrumentation::Connector(ConnectorConfig {
+                    batch: BatchConfig::frames_of(8),
+                    ..ConnectorConfig::default()
+                }),
+            )
+            .with_store(true),
         );
         assert_eq!(batched.messages, plain.messages);
         assert_eq!(batched.events_seen, plain.events_seen);
@@ -773,9 +686,8 @@ mod tests {
         );
         let deferred = run_job(
             &app,
-            &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-                .with_store(true)
-                .with_delivery(DeliveryMode::Deferred),
+            &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_deferred())
+                .with_store(true),
         );
         assert_eq!(deferred.messages, immediate.messages);
         assert_eq!(
@@ -793,12 +705,7 @@ mod tests {
             &app,
             &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true),
         );
-        let repl = run_job(
-            &app,
-            &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-                .with_store(true)
-                .with_replication(2),
-        );
+        let repl = run_job(&app, &stored(|p| p.replication = ReplicationConfig::new(2)));
         // R=2 dedups at query time: same logical rows as the seed run.
         assert_eq!(
             repl.pipeline.as_ref().unwrap().stored_events(),
@@ -817,15 +724,12 @@ mod tests {
     fn dsosd_crash_with_replication_loses_no_acked_rows() {
         let app = MpiIoTest::tiny(false);
         let crash_at = Epoch::from_secs(1_650_000_000);
-        let spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_replication(2)
-            .with_write_quorum(1)
-            .with_faults(
-                FaultScript::new()
-                    .crash_dsosd("dsosd-0", crash_at + SimDuration::from_millis(1))
-                    .restart_dsosd("dsosd-0", crash_at + SimDuration::from_secs(30)),
-            );
+        let spec = stored(|p| {
+            p.replication = ReplicationConfig::new(2).with_quorum(1);
+            p.faults = FaultScript::new()
+                .crash_dsosd("dsosd-0", crash_at + SimDuration::from_millis(1))
+                .restart_dsosd("dsosd-0", crash_at + SimDuration::from_secs(30));
+        });
         let r = run_job(&app, &spec);
         let p = r.pipeline.as_ref().unwrap();
         let c = r.completeness.as_ref().unwrap();

@@ -36,8 +36,8 @@
 //! it does not, 2 on usage errors.
 
 use darshan_ldms_connector::{
-    column_id, DeliveryMode, FaultScript, OverloadConfig, Pipeline, QueueConfig, TelemetryConfig,
-    WalConfig,
+    column_id, FaultScript, OverloadConfig, Pipeline, QueueConfig, ReplicationConfig,
+    TelemetryConfig, WalConfig,
 };
 use dsos_sim::Value;
 use iosim_apps::workloads::{HaccIo, Hmmer};
@@ -110,16 +110,17 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
 
 /// The crash-tolerant deployment every drill runs against.
 fn spec(faults: FaultScript) -> RunSpec {
-    RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
+    let mut s = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
         .with_store(true)
-        .with_queue(QueueConfig::reliable())
-        .with_standby(true)
-        .with_wal(WalConfig::durable())
         // Metrics + flight recorders on every drill: a failed drill
         // dumps the crashed daemon's last actions instead of just an
         // unbalanced ledger.
-        .with_telemetry(TelemetryConfig::metrics_only())
-        .with_faults(faults)
+        .with_telemetry(TelemetryConfig::metrics_only());
+    s.pipeline.queue = QueueConfig::reliable();
+    s.pipeline.standby_l1 = true;
+    s.pipeline.wal = Some(WalConfig::durable());
+    s.pipeline.faults = faults;
+    s
 }
 
 /// Builds the scenario's fault script from the fault-free runtime: the
@@ -182,12 +183,12 @@ fn storm_drill(cli: &Cli) -> ExitCode {
         ..Hmmer::tiny()
     };
     let base_spec = || {
-        RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
+        let mut s = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_deferred())
             .with_store(true)
-            .with_delivery(DeliveryMode::Deferred)
-            .with_queue(QueueConfig::reliable().with_capacity(4096))
-            .with_wal(WalConfig::durable())
-            .with_telemetry(TelemetryConfig::metrics_only())
+            .with_telemetry(TelemetryConfig::metrics_only());
+        s.pipeline.queue = QueueConfig::reliable().with_capacity(4096);
+        s.pipeline.wal = Some(WalConfig::durable());
+        s
     };
     let probe = run_job(&app, &base_spec());
     let job_id = base_spec().job_id;
@@ -203,12 +204,10 @@ fn storm_drill(cli: &Cli) -> ExitCode {
     let until = from + SimDuration::from_millis(200 + rng.next_u64() % 400);
     let faults = FaultScript::new().link_flap("l1", from, until);
 
-    let r = run_job(
-        &app,
-        &base_spec()
-            .with_overload(OverloadConfig::for_rate(offered / 16.0))
-            .with_faults(faults),
-    );
+    let mut storm = base_spec();
+    storm.pipeline.overload = Some(OverloadConfig::for_rate(offered / 16.0));
+    storm.pipeline.faults = faults;
+    let r = run_job(&app, &storm);
     let p = r.pipeline.as_ref().expect("connector run has a pipeline");
     let stored = p.stored_events() as u64;
     let meta_stored = meta_rows(p, job_id);
@@ -303,19 +302,19 @@ fn storm_drill(cli: &Cli) -> ExitCode {
 /// discrepancy is attributable to the storage tier.
 fn crash_dsosd_drill(cli: &Cli) -> ExitCode {
     let app = HaccIo::tiny();
-    let base_spec = || {
+    let base_spec = |faults: FaultScript| {
         let mut s = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
             .with_store(true)
-            .with_replication(cli.replicas)
-            .with_write_quorum(1)
             .with_telemetry(TelemetryConfig::metrics_only());
-        s.dsosd = 4;
+        s.pipeline.dsosd_count = 4;
+        s.pipeline.replication = ReplicationConfig::new(cli.replicas).with_quorum(1);
+        s.pipeline.faults = faults;
         s
     };
     // Probe run: fault-free runtime places the crash window mid-run.
-    let probe = run_job(&app, &base_spec());
+    let probe = run_job(&app, &base_spec(FaultScript::new()));
     let mut rng = SimRng::new(cli.seed ^ 0xD505_D0D0);
-    let epoch = base_spec().epoch_base;
+    let epoch = base_spec(FaultScript::new()).epoch_base;
     let crash_at =
         epoch + SimDuration::from_secs_f64(probe.runtime_s * (0.2 + 0.4 * rng.next_f64()));
     let restart_at = crash_at + SimDuration::from_secs(20);
@@ -323,7 +322,7 @@ fn crash_dsosd_drill(cli: &Cli) -> ExitCode {
         .crash_dsosd("dsosd-0", crash_at)
         .restart_dsosd("dsosd-0", restart_at);
 
-    let r = run_job(&app, &base_spec().with_faults(faults));
+    let r = run_job(&app, &base_spec(faults));
     let p = r.pipeline.as_ref().expect("connector run has a pipeline");
     let c = r
         .completeness

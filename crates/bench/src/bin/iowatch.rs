@@ -29,10 +29,9 @@
 //! `detection_live_stream` families). Exits non-zero when any gate
 //! fails.
 
-use darshan_ldms_connector::DeliveryMode;
 use hpcws_sim::online::{OnlineDetector, OnlineEvent};
 use iosim_apps::detect::{event_cmp, LiveDetectorTap};
-use iosim_apps::experiment::RunResult;
+use iosim_apps::experiment::{Instrumentation, RunResult};
 use iosim_telemetry::{DiagHub, HubEvent, HubEventKind};
 use iosim_time::Epoch;
 use iosim_util::table::TextTable;
@@ -394,7 +393,7 @@ fn main() {
     let app = livehub::workload(opts.quick || opts.snapshot);
     let mut spec = livehub::spec(&app, 1);
     if opts.snapshot {
-        spec = spec.with_delivery(DeliveryMode::Deferred);
+        spec.instrumentation = Instrumentation::connector_deferred();
     }
     let r = iosim_apps::experiment::run_job(&app, &spec);
     let hub = r

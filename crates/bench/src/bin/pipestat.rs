@@ -34,8 +34,8 @@
 //! exposition — the CI `telemetry-smoke` job gates on this binary.
 
 use darshan_ldms_connector::{
-    DeliveryMode, FaultScript, OverloadConfig, Pipeline, QueueConfig, TelemetryConfig,
-    WorkloadSpec, DEFAULT_STREAM_TAG,
+    FaultScript, OverloadConfig, Pipeline, QueueConfig, TelemetryConfig, WorkloadSpec,
+    DEFAULT_STREAM_TAG,
 };
 use hpcws_sim::online::{OnlineDetector, OnlineEvent};
 use hpcws_sim::{AnomalyKind, DetectionConfig, DiagnosticEvent};
@@ -650,9 +650,7 @@ fn main() {
     };
     let calib = run_job(
         &storm_app,
-        &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_delivery(DeliveryMode::Deferred),
+        &RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_deferred()).with_store(true),
     );
     let offered = calib.msg_rate;
     let mut load_table = TextTable::new(vec![
@@ -669,11 +667,10 @@ fn main() {
     let mut prev_accuracy = f64::INFINITY;
     for (li, &x) in loads.iter().enumerate() {
         let rate = offered / x;
-        let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_delivery(DeliveryMode::Deferred)
-            .with_queue(QueueConfig::reliable().with_capacity(4096))
-            .with_overload(OverloadConfig::for_rate(rate));
+        let mut spec =
+            RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_deferred()).with_store(true);
+        spec.pipeline.queue = QueueConfig::reliable().with_capacity(4096);
+        spec.pipeline.overload = Some(OverloadConfig::for_rate(rate));
         // The most oversubscribed point doubles as the overload-metric
         // showcase: telemetry on, so the per-daemon table below shows
         // the overload_* families next to the transport counters.

@@ -56,7 +56,6 @@ pub(crate) struct DxtTracer {
     cap_per_record: usize,
     /// Segments dropped because a record hit its cap.
     dropped: u64,
-    enabled: bool,
 }
 
 impl Default for DxtTracer {
@@ -72,15 +71,11 @@ impl DxtTracer {
             segments: HashMap::new(),
             cap_per_record,
             dropped: 0,
-            enabled: true,
         }
     }
 
     /// Records a segment for `(module, record_id)`.
     pub(crate) fn trace(&mut self, module: ModuleId, record_id: u64, seg: DxtSegment) {
-        if !self.enabled {
-            return;
-        }
         let v = self.segments.entry((module, record_id)).or_default();
         if v.len() >= self.cap_per_record {
             self.dropped += 1;
@@ -97,15 +92,9 @@ impl DxtTracer {
     }
 }
 
-/// Switch and reads only the unit tests use.
+/// Reads only the unit tests use.
 #[cfg(test)]
 impl DxtTracer {
-    /// Enables or disables tracing ("DXT … can be enabled and disabled
-    /// as desired at runtime", Section IV.C).
-    pub(crate) fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     /// Segments recorded for a record, if any.
     pub(crate) fn segments(&self, module: ModuleId, record_id: u64) -> Option<&[DxtSegment]> {
         self.segments.get(&(module, record_id)).map(Vec::as_slice)
@@ -160,16 +149,5 @@ mod tests {
         }
         assert_eq!(t.segments(ModuleId::Posix, 7).unwrap().len(), 2);
         assert_eq!(t.dropped(), 3);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = DxtTracer::default();
-        t.set_enabled(false);
-        t.trace(ModuleId::Posix, 1, seg(OpKind::Write, 10));
-        assert_eq!(t.total_segments(), 0);
-        t.set_enabled(true);
-        t.trace(ModuleId::Posix, 1, seg(OpKind::Write, 10));
-        assert_eq!(t.total_segments(), 1);
     }
 }

@@ -39,12 +39,13 @@ fn fault_free_run_reports_all_zero_recovery() {
 fn hacc_io_aggregator_crash_recovers_exactly() {
     let app = HaccIo::tiny();
     let mk = |faults: FaultScript| {
-        RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-            .with_store(true)
-            .with_queue(QueueConfig::reliable())
-            .with_standby(true)
-            .with_wal(WalConfig::durable())
-            .with_faults(faults)
+        let mut s =
+            RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true);
+        s.pipeline.queue = QueueConfig::reliable();
+        s.pipeline.standby_l1 = true;
+        s.pipeline.wal = Some(WalConfig::durable());
+        s.pipeline.faults = faults;
+        s
     };
     // Probe run: the publish schedule is application-driven, so the
     // fault-free runtime tells us where "mid-run" is in virtual time.

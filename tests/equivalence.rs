@@ -23,6 +23,7 @@
 mod fault_common;
 
 use fault_common::{base_epoch, check_invariants, check_no_duplicate_rows, node_names, Outcome};
+use iolint::{check_latency_budget, LintConfig};
 use repro_suite::apps::detect::{event_cmp, LiveDetectorTap};
 use repro_suite::apps::experiment::{run_job, Instrumentation, RunResult, RunSpec};
 use repro_suite::apps::figdata::estimate_write_phase_s;
@@ -815,6 +816,14 @@ fn storm_through_crash_stays_covered_batched() {
 
 type SpecEdit = fn(RunSpec) -> RunSpec;
 
+/// `s` with its connector configuration adjusted by `edit`.
+fn with_connector(mut s: RunSpec, edit: impl FnOnce(&mut ConnectorConfig)) -> RunSpec {
+    if let Instrumentation::Connector(cfg) = &mut s.instrumentation {
+        edit(cfg);
+    }
+    s
+}
+
 /// Workload-level equivalence: the same MPI job run through the full
 /// application stack (`run_job`, with real rank threads) stores the
 /// first variant's rows under every other variant of its spec, across
@@ -861,14 +870,16 @@ fn workload_runs_match_across_modes_and_seeds() {
         &[
             ("unbatched-serial", |s| s),
             ("batched-serial", |s| {
-                s.with_batch(BatchConfig::frames_of(4))
+                with_connector(s, |c| c.batch = BatchConfig::frames_of(4))
             }),
             ("unbatched-parallel", |s| {
-                s.with_delivery(DeliveryMode::Deferred)
+                with_connector(s, |c| c.delivery = DeliveryMode::Deferred)
             }),
             ("batched-parallel", |s| {
-                s.with_batch(BatchConfig::frames_of(4))
-                    .with_delivery(DeliveryMode::Deferred)
+                with_connector(s, |c| {
+                    c.batch = BatchConfig::frames_of(4);
+                    c.delivery = DeliveryMode::Deferred;
+                })
             }),
         ],
         |_, _| {},
@@ -924,32 +935,41 @@ fn workload_runs_match_with_and_without_telemetry() {
     );
 }
 
-/// The `TRC009` latency-budget lint, end to end through `RunSpec`: an
+/// The `TRC009` latency-budget lint over a run's latency digest: an
 /// impossible budget fires the advisory warning, a generous one stays
-/// clean, and a budget without telemetry has no traces to judge.
+/// clean, and a run without telemetry has no traces to judge.
 #[test]
 fn latency_budget_lint_fires_through_run_spec() {
     let app = MpiIoTest::tiny(false);
-    let base = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-        .with_store(true)
-        .with_telemetry(TelemetryConfig::trace_all());
-    let tight = run_job(&app, &base.clone().with_latency_budget(1e-9));
+    let budget_lint = |r: &RunResult, budget_s: f64| {
+        check_latency_budget(
+            r.latency.p95_end_to_end_s(),
+            r.latency.traces,
+            budget_s,
+            &LintConfig::new(),
+        )
+    };
+    let untraced_spec =
+        RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true);
+    let traced = run_job(
+        &app,
+        &untraced_spec
+            .clone()
+            .with_telemetry(TelemetryConfig::trace_all()),
+    );
+    let tight = budget_lint(&traced, 1e-9);
     assert!(
-        tight.trace_report.codes().contains("TRC009"),
+        tight.codes().contains("TRC009"),
         "sub-nanosecond budget must fire on any real pipeline"
     );
     assert!(
-        !tight.trace_report.has_errors(),
+        !tight.has_errors(),
         "TRC009 is advisory: a blown budget warns, never errors"
     );
-    let roomy = run_job(&app, &base.with_latency_budget(10.0));
-    assert!(!roomy.trace_report.codes().contains("TRC009"));
-    let untraced = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-        .with_store(true)
-        .with_latency_budget(1e-9);
-    let r = run_job(&app, &untraced);
+    assert!(!budget_lint(&traced, 10.0).codes().contains("TRC009"));
+    let untraced = run_job(&app, &untraced_spec);
     assert!(
-        !r.trace_report.codes().contains("TRC009"),
+        !budget_lint(&untraced, 1e-9).codes().contains("TRC009"),
         "no telemetry, no traces, no evidence to fire on"
     );
 }

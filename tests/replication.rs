@@ -16,7 +16,7 @@ mod fault_common;
 use fault_common::check_no_duplicate_rows;
 use repro_suite::apps::workloads::HaccIo;
 use repro_suite::apps::{run_job, FsChoice, Instrumentation, RunSpec};
-use repro_suite::connector::FaultScript;
+use repro_suite::connector::{FaultScript, ReplicationConfig};
 use repro_suite::simtime::{Epoch, SimDuration};
 
 /// Job start instant shared by every drill (the `RunSpec::calm`
@@ -25,32 +25,31 @@ fn epoch() -> Epoch {
     Epoch::from_secs(1_650_000_000)
 }
 
+/// A stored, unreplicated spec against a 4-backend DSOS cluster.
+fn four_backends() -> RunSpec {
+    let mut spec =
+        RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true);
+    spec.pipeline.dsosd_count = 4;
+    spec
+}
+
 /// HACC-IO against a 4-backend cluster with the given replication
 /// factor at write quorum 1, `dsosd-0` crashing `crash_s` seconds in
 /// and restarting 20 virtual seconds later.
 fn drill_spec(replicas: usize, crash_s: f64) -> RunSpec {
     let crash_at = epoch() + SimDuration::from_secs_f64(crash_s);
-    let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-        .with_store(true)
-        .with_replication(replicas)
-        .with_write_quorum(1)
-        .with_faults(
-            FaultScript::new()
-                .crash_dsosd("dsosd-0", crash_at)
-                .restart_dsosd("dsosd-0", crash_at + SimDuration::from_secs(20)),
-        );
-    spec.dsosd = 4;
+    let mut spec = four_backends();
+    spec.pipeline.replication = ReplicationConfig::new(replicas).with_quorum(1);
+    spec.pipeline.faults = FaultScript::new()
+        .crash_dsosd("dsosd-0", crash_at)
+        .restart_dsosd("dsosd-0", crash_at + SimDuration::from_secs(20));
     spec
 }
 
 /// Fault-free runtime of the drill workload, so the crash window can
 /// be pinned strictly inside the publish phase.
 fn probe_runtime() -> f64 {
-    let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-        .with_store(true)
-        .with_write_quorum(1);
-    spec.dsosd = 4;
-    run_job(&HaccIo::tiny(), &spec).runtime_s
+    run_job(&HaccIo::tiny(), &four_backends()).runtime_s
 }
 
 #[test]
@@ -106,11 +105,9 @@ fn hacc_io_r1_dsosd_crash_unavailable_mass_balances_the_ledger() {
 #[test]
 fn replication_does_not_change_fault_free_query_results() {
     let app = HaccIo::tiny();
-    let mut base =
-        RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default()).with_store(true);
-    base.dsosd = 4;
-    let mut repl = base.clone().with_replication(2);
-    repl.dsosd = 4;
+    let base = four_backends();
+    let mut repl = base.clone();
+    repl.pipeline.replication = ReplicationConfig::new(2);
 
     let a = run_job(&app, &base);
     let b = run_job(&app, &repl);
@@ -131,18 +128,13 @@ fn sequential_dsosd_crashes_survive_with_r2() {
     let runtime = probe_runtime();
     let first = epoch() + SimDuration::from_secs_f64(runtime * 0.3);
     let second = first + SimDuration::from_secs(30);
-    let mut spec = RunSpec::calm(FsChoice::Lustre, Instrumentation::connector_default())
-        .with_store(true)
-        .with_replication(2)
-        .with_write_quorum(1)
-        .with_faults(
-            FaultScript::new()
-                .crash_dsosd("dsosd-0", first)
-                .restart_dsosd("dsosd-0", first + SimDuration::from_secs(10))
-                .crash_dsosd("dsosd-1", second)
-                .restart_dsosd("dsosd-1", second + SimDuration::from_secs(10)),
-        );
-    spec.dsosd = 4;
+    let mut spec = four_backends();
+    spec.pipeline.replication = ReplicationConfig::new(2).with_quorum(1);
+    spec.pipeline.faults = FaultScript::new()
+        .crash_dsosd("dsosd-0", first)
+        .restart_dsosd("dsosd-0", first + SimDuration::from_secs(10))
+        .crash_dsosd("dsosd-1", second)
+        .restart_dsosd("dsosd-1", second + SimDuration::from_secs(10));
     let r = run_job(&app, &spec);
     let p = r.pipeline.as_ref().unwrap();
     let c = r.completeness.as_ref().unwrap();
