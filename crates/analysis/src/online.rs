@@ -25,7 +25,8 @@
 //! settled run feed events in virtual-time order.
 
 use iosim_util::stats::{change_point, mad, median, robust_z};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt;
 
 /// One I/O segment as the detector sees it — the subset of the
@@ -36,10 +37,9 @@ pub struct OnlineEvent {
     pub job_id: u64,
     /// MPI rank.
     pub rank: u64,
-    /// Publishing node (`ProducerName`).
-    pub producer: String,
-    /// Operation (`open`, `close`, `read`, `write`).
-    pub op: String,
+    /// Operation (`open`, `close`, `read`, `write`), as [`op_name`]
+    /// decodes it.
+    pub op: Cow<'static, str>,
     /// File path operated on.
     pub file: String,
     /// Segment length in bytes (`seg_len`; -1 when not applicable).
@@ -50,6 +50,15 @@ pub struct OnlineEvent {
     pub dur: f64,
     /// Segment end timestamp in absolute seconds (`seg_timestamp`).
     pub end: f64,
+}
+
+/// An `op` cell as a decoded event keeps it: the connector's four
+/// operations borrow a static name, anything else is copied.
+pub fn op_name(op: &str) -> Cow<'static, str> {
+    ["open", "close", "read", "write"]
+        .into_iter()
+        .find(|&name| name == op)
+        .map_or_else(|| Cow::Owned(op.to_string()), Cow::Borrowed)
 }
 
 /// What kind of anomaly a detection reports.
@@ -291,6 +300,10 @@ pub struct OnlineDetector {
     /// once the watermark passes its end, so a quiet job's statistics
     /// join the fleet baseline while other jobs are still running.
     watermark: f64,
+    /// The earliest instant any open window closes at (see
+    /// [`close_instant`]): below it, [`OnlineDetector::advance`] has
+    /// nothing to do. `-∞` until the next full scan recomputes it.
+    next_close: f64,
     detections: Vec<DiagnosticEvent>,
     events: u64,
     /// Events that arrived behind the per-job window watermark (folded
@@ -307,6 +320,7 @@ impl OnlineDetector {
             jobs: BTreeMap::new(),
             fleet_meds: BTreeMap::new(),
             watermark: f64::NEG_INFINITY,
+            next_close: f64::NEG_INFINITY,
             detections: Vec::new(),
             events: 0,
             late: 0,
@@ -337,24 +351,24 @@ impl OnlineDetector {
         }
         self.events += 1;
         self.watermark = self.watermark.max(e.end);
-        self.jobs
-            .entry(e.job_id)
-            .or_insert_with(|| JobState::new(e.end));
+        if let btree_map::Entry::Vacant(slot) = self.jobs.entry(e.job_id) {
+            slot.insert(JobState::new(e.end));
+            self.next_close = f64::NEG_INFINITY; // the new window joins the gate
+        }
         self.advance();
         let window_s = self.cfg.window_s;
         let job = self.jobs.get_mut(&e.job_id).expect("job state exists");
-        let raw = ((e.end - job.t0) / window_s).floor();
-        let idx = if raw <= 0.0 { 0 } else { raw as u64 };
-        if idx < job.window {
+        if window_index(e.end, job.t0, window_s) < job.window {
             self.late += 1;
         }
         let a = &mut job.accum;
-        *a.ops.entry(e.op.clone()).or_default() += 1;
-        if e.op == "read" || e.op == "write" {
-            a.durs.entry(e.op.clone()).or_default().push(e.dur);
+        let op = e.op.as_ref();
+        *slot(&mut a.ops, op) += 1;
+        if op == "read" || op == "write" {
+            slot(&mut a.durs, op).push(e.dur);
             *a.rank_time.entry(e.rank).or_default() += e.dur;
         }
-        if e.op == "write" {
+        if op == "write" {
             let w = a.writes.entry(e.rank).or_default();
             w.0 += 1;
             if e.len >= 0 && e.len < TINY_WRITE_LEN && e.off >= 0 && e.off % ALIGNMENT != 0 {
@@ -373,6 +387,7 @@ impl OnlineDetector {
                 self.close_window(job_id);
             }
         }
+        self.next_close = f64::NEG_INFINITY;
         let mut out = self.detections.clone();
         out.sort_by(report_order);
         out
@@ -380,14 +395,18 @@ impl OnlineDetector {
 
     /// Closes every window the global watermark has passed, in job-id
     /// order. A job with an empty open window jumps straight to the
-    /// watermark's window (idle windows carry no evidence).
+    /// watermark's window (idle windows carry no evidence). Below
+    /// `next_close` no window has been passed, so the scan is skipped.
     fn advance(&mut self) {
+        if self.watermark < self.next_close {
+            return;
+        }
+        let window_s = self.cfg.window_s;
         let ids: Vec<u64> = self.jobs.keys().copied().collect();
         for id in ids {
             loop {
                 let job = &self.jobs[&id];
-                let raw = ((self.watermark - job.t0) / self.cfg.window_s).floor();
-                let target = if raw <= 0.0 { 0 } else { raw as u64 };
+                let target = window_index(self.watermark, job.t0, window_s);
                 if job.window >= target {
                     break;
                 }
@@ -398,6 +417,11 @@ impl OnlineDetector {
                 }
             }
         }
+        self.next_close = self
+            .jobs
+            .values()
+            .map(|job| close_instant(job.t0, job.window, window_s))
+            .fold(f64::INFINITY, f64::min);
     }
 
     /// Closes one job's open window: judges it, extends the
@@ -580,6 +604,47 @@ impl OnlineDetector {
     }
 }
 
+/// `map[key]`, inserted as the default when absent: only a key's first
+/// use in a map allocates it.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, key: &str) -> &'a mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), V::default());
+    }
+    map.get_mut(key).expect("slot exists")
+}
+
+/// The window an instant `t` falls in, for a job whose windows start
+/// at `t0`. The cast saturates, so instants before `t0` fall in
+/// window 0.
+fn window_index(t: f64, t0: f64, window_s: f64) -> u64 {
+    ((t - t0) / window_s).floor() as u64
+}
+
+/// The smallest watermark whose [`window_index`] passes `window`: the
+/// instant that window closes. It steps from the nominal
+/// `t0 + (window + 1) · window_s` to the float where the formula
+/// itself flips (it is monotone in the watermark), so a gate on this
+/// instant closes every window at the event the full scan would.
+/// Returns `-∞`, no gate, when the flip is not a positive finite float
+/// within a few ulps of the nominal instant.
+fn close_instant(t0: f64, window: u64, window_s: f64) -> f64 {
+    let passed = |t: f64| window_index(t, t0, window_s) > window;
+    let mut t = t0 + (window + 1) as f64 * window_s;
+    // Positive finite floats order like their bits: ±1 is one ulp.
+    for _ in 0..64 {
+        if !(t.is_finite() && t > 0.0) {
+            break;
+        }
+        let below = f64::from_bits(t.to_bits() - 1);
+        match (passed(below), passed(t)) {
+            (false, true) => return t,
+            (true, _) => t = below,
+            (false, false) => t = f64::from_bits(t.to_bits() + 1),
+        }
+    }
+    f64::NEG_INFINITY
+}
+
 /// The order [`OnlineDetector::finish`] reports detections in:
 /// (onset, job, kind, rank, op).
 pub fn report_order(a: &DiagnosticEvent, b: &DiagnosticEvent) -> std::cmp::Ordering {
@@ -627,8 +692,7 @@ mod tests {
         OnlineEvent {
             job_id: job,
             rank,
-            producer: format!("nid{:05}", 40 + rank / 4),
-            op: op.to_string(),
+            op: op_name(op),
             file: "/scratch/out.dat".to_string(),
             len: 4 << 20,
             off: 0,
@@ -851,5 +915,76 @@ mod tests {
             }
         }
         assert_eq!(report_csv(&d2.finish()), csv);
+    }
+
+    /// Observes `e` with the close gate forgotten first, so `advance`
+    /// runs its full scan on every event: the gate's reference.
+    fn observe_scanning(d: &mut OnlineDetector, e: &OnlineEvent) {
+        d.next_close = f64::NEG_INFINITY;
+        d.observe(e);
+    }
+
+    /// What a window close changes: each job's open window and the
+    /// detections so far.
+    fn close_state(d: &OnlineDetector) -> (Vec<(u64, u64)>, usize) {
+        let windows = d.jobs.iter().map(|(&id, j)| (id, j.window)).collect();
+        (windows, d.detections.len())
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The gated engine closes every window at the same event as
+        /// one that scans on every event, including events that end
+        /// exactly on a window boundary `t0 + k·window_s` or a few ulps
+        /// either side of it, with several jobs whose windows are out
+        /// of phase, fed in time order or not.
+        #[test]
+        fn the_close_gate_closes_windows_where_the_full_scan_does(
+            width in 0usize..3,
+            origin in 0usize..3,
+            stream in proptest::collection::vec(
+                ((0u64..3, 0u64..5), (0u64..40, any::<bool>(), -2i64..3), (0usize..3, 1u32..400)),
+                1..160,
+            ),
+            time_order in any::<bool>(),
+        ) {
+            let window_s = [0.1, 1.0 / 3.0, 10.0][width];
+            let base = [0.3, 1_000.0, 1.65e9][origin];
+            let t0 = |job: u64| base + 7.3 * job as f64;
+            // Each job's first event fixes its `t0`.
+            let mut events: Vec<OnlineEvent> =
+                (0..3).map(|job| ev(job, 0, "write", 0.01, t0(job))).collect();
+            for &((job, rank), (k, mid, ulps), (op, dur)) in &stream {
+                let end = if mid {
+                    t0(job) + (k as f64 + 0.5) * window_s
+                } else {
+                    let edge = t0(job) + k as f64 * window_s;
+                    f64::from_bits(edge.to_bits().wrapping_add_signed(ulps))
+                };
+                let op = ["read", "write", "open"][op];
+                events.push(ev(job, rank, op, 1e-3 * f64::from(dur), end));
+            }
+            if time_order {
+                events.sort_by(|a, b| a.end.total_cmp(&b.end));
+            }
+            let cfg = DetectionConfig {
+                window_s,
+                baseline_min_windows: 2,
+                ..DetectionConfig::default()
+            };
+            let mut gated = OnlineDetector::new(cfg.clone());
+            let mut scanning = OnlineDetector::new(cfg);
+            for e in &events {
+                gated.observe(e);
+                observe_scanning(&mut scanning, e);
+                prop_assert_eq!(close_state(&gated), close_state(&scanning));
+            }
+            prop_assert_eq!(gated.late_events(), scanning.late_events());
+            prop_assert_eq!(gated.finish(), scanning.finish());
+            prop_assert_eq!(format!("{:?}", gated.jobs), format!("{:?}", scanning.jobs));
+        }
     }
 }

@@ -11,8 +11,8 @@
 //! single-pass engine fed every buffered event in [`event_cmp`] order,
 //! giving bit-identical detections for bit-identical runs. At job
 //! settle, [`LiveDetectorTap::finalize`] completes the streaming engine
-//! when it was fed in that order, and replays the sorted log through a
-//! fresh engine only when arrivals broke it. The storage
+//! when it was fed in that order, and replays the sorted events through
+//! a fresh engine only when arrivals broke it. The storage
 //! path itself is untouched (the observer is read-only), so
 //! detector-on runs store byte-identical rows, ledgers, and recovery
 //! counters to detector-off runs.
@@ -20,7 +20,7 @@
 use darshan_ldms_connector::{schema::col, IngestObserver};
 use dsos_sim::Value;
 use hpcws_sim::online::{
-    report_order, DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent,
+    op_name, report_order, DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent,
 };
 use iosim_telemetry::{DetectionRecord, DiagHub, HubEventKind};
 use iosim_time::Epoch;
@@ -37,8 +37,7 @@ pub fn row_to_event(row: &[Value]) -> Option<OnlineEvent> {
     Some(OnlineEvent {
         job_id: row.get(col::JOB_ID)?.as_u64()?,
         rank: row.get(col::RANK)?.as_u64()?,
-        producer: row.get(col::PRODUCER_NAME)?.as_str()?.to_string(),
-        op: row.get(col::OP)?.as_str()?.to_string(),
+        op: op_name(row.get(col::OP)?.as_str()?),
         file: row.get(col::FILE)?.as_str()?.to_string(),
         len: row.get(col::SEG_LEN)?.as_i64()?,
         off: row.get(col::SEG_OFF)?.as_i64()?,
@@ -87,19 +86,22 @@ pub struct LiveFinalize {
 }
 
 struct LiveState {
-    /// Every decoded event, in arrival order (the oracle's input).
-    log: Vec<OnlineEvent>,
+    /// Events offered so far; the next one's arrival index.
+    arrivals: usize,
     /// Events not yet fed to the streaming engine, smallest (by
-    /// [`event_cmp`], then arrival) on top.
+    /// [`event_cmp`], then arrival) on top. Once `reordered`, every
+    /// later arrival stays here.
     pending: BinaryHeap<Pending>,
+    /// Events fed to the streaming engine, in feed order: the oracle's
+    /// input up to the frontier, kept for the reorder fallback. Its
+    /// last entry is the largest event fed.
+    fed: Vec<Pending>,
     /// Per-rank maximum `end` seen so far.
     watermark: BTreeMap<u64, f64>,
     /// The streaming engine fed in-run.
     engine: OnlineDetector,
     /// Engine detections already surfaced on the live stream.
     emitted: usize,
-    /// The largest event (by [`event_cmp`]) fed to the engine.
-    last_fed: Option<OnlineEvent>,
     /// Set when an arrival sorted below an already-fed event: per-rank
     /// order broke (retries or WAL replay), so live feeding stops and
     /// the oracle's output becomes the stream.
@@ -116,9 +118,17 @@ struct Pending {
     arrival: usize,
 }
 
+impl Pending {
+    /// The oracle's order: [`event_cmp`], then arrival, which is what
+    /// a stable sort of the events in arrival order yields.
+    fn canonical(&self, other: &Self) -> Ordering {
+        event_cmp(&self.event, &other.event).then_with(|| self.arrival.cmp(&other.arrival))
+    }
+}
+
 impl Ord for Pending {
     fn cmp(&self, other: &Self) -> Ordering {
-        event_cmp(&other.event, &self.event).then_with(|| other.arrival.cmp(&self.arrival))
+        other.canonical(self)
     }
 }
 
@@ -136,6 +146,14 @@ impl PartialEq for Pending {
 
 impl Eq for Pending {}
 
+/// The oracle's input sequence: every offered event, fed or pending, in
+/// the canonical order.
+fn settle_order(mut fed: Vec<Pending>, pending: BinaryHeap<Pending>) -> Vec<Pending> {
+    fed.extend(pending.into_vec());
+    fed.sort_unstable_by(Pending::canonical);
+    fed
+}
+
 /// The detection tap: an off-path [`IngestObserver`] with **streaming
 /// window closure** — events are fed to the engine *during* the run,
 /// as soon as the per-rank watermark frontier passes them, and
@@ -147,7 +165,8 @@ impl Eq for Pending {}
 /// Arrival order across ranks is nondeterministic (OS threads), so the
 /// tap holds a reorder buffer: an event is fed only once every
 /// expected rank's watermark has passed its `end` (all events that
-/// could still sort before it have necessarily arrived), and passed
+/// could still sort before it have necessarily arrived; the expected
+/// ranks are those that do I/O), and passed
 /// events leave the buffer in [`event_cmp`] order. The fed sequence is
 /// therefore exactly a prefix of the oracle's fully-sorted replay, and
 /// feeding the sorted remainder at [`LiveDetectorTap::finalize`] makes
@@ -185,31 +204,31 @@ fn detection_record(d: &DiagnosticEvent, in_run: bool) -> DetectionRecord {
 }
 
 impl LiveDetectorTap {
-    /// Creates a live tap. `expected_ranks` is the job's rank count —
-    /// the watermark frontier only advances once every rank has
-    /// reported at least one event. `hub` (optional) receives a
-    /// `Detection` event at each emission.
+    /// Creates a live tap. `expected_ranks` is how many of the job's
+    /// ranks do I/O — the watermark frontier only advances once that
+    /// many ranks have reported at least one event. `hub` (optional)
+    /// receives a `Detection` event at each emission.
     pub fn new(cfg: DetectionConfig, expected_ranks: u64, hub: Option<Arc<DiagHub>>) -> Arc<Self> {
         Arc::new(Self {
             cfg: cfg.clone(),
             expected_ranks: expected_ranks.max(1),
             hub,
             state: Mutex::new(LiveState {
-                log: Vec::new(),
+                arrivals: 0,
                 pending: BinaryHeap::new(),
+                fed: Vec::new(),
                 watermark: BTreeMap::new(),
                 engine: OnlineDetector::new(cfg),
                 emitted: 0,
-                last_fed: None,
                 reordered: false,
                 live: Vec::new(),
             }),
         })
     }
 
-    /// Events buffered so far (fed or pending).
+    /// Events offered so far (fed or pending).
     pub fn buffered(&self) -> usize {
-        self.state.lock().log.len()
+        self.state.lock().arrivals
     }
 
     /// True when a per-rank order violation forced the tap off the
@@ -220,81 +239,76 @@ impl LiveDetectorTap {
     }
 
     /// Offers one event to the tap at ingest instant `recv_time`:
-    /// buffers it for the oracle, advances the rank watermark, and
-    /// feeds every pending event the frontier has passed to the
-    /// streaming engine (in canonical order), emitting any detections
-    /// the engine produced.
+    /// buffers it, advances the rank watermark, and feeds every pending
+    /// event the frontier has passed to the streaming engine (in
+    /// canonical order), emitting any detections the engine produced.
     pub fn offer(&self, event: OnlineEvent, recv_time: Epoch) {
         let mut st = self.state.lock();
-        st.log.push(event.clone());
-        if !st.reordered {
-            if let Some(last) = &st.last_fed {
-                if event_cmp(&event, last) == Ordering::Less {
-                    // The event sorts before something already fed:
-                    // the streamed prefix is no longer a prefix of the
-                    // oracle's replay. Fall back to settle emission.
-                    st.reordered = true;
-                }
-            }
+        let st = &mut *st;
+        let arrival = st.arrivals;
+        st.arrivals += 1;
+        if !st.reordered
+            && st
+                .fed
+                .last()
+                .is_some_and(|last| event_cmp(&event, &last.event) == Ordering::Less)
+        {
+            // The event sorts before something already fed: the
+            // streamed prefix is no longer a prefix of the oracle's
+            // replay. Fall back to settle emission.
+            st.reordered = true;
         }
         st.watermark
             .entry(event.rank)
             .and_modify(|w| *w = w.max(event.end))
             .or_insert(event.end);
-        if st.reordered {
-            return;
-        }
-        let arrival = st.log.len();
         st.pending.push(Pending { event, arrival });
-        if (st.watermark.len() as u64) < self.expected_ranks {
+        if st.reordered || (st.watermark.len() as u64) < self.expected_ranks {
             return;
         }
         let frontier = st
             .watermark
             .values()
             .fold(f64::INFINITY, |acc, &w| acc.min(w));
-        let st = &mut *st;
         while st.pending.peek().is_some_and(|p| p.event.end < frontier) {
-            let due = st.pending.pop().expect("peeked").event;
-            st.engine.observe(&due);
-            st.last_fed = Some(due);
+            let due = st.pending.pop().expect("peeked");
+            st.engine.observe(&due.event);
+            st.fed.push(due);
         }
         let emitted_s = recv_time.as_secs_f64();
-        let new: Vec<DiagnosticEvent> = st.engine.detections()[st.emitted..].to_vec();
-        st.emitted += new.len();
-        for d in new {
+        for d in &st.engine.detections()[st.emitted..] {
             if let Some(hub) = &self.hub {
                 hub.publish(
                     DETECTOR_SOURCE,
                     recv_time,
-                    HubEventKind::Detection(detection_record(&d, true)),
+                    HubEventKind::Detection(detection_record(d, true)),
                 );
             }
             st.live.push(LiveDetection {
-                event: d,
+                event: d.clone(),
                 emitted_s,
                 in_run: true,
             });
         }
+        st.emitted = st.engine.detections().len();
     }
 
     /// Closes the stream at the settle `horizon` and returns the
     /// canonical detections together with the reconciled live stream.
     /// While per-rank order held, the streaming engine fed its sorted
     /// remainder has seen exactly the oracle's input sequence, so its
-    /// `finish` is the canonical set; only a reordered run sorts the
-    /// whole buffered log and replays it through a fresh engine. Every
+    /// `finish` is the canonical set; only a reordered run sorts every
+    /// buffered event and replays them through a fresh engine. Every
     /// finding not already emitted in-run is emitted at the horizon.
     pub fn finalize(&self, horizon: Epoch) -> LiveFinalize {
         let mut st = self.state.lock();
         let st = &mut *st;
         let inrun = std::mem::take(&mut st.live);
         if st.reordered {
-            let mut sorted: Vec<&OnlineEvent> = st.log.iter().collect();
-            sorted.sort_by(|a, b| event_cmp(a, b));
+            let all = settle_order(std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
             let mut oracle = OnlineDetector::new(self.cfg.clone());
-            for e in sorted {
-                oracle.observe(e);
+            for p in all {
+                oracle.observe(&p.event);
             }
             let detections = oracle.finish();
             let live = self.reconcile(inrun, &detections, horizon);
@@ -449,8 +463,7 @@ mod tests {
         OnlineEvent {
             job_id: job,
             rank,
-            producer: format!("nid{rank:05}"),
-            op: op.to_string(),
+            op: op_name(op),
             file: "/scratch/o.dat".to_string(),
             len: 1 << 20,
             off: 0,
@@ -614,7 +627,7 @@ mod tests {
             assert_eq!(st.engine.events(), fed as u64);
             assert_eq!(st.engine.late_events(), 0, "fed in canonical order");
             assert_eq!(st.engine.detections(), prefix_engine.detections());
-            assert_eq!(st.last_fed.as_ref(), Some(&sorted[fed - 1]));
+            assert_eq!(st.fed.last().map(|p| &p.event), Some(&sorted[fed - 1]));
             assert_eq!(st.pending.len(), sorted.len() - fed);
         }
 
@@ -626,6 +639,104 @@ mod tests {
         live.sort_by_key(key);
         want.sort_by_key(key);
         assert_eq!(live, want, "live stream is exactly the oracle set");
+    }
+
+    /// The live set of a finalized tap, in stream order.
+    fn live_events(out: &LiveFinalize) -> Vec<DiagnosticEvent> {
+        out.live.iter().map(|l| l.event.clone()).collect()
+    }
+
+    /// A master-worker job: of its two ranks only the master does I/O,
+    /// and the tap expects that one. The frontier moves with every
+    /// event, so the engine is fed in-run, finalize feeds it at most
+    /// the last event, and the detections are the oracle's.
+    #[test]
+    fn master_worker_job_is_fed_in_run() {
+        let master = outlier_workload().swap_remove(0);
+        let want = oracle(&master);
+        assert!(
+            !want.is_empty(),
+            "the master's slow windows must be detected"
+        );
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
+        for (i, e) in master.iter().enumerate() {
+            tap.offer(e.clone(), Epoch::from_secs(i as u64 + 1));
+        }
+        assert!(!tap.reordered());
+        {
+            let st = tap.state.lock();
+            assert!(
+                st.pending.len() <= 1,
+                "{} left to finalize",
+                st.pending.len()
+            );
+            assert_eq!(st.engine.events() as usize + st.pending.len(), master.len());
+        }
+        let out = tap.finalize(Epoch::from_secs(10_000));
+        assert_eq!(out.detections, want);
+        assert!(out.live.iter().any(|l| l.in_run), "no in-run emission");
+        let mut live = live_events(&out);
+        let key = |d: &DiagnosticEvent| format!("{d:?}");
+        live.sort_by_key(key);
+        let mut want = want;
+        want.sort_by_key(key);
+        assert_eq!(live, want);
+    }
+
+    /// More ranks report than the tap expects: with one expected, the
+    /// frontier follows whichever rank arrives first, so the other's
+    /// events sort below what was fed. The tap falls back, and the live
+    /// set is still the oracle's.
+    #[test]
+    fn an_unexpected_rank_falls_back_with_exact_parity() {
+        let ranks = outlier_workload();
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
+        let mut clock = 0u64;
+        for e in ranks[1].iter().chain(ranks[0].iter()) {
+            clock += 1;
+            tap.offer(e.clone(), Epoch::from_secs(clock));
+        }
+        assert!(tap.reordered(), "rank 0 arrived below the fed prefix");
+        let all: Vec<OnlineEvent> = ranks.iter().flatten().cloned().collect();
+        let out = tap.finalize(Epoch::from_secs(10_000));
+        assert!(!out.detections.is_empty());
+        assert_eq!(live_events(&out), out.detections);
+        assert_eq!(out.detections, oracle(&all));
+    }
+
+    /// Events equal under [`event_cmp`] that differ only in `dur`: the
+    /// reordered replay keeps them in arrival order, as the oracle's
+    /// stable sort does, whether they were fed or still pending.
+    #[test]
+    fn reordered_replay_keeps_exact_ties_in_arrival_order() {
+        let arrivals = [
+            ev(7, 0, "write", 0.1, 100.0),
+            ev(7, 0, "write", 0.3, 100.0),
+            ev(7, 0, "write", 0.2, 101.0),
+            ev(7, 0, "write", 0.4, 100.0), // ties the fed pair: no reorder
+            ev(7, 0, "write", 0.5, 99.5),  // below the fed prefix
+            ev(7, 0, "write", 0.6, 100.0),
+        ];
+        let tap = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
+        for (i, e) in arrivals.iter().enumerate() {
+            tap.offer(e.clone(), Epoch::from_secs(i as u64 + 1));
+            assert_eq!(tap.reordered(), i >= 4, "after arrival {i}");
+        }
+        let replay: Vec<f64> = {
+            let mut st = tap.state.lock();
+            let st = &mut *st;
+            assert_eq!(st.fed.len(), 3, "three ties were fed before the reorder");
+            let (fed, pending) = (std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
+            settle_order(fed, pending)
+                .iter()
+                .map(|p| p.event.dur)
+                .collect()
+        };
+        let mut stable = arrivals.to_vec();
+        stable.sort_by(event_cmp);
+        let want: Vec<f64> = stable.iter().map(|e| e.dur).collect();
+        assert_eq!(replay, want);
+        assert_eq!(want, [0.5, 0.1, 0.3, 0.4, 0.6, 0.2]);
     }
 
     #[test]

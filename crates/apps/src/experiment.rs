@@ -266,14 +266,16 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Run-time detection taps the store's terminal ingest path
     // off-path: the observer only reads row batches, so the storage
     // path is byte-identical whether or not the tap is attached.
-    // Windows close in-run behind the per-rank watermark frontier and
-    // findings publish to the diagnosis hub (when the spec has one) at
-    // their ingest instants; the canonical detection set is the
-    // settle-replay oracle's either way.
+    // Windows close in-run behind the watermark frontier of the ranks
+    // that do I/O (one on a master-worker job) and findings publish to
+    // the diagnosis hub (when the spec has one) at their ingest
+    // instants; the canonical detection set is the settle-replay
+    // oracle's either way.
     let detector_tap = match (pipeline.as_ref(), &spec.detection) {
         (Some(p), Some(cfg)) => {
             let hub = p.telemetry().and_then(|t| t.diag()).cloned();
-            let tap = crate::detect::LiveDetectorTap::new(cfg.clone(), u64::from(app.ranks()), hub);
+            let io_ranks = u64::from(app.io_clients());
+            let tap = crate::detect::LiveDetectorTap::new(cfg.clone(), io_ranks, hub);
             p.store().attach_observer(tap.clone());
             Some(tap)
         }

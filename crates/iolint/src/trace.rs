@@ -20,21 +20,20 @@ use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINE
 use dsos_sim::{DsosCluster, Scan, Value};
 use hpcws_sim::online;
 use ldms_sim::ledger::LossRecord;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// One I/O segment row, decoded from the 24-column schema.
+/// One I/O segment row, decoded from the 24-column schema: the fields
+/// the lints read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
-    /// Publishing node (`ProducerName`).
-    pub producer: String,
     /// Job the rank belonged to.
     pub job_id: u64,
     /// MPI rank.
     pub rank: u64,
-    /// Darshan module (`POSIX`, `STDIO`, …).
-    pub module: String,
-    /// Operation (`open`, `close`, `read`, `write`).
-    pub op: String,
+    /// Operation (`open`, `close`, `read`, `write`), as
+    /// [`online::op_name`] decodes it.
+    pub op: Cow<'static, str>,
     /// File path operated on.
     pub file: String,
     /// Darshan record id of the file.
@@ -62,14 +61,11 @@ impl TraceEvent {
         if row.len() != COLUMNS.len() {
             return None;
         }
-        let s = |pos: usize| row[pos].as_str().map(str::to_string);
         Some(Self {
-            producer: s(col::PRODUCER_NAME)?,
             job_id: row[col::JOB_ID].as_u64()?,
             rank: row[col::RANK].as_u64()?,
-            module: s(col::MODULE)?,
-            op: s(col::OP)?,
-            file: s(col::FILE)?,
+            op: online::op_name(row[col::OP].as_str()?),
+            file: row[col::FILE].as_str()?.to_string(),
             record_id: row[col::RECORD_ID].as_u64()?,
             len: row[col::SEG_LEN].as_i64()?,
             off: row[col::SEG_OFF].as_i64()?,
@@ -219,7 +215,7 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
         // TRC001/TRC002 — open/close pairing per file record.
         let mut depth: HashMap<u64, (i64, &str)> = HashMap::new();
         for e in &timeline {
-            match e.op.as_str() {
+            match e.op.as_ref() {
                 "open" => {
                     let entry = depth.entry(e.record_id).or_insert((0, e.file.as_str()));
                     entry.0 += 1;
@@ -550,11 +546,9 @@ mod tests {
         end: f64,
     ) -> TraceEvent {
         TraceEvent {
-            producer: "nid00040".into(),
             job_id: 7,
             rank: 0,
-            module: "POSIX".into(),
-            op: op.into(),
+            op: online::op_name(op),
             file: file.into(),
             record_id,
             len,

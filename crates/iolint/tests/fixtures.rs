@@ -192,11 +192,9 @@ fn lint_config_can_silence_a_fixture() {
 
 fn ev(rank: u64, op: &str, record_id: u64, len: i64, off: i64, dur: f64, end: f64) -> TraceEvent {
     TraceEvent {
-        producer: "nid00040".into(),
         job_id: 7,
         rank,
-        module: "POSIX".into(),
-        op: op.into(),
+        op: op.to_string().into(),
         file: "/scratch/o.dat".into(),
         record_id,
         len,

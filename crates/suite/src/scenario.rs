@@ -231,8 +231,7 @@ pub fn generate(class: AnomalyClass, cfg: &ScenarioConfig) -> Scenario {
                 events.push(OnlineEvent {
                     job_id: cfg.job_id,
                     rank,
-                    producer: format!("nid{:05}", 40 + rank / 4),
-                    op: op.to_string(),
+                    op: op.into(),
                     file: "/scratch/scenario.dat".to_string(),
                     len: block,
                     off: block * i64::try_from(w * cfg.events_per_window + i).unwrap_or(0),
@@ -252,8 +251,7 @@ pub fn generate(class: AnomalyClass, cfg: &ScenarioConfig) -> Scenario {
                 events.push(OnlineEvent {
                     job_id: cfg.job_id,
                     rank: tiny_rank,
-                    producer: format!("nid{:05}", 40 + tiny_rank / 4),
-                    op: "write".to_string(),
+                    op: "write".into(),
                     file: "/scratch/scenario.dat".to_string(),
                     len: 512,
                     off: 4096 * i64::try_from(k).unwrap_or(0) + 13,

@@ -26,7 +26,8 @@
 use crate::metrics::{Metric, MetricRegistry};
 use iosim_time::Epoch;
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Coarse per-daemon health, derived from liveness, the overload
@@ -416,13 +417,15 @@ struct RouterState {
 #[derive(Debug)]
 struct HubState {
     seq: BTreeMap<String, u64>,
-    log: Vec<HubEvent>,
+    log: VecDeque<HubEvent>,
     log_dropped: u64,
     ring: TimelineRing,
     router: RouterState,
-    last_snapshot: Option<u64>,
     published: u64,
 }
+
+/// `last_snapshot` before the first snapshot.
+const NO_SNAPSHOT: u64 = u64::MAX;
 
 /// The live diagnosis hub. One per [`crate::Telemetry`] instance when
 /// enabled via [`crate::TelemetryConfig::hub`]; shared by every daemon
@@ -431,6 +434,11 @@ struct HubState {
 pub struct DiagHub {
     cfg: HubConfig,
     state: Mutex<HubState>,
+    /// The cadence boundary last snapshotted ([`NO_SNAPSHOT`] before
+    /// the first). Written under the `state` lock; the relaxed read
+    /// outside it only skips a boundary already taken, and a stale
+    /// read falls through to the check under the lock.
+    last_snapshot: AtomicU64,
 }
 
 impl DiagHub {
@@ -440,13 +448,13 @@ impl DiagHub {
             cfg,
             state: Mutex::new(HubState {
                 seq: BTreeMap::new(),
-                log: Vec::new(),
+                log: VecDeque::new(),
                 log_dropped: 0,
                 ring: TimelineRing::new(cfg.snapshot_every_s),
                 router: RouterState::default(),
-                last_snapshot: None,
                 published: 0,
             }),
+            last_snapshot: AtomicU64::new(NO_SNAPSHOT),
         })
     }
 
@@ -472,10 +480,10 @@ impl DiagHub {
             route(&mut st.router, alert);
         }
         if st.log.len() >= LOG_CAP {
-            st.log.remove(0);
+            st.log.pop_front();
             st.log_dropped += 1;
         }
-        st.log.push(ev);
+        st.log.push_back(ev);
     }
 
     /// Cadence driver: called from instrumented hot paths with the
@@ -483,17 +491,15 @@ impl DiagHub {
     /// boundary since the last call, folds every registry series into
     /// the timeline ring and publishes one `MetricSnapshot` event at
     /// the boundary instant. Idempotent within a boundary, so any
-    /// number of call sites may drive it.
+    /// number of call sites may drive it; a call within the boundary
+    /// last snapshotted is one relaxed load.
     pub(crate) fn advance(&self, now: Epoch, registry: &MetricRegistry) {
         if self.cfg.snapshot_every_s == 0 {
             return;
         }
         let boundary = now.as_nanos() / 1_000_000_000 / self.cfg.snapshot_every_s;
-        {
-            let st = self.state.lock();
-            if st.last_snapshot == Some(boundary) {
-                return;
-            }
+        if self.last_snapshot.load(Ordering::Relaxed) == boundary {
+            return;
         }
         // Snapshot the registry outside the hub lock; publish below.
         let boundary_s = boundary * self.cfg.snapshot_every_s;
@@ -524,10 +530,10 @@ impl DiagHub {
         }
         {
             let mut st = self.state.lock();
-            if st.last_snapshot == Some(boundary) {
+            if self.last_snapshot.load(Ordering::Relaxed) == boundary {
                 return; // lost the race to another call site
             }
-            st.last_snapshot = Some(boundary);
+            self.last_snapshot.store(boundary, Ordering::Relaxed);
             for (series_name, value) in &samples {
                 st.ring.record(boundary_s, series_name, *value);
             }
@@ -546,7 +552,7 @@ impl DiagHub {
 
     /// A sorted copy of the retained event log.
     pub fn events(&self) -> Vec<HubEvent> {
-        let mut out = self.state.lock().log.clone();
+        let mut out: Vec<HubEvent> = self.state.lock().log.iter().cloned().collect();
         out.sort_by(|a, b| a.key().cmp(&b.key()));
         out
     }

@@ -155,7 +155,8 @@ impl Telemetry {
         (id % self.config.sample_every == 0).then_some(id)
     }
 
-    /// Records one span of a traced message's journey.
+    /// Records one span of a traced message's journey. Once the span
+    /// log is full this is one relaxed load and a drop count.
     pub fn span(
         &self,
         trace: u64,
@@ -164,6 +165,9 @@ impl Telemetry {
         at: Epoch,
         latency: SimDuration,
     ) {
+        if self.spans.dropped_at_cap() {
+            return;
+        }
         self.spans.record(SpanRecord {
             trace,
             kind,
@@ -177,18 +181,20 @@ impl Telemetry {
     /// (the `Ingest` spans, whose latency is publish→ingest) and one
     /// distribution per hop kind.
     pub fn latency_summary(&self) -> LatencySummary {
-        let spans = self.spans.spans();
         let end_to_end = Histogram::new();
         let per_hop: [Histogram; HOP_KINDS] = Default::default();
-        for s in &spans {
-            per_hop[s.kind.index()].record(s.latency.as_nanos());
-            if s.kind == HopKind::Ingest {
-                end_to_end.record(s.latency.as_nanos());
+        let (traces, spans) = self.spans.read(|spans| {
+            for s in spans {
+                per_hop[s.kind.index()].record(s.latency.as_nanos());
+                if s.kind == HopKind::Ingest {
+                    end_to_end.record(s.latency.as_nanos());
+                }
             }
-        }
+            (trace::trace_count(spans), spans.len())
+        });
         LatencySummary {
-            traces: self.spans.trace_count() as u64,
-            spans: spans.len() as u64,
+            traces: traces as u64,
+            spans: spans as u64,
             spans_dropped: self.spans.dropped(),
             end_to_end: end_to_end.snapshot(),
             per_hop: per_hop.map(|h| h.snapshot()),

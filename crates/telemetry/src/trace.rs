@@ -16,7 +16,7 @@
 
 use iosim_time::{Epoch, SimDuration};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The pipeline hops a traced message can record a span at.
@@ -105,6 +105,10 @@ const SPAN_CAP: usize = 65_536;
 pub struct SpanLog {
     spans: Mutex<Vec<SpanRecord>>,
     dropped: AtomicU64,
+    /// Set once the log holds [`SPAN_CAP`] spans; it never shrinks.
+    /// Relaxed: the flag publishes no data (spans are read under the
+    /// lock), and a reader that sees it late takes the locked path.
+    full: AtomicBool,
 }
 
 impl SpanLog {
@@ -113,9 +117,22 @@ impl SpanLog {
         let mut spans = self.spans.lock();
         if spans.len() < SPAN_CAP {
             spans.push(span);
+            if spans.len() == SPAN_CAP {
+                self.full.store(true, Ordering::Relaxed);
+            }
         } else {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts a span as dropped without building or locking anything,
+    /// if the log is already full; `false` when there is still room.
+    pub(crate) fn dropped_at_cap(&self) -> bool {
+        let full = self.full.load(Ordering::Relaxed);
+        if full {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+        full
     }
 
     /// Spans dropped after the cap was reached.
@@ -123,9 +140,9 @@ impl SpanLog {
         self.dropped.load(Ordering::Relaxed)
     }
 
-    /// Every stored span, in record order.
-    pub(crate) fn spans(&self) -> Vec<SpanRecord> {
-        self.spans.lock().clone()
+    /// Runs `f` over the stored spans, in record order, under one lock.
+    pub(crate) fn read<R>(&self, f: impl FnOnce(&[SpanRecord]) -> R) -> R {
+        f(&self.spans.lock())
     }
 
     /// The spans of one trace, in record order.
@@ -137,15 +154,14 @@ impl SpanLog {
             .cloned()
             .collect()
     }
+}
 
-    /// Number of distinct trace ids seen.
-    pub(crate) fn trace_count(&self) -> usize {
-        let spans = self.spans.lock();
-        let mut ids: Vec<u64> = spans.iter().map(|s| s.trace).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
+/// Number of distinct trace ids among `spans`.
+pub(crate) fn trace_count(spans: &[SpanRecord]) -> usize {
+    let mut ids: Vec<u64> = spans.iter().map(|s| s.trace).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids.len()
 }
 
 /// Deterministic trace id for a `(job, rank, seq)` message identity —
@@ -184,10 +200,12 @@ mod tests {
             log.record(span(1, HopKind::Forward));
         }
         log.record(span(2, HopKind::Publish));
-        assert_eq!(log.spans().len(), SPAN_CAP);
+        assert_eq!(log.read(<[SpanRecord]>::len), SPAN_CAP);
         assert_eq!(log.dropped(), 1);
+        assert!(log.dropped_at_cap(), "the full flag is set at the cap");
+        assert_eq!(log.dropped(), 2);
         assert_eq!(log.spans_of(1).len(), SPAN_CAP);
-        assert_eq!(log.trace_count(), 1);
+        assert_eq!(log.read(trace_count), 1);
     }
 
     #[test]
