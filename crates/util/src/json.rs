@@ -104,8 +104,8 @@ impl fmt::Display for JsonValue {
 
 fn write_value(w: &mut JsonWriter, v: &JsonValue) {
     match v {
-        JsonValue::Null => w.raw("null"),
-        JsonValue::Bool(b) => w.raw(if *b { "true" } else { "false" }),
+        JsonValue::Null => w.fragment("null", 0),
+        JsonValue::Bool(b) => w.fragment(if *b { "true" } else { "false" }, 0),
         JsonValue::Int(i) => w.int(*i),
         JsonValue::UInt(u) => w.uint(*u),
         JsonValue::Float(x) => w.float(*x),
@@ -129,6 +129,18 @@ fn write_value(w: &mut JsonWriter, v: &JsonValue) {
         }
     }
 }
+
+/// `"00" "01" … "99"`: the two decimal digits of `n` at `2n`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut n = 0;
+    while n < 100 {
+        table[2 * n] = b'0' + (n / 10) as u8;
+        table[2 * n + 1] = b'0' + (n % 10) as u8;
+        n += 1;
+    }
+    table
+};
 
 /// Incremental JSON writer that mimics the C connector's `sprintf` loop.
 ///
@@ -195,8 +207,13 @@ impl JsonWriter {
         self.formatted_digits
     }
 
-    fn raw(&mut self, s: &str) {
-        self.buf.push_str(s);
+    /// Appends trusted literal text — keys, punctuation and constant
+    /// values of a message template — without escaping, and counts
+    /// `digits` of it as formatted: a template that inlines a constant
+    /// number charges what converting it would have.
+    pub fn fragment(&mut self, text: &'static str, digits: usize) {
+        self.buf.push_str(text);
+        self.formatted_digits += digits;
     }
 
     /// Writes a comma if the current container already has an element.
@@ -267,7 +284,7 @@ impl JsonWriter {
 
     /// Writes an integer, counting the converted digits (the `sprintf`
     /// analogue the cost model charges for).
-    pub(crate) fn int(&mut self, v: i64) {
+    pub fn int(&mut self, v: i64) {
         if v < 0 {
             self.buf.push('-');
             self.formatted_digits += 1;
@@ -277,17 +294,20 @@ impl JsonWriter {
 
     /// Writes an unsigned integer, counting the converted digits.
     /// Needed for Darshan record ids, whose high bit is often set.
-    pub(crate) fn uint(&mut self, mut v: u64) {
-        // `u64::MAX` has 20 digits.
+    pub fn uint(&mut self, mut v: u64) {
+        // `u64::MAX` has 20 digits. Two digits per division.
         let mut digits = [0u8; 20];
         let mut start = digits.len();
-        loop {
+        while v >= 10 {
+            let pair = 2 * (v % 100) as usize;
+            v /= 100;
+            start -= 2;
+            digits[start..start + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+        }
+        // An odd digit count leaves one digit; zero still writes "0".
+        if v > 0 || start == digits.len() {
             start -= 1;
-            digits[start] = b'0' + (v % 10) as u8;
-            v /= 10;
-            if v == 0 {
-                break;
-            }
+            digits[start] = b'0' + v as u8;
         }
         let text = std::str::from_utf8(&digits[start..]).expect("ASCII digits");
         self.buf.push_str(text);
@@ -295,7 +315,7 @@ impl JsonWriter {
     }
 
     /// Writes a float, counting the converted digits.
-    pub(crate) fn float(&mut self, v: f64) {
+    pub fn float(&mut self, v: f64) {
         use fmt::Write as _;
         let before = self.buf.len();
         if v.is_finite() {
@@ -348,7 +368,7 @@ pub struct ParseError {
     /// Byte offset where parsing failed.
     pub at: usize,
     /// Human-readable description.
-    pub msg: String,
+    pub msg: &'static str,
 }
 
 impl fmt::Display for ParseError {
@@ -424,17 +444,19 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    fn err(&self, msg: &str) -> ParseError {
-        ParseError {
-            at: self.pos,
-            msg: msg.to_string(),
-        }
+    /// Every message is a literal, so an error carries no allocation
+    /// and the `Result`s on the hot path stay small.
+    #[cold]
+    fn err(&self, msg: &'static str) -> ParseError {
+        ParseError { at: self.pos, msg }
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.input.as_bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn bump(&mut self) -> Option<u8> {
         let b = self.peek();
         if b.is_some() {
@@ -443,31 +465,35 @@ impl<'a> Scanner<'a> {
         b
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
-    fn expect(&mut self, b: u8) -> Result<(), ParseError> {
+    /// Consumes `b`, or fails with `msg` (which names it).
+    #[inline]
+    fn expect(&mut self, b: u8, msg: &'static str) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+            Err(self.err(msg))
         }
     }
 
     /// Reads a scalar whole, or the opening bracket of a container.
+    #[inline]
     pub fn next_value(&mut self) -> Result<Token<'a>, ParseError> {
         self.skip_ws();
         let tok = match self.peek() {
             Some(b'{') => return self.open(Token::BeginObject),
             Some(b'[') => return self.open(Token::BeginArray),
             Some(b'"') => Token::Str(self.string()?),
-            Some(b't') => self.literal("true", Token::Bool(true))?,
-            Some(b'f') => self.literal("false", Token::Bool(false))?,
-            Some(b'n') => self.literal("null", Token::Null)?,
+            Some(b't') => self.literal("true", Token::Bool(true), "expected 'true'")?,
+            Some(b'f') => self.literal("false", Token::Bool(false), "expected 'false'")?,
+            Some(b'n') => self.literal("null", Token::Null, "expected 'null'")?,
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number()?,
             _ => return Err(self.err("expected a JSON value")),
         };
@@ -475,6 +501,7 @@ impl<'a> Scanner<'a> {
         Ok(tok)
     }
 
+    #[inline]
     fn open(&mut self, tok: Token<'a>) -> Result<Token<'a>, ParseError> {
         if self.depth == MAX_DEPTH {
             return Err(self.err("nesting too deep"));
@@ -487,24 +514,29 @@ impl<'a> Scanner<'a> {
 
     /// Inside an object: the next member's key, positioned before its
     /// value, or `None` once the closing brace is consumed.
+    #[inline]
     pub fn next_key(&mut self) -> Result<Option<Cow<'a, str>>, ParseError> {
-        if !self.next_member(b'}')? {
+        if !self.next_member(b'}', "expected ',' or '}'")? {
             return Ok(None);
         }
         self.skip_ws();
         let key = self.string()?;
         self.skip_ws();
-        self.expect(b':')?;
+        self.expect(b':', "expected ':'")?;
         Ok(Some(key))
     }
 
     /// Inside an array: `true` when positioned before another element,
     /// `false` once the closing bracket is consumed.
+    #[inline]
     pub fn next_element(&mut self) -> Result<bool, ParseError> {
-        self.next_member(b']')
+        self.next_member(b']', "expected ',' or ']'")
     }
 
-    fn next_member(&mut self, close: u8) -> Result<bool, ParseError> {
+    /// Steps past the separator before a member, or past `close`;
+    /// `msg` names both.
+    #[inline]
+    fn next_member(&mut self, close: u8, msg: &'static str) -> Result<bool, ParseError> {
         self.skip_ws();
         if std::mem::take(&mut self.fresh) {
             if self.peek() != Some(close) {
@@ -515,7 +547,7 @@ impl<'a> Scanner<'a> {
             match self.bump() {
                 Some(b',') => return Ok(true),
                 Some(b) if b == close => {}
-                _ => return Err(self.err(&format!("expected ',' or '{}'", close as char))),
+                _ => return Err(self.err(msg)),
             }
         }
         self.depth = self.depth.saturating_sub(1);
@@ -523,6 +555,7 @@ impl<'a> Scanner<'a> {
     }
 
     /// Checks that only whitespace follows the document's one value.
+    #[inline]
     pub fn finish(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         if self.pos != self.input.len() {
@@ -533,6 +566,7 @@ impl<'a> Scanner<'a> {
 
     /// Skips one value, validating it exactly as reading it would,
     /// without allocating.
+    #[inline]
     pub fn skip_value(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
         if self.peek() == Some(b'"') {
@@ -545,6 +579,7 @@ impl<'a> Scanner<'a> {
 
     /// Skips what is left of a value whose `first` token was just read
     /// (nothing, unless it opened a container).
+    #[inline]
     pub fn skip_rest(&mut self, first: &Token<'a>) -> Result<(), ParseError> {
         match first {
             Token::BeginObject => {
@@ -590,15 +625,23 @@ impl<'a> Scanner<'a> {
         })
     }
 
-    fn literal(&mut self, word: &str, tok: Token<'a>) -> Result<Token<'a>, ParseError> {
+    /// Consumes `word`, or fails with `msg` (which names it).
+    #[inline]
+    fn literal(
+        &mut self,
+        word: &str,
+        tok: Token<'a>,
+        msg: &'static str,
+    ) -> Result<Token<'a>, ParseError> {
         if self.input.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(tok)
         } else {
-            Err(self.err(&format!("expected '{word}'")))
+            Err(self.err(msg))
         }
     }
 
+    #[inline]
     fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let (raw, escaped) = self.raw_string()?;
         Ok(if escaped {
@@ -612,8 +655,9 @@ impl<'a> Scanner<'a> {
     /// text between the quotes and whether it holds any escape. The
     /// quotes and backslashes it stops at are ASCII, so every slice
     /// boundary is a character boundary of the (valid UTF-8) input.
+    #[inline]
     fn raw_string(&mut self) -> Result<(&'a str, bool), ParseError> {
-        self.expect(b'"')?;
+        self.expect(b'"', "expected '\"'")?;
         let bytes = self.input.as_bytes();
         let start = self.pos;
         let mut escaped = false;
@@ -645,12 +689,27 @@ impl<'a> Scanner<'a> {
         }
     }
 
+    /// Reads a number. A plain integer of at most 18 digits, which
+    /// always fits an `i64`, is accumulated while it is scanned; any
+    /// other text takes `str::parse`.
+    #[inline]
     fn number(&mut self) -> Result<Token<'a>, ParseError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        let mut is_float = false;
+        let digits_from = self.pos;
+        let mut value = 0u64;
+        while let Some(c @ b'0'..=b'9') = self.peek() {
+            value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            self.pos += 1;
+        }
+        let mut is_float = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
+        if !is_float && (1..=18).contains(&(self.pos - digits_from)) {
+            let value = value as i64;
+            return Ok(Token::Int(if negative { -value } else { value }));
+        }
         while let Some(c) = self.peek() {
             match c {
                 b'0'..=b'9' => self.pos += 1,
@@ -734,21 +793,134 @@ mod tests {
         let mut w = JsonWriter::new();
         w.int(-1234); // 5 bytes
         w.float(2.5); // 3 bytes
-        assert_eq!(w.formatted_digits(), 8);
+        w.fragment(",-1", 2); // a template's constant: what it declares
+        assert_eq!(w.as_str(), "-12342.5,-1");
+        assert_eq!(w.formatted_digits(), 10);
     }
 
     #[test]
     fn writer_integers_match_display_at_the_extremes() {
-        for v in [0, 7, -7, 10, i64::MAX, i64::MIN] {
+        // Every digit count, both parities of the pair loop, and the
+        // carries at each power of ten.
+        let mut unsigned = vec![u64::MAX - 1, u64::MAX];
+        for p in (0..20).map(|k| 10u64.pow(k)) {
+            unsigned.extend([p - 1, p, p + 1]);
+        }
+        for v in unsigned {
+            let mut w = JsonWriter::new();
+            w.uint(v);
+            assert_eq!(w.as_str(), v.to_string());
+            assert_eq!(w.formatted_digits(), v.to_string().len());
+            for v in i64::try_from(v).into_iter().flat_map(|v| [v, -v]) {
+                let mut w = JsonWriter::new();
+                w.int(v);
+                assert_eq!(w.as_str(), v.to_string());
+                assert_eq!(w.formatted_digits(), v.to_string().len());
+            }
+        }
+        for v in [i64::MIN, i64::MIN + 1] {
             let mut w = JsonWriter::new();
             w.int(v);
             assert_eq!(w.as_str(), v.to_string());
-            assert_eq!(w.formatted_digits(), v.to_string().len());
+            assert_eq!(w.formatted_digits(), 20);
         }
-        let mut w = JsonWriter::new();
-        w.uint(u64::MAX);
-        assert_eq!(w.as_str(), u64::MAX.to_string());
-        assert_eq!(w.formatted_digits(), 20);
+    }
+
+    /// The integer fast path against the route every number took
+    /// before it: `str::parse` as `i64`, then `u64`, then `f64`.
+    #[test]
+    fn integer_fast_path_matches_the_parse_route() {
+        fn parse_route(text: &str) -> Result<Token<'static>, &'static str> {
+            let unsigned = text.strip_prefix('-').unwrap_or(text);
+            if unsigned.contains(['.', 'e', 'E', '+', '-']) {
+                return text.parse().map(Token::Float).map_err(|_| "bad float");
+            }
+            text.parse()
+                .map(Token::Int)
+                .or_else(|_| text.parse().map(Token::UInt))
+                .or_else(|_| text.parse().map(Token::Float))
+                .map_err(|_| "bad integer")
+        }
+        fn scanned(text: &str) -> Result<Token<'_>, &'static str> {
+            Scanner::new(text).next_value().map_err(|e| e.msg)
+        }
+        let (i64_min, i64_over) = (i64::MIN.to_string(), (i64::MAX as u64 + 1).to_string());
+        let u64_over = (u64::MAX as u128 + 1).to_string();
+        for text in [
+            "1",
+            "-1",
+            "12345678901234567",
+            "123456789012345678",
+            "999999999999999999",
+            "-999999999999999999",
+            "1234567890123456789",
+            "-1234567890123456789",
+            "12345678901234567890",
+            "007",
+            "0000000000000000000042",
+            "-0",
+            "-",
+            "-x",
+            "--1",
+            "1-2",
+            i64_min.as_str(),
+            i64_over.as_str(),
+            u64_over.as_str(),
+            "-18446744073709551616",
+            "1.",
+            "-.5",
+            "1e400",
+            "2.5e-3",
+        ] {
+            assert_eq!(scanned(text), parse_route(text), "{text}");
+        }
+        for (text, want) in [
+            ("-0", Token::Int(0)),
+            ("007", Token::Int(7)),
+            (i64_min.as_str(), Token::Int(i64::MIN)),
+            (i64_over.as_str(), Token::UInt(i64::MAX as u64 + 1)),
+            (u64_over.as_str(), Token::Float(u64::MAX as f64)),
+            ("1.", Token::Float(1.0)),
+            ("-.5", Token::Float(-0.5)),
+            ("1e400", Token::Float(f64::INFINITY)),
+        ] {
+            assert_eq!(scanned(text), Ok(want), "{text}");
+        }
+        assert_eq!(scanned("-"), Err("bad integer"));
+    }
+
+    /// Every error site's offset and text; tools print these.
+    #[test]
+    fn error_offsets_and_texts_are_pinned() {
+        let deep = "[".repeat(MAX_DEPTH + 1);
+        for (input, at, msg) in [
+            ("", 0, "expected a JSON value"),
+            ("]", 0, "expected a JSON value"),
+            ("{1:2}", 1, "expected '\"'"),
+            (r#"{"a" 1}"#, 5, "expected ':'"),
+            (r#"{"a":1 2}"#, 8, "expected ',' or '}'"),
+            ("[1 2]", 4, "expected ',' or ']'"),
+            ("[1,", 3, "expected a JSON value"),
+            ("tru", 0, "expected 'true'"),
+            ("fals", 0, "expected 'false'"),
+            ("nul", 0, "expected 'null'"),
+            (r#""abc"#, 4, "unterminated string"),
+            (r#""\q""#, 3, "bad escape"),
+            (r#""\u12"#, 5, "bad \\u escape"),
+            (r#""\u12g4""#, 6, "bad hex digit"),
+            ("1-2", 3, "bad float"),
+            ("-", 1, "bad integer"),
+            ("1 2", 2, "trailing characters"),
+            (deep.as_str(), MAX_DEPTH, "nesting too deep"),
+        ] {
+            let err = parse(input).unwrap_err();
+            assert_eq!(err, ParseError { at, msg }, "{input}");
+            assert_eq!(
+                err.to_string(),
+                format!("json parse error at byte {at}: {msg}"),
+                "{input}"
+            );
+        }
     }
 
     #[test]
