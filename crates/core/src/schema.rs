@@ -6,11 +6,12 @@
 //! data by job, rank then timestamp" (Section IV.D). The schema's 24
 //! attributes are exactly the CSV columns of Figure 3.
 
-use dsos_sim::{BatchAck, DsosCluster, Schema, Type, Value};
+use dsos_sim::{BatchAck, DsosCluster, Schema, Type, Value, ValueRef};
 use iosim_util::json::{ParseError, Scanner, Token};
 use ldms_sim::store::field_to_string;
 use ldms_sim::{DeliveryLedger, SeqRanges, StreamMessage, StreamSink};
 use parking_lot::Mutex;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -44,7 +45,7 @@ pub const COLUMNS: [(&str, Type); 24] = [
 ];
 
 /// Positions in [`COLUMNS`] of the fields the per-row decoders (the
-/// detector tap's `row_to_event`, iolint's `TraceEvent::from_row`)
+/// detector tap's `row_to_event`, iolint's `TraceEvent::decode`)
 /// read, so the ingest and lint paths index a row directly instead of
 /// scanning the name table per field. A unit test pins each to
 /// [`column_id`].
@@ -117,47 +118,125 @@ const SEG_FIELDS: [&str; 10] = [
     "timestamp",
 ];
 
-/// Reads the next JSON value as a column of type `ty`. `None` is a
-/// `null` or a value the column rejects. The accept/reject set is
-/// byte-identical to rendering the field with [`field_to_string`] and
-/// re-parsing with [`Value::parse`] — the equivalence test below checks
-/// every (column type × JSON shape) combination against that oracle.
-/// Shapes the fast arms don't cover (floats in integer columns,
-/// booleans, nested values, numeric strings) take that very route, so
-/// exotic payloads keep the exact semantics.
-fn decode_field(sc: &mut Scanner<'_>, ty: Type) -> Result<Option<Value>, ParseError> {
-    Ok(match (ty, sc.next_value()?) {
-        (_, Token::Null) => None,
-        (Type::Str, Token::Str(s)) => Some(Value::Str(s.into_owned())),
-        (Type::U64, Token::Int(i)) if i >= 0 => Some(Value::U64(i as u64)),
-        (Type::U64, Token::UInt(u)) => Some(Value::U64(u)),
-        (Type::I64, Token::Int(i)) => Some(Value::I64(i)),
-        // `i as f64` and `i.to_string().parse::<f64>()` both round to
-        // nearest, so the direct cast matches the string path.
-        (Type::F64, Token::Int(i)) => Some(Value::F64(i as f64)),
-        (Type::F64, Token::UInt(u)) => Some(Value::F64(u as f64)),
-        (Type::F64, Token::Float(f)) => Some(Value::F64(f)),
-        (ty, first) => Value::parse(ty, &field_to_string(Some(&sc.dom(first)?))),
-    })
+/// What a missing (or `null`) field reads, as in the CSV flattening.
+const NA: ValueRef<'static> = ValueRef::Str("N/A");
+
+/// The named members of one JSON object as they are read, one cell per
+/// column, borrowed from the payload text — but for a string whose
+/// escapes had to be decoded, which `owned` holds until the row is
+/// handed on. A member never read, `null`, or rejected by its column
+/// is absent and reads `N/A`.
+struct Cells<'a, const N: usize> {
+    cells: [ValueRef<'a>; N],
+    /// Bit `i`: member `i` holds a value its column accepted.
+    present: u32,
+    /// Decoded strings, by member, standing in for their cells.
+    owned: Vec<(usize, String)>,
 }
 
-/// What a column holds once its message is read: a missing (or `null`)
-/// field reads `N/A`, as in the CSV flattening — which only a `Str`
-/// column accepts. `None` rejects the row.
-fn column_value(slot: Option<Value>, ty: Type) -> Option<Value> {
-    slot.or_else(|| (ty == Type::Str).then(|| Value::Str("N/A".to_string())))
+impl<const N: usize> Default for Cells<'_, N> {
+    fn default() -> Self {
+        const { assert!(N <= 32, "one presence bit per member") };
+        Self {
+            cells: [NA; N],
+            present: 0,
+            owned: Vec::new(),
+        }
+    }
+}
+
+impl<'a, const N: usize> Cells<'a, N> {
+    /// Sets member `i` (a duplicate key overwrites, so the last wins).
+    fn set(&mut self, i: usize, cell: Option<ValueRef<'a>>) {
+        if !self.owned.is_empty() {
+            self.owned.retain(|&(j, _)| j != i);
+        }
+        self.cells[i] = cell.unwrap_or(NA);
+        self.present = match cell {
+            Some(_) => self.present | 1 << i,
+            None => self.present & !(1 << i),
+        };
+    }
+
+    /// Sets member `i` to a string with text of its own.
+    fn set_owned(&mut self, i: usize, text: String) {
+        self.set(i, Some(NA));
+        self.owned.push((i, text));
+    }
+
+    /// Member `i`, if present.
+    fn get(&self, i: usize) -> Option<ValueRef<'a>> {
+        (self.present & 1 << i != 0).then_some(self.cells[i])
+    }
+
+    /// Reads the next JSON value into member `i` as a column of type
+    /// `ty`. The accept/reject set is byte-identical to rendering the
+    /// field with [`field_to_string`] and re-parsing with
+    /// [`Value::parse`] — the equivalence test below checks every
+    /// (column type × JSON shape) combination against that oracle.
+    /// Shapes the fast arms don't cover (floats in integer columns,
+    /// booleans, nested values, numeric strings) take that very route,
+    /// so exotic payloads keep the exact semantics.
+    fn read(&mut self, sc: &mut Scanner<'a>, i: usize, ty: Type) -> Result<(), ParseError> {
+        let cell = match (ty, sc.next_value()?) {
+            (_, Token::Null) => None,
+            (Type::Str, Token::Str(Cow::Borrowed(s))) => Some(ValueRef::Str(s)),
+            (Type::U64, Token::Int(i)) if i >= 0 => Some(ValueRef::U64(i as u64)),
+            (Type::U64, Token::UInt(u)) => Some(ValueRef::U64(u)),
+            (Type::I64, Token::Int(i)) => Some(ValueRef::I64(i)),
+            // `i as f64` and `i.to_string().parse::<f64>()` both round to
+            // nearest, so the direct cast matches the string path.
+            (Type::F64, Token::Int(i)) => Some(ValueRef::F64(i as f64)),
+            (Type::F64, Token::UInt(u)) => Some(ValueRef::F64(u as f64)),
+            (Type::F64, Token::Float(f)) => Some(ValueRef::F64(f)),
+            (Type::Str, Token::Str(Cow::Owned(text))) => {
+                self.set_owned(i, text);
+                return Ok(());
+            }
+            (ty, first) => match Value::parse(ty, &field_to_string(Some(&sc.dom(first)?))) {
+                Some(Value::Str(text)) => {
+                    self.set_owned(i, text);
+                    return Ok(());
+                }
+                Some(Value::U64(x)) => Some(ValueRef::U64(x)),
+                Some(Value::I64(x)) => Some(ValueRef::I64(x)),
+                Some(Value::F64(x)) => Some(ValueRef::F64(x)),
+                None => None,
+            },
+        };
+        self.set(i, cell);
+        Ok(())
+    }
+
+    /// Whether every column has a value it accepts: an absent member
+    /// reads `N/A`, which only a `Str` column accepts.
+    fn accepted(&self, columns: &[(&str, Type)]) -> bool {
+        let strs = columns
+            .iter()
+            .enumerate()
+            .filter(|(_, &(_, ty))| ty == Type::Str)
+            .fold(0, |bits, (i, _)| bits | 1 << i);
+        (self.present | strs).count_ones() as usize == N
+    }
+
+    /// Copies the cells into `row`, decoded strings included.
+    fn fill<'s>(&'s self, row: &mut [ValueRef<'s>]) {
+        row.copy_from_slice(&self.cells);
+        for (i, text) in &self.owned {
+            row[*i] = ValueRef::Str(text);
+        }
+    }
 }
 
 /// Reads one value. When it is an object, each member named in `names`
-/// is decoded into its slot as the parallel column's type (a duplicate
-/// key overwrites, so the last wins) and every other member goes to
-/// `other`, which must consume its value. Any other value leaves the
-/// slots untouched: all its fields are missing.
-fn decode_object<'a>(
+/// is read into its cell as the parallel column's type and every other
+/// member goes to `other`, which must consume its value. Any other
+/// value leaves the cells untouched: all its fields are missing.
+fn decode_object<'a, const N: usize>(
     sc: &mut Scanner<'a>,
-    names: &[&str],
+    names: &[&str; N],
     columns: &[(&str, Type)],
-    slots: &mut [Option<Value>],
+    cells: &mut Cells<'a, N>,
     mut other: impl FnMut(&mut Scanner<'a>, &str) -> Result<(), ParseError>,
 ) -> Result<(), ParseError> {
     let first = sc.next_value()?;
@@ -165,152 +244,175 @@ fn decode_object<'a>(
         return sc.skip_rest(&first);
     }
     while let Some(key) = sc.next_key()? {
+        let key: &str = &key;
         match names.iter().position(|&name| name == key) {
-            Some(i) => slots[i] = decode_field(sc, columns[i].1)?,
-            None => other(sc, &key)?,
+            Some(i) => cells.read(sc, i, columns[i].1)?,
+            None => other(sc, key)?,
         }
     }
     Ok(())
 }
 
-/// Assembles a row from decoded slots, after `lead` placeholder cells
-/// the caller overwrites; `None` when a column rejects its slot. The
-/// row is allocated once at its final size: it is what the store keeps.
-fn row_of(
-    lead: usize,
-    slots: impl IntoIterator<Item = Option<Value>>,
-    columns: &[(&str, Type)],
-) -> Option<Vec<Value>> {
-    let mut row = Vec::with_capacity(lead + columns.len());
-    row.resize(lead, Value::U64(0));
-    for (slot, &(_, ty)) in slots.into_iter().zip(columns) {
-        row.push(column_value(slot, ty)?);
-    }
-    Some(row)
-}
+/// The cells of one `seg` entry.
+type SegCells<'a> = Cells<'a, { SEG_FIELDS.len() }>;
 
-/// The rows of a message's `seg` entries and the number of entries a
-/// seg column rejected.
+/// The cells of a message's accepted `seg` entries — the first one in
+/// place, as a message mostly has just it, the others in `more` — and
+/// the number of entries a seg column rejected.
 #[derive(Default)]
-struct SegRows {
-    rows: Vec<Vec<Value>>,
+struct Segs<'a> {
+    first: Option<SegCells<'a>>,
+    more: Vec<SegCells<'a>>,
     rejected: u64,
 }
 
-impl SegRows {
-    /// Adds one entry as a row in [`COLUMNS`] order. Its top-level
-    /// columns hold placeholders until the whole message is read
-    /// ([`decode_event`] fills them in).
-    fn push(&mut self, seg: [Option<Value>; SEG_FIELDS.len()]) {
-        match row_of(TOP_FIELDS.len(), seg, &COLUMNS[TOP_FIELDS.len()..]) {
-            Some(row) => self.rows.push(row),
-            None => self.rejected += 1,
+impl<'a> Segs<'a> {
+    /// A fresh entry for the next element to be read into.
+    fn next(&mut self) -> &mut SegCells<'a> {
+        if self.first.is_none() {
+            return self.first.insert(Cells::default());
+        }
+        self.more.push(Cells::default());
+        self.more.last_mut().expect("just pushed")
+    }
+
+    /// Keeps the entry [`next`](Self::next) handed out when its columns
+    /// accept it, and counts it rejected otherwise.
+    fn settle(&mut self) {
+        let last = self.more.last().or(self.first.as_ref());
+        if last.is_some_and(|seg| !seg.accepted(&COLUMNS[TOP_FIELDS.len()..])) {
+            self.rejected += 1;
+            if self.more.pop().is_none() {
+                self.first = None;
+            }
         }
     }
 
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty() && self.rejected == 0
+    fn iter(&self) -> impl Iterator<Item = &SegCells<'a>> {
+        self.first.iter().chain(&self.more)
     }
 }
 
-/// Reads the `seg` member, one row per entry; no entries when it is
-/// not an array.
-fn decode_segs(sc: &mut Scanner<'_>) -> Result<SegRows, ParseError> {
-    let mut segs = SegRows::default();
+/// Reads the `seg` member over `segs`, one entry per element; no entries
+/// when it is not an array.
+fn decode_segs<'a>(sc: &mut Scanner<'a>, segs: &mut Segs<'a>) -> Result<(), ParseError> {
+    *segs = Segs::default();
     let first = sc.next_value()?;
     if first != Token::BeginArray {
-        sc.skip_rest(&first)?;
-        return Ok(segs);
+        return sc.skip_rest(&first);
     }
     while sc.next_element()? {
-        let mut seg: [Option<Value>; SEG_FIELDS.len()] = Default::default();
         let seg_columns = &COLUMNS[TOP_FIELDS.len()..];
-        decode_object(sc, &SEG_FIELDS, seg_columns, &mut seg, |sc, _| {
+        decode_object(sc, &SEG_FIELDS, seg_columns, segs.next(), |sc, _| {
             sc.skip_value()
         })?;
-        segs.push(seg);
+        segs.settle();
     }
-    Ok(segs)
+    Ok(())
 }
 
-/// One connector message, decoded.
-struct DecodedEvent {
-    /// The accepted rows, one per `seg` entry, in [`COLUMNS`] order.
-    rows: Vec<Vec<Value>>,
+/// One connector message, decoded: its cells borrow from the payload.
+struct DecodedEvent<'a> {
+    /// The top-level cells every row shares.
+    top: Cells<'a, { TOP_FIELDS.len() }>,
+    /// Each accepted `seg` entry's cells; none when a top-level column
+    /// rejected its field, which takes every row of the message with it.
+    segs: Segs<'a>,
     /// Rows a column's type rejected.
     rejected: u64,
+}
+
+impl DecodedEvent<'_> {
     /// The publisher's `(job_id, rank)`, for gap tracking.
-    origin: Option<(u64, u64)>,
+    fn origin(&self) -> Option<(u64, u64)> {
+        match (self.top.get(col::JOB_ID)?, self.top.get(col::RANK)?) {
+            (ValueRef::U64(job_id), ValueRef::U64(rank)) => Some((job_id, rank)),
+            _ => None,
+        }
+    }
+
+    /// The accepted rows, one per `seg` entry, as cells in [`COLUMNS`]
+    /// order.
+    fn rows(&self) -> impl Iterator<Item = [ValueRef<'_>; COLUMNS.len()]> + '_ {
+        self.segs.iter().map(|seg| {
+            let mut row = [NA; COLUMNS.len()];
+            let (top, rest) = row.split_at_mut(TOP_FIELDS.len());
+            self.top.fill(top);
+            seg.fill(rest);
+            row
+        })
+    }
+
+    /// Writes the accepted rows over `rows` as owned values, reusing
+    /// the buffers already there: what an [`IngestObserver`] is handed.
+    fn write_values(&self, rows: &mut Vec<Vec<Value>>) {
+        rows.resize_with(self.segs.iter().count(), Vec::new);
+        for (row, cells) in rows.iter_mut().zip(self.rows()) {
+            row.resize(COLUMNS.len(), Value::U64(0));
+            for (value, cell) in row.iter_mut().zip(cells) {
+                match (value, cell) {
+                    (Value::Str(text), ValueRef::Str(s)) => {
+                        text.clear();
+                        text.push_str(s);
+                    }
+                    (value, cell) => *value = cell.to_owned(),
+                }
+            }
+        }
+    }
 }
 
 /// Decodes one connector message in a single pass over its text: each
-/// field goes straight into its [`COLUMNS`] slot, the top-level fields
-/// are shared by every `seg` row, unknown keys are skipped. A missing,
-/// empty or non-array `seg` counts as one entry of `N/A` fields,
-/// exactly like the CSV flattening.
-fn decode_event(data: &str) -> Result<DecodedEvent, ParseError> {
+/// field goes straight into its [`COLUMNS`] cell, borrowed from the
+/// text; the top-level fields are shared by every `seg` row, unknown
+/// keys are skipped. A missing, empty or non-array `seg` counts as one
+/// entry of `N/A` fields, exactly like the CSV flattening.
+fn decode_event(data: &str) -> Result<DecodedEvent<'_>, ParseError> {
     let mut sc = Scanner::new(data);
-    let mut top: [Option<Value>; TOP_FIELDS.len()] = Default::default();
-    let mut segs = SegRows::default();
+    let mut top = Cells::default();
+    let mut segs = Segs::default();
     let top_columns = &COLUMNS[..TOP_FIELDS.len()];
     decode_object(&mut sc, &TOP_FIELDS, top_columns, &mut top, |sc, key| {
         if key == "seg" {
-            segs = decode_segs(sc)?;
-            Ok(())
+            decode_segs(sc, &mut segs)
         } else {
             sc.skip_value()
         }
     })?;
     sc.finish()?;
-    let origin = match (&top[col::JOB_ID], &top[col::RANK]) {
-        (Some(Value::U64(job_id)), Some(Value::U64(rank))) => Some((*job_id, *rank)),
-        _ => None,
-    };
-    if segs.is_empty() {
-        segs.push(Default::default());
+    if segs.first.is_none() && segs.rejected == 0 {
+        segs.next();
+        segs.settle();
     }
-    let SegRows {
-        mut rows,
-        mut rejected,
-    } = segs;
-    // The top-level values move into the last row and are cloned from
-    // there into the others; one that its column rejects takes every
-    // row of the message with it.
-    if let Some((last, others)) = rows.split_last_mut() {
-        let filled = top
-            .into_iter()
-            .zip(top_columns)
-            .zip(last.iter_mut())
-            .try_for_each(|((slot, &(_, ty)), cell)| column_value(slot, ty).map(|v| *cell = v));
-        if filled.is_some() {
-            for row in others {
-                row[..TOP_FIELDS.len()].clone_from_slice(&last[..TOP_FIELDS.len()]);
-            }
-        } else {
-            rejected += rows.len() as u64;
-            rows.clear();
-        }
+    let mut rejected = segs.rejected;
+    if !top.accepted(top_columns) {
+        rejected += segs.iter().count() as u64;
+        segs = Segs::default();
     }
     Ok(DecodedEvent {
-        rows,
+        top,
+        segs,
         rejected,
-        origin,
     })
 }
 
-/// Decodes one summary sketch into a [`SUMMARY_COLUMNS`] row, `None`
+/// Decodes one summary sketch into [`SUMMARY_COLUMNS`] cells, `None`
 /// when a column rejects its field. `ProducerName` is the message's,
 /// whatever the document says.
-fn decode_summary(data: &str, producer: &str) -> Result<Option<Vec<Value>>, ParseError> {
+fn decode_summary<'a>(
+    data: &'a str,
+    producer: &'a str,
+) -> Result<Option<Cells<'a, { SUMMARY_COLUMNS.len() }>>, ParseError> {
     let mut sc = Scanner::new(data);
     let names = SUMMARY_COLUMNS.map(|(name, _)| name);
-    let mut slots: [Option<Value>; SUMMARY_COLUMNS.len()] = Default::default();
-    decode_object(&mut sc, &names, &SUMMARY_COLUMNS, &mut slots, |sc, _| {
+    let mut cells = Cells::default();
+    decode_object(&mut sc, &names, &SUMMARY_COLUMNS, &mut cells, |sc, _| {
         sc.skip_value()
     })?;
     sc.finish()?;
-    slots[summary_column_id("ProducerName")] = Some(Value::Str(producer.to_string()));
-    Ok(row_of(0, slots, &SUMMARY_COLUMNS))
+    let producer_name = summary_column_id("ProducerName");
+    cells.set(producer_name, Some(ValueRef::Str(producer)));
+    Ok(cells.accepted(&SUMMARY_COLUMNS).then_some(cells))
 }
 
 /// Builds the `darshan_data` schema with the paper's joint indices.
@@ -395,10 +497,12 @@ pub trait IngestObserver: Send + Sync {
 
 /// A store plugin that ingests connector stream messages straight into
 /// a DSOS cluster. Figure 3's JSON → CSV row → typed object happens in
-/// one pass over the payload text (`decode_event`): no CSV string and
-/// no JSON tree in between, same rows. The CSV flattening itself lives
-/// on as `ldms_sim::store::CsvStreamStore` and as this decoder's test
-/// oracle.
+/// one pass over the payload text (`decode_event`): no CSV string, no
+/// JSON tree and no `Value` in between — each row's cells borrow from
+/// the text and the cluster keeps only their words. Rows of `Value`s
+/// are built only for an attached [`IngestObserver`]. The CSV
+/// flattening itself lives on as `ldms_sim::store::CsvStreamStore` and
+/// as this decoder's test oracle.
 ///
 /// Sequence-stamped messages additionally feed per-publisher gap
 /// detection: connectors number their messages from 1, so any sequence
@@ -439,6 +543,9 @@ pub struct DsosStreamStore {
     /// Off-path observer of parsed row batches, when run-time
     /// detection (or any other tap) is on.
     observer: OnceLock<Arc<dyn IngestObserver>>,
+    /// The rows last handed to the observer: the next batch is written
+    /// over them.
+    observed: Mutex<Vec<Vec<Value>>>,
 }
 
 impl DsosStreamStore {
@@ -471,6 +578,7 @@ impl DsosStreamStore {
                 .map(|hub| hub.registry().counter("ingest_dedup_hits", "dsos-store")),
             ledger,
             observer: OnceLock::new(),
+            observed: Mutex::default(),
         })
     }
 
@@ -558,10 +666,13 @@ impl DsosStreamStore {
     /// one giant gap against connector numbering.
     fn ingest_summary(&self, msg: &StreamMessage) {
         let ack = match decode_summary(&msg.data, &msg.producer) {
-            Ok(Some(row)) => self
-                .cluster
-                .ingest_batch_at(SUMMARY_CONTAINER, vec![row], msg.recv_time)
-                .unwrap_or_default(),
+            Ok(Some(cells)) => {
+                let mut row = [NA; SUMMARY_COLUMNS.len()];
+                cells.fill(&mut row);
+                self.cluster
+                    .ingest_rows_at(SUMMARY_CONTAINER, [row], msg.recv_time)
+                    .unwrap_or_default()
+            }
             // Malformed, or a column rejected its field.
             _ => BatchAck::default(),
         };
@@ -607,31 +718,34 @@ impl StreamSink for DsosStreamStore {
             self.ingest_summary(msg);
             return;
         }
-        // One pass over the text yields the typed rows and the gap
-        // key; all rows of one message ingest as one batch.
+        // One pass over the text yields the rows' cells, borrowed from
+        // it, and the gap key; all rows of one message ingest as one
+        // batch.
         let Ok(event) = decode_event(&msg.data) else {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return;
         };
-        if let (Some(seq), Some((job_id, rank))) = (msg.seq, event.origin) {
+        if let (Some(seq), Some((job_id, rank))) = (msg.seq, event.origin()) {
             self.gaps.lock().claim((&msg.producer, job_id, rank, seq));
         }
         if event.rejected > 0 {
             self.rejected.fetch_add(event.rejected, Ordering::Relaxed);
         }
-        let objs = event.rows;
-        let total = objs.len() as u64;
-        // The observer peeks at the batch before it moves into the
-        // cluster; storage behavior is independent of the peek.
+        let total = event.segs.iter().count() as u64;
+        // Only an observer has rows made of `Value`s: it peeks at the
+        // batch before the cluster stores the cells; storage behavior
+        // is independent of the peek.
         if let Some(obs) = self.observer.get() {
-            obs.on_rows(&objs, msg.recv_time);
+            let mut rows = self.observed.lock();
+            event.write_values(&mut rows);
+            obs.on_rows(&rows, msg.recv_time);
         }
         // Rows are written at the message's arrival instant so the
         // cluster's fault schedule knows which replicas were up; every
         // row that reaches the write quorum extends the ledger.
         let ack = self
             .cluster
-            .ingest_batch_at(CONTAINER, objs, msg.recv_time)
+            .ingest_rows_at(CONTAINER, event.rows(), msg.recv_time)
             .unwrap_or_default();
         let accepted = ack.accepted as u64;
         self.record_acked(ack.quorum_acked);
@@ -987,7 +1101,10 @@ mod tests {
 
     /// `(rows, rejected)` of [`decode_event`], `None` when malformed.
     fn decoded(data: &str) -> Option<(Vec<Vec<Value>>, u64)> {
-        decode_event(data).ok().map(|e| (e.rows, e.rejected))
+        let event = decode_event(data).ok()?;
+        let mut rows = Vec::new();
+        event.write_values(&mut rows);
+        Some((rows, event.rejected))
     }
 
     const SKETCH: &str = r#"{"type":"summary","job_id":7,"rank":3,"window":12,

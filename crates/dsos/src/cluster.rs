@@ -28,15 +28,19 @@
 //!   opportunistically, and an exact [`Completeness`] report attached
 //!   (with R≥2 and ≤R−1 concurrent failures it proves zero
 //!   acknowledged-row loss; see `replication` module docs for the
-//!   argument). `query_*` collect that scan, one clone per row.
+//!   argument). `query_*` collect that scan, turning each row's words
+//!   into [`Value`]s once.
+//! * **Strings** are interned once per container: every replica of a
+//!   row stores the same words, so rebuild and repair copy them as is.
 
 use crate::replication::{
     shard_key_hash, BatchAck, Completeness, CsvImportReport, DaemonSchedule, IngestAck,
     ReplicationConfig, ShardHealth, ShardMap, StoreError, NO_RID,
 };
+use crate::row::{encode, RowRef, Symbols};
 use crate::schema::Schema;
-use crate::store::{ContainerShard, Dsosd, Scan, ShardRead};
-use crate::value::Value;
+use crate::store::{reserve_frugally, ContainerShard, Dsosd, Scan, ShardRead};
+use crate::value::{AsValueRef, Value, ValueRef};
 use iosim_telemetry::{Counter, DiagHub, FaultKind, Gauge, HealthState, HubEventKind, Telemetry};
 use iosim_time::Epoch;
 use iosim_util::hash::FnvBuildHasher;
@@ -79,6 +83,10 @@ struct ContainerRepl {
     arrivals: Vec<Option<Epoch>>,
     replicas: usize,
     acked_per_shard: Vec<u64>,
+    /// The container's strings: a `Str` cell is stored as its id here.
+    symbols: Symbols,
+    /// The words of the row being ingested, reused row after row.
+    words: Vec<u64>,
 }
 
 impl ContainerRepl {
@@ -104,6 +112,8 @@ impl ContainerRepl {
             arrivals: Vec::new(),
             replicas,
             acked_per_shard: vec![0; shard_count],
+            symbols: Symbols::default(),
+            words: Vec::new(),
         }
     }
 
@@ -145,14 +155,17 @@ impl ContainerRepl {
             .count()
     }
 
-    fn shard_hash(&self, obj: &[Value]) -> u64 {
+    fn shard_hash(&self, obj: &[impl AsValueRef]) -> u64 {
         if self.key_attrs.is_empty() {
-            shard_key_hash(obj)
+            shard_key_hash(obj.iter().map(AsValueRef::as_value_ref))
         } else {
-            shard_key_hash(self.key_attrs.iter().map(|&i| &obj[i]))
+            shard_key_hash(self.key_attrs.iter().map(|&i| obj[i].as_value_ref()))
         }
     }
 }
+
+/// Replication bookkeeping by container name.
+type Containers = HashMap<String, ContainerRepl, FnvBuildHasher>;
 
 /// Optional telemetry handles (`replica_lag`, `read_repairs`,
 /// `rebuild_rows`), registered under daemon label `dsos-cluster`.
@@ -173,7 +186,7 @@ pub struct DsosCluster {
     cfg: ReplicationConfig,
     map: ShardMap,
     next_rid: AtomicU64,
-    repl: RwLock<HashMap<String, ContainerRepl>>,
+    repl: RwLock<Containers>,
     schedules: RwLock<Vec<DaemonSchedule>>,
     /// Fault-schedule events already replayed by `recover` (idempotency
     /// cursor).
@@ -200,7 +213,7 @@ impl DsosCluster {
             cfg,
             map: ShardMap::new(n, cfg.replicas),
             next_rid: AtomicU64::new(0),
-            repl: RwLock::new(HashMap::new()),
+            repl: RwLock::default(),
             schedules: RwLock::new((0..n).map(|_| DaemonSchedule::default()).collect()),
             recovered_events: AtomicUsize::new(0),
             read_repairs: AtomicU64::new(0),
@@ -425,7 +438,7 @@ impl DsosCluster {
     /// row of every shard it hosts from any holder that is up at `at`.
     fn rebuild_daemon(
         &self,
-        repl: &mut HashMap<String, ContainerRepl>,
+        repl: &mut Containers,
         d: usize,
         at: Epoch,
         schedules: &[DaemonSchedule],
@@ -450,16 +463,16 @@ impl DsosCluster {
                 if cr.arrivals[slot].is_some() || !source {
                     continue;
                 }
-                // Copy the bytes from any peer that physically has the
+                // Copy the words from any peer that physically has the
                 // row (dedup check: skip if an earlier rebuild already
                 // materialized it on this daemon).
                 let dest = &cr.shards[d];
                 if !dest.has_rid(meta.rid) {
-                    let obj = cr
+                    let words = cr
                         .copies(&self.map, i)
                         .find_map(|(p, _)| cr.shards[p].fetch_by_rid(meta.rid));
-                    if let Some(obj) = obj {
-                        dest.insert_tagged(meta.rid, obj);
+                    if let Some(words) = words {
+                        dest.insert_tagged(meta.rid, &words);
                     }
                 }
                 cr.arrivals[slot] = Some(at);
@@ -472,12 +485,7 @@ impl DsosCluster {
     /// Acknowledged rows missing from live replicas that should hold
     /// them (the `replica_lag` gauge): for every quorum-acked row,
     /// count that row's live replica daemons lacking a copy.
-    fn replica_lag(
-        &self,
-        repl: &HashMap<String, ContainerRepl>,
-        schedules: &[DaemonSchedule],
-        at: Epoch,
-    ) -> u64 {
+    fn replica_lag(&self, repl: &Containers, schedules: &[DaemonSchedule], at: Epoch) -> u64 {
         let mut lag = 0u64;
         for cr in repl.values() {
             for (i, _) in cr.rows.iter().enumerate().filter(|(_, meta)| meta.quorum) {
@@ -507,45 +515,45 @@ impl DsosCluster {
         let cr = repl
             .get_mut(container)
             .ok_or_else(|| StoreError::NoSuchContainer(container.to_string()))?;
-        self.ingest_locked(cr, &self.schedules.read(), obj, t)
+        self.ingest_locked(cr, &self.schedules.read(), &obj, t)
     }
 
     /// Validates `obj` (the one check on the ingest path: the shards
-    /// take it as is) and writes it to every replica of its shard that
-    /// is up at `t`: cloned for all but the last, which takes the row
-    /// itself.
+    /// take it as is), encodes it into words, interning its strings,
+    /// and writes the words to every replica of its shard that is up at
+    /// `t`.
     fn ingest_locked(
         &self,
         cr: &mut ContainerRepl,
         schedules: &[DaemonSchedule],
-        obj: Vec<Value>,
+        obj: &[impl AsValueRef],
         t: Epoch,
     ) -> Result<IngestAck, StoreError> {
-        cr.schema.validate(&obj)?;
-        let shard = self.map.shard_of_hash(cr.shard_hash(&obj));
+        cr.schema.validate(obj)?;
+        let shard = self.map.shard_of_hash(cr.shard_hash(obj));
         let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
         let peers = self.map.replicas_of(shard);
         let first = cr.arrivals.len();
+        reserve_frugally(&mut cr.arrivals, peers.len());
         cr.arrivals
             .extend(peers.iter().map(|&d| schedules[d].is_up(t).then_some(t)));
         let held = &cr.arrivals[first..];
         let acked = held.iter().flatten().count();
-        let mut live = peers
-            .iter()
-            .zip(held)
-            .filter_map(|(&d, held)| held.map(|_| d));
-        let last = live.next_back();
-        for d in live {
-            cr.shards[d].insert_tagged(rid, obj.clone());
-        }
-        if let Some(d) = last {
-            cr.shards[d].insert_tagged(rid, obj);
+        let words = &mut cr.words;
+        words.clear();
+        let cells = obj.iter().map(AsValueRef::as_value_ref).enumerate();
+        words.extend(cells.map(|(col, v)| encode(v, col, &mut cr.symbols)));
+        for (&d, held) in peers.iter().zip(held) {
+            if held.is_some() {
+                cr.shards[d].insert_tagged(rid, words);
+            }
         }
         let quorum = acked >= self.cfg.write_quorum;
         if quorum {
             cr.acked_per_shard[shard] += 1;
         }
         debug_assert!(cr.rows.last().is_none_or(|prev| prev.rid < rid));
+        reserve_frugally(&mut cr.rows, 1);
         cr.rows.push(RowMeta {
             rid,
             write_t: t,
@@ -560,19 +568,33 @@ impl DsosCluster {
         })
     }
 
-    /// Ingests one object at virtual time zero (tests / CSV import; on
-    /// a fault-free cluster the instant is irrelevant).
+    /// Ingests one object at virtual time zero (tests; on a fault-free
+    /// cluster the instant is irrelevant).
     pub fn ingest(&self, container: &str, obj: Vec<Value>) -> Result<IngestAck, StoreError> {
         self.ingest_at(container, obj, Epoch::from_nanos(0))
     }
 
-    /// Ingests a batch at instant `t`. Each row is hash-routed
-    /// individually (deterministic placement); schema-rejected rows are
-    /// counted, not fatal. A missing container is a typed error.
+    /// Ingests a batch at instant `t`: [`ingest_rows_at`](Self::ingest_rows_at)
+    /// over owned rows.
     pub fn ingest_batch_at(
         &self,
         container: &str,
         objs: Vec<Vec<Value>>,
+        t: Epoch,
+    ) -> Result<BatchAck, StoreError> {
+        self.ingest_rows_at(container, &objs, t)
+    }
+
+    /// Ingests rows at instant `t`, each read as borrowed cells
+    /// ([`ValueRef`]s, or [`Value`]s through [`AsValueRef`]): nothing
+    /// the cluster keeps is built from the cells but their words. Each
+    /// row is hash-routed individually (deterministic placement);
+    /// schema-rejected rows are counted, not fatal. A missing container
+    /// is a typed error.
+    pub fn ingest_rows_at<R: AsRef<[V]>, V: AsValueRef>(
+        &self,
+        container: &str,
+        rows: impl IntoIterator<Item = R>,
         t: Epoch,
     ) -> Result<BatchAck, StoreError> {
         let mut repl = self.repl.write();
@@ -581,8 +603,8 @@ impl DsosCluster {
             .ok_or_else(|| StoreError::NoSuchContainer(container.to_string()))?;
         let schedules = self.schedules.read();
         let mut ack = BatchAck::default();
-        for obj in objs {
-            match self.ingest_locked(cr, &schedules, obj, t) {
+        for obj in rows {
+            match self.ingest_locked(cr, &schedules, obj.as_ref(), t) {
                 Ok(a) => {
                     ack.accepted += 1;
                     if a.quorum {
@@ -624,12 +646,13 @@ impl DsosCluster {
 
     /// The one read primitive: scans every daemon that is up at `at`
     /// in place, k-way merges the borrowed hits in index-key order
-    /// (equal keys tie-break on object content, then row id, then
-    /// daemon order), drops replica copies by row id (first copy wins)
-    /// and hands each surviving row to `visit`, in this thread, while
-    /// the shards are held for reading. Lagging live replicas are
-    /// repaired once the scan is over, and the [`Completeness`] report
-    /// says what the scan could and could not reach.
+    /// (equal keys tie-break on object content, as `[Value]` slices
+    /// compare, then row id, then daemon order), drops replica copies
+    /// by row id (first copy wins) and hands each surviving row to
+    /// `visit` as a [`RowRef`], in this thread, while the shards are
+    /// held for reading. Lagging live replicas are repaired once the
+    /// scan is over, and the [`Completeness`] report says what the scan
+    /// could and could not reach.
     ///
     /// Locks: `repl` first, as in ingest, then each live shard's lock
     /// once, in daemon order. `visit` runs under all of them and must
@@ -640,7 +663,7 @@ impl DsosCluster {
         index: &str,
         scan: Scan<'_>,
         at: Epoch,
-        mut visit: impl FnMut(&[Value]),
+        mut visit: impl FnMut(RowRef<'_>),
     ) -> Completeness {
         let (live, healthy) = self.liveness(at);
         let repl = self.repl.read();
@@ -672,14 +695,14 @@ impl DsosCluster {
             .map(|&(d, ref shard)| {
                 // Keep only rows the daemon currently *holds* (crash
                 // replay may have invalidated some).
-                shard.hits(range).filter(move |&(_, _, rid)| {
+                shard.hits(range, &cr.symbols).filter(move |&(_, _, rid)| {
                     rid == NO_RID || degraded.is_none_or(|cr| cr.holds(&self.map, rid, d))
                 })
             })
             .collect();
         let mut seen: HashSet<u64, FnvBuildHasher> = HashSet::default();
-        let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
-        for (_, obj, rid) in KWayMerge::new(sources) {
+        let mut plan: Vec<(usize, u64, Vec<u64>)> = Vec::new();
+        for (_, row, rid) in KWayMerge::new(sources) {
             if dedup && rid != NO_RID {
                 if !seen.insert(rid) {
                     completeness.duplicates_suppressed += 1;
@@ -690,13 +713,13 @@ impl DsosCluster {
                 if let Some((cr, i)) = degraded.and_then(|cr| Some((cr, cr.find(rid)?))) {
                     for (d, held) in cr.copies(&self.map, i) {
                         if live[d] && held.is_none() {
-                            plan.push((d, rid, obj.to_vec()));
+                            plan.push((d, rid, row.words().to_vec()));
                         }
                     }
                 }
             }
             completeness.rows_returned += 1;
-            visit(obj);
+            visit(row);
         }
         drop(shards);
         drop(repl);
@@ -705,12 +728,18 @@ impl DsosCluster {
     }
 
     /// [`scan_at`](Self::scan_at) after all scheduled faults.
-    pub fn scan(&self, container: &str, index: &str, scan: Scan<'_>, visit: impl FnMut(&[Value])) {
+    pub fn scan(
+        &self,
+        container: &str,
+        index: &str,
+        scan: Scan<'_>,
+        visit: impl FnMut(RowRef<'_>),
+    ) {
         self.scan_at(container, index, scan, END_OF_TIME, visit);
     }
 
-    /// [`scan_at`](Self::scan_at) collected: each returned row is
-    /// cloned once, here.
+    /// [`scan_at`](Self::scan_at) collected: each returned row becomes
+    /// [`Value`]s once, here.
     fn collect(
         &self,
         container: &str,
@@ -719,7 +748,8 @@ impl DsosCluster {
         at: Epoch,
     ) -> (Vec<Vec<Value>>, Completeness) {
         let mut rows = Vec::new();
-        let completeness = self.scan_at(container, index, scan, at, |row| rows.push(row.to_vec()));
+        let completeness =
+            self.scan_at(container, index, scan, at, |row| rows.push(row.to_values()));
         (rows, completeness)
     }
 
@@ -779,13 +809,14 @@ impl DsosCluster {
         )
     }
 
-    /// Applies a read-repair plan of `(daemon, row id, row)` copies, in
-    /// row-id order: a repaired shard indexes its copies in the order
-    /// they were first ingested, whatever order the scan met them in.
+    /// Applies a read-repair plan of `(daemon, row id, row words)`
+    /// copies, in row-id order: a repaired shard indexes its copies in
+    /// the order they were first ingested, whatever order the scan met
+    /// them in.
     fn read_repair(
         &self,
         container: &str,
-        mut plan: Vec<(usize, u64, Vec<Value>)>,
+        mut plan: Vec<(usize, u64, Vec<u64>)>,
         at: Epoch,
     ) -> u64 {
         if plan.is_empty() {
@@ -795,7 +826,7 @@ impl DsosCluster {
         let mut repaired = 0u64;
         let mut repl = self.repl.write();
         if let Some(cr) = repl.get_mut(container) {
-            for (d, rid, obj) in plan {
+            for (d, rid, words) in plan {
                 // Re-check under the write lock: a concurrent query may
                 // have repaired it already (idempotent).
                 let slot = cr.find(rid).and_then(|i| cr.slot(&self.map, i, d));
@@ -804,7 +835,7 @@ impl DsosCluster {
                 };
                 let dest = &cr.shards[d];
                 if !dest.has_rid(rid) {
-                    dest.insert_tagged(rid, obj);
+                    dest.insert_tagged(rid, &words);
                 }
                 cr.arrivals[slot] = Some(at);
                 repaired += 1;
@@ -830,7 +861,7 @@ impl DsosCluster {
 
     fn completeness_locked(
         &self,
-        repl: &HashMap<String, ContainerRepl>,
+        repl: &Containers,
         container: &str,
         live: &[bool],
         healthy: bool,
@@ -913,23 +944,19 @@ impl DsosCluster {
                 report.skipped_arity += 1;
                 continue;
             }
-            let mut obj = Vec::with_capacity(row.len());
-            let mut good = true;
-            for (field, attr) in row.iter().zip(schema.attrs()) {
-                match Value::parse(attr.ty, field) {
-                    Some(v) => obj.push(v),
-                    None => {
-                        good = false;
-                        break;
-                    }
-                }
-            }
-            if !good {
+            let obj: Option<Vec<ValueRef<'_>>> = row
+                .iter()
+                .zip(schema.attrs())
+                .map(|(field, attr)| ValueRef::parse(attr.ty, field))
+                .collect();
+            let Some(obj) = obj else {
                 report.skipped_parse += 1;
-            } else if self.ingest(container, obj).is_ok() {
-                report.imported += 1;
-            } else {
-                report.rejected += 1;
+                continue;
+            };
+            let at = Epoch::from_nanos(0);
+            match self.ingest_rows_at(container, [obj], at) {
+                Ok(ack) if ack.accepted == 1 => report.imported += 1,
+                _ => report.rejected += 1,
             }
         }
         report
@@ -1351,18 +1378,20 @@ mod tests {
             at: Epoch,
         ) -> (Vec<Vec<Value>>, Completeness) {
             let (live, healthy) = self.liveness(at);
-            let parts: Vec<Vec<crate::store::TaggedRow>> = self
+            let repl = self.repl.read();
+            let cr = repl.get(container);
+            let parts: Vec<Vec<_>> = self
                 .daemons
                 .iter()
                 .zip(&live)
                 .map(|(d, &up)| {
-                    up.then(|| d.get_container(container)?.oracle_fetch(index, scan))
-                        .flatten()
+                    let shard = d.get_container(container).filter(|_| up);
+                    shard
+                        .zip(cr)
+                        .and_then(|(shard, cr)| shard.oracle_fetch(&cr.symbols, index, scan))
                         .unwrap_or_default()
                 })
                 .collect();
-            let repl = self.repl.read();
-            let cr = repl.get(container);
             type MergeItem = (Vec<Value>, (Vec<Value>, u64));
             let filtered: Vec<Vec<MergeItem>> = parts
                 .into_iter()
@@ -1381,7 +1410,7 @@ mod tests {
             let merged = iosim_util::merge::merge_sorted(filtered);
             let mut seen: HashSet<u64> = HashSet::new();
             let mut out: Vec<Vec<Value>> = Vec::with_capacity(merged.len());
-            let mut kept_rids: Vec<(u64, Vec<Value>)> = Vec::new();
+            let mut kept_rids: Vec<u64> = Vec::new();
             let mut duplicates_suppressed = 0u64;
             for (_, (obj, rid)) in merged {
                 if rid != NO_RID {
@@ -1390,7 +1419,7 @@ mod tests {
                         continue;
                     }
                     if !healthy {
-                        kept_rids.push((rid, obj.clone()));
+                        kept_rids.push(rid);
                     }
                 }
                 out.push(obj);
@@ -1398,15 +1427,17 @@ mod tests {
             let mut completeness = self.completeness_locked(&repl, container, &live, healthy);
             completeness.rows_returned = out.len();
             completeness.duplicates_suppressed = duplicates_suppressed;
-            let mut plan: Vec<(usize, u64, Vec<Value>)> = Vec::new();
+            let mut plan: Vec<(usize, u64, Vec<u64>)> = Vec::new();
             if let Some(cr) = cr {
-                for (rid, obj) in &kept_rids {
+                for rid in &kept_rids {
                     let Some(i) = cr.find(*rid) else {
                         continue;
                     };
                     for &d in self.map.replicas_of(cr.rows[i].shard as usize) {
                         if live[d] && !cr.holds(&self.map, *rid, d) {
-                            plan.push((d, *rid, obj.clone()));
+                            // Every physical copy of a row holds the same words.
+                            let words = cr.shards.iter().find_map(|s| s.fetch_by_rid(*rid));
+                            plan.push((d, *rid, words.unwrap()));
                         }
                     }
                 }
@@ -1414,6 +1445,16 @@ mod tests {
             drop(repl);
             completeness.read_repairs = self.read_repair(container, plan, at);
             (out, completeness)
+        }
+    }
+
+    impl DsosCluster {
+        /// Inserts `obj` on daemon `d` alone, with no row id, as a
+        /// `dsosd` that was written to directly would hold it.
+        fn insert_direct(&self, d: usize, container: &str, obj: &[Value]) {
+            let mut repl = self.repl.write();
+            let cr = repl.get_mut(container).unwrap();
+            cr.shards[d].insert(&mut cr.symbols, obj).unwrap();
         }
     }
 
@@ -1536,10 +1577,7 @@ mod tests {
                     ];
                     match kind {
                         // A direct insert on one daemon: no row id.
-                        0 => {
-                            let shard = cl.daemon(rank as usize % n).get_container("darshan");
-                            shard.unwrap().insert(row).unwrap();
-                        }
+                        0 => cl.insert_direct(rank as usize % n, "darshan", &row),
                         // Rotate every shard's partition, then ingest.
                         1 => {
                             for d in 0..n {
@@ -1578,21 +1616,21 @@ mod tests {
                 prop_assert_eq!(printed(&got), printed(&want), "{:?} on {} at {} ms", scan, index, at_ms);
                 // The visitor sees the same rows the adaptor collects.
                 let mut visited = Vec::new();
-                scanned.scan_at("darshan", index, scan, at(at_ms), |row| visited.push(row.to_vec()));
+                scanned.scan_at("darshan", index, scan, at(at_ms), |row| visited.push(row.to_values()));
                 let again = oracle.oracle_query_at("darshan", index, scan, at(at_ms)).0;
                 prop_assert_eq!(printed(&visited), printed(&again));
                 // A shard's own queries collect from the same scan.
+                let repl = scanned.repl.read();
+                let symbols = &repl["darshan"].symbols;
                 for d in 0..n {
                     let shard = scanned.daemon(d).get_container("darshan").unwrap();
-                    let want = shard.oracle_fetch(index, scan).map(|hits| {
+                    let want = shard.oracle_fetch(symbols, index, scan).map(|hits| {
                         hits.into_iter().map(|(key, _, obj)| (key, obj)).collect::<Vec<_>>()
                     });
-                    let got = match scan {
-                        Scan::Prefix(p) => shard.query_prefix(index, p),
-                        Scan::Range(f, t) => shard.query_range(index, f, t),
-                    };
+                    let got = shard.collect(symbols, index, scan);
                     prop_assert_eq!(printed(&got), printed(&want));
                 }
+                drop(repl);
             }
             prop_assert_eq!(scanned.read_repair_count(), oracle.read_repair_count());
             prop_assert_eq!(scanned.object_count("darshan"), oracle.object_count("darshan"));
@@ -1600,6 +1638,234 @@ mod tests {
             let (rows, c) = scanned.query_prefix_at("nope", "job_rank_time", &[], at(0));
             prop_assert!(rows.is_empty());
             prop_assert_eq!(c.rows_returned, 0);
+        }
+    }
+
+    /// Every cell type, each index width, and strings in three columns.
+    fn round_trip_schema() -> Arc<Schema> {
+        Schema::builder("rt")
+            .attr("job_id", Type::U64)
+            .attr("rank", Type::U64)
+            .attr("ts", Type::F64)
+            .attr("delta", Type::I64)
+            .attr("file", Type::Str)
+            .attr("x", Type::F64)
+            .attr("op", Type::Str)
+            .attr("n", Type::U64)
+            .attr("note", Type::Str)
+            .index("job_rank_time", &["job_id", "rank", "ts"])
+            .index("time", &["ts"])
+            .index("delta_n", &["delta", "n"])
+            .build()
+            .unwrap()
+    }
+
+    /// The values a word encoding could get wrong: both zeros, NaNs of
+    /// both signs and other payloads, both infinities, the smallest
+    /// subnormal; the extremes of both integer types; empty, non-ASCII
+    /// and control-character text.
+    const ODD_F64: [u64; 9] = [
+        0x8000_0000_0000_0000,
+        0,
+        0x7ff8_0000_0000_0000,
+        0xfff8_0000_0000_0000,
+        0x7ff0_0000_0000_0001,
+        0xfff8_0000_dead_beef,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        1,
+    ];
+    const ODD_U64: [u64; 4] = [0, 1, 1 << 63, u64::MAX];
+    const ODD_I64: [i64; 4] = [i64::MIN, -1, 0, i64::MAX];
+    const ODD_TEXT: [&str; 6] = ["", "N/A", "naïve", "データ", "😀 x", "\0\n\"\\"];
+
+    /// A cell of type `ty` from a raw draw: often one of the odd values
+    /// above (strings repeat), else any value (a string used once).
+    fn round_trip_cell(ty: Type, draw: u64, row: usize) -> Value {
+        let pick = (draw % 16) as usize;
+        match ty {
+            Type::U64 => Value::U64(ODD_U64.get(pick).copied().unwrap_or(draw)),
+            Type::I64 => Value::I64(ODD_I64.get(pick).copied().unwrap_or(draw as i64)),
+            Type::F64 => Value::F64(f64::from_bits(ODD_F64.get(pick).copied().unwrap_or(draw))),
+            Type::Str => Value::Str(
+                ODD_TEXT
+                    .get(pick)
+                    .map_or_else(|| format!("ü{row}·{draw:x}"), |t| t.to_string()),
+            ),
+        }
+    }
+
+    /// A cell as its bits: what must come back unchanged.
+    fn exact(v: &Value) -> (u64, &str) {
+        match v {
+            Value::U64(x) => (*x, ""),
+            Value::I64(x) => (*x as u64, ""),
+            Value::F64(x) => (x.to_bits(), ""),
+            Value::Str(s) => (0, s),
+        }
+    }
+
+    /// One ingested row of the model: its cells, when it was written,
+    /// where it lives with one replica, and whether any replica took it.
+    struct Written {
+        row: Vec<Value>,
+        at: u64,
+        home: usize,
+        stored: bool,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stored_rows_round_trip_bit_for_bit(
+            shape in (1usize..4, 0usize..2),
+            draws in prop::collection::vec(
+                (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+                0..60,
+            ),
+            faults in prop::collection::vec((0usize..3, 1u64..400, 1u64..400, 0u64..5), 0..6),
+            queries in prop::collection::vec(
+                (0usize..3, 0usize..3, 0usize..64, 0usize..64, 0usize..5, any::<u64>()),
+                1..16,
+            ),
+        ) {
+            let (n, r_draw) = shape;
+            let r = 1 + r_draw.min(n - 1);
+            let ms = |ms: u64| Epoch::from_nanos(ms * 1_000_000);
+            let schema = round_trip_schema();
+            let cl = DsosCluster::new_replicated(n, ReplicationConfig::new(r).with_quorum(1)).unwrap();
+            cl.create_container("rt", &schema);
+            // Down windows `[from, until)` in ms, by daemon: one after
+            // another with time between, so with two replicas one is
+            // always up. With one replica some never close.
+            let mut windows: Vec<(usize, u64, Option<u64>)> = Vec::new();
+            let mut next = 0;
+            for &(d, gap, dur, closed) in &faults {
+                let (d, from) = (d % n, next + gap);
+                let until = (r == 2 || closed != 0).then_some(from + dur);
+                next = from + dur;
+                if windows.iter().any(|&(e, _, until)| e == d && until.is_none()) {
+                    continue;
+                }
+                windows.push((d, from, until));
+                cl.crash_dsosd(d, ms(from));
+                if let Some(until) = until {
+                    cl.restart_dsosd(d, ms(until));
+                }
+            }
+            let up = |d: usize, at: u64| {
+                windows.iter().all(|&(e, from, until)| e != d || at < from || until.is_some_and(|u| at >= u))
+            };
+            // An instant in ms: a third of them inside a down window.
+            let instant = |draw: u64| match windows.get((draw / 3) as usize % windows.len().max(1)) {
+                Some(&(_, from, until)) if draw % 3 == 0 => from + draw % (until.unwrap_or(from + 400) - from),
+                _ => draw % 3_000,
+            };
+            let mut written = Vec::new();
+            for (i, &(a, b, c, e, at)) in draws.iter().enumerate() {
+                let at = instant(at);
+                let draw = [a, b, c, e, a ^ b, b ^ c, c ^ e, e ^ a, a.rotate_left(7)];
+                let mut row: Vec<Value> = schema
+                    .attrs()
+                    .iter()
+                    .zip(draw)
+                    .map(|(attr, d)| round_trip_cell(attr.ty, d, i))
+                    .collect();
+                // Few jobs, ranks and timestamps: equal keys are common.
+                row[0] = Value::U64(1 + a % 2);
+                row[1] = Value::U64(b % 4);
+                if c % 3 == 0 {
+                    row[2] = Value::F64([1.0, 2.0, -0.0, 0.0][(c / 3 % 4) as usize]);
+                }
+                let ack = cl.ingest_at("rt", row.clone(), ms(at)).unwrap();
+                written.push(Written {
+                    row,
+                    at,
+                    home: cl.map.replicas_of(ack.shard)[0],
+                    stored: ack.acked > 0,
+                });
+            }
+            // What a query at `at` must see: with one replica, a row on
+            // a daemon up at `at` that no replayed crash destroyed; with
+            // two, every row.
+            let visible = |w: &Written, at: u64, recovered: bool| {
+                let lost = || {
+                    windows.iter().any(|&(d, from, _)| d == w.home && w.at < from)
+                };
+                w.stored && (r == 2 || (up(w.home, at) && !(recovered && lost())))
+            };
+            let check = |recovered: bool| -> Result<(), String> {
+                for &(index, kind, a, b, len, at) in &queries {
+                    let at = instant(at);
+                    // Before the schedule is replayed, two replicas are
+                    // only asked while both are up.
+                    if r == 2 && !recovered && !(0..n).all(|d| up(d, at)) {
+                        continue;
+                    }
+                    let def = &schema.indices()[index];
+                    let key = |row: &[Value]| -> Vec<Value> {
+                        def.attrs.iter().map(|&i| row[i].clone()).collect()
+                    };
+                    let bound = |pick: usize| -> Vec<Value> {
+                        let mut k = written.get(pick).map_or_else(Vec::new, |w| key(&w.row));
+                        k.truncate(len);
+                        k
+                    };
+                    let (from, to) = (bound(a), bound(b));
+                    let (got, _) = if kind == 0 {
+                        cl.query_prefix_at("rt", &def.name, &from, ms(at))
+                    } else {
+                        cl.query_range_at("rt", &def.name, &from, &to, ms(at))
+                    };
+                    prop_assert!(
+                        got.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                        "{} out of key order", def.name
+                    );
+                    let selected = |k: &Vec<Value>| {
+                        if kind == 0 {
+                            k.len() >= from.len() && k[..from.len()].cmp(&from).is_eq()
+                        } else {
+                            from <= *k && *k < to
+                        }
+                    };
+                    let mut want: Vec<Vec<Value>> = written
+                        .iter()
+                        .filter(|w| visible(w, at, recovered) && selected(&key(&w.row)))
+                        .map(|w| w.row.clone())
+                        .collect();
+                    // Equal keys come back in an order the merge and
+                    // each shard's history decide (the clone-and-merge
+                    // oracle pins it): compare them as sets.
+                    let mut got = got;
+                    for rows in [&mut got, &mut want] {
+                        rows.sort_by(|x, y| {
+                            let bits = |row: &Vec<Value>| row.iter().map(exact).map(|(w, s)| (w, s.to_string())).collect::<Vec<_>>();
+                            key(x).cmp(&key(y)).then_with(|| bits(x).cmp(&bits(y)))
+                        });
+                    }
+                    let bits = |rows: &[Vec<Value>]| -> Vec<Vec<(u64, String)>> {
+                        rows.iter().map(|row| row.iter().map(exact).map(|(w, s)| (w, s.to_string())).collect()).collect()
+                    };
+                    prop_assert_eq!(bits(&got), bits(&want), "{} {} at {} ms, recovered {}", def.name, kind, at, recovered);
+                }
+                Ok(())
+            };
+            check(false).unwrap();
+            cl.recover(ms(10_000));
+            check(true).unwrap();
+            // A visited row reads the same through every accessor.
+            cl.scan_at("rt", "time", Scan::Prefix(&[]), ms(5_000), |row| {
+                let values = row.to_values();
+                assert_eq!(values.len(), row.len());
+                for (i, v) in values.iter().enumerate() {
+                    assert_eq!(exact(&row.get(i).to_owned()), exact(v));
+                    assert_eq!(row.u64(i), v.as_u64());
+                    assert_eq!(row.i64(i), v.as_i64());
+                    assert_eq!(row.f64(i).map(f64::to_bits), v.as_f64().map(f64::to_bits));
+                    assert_eq!(row.str(i), v.as_str());
+                }
+            });
         }
     }
 }

@@ -7,8 +7,11 @@
 //! and parallel queries that fan out to every daemon and merge the
 //! per-daemon results in index order (Section II).
 //!
-//! * [`value`] — typed attribute values with a total order;
+//! * [`value`] — typed attribute values, owned and borrowed, with a
+//!   total order;
 //! * [`schema`] — schema definition and object construction/validation;
+//! * [`row`] — the stored row layout: one word per attribute, strings
+//!   interned per container, read in place through a [`RowRef`];
 //! * [`store`] — one `dsosd`: partitions, objects, joint indices;
 //! * [`replication`] — shard maps, crash schedules, write quorums, and
 //!   exact completeness accounting for degraded queries;
@@ -21,6 +24,7 @@
 
 mod cluster;
 mod replication;
+mod row;
 mod schema;
 mod store;
 mod value;
@@ -30,6 +34,7 @@ pub use replication::{
     BatchAck, Completeness, CsvImportReport, IngestAck, ReplicationConfig, ShardHealth, ShardMap,
     StoreError,
 };
+pub use row::RowRef;
 pub use schema::{AttrDef, Schema};
 pub use store::{Dsosd, Scan};
-pub use value::{Type, Value};
+pub use value::{AsValueRef, Type, Value, ValueRef};

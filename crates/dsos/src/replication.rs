@@ -23,7 +23,7 @@
 //! never finds an empty source set.
 
 use crate::schema::SchemaError;
-use crate::value::Value;
+use crate::value::ValueRef;
 use iosim_time::Epoch;
 use iosim_util::hash::{fnv1a64_continue, FNV_OFFSET};
 use std::error::Error;
@@ -183,16 +183,16 @@ impl ShardMap {
 
 /// Stable FNV-1a hash over the shard-key attribute values. Each value
 /// is folded with a type tag so `U64(1)` and `I64(1)` hash apart.
-pub(crate) fn shard_key_hash<'a>(values: impl IntoIterator<Item = &'a Value>) -> u64 {
+pub(crate) fn shard_key_hash<'a>(values: impl IntoIterator<Item = ValueRef<'a>>) -> u64 {
     let mut h = FNV_OFFSET;
     for v in values {
         h = match v {
-            Value::U64(x) => fnv1a64_continue(fnv1a64_continue(h, b"u"), &x.to_le_bytes()),
-            Value::I64(x) => fnv1a64_continue(fnv1a64_continue(h, b"i"), &x.to_le_bytes()),
-            Value::F64(x) => {
+            ValueRef::U64(x) => fnv1a64_continue(fnv1a64_continue(h, b"u"), &x.to_le_bytes()),
+            ValueRef::I64(x) => fnv1a64_continue(fnv1a64_continue(h, b"i"), &x.to_le_bytes()),
+            ValueRef::F64(x) => {
                 fnv1a64_continue(fnv1a64_continue(h, b"f"), &x.to_bits().to_le_bytes())
             }
-            Value::Str(s) => fnv1a64_continue(fnv1a64_continue(h, b"s"), s.as_bytes()),
+            ValueRef::Str(s) => fnv1a64_continue(fnv1a64_continue(h, b"s"), s.as_bytes()),
         };
     }
     h
@@ -378,13 +378,13 @@ mod tests {
 
     #[test]
     fn shard_key_hash_is_stable_and_type_tagged() {
-        let a = shard_key_hash(&[Value::U64(7), Value::U64(3)]);
-        let b = shard_key_hash(&[Value::U64(7), Value::U64(3)]);
+        let a = shard_key_hash([ValueRef::U64(7), ValueRef::U64(3)]);
+        let b = shard_key_hash([ValueRef::U64(7), ValueRef::U64(3)]);
         assert_eq!(a, b);
-        assert_ne!(a, shard_key_hash(&[Value::U64(3), Value::U64(7)]));
+        assert_ne!(a, shard_key_hash([ValueRef::U64(3), ValueRef::U64(7)]));
         assert_ne!(
-            shard_key_hash(&[Value::U64(1)]),
-            shard_key_hash(&[Value::I64(1)])
+            shard_key_hash([ValueRef::U64(1)]),
+            shard_key_hash([ValueRef::I64(1)])
         );
     }
 

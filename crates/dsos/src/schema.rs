@@ -1,6 +1,7 @@
 //! Schemas and objects.
 
-use crate::value::{Type, Value};
+use crate::row::number;
+use crate::value::{AsValueRef, Type, Value, ValueRef};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -46,12 +47,12 @@ const NAN_WORD: u64 = 0xfff0_0000_0000_0001;
 /// (negatives inverted, positives with the sign bit set) after folding
 /// `-0.0` into `+0.0` and every NaN into [`NAN_WORD`], which are the
 /// values `Value::cmp` calls equal.
-fn key_word(v: &Value) -> u64 {
-    match *v {
-        Value::U64(x) => x,
-        Value::I64(x) => x as u64 ^ SIGN,
-        Value::F64(x) if x.is_nan() => NAN_WORD,
-        Value::F64(x) => {
+fn key_word(v: ValueRef<'_>) -> u64 {
+    match v {
+        ValueRef::U64(x) => x,
+        ValueRef::I64(x) => x as u64 ^ SIGN,
+        ValueRef::F64(x) if x.is_nan() => NAN_WORD,
+        ValueRef::F64(x) => {
             let bits = if x == 0.0 { 0 } else { x.to_bits() };
             if bits & SIGN == 0 {
                 bits | SIGN
@@ -59,7 +60,7 @@ fn key_word(v: &Value) -> u64 {
                 !bits
             }
         }
-        Value::Str(_) => unreachable!("Schema::build admits no Str index attribute"),
+        ValueRef::Str(_) => unreachable!("Schema::build admits no Str index attribute"),
     }
 }
 
@@ -240,8 +241,8 @@ impl Schema {
         self.indices.iter().position(|i| i.name == name)
     }
 
-    /// Validates an object against this schema.
-    pub fn validate(&self, obj: &[Value]) -> Result<(), SchemaError> {
+    /// Validates an object, owned or borrowed, against this schema.
+    pub fn validate(&self, obj: &[impl AsValueRef]) -> Result<(), SchemaError> {
         if obj.len() != self.attrs.len() {
             return Err(SchemaError::Arity {
                 expected: self.attrs.len(),
@@ -249,7 +250,7 @@ impl Schema {
             });
         }
         for (v, a) in obj.iter().zip(&self.attrs) {
-            if v.ty() != a.ty {
+            if v.as_value_ref().ty() != a.ty {
                 return Err(SchemaError::TypeMismatch {
                     attr: a.name.clone(),
                     expected: a.ty,
@@ -259,11 +260,12 @@ impl Schema {
         Ok(())
     }
 
-    /// Packs the index key of an object this schema validated.
-    pub(crate) fn pack_key(&self, index: &IndexDef, obj: &[Value]) -> IndexKey {
+    /// Packs the index key of a stored row, from its words.
+    pub(crate) fn pack_key(&self, index: &IndexDef, words: &[u64]) -> IndexKey {
         let mut key = [0; MAX_KEY_ATTRS];
         for (word, &attr) in key.iter_mut().zip(&index.attrs) {
-            *word = key_word(&obj[attr]);
+            let cell = number(self.attrs[attr].ty, words[attr]);
+            *word = key_word(cell.expect("Schema::build admits no Str index attribute"));
         }
         key
     }
@@ -280,9 +282,9 @@ impl Schema {
         for (j, &attr) in index.attrs.iter().enumerate() {
             let above = match bound.get(j) {
                 None => pad_high,
-                Some(v) => match v.ty().cmp(&self.attrs[attr].ty) {
+                Some(v) => match v.as_ref().ty().cmp(&self.attrs[attr].ty) {
                     std::cmp::Ordering::Equal => {
-                        key[j] = key_word(v);
+                        key[j] = key_word(v.as_ref());
                         continue;
                     }
                     rank => rank.is_gt(),
@@ -459,6 +461,15 @@ mod tests {
         ]
     }
 
+    /// A string-free object's stored words.
+    fn words(obj: &[Value]) -> Vec<u64> {
+        let mut symbols = crate::row::Symbols::default();
+        obj.iter()
+            .enumerate()
+            .map(|(col, v)| crate::row::encode(v.as_ref(), col, &mut symbols))
+            .collect()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(2048))]
 
@@ -479,10 +490,10 @@ mod tests {
                 .unwrap();
             let (a, b) = (key_tuple(&picks[..4], a), key_tuple(&picks[4..], b));
             for def in s.indices() {
-                let packed = s.pack_key(def, &a).cmp(&s.pack_key(def, &b));
+                let packed = s.pack_key(def, &words(&a)).cmp(&s.pack_key(def, &words(&b)));
                 prop_assert_eq!(packed, s.key_for(def, &a).cmp(&s.key_for(def, &b)), "{:?} {:?}", a, b);
                 // A full-length bound cuts where its key sorts.
-                prop_assert_eq!(s.cut(def, &s.key_for(def, &a), false), (s.pack_key(def, &a), false));
+                prop_assert_eq!(s.cut(def, &s.key_for(def, &a), false), (s.pack_key(def, &words(&a)), false));
             }
         }
     }

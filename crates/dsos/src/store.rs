@@ -1,11 +1,12 @@
 //! One `dsosd` storage daemon: containers, partitions, joint indices.
 
 use crate::replication::NO_RID;
+use crate::row::{RowRef, Symbols};
 use crate::schema::{IndexDef, IndexKey, Schema};
 use crate::value::Value;
-use iosim_util::hash::FnvBuildHasher;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::{BTreeSet, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -53,16 +54,83 @@ fn new_index(def: &IndexDef) -> Box<dyn Index> {
     }
 }
 
+/// Makes room for `additional` more items, growing by a quarter rather
+/// than doubling: the cluster's per-row bookkeeping then holds at most a
+/// quarter more than it uses, at the price of copying each item about
+/// four times as it grows.
+pub(crate) fn reserve_frugally<T>(v: &mut Vec<T>, additional: usize) {
+    if v.capacity() - v.len() < additional {
+        v.reserve_exact(additional.max(v.len() / 4));
+    }
+}
+
+/// Rows a chunk of a shard's rows holds once full.
+const CHUNK_ROWS: usize = 1024;
+
+/// Every row of a shard, by [`RowNo`]: `stride` words each, the row id
+/// then one word per attribute, in chunks of [`CHUNK_ROWS`] rows, so a
+/// row never moves once written and growth never copies what is there.
+/// Only the first chunk grows, doubling up to full size, so a short
+/// shard stays small.
+struct Rows {
+    stride: usize,
+    chunks: Vec<Vec<u64>>,
+}
+
+impl Rows {
+    fn new(stride: usize) -> Self {
+        Self {
+            stride,
+            chunks: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.chunks.last().map_or(0, |last| {
+            (self.chunks.len() - 1) * CHUNK_ROWS + last.len() / self.stride
+        })
+    }
+
+    fn push(&mut self, rid: u64, words: &[u64]) {
+        let full = self.stride * CHUNK_ROWS;
+        if self.chunks.last().is_none_or(|last| last.len() == full) {
+            let size = if self.chunks.is_empty() {
+                self.stride
+            } else {
+                full
+            };
+            self.chunks.push(Vec::with_capacity(size));
+        }
+        let last = self.chunks.last_mut().expect("a chunk with room");
+        if last.capacity() == last.len() {
+            last.reserve_exact(last.len().min(full - last.len()));
+        }
+        last.push(rid);
+        last.extend_from_slice(words);
+    }
+
+    /// Row `row`'s id and words.
+    fn get(&self, row: RowNo) -> (u64, &[u64]) {
+        let (chunk, at) = (row as usize / CHUNK_ROWS, row as usize % CHUNK_ROWS);
+        let (rid, words) = self.chunks[chunk][at * self.stride..][..self.stride]
+            .split_first()
+            .expect("a row holds its id");
+        (*rid, words)
+    }
+}
+
 /// Everything a shard stores, behind the shard's one lock.
 struct ShardState {
-    /// Every object with the cluster-global row id it was replicated
-    /// under ([`NO_RID`] for direct inserts), by [`RowNo`].
-    objects: Vec<(u64, Vec<Value>)>,
+    /// Every row with the cluster-global row id it was replicated
+    /// under ([`NO_RID`] for direct inserts).
+    rows: Rows,
     /// One index per `schema.indices()` entry, in that order.
     indices: Vec<Box<dyn Index>>,
-    /// Cluster row id → object, for anti-entropy rebuild and read
-    /// repair (direct [`NO_RID`] inserts are not tracked).
-    by_rid: HashMap<u64, RowNo, FnvBuildHasher>,
+    /// Cluster row id → row, for anti-entropy rebuild and read repair
+    /// (direct [`NO_RID`] inserts are not tracked). Rebuild and repair
+    /// append older rows after newer ones, so ordinals are not in row-id
+    /// order and a search over them would not do.
+    by_rid: HashMap<u64, RowNo, BuildHasherDefault<RidHasher>>,
     /// First ordinal of each storage partition, the last being the
     /// active one (DSOS rotates partitions for retention; queries span
     /// all of them). Nothing outside the tests rotates one yet.
@@ -70,7 +138,32 @@ struct ShardState {
     partitions: Vec<RowNo>,
 }
 
-/// One container shard on one daemon.
+/// The hash of a row id: the id itself in the low bits, which pick the
+/// bucket, so ids ingested one after another fill neighbouring buckets
+/// instead of a random cache line each; its low seven bits repeated at
+/// the top, which tell the entries of a bucket group apart.
+#[derive(Default)]
+struct RidHasher(u64);
+
+impl Hasher for RidHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys are hashed here; other input is folded in.
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+
+    fn write_u64(&mut self, rid: u64) {
+        self.0 = rid ^ rid << 57;
+    }
+}
+
+/// One container shard on one daemon. Its rows are words; the strings
+/// they name live in the container's symbols, which the cluster keeps.
 pub(crate) struct ContainerShard {
     schema: Arc<Schema>,
     state: RwLock<ShardState>,
@@ -80,43 +173,43 @@ impl ContainerShard {
     fn new(schema: Arc<Schema>) -> Self {
         let indices = schema.indices().iter().map(new_index).collect();
         Self {
-            schema,
             state: RwLock::new(ShardState {
-                objects: Vec::new(),
+                rows: Rows::new(1 + schema.attrs().len()),
                 indices,
                 by_rid: HashMap::default(),
                 #[cfg(test)]
                 partitions: vec![0],
             }),
+            schema,
         }
     }
 
     /// Total stored objects across partitions.
     pub(crate) fn object_count(&self) -> usize {
-        self.state.read().objects.len()
+        self.state.read().rows.len()
     }
 
-    /// Inserts an object the cluster has validated, under its
-    /// cluster-global row id, so replicated queries can deduplicate
-    /// copies and anti-entropy can locate rows.
-    pub(crate) fn insert_tagged(&self, rid: u64, obj: Vec<Value>) {
+    /// Stores the words of a row the cluster has validated and encoded,
+    /// under its cluster-global row id, so replicated queries can
+    /// deduplicate copies and anti-entropy can locate rows.
+    pub(crate) fn insert_tagged(&self, rid: u64, words: &[u64]) {
         let st = &mut *self.state.write();
-        let row = RowNo::try_from(st.objects.len()).expect("a shard holds under 2^32 objects");
+        let row = RowNo::try_from(st.rows.len()).expect("a shard holds under 2^32 objects");
         for (def, index) in self.schema.indices().iter().zip(st.indices.iter_mut()) {
-            index.add((self.schema.pack_key(def, &obj), row));
+            index.add((self.schema.pack_key(def, words), row));
         }
-        st.objects.push((rid, obj));
+        st.rows.push(rid, words);
         if rid != NO_RID {
             st.by_rid.insert(rid, row);
         }
     }
 
-    /// Looks up a row by its cluster-global row id (anti-entropy /
-    /// read-repair source path).
-    pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<Value>> {
+    /// A copy of the words of a row, by its cluster-global row id
+    /// (anti-entropy source path).
+    pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<u64>> {
         let st = self.state.read();
         let row = *st.by_rid.get(&rid)?;
-        Some(st.objects[row as usize].1.clone())
+        Some(st.rows.get(row).1.to_vec())
     }
 
     /// Whether this shard physically holds a row id.
@@ -128,6 +221,7 @@ impl ContainerShard {
     /// `schema.indices()`).
     pub(crate) fn read(&self, pos: usize) -> ShardRead<'_> {
         ShardRead {
+            schema: &self.schema,
             state: self.state.read(),
             pos,
         }
@@ -135,52 +229,50 @@ impl ContainerShard {
 }
 
 /// Direct shard access for the unit tests; everything else reaches a
-/// shard through the cluster, which validates and tags its rows.
+/// shard through the cluster, which validates, encodes and tags its rows
+/// and keeps the container's symbols.
 #[cfg(test)]
 impl ContainerShard {
     /// Starts a new active partition.
     pub(crate) fn begin_partition(&self) {
         let st = &mut *self.state.write();
-        st.partitions.push(st.objects.len() as RowNo);
+        st.partitions.push(st.rows.len() as RowNo);
     }
 
-    /// Inserts an object: validates, appends to the active partition,
-    /// and updates every joint index.
-    pub(crate) fn insert(&self, obj: Vec<Value>) -> Result<(), crate::schema::SchemaError> {
-        self.schema.validate(&obj)?;
-        self.insert_tagged(NO_RID, obj);
+    /// Inserts an object: validates, encodes its strings into `symbols`,
+    /// appends it to the active partition, and updates every joint index.
+    pub(crate) fn insert(
+        &self,
+        symbols: &mut Symbols,
+        obj: &[Value],
+    ) -> Result<(), crate::schema::SchemaError> {
+        self.schema.validate(obj)?;
+        let cells = obj.iter().map(Value::as_ref).enumerate();
+        let words: Vec<u64> = cells
+            .map(|(col, v)| crate::row::encode(v, col, symbols))
+            .collect();
+        self.insert_tagged(NO_RID, &words);
         Ok(())
     }
 
-    /// Objects whose index key starts with `prefix`, as `(key, object)`
-    /// in key order. An empty prefix scans the whole index.
-    pub(crate) fn query_prefix(
+    /// The objects `scan` selects, as `(key, object)` in key order.
+    pub(crate) fn collect(
         &self,
+        symbols: &Symbols,
         index: &str,
-        prefix: &[Value],
+        scan: Scan<'_>,
     ) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
-        self.collect(index, Scan::Prefix(prefix))
-    }
-
-    /// Objects with `from <= key < to`, as `(key, object)` in key order.
-    pub(crate) fn query_range(
-        &self,
-        index: &str,
-        from: &[Value],
-        to: &[Value],
-    ) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
-        self.collect(index, Scan::Range(from, to))
-    }
-
-    fn collect(&self, index: &str, scan: Scan<'_>) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
         let pos = self.schema.index_pos(index)?;
         let def = &self.schema.indices()[pos];
         let shard = self.read(pos);
         let rows = scan
             .key_range(&self.schema, def)
             .into_iter()
-            .flat_map(|range| shard.hits(range))
-            .map(|(_, obj, _)| (self.schema.key_for(def, obj), obj.to_vec()));
+            .flat_map(|range| shard.hits(range, symbols))
+            .map(|(_, row, _)| {
+                let obj = row.to_values();
+                (self.schema.key_for(def, &obj), obj)
+            });
         Some(rows.collect())
     }
 }
@@ -226,27 +318,32 @@ impl Scan<'_> {
     }
 }
 
-/// One index hit, read in place: `(packed index key, object, cluster
-/// row id)`.
-pub(crate) type Hit<'a> = (IndexKey, &'a [Value], u64);
+/// One index hit, read in place: `(packed index key, row, cluster row
+/// id)`.
+pub(crate) type Hit<'a> = (IndexKey, RowRef<'a>, u64);
 
 /// A shard held for reading (see [`ContainerShard::read`]): hits borrow
 /// from it, so nothing is copied until a caller decides to.
 pub(crate) struct ShardRead<'a> {
+    schema: &'a Schema,
     state: RwLockReadGuard<'a, ShardState>,
     pos: usize,
 }
 
 impl ShardRead<'_> {
-    /// The objects between `range`'s bounds, in key order, insertion
-    /// order among equal keys.
-    pub(crate) fn hits(&self, range: KeyRange) -> impl Iterator<Item = Hit<'_>> {
-        let objects = &self.state.objects;
+    /// The rows between `range`'s bounds, in key order, insertion order
+    /// among equal keys, their strings read from `symbols`.
+    pub(crate) fn hits<'s>(
+        &'s self,
+        range: KeyRange,
+        symbols: &'s Symbols,
+    ) -> impl Iterator<Item = Hit<'s>> {
+        let (schema, rows) = (self.schema, &self.state.rows);
         self.state.indices[self.pos]
             .between(range)
             .map(move |(key, row)| {
-                let (rid, obj) = &objects[row as usize];
-                (key, obj.as_slice(), *rid)
+                let (rid, words) = rows.get(row);
+                (key, RowRef::new(schema, symbols, words), rid)
             })
     }
 }
@@ -263,13 +360,20 @@ pub(crate) type TaggedRow = (Vec<Value>, u64, Vec<Value>);
 impl ContainerShard {
     /// Every stored object whose key `scan` selects, cloned out in key
     /// order, insertion order among equal keys.
-    pub(crate) fn oracle_fetch(&self, index: &str, scan: Scan<'_>) -> Option<Vec<TaggedRow>> {
+    pub(crate) fn oracle_fetch(
+        &self,
+        symbols: &Symbols,
+        index: &str,
+        scan: Scan<'_>,
+    ) -> Option<Vec<TaggedRow>> {
         let def = self.schema.index_def(index)?;
         let st = self.state.read();
-        let mut out: Vec<TaggedRow> = st
-            .objects
-            .iter()
-            .map(|(rid, obj)| (self.schema.key_for(def, obj), *rid, obj.clone()))
+        let mut out: Vec<TaggedRow> = (0..st.rows.len() as RowNo)
+            .map(|row| {
+                let (rid, words) = st.rows.get(row);
+                let obj = RowRef::new(&self.schema, symbols, words).to_values();
+                (self.schema.key_for(def, &obj), rid, obj)
+            })
             .filter(|(key, _, _)| match scan {
                 Scan::Prefix(prefix) => {
                     prefix.len() <= key.len() && key[..prefix.len()].cmp(prefix).is_eq()
@@ -330,8 +434,39 @@ impl Dsosd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::Schema;
+    use crate::schema::SchemaError;
     use crate::value::Type;
+
+    /// A shard on its own, with the symbols its cluster would keep.
+    struct Fixture {
+        c: Arc<ContainerShard>,
+        symbols: Symbols,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            Self {
+                c: Dsosd::new("dsosd-0").container("darshan", &schema()),
+                symbols: Symbols::default(),
+            }
+        }
+
+        fn insert(&mut self, obj: Vec<Value>) -> Result<(), SchemaError> {
+            self.c.insert(&mut self.symbols, &obj)
+        }
+
+        fn collect(&self, index: &str, scan: Scan<'_>) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
+            self.c.collect(&self.symbols, index, scan)
+        }
+
+        fn query_prefix(
+            &self,
+            index: &str,
+            prefix: &[Value],
+        ) -> Option<Vec<(Vec<Value>, Vec<Value>)>> {
+            self.collect(index, Scan::Prefix(prefix))
+        }
+    }
 
     fn schema() -> Arc<Schema> {
         Schema::builder("darshan_data")
@@ -356,8 +491,7 @@ mod tests {
 
     #[test]
     fn insert_and_query_by_prefix() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         c.insert(obj(1, 0, 10.0, "write")).unwrap();
         c.insert(obj(1, 1, 11.0, "write")).unwrap();
         c.insert(obj(2, 0, 12.0, "read")).unwrap();
@@ -375,8 +509,7 @@ mod tests {
 
     #[test]
     fn alternate_index_changes_order() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         c.insert(obj(1, 5, 10.0, "w")).unwrap();
         c.insert(obj(1, 0, 20.0, "w")).unwrap();
         // job_rank_time: rank 0 first (rank is more significant).
@@ -389,25 +522,19 @@ mod tests {
 
     #[test]
     fn range_query_bounds_are_half_open() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         for t in 0..10 {
             c.insert(obj(1, 0, t as f64, "w")).unwrap();
         }
-        let rows = c
-            .query_range(
-                "job_time_rank",
-                &[Value::U64(1), Value::F64(3.0)],
-                &[Value::U64(1), Value::F64(7.0)],
-            )
-            .unwrap();
+        let from = [Value::U64(1), Value::F64(3.0)];
+        let to = [Value::U64(1), Value::F64(7.0)];
+        let rows = c.collect("job_time_rank", Scan::Range(&from, &to)).unwrap();
         assert_eq!(rows.len(), 4); // t = 3,4,5,6
     }
 
     #[test]
     fn invalid_objects_rejected() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         assert!(c.insert(vec![Value::U64(1)]).is_err());
         assert!(c
             .insert(vec![
@@ -417,25 +544,23 @@ mod tests {
                 Value::Str("w".into())
             ])
             .is_err());
-        assert_eq!(c.object_count(), 0);
+        assert_eq!(c.c.object_count(), 0);
     }
 
     #[test]
     fn partitions_rotate_but_queries_span_all() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         c.insert(obj(1, 0, 1.0, "w")).unwrap();
-        c.begin_partition();
+        c.c.begin_partition();
         c.insert(obj(1, 0, 2.0, "w")).unwrap();
-        assert_eq!(c.state.read().partitions, [0, 1]);
+        assert_eq!(c.c.state.read().partitions, [0, 1]);
         let rows = c.query_prefix("job_rank_time", &[Value::U64(1)]).unwrap();
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn duplicate_keys_keep_all_objects() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         c.insert(obj(1, 0, 5.0, "a")).unwrap();
         c.insert(obj(1, 0, 5.0, "b")).unwrap();
         let rows = c.query_prefix("job_rank_time", &[Value::U64(1)]).unwrap();
@@ -446,9 +571,22 @@ mod tests {
     }
 
     #[test]
+    fn rows_read_back_across_chunks() {
+        let mut rows = Rows::new(3);
+        let n = 2 * CHUNK_ROWS as u64 + 5;
+        for i in 0..n {
+            rows.push(i, &[2 * i, 2 * i + 1]);
+        }
+        assert_eq!(rows.len() as u64, n);
+        assert!(rows.chunks.iter().all(|c| c.capacity() <= 3 * CHUNK_ROWS));
+        for i in 0..n {
+            assert_eq!(rows.get(i as RowNo), (i, &[2 * i, 2 * i + 1][..]));
+        }
+    }
+
+    #[test]
     fn unknown_index_returns_none() {
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let c = Fixture::new();
         assert!(c.query_prefix("nope", &[]).is_none());
     }
 
@@ -458,8 +596,7 @@ mod tests {
         // padded with all-zero or all-one words meets stored keys there;
         // every key stored twice. Bounds are every grid key cut to every
         // length from none to one past the key's.
-        let d = Dsosd::new("dsosd-0");
-        let c = d.container("darshan", &schema());
+        let mut c = Fixture::new();
         let jobs = [0, 7, u64::MAX];
         let times = [f64::NEG_INFINITY, -0.0, 1.5, f64::INFINITY, f64::NAN];
         let mut bounds = vec![Vec::new()];
@@ -482,7 +619,7 @@ mod tests {
         // Either index meets the other's bounds too: wrong variants.
         for index in ["job_rank_time", "job_time_rank"] {
             let check = |scan: Scan<'_>| {
-                let want = c.oracle_fetch(index, scan).unwrap();
+                let want = c.c.oracle_fetch(&c.symbols, index, scan).unwrap();
                 let want: Vec<_> = want.into_iter().map(|(key, _, obj)| (key, obj)).collect();
                 let got = c.collect(index, scan).unwrap();
                 assert_eq!(

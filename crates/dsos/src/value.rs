@@ -31,61 +31,166 @@ pub enum Value {
     Str(String),
 }
 
+/// One attribute value, borrowed: what ingest reads out of a message
+/// and what a scan hands out of a stored row, with no `String` built.
+/// Ordered as [`Value`] is.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRef<'a> {
+    /// Unsigned integer value.
+    U64(u64),
+    /// Signed integer value.
+    I64(i64),
+    /// Float value.
+    F64(f64),
+    /// String value.
+    Str(&'a str),
+}
+
+/// A cell that reads as a [`ValueRef`]: an owned [`Value`] or a
+/// borrowed one, so one validation and one ingest path serve both.
+pub trait AsValueRef {
+    /// The cell, borrowed.
+    fn as_value_ref(&self) -> ValueRef<'_>;
+}
+
+impl AsValueRef for Value {
+    fn as_value_ref(&self) -> ValueRef<'_> {
+        self.as_ref()
+    }
+}
+
+impl AsValueRef for ValueRef<'_> {
+    fn as_value_ref(&self) -> ValueRef<'_> {
+        *self
+    }
+}
+
 impl Value {
-    /// The value's type.
-    pub(crate) fn ty(&self) -> Type {
+    /// The value, borrowed.
+    pub fn as_ref(&self) -> ValueRef<'_> {
         match self {
-            Value::U64(_) => Type::U64,
-            Value::I64(_) => Type::I64,
-            Value::F64(_) => Type::F64,
-            Value::Str(_) => Type::Str,
+            Value::U64(v) => ValueRef::U64(*v),
+            Value::I64(v) => ValueRef::I64(*v),
+            Value::F64(v) => ValueRef::F64(*v),
+            Value::Str(s) => ValueRef::Str(s),
         }
     }
 
     /// Unsigned accessor.
     pub fn as_u64(&self) -> Option<u64> {
+        self.as_ref().as_u64()
+    }
+
+    /// Signed accessor.
+    pub fn as_i64(&self) -> Option<i64> {
+        self.as_ref().as_i64()
+    }
+
+    /// Float accessor (integers coerce).
+    pub fn as_f64(&self) -> Option<f64> {
+        self.as_ref().as_f64()
+    }
+
+    /// String accessor.
+    pub fn as_str(&self) -> Option<&str> {
+        self.as_ref().as_str()
+    }
+
+    /// Parses a string into the given type (CSV import).
+    pub fn parse(ty: Type, s: &str) -> Option<Value> {
+        ValueRef::parse(ty, s).map(ValueRef::to_owned)
+    }
+}
+
+impl<'a> ValueRef<'a> {
+    /// The value's type.
+    pub(crate) fn ty(self) -> Type {
         match self {
-            Value::U64(v) => Some(*v),
-            Value::I64(v) if *v >= 0 => Some(*v as u64),
+            ValueRef::U64(_) => Type::U64,
+            ValueRef::I64(_) => Type::I64,
+            ValueRef::F64(_) => Type::F64,
+            ValueRef::Str(_) => Type::Str,
+        }
+    }
+
+    /// The value, owned.
+    pub fn to_owned(self) -> Value {
+        match self {
+            ValueRef::U64(v) => Value::U64(v),
+            ValueRef::I64(v) => Value::I64(v),
+            ValueRef::F64(v) => Value::F64(v),
+            ValueRef::Str(s) => Value::Str(s.to_string()),
+        }
+    }
+
+    /// Unsigned accessor.
+    pub fn as_u64(self) -> Option<u64> {
+        match self {
+            ValueRef::U64(v) => Some(v),
+            ValueRef::I64(v) if v >= 0 => Some(v as u64),
             _ => None,
         }
     }
 
     /// Signed accessor.
-    pub fn as_i64(&self) -> Option<i64> {
+    pub fn as_i64(self) -> Option<i64> {
         match self {
-            Value::I64(v) => Some(*v),
-            Value::U64(v) if *v <= i64::MAX as u64 => Some(*v as i64),
+            ValueRef::I64(v) => Some(v),
+            ValueRef::U64(v) if v <= i64::MAX as u64 => Some(v as i64),
             _ => None,
         }
     }
 
     /// Float accessor (integers coerce).
-    pub fn as_f64(&self) -> Option<f64> {
+    pub fn as_f64(self) -> Option<f64> {
         match self {
-            Value::F64(v) => Some(*v),
-            Value::U64(v) => Some(*v as f64),
-            Value::I64(v) => Some(*v as f64),
-            Value::Str(_) => None,
+            ValueRef::F64(v) => Some(v),
+            ValueRef::U64(v) => Some(v as f64),
+            ValueRef::I64(v) => Some(v as f64),
+            ValueRef::Str(_) => None,
         }
     }
 
     /// String accessor.
-    pub fn as_str(&self) -> Option<&str> {
+    pub fn as_str(self) -> Option<&'a str> {
         match self {
-            Value::Str(s) => Some(s),
+            ValueRef::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    /// Parses a string into the given type (CSV import).
-    pub fn parse(ty: Type, s: &str) -> Option<Value> {
+    /// Parses a string into the given type, borrowing a `Str`.
+    pub fn parse(ty: Type, s: &'a str) -> Option<Self> {
         Some(match ty {
-            Type::U64 => Value::U64(s.parse().ok()?),
-            Type::I64 => Value::I64(s.parse().ok()?),
-            Type::F64 => Value::F64(s.parse().ok()?),
-            Type::Str => Value::Str(s.to_string()),
+            Type::U64 => ValueRef::U64(s.parse().ok()?),
+            Type::I64 => ValueRef::I64(s.parse().ok()?),
+            Type::F64 => ValueRef::F64(s.parse().ok()?),
+            Type::Str => ValueRef::Str(s),
         })
+    }
+
+    /// The total order of values: within a type by value, floats with
+    /// `-0.0 == 0.0` and every NaN equal and above everything else;
+    /// across types by type.
+    pub(crate) fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        match (self, other) {
+            (ValueRef::U64(a), ValueRef::U64(b)) => a.cmp(&b),
+            (ValueRef::I64(a), ValueRef::I64(b)) => a.cmp(&b),
+            (ValueRef::F64(a), ValueRef::F64(b)) => a.partial_cmp(&b).unwrap_or_else(|| {
+                // NaN sorts after everything, NaN == NaN.
+                match (a.is_nan(), b.is_nan()) {
+                    (true, true) => Ordering::Equal,
+                    (true, false) => Ordering::Greater,
+                    (false, true) => Ordering::Less,
+                    (false, false) => unreachable!(),
+                }
+            }),
+            (ValueRef::Str(a), ValueRef::Str(b)) => a.cmp(b),
+            // Heterogeneous comparisons order by type; schemas make
+            // this unreachable for well-formed keys, but the total order
+            // must still be lawful.
+            (a, b) => a.ty().cmp(&b.ty()),
+        }
     }
 }
 
@@ -99,24 +204,7 @@ impl PartialOrd for Value {
 
 impl Ord for Value {
     fn cmp(&self, other: &Self) -> Ordering {
-        match (self, other) {
-            (Value::U64(a), Value::U64(b)) => a.cmp(b),
-            (Value::I64(a), Value::I64(b)) => a.cmp(b),
-            (Value::F64(a), Value::F64(b)) => a.partial_cmp(b).unwrap_or_else(|| {
-                // NaN sorts after everything, NaN == NaN.
-                match (a.is_nan(), b.is_nan()) {
-                    (true, true) => Ordering::Equal,
-                    (true, false) => Ordering::Greater,
-                    (false, true) => Ordering::Less,
-                    (false, false) => unreachable!(),
-                }
-            }),
-            (Value::Str(a), Value::Str(b)) => a.cmp(b),
-            // Heterogeneous comparisons order by type; schemas make
-            // this unreachable for well-formed keys, but the total order
-            // must still be lawful.
-            (a, b) => a.ty().cmp(&b.ty()),
-        }
+        self.as_ref().total_cmp(other.as_ref())
     }
 }
 

@@ -8,8 +8,9 @@
 //! explain), and I/O anti-patterns the paper's case studies diagnose
 //! at run time (flurries of tiny unaligned writes, rank stragglers).
 //!
-//! Ordering caveat: DSOS ingestion is sharded round-robin, so *input
-//! order* of a pipeline query reflects index order, not arrival order.
+//! Ordering caveat: DSOS ingestion is hash-sharded by `(job, rank)` and
+//! queries merge the shards in index order, so the *input order* of a
+//! pipeline query reflects index order, not arrival order.
 //! [`TRC005`](crate::diag::TRC005) (non-monotonic timestamps) is
 //! therefore meaningful for CSV inputs — where file order is the
 //! order the connector emitted — and is a vacuous guard on
@@ -17,7 +18,7 @@
 
 use crate::diag::{self, Diagnostic};
 use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINER};
-use dsos_sim::{DsosCluster, Scan, Value};
+use dsos_sim::{DsosCluster, RowRef, Scan, ValueRef};
 use hpcws_sim::online;
 use ldms_sim::ledger::LossRecord;
 use std::borrow::Cow;
@@ -54,23 +55,23 @@ impl TraceEvent {
         self.end - self.dur
     }
 
-    /// Decodes a row returned by a `darshan_data` query. Returns
-    /// `None` when the row does not have the 24-column arity or a
-    /// typed field does not decode.
-    pub(crate) fn from_row(row: &[Value]) -> Option<Self> {
+    /// Decodes a 24-column row, however it is held. Returns `None` when
+    /// the row does not have the 24-column arity or a typed field does
+    /// not decode.
+    fn decode(row: &impl Cells) -> Option<Self> {
         if row.len() != COLUMNS.len() {
             return None;
         }
         Some(Self {
-            job_id: row[col::JOB_ID].as_u64()?,
-            rank: row[col::RANK].as_u64()?,
-            op: online::op_name(row[col::OP].as_str()?),
-            file: row[col::FILE].as_str()?.to_string(),
-            record_id: row[col::RECORD_ID].as_u64()?,
-            len: row[col::SEG_LEN].as_i64()?,
-            off: row[col::SEG_OFF].as_i64()?,
-            dur: row[col::SEG_DUR].as_f64()?,
-            end: row[col::SEG_TIMESTAMP].as_f64()?,
+            job_id: row.cell(col::JOB_ID).as_u64()?,
+            rank: row.cell(col::RANK).as_u64()?,
+            op: online::op_name(row.cell(col::OP).as_str()?),
+            file: row.cell(col::FILE).as_str()?.to_string(),
+            record_id: row.cell(col::RECORD_ID).as_u64()?,
+            len: row.cell(col::SEG_LEN).as_i64()?,
+            off: row.cell(col::SEG_OFF).as_i64()?,
+            dur: row.cell(col::SEG_DUR).as_f64()?,
+            end: row.cell(col::SEG_TIMESTAMP).as_f64()?,
         })
     }
 
@@ -80,12 +81,39 @@ impl TraceEvent {
         if fields.len() != COLUMNS.len() {
             return None;
         }
-        let row: Option<Vec<Value>> = COLUMNS
+        let row: Option<Vec<ValueRef<'_>>> = COLUMNS
             .iter()
             .zip(fields)
-            .map(|(&(_, ty), f)| Value::parse(ty, f))
+            .map(|(&(_, ty), f)| ValueRef::parse(ty, f))
             .collect();
-        Self::from_row(&row?)
+        Self::decode(&row?)
+    }
+}
+
+/// One Table I row read a cell at a time: a stored row in place, or the
+/// fields of a CSV line parsed as their columns' types.
+trait Cells {
+    fn len(&self) -> usize;
+    fn cell(&self, i: usize) -> ValueRef<'_>;
+}
+
+impl Cells for RowRef<'_> {
+    fn len(&self) -> usize {
+        RowRef::len(self)
+    }
+
+    fn cell(&self, i: usize) -> ValueRef<'_> {
+        self.get(i)
+    }
+}
+
+impl Cells for Vec<ValueRef<'_>> {
+    fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    fn cell(&self, i: usize) -> ValueRef<'_> {
+        self[i]
     }
 }
 
@@ -94,7 +122,7 @@ impl TraceEvent {
 pub fn events_from_cluster(cluster: &DsosCluster) -> Vec<TraceEvent> {
     let mut events = Vec::new();
     cluster.scan(CONTAINER, "job_rank_time", Scan::Prefix(&[]), |row| {
-        events.extend(TraceEvent::from_row(row));
+        events.extend(TraceEvent::decode(&row));
     });
     events
 }

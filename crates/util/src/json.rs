@@ -641,7 +641,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    #[inline]
+    /// Reads a string literal, borrowed unless it holds an escape.
+    /// Strings are most of what a message holds: inlined into each
+    /// reader, a key or string value costs a scan, not two calls.
+    #[inline(always)]
     fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         let (raw, escaped) = self.raw_string()?;
         Ok(if escaped {
@@ -655,7 +658,7 @@ impl<'a> Scanner<'a> {
     /// text between the quotes and whether it holds any escape. The
     /// quotes and backslashes it stops at are ASCII, so every slice
     /// boundary is a character boundary of the (valid UTF-8) input.
-    #[inline]
+    #[inline(always)]
     fn raw_string(&mut self) -> Result<(&'a str, bool), ParseError> {
         self.expect(b'"', "expected '\"'")?;
         let bytes = self.input.as_bytes();
@@ -689,9 +692,10 @@ impl<'a> Scanner<'a> {
         }
     }
 
-    /// Reads a number. A plain integer of at most 18 digits, which
-    /// always fits an `i64`, is accumulated while it is scanned; any
-    /// other text takes `str::parse`.
+    /// Reads a number. A plain integer is accumulated while it is
+    /// scanned: an `Int` when it fits an `i64`, else a non-negative one
+    /// that fits a `u64` is a `UInt`. Any other text (a fraction, an
+    /// exponent, or digits beyond those) takes `str::parse`.
     #[inline]
     fn number(&mut self) -> Result<Token<'a>, ParseError> {
         let start = self.pos;
@@ -700,15 +704,28 @@ impl<'a> Scanner<'a> {
             self.pos += 1;
         }
         let digits_from = self.pos;
-        let mut value = 0u64;
+        let (mut value, mut exact) = (0u64, true);
         while let Some(c @ b'0'..=b'9') = self.peek() {
-            value = value.wrapping_mul(10).wrapping_add(u64::from(c - b'0'));
+            match value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(c - b'0')))
+            {
+                Some(v) => value = v,
+                None => exact = false,
+            }
             self.pos += 1;
         }
         let mut is_float = matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'+' | b'-'));
-        if !is_float && (1..=18).contains(&(self.pos - digits_from)) {
-            let value = value as i64;
-            return Ok(Token::Int(if negative { -value } else { value }));
+        if exact && !is_float && self.pos > digits_from {
+            match (negative, i64::try_from(value)) {
+                (false, Ok(v)) => return Ok(Token::Int(v)),
+                (false, Err(_)) => return Ok(Token::UInt(value)),
+                // Down to `i64::MIN`, whose magnitude is `i64::MAX + 1`.
+                (true, _) if value <= i64::MIN.unsigned_abs() => {
+                    return Ok(Token::Int(0i64.wrapping_sub_unsigned(value)))
+                }
+                (true, _) => {}
+            }
         }
         while let Some(c) = self.peek() {
             match c {
@@ -867,6 +884,16 @@ mod tests {
             i64_over.as_str(),
             u64_over.as_str(),
             "-18446744073709551616",
+            "-9223372036854775809",
+            "18446744073709551615",
+            "09223372036854775807",
+            "-09223372036854775808",
+            "018446744073709551615",
+            "00000000000000000001",
+            "-00000000000000000001",
+            "9999999999999999999",
+            "10000000000000000000",
+            "99999999999999999999",
             "1.",
             "-.5",
             "1e400",
