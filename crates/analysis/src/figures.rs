@@ -1,17 +1,23 @@
 //! Analysis modules — one per paper figure.
 //!
 //! Each module consumes a [`DataFrame`] whose columns follow the
-//! connector's `darshan_data` schema (`op`, `rank`, `job_id`,
-//! `ProducerName`, `seg_dur`, `seg_len`, `seg_timestamp`, …) and
-//! produces the series the corresponding figure plots, in one or two
-//! passes over the frame's rows that aggregate by borrowed cells: a
-//! dashboard refresh runs every figure over the same frame, and none
-//! of them copies a row.
+//! connector's `darshan_data` schema and produces the series the
+//! corresponding figure plots. The kernels read only the seven figure
+//! columns below, which [`DataFrame::new`] lays out once as dense
+//! arrays — keys as dictionary codes, measures as floats — so a
+//! dashboard refresh, which runs every figure over the same frame, is a
+//! few passes over those arrays.
 
-use crate::frame::DataFrame;
-use dsos_sim::Value;
+use crate::frame::{Codes, DataFrame};
 use iosim_util::stats::{Histogram, Summary};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
+
+/// The figure columns read as keys: coded against a per-column
+/// dictionary in `Value` order, so a group's key is its codes.
+pub(crate) const KEY_COLUMNS: [&str; 4] = ["job_id", "rank", "op", "ProducerName"];
+
+/// The figure columns read as numbers: each cell's `as_f64()`.
+pub(crate) const MEASURE_COLUMNS: [&str; 3] = ["seg_dur", "seg_len", "seg_timestamp"];
 
 /// Mean of a group's numeric cells, accumulated as the rows go by.
 /// The sum starts from the identity `Iterator::sum` starts from and
@@ -31,9 +37,9 @@ impl Mean {
         }
     }
 
-    /// Adds a cell; non-numeric cells are skipped.
-    fn add(&mut self, cell: &Value) {
-        if let Some(v) = cell.as_f64() {
+    /// Adds a cell; non-numeric cells (`None`) are skipped.
+    fn add(&mut self, cell: Option<f64>) {
+        if let Some(v) = cell {
             self.sum += v;
             self.n += 1;
         }
@@ -45,6 +51,64 @@ impl Mean {
             0.0
         } else {
             self.sum / self.n as f64
+        }
+    }
+}
+
+/// Per-group accumulators keyed by `N` codes, in key order: an array
+/// indexed by the packed codes while it is no longer than the frame,
+/// else a map keyed by the codes.
+enum Groups<const N: usize, T> {
+    Dense {
+        radix: [usize; N],
+        slots: Vec<Option<T>>,
+    },
+    Sparse(BTreeMap<[u32; N], T>),
+}
+
+impl<const N: usize, T> Groups<N, T> {
+    fn new(keys: [&Codes; N], rows: usize) -> Self {
+        let radix = keys.map(|k| k.dict.len());
+        match radix.iter().try_fold(1usize, |n, &r| n.checked_mul(r)) {
+            Some(n) if n <= rows => Groups::Dense {
+                radix,
+                slots: (0..n).map(|_| None).collect(),
+            },
+            _ => Groups::Sparse(BTreeMap::new()),
+        }
+    }
+
+    /// The accumulator of group `key`, made by `init` on first use.
+    fn entry(&mut self, key: [u32; N], init: impl FnOnce() -> T) -> &mut T {
+        match self {
+            Groups::Dense { radix, slots } => {
+                let i = key
+                    .iter()
+                    .zip(&*radix)
+                    .fold(0, |i, (&k, &r)| i * r + k as usize);
+                slots[i].get_or_insert_with(init)
+            }
+            Groups::Sparse(map) => map.entry(key).or_insert_with(init),
+        }
+    }
+
+    /// The groups that were used, in key order.
+    fn into_sorted(self) -> Vec<([u32; N], T)> {
+        match self {
+            Groups::Dense { radix, slots } => slots
+                .into_iter()
+                .enumerate()
+                .filter_map(|(i, slot)| {
+                    let mut key = [0; N];
+                    let mut rest = i;
+                    for (k, &r) in key.iter_mut().zip(&radix).rev() {
+                        *k = (rest % r) as u32;
+                        rest /= r;
+                    }
+                    Some((key, slot?))
+                })
+                .collect(),
+            Groups::Sparse(map) => map.into_iter().collect(),
         }
     }
 }
@@ -67,24 +131,25 @@ pub struct OpOccurrence {
 /// and its 95% confidence interval. One pass counts rows per
 /// (op, job); a job an operation never ran in counts as zero.
 pub fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
-    let (op, job) = (df.col("op"), df.col("job_id"));
-    let mut counts: BTreeMap<&Value, BTreeMap<&Value, u64>> = BTreeMap::new();
-    for r in df.rows() {
-        *counts
-            .entry(&r[op])
-            .or_default()
-            .entry(&r[job])
-            .or_default() += 1;
+    let (op, job) = (df.codes("op"), df.codes("job_id"));
+    // Every (op, job) count is in the output, so the full table is no
+    // larger than the answer.
+    let jobs = job.dict.len();
+    let mut counts = vec![0u64; op.dict.len() * jobs];
+    for (&o, &j) in op.codes.iter().zip(&job.codes) {
+        counts[o as usize * jobs + j as usize] += 1;
     }
-    let jobs: BTreeSet<&Value> = counts.values().flat_map(BTreeMap::keys).copied().collect();
-    counts
+    let job_ids = job.per_code(|j| j.as_u64().unwrap_or(0));
+    op.dict
         .iter()
+        .zip(counts.chunks(jobs.max(1)))
         .map(|(op, by_job)| {
-            let per_job: Vec<(u64, u64)> = jobs
+            let per_job: Vec<(u64, u64)> = job_ids
                 .iter()
-                .map(|j| (j.as_u64().unwrap_or(0), by_job.get(j).copied().unwrap_or(0)))
+                .copied()
+                .zip(by_job.iter().copied())
                 .collect();
-            let sample: Vec<f64> = per_job.iter().map(|&(_, n)| n as f64).collect();
+            let sample: Vec<f64> = by_job.iter().map(|&n| n as f64).collect();
             let s = Summary::of(&sample).unwrap_or(Summary {
                 n: 0,
                 mean: 0.0,
@@ -118,19 +183,21 @@ pub struct NodeOps {
 /// Computes Figure 6's series for the given operations (the paper shows
 /// open and close), sorted by (node, job, op).
 pub fn per_node_ops(df: &DataFrame, ops: &[&str]) -> Vec<NodeOps> {
-    let (node, job, op) = (df.col("ProducerName"), df.col("job_id"), df.col("op"));
-    let mut counts: BTreeMap<(&Value, &Value, &Value), u64> = BTreeMap::new();
-    for r in df.rows() {
-        if ops.contains(&r[op].as_str().unwrap_or_default()) {
-            *counts.entry((&r[node], &r[job], &r[op])).or_default() += 1;
+    let (node, job, op) = (df.codes("ProducerName"), df.codes("job_id"), df.codes("op"));
+    let wanted = op.per_code(|o| ops.contains(&o.as_str().unwrap_or_default()));
+    let mut counts = Groups::new([node, job, op], df.len());
+    for ((&n, &j), &o) in node.codes.iter().zip(&job.codes).zip(&op.codes) {
+        if wanted[o as usize] {
+            *counts.entry([n, j, o], || 0u64) += 1;
         }
     }
     counts
+        .into_sorted()
         .into_iter()
-        .map(|((node, job, op), count)| NodeOps {
-            node: node.as_str().unwrap_or_default().to_string(),
-            job: job.as_u64().unwrap_or(0),
-            op: op.as_str().unwrap_or_default().to_string(),
+        .map(|([n, j, o], count)| NodeOps {
+            node: node.value(n).as_str().unwrap_or_default().to_string(),
+            job: job.value(j).as_u64().unwrap_or(0),
+            op: op.value(o).as_str().unwrap_or_default().to_string(),
             count,
         })
         .collect()
@@ -154,26 +221,26 @@ pub struct RankDurations {
 /// Computes Figure 7's series: per (job, rank, op ∈ {read, write})
 /// mean duration, sorted by that key.
 pub fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
-    let (job, rank, op) = (df.col("job_id"), df.col("rank"), df.col("op"));
-    let dur = df.col("seg_dur");
-    let mut groups: BTreeMap<(&Value, &Value, &str), (Mean, u64)> = BTreeMap::new();
-    for r in df.rows() {
-        let Some(name @ ("read" | "write")) = r[op].as_str() else {
-            continue;
-        };
-        let (mean, count) = groups
-            .entry((&r[job], &r[rank], name))
-            .or_insert_with(|| (Mean::new(), 0));
-        mean.add(&r[dur]);
-        *count += 1;
+    let (job, rank, op) = (df.codes("job_id"), df.codes("rank"), df.codes("op"));
+    let dur = df.floats("seg_dur");
+    let read_write = op.per_code(|o| matches!(o.as_str(), Some("read" | "write")));
+    let mut groups = Groups::new([job, rank, op], df.len());
+    let keys = job.codes.iter().zip(&rank.codes).zip(&op.codes);
+    for (i, ((&j, &r), &o)) in keys.enumerate() {
+        if read_write[o as usize] {
+            let (mean, count) = groups.entry([j, r, o], || (Mean::new(), 0u64));
+            mean.add(dur.get(i));
+            *count += 1;
+        }
     }
     groups
+        .into_sorted()
         .into_iter()
-        .filter_map(|((job, rank, op), (mean, count))| {
+        .filter_map(|([j, r, o], (mean, count))| {
             Some(RankDurations {
-                job: job.as_u64()?,
-                rank: rank.as_u64()?,
-                op: op.to_string(),
+                job: job.value(j).as_u64()?,
+                rank: rank.value(r).as_u64()?,
+                op: op.value(o).as_str()?.to_string(),
                 mean_dur: mean.get(),
                 count,
             })
@@ -185,16 +252,20 @@ pub fn per_rank_durations(df: &DataFrame) -> Vec<RankDurations> {
 /// when spotting job 2's anomaly (reads 6.75 s vs 0.05 s). Sorted by
 /// job id.
 pub fn job_mean_durations(df: &DataFrame, op: &str) -> Vec<(u64, f64)> {
-    let (job, opc, dur) = (df.col("job_id"), df.col("op"), df.col("seg_dur"));
-    let mut means: BTreeMap<&Value, Mean> = BTreeMap::new();
-    for r in df.rows() {
-        if r[opc].as_str() == Some(op) {
-            means.entry(&r[job]).or_insert_with(Mean::new).add(&r[dur]);
+    let (job, opc, dur) = (df.codes("job_id"), df.codes("op"), df.floats("seg_dur"));
+    let Some(target) = opc.dict.iter().position(|o| o.as_str() == Some(op)) else {
+        return Vec::new();
+    };
+    let mut means = Groups::new([job], df.len());
+    for (i, (&j, &o)) in job.codes.iter().zip(&opc.codes).enumerate() {
+        if o as usize == target {
+            means.entry([j], Mean::new).add(dur.get(i));
         }
     }
     means
+        .into_sorted()
         .into_iter()
-        .filter_map(|(job, mean)| Some((job.as_u64()?, mean.get())))
+        .filter_map(|([j], mean)| Some((job.value(j).as_u64()?, mean.get())))
         .collect()
 }
 
@@ -260,23 +331,19 @@ pub struct TimePoint {
 /// (the smallest numeric `seg_timestamp`, NaN skipped).
 fn job_points(df: &DataFrame) -> impl Iterator<Item = (f64, f64, &str, u64)> {
     let (ts, dur, op, rank) = (
-        df.col("seg_timestamp"),
-        df.col("seg_dur"),
-        df.col("op"),
-        df.col("rank"),
+        df.floats("seg_timestamp"),
+        df.floats("seg_dur"),
+        df.codes("op"),
+        df.codes("rank"),
     );
-    let t0 = df
-        .rows()
-        .iter()
-        .filter_map(|r| r[ts].as_f64())
-        .fold(f64::INFINITY, f64::min);
-    let rows = if t0.is_finite() { df.rows() } else { &[] };
-    rows.iter().filter_map(move |r| {
+    let t0 = ts.iter().flatten().fold(f64::INFINITY, f64::min);
+    let rows = if t0.is_finite() { df.len() } else { 0 };
+    (0..rows).filter_map(move |i| {
         Some((
-            r[ts].as_f64()? - t0,
-            r[dur].as_f64()?,
-            r[op].as_str()?,
-            r[rank].as_u64()?,
+            ts.get(i)? - t0,
+            dur.get(i)?,
+            op.value(op.codes[i]).as_str()?,
+            rank.value(rank.codes[i]).as_u64()?,
         ))
     })
 }
@@ -316,17 +383,23 @@ pub struct Timeline {
 /// Figure 8's first to last point: one pass for the first timestamp
 /// and that span, one to bin.
 pub fn timeline(df: &DataFrame, bins: usize) -> Timeline {
-    let (ts, op, len) = (df.col("seg_timestamp"), df.col("op"), df.col("seg_len"));
-    let (dur, rank) = (df.col("seg_dur"), df.col("rank"));
+    let (ts, op, len) = (
+        df.floats("seg_timestamp"),
+        df.codes("op"),
+        df.floats("seg_len"),
+    );
+    let (dur, rank) = (df.floats("seg_dur"), df.codes("rank"));
+    let named = op.per_code(|o| o.as_str().is_some());
+    let numbered = rank.per_code(|r| r.as_u64().is_some());
     let mut base = f64::INFINITY;
     let mut span: Option<(f64, f64)> = None;
-    for r in df.rows() {
-        let Some(t) = r[ts].as_f64() else {
+    for (i, t) in ts.iter().enumerate() {
+        let Some(t) = t else {
             continue;
         };
         base = base.min(t);
         // Figure 8 plots a row only if these decode too (`job_points`).
-        if r[dur].as_f64().is_some() && r[op].as_str().is_some() && r[rank].as_u64().is_some() {
+        if dur.get(i).is_some() && named[op.codes[i] as usize] && numbered[rank.codes[i] as usize] {
             span = Some(span.map_or((t, t), |(lo, hi)| (lo.min(t), hi.max(t))));
         }
     }
@@ -335,20 +408,21 @@ pub fn timeline(df: &DataFrame, bins: usize) -> Timeline {
     let span = span.filter(|_| base.is_finite());
     let t0 = span.map_or(0.0, |(first, _)| 0.0f64.min(first - base));
     let t_max = span.map_or(1.0, |(_, last)| last - base).max(1e-9);
-    let mut writes = Histogram::new(t0, t_max * 1.0001, bins.max(1));
-    let mut reads = Histogram::new(t0, t_max * 1.0001, bins.max(1));
-    for r in df.rows() {
-        let (Some(t), Some(o)) = (r[ts].as_f64(), r[op].as_str()) else {
+    // [writes, reads], and which one each op code lands in.
+    let mut hists = [0, 1].map(|_| Histogram::new(t0, t_max * 1.0001, bins.max(1)));
+    let hist_of = op.per_code(|o| match o.as_str() {
+        Some("write") => Some(0),
+        Some("read") => Some(1),
+        _ => None,
+    });
+    for (i, t) in ts.iter().enumerate() {
+        let (Some(t), Some(h)) = (t, hist_of[op.codes[i] as usize]) else {
             continue;
         };
-        let rel = t - base;
-        let bytes = r[len].as_f64().unwrap_or(0.0).max(0.0);
-        match o {
-            "write" => writes.add(rel, bytes),
-            "read" => reads.add(rel, bytes),
-            _ => {}
-        }
+        let bytes = len.get(i).unwrap_or(0.0).max(0.0);
+        hists[h].add(t - base, bytes);
     }
+    let [writes, reads] = hists;
     Timeline {
         bin_start: (0..writes.bins()).map(|i| writes.bin_start(i)).collect(),
         writes: writes.counts().to_vec(),
@@ -438,10 +512,12 @@ pub fn correlate_load(df: &DataFrame, telemetry: &[(f64, f64)], bins: usize) -> 
 
 /// The figure definitions as first written: clone the frame per view
 /// (`filter_eq`, `distinct`, `group_by`, `mean_of`), sort whole points.
-/// The one-pass kernels above must equal them on every frame.
+/// The kernels above, over the typed columns, must equal them on every
+/// frame.
 #[cfg(test)]
 mod oracle {
     use super::*;
+    use dsos_sim::Value;
 
     pub(crate) fn op_occurrence(df: &DataFrame) -> Vec<OpOccurrence> {
         let jobs = df.distinct("job_id");
@@ -581,8 +657,11 @@ mod oracle {
         // same sorted order; simpler: recompute from rows directly.
         let ts = df.col("seg_timestamp");
         let op = df.col("op");
-        let t0 = points.first().map_or(0.0, |p| 0.0f64.min(p.t));
-        let t_max = points.last().map_or(1.0, |p| p.t).max(1e-9);
+        // The span is first to last real time: `f64::min`/`max` pass
+        // over a NaN beside a number.
+        let times = || points.iter().map(|p| p.t);
+        let t0 = times().reduce(f64::min).map_or(0.0, |t| 0.0f64.min(t));
+        let t_max = times().reduce(f64::max).unwrap_or(1.0).max(1e-9);
         let mut writes = Histogram::new(t0, t_max * 1.0001, bins.max(1));
         let mut reads = Histogram::new(t0, t_max * 1.0001, bins.max(1));
         let base = df
@@ -673,6 +752,7 @@ mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsos_sim::Value;
 
     /// The connector columns the figures read.
     const COLS: [&str; 7] = [
@@ -907,14 +987,15 @@ mod tests {
         assert_eq!(c.mean_dur.len(), 2);
     }
 
-    /// `kernel == oracle`, with every float the same to the bit.
-    fn assert_same<T: PartialEq + std::fmt::Debug>(
+    /// `kernel == oracle`, with every float the same to the bit. The
+    /// values are compared as printed, so a NaN equals a NaN.
+    fn assert_same<T: std::fmt::Debug>(
         what: &str,
         kernel: &[T],
         oracle: &[T],
         floats: impl Fn(&T) -> Vec<f64>,
     ) {
-        assert_eq!(kernel, oracle, "{what}");
+        assert_eq!(format!("{kernel:?}"), format!("{oracle:?}"), "{what}");
         let bits = |v: &[T]| -> Vec<u64> { v.iter().flat_map(&floats).map(f64::to_bits).collect() };
         assert_eq!(bits(kernel), bits(oracle), "{what}: float bits");
     }
@@ -994,42 +1075,150 @@ mod tests {
         ]));
     }
 
+    #[test]
+    fn dense_and_sparse_groups_agree_in_key_order() {
+        let df = frame(vec![
+            (2, 1, "n2", "read", 0.5, 10, 3.0),
+            (1, 3, "n1", "write", 0.25, 10, 1.0),
+            (3, 1, "n1", "read", 0.75, 10, 2.0),
+            (1, 3, "n1", "write", 0.5, 10, 4.0),
+        ]);
+        let keys = [df.codes("job_id"), df.codes("rank"), df.codes("op")];
+        let run = |rows| {
+            let mut groups = Groups::new(keys, rows);
+            for i in 0..df.len() {
+                *groups.entry(keys.map(|k| k.codes[i]), || 0) += i + 1;
+            }
+            (matches!(groups, Groups::Dense { .. }), groups.into_sorted())
+        };
+        let (dense, sparse) = (run(df.len() * 8), run(df.len()));
+        assert_eq!((dense.0, sparse.0), (true, false));
+        assert_eq!(dense.1, sparse.1);
+        // (1, 3, write): rows 2 and 4; (2, 1, read): row 1; (3, 1, read): row 3.
+        assert_eq!(dense.1, [([0, 1, 1], 6), ([1, 0, 0], 1), ([2, 0, 0], 3)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "no such column: seg_len")]
+    fn a_frame_without_seg_len_serves_every_figure_but_the_timeline() {
+        let columns: Vec<&str> = COLS.iter().copied().filter(|&c| c != "seg_len").collect();
+        let df = DataFrame::new(
+            columns,
+            vec![
+                vec![
+                    Value::U64(1),
+                    Value::U64(0),
+                    Value::Str("n1".into()),
+                    Value::Str("write".into()),
+                    Value::F64(0.1),
+                    Value::F64(100.0),
+                ],
+                vec![
+                    Value::U64(2),
+                    Value::U64(0),
+                    Value::Str("n1".into()),
+                    Value::Str("write".into()),
+                    Value::F64(0.1),
+                    Value::F64(101.0),
+                ],
+            ],
+        );
+        let occ = op_occurrence(&df);
+        assert_eq!(occ, oracle::op_occurrence(&df));
+        assert_eq!(occ[0].per_job, vec![(1, 1), (2, 1)]);
+        let _ = timeline(&df, 4);
+    }
+
     use proptest::prelude::*;
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn kernels_match_oracles_on_generated_frames(
             jobs in 1u64..5,
             rows in prop::collection::vec(
-                ((0u64..8, 0u64..4, 0usize..3), 0usize..6, (0usize..5, 0u64..4_000), -3_000i64..70_000, 0u64..2_400),
+                ((0u64..8, 0u64..4, 0usize..3), 0usize..6, (0usize..5, 0u64..4_000), -3_000i64..70_000, 0u64..2_400, 0u64..1 << 24),
                 0..120,
             ),
         ) {
             const NODES: [&str; 3] = ["nid00040", "nid00041", "nid00052"];
             const OPS: [&str; 6] = ["read", "write", "open", "close", "flush", "read"];
+            let str = |s: &str| Value::Str(s.to_string());
             let rows = rows
                 .into_iter()
-                .map(|((job, rank, node), op, (dur_kind, dur), len, ts)| {
+                .map(|((job, rank, node), op, (dur_kind, dur), len, ts, mix)| {
+                    // Four bits of `mix` per column: mostly the
+                    // connector's type, else one of six other cells —
+                    // the same number as another type, ±0.0, NaN, text.
+                    let cell = |column: u32, usual: Value, odd: [Value; 6]| {
+                        match (mix >> (4 * column)) & 15 {
+                            k @ 10.. => odd[k as usize - 10].clone(),
+                            _ => usual,
+                        }
+                    };
+                    let job = 300 + job % jobs;
                     // `seg_dur` cells: mostly floats, some integers,
                     // some not numbers at all, some negative zero.
                     let dur = match dur_kind {
-                        0 => Value::Str("N/A".to_string()),
+                        0 => str("N/A"),
                         1 => Value::U64(dur % 3),
                         2 => Value::F64(-0.0),
                         _ => Value::F64(dur as f64 / 512.0),
                     };
+                    // Eighths of a second: repeated timestamps are
+                    // common, so the stable sorts are exercised.
+                    let t = 1_650_000_000.0 + ts as f64 / 8.0;
                     vec![
-                        Value::U64(300 + job % jobs),
-                        Value::U64(rank),
-                        Value::Str(NODES[node].to_string()),
-                        Value::Str(OPS[op].to_string()),
+                        cell(0, Value::U64(job), [
+                            Value::I64(job as i64),
+                            Value::I64(-1),
+                            Value::F64(0.0),
+                            Value::F64(-0.0),
+                            Value::F64(f64::NAN),
+                            str("300"),
+                        ]),
+                        cell(1, Value::U64(rank), [
+                            Value::I64(rank as i64),
+                            Value::I64(-2),
+                            Value::F64(-0.0),
+                            Value::F64(0.0),
+                            Value::F64(-f64::NAN),
+                            str("0"),
+                        ]),
+                        cell(2, str(NODES[node]), [
+                            Value::U64(node as u64),
+                            Value::I64(-1),
+                            Value::F64(0.0),
+                            Value::F64(f64::NAN),
+                            str(""),
+                            str("nid00040"),
+                        ]),
+                        cell(3, str(OPS[op]), [
+                            Value::U64(op as u64),
+                            Value::I64(-1),
+                            Value::F64(-0.0),
+                            Value::F64(f64::NAN),
+                            str(""),
+                            str("READ"),
+                        ]),
                         dur,
-                        Value::I64(len),
-                        // Eighths of a second: repeated timestamps are
-                        // common, so the stable sorts are exercised.
-                        Value::F64(1_650_000_000.0 + ts as f64 / 8.0),
+                        cell(4, Value::I64(len), [
+                            Value::U64(len.unsigned_abs()),
+                            Value::F64(len as f64 / 3.0),
+                            Value::F64(-0.0),
+                            Value::F64(f64::NAN),
+                            str("N/A"),
+                            Value::I64(i64::MIN),
+                        ]),
+                        cell(5, Value::F64(t), [
+                            Value::F64(f64::NAN),
+                            Value::F64(-f64::NAN),
+                            Value::U64(t as u64),
+                            Value::I64(t as i64 - 7),
+                            str("N/A"),
+                            str(""),
+                        ]),
                     ]
                 })
                 .collect();

@@ -5,7 +5,9 @@
 //! Run with: `cargo run --release -p repro-suite --example hacc_io_campaign`
 
 use repro_suite::apps::figdata;
-use repro_suite::hpcws::{dashboard, figures};
+use repro_suite::connector::COLUMNS;
+use repro_suite::dsos::Value;
+use repro_suite::hpcws::{dashboard, figures, DataFrame};
 
 fn main() {
     // Five connector-instrumented HACC-IO jobs on Lustre (scaled-down
@@ -28,8 +30,12 @@ fn main() {
 
     // Figure 6: per-node open/close counts for the first two jobs.
     let job_col = repro_suite::connector::schema::column_id("job_id");
-    let two_jobs =
-        df.filter(|row| matches!(row[job_col], repro_suite::dsos::Value::U64(j) if j <= 301));
+    let columns: Vec<&str> = COLUMNS.iter().map(|&(name, _)| name).collect();
+    let rows = df
+        .rows()
+        .iter()
+        .filter(|row| matches!(row[job_col], Value::U64(j) if j <= 301));
+    let two_jobs = DataFrame::new(columns, rows.cloned().collect());
     let per_node = figures::per_node_ops(&two_jobs, &["open", "close"]);
     println!(
         "{}",
