@@ -24,13 +24,16 @@
 //! and the engine only ever looks backwards. Callers replaying a
 //! settled run feed events in virtual-time order.
 
+use darshan_ldms_connector::{schema::col, COLUMNS};
+use dsos_sim::Cells;
 use iosim_util::stats::{change_point, mad, median, robust_z};
 use std::borrow::Cow;
 use std::collections::{btree_map, BTreeMap, BTreeSet};
 use std::fmt;
 
-/// One I/O segment as the detector sees it — the subset of the
-/// 24-column `darshan_data` row the detection algorithms read.
+/// One I/O segment: the fields of a 24-column `darshan_data` row that
+/// the detector and the trace lints read, decoded the same way off the
+/// ingest tap, out of the store, or from a Figure 3 CSV export.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OnlineEvent {
     /// Job the rank belonged to.
@@ -42,6 +45,8 @@ pub struct OnlineEvent {
     pub op: Cow<'static, str>,
     /// File path operated on.
     pub file: String,
+    /// Darshan record id of the file.
+    pub record_id: u64,
     /// Segment length in bytes (`seg_len`; -1 when not applicable).
     pub len: i64,
     /// Segment offset in bytes (`seg_off`; -1 when not applicable).
@@ -50,6 +55,29 @@ pub struct OnlineEvent {
     pub dur: f64,
     /// Segment end timestamp in absolute seconds (`seg_timestamp`).
     pub end: f64,
+}
+
+impl OnlineEvent {
+    /// Decodes one row in `COLUMNS` order, however it is held: the one
+    /// reader of [`col`] positions into an event. Returns `None` when
+    /// the row does not have the 24-column arity or a field read here
+    /// does not decode (`N/A` placeholders from malformed messages).
+    pub fn decode(row: &(impl Cells + ?Sized)) -> Option<Self> {
+        if row.arity() != COLUMNS.len() {
+            return None;
+        }
+        Some(Self {
+            job_id: row.cell(col::JOB_ID).as_u64()?,
+            rank: row.cell(col::RANK).as_u64()?,
+            op: op_name(row.cell(col::OP).as_str()?),
+            file: row.cell(col::FILE).as_str()?.to_string(),
+            record_id: row.cell(col::RECORD_ID).as_u64()?,
+            len: row.cell(col::SEG_LEN).as_i64()?,
+            off: row.cell(col::SEG_OFF).as_i64()?,
+            dur: row.cell(col::SEG_DUR).as_f64()?,
+            end: row.cell(col::SEG_TIMESTAMP).as_f64()?,
+        })
+    }
 }
 
 /// An `op` cell as a decoded event keeps it: the connector's four
@@ -694,6 +722,7 @@ mod tests {
             rank,
             op: op_name(op),
             file: "/scratch/out.dat".to_string(),
+            record_id: 1,
             len: 4 << 20,
             off: 0,
             dur,

@@ -17,10 +17,10 @@
 //! detector-on runs store byte-identical rows, ledgers, and recovery
 //! counters to detector-off runs.
 
-use darshan_ldms_connector::{schema::col, IngestObserver};
+use darshan_ldms_connector::IngestObserver;
 use dsos_sim::Value;
 use hpcws_sim::online::{
-    op_name, report_order, DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent,
+    report_order, DetectionConfig, DiagnosticEvent, OnlineDetector, OnlineEvent,
 };
 use iosim_telemetry::{DetectionRecord, DiagHub, HubEventKind};
 use iosim_time::Epoch;
@@ -29,21 +29,12 @@ use std::cmp::Ordering;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::Arc;
 
-/// Decodes one `darshan_data` row (in `COLUMNS` order) into the
-/// detector's event view. Rows missing a numeric essential (N/A
+/// Decodes one `darshan_data` row of owned cells (in `COLUMNS` order):
+/// [`OnlineEvent::decode`]. Rows missing a numeric essential (N/A
 /// placeholders from malformed messages) are skipped — the trace
 /// lints, not the detector, own impossible-row reporting.
 pub fn row_to_event(row: &[Value]) -> Option<OnlineEvent> {
-    Some(OnlineEvent {
-        job_id: row.get(col::JOB_ID)?.as_u64()?,
-        rank: row.get(col::RANK)?.as_u64()?,
-        op: op_name(row.get(col::OP)?.as_str()?),
-        file: row.get(col::FILE)?.as_str()?.to_string(),
-        len: row.get(col::SEG_LEN)?.as_i64()?,
-        off: row.get(col::SEG_OFF)?.as_i64()?,
-        dur: row.get(col::SEG_DUR)?.as_f64()?,
-        end: row.get(col::SEG_TIMESTAMP)?.as_f64()?,
-    })
+    OnlineEvent::decode(row)
 }
 
 /// The canonical event order the settle-replay oracle uses: virtual
@@ -58,6 +49,24 @@ pub fn event_cmp(a: &OnlineEvent, b: &OnlineEvent) -> Ordering {
         .then_with(|| a.file.cmp(&b.file))
         .then_with(|| a.len.cmp(&b.len))
         .then_with(|| a.off.cmp(&b.off))
+}
+
+/// The settle replay, the one definition of a run's canonical
+/// detection set: stable-sorts `events` by [`event_cmp`] (so exact ties
+/// keep their given order), feeds them through a fresh engine, and
+/// finishes it. Returns the finished engine, for phase queries, and
+/// its detections.
+pub fn settle_replay(
+    mut events: Vec<OnlineEvent>,
+    cfg: DetectionConfig,
+) -> (OnlineDetector, Vec<DiagnosticEvent>) {
+    events.sort_by(event_cmp);
+    let mut engine = OnlineDetector::new(cfg);
+    for e in &events {
+        engine.observe(e);
+    }
+    let detections = engine.finish();
+    (engine, detections)
 }
 
 /// One detection as emitted on the live stream: the finding itself
@@ -118,17 +127,11 @@ struct Pending {
     arrival: usize,
 }
 
-impl Pending {
-    /// The oracle's order: [`event_cmp`], then arrival, which is what
-    /// a stable sort of the events in arrival order yields.
-    fn canonical(&self, other: &Self) -> Ordering {
-        event_cmp(&self.event, &other.event).then_with(|| self.arrival.cmp(&other.arrival))
-    }
-}
-
 impl Ord for Pending {
+    /// The oracle's order reversed: [`event_cmp`], then arrival, which
+    /// is what a stable sort of the events in arrival order yields.
     fn cmp(&self, other: &Self) -> Ordering {
-        other.canonical(self)
+        event_cmp(&other.event, &self.event).then_with(|| other.arrival.cmp(&self.arrival))
     }
 }
 
@@ -146,12 +149,12 @@ impl PartialEq for Pending {
 
 impl Eq for Pending {}
 
-/// The oracle's input sequence: every offered event, fed or pending, in
-/// the canonical order.
-fn settle_order(mut fed: Vec<Pending>, pending: BinaryHeap<Pending>) -> Vec<Pending> {
+/// Every offered event, fed or pending, in arrival order: the settle
+/// replay's input.
+fn arrival_order(mut fed: Vec<Pending>, pending: BinaryHeap<Pending>) -> Vec<OnlineEvent> {
     fed.extend(pending.into_vec());
-    fed.sort_unstable_by(Pending::canonical);
-    fed
+    fed.sort_unstable_by_key(|p| p.arrival);
+    fed.into_iter().map(|p| p.event).collect()
 }
 
 /// The detection tap: an off-path [`IngestObserver`] with **streaming
@@ -305,15 +308,11 @@ impl LiveDetectorTap {
         let st = &mut *st;
         let inrun = std::mem::take(&mut st.live);
         if st.reordered {
-            let all = settle_order(std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
-            let mut oracle = OnlineDetector::new(self.cfg.clone());
-            for p in all {
-                oracle.observe(&p.event);
-            }
-            let detections = oracle.finish();
+            let all = arrival_order(std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
+            let (detector, detections) = settle_replay(all, self.cfg.clone());
             let live = self.reconcile(inrun, &detections, horizon);
             return LiveFinalize {
-                detector: oracle,
+                detector,
                 detections,
                 live,
             };
@@ -393,18 +392,12 @@ impl IngestObserver for LiveDetectorTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use darshan_ldms_connector::COLUMNS;
+    use darshan_ldms_connector::{schema::col, COLUMNS};
+    use hpcws_sim::online::op_name;
 
-    /// The settle-replay oracle, spelled inline: sort by [`event_cmp`],
-    /// replay through a fresh engine, finish.
+    /// The settle-replay oracle at the default config.
     fn oracle(events: &[OnlineEvent]) -> Vec<DiagnosticEvent> {
-        let mut sorted = events.to_vec();
-        sorted.sort_by(event_cmp);
-        let mut engine = OnlineDetector::new(DetectionConfig::default());
-        for e in &sorted {
-            engine.observe(e);
-        }
-        engine.finish()
+        settle_replay(events.to_vec(), DetectionConfig::default()).1
     }
 
     fn row(job: u64, rank: u64, op: &str, dur: f64, end: f64) -> Vec<Value> {
@@ -465,6 +458,7 @@ mod tests {
             rank,
             op: op_name(op),
             file: "/scratch/o.dat".to_string(),
+            record_id: 1,
             len: 1 << 20,
             off: 0,
             dur,
@@ -722,21 +716,21 @@ mod tests {
             tap.offer(e.clone(), Epoch::from_secs(i as u64 + 1));
             assert_eq!(tap.reordered(), i >= 4, "after arrival {i}");
         }
-        let replay: Vec<f64> = {
+        let replayed = {
             let mut st = tap.state.lock();
             let st = &mut *st;
             assert_eq!(st.fed.len(), 3, "three ties were fed before the reorder");
             let (fed, pending) = (std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
-            settle_order(fed, pending)
-                .iter()
-                .map(|p| p.event.dur)
-                .collect()
+            arrival_order(fed, pending)
         };
-        let mut stable = arrivals.to_vec();
+        assert_eq!(
+            replayed, arrivals,
+            "the replay's input is the arrival order"
+        );
+        let mut stable = replayed;
         stable.sort_by(event_cmp);
-        let want: Vec<f64> = stable.iter().map(|e| e.dur).collect();
-        assert_eq!(replay, want);
-        assert_eq!(want, [0.5, 0.1, 0.3, 0.4, 0.6, 0.2]);
+        let order: Vec<f64> = stable.iter().map(|e| e.dur).collect();
+        assert_eq!(order, [0.5, 0.1, 0.3, 0.4, 0.6, 0.2]);
     }
 
     #[test]

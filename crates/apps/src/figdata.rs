@@ -1,11 +1,12 @@
 //! Figure experiments: run the jobs, pull the stored events out of
 //! DSOS, and hand analysis-ready dataframes to `hpcws-sim`.
 
+use crate::detect::{row_to_event, settle_replay};
 use crate::experiment::{run_job, Instrumentation, RunSpec};
 use crate::platform::FsChoice;
 use crate::workloads::{HaccIo, MpiIoTest, Workload};
 use darshan_ldms_connector::{Pipeline, COLUMNS};
-use hpcws_sim::DataFrame;
+use hpcws_sim::{DataFrame, DetectionConfig, DiagnosticEvent};
 use iosim_fs::CongestionWindow;
 use iosim_time::{Epoch, SimDuration};
 
@@ -60,6 +61,32 @@ impl FigureRuns {
             self.job_ids[index],
         )
     }
+}
+
+/// Replays every stored row of a figure campaign through one fleet-wide
+/// detector. Cross-job baselines catch what no single run can: job
+/// 302's reads are *uniformly* slow (its own read history never looks
+/// anomalous to itself), but against the fleet's cached sub-millisecond
+/// reads they are an outlier from the first judged window.
+pub fn fleet_detections(runs: &FigureRuns) -> Vec<DiagnosticEvent> {
+    let mut events = Vec::new();
+    for (&job_id, r) in runs.job_ids.iter().zip(&runs.results) {
+        let p = r.pipeline.as_ref().expect("figure runs store events");
+        events.extend(
+            p.events_of_job(job_id)
+                .iter()
+                .filter_map(|r| row_to_event(r)),
+        );
+    }
+    // Fleet windows are sized so job 302's storm reads (~145 ms each)
+    // still land several per window, while the two calm jobs that ran
+    // before it each contribute a cached-read window to the fleet
+    // baseline — hence the warm-up floor of two windows here.
+    let cfg = DetectionConfig {
+        baseline_min_windows: 2,
+        ..DetectionConfig::default().with_window_s(0.05)
+    };
+    settle_replay(events, cfg).1
 }
 
 /// Figures 5–6 source: five HACC-IO jobs on Lustre with 10 M

@@ -26,10 +26,9 @@
 //! errors. (`--json` / `--table` remain accepted as aliases for
 //! `--format json` / `--format table`.)
 
-use darshan_ldms_connector::COLUMNS;
 use iolint::{
-    check_flow, check_topology, check_trace, effective_workload, parse_conf, ConfError, Diagnostic,
-    LintConfig, Report, TraceEvent, TraceLintOpts,
+    check_flow, check_topology, check_trace, effective_workload, events_from_csv, parse_conf,
+    ConfError, Diagnostic, LintConfig, Report,
 };
 use std::process::ExitCode;
 
@@ -115,35 +114,6 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     })
 }
 
-/// Decodes one trace CSV: 24 fields per row in `COLUMNS` order, with
-/// an optional header row. Returns `(line, reason)` on failure.
-fn read_trace_csv(text: &str) -> Result<Vec<TraceEvent>, (usize, String)> {
-    let mut events = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let fields = iosim_util::csv::decode_row(line);
-        if i == 0 && fields.first().map(String::as_str) == Some(COLUMNS[0].0) {
-            continue; // header row
-        }
-        match TraceEvent::from_csv_fields(&fields) {
-            Some(e) => events.push(e),
-            None => {
-                return Err((
-                    i + 1,
-                    format!(
-                        "expected {} typed fields in schema order, got {}",
-                        COLUMNS.len(),
-                        fields.len()
-                    ),
-                ))
-            }
-        }
-    }
-    Ok(events)
-}
-
 /// A parse failure rendered through the normal diagnostic pipeline, so
 /// `--format json` consumers never have to scrape stderr.
 fn conf_error_report(e: &ConfError, config: &LintConfig) -> Report {
@@ -196,8 +166,8 @@ fn main() -> ExitCode {
                 }
                 Err(e) => conf_error_report(&e, &cli.config),
             },
-            _ => match read_trace_csv(&text) {
-                Ok(events) => check_trace(&events, &TraceLintOpts::default(), &cli.config),
+            _ => match events_from_csv(&text) {
+                Ok(events) => check_trace(&events, &cli.config),
                 Err((line, msg)) => {
                     eprintln!("iolint: {file}:{line}: {msg}");
                     return ExitCode::from(2);

@@ -29,8 +29,8 @@
 //! `detection_live_stream` families). Exits non-zero when any gate
 //! fails.
 
-use hpcws_sim::online::{OnlineDetector, OnlineEvent};
-use iosim_apps::detect::{event_cmp, LiveDetectorTap};
+use hpcws_sim::online::OnlineEvent;
+use iosim_apps::detect::{settle_replay, LiveDetectorTap};
 use iosim_apps::experiment::{Instrumentation, RunResult};
 use iosim_telemetry::{DiagHub, HubEvent, HubEventKind};
 use iosim_time::Epoch;
@@ -248,13 +248,7 @@ impl Rng {
 /// emitted set against a straight settle-replay of the same events.
 fn parity_one(events: &[OnlineEvent], seed: u64) -> Result<(usize, usize), String> {
     // Straight replay: the oracle.
-    let mut sorted: Vec<OnlineEvent> = events.to_vec();
-    sorted.sort_by(event_cmp);
-    let mut oracle = OnlineDetector::new(hpcws_sim::DetectionConfig::default());
-    for e in &sorted {
-        oracle.observe(e);
-    }
-    let want = oracle.finish();
+    let (_, want) = settle_replay(events.to_vec(), hpcws_sim::DetectionConfig::default());
 
     // Live: seeded interleaving across per-rank queues.
     let mut queues: BTreeMap<u64, std::collections::VecDeque<OnlineEvent>> = BTreeMap::new();

@@ -37,10 +37,9 @@ use darshan_ldms_connector::{
     FaultScript, OverloadConfig, Pipeline, QueueConfig, TelemetryConfig, WorkloadSpec,
     DEFAULT_STREAM_TAG,
 };
-use hpcws_sim::online::{OnlineDetector, OnlineEvent};
+use hpcws_sim::online::OnlineDetector;
 use hpcws_sim::{AnomalyKind, DetectionConfig, DiagnosticEvent};
 use iolint::{analyze_flow, FlowReport, Role, TopologySpec};
-use iosim_apps::detect::row_to_event;
 use iosim_apps::experiment::{run_job, Instrumentation, RunSpec};
 use iosim_apps::platform::FsChoice;
 use iosim_apps::workloads::{HaccIo, Hmmer, MpiIoTest, Sw4, Workload};
@@ -414,34 +413,7 @@ fn main() {
     // is tuned to the quick campaign's timescales, so the pass (and
     // its gate) runs in quick mode only.
     let fleet: Vec<DiagnosticEvent> = if opts.quick {
-        let mut events: Vec<OnlineEvent> = Vec::new();
-        for (&job_id, r) in runs.job_ids.iter().zip(&runs.results) {
-            let p = r.pipeline.as_ref().expect("figure runs store events");
-            events.extend(
-                p.events_of_job(job_id)
-                    .iter()
-                    .filter_map(|r| row_to_event(r)),
-            );
-        }
-        events.sort_by(|a, b| {
-            a.end
-                .total_cmp(&b.end)
-                .then_with(|| a.job_id.cmp(&b.job_id))
-                .then_with(|| a.rank.cmp(&b.rank))
-                .then_with(|| a.op.cmp(&b.op))
-                .then_with(|| a.file.cmp(&b.file))
-                .then_with(|| a.len.cmp(&b.len))
-                .then_with(|| a.off.cmp(&b.off))
-        });
-        let cfg = DetectionConfig {
-            baseline_min_windows: 2,
-            ..DetectionConfig::default().with_window_s(0.05)
-        };
-        let mut det = OnlineDetector::new(cfg);
-        for e in &events {
-            det.observe(e);
-        }
-        let fleet = det.finish();
+        let fleet = iosim_apps::figdata::fleet_detections(&runs);
         if !fleet
             .iter()
             .any(|d| d.job_id == 302 && d.kind == AnomalyKind::DurationOutlier && d.op == "read")

@@ -10,9 +10,8 @@
 //! To regenerate after an intentional change:
 //! `UPDATE_GOLDENS=1 cargo test -p repro-bench --test golden_detection`
 
-use hpcws_sim::online::{report_csv, OnlineDetector, OnlineEvent};
+use hpcws_sim::online::{report_csv, OnlineDetector};
 use hpcws_sim::{AnomalyKind, DetectionConfig};
-use iosim_apps::detect::row_to_event;
 use repro_suite::scenario;
 use std::path::PathBuf;
 
@@ -37,47 +36,6 @@ fn check(name: &str, actual: &str) {
     );
 }
 
-/// Replays every stored row of the figure campaign through one
-/// fleet-wide detector. Cross-job baselines catch what no single run
-/// can: job 302's reads are *uniformly* slow (its own read history
-/// never looks anomalous to itself), but against the fleet's cached
-/// sub-millisecond reads they are an outlier from the first judged
-/// window.
-fn fleet_detections(runs: &iosim_apps::figdata::FigureRuns) -> Vec<hpcws_sim::DiagnosticEvent> {
-    let mut events: Vec<OnlineEvent> = Vec::new();
-    for (&job_id, r) in runs.job_ids.iter().zip(&runs.results) {
-        let p = r.pipeline.as_ref().expect("figure runs store events");
-        events.extend(
-            p.events_of_job(job_id)
-                .iter()
-                .filter_map(|r| row_to_event(r)),
-        );
-    }
-    events.sort_by(|a, b| {
-        a.end
-            .total_cmp(&b.end)
-            .then_with(|| a.job_id.cmp(&b.job_id))
-            .then_with(|| a.rank.cmp(&b.rank))
-            .then_with(|| a.op.cmp(&b.op))
-            .then_with(|| a.file.cmp(&b.file))
-            .then_with(|| a.len.cmp(&b.len))
-            .then_with(|| a.off.cmp(&b.off))
-    });
-    // Fleet windows are sized so job 302's storm reads (~145 ms each)
-    // still land several per window, while the two calm jobs that ran
-    // before it each contribute a cached-read window to the fleet
-    // baseline — hence the warm-up floor of two windows here.
-    let cfg = DetectionConfig {
-        baseline_min_windows: 2,
-        ..DetectionConfig::default().with_window_s(0.05)
-    };
-    let mut det = OnlineDetector::new(cfg);
-    for e in &events {
-        det.observe(e);
-    }
-    det.finish()
-}
-
 #[test]
 fn mpi_io_detection_reports_are_byte_stable() {
     // The Figure 7–9 campaign (job 2 carries the injected congestion
@@ -100,7 +58,7 @@ fn mpi_io_detection_reports_are_byte_stable() {
 
     // The fleet pass flags the read anomaly the per-run detectors
     // structurally cannot see.
-    let fleet = fleet_detections(&runs);
+    let fleet = iosim_apps::figdata::fleet_detections(&runs);
     assert!(
         fleet
             .iter()

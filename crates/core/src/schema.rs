@@ -44,11 +44,11 @@ pub const COLUMNS: [(&str, Type); 24] = [
     ("seg_timestamp", Type::F64),
 ];
 
-/// Positions in [`COLUMNS`] of the fields the per-row decoders (the
-/// detector tap's `row_to_event`, iolint's `TraceEvent::decode`)
-/// read, so the ingest and lint paths index a row directly instead of
-/// scanning the name table per field. A unit test pins each to
-/// [`column_id`].
+/// Positions in [`COLUMNS`] of the fields the per-row decoders read —
+/// the one event decoder, `hpcws_sim::online::OnlineEvent::decode`,
+/// which the detector tap and the trace lints share — so they index a
+/// row directly instead of scanning the name table per field. A unit
+/// test pins each to [`column_id`].
 pub mod col {
     pub const MODULE: usize = 0;
     pub const PRODUCER_NAME: usize = 2;

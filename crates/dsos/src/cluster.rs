@@ -966,6 +966,7 @@ impl DsosCluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Cells;
     use crate::value::Type;
 
     fn schema() -> Arc<Schema> {
@@ -1858,12 +1859,10 @@ mod tests {
             cl.scan_at("rt", "time", Scan::Prefix(&[]), ms(5_000), |row| {
                 let values = row.to_values();
                 assert_eq!(values.len(), row.len());
+                assert_eq!(row.arity(), values.arity());
                 for (i, v) in values.iter().enumerate() {
                     assert_eq!(exact(&row.get(i).to_owned()), exact(v));
-                    assert_eq!(row.u64(i), v.as_u64());
-                    assert_eq!(row.i64(i), v.as_i64());
-                    assert_eq!(row.f64(i).map(f64::to_bits), v.as_f64().map(f64::to_bits));
-                    assert_eq!(row.str(i), v.as_str());
+                    assert_eq!(exact(&row.cell(i).to_owned()), exact(&values.cell(i).to_owned()));
                 }
             });
         }

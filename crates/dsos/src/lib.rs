@@ -11,7 +11,8 @@
 //!   total order;
 //! * [`schema`] — schema definition and object construction/validation;
 //! * [`row`] — the stored row layout: one word per attribute, strings
-//!   interned per container, read in place through a [`RowRef`];
+//!   interned per container, read in place through a [`RowRef`], and
+//!   [`Cells`], the one cell reader over a stored row or a slice of cells;
 //! * [`store`] — one `dsosd`: partitions, objects, joint indices;
 //! * [`replication`] — shard maps, crash schedules, write quorums, and
 //!   exact completeness accounting for degraded queries;
@@ -34,7 +35,7 @@ pub use replication::{
     BatchAck, Completeness, CsvImportReport, IngestAck, ReplicationConfig, ShardHealth, ShardMap,
     StoreError,
 };
-pub use row::RowRef;
+pub use row::{Cells, RowRef};
 pub use schema::{AttrDef, Schema};
 pub use store::{Dsosd, Scan};
 pub use value::{AsValueRef, Type, Value, ValueRef};

@@ -8,7 +8,7 @@
 //! [`RowRef::to_values`] turns one back into owned [`Value`]s.
 
 use crate::schema::Schema;
-use crate::value::{Type, Value, ValueRef};
+use crate::value::{AsValueRef, Type, Value, ValueRef};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
@@ -125,26 +125,6 @@ impl<'a> RowRef<'a> {
             .unwrap_or_else(|| ValueRef::Str(self.symbols.text(word)))
     }
 
-    /// Cell `i` as [`Value::as_u64`] reads it.
-    pub fn u64(&self, i: usize) -> Option<u64> {
-        self.get(i).as_u64()
-    }
-
-    /// Cell `i` as [`Value::as_i64`] reads it.
-    pub fn i64(&self, i: usize) -> Option<i64> {
-        self.get(i).as_i64()
-    }
-
-    /// Cell `i` as [`Value::as_f64`] reads it.
-    pub fn f64(&self, i: usize) -> Option<f64> {
-        self.get(i).as_f64()
-    }
-
-    /// Cell `i` as [`Value::as_str`] reads it.
-    pub fn str(&self, i: usize) -> Option<&'a str> {
-        self.get(i).as_str()
-    }
-
     /// The row as owned values: the one place a stored row becomes
     /// [`Value`]s.
     pub fn to_values(&self) -> Vec<Value> {
@@ -154,6 +134,37 @@ impl<'a> RowRef<'a> {
     /// The stored words, for copying a row onto another replica.
     pub(crate) fn words(&self) -> &'a [u64] {
         self.words
+    }
+}
+
+/// A row read a cell at a time, however it is held: a stored row in
+/// place, or a slice of cells — owned [`Value`]s, or the [`ValueRef`]s
+/// of a CSV line parsed as their columns' types — so one decoder serves
+/// every source.
+pub trait Cells {
+    /// Number of cells.
+    fn arity(&self) -> usize;
+    /// Cell `i`, borrowed.
+    fn cell(&self, i: usize) -> ValueRef<'_>;
+}
+
+impl Cells for RowRef<'_> {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, i: usize) -> ValueRef<'_> {
+        self.get(i)
+    }
+}
+
+impl<T: AsValueRef> Cells for [T] {
+    fn arity(&self) -> usize {
+        self.len()
+    }
+
+    fn cell(&self, i: usize) -> ValueRef<'_> {
+        self[i].as_value_ref()
     }
 }
 

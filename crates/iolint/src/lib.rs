@@ -69,8 +69,8 @@ pub use topology::{
     TopologySpec,
 };
 pub use trace::{
-    events_from_cluster, lint_detection_latency, lint_detections, lint_gaps, lint_latency_budget,
-    lint_trace, LossBudget, TraceEvent, TraceLintOpts,
+    events_from_cluster, events_from_csv, lint_detection_latency, lint_detections, lint_gaps,
+    lint_latency_budget, lint_trace, LossBudget, TraceLintOpts,
 };
 
 use darshan_ldms_connector::Pipeline;
@@ -113,15 +113,15 @@ pub fn check_flow(
 /// Runs the trace pass over a slice of decoded events (no gap
 /// reconciliation — use [`lint_gaps`] separately when a ledger is
 /// available).
-pub fn check_trace(events: &[TraceEvent], opts: &TraceLintOpts, config: &LintConfig) -> Report {
-    Report::new(lint_trace(events, opts), config)
+pub fn check_trace(events: &[hpcws_sim::OnlineEvent], config: &LintConfig) -> Report {
+    Report::new(lint_trace(events), config)
 }
 
 /// Post-run check of an assembled pipeline: lints every stored event
 /// and reconciles the store's sequence gaps against the pipeline's
-/// delivery ledger.
-pub fn check_pipeline_trace(p: &Pipeline, opts: &TraceLintOpts, config: &LintConfig) -> Report {
-    Report::new(trace::lint_pipeline_trace(p, opts), config)
+/// delivery ledger. [`TraceLintOpts`] has nothing to set.
+pub fn check_pipeline_trace(p: &Pipeline, _opts: &TraceLintOpts, config: &LintConfig) -> Report {
+    Report::new(trace::lint_pipeline_trace(p), config)
 }
 
 /// Advisory latency-budget check (`TRC009`) over a run's sampled

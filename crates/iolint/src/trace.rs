@@ -1,7 +1,7 @@
 //! The trace pass: linting stored `darshan_data` rows.
 //!
-//! Operates on [`TraceEvent`]s decoded from DSOS query results or from
-//! an exported Figure 3 CSV. Lints cover structural integrity
+//! Operates on [`OnlineEvent`]s decoded from the stored rows or from an
+//! exported Figure 3 CSV. Lints cover structural integrity
 //! (unmatched open/close, negative or overlapping durations,
 //! non-monotonic timestamps), delivery integrity (sequence gaps the
 //! [`DeliveryLedger`](ldms_sim::ledger::DeliveryLedger) cannot
@@ -17,146 +17,72 @@
 //! index-sorted rows. All other lints sort by timestamp themselves.
 
 use crate::diag::{self, Diagnostic};
-use darshan_ldms_connector::{schema::col, GapReport, Pipeline, COLUMNS, CONTAINER};
-use dsos_sim::{DsosCluster, RowRef, Scan, ValueRef};
-use hpcws_sim::online;
+use darshan_ldms_connector::{GapReport, Pipeline, COLUMNS, CONTAINER};
+use dsos_sim::{DsosCluster, Scan, ValueRef};
+use hpcws_sim::online::{self, OnlineEvent};
 use ldms_sim::ledger::LossRecord;
-use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
-/// One I/O segment row, decoded from the 24-column schema: the fields
-/// the lints read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
-    /// Job the rank belonged to.
-    pub job_id: u64,
-    /// MPI rank.
-    pub rank: u64,
-    /// Operation (`open`, `close`, `read`, `write`), as
-    /// [`online::op_name`] decodes it.
-    pub op: Cow<'static, str>,
-    /// File path operated on.
-    pub file: String,
-    /// Darshan record id of the file.
-    pub record_id: u64,
-    /// Segment length in bytes (`seg_len`; -1 when not applicable).
-    pub len: i64,
-    /// Segment offset in bytes (`seg_off`; -1 when not applicable).
-    pub off: i64,
-    /// Segment duration in seconds (`seg_dur`).
-    pub dur: f64,
-    /// Segment end timestamp in seconds (`seg_timestamp`).
-    pub end: f64,
-}
-
-impl TraceEvent {
-    /// When the operation started.
-    pub(crate) fn start(&self) -> f64 {
-        self.end - self.dur
-    }
-
-    /// Decodes a 24-column row, however it is held. Returns `None` when
-    /// the row does not have the 24-column arity or a typed field does
-    /// not decode.
-    fn decode(row: &impl Cells) -> Option<Self> {
-        if row.len() != COLUMNS.len() {
-            return None;
-        }
-        Some(Self {
-            job_id: row.cell(col::JOB_ID).as_u64()?,
-            rank: row.cell(col::RANK).as_u64()?,
-            op: online::op_name(row.cell(col::OP).as_str()?),
-            file: row.cell(col::FILE).as_str()?.to_string(),
-            record_id: row.cell(col::RECORD_ID).as_u64()?,
-            len: row.cell(col::SEG_LEN).as_i64()?,
-            off: row.cell(col::SEG_OFF).as_i64()?,
-            dur: row.cell(col::SEG_DUR).as_f64()?,
-            end: row.cell(col::SEG_TIMESTAMP).as_f64()?,
-        })
-    }
-
-    /// Decodes one line of a Figure 3 CSV export (24 fields in
-    /// `COLUMNS` order). Returns `None` on arity or type mismatch.
-    pub fn from_csv_fields(fields: &[String]) -> Option<Self> {
-        if fields.len() != COLUMNS.len() {
-            return None;
-        }
-        let row: Option<Vec<ValueRef<'_>>> = COLUMNS
-            .iter()
-            .zip(fields)
-            .map(|(&(_, ty), f)| ValueRef::parse(ty, f))
-            .collect();
-        Self::decode(&row?)
-    }
-}
-
-/// One Table I row read a cell at a time: a stored row in place, or the
-/// fields of a CSV line parsed as their columns' types.
-trait Cells {
-    fn len(&self) -> usize;
-    fn cell(&self, i: usize) -> ValueRef<'_>;
-}
-
-impl Cells for RowRef<'_> {
-    fn len(&self) -> usize {
-        RowRef::len(self)
-    }
-
-    fn cell(&self, i: usize) -> ValueRef<'_> {
-        self.get(i)
-    }
-}
-
-impl Cells for Vec<ValueRef<'_>> {
-    fn len(&self) -> usize {
-        self.as_slice().len()
-    }
-
-    fn cell(&self, i: usize) -> ValueRef<'_> {
-        self[i]
-    }
-}
-
 /// Reads every stored event from a cluster, in `job_rank_time` index
-/// order, decoding each row where it is stored.
-pub fn events_from_cluster(cluster: &DsosCluster) -> Vec<TraceEvent> {
+/// order, decoding each row where it is stored. The lint reads the
+/// store, not the ingest tap: rows the schema rejects, and rows written
+/// while every replica of their shard was down, reach the tap but are
+/// not part of the stored trace this pass certifies.
+pub fn events_from_cluster(cluster: &DsosCluster) -> Vec<OnlineEvent> {
     let mut events = Vec::new();
     cluster.scan(CONTAINER, "job_rank_time", Scan::Prefix(&[]), |row| {
-        events.extend(TraceEvent::decode(&row));
+        events.extend(OnlineEvent::decode(&row));
     });
     events
 }
 
-/// Tunables for the anti-pattern lints.
-#[derive(Debug, Clone)]
-pub struct TraceLintOpts {
-    /// Offset alignment boundary in bytes (`TRC007`).
-    pub alignment: i64,
-    /// Writes strictly shorter than this count as "tiny" (`TRC007`).
-    pub tiny_write_len: i64,
-    /// Minimum tiny unaligned writes per file before `TRC007` fires.
-    pub tiny_write_min: usize,
-    /// A rank is a straggler when its I/O time exceeds the job median
-    /// by this factor (`TRC008`).
-    pub straggler_factor: f64,
-    /// Minimum ranks in a job before `TRC008` is considered.
-    pub straggler_min_ranks: usize,
-    /// Slack for floating-point timestamp comparisons.
-    pub time_tolerance: f64,
-}
-
-impl Default for TraceLintOpts {
-    fn default() -> Self {
-        Self {
-            alignment: online::ALIGNMENT,
-            tiny_write_len: online::TINY_WRITE_LEN,
-            tiny_write_min: online::TINY_WRITE_MIN,
-            straggler_factor: online::STRAGGLER_FACTOR,
-            straggler_min_ranks: online::STRAGGLER_MIN_RANKS,
-            time_tolerance: 1e-9,
+/// Decodes a Figure 3 CSV export: 24 fields per line in `COLUMNS`
+/// order, each parsed as its column's type. Blank lines are skipped,
+/// and the first non-blank line is skipped too when it is the header.
+/// Returns `(line, reason)` for the first line that does not decode.
+pub fn events_from_csv(text: &str) -> Result<Vec<OnlineEvent>, (usize, String)> {
+    let mut events = Vec::new();
+    let mut first = true;
+    for (i, line) in text.lines().enumerate() {
+        if line.trim().is_empty() {
+            continue;
+        }
+        let fields = iosim_util::csv::decode_row(line);
+        if std::mem::take(&mut first) && fields.first().map(String::as_str) == Some(COLUMNS[0].0) {
+            continue; // header row
+        }
+        let cells: Option<Vec<ValueRef<'_>>> = fields
+            .iter()
+            .enumerate()
+            .map(|(col, f)| ValueRef::parse(COLUMNS.get(col)?.1, f))
+            .collect();
+        match cells.as_deref().and_then(OnlineEvent::decode) {
+            Some(e) => events.push(e),
+            None => {
+                return Err((
+                    i + 1,
+                    format!(
+                        "expected {} typed fields in schema order, got {}",
+                        COLUMNS.len(),
+                        fields.len()
+                    ),
+                ))
+            }
         }
     }
+    Ok(events)
 }
+
+/// The anti-pattern lints' thresholds, which are the detector's
+/// ([`online::ALIGNMENT`] and the rest), and the slack of every
+/// timestamp comparison. There is nothing to set: the type survives
+/// only because [`check_pipeline_trace`](crate::check_pipeline_trace)'s
+/// signature takes it.
+#[derive(Debug, Clone, Default)]
+pub struct TraceLintOpts {}
+
+/// Slack for floating-point timestamp comparisons.
+const TIME_TOLERANCE: f64 = 1e-9;
 
 fn subject(job_id: u64, rank: u64) -> String {
     format!("job {job_id} rank {rank}")
@@ -165,12 +91,12 @@ fn subject(job_id: u64, rank: u64) -> String {
 /// Runs every trace-structure and anti-pattern lint (`TRC001`–`TRC005`,
 /// `TRC007`, `TRC008`) over the events, which must be in source order
 /// (file order for CSV, index order for store queries).
-pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic> {
+pub fn lint_trace(events: &[OnlineEvent]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let tol = opts.time_tolerance;
+    let tol = TIME_TOLERANCE;
 
     // Group by (job, rank), preserving input order within each group.
-    let mut groups: BTreeMap<(u64, u64), Vec<&TraceEvent>> = BTreeMap::new();
+    let mut groups: BTreeMap<(u64, u64), Vec<&OnlineEvent>> = BTreeMap::new();
     for e in events {
         groups.entry((e.job_id, e.rank)).or_default().push(e);
     }
@@ -196,7 +122,7 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
         }
 
         // The remaining structural lints want timeline order.
-        let mut timeline: Vec<&TraceEvent> = group.clone();
+        let mut timeline: Vec<&OnlineEvent> = group.clone();
         timeline.sort_by(|a, b| a.end.total_cmp(&b.end));
 
         // TRC003 — negative or non-finite durations, per event.
@@ -223,7 +149,7 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
         let mut prev_end = f64::NEG_INFINITY;
         for e in &timeline {
             if e.dur >= 0.0 && e.dur.is_finite() {
-                if e.start() + tol < prev_end {
+                if e.end - e.dur + tol < prev_end {
                     overlaps += 1;
                 }
                 prev_end = prev_end.max(e.end);
@@ -294,15 +220,15 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
         for e in &timeline {
             if e.op == "write"
                 && e.len >= 0
-                && e.len < opts.tiny_write_len
+                && e.len < online::TINY_WRITE_LEN
                 && e.off >= 0
-                && e.off % opts.alignment != 0
+                && e.off % online::ALIGNMENT != 0
             {
                 *tiny.entry(e.file.as_str()).or_default() += 1;
             }
         }
         for (file, n) in tiny {
-            if n >= opts.tiny_write_min {
+            if n >= online::TINY_WRITE_MIN {
                 diags.push(
                     Diagnostic::new(
                         &diag::TRC007,
@@ -310,7 +236,8 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
                         format!(
                             "{n} writes to `{file}` are shorter than {} bytes and not aligned \
                              to {} bytes",
-                            opts.tiny_write_len, opts.alignment
+                            online::TINY_WRITE_LEN,
+                            online::ALIGNMENT
                         ),
                     )
                     .with_help("batch small writes or align them to the file-system block size"),
@@ -331,7 +258,7 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
         }
     }
     for (job_id, by_rank) in per_job {
-        if by_rank.len() < opts.straggler_min_ranks {
+        if by_rank.len() < online::STRAGGLER_MIN_RANKS {
             continue;
         }
         let mut times: Vec<f64> = by_rank.values().copied().collect();
@@ -344,7 +271,7 @@ pub fn lint_trace(events: &[TraceEvent], opts: &TraceLintOpts) -> Vec<Diagnostic
             .iter()
             .max_by(|a, b| a.1.total_cmp(b.1))
             .expect("non-empty rank map");
-        if worst >= opts.straggler_factor * median {
+        if worst >= online::STRAGGLER_FACTOR * median {
             diags.push(
                 Diagnostic::new(
                     &diag::TRC008,
@@ -458,9 +385,9 @@ pub fn lint_gaps(gaps: &[GapReport], budget: &mut LossBudget) -> Vec<Diagnostic>
 /// Runs the full trace pass over an assembled pipeline: decodes every
 /// stored event, lints the trace, and reconciles sequence gaps against
 /// the pipeline's own ledger.
-pub(crate) fn lint_pipeline_trace(p: &Pipeline, opts: &TraceLintOpts) -> Vec<Diagnostic> {
+pub(crate) fn lint_pipeline_trace(p: &Pipeline) -> Vec<Diagnostic> {
     let events = events_from_cluster(p.cluster());
-    let mut diags = lint_trace(&events, opts);
+    let mut diags = lint_trace(&events);
     let producers: Vec<String> = p
         .network()
         .daemons()
@@ -572,8 +499,8 @@ mod tests {
         off: i64,
         dur: f64,
         end: f64,
-    ) -> TraceEvent {
-        TraceEvent {
+    ) -> OnlineEvent {
+        OnlineEvent {
             job_id: 7,
             rank: 0,
             op: online::op_name(op),
@@ -593,25 +520,43 @@ mod tests {
             ev("write", "/out.dat", 1, 1 << 20, 0, 0.010, 1.5),
             ev("close", "/out.dat", 1, -1, -1, 0.001, 2.0),
         ];
-        assert!(lint_trace(&events, &TraceLintOpts::default()).is_empty());
+        assert!(lint_trace(&events).is_empty());
     }
+
+    /// One Figure 3 CSV line: a 4 KiB write at 12.25–12.5 s.
+    const LINE: &str = "POSIX,1000,nid00040,0,/out.dat,3,0,42,/bin/app,4095,reg,7,write,1,\
+                        8192,-1,0.25,4096,-1,-1,-1,N/A,-1,12.5";
 
     #[test]
     fn csv_round_trip_decodes() {
-        let fields: Vec<String> = [
-            "POSIX", "1000", "nid00040", "0", "/out.dat", "3", "0", "42", "/bin/app", "4095",
-            "reg", "7", "write", "1", "8192", "-1", "0.25", "4096", "-1", "-1", "-1", "N/A", "-1",
-            "12.5",
-        ]
-        .iter()
-        .map(|s| (*s).to_string())
-        .collect();
-        let e = TraceEvent::from_csv_fields(&fields).unwrap();
+        let events = events_from_csv(LINE).unwrap();
+        let e = &events[0];
         assert_eq!(e.rank, 3);
         assert_eq!(e.record_id, 42);
         assert_eq!(e.op, "write");
-        assert!((e.start() - 12.25).abs() < 1e-12);
-        assert!(TraceEvent::from_csv_fields(&fields[..23]).is_none());
+        assert!((e.end - e.dur - 12.25).abs() < 1e-12);
+        let short = &LINE[..LINE.rfind(',').unwrap()];
+        let long = format!("{LINE},1");
+        for (bad, got) in [(short, 23), (long.as_str(), 25)] {
+            let want = format!("expected 24 typed fields in schema order, got {got}");
+            assert_eq!(events_from_csv(bad), Err((1, want)));
+        }
+    }
+
+    /// The header is the first non-blank line, wherever it sits; a
+    /// header-like line after data is a bad row.
+    #[test]
+    fn csv_header_may_follow_blank_lines() {
+        let header: Vec<&str> = COLUMNS.iter().map(|&(name, _)| name).collect();
+        let header = header.join(",");
+        let events = events_from_csv(&format!("\n  \n{header}\n{LINE}\n\n{LINE}\n")).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(
+            events_from_csv(&format!("{LINE}\n{header}\n"))
+                .unwrap_err()
+                .0,
+            2
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! nothing.
 
 use darshan_ldms_connector::{Pipeline, PipelineOpts, DEFAULT_STREAM_TAG};
+use hpcws_sim::OnlineEvent;
 use iolint::{
     check_flow, check_pipeline_topology, check_pipeline_trace, check_topology, lint_gaps,
-    parse_conf, LintConfig, LossBudget, Report, TraceEvent, TraceLintOpts,
+    parse_conf, LintConfig, LossBudget, Report, TraceLintOpts,
 };
 use iosim_time::{Epoch, SimDuration};
 use ldms_sim::{FaultScript, MsgFormat, StreamMessage};
@@ -190,8 +191,8 @@ fn lint_config_can_silence_a_fixture() {
 // ---------------------------------------------------------------------
 // Trace fixtures (constructed events — one per code).
 
-fn ev(rank: u64, op: &str, record_id: u64, len: i64, off: i64, dur: f64, end: f64) -> TraceEvent {
-    TraceEvent {
+fn ev(rank: u64, op: &str, record_id: u64, len: i64, off: i64, dur: f64, end: f64) -> OnlineEvent {
+    OnlineEvent {
         job_id: 7,
         rank,
         op: op.to_string().into(),
@@ -204,8 +205,8 @@ fn ev(rank: u64, op: &str, record_id: u64, len: i64, off: i64, dur: f64, end: f6
     }
 }
 
-fn trace_codes(events: &[TraceEvent]) -> Vec<&'static str> {
-    iolint::check_trace(events, &TraceLintOpts::default(), &LintConfig::new())
+fn trace_codes(events: &[OnlineEvent]) -> Vec<&'static str> {
+    iolint::check_trace(events, &LintConfig::new())
         .codes()
         .into_iter()
         .collect()
@@ -267,7 +268,7 @@ fn trc005_non_monotonic_input_order() {
 
 #[test]
 fn trc007_tiny_unaligned_writes() {
-    let events: Vec<TraceEvent> = (0..10)
+    let events: Vec<OnlineEvent> = (0..10)
         .map(|i| {
             ev(
                 0,
@@ -285,7 +286,7 @@ fn trc007_tiny_unaligned_writes() {
 
 #[test]
 fn trc008_rank_straggler() {
-    let events: Vec<TraceEvent> = (0..4)
+    let events: Vec<OnlineEvent> = (0..4)
         .map(|rank| {
             let dur = if rank == 3 { 1.0 } else { 0.1 };
             ev(rank, "read", 1, 1 << 20, 0, dur, 5.0)

@@ -161,6 +161,8 @@ const CONGESTION_FACTOR: f64 = 6.0;
 /// Tiny-write burst: events per affected window (above the detector's
 /// `TINY_WRITE_MIN` of 8).
 const TINY_PER_WINDOW: u64 = 10;
+/// Every scenario event is on one file, so on one Darshan record.
+const SCENARIO_RECORD_ID: u64 = 1;
 
 /// Generates the labeled scenario for one anomaly class.
 pub fn generate(class: AnomalyClass, cfg: &ScenarioConfig) -> Scenario {
@@ -233,6 +235,7 @@ pub fn generate(class: AnomalyClass, cfg: &ScenarioConfig) -> Scenario {
                     rank,
                     op: op.into(),
                     file: "/scratch/scenario.dat".to_string(),
+                    record_id: SCENARIO_RECORD_ID,
                     len: block,
                     off: block * i64::try_from(w * cfg.events_per_window + i).unwrap_or(0),
                     dur,
@@ -253,6 +256,7 @@ pub fn generate(class: AnomalyClass, cfg: &ScenarioConfig) -> Scenario {
                     rank: tiny_rank,
                     op: "write".into(),
                     file: "/scratch/scenario.dat".to_string(),
+                    record_id: SCENARIO_RECORD_ID,
                     len: 512,
                     off: 4096 * i64::try_from(k).unwrap_or(0) + 13,
                     dur: 0.01,

@@ -24,7 +24,7 @@ mod fault_common;
 
 use fault_common::{base_epoch, check_invariants, check_no_duplicate_rows, node_names, Outcome};
 use iolint::{check_latency_budget, LintConfig};
-use repro_suite::apps::detect::{event_cmp, LiveDetectorTap};
+use repro_suite::apps::detect::{settle_replay, LiveDetectorTap};
 use repro_suite::apps::experiment::{run_job, Instrumentation, RunResult, RunSpec};
 use repro_suite::apps::figdata::estimate_write_phase_s;
 use repro_suite::apps::platform::FsChoice;
@@ -38,7 +38,7 @@ use repro_suite::darshan::hooks::{EventSink, IoEvent};
 use repro_suite::darshan::runtime::JobMeta;
 use repro_suite::darshan::{ModuleId, OpKind};
 use repro_suite::dsos::Value;
-use repro_suite::hpcws::online::{OnlineDetector, OnlineEvent};
+use repro_suite::hpcws::online::OnlineEvent;
 use repro_suite::hpcws::DetectionConfig;
 use repro_suite::ldms::SimRng;
 use repro_suite::scenario;
@@ -1073,13 +1073,7 @@ fn corpus_interleavings_preserve_live_settle_parity() {
     for seed in [1u64, 7, 42] {
         for sc in scenario::corpus(seed) {
             // Straight replay: the oracle.
-            let mut sorted: Vec<OnlineEvent> = sc.events.clone();
-            sorted.sort_by(event_cmp);
-            let mut oracle = OnlineDetector::new(DetectionConfig::default());
-            for e in &sorted {
-                oracle.observe(e);
-            }
-            let want = oracle.finish();
+            let (_, want) = settle_replay(sc.events.clone(), DetectionConfig::default());
 
             // Live: seeded interleaving across per-rank queues.
             let mut queues: BTreeMap<u64, VecDeque<OnlineEvent>> = BTreeMap::new();
