@@ -54,6 +54,17 @@ use std::sync::{Arc, OnceLock};
 /// scheduled fault has played out.
 const END_OF_TIME: Epoch = Epoch::from_nanos(u64::MAX);
 
+/// An arrival slot of a daemon that does not hold the row.
+const NOT_HELD: u64 = u64::MAX;
+
+/// The arrival slot of a row that reached a daemon at `t`. The last
+/// instant is kept as the one before it, which is [`NOT_HELD`]'s: the
+/// two compare alike against every crash instant but the last, and a
+/// daemon takes no arrival at the instant it crashes.
+fn arrival(t: Epoch) -> u64 {
+    t.as_nanos().min(NOT_HELD - 1)
+}
+
 /// Per-row replication record.
 #[derive(Debug, Clone, Copy)]
 struct RowMeta {
@@ -76,11 +87,12 @@ struct ContainerRepl {
     /// a push keeps the order.
     rows: Vec<RowMeta>,
     /// `replicas` slots per row, parallel to `rows`: when the row
-    /// arrived (ingest, rebuild or repair instant) on each daemon of
-    /// its shard's replica set, in `ShardMap::replicas_of` order. A
-    /// daemon "holds" a row iff its slot is set; crash replay clears
-    /// slots, restart replay and read repair set them.
-    arrivals: Vec<Option<Epoch>>,
+    /// arrived (ingest, rebuild or repair instant, see [`arrival`]) on
+    /// each daemon of its shard's replica set, in
+    /// `ShardMap::replicas_of` order. A daemon "holds" a row iff its
+    /// slot is not [`NOT_HELD`]; crash replay clears slots, restart
+    /// replay and read repair set them.
+    arrivals: Vec<u64>,
     replicas: usize,
     acked_per_shard: Vec<u64>,
     /// The container's strings: a `Str` cell is stored as its id here.
@@ -122,16 +134,19 @@ impl ContainerRepl {
         self.rows.binary_search_by_key(&rid, |meta| meta.rid).ok()
     }
 
-    /// The daemons of row `i`'s replica set, each with when the row
-    /// arrived there (`None`: that daemon does not hold it).
+    /// The daemons of row `i`'s replica set, each with whether it
+    /// holds the row.
     fn copies<'a>(
         &'a self,
         map: &'a ShardMap,
         i: usize,
-    ) -> impl Iterator<Item = (usize, Option<Epoch>)> + 'a {
+    ) -> impl Iterator<Item = (usize, bool)> + 'a {
         let peers = map.replicas_of(self.rows[i].shard as usize);
         let held = &self.arrivals[i * self.replicas..][..self.replicas];
-        peers.iter().copied().zip(held.iter().copied())
+        peers
+            .iter()
+            .copied()
+            .zip(held.iter().map(|&arr| arr != NOT_HELD))
     }
 
     /// Row `i`'s arrival slot on daemon `d`, if `d` hosts its shard.
@@ -144,14 +159,14 @@ impl ContainerRepl {
     fn holds(&self, map: &ShardMap, rid: u64, d: usize) -> bool {
         self.find(rid)
             .and_then(|i| self.slot(map, i, d))
-            .is_some_and(|slot| self.arrivals[slot].is_some())
+            .is_some_and(|slot| self.arrivals[slot] != NOT_HELD)
     }
 
     /// Rows at least one daemon holds.
     fn held_rows(&self) -> usize {
         self.arrivals
             .chunks(self.replicas)
-            .filter(|held| held.iter().any(Option::is_some))
+            .filter(|held| held.iter().any(|&arr| arr != NOT_HELD))
             .count()
     }
 
@@ -357,7 +372,10 @@ impl DsosCluster {
                     for cr in repl.values_mut() {
                         for i in 0..cr.rows.len() {
                             if let Some(slot) = cr.slot(&self.map, i, *d) {
-                                cr.arrivals[slot] = cr.arrivals[slot].filter(|arr| arr >= at);
+                                let arr = &mut cr.arrivals[slot];
+                                if *arr < at.as_nanos() {
+                                    *arr = NOT_HELD;
+                                }
                             }
                         }
                     }
@@ -459,8 +477,8 @@ impl DsosCluster {
                 };
                 let source = cr
                     .copies(&self.map, i)
-                    .any(|(p, held)| p != d && held.is_some() && schedules[p].is_up(at));
-                if cr.arrivals[slot].is_some() || !source {
+                    .any(|(p, held)| p != d && held && schedules[p].is_up(at));
+                if cr.arrivals[slot] != NOT_HELD || !source {
                     continue;
                 }
                 // Copy the words from any peer that physically has the
@@ -475,7 +493,7 @@ impl DsosCluster {
                         dest.insert_tagged(meta.rid, &words);
                     }
                 }
-                cr.arrivals[slot] = Some(at);
+                cr.arrivals[slot] = arrival(at);
                 rebuilt += 1;
             }
         }
@@ -491,7 +509,7 @@ impl DsosCluster {
             for (i, _) in cr.rows.iter().enumerate().filter(|(_, meta)| meta.quorum) {
                 let lagging = cr
                     .copies(&self.map, i)
-                    .filter(|&(d, held)| held.is_none() && schedules[d].is_up(at));
+                    .filter(|&(d, held)| !held && schedules[d].is_up(at));
                 lag += lagging.count() as u64;
             }
         }
@@ -535,16 +553,22 @@ impl DsosCluster {
         let peers = self.map.replicas_of(shard);
         let first = cr.arrivals.len();
         reserve_frugally(&mut cr.arrivals, peers.len());
-        cr.arrivals
-            .extend(peers.iter().map(|&d| schedules[d].is_up(t).then_some(t)));
+        let slot = |&d: &usize| {
+            if schedules[d].is_up(t) {
+                arrival(t)
+            } else {
+                NOT_HELD
+            }
+        };
+        cr.arrivals.extend(peers.iter().map(slot));
         let held = &cr.arrivals[first..];
-        let acked = held.iter().flatten().count();
+        let acked = held.iter().filter(|&&arr| arr != NOT_HELD).count();
         let words = &mut cr.words;
         words.clear();
         let cells = obj.iter().map(AsValueRef::as_value_ref).enumerate();
         words.extend(cells.map(|(col, v)| encode(v, col, &mut cr.symbols)));
-        for (&d, held) in peers.iter().zip(held) {
-            if held.is_some() {
+        for (&d, &arr) in peers.iter().zip(held) {
+            if arr != NOT_HELD {
                 cr.shards[d].insert_tagged(rid, words);
             }
         }
@@ -572,17 +596,6 @@ impl DsosCluster {
     /// cluster the instant is irrelevant).
     pub fn ingest(&self, container: &str, obj: Vec<Value>) -> Result<IngestAck, StoreError> {
         self.ingest_at(container, obj, Epoch::from_nanos(0))
-    }
-
-    /// Ingests a batch at instant `t`: [`ingest_rows_at`](Self::ingest_rows_at)
-    /// over owned rows.
-    pub fn ingest_batch_at(
-        &self,
-        container: &str,
-        objs: Vec<Vec<Value>>,
-        t: Epoch,
-    ) -> Result<BatchAck, StoreError> {
-        self.ingest_rows_at(container, &objs, t)
     }
 
     /// Ingests rows at instant `t`, each read as borrowed cells
@@ -616,16 +629,6 @@ impl DsosCluster {
             }
         }
         Ok(ack)
-    }
-
-    /// Ingests a batch at virtual time zero.
-    #[cfg(test)]
-    pub(crate) fn ingest_batch(
-        &self,
-        container: &str,
-        objs: Vec<Vec<Value>>,
-    ) -> Result<BatchAck, StoreError> {
-        self.ingest_batch_at(container, objs, Epoch::from_nanos(0))
     }
 
     /// Distinct logical rows stored in a container (replica copies
@@ -712,8 +715,8 @@ impl DsosCluster {
                 // the live replicas of its shard that lack it.
                 if let Some((cr, i)) = degraded.and_then(|cr| Some((cr, cr.find(rid)?))) {
                     for (d, held) in cr.copies(&self.map, i) {
-                        if live[d] && held.is_none() {
-                            plan.push((d, rid, row.words().to_vec()));
+                        if live[d] && !held {
+                            plan.push((d, rid, row.words()));
                         }
                     }
                 }
@@ -830,14 +833,14 @@ impl DsosCluster {
                 // Re-check under the write lock: a concurrent query may
                 // have repaired it already (idempotent).
                 let slot = cr.find(rid).and_then(|i| cr.slot(&self.map, i, d));
-                let Some(slot) = slot.filter(|&slot| cr.arrivals[slot].is_none()) else {
+                let Some(slot) = slot.filter(|&slot| cr.arrivals[slot] == NOT_HELD) else {
                     continue;
                 };
                 let dest = &cr.shards[d];
                 if !dest.has_rid(rid) {
                     dest.insert_tagged(rid, &words);
                 }
-                cr.arrivals[slot] = Some(at);
+                cr.arrivals[slot] = arrival(at);
                 repaired += 1;
             }
         }
@@ -886,9 +889,7 @@ impl DsosCluster {
         let shards = self.map.shard_count();
         let mut reachable_per_shard = vec![0u64; shards];
         for (i, meta) in cr.rows.iter().enumerate().filter(|(_, meta)| meta.quorum) {
-            let reachable = cr
-                .copies(&self.map, i)
-                .any(|(d, held)| live[d] && held.is_some());
+            let reachable = cr.copies(&self.map, i).any(|(d, held)| live[d] && held);
             if reachable {
                 reachable_per_shard[meta.shard as usize] += 1;
             }
@@ -983,6 +984,15 @@ mod tests {
         vec![Value::U64(job), Value::U64(rank), Value::F64(t)]
     }
 
+    fn at0() -> Epoch {
+        Epoch::from_nanos(0)
+    }
+
+    /// A batch of no rows.
+    fn none() -> [Vec<Value>; 0] {
+        []
+    }
+
     #[test]
     fn ingest_hash_shards_deterministically() {
         let cl = DsosCluster::new(4);
@@ -1027,14 +1037,19 @@ mod tests {
         let cl = DsosCluster::new(3);
         cl.create_container("darshan", &schema());
         let batch: Vec<_> = (0..10).map(|t| obj(1, t, t as f64)).collect();
-        let ack = cl.ingest_batch("darshan", batch).unwrap();
+        let ack = cl.ingest_rows_at("darshan", &batch, at0()).unwrap();
         assert_eq!((ack.accepted, ack.quorum_acked, ack.rejected), (10, 10, 0));
         assert_eq!(cl.object_count("darshan"), 10);
         // A mixed batch accepts the good rows and counts the bad.
         let mixed = vec![obj(1, 0, 10.0), vec![Value::U64(1)], obj(1, 0, 11.0)];
-        let ack = cl.ingest_batch("darshan", mixed).unwrap();
+        let ack = cl.ingest_rows_at("darshan", &mixed, at0()).unwrap();
         assert_eq!((ack.accepted, ack.rejected), (2, 1));
-        assert_eq!(cl.ingest_batch("darshan", Vec::new()).unwrap().accepted, 0);
+        assert_eq!(
+            cl.ingest_rows_at("darshan", none(), at0())
+                .unwrap()
+                .accepted,
+            0
+        );
         let rows = cl.query_prefix("darshan", "job_rank_time", &[Value::U64(1)]);
         assert_eq!(rows.len(), 12);
     }
@@ -1044,9 +1059,11 @@ mod tests {
         let cl = DsosCluster::new(2);
         let err = cl.ingest("nope", obj(1, 0, 0.0)).unwrap_err();
         assert_eq!(err, StoreError::NoSuchContainer("nope".into()));
-        let err = cl.ingest_batch("nope", vec![obj(1, 0, 0.0)]).unwrap_err();
+        let err = cl
+            .ingest_rows_at("nope", [obj(1, 0, 0.0)], at0())
+            .unwrap_err();
         assert_eq!(err, StoreError::NoSuchContainer("nope".into()));
-        let err = cl.ingest_batch("nope", Vec::new()).unwrap_err();
+        let err = cl.ingest_rows_at("nope", none(), at0()).unwrap_err();
         assert_eq!(err, StoreError::NoSuchContainer("nope".into()));
     }
 
@@ -1865,6 +1882,125 @@ mod tests {
                     assert_eq!(exact(&row.cell(i).to_owned()), exact(&values.cell(i).to_owned()));
                 }
             });
+        }
+    }
+
+    /// `(daemon, from, duration)` of a down window, in ms: about the
+    /// instant the shard that takes most rows seals its first chunk,
+    /// and short enough that it still takes more than a chunk.
+    type Window = (usize, u64, u64);
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(20))]
+
+        #[test]
+        fn sealed_chunks_round_trip_bit_for_bit(
+            shape in (1usize..4, 0usize..3, 1_600usize..1_900),
+            seed in any::<u64>(),
+            windows in prop::collection::vec((0usize..3, 700u64..1_300, 20u64..200), 1..3),
+            queries in prop::collection::vec((0usize..3, 0usize..3, 0usize..4, any::<u64>()), 2..8),
+        ) {
+            let (n, r_draw, count) = shape;
+            let r = if n == 1 || r_draw == 0 { 1 } else { 2 };
+            let ms = |ms: u64| Epoch::from_nanos(ms * 1_000_000);
+            let schema = round_trip_schema();
+            // Row `i` is written at `i` ms, so the windows and the query
+            // instants below straddle the first seal.
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ state >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ z >> 31
+            };
+            let rows: Vec<Vec<Value>> = (0..count)
+                .map(|i| {
+                    let mut row: Vec<Value> = schema
+                        .attrs()
+                        .iter()
+                        .map(|attr| round_trip_cell(attr.ty, next(), i))
+                        .collect();
+                    // One job throughout: a column constant in every
+                    // chunk. Mostly rank 0: one shard takes most rows.
+                    row[0] = Value::U64(1);
+                    let draw = next();
+                    row[1] = Value::U64(if draw % 32 == 0 { draw % 4 } else { 0 });
+                    // Every bit of `x` drawn: a column spanning all 64.
+                    row[5] = Value::F64(f64::from_bits(next()));
+                    // In half the cases `delta` holds small numbers of
+                    // both signs, which pack narrow in signed order only.
+                    if seed % 2 == 0 {
+                        row[3] = Value::I64(next() as i64 % 300);
+                    }
+                    row
+                })
+                .collect();
+            let build = |windows: &[Window]| {
+                let cfg = ReplicationConfig::new(r).with_quorum(1);
+                let cl = DsosCluster::new_replicated(n, cfg).unwrap();
+                cl.create_container("rt", &schema);
+                for &(d, from, dur) in windows {
+                    cl.crash_dsosd(d % n, ms(from));
+                    cl.restart_dsosd(d % n, ms(from + dur));
+                }
+                let acks: Vec<IngestAck> = rows
+                    .iter()
+                    .enumerate()
+                    .map(|(i, row)| cl.ingest_at("rt", row.clone(), ms(i as u64)).unwrap())
+                    .collect();
+                (cl, acks)
+            };
+            let ((oracle, _), (scanned, acks)) = (build(&windows), build(&windows));
+            prop_assert!((0..n).any(|d| scanned.daemon(d).object_count() > 1024));
+            // Query instants: before, inside and after each window, and
+            // after the schedule.
+            let instants: Vec<u64> = windows
+                .iter()
+                .flat_map(|&(_, from, dur)| [from - 1, from + dur / 2, from + dur, from + dur + 200])
+                .chain([count as u64 + 100])
+                .collect();
+            let run_queries = |recovered: bool| -> Result<(), String> {
+                for &(index, kind, len, draw) in &queries {
+                    let def = &schema.indices()[index];
+                    let key = |pick: u64| -> Vec<Value> {
+                        let row = &rows[pick as usize % rows.len()];
+                        def.attrs.iter().take(len).map(|&i| row[i].clone()).collect()
+                    };
+                    let (from, to) = (key(draw), key(draw >> 20));
+                    let scan = if kind == 0 { Scan::Prefix(&from) } else { Scan::Range(&from, &to) };
+                    let at = ms(instants[(draw >> 40) as usize % instants.len()]);
+                    let want = oracle.oracle_query_at("rt", &def.name, scan, at);
+                    let got = match scan {
+                        Scan::Prefix(p) => scanned.query_prefix_at("rt", &def.name, p, at),
+                        Scan::Range(f, t) => scanned.query_range_at("rt", &def.name, f, t, at),
+                    };
+                    prop_assert_eq!(printed(&got), printed(&want), "{:?} on {}, recovered {}", scan, def.name, recovered);
+                }
+                Ok(())
+            };
+            run_queries(false).unwrap();
+            oracle.recover(ms(10_000));
+            scanned.recover(ms(10_000));
+            run_queries(true).unwrap();
+            prop_assert_eq!(scanned.read_repair_count(), oracle.read_repair_count());
+            // Every copy of every row, sealed or not, fetches as the
+            // words it was ingested as.
+            let repl = scanned.repl.read();
+            let symbols = &repl["rt"].symbols;
+            for (row, ack) in rows.iter().zip(&acks) {
+                for d in 0..n {
+                    let Some(words) = scanned.daemon(d).get_container("rt").unwrap().fetch_by_rid(ack.rid) else {
+                        continue;
+                    };
+                    for ((cell, &word), attr) in row.iter().zip(&words).zip(schema.attrs()) {
+                        let (bits, text) = exact(cell);
+                        match attr.ty {
+                            Type::Str => prop_assert_eq!(symbols.text(word), text),
+                            _ => prop_assert_eq!(word, bits),
+                        }
+                    }
+                }
+            }
         }
     }
 }

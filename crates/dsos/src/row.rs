@@ -1,11 +1,12 @@
-//! The stored row layout: one fixed-width word per attribute, strings
-//! interned once per container.
+//! The stored row layout: one word per attribute, strings interned once
+//! per container, words packed by column once a chunk of rows is full.
 //!
 //! A `U64` cell is stored as is, an `I64` as its bits, an `F64` as
 //! `to_bits()` (so `-0.0` and NaN payloads come back bit for bit) and a
-//! `Str` as the id of its text in the container's [`Symbols`]. A scan
-//! reads a stored row in place through a [`RowRef`]; only
-//! [`RowRef::to_values`] turns one back into owned [`Value`]s.
+//! `Str` as the id of its text in the container's [`Symbols`]. Where a
+//! word sits in its row's bytes, and at what width, is its [`Column`]'s
+//! business. A scan reads a stored row in place through a [`RowRef`];
+//! only [`RowRef::to_values`] turns one back into owned [`Value`]s.
 
 use crate::schema::Schema;
 use crate::value::{AsValueRef, Type, Value, ValueRef};
@@ -63,7 +64,7 @@ impl Symbols {
     }
 
     /// The text of symbol `id`.
-    fn text(&self, id: u64) -> &str {
+    pub(crate) fn text(&self, id: u64) -> &str {
         &self.texts[id as usize]
     }
 }
@@ -89,6 +90,37 @@ pub(crate) fn number(ty: Type, word: u64) -> Option<ValueRef<'static>> {
     })
 }
 
+/// Where one column's words sit in the rows of a chunk, frame-of-
+/// reference coded: a word is the column's `base` plus the little-endian
+/// number, `mask` wide, that starts `offset` bytes into its row. A word
+/// kept whole has base 0 and an all-ones mask.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Column {
+    pub(crate) base: u64,
+    mask: u64,
+    pub(crate) offset: usize,
+}
+
+impl Column {
+    /// A column of `width` bytes (0, 1, 2, 4 or 8) at `offset`.
+    pub(crate) fn new(base: u64, width: usize, offset: usize) -> Self {
+        Self {
+            base,
+            mask: u64::MAX.checked_shr(64 - 8 * width as u32).unwrap_or(0),
+            offset,
+        }
+    }
+
+    /// The column's word in `row`: the bytes from the row's start to
+    /// the end of its chunk, which holds eight bytes from any `offset`.
+    #[inline]
+    pub(crate) fn word(&self, row: &[u8]) -> u64 {
+        let bytes = row[self.offset..self.offset + 8].try_into();
+        let cell = u64::from_le_bytes(bytes.expect("eight bytes"));
+        self.base.wrapping_add(cell & self.mask)
+    }
+}
+
 /// One stored row, read in place: what a scan hands its visitor. Cells
 /// borrow from the shard and the container's symbols for as long as the
 /// scan holds them. Rows order as their `[Value]` slices do.
@@ -96,31 +128,39 @@ pub(crate) fn number(ty: Type, word: u64) -> Option<ValueRef<'static>> {
 pub struct RowRef<'a> {
     schema: &'a Schema,
     symbols: &'a Symbols,
-    words: &'a [u64],
+    /// One column per attribute.
+    columns: &'a [Column],
+    row: &'a [u8],
 }
 
 impl<'a> RowRef<'a> {
-    pub(crate) fn new(schema: &'a Schema, symbols: &'a Symbols, words: &'a [u64]) -> Self {
+    pub(crate) fn new(
+        schema: &'a Schema,
+        symbols: &'a Symbols,
+        columns: &'a [Column],
+        row: &'a [u8],
+    ) -> Self {
         Self {
             schema,
             symbols,
-            words,
+            columns,
+            row,
         }
     }
 
     /// Number of cells.
     pub fn len(&self) -> usize {
-        self.words.len()
+        self.columns.len()
     }
 
     /// True for a row of no cells.
     pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
+        self.columns.is_empty()
     }
 
     /// Cell `i`, borrowed.
     pub fn get(&self, i: usize) -> ValueRef<'a> {
-        let word = self.words[i];
+        let word = self.columns[i].word(self.row);
         number(self.schema.attrs()[i].ty, word)
             .unwrap_or_else(|| ValueRef::Str(self.symbols.text(word)))
     }
@@ -131,9 +171,10 @@ impl<'a> RowRef<'a> {
         (0..self.len()).map(|i| self.get(i).to_owned()).collect()
     }
 
-    /// The stored words, for copying a row onto another replica.
-    pub(crate) fn words(&self) -> &'a [u64] {
-        self.words
+    /// The stored words, decoded, for copying a row onto another
+    /// replica.
+    pub(crate) fn words(&self) -> Vec<u64> {
+        self.columns.iter().map(|c| c.word(self.row)).collect()
     }
 }
 

@@ -1,7 +1,7 @@
 //! One `dsosd` storage daemon: containers, partitions, joint indices.
 
 use crate::replication::NO_RID;
-use crate::row::{RowRef, Symbols};
+use crate::row::{Column, RowRef, Symbols};
 use crate::schema::{IndexDef, IndexKey, Schema};
 use crate::value::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
@@ -67,55 +67,129 @@ pub(crate) fn reserve_frugally<T>(v: &mut Vec<T>, additional: usize) {
 /// Rows a chunk of a shard's rows holds once full.
 const CHUNK_ROWS: usize = 1024;
 
-/// Every row of a shard, by [`RowNo`]: `stride` words each, the row id
-/// then one word per attribute, in chunks of [`CHUNK_ROWS`] rows, so a
-/// row never moves once written and growth never copies what is there.
-/// Only the first chunk grows, doubling up to full size, so a short
-/// shard stays small.
+/// A chunk of a shard's rows, row-major: `row_bytes` bytes a row, each
+/// row the row id then one word per attribute, placed as `columns` say.
+struct Chunk {
+    columns: Vec<Column>,
+    row_bytes: usize,
+    bytes: Vec<u8>,
+}
+
+impl Chunk {
+    /// Row `at`'s id, its attributes' columns, and its bytes onward.
+    fn get(&self, at: usize) -> (u64, &[Column], &[u8]) {
+        let row = &self.bytes[at * self.row_bytes..];
+        (self.columns[0].word(row), &self.columns[1..], row)
+    }
+
+    /// This full chunk, whose words are whole, packed: each column at
+    /// the narrowest width of 0, 1, 2, 4 or 8 bytes that holds its words
+    /// less their least, which becomes its base. The least is taken in
+    /// unsigned or in signed order, whichever leaves the smaller span,
+    /// so a column of small numbers and −1s packs as narrow as one of
+    /// small numbers alone. Eight bytes of padding let every cell read
+    /// as one eight-byte load.
+    fn seal(&self) -> Chunk {
+        const SIGN: u64 = 1 << 63;
+        let rows = || self.bytes.chunks_exact(self.row_bytes);
+        // Per column, least and most in unsigned order, then in signed
+        // order with the sign bit flipped, so both compare unsigned.
+        let mut bounds = vec![[u64::MAX, 0, u64::MAX, 0]; self.columns.len()];
+        for row in rows() {
+            for (word, [lo, hi, signed_lo, signed_hi]) in whole(row).zip(&mut bounds) {
+                (*lo, *hi) = ((*lo).min(word), (*hi).max(word));
+                let flipped = word ^ SIGN;
+                (*signed_lo, *signed_hi) = ((*signed_lo).min(flipped), (*signed_hi).max(flipped));
+            }
+        }
+        let mut row_bytes = 0;
+        let columns: Vec<Column> = bounds
+            .iter()
+            .map(|&[lo, hi, signed_lo, signed_hi]| {
+                let (base, span) = if signed_hi - signed_lo < hi - lo {
+                    (signed_lo ^ SIGN, signed_hi - signed_lo)
+                } else {
+                    (lo, hi - lo)
+                };
+                let fits = |width: &usize| span >> (8 * width) == 0;
+                let width = [0, 1, 2, 4].into_iter().find(fits).unwrap_or(8);
+                row_bytes += width;
+                Column::new(base, width, row_bytes - width)
+            })
+            .collect();
+        // Each cell is written whole: its bytes past its width are zero,
+        // and the next cell, or the padding, takes their place.
+        let mut bytes = vec![0; CHUNK_ROWS * row_bytes + 8];
+        for (at, row) in rows().enumerate() {
+            for (word, col) in whole(row).zip(&columns) {
+                let cell = word.wrapping_sub(col.base).to_le_bytes();
+                bytes[at * row_bytes + col.offset..][..8].copy_from_slice(&cell);
+            }
+        }
+        Chunk {
+            columns,
+            row_bytes,
+            bytes,
+        }
+    }
+}
+
+/// The words of a row kept whole, in column order.
+fn whole(row: &[u8]) -> impl Iterator<Item = u64> + '_ {
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("eight bytes"));
+    row.chunks_exact(8).map(word)
+}
+
+/// Every row of a shard, by [`RowNo`], in chunks of [`CHUNK_ROWS`] rows,
+/// so a row never moves once written and growth never copies what is
+/// there. The active chunk keeps every word whole; once full it is
+/// sealed — packed into a chunk of its own — and emptied for the next
+/// rows. It grows to full size by doubling, so a short shard stays
+/// small.
 struct Rows {
-    stride: usize,
-    chunks: Vec<Vec<u64>>,
+    sealed: Vec<Chunk>,
+    active: Chunk,
 }
 
 impl Rows {
     fn new(stride: usize) -> Self {
         Self {
-            stride,
-            chunks: Vec::new(),
+            sealed: Vec::new(),
+            active: Chunk {
+                columns: (0..stride).map(|c| Column::new(0, 8, 8 * c)).collect(),
+                row_bytes: 8 * stride,
+                bytes: Vec::new(),
+            },
         }
     }
 
     fn len(&self) -> usize {
-        self.chunks.last().map_or(0, |last| {
-            (self.chunks.len() - 1) * CHUNK_ROWS + last.len() / self.stride
-        })
+        self.sealed.len() * CHUNK_ROWS + self.active.bytes.len() / self.active.row_bytes
     }
 
     fn push(&mut self, rid: u64, words: &[u64]) {
-        let full = self.stride * CHUNK_ROWS;
-        if self.chunks.last().is_none_or(|last| last.len() == full) {
-            let size = if self.chunks.is_empty() {
-                self.stride
-            } else {
-                full
-            };
-            self.chunks.push(Vec::with_capacity(size));
+        let active = &mut self.active;
+        let (len, full) = (active.bytes.len(), active.row_bytes * CHUNK_ROWS);
+        if active.bytes.capacity() == len {
+            active
+                .bytes
+                .reserve_exact(len.clamp(active.row_bytes, full - len));
         }
-        let last = self.chunks.last_mut().expect("a chunk with room");
-        if last.capacity() == last.len() {
-            last.reserve_exact(last.len().min(full - last.len()));
+        active.bytes.resize(len + active.row_bytes, 0);
+        let cells = active.bytes[len..].chunks_exact_mut(8);
+        for (cell, word) in cells.zip(std::iter::once(&rid).chain(words)) {
+            cell.copy_from_slice(&word.to_le_bytes());
         }
-        last.push(rid);
-        last.extend_from_slice(words);
+        if active.bytes.len() == full {
+            self.sealed.push(active.seal());
+            active.bytes.clear();
+        }
     }
 
-    /// Row `row`'s id and words.
-    fn get(&self, row: RowNo) -> (u64, &[u64]) {
+    /// Row `row`'s id, its attributes' columns, and its bytes onward.
+    fn get(&self, row: RowNo) -> (u64, &[Column], &[u8]) {
         let (chunk, at) = (row as usize / CHUNK_ROWS, row as usize % CHUNK_ROWS);
-        let (rid, words) = self.chunks[chunk][at * self.stride..][..self.stride]
-            .split_first()
-            .expect("a row holds its id");
-        (*rid, words)
+        self.sealed.get(chunk).unwrap_or(&self.active).get(at)
     }
 }
 
@@ -208,8 +282,8 @@ impl ContainerShard {
     /// (anti-entropy source path).
     pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<u64>> {
         let st = self.state.read();
-        let row = *st.by_rid.get(&rid)?;
-        Some(st.rows.get(row).1.to_vec())
+        let (_, columns, row) = st.rows.get(*st.by_rid.get(&rid)?);
+        Some(columns.iter().map(|c| c.word(row)).collect())
     }
 
     /// Whether this shard physically holds a row id.
@@ -342,8 +416,8 @@ impl ShardRead<'_> {
         self.state.indices[self.pos]
             .between(range)
             .map(move |(key, row)| {
-                let (rid, words) = rows.get(row);
-                (key, RowRef::new(schema, symbols, words), rid)
+                let (rid, columns, row) = rows.get(row);
+                (key, RowRef::new(schema, symbols, columns, row), rid)
             })
     }
 }
@@ -370,8 +444,8 @@ impl ContainerShard {
         let st = self.state.read();
         let mut out: Vec<TaggedRow> = (0..st.rows.len() as RowNo)
             .map(|row| {
-                let (rid, words) = st.rows.get(row);
-                let obj = RowRef::new(&self.schema, symbols, words).to_values();
+                let (rid, columns, row) = st.rows.get(row);
+                let obj = RowRef::new(&self.schema, symbols, columns, row).to_values();
                 (self.schema.key_for(def, &obj), rid, obj)
             })
             .filter(|(key, _, _)| match scan {
@@ -572,15 +646,29 @@ mod tests {
 
     #[test]
     fn rows_read_back_across_chunks() {
-        let mut rows = Rows::new(3);
+        let minus_one_or = |i: u64| if i % 3 == 0 { u64::MAX } else { i };
+        let words = |i: u64| {
+            let hashed = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            [i << 20, 7, hashed, minus_one_or(i)]
+        };
+        let mut rows = Rows::new(5);
         let n = 2 * CHUNK_ROWS as u64 + 5;
         for i in 0..n {
-            rows.push(i, &[2 * i, 2 * i + 1]);
+            rows.push(i, &words(i));
         }
         assert_eq!(rows.len() as u64, n);
-        assert!(rows.chunks.iter().all(|c| c.capacity() <= 3 * CHUNK_ROWS));
+        assert_eq!(rows.active.bytes.capacity(), 5 * 8 * CHUNK_ROWS);
+        // Sealed: row ids in two bytes, shifted words in four, the
+        // constant in none, hashed ones whole, −1s among small numbers
+        // in two; the padding and no more.
+        for chunk in &rows.sealed {
+            assert_eq!(chunk.row_bytes, 2 + 4 + 8 + 2);
+            assert_eq!(chunk.bytes.capacity(), 16 * CHUNK_ROWS + 8);
+        }
         for i in 0..n {
-            assert_eq!(rows.get(i as RowNo), (i, &[2 * i, 2 * i + 1][..]));
+            let (rid, columns, row) = rows.get(i as RowNo);
+            let got: Vec<u64> = columns.iter().map(|c| c.word(row)).collect();
+            assert_eq!((rid, &got[..]), (i, &words(i)[..]));
         }
     }
 
