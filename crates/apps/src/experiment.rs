@@ -5,7 +5,7 @@ use crate::stack::DarshanStack;
 use crate::workloads::Workload;
 use darshan_ldms_connector::{
     Completeness, ConnectorConfig, DarshanConnector, DeliveryMode, LatencySummary, Pipeline,
-    PipelineOpts, RecoveryReport, TelemetryConfig, DEFAULT_STREAM_TAG,
+    PipelineOpts, RecoveryReport, TelemetryConfig,
 };
 use darshan_sim::log::write_log;
 use darshan_sim::runtime::JobMeta;
@@ -285,12 +285,7 @@ pub fn run_job(app: &dyn Workload, spec: &RunSpec) -> RunResult {
     // Pre-flight: statically validate the topology (including the
     // chaos script's downtime windows) before a single message flows.
     let topology_report = pipeline.as_ref().map_or_else(iolint::Report::default, |p| {
-        check_pipeline_topology(
-            p,
-            DEFAULT_STREAM_TAG,
-            &spec.pipeline.faults,
-            &LintConfig::new(),
-        )
+        check_pipeline_topology(p, &LintConfig::new())
     });
 
     let job = JobMeta::new(spec.job_id, 99_066, app.exe(), app.ranks());

@@ -34,17 +34,17 @@
 //! exposition — the CI `telemetry-smoke` job gates on this binary.
 
 use darshan_ldms_connector::{
-    FaultScript, OverloadConfig, Pipeline, QueueConfig, TelemetryConfig, WorkloadSpec,
-    DEFAULT_STREAM_TAG,
+    OverloadConfig, Pipeline, QueueConfig, TelemetryConfig, WorkloadSpec,
 };
 use hpcws_sim::online::OnlineDetector;
 use hpcws_sim::{AnomalyKind, DetectionConfig, DiagnosticEvent};
-use iolint::{analyze_flow, FlowReport, Role, TopologySpec};
+use iolint::{analyze_flow, pipeline_spec, DaemonConf, FlowReport};
 use iosim_apps::experiment::{run_job, Instrumentation, RunSpec};
 use iosim_apps::platform::FsChoice;
 use iosim_apps::workloads::{HaccIo, Hmmer, MpiIoTest, Sw4, Workload};
 use iosim_telemetry::{HistogramSnapshot, HopKind, LatencySummary, Metric};
 use iosim_util::table::TextTable;
+use ldms_sim::DaemonRole;
 use repro_bench::HarnessOpts;
 use repro_suite::scenario;
 use std::collections::BTreeMap;
@@ -194,19 +194,19 @@ fn ms(ns: u64) -> String {
 /// run must stay inside; storms are bursty and only get the floor
 /// printed, not gated.
 fn static_bounds(p: &Pipeline, messages: u64, msg_rate: f64) -> FlowReport {
-    let mut spec = TopologySpec::from_pipeline(p, DEFAULT_STREAM_TAG, &FaultScript::new());
+    let mut spec = pipeline_spec(p);
     let samplers = spec
+        .graph
         .daemons
         .iter()
-        .filter(|d| d.role == Role::Sampler)
+        .filter(|d| d.role == DaemonRole::Sampler)
         .count()
         .max(1);
     let per_sampler = (msg_rate / samplers as f64).max(1e-9);
-    for d in &mut spec.daemons {
-        if d.role == Role::Sampler {
-            d.rate_hz = Some(per_sampler);
-        }
-    }
+    spec.set_sampler_conf(DaemonConf {
+        rate_hz: Some(per_sampler),
+        ..DaemonConf::default()
+    });
     let duration = messages as f64 / msg_rate.max(1e-9);
     let w = WorkloadSpec::new(duration).with_default_rate(per_sampler);
     analyze_flow(&spec, Some(&w))

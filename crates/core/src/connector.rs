@@ -378,7 +378,7 @@ mod tests {
     use darshan_sim::{ModuleId, OpKind};
     use iosim_time::{Epoch, SimDuration};
     use ldms_sim::stream::BufferSink;
-    use ldms_sim::NetworkOpts;
+    use ldms_sim::Topology;
 
     fn event(op: OpKind, clock: &mut Clock) -> IoEvent {
         let start = clock.time_pair();
@@ -403,10 +403,10 @@ mod tests {
     }
 
     fn setup(config: ConnectorConfig) -> (Arc<DarshanConnector>, Arc<BufferSink>, Clock) {
-        let net = Arc::new(LdmsNetwork::build(
-            &["nid00040".to_string()],
-            &NetworkOpts::default(),
-        ));
+        let net = Arc::new(
+            LdmsNetwork::build(&Topology::paper(&["nid00040".to_string()], false), None)
+                .expect("the paper graph builds"),
+        );
         let sink = BufferSink::new();
         net.l2().subscribe(DEFAULT_STREAM_TAG, sink.clone());
         let job = JobMeta::new(1, 10, "/apps/x", 1);
@@ -566,10 +566,10 @@ mod tests {
 
     #[test]
     fn deferred_mode_stages_messages_until_injected() {
-        let net = Arc::new(LdmsNetwork::build(
-            &["nid00040".to_string()],
-            &NetworkOpts::default(),
-        ));
+        let net = Arc::new(
+            LdmsNetwork::build(&Topology::paper(&["nid00040".to_string()], false), None)
+                .expect("the paper graph builds"),
+        );
         let sink = BufferSink::new();
         let cfg = ConnectorConfig {
             delivery: DeliveryMode::Deferred,

@@ -13,8 +13,8 @@ use dsos_sim::{Completeness, DsosCluster, ReplicationConfig, Value};
 use iosim_telemetry::{Telemetry, TelemetryConfig};
 use iosim_time::Epoch;
 use ldms_sim::{
-    DeliveryLedger, FaultScript, FaultSpec, LdmsNetwork, NetworkOpts, OverloadConfig, QueueConfig,
-    RecoveryReport, WalConfig,
+    DeliveryLedger, FaultScript, FaultSpec, LdmsNetwork, OverloadConfig, QueueConfig,
+    RecoveryReport, Topology, WalConfig,
 };
 use std::sync::Arc;
 
@@ -74,6 +74,7 @@ impl Default for PipelineOpts {
 
 /// The assembled monitoring pipeline.
 pub struct Pipeline {
+    topology: Topology,
     network: Arc<LdmsNetwork>,
     cluster: Arc<DsosCluster>,
     store: Arc<DsosStreamStore>,
@@ -87,20 +88,24 @@ impl Pipeline {
     /// control, the replicated DSOS cluster, and the chaos schedule.
     pub fn build_with(node_names: &[String], opts: &PipelineOpts) -> Self {
         let telemetry = opts.telemetry.map(Telemetry::new);
-        let network = Arc::new(LdmsNetwork::build(
-            node_names,
-            &NetworkOpts {
-                queue: opts.queue.clone(),
-                standby_l1: opts.standby_l1,
-                wal: opts.wal.clone(),
-                telemetry: telemetry.clone(),
-                overload: opts.overload.clone(),
-                faults: opts.faults.clone(),
-            },
-        ));
+        let paper = Topology::paper(node_names, opts.standby_l1);
+        let mut topology = Topology {
+            faults: opts.faults.clone(),
+            ..paper.with_hops(&opts.queue, opts.wal.as_ref(), opts.overload.as_ref())
+        };
+        if opts.attach_store {
+            let l2 = topology.resolve("l2").expect("the paper graph has an L2");
+            topology.daemons[l2]
+                .subscribers
+                .push(DEFAULT_STREAM_TAG.to_string());
+        }
+        let network = Arc::new(
+            LdmsNetwork::build(&topology, telemetry.as_ref())
+                .unwrap_or_else(|e| panic!("the paper graph builds: {e}")),
+        );
         let cluster = DsosCluster::new_replicated(opts.dsosd_count, opts.replication)
             .unwrap_or_else(|e| panic!("invalid pipeline replication policy: {e}"));
-        for spec in opts.faults.specs() {
+        for spec in topology.faults.specs() {
             match spec {
                 FaultSpec::CrashDsosd { daemon, at } => {
                     if let Some(i) = cluster.resolve_daemon(daemon) {
@@ -123,10 +128,13 @@ impl Pipeline {
         if let Some(tel) = &telemetry {
             cluster.attach_telemetry(tel);
         }
-        if opts.attach_store {
-            network.l2().subscribe(DEFAULT_STREAM_TAG, store.clone());
+        for (daemon, spec) in network.daemons().iter().zip(&topology.daemons) {
+            for tag in &spec.subscribers {
+                daemon.subscribe(tag, store.clone());
+            }
         }
         Self {
+            topology,
             network,
             cluster,
             store,
@@ -138,6 +146,11 @@ impl Pipeline {
     /// (when enabled via [`PipelineOpts::telemetry`]).
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
         self.telemetry.as_ref()
+    }
+
+    /// The daemon graph and fault script the pipeline was built from.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 
     /// The LDMS aggregation network.

@@ -89,21 +89,6 @@ impl DarshanPosix {
         Ok(h)
     }
 
-    /// Sequential write at the handle cursor.
-    #[cfg(test)]
-    pub(crate) fn write(
-        &self,
-        io: &mut IoCtx,
-        h: &mut PosixHandle,
-        len: u64,
-    ) -> FsResult<OpTiming> {
-        let off = h.inner.cursor();
-        let t = self.fs.write(io, &mut h.inner, len)?;
-        h.cnt += 1;
-        self.fire(io, h, OpKind::Write, Some(off), Some(len), &t);
-        Ok(t)
-    }
-
     /// `fsync` analogue.
     pub(crate) fn flush(&self, io: &mut IoCtx, h: &mut PosixHandle) -> FsResult<OpTiming> {
         let t = self.fs.flush(io, &mut h.inner)?;
@@ -233,19 +218,6 @@ mod tests {
         assert_eq!(c.bytes_written, 200);
         assert_eq!(c.max_byte_written, 199);
         assert!(c.f_write_time > 0.0);
-    }
-
-    #[test]
-    fn sequential_helpers_report_cursor_offsets() {
-        let (posix, sink, mut io) = setup();
-        let mut h = posix
-            .open_instrumented(&mut io, "/s.dat", true, true, false)
-            .unwrap();
-        posix.write(&mut io, &mut h, 10).unwrap();
-        posix.write(&mut io, &mut h, 10).unwrap();
-        let evs = sink.take();
-        assert_eq!(evs[1].offset, 0);
-        assert_eq!(evs[2].offset, 10);
     }
 
     #[test]

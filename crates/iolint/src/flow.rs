@@ -18,7 +18,13 @@
 //! Traffic is a fluid: each sampler offers `rate_hz × storm` logical
 //! messages per second for `duration_s` seconds. Mass propagates down
 //! every reachable route (primary *and* standbys each carry the full
-//! flow — a sound over-approximation of failover). Scheduled downtime
+//! flow — a sound over-approximation of failover). A hop is blocked
+//! while every route is down, and on a hop with standbys also for the
+//! first `DETECT_AFTER` of a window in which its active route dies,
+//! before heartbeats elect another route: the upper bounds count every
+//! window whose route may be active, guaranteed loss only primary
+//! windows that start once traffic has surely failed back. Scheduled
+//! downtime
 //! windows park mass in the hop's retry queue; the interpreter only
 //! charges *loss* where the runtime actually loses:
 //!
@@ -56,10 +62,11 @@
 //! edges.
 
 use crate::diag::{self, Diagnostic};
-use crate::topology::{walk, DaemonSpec, OutageKind, TopologySpec, WalkEnd};
+use crate::topology::{walk, FaultWindows, OutageKind, OutageSpec, TopologySpec, WalkEnd};
 use darshan_ldms_connector::WorkloadSpec;
 use iosim_util::json::JsonWriter;
 use ldms_sim::queue::OverflowPolicy;
+use ldms_sim::{DaemonRole, DaemonSpec, DETECT_AFTER, FAILBACK_HOLD};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -180,7 +187,7 @@ pub fn effective_workload(spec: &TopologySpec) -> WorkloadSpec {
         return w.clone();
     }
     let mut w = WorkloadSpec::default();
-    for o in &spec.outages {
+    for o in &FaultWindows::of(&spec.graph).outages {
         let until = o.until.as_secs_f64();
         w.duration_s = w.duration_s.max(until - w.start_s + 60.0);
     }
@@ -189,24 +196,68 @@ pub fn effective_workload(spec: &TopologySpec) -> WorkloadSpec {
 
 struct HopModel {
     idx: usize,
-    rate: f64,        // logical msgs/sec offered during the publish phase
-    wire_rate: f64,   // frames/sec (logical / min contributing batch)
-    b_min: f64,       // min records-per-frame among contributing samplers
-    b_max: f64,       // max records-per-frame (occupancy conversions)
-    down: Intervals,  // all routes unavailable (merged, clipped)
-    crashes: usize,   // crash-stop windows on the hop owner itself
-    broken: bool,     // some reachable route ends at a broken endpoint
-    all_broken: bool, // every route from here ends broken
+    rate: f64,              // logical msgs/sec offered during the publish phase
+    wire_rate: f64,         // frames/sec (logical / min contributing batch)
+    b_min: f64,             // min records-per-frame among contributing samplers
+    b_max: f64,             // max records-per-frame (occupancy conversions)
+    down: Intervals,        // the hop may be blocked (merged, clipped)
+    surely_down: Intervals, // the hop is surely blocked (⊆ down)
+    crashes: usize,         // crash-stop windows on the hop owner itself
+    broken: bool,           // some reachable route ends at a broken endpoint
+    all_broken: bool,       // every route from here ends broken
 }
 
-fn down_windows(spec: &TopologySpec, name: &str, kinds: &[OutageKind]) -> Intervals {
+/// Outage kinds that take a daemon, and every route into it, down.
+const TARGET_DOWN: [OutageKind; 2] = [OutageKind::Daemon, OutageKind::Crash];
+
+fn down_windows(outages: &[OutageSpec], name: &str, kinds: &[OutageKind]) -> Intervals {
     merge(
-        spec.outages
+        outages
             .iter()
             .filter(|o| o.component == name && kinds.contains(&o.kind))
             .map(|o| (o.from.as_secs_f64(), o.until.as_secs_f64()))
             .collect(),
     )
+}
+
+/// Failover detection on a hop with standbys: a route that dies while
+/// it is the active one blocks the hop for the first `DETECT_AFTER` of
+/// its downtime, until heartbeats elect another. Returns the heads that
+/// may block — every primary window, and each standby window that
+/// overlaps a span in which failover can keep that standby active —
+/// and those that surely do: primary windows that start once traffic
+/// has surely failed back to the primary.
+fn detection_heads(
+    outages: &[OutageSpec],
+    d: &DaemonSpec,
+    flap: &Intervals,
+) -> (Intervals, Intervals) {
+    let detect = DETECT_AFTER.as_secs_f64();
+    // After a primary window a standby stays active until the primary
+    // has held up for `FAILBACK_HOLD`, or until the standby's own death
+    // is detected; a second of slack covers the election cadence.
+    let settle = FAILBACK_HOLD.as_secs_f64() + detect + 1.0;
+    let head = |(a, b): (f64, f64)| (a, b.min(a + detect));
+    let mut primary = down_windows(outages, &d.routes[0], &TARGET_DOWN);
+    primary.extend(flap.iter().copied());
+    let primary = merge(primary);
+    let (mut may, mut must) = (Vec::new(), Vec::new());
+    let mut settled = f64::NEG_INFINITY;
+    for &w in &primary {
+        may.push(head(w));
+        if w.0 >= settled {
+            must.push(head(w));
+        }
+        settled = w.1 + settle;
+    }
+    for sb in &d.routes[1..] {
+        for w in down_windows(outages, sb, &TARGET_DOWN) {
+            if primary.iter().any(|&(a, b)| w.0 < b + settle && w.1 > a) {
+                may.push(head(w));
+            }
+        }
+    }
+    (may, must)
 }
 
 /// Worst-case root-to-`i` latency over the route graph (primary and
@@ -224,10 +275,7 @@ fn worst_path(
     seen[i] = true;
     let own = lat.get(&i).copied().unwrap_or(0.0);
     let mut worst = 0.0f64;
-    for up in std::iter::once(&daemons[i].upstream)
-        .flatten()
-        .chain(daemons[i].standbys.iter())
-    {
+    for up in &daemons[i].routes {
         if let Some(&j) = by_name.get(up.as_str()) {
             worst = worst.max(worst_path(daemons, by_name, lat, j, seen));
         }
@@ -242,7 +290,9 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     let w = workload
         .cloned()
         .unwrap_or_else(|| effective_workload(spec));
-    let daemons = &spec.daemons;
+    let daemons = &spec.graph.daemons;
+    let fault_windows = FaultWindows::of(&spec.graph);
+    let outages = &fault_windows.outages;
     let by_name: HashMap<&str, usize> = daemons
         .iter()
         .enumerate()
@@ -254,9 +304,9 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     let dur = w.duration_s;
 
     // Per-sampler publish rates under the storm multiplier.
-    let pub_rate = |d: &DaemonSpec| -> f64 {
-        if d.role == crate::topology::Role::Sampler {
-            d.rate_hz.unwrap_or(w.default_rate_hz) * w.storm
+    let pub_rate = |i: usize| -> f64 {
+        if daemons[i].role == DaemonRole::Sampler {
+            spec.conf(i).rate_hz.unwrap_or(w.default_rate_hz) * w.storm
         } else {
             0.0
         }
@@ -270,26 +320,23 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     let mut wire = vec![0.0f64; daemons.len()];
     let mut b_min = vec![f64::INFINITY; daemons.len()];
     let mut b_max = vec![1.0f64; daemons.len()];
-    for (s, d) in daemons.iter().enumerate() {
-        let r = pub_rate(d);
+    for s in 0..daemons.len() {
+        let r = pub_rate(s);
         if r <= 0.0 {
             continue;
         }
-        let b = d.batch.unwrap_or(1).max(1) as f64;
+        let b = spec.conf(s).batch.unwrap_or(1).max(1) as f64;
         let mut stack = vec![s];
         let mut seen = vec![false; daemons.len()];
         seen[s] = true;
         while let Some(i) = stack.pop() {
-            if daemons[i].upstream.is_some() {
+            if daemons[i].upstream().is_some() {
                 rate[i] += r;
                 wire[i] += r / b;
                 b_min[i] = b_min[i].min(b);
                 b_max[i] = b_max[i].max(b);
             }
-            for up in std::iter::once(&daemons[i].upstream)
-                .flatten()
-                .chain(daemons[i].standbys.iter())
-            {
+            for up in &daemons[i].routes {
                 if let Some(&j) = by_name.get(up.as_str()) {
                     if !seen[j] {
                         seen[j] = true;
@@ -301,9 +348,10 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     }
 
     // ── Route availability ──────────────────────────────────────────
-    // A hop is blocked only while *every* route is unavailable: the
+    // A hop is blocked while *every* route is unavailable — the
     // primary target (or its link, which a flap takes down) and each
-    // standby target simultaneously.
+    // standby target simultaneously — and, with standbys, while the
+    // death of its active route is being detected (`detection_heads`).
     let mut models: Vec<HopModel> = Vec::new();
     // Activity horizon: after the publish phase plus every controller
     // hop's drain time plus a settle margin, no traffic exists, so
@@ -317,47 +365,43 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     let horizon = t1 + total_pacing + 60.0;
 
     for (i, d) in daemons.iter().enumerate() {
-        let Some(up) = &d.upstream else { continue };
-        let flap = down_windows(spec, &d.name, &[OutageKind::Link]);
-        let mut blocked = {
-            let mut routes_down: Option<Intervals> = by_name.get(up.as_str()).map(|&j| {
-                down_windows(
-                    spec,
-                    &daemons[j].name,
-                    &[OutageKind::Daemon, OutageKind::Crash],
-                )
-            });
-            for sb in &d.standbys {
-                let sbd = by_name
-                    .get(sb.as_str())
-                    .map(|&j| {
-                        down_windows(
-                            spec,
-                            &daemons[j].name,
-                            &[OutageKind::Daemon, OutageKind::Crash],
-                        )
-                    })
-                    .unwrap_or_default();
-                routes_down = Some(match routes_down {
+        let Some(up) = d.upstream() else { continue };
+        let flap = down_windows(outages, &d.name, &[OutageKind::Link]);
+        let route_down = |r: &str| {
+            by_name
+                .get(r)
+                .map(|&j| down_windows(outages, &daemons[j].name, &TARGET_DOWN))
+        };
+        let mut blocked = d.routes[1..]
+            .iter()
+            .fold(route_down(up), |all, sb| {
+                let sbd = route_down(sb).unwrap_or_default();
+                Some(match all {
                     Some(r) => intersect(&r, &sbd),
                     None => sbd,
-                });
-            }
-            routes_down.unwrap_or_default()
-        };
+                })
+            })
+            .unwrap_or_default();
         // A link flap conservatively blocks every route of the hop
         // (standby links are not individually modeled).
-        blocked.extend(flap);
-        let blocked: Intervals = merge(blocked)
-            .into_iter()
-            .filter_map(|(a, b)| {
-                let (a, b) = (a.max(t0 - 1.0), b.min(horizon));
-                (b > a).then_some((a, b))
-            })
-            .collect();
+        blocked.extend(flap.iter().copied());
+        let mut surely_blocked = blocked.clone();
+        if d.routes.len() > 1 {
+            let (may, must) = detection_heads(outages, d, &flap);
+            blocked.extend(may);
+            surely_blocked.extend(must);
+        }
+        let clip = |iv: Intervals| -> Intervals {
+            merge(iv)
+                .into_iter()
+                .filter_map(|(a, b)| {
+                    let (a, b) = (a.max(t0 - 1.0), b.min(horizon));
+                    (b > a).then_some((a, b))
+                })
+                .collect()
+        };
 
-        let crashes = spec
-            .outages
+        let crashes = outages
             .iter()
             .filter(|o| o.component == d.name && o.kind == OutageKind::Crash)
             .count();
@@ -377,7 +421,7 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
             _ => any_broken = true,
         };
         probe(i);
-        for sb in &d.standbys {
+        for sb in &d.routes[1..] {
             if let Some(&j) = by_name.get(sb.as_str()) {
                 probe(j);
             }
@@ -389,7 +433,8 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
             wire_rate: wire[i],
             b_min: if b_min[i].is_finite() { b_min[i] } else { 1.0 },
             b_max: b_max[i],
-            down: blocked,
+            down: clip(blocked),
+            surely_down: clip(surely_blocked),
             crashes,
             broken: any_broken,
             all_broken,
@@ -399,8 +444,8 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     // ── Per-hop bounds ──────────────────────────────────────────────
     let mut hops: Vec<HopBounds> = Vec::new();
     let mut published = 0.0;
-    for d in daemons {
-        published += pub_rate(d) * dur;
+    for i in 0..daemons.len() {
+        published += pub_rate(i) * dur;
     }
 
     for m in &models {
@@ -448,7 +493,7 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
                 OverflowPolicy::DropOldest | OverflowPolicy::DropNewest => {
                     loss += (parked_logical - cap * m.b_min).max(0.0);
                     if d.overload.is_none() {
-                        for &(a, b) in &m.down {
+                        for &(a, b) in &m.surely_down {
                             let o = (b.min(t1) - a.max(t0)).max(0.0);
                             let g = (m.wire_rate * o - cap).max(0.0);
                             if g >= 1.0 {
@@ -462,7 +507,9 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
                     let dl = dl.as_secs_f64();
                     for &(a, b) in &m.down {
                         loss += m.rate * ((b - a) - dl).max(0.0) + SLACK_MSGS;
-                        if d.overload.is_none() {
+                    }
+                    if d.overload.is_none() {
+                        for &(a, b) in &m.surely_down {
                             let o = (b.min(t1) - a.max(t0)).max(0.0);
                             let g = m.rate * (o - dl).max(0.0);
                             if g >= 1.0 {
@@ -479,10 +526,10 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
         } else {
             // Best-effort: everything offered while blocked is lost.
             loss += window_mass;
-            let g = m.rate * overlap(&m.down, t0, t1);
+            let g = m.rate * overlap(&m.surely_down, t0, t1);
             if g >= 1.0 {
                 guaranteed += g;
-                if let Some(&(a, _)) = m.down.first() {
+                if let Some(&(a, _)) = m.surely_down.first() {
                     note_onset(&mut onset, a.max(t0));
                 }
             }
@@ -500,7 +547,7 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
 
         // Silent link loss: attempts burn through pure backoff with
         // nothing to wait for — the whole offered load is at risk.
-        if spec.lossy_links.contains(&d.name) {
+        if fault_windows.lossy_links.contains(&d.name) {
             loss += offered;
         }
 
@@ -515,8 +562,8 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
 
         // Sampler ingress: publishing into a down/crashed sampler
         // dies immediately — no queue sits before the first hop.
-        let self_down = down_windows(spec, &d.name, &[OutageKind::Daemon, OutageKind::Crash]);
-        let own = pub_rate(d);
+        let self_down = down_windows(outages, &d.name, &TARGET_DOWN);
+        let own = pub_rate(m.idx);
         if own > 0.0 && !self_down.is_empty() {
             loss += own * total(&self_down) + SLACK_MSGS;
             let g = own * overlap(&self_down, t0, t1);
@@ -558,14 +605,14 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
 
         hops.push(HopBounds {
             daemon: d.name.clone(),
-            target: d.upstream.clone().unwrap_or_default(),
+            target: d.upstream().unwrap_or_default().to_string(),
             offered,
             rate: m.rate,
             peak_queue_frames: peak_frames,
             spill_ceiling: spill,
-            wal_high_water: d
-                .wal_capacity
-                .map(|wc| (parked_frames * (1.0 + m.crashes as f64) + SLACK_MSGS).min(wc as f64)),
+            wal_high_water: d.wal.as_ref().map(|wal| {
+                (parked_frames * (1.0 + m.crashes as f64) + SLACK_MSGS).min(wal.capacity as f64)
+            }),
             loss_ceiling: loss,
             guaranteed_loss: guaranteed,
             loss_onset_s: onset,
@@ -577,17 +624,17 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
     // Orphan samplers (no upstream at all): their hop never exists,
     // but their published mass still needs a verdict — it dies at the
     // sampler itself unless the sampler subscribes.
-    for d in daemons {
-        if d.upstream.is_some() {
+    for (i, d) in daemons.iter().enumerate() {
+        if d.upstream().is_some() {
             continue;
         }
-        let own = pub_rate(d) * dur;
+        let own = pub_rate(i) * dur;
         if own >= 1.0 && !d.subscribers.iter().any(|s| s == tag) {
             hops.push(HopBounds {
                 daemon: d.name.clone(),
                 target: "∅".into(),
                 offered: own,
-                rate: pub_rate(d),
+                rate: pub_rate(i),
                 peak_queue_frames: 0.0,
                 spill_ceiling: 0.0,
                 wal_high_water: None,
@@ -641,8 +688,8 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
         hop_latency.insert(m.idx, h.latency_s);
     }
     let mut e2e = 0.0f64;
-    for (i, d) in daemons.iter().enumerate() {
-        if pub_rate(d) > 0.0 {
+    for i in 0..daemons.len() {
+        if pub_rate(i) > 0.0 {
             let mut seen = vec![false; daemons.len()];
             e2e = e2e.max(worst_path(daemons, &by_name, &hop_latency, i, &mut seen));
         }
@@ -687,11 +734,11 @@ pub fn analyze_flow(spec: &TopologySpec, workload: Option<&WorkloadSpec>) -> Flo
 /// Solver-backed lints over a finished [`FlowReport`].
 pub fn lint_flow(spec: &TopologySpec, report: &FlowReport) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
+    let daemons = &spec.graph.daemons;
+    let outages = FaultWindows::of(&spec.graph).outages;
     let line_of = |name: &str| {
-        spec.daemons
-            .iter()
-            .find(|d| d.name == name)
-            .and_then(|d| d.line)
+        let i = daemons.iter().position(|d| d.name == name)?;
+        spec.conf(i).line
     };
     let attach = |d: Diagnostic, name: &str| match line_of(name) {
         Some(l) => d.with_line(l),
@@ -726,14 +773,13 @@ pub fn lint_flow(spec: &TopologySpec, report: &FlowReport) -> Vec<Diagnostic> {
     // FLOW003 — a crash window on a hop whose worst-case parked-frame
     // demand exceeds its WAL: the excess is volatile-only.
     for h in &report.hops {
-        let Some(d) = spec.daemons.iter().find(|d| d.name == h.daemon) else {
+        let Some(d) = daemons.iter().find(|d| d.name == h.daemon) else {
             continue;
         };
-        let Some(wal_cap) = d.wal_capacity else {
+        let Some(wal_cap) = d.wal.as_ref().map(|w| w.capacity) else {
             continue;
         };
-        let crashes = spec
-            .outages
+        let crashes = outages
             .iter()
             .any(|o| o.component == d.name && o.kind == OutageKind::Crash);
         if !crashes {
@@ -917,7 +963,7 @@ impl FlowReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::parse_conf;
+    use crate::conf::parse_conf;
 
     fn spec(conf: &str) -> TopologySpec {
         parse_conf(conf).expect("conf parses")
@@ -980,21 +1026,87 @@ mod tests {
         assert!((onset - 10.64).abs() < 0.1, "evictions start once full");
     }
 
-    #[test]
-    fn standby_clears_guaranteed_loss() {
-        let s = spec(
-            "daemon n1 sampler\n rate 100\n upstream agg\n standby agg2\n queue capacity=64 attempts=8\n\
+    /// A sampler with `capacity` queue slots, primary `agg` down for
+    /// [10, 20), and — with `standby` — a live second route.
+    fn failover_conf(capacity: u32, standby: bool) -> TopologySpec {
+        let standby = if standby { " standby agg2\n" } else { "" };
+        spec(&format!(
+            "daemon n1 sampler\n rate 100\n upstream agg\n{standby} queue capacity={capacity} attempts=8\n\
              daemon agg l1\n upstream store\n queue capacity=65536 attempts=8\n\
              daemon agg2 l1\n upstream store\n queue capacity=65536 attempts=8\n\
              daemon store l2\n subscribe darshanConnector\n\
-             outage agg 10 20\n",
-        );
-        let r = analyze_flow(&s, None);
+             outage agg 10 20\n"
+        ))
+    }
+
+    #[test]
+    fn standby_clears_guaranteed_loss() {
+        // 300 messages park while heartbeats detect the dead primary
+        // (3 s at 100 msg/s); 512 slots hold them, not the 1000 a
+        // single-route hop parks over the whole window.
+        let r = analyze_flow(&failover_conf(512, false), None);
+        assert!(r.guaranteed_loss >= 400.0, "verdict: {}", r.verdict);
+        let r = analyze_flow(&failover_conf(512, true), None);
         assert!(
             r.guaranteed_loss < 1.0,
             "failover absorbs the window: {}",
             r.verdict
         );
+    }
+
+    #[test]
+    fn failover_detection_parks_traffic() {
+        // 64 slots cannot hold the 300 messages of the detection delay:
+        // the runtime evicts 236 of them before the standby is elected.
+        let r = analyze_flow(&failover_conf(64, true), None);
+        assert!(
+            (236.0..=244.0).contains(&r.guaranteed_loss),
+            "verdict: {}",
+            r.verdict
+        );
+        assert!(r.hops[0].latency_s >= 3.0);
+    }
+
+    #[test]
+    fn a_standby_outage_alone_blocks_nothing() {
+        // Traffic never leaves a live primary, so a crash of the
+        // standby alone parks nothing on the sampler's hop.
+        let conf = |crash: &str| {
+            spec(&format!(
+                "daemon n1 sampler\n rate 100\n upstream agg\n standby agg2\n\
+                 daemon agg l1\n upstream store\n\
+                 daemon agg2 l1\n upstream store\n\
+                 daemon store l2\n subscribe darshanConnector\n{crash}"
+            ))
+        };
+        let s = conf("crash agg2 100 130\n");
+        let r = analyze_flow(&s, None);
+        assert!(r.guaranteed_loss < 1.0, "verdict: {}", r.verdict);
+        assert!(!lint_flow(&s, &r).iter().any(|d| d.code.code == "FLOW001"));
+        let calm = analyze_flow(&conf(""), None);
+        assert!((r.hops[0].loss_ceiling - calm.hops[0].loss_ceiling).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_second_outage_within_failback_hold_is_not_guaranteed() {
+        // The standby still carries traffic when the primary dies again
+        // at 21 s, before the 10 s failback hold elapsed: only the first
+        // window's detection delay provably evicts, while the ceiling
+        // still counts both.
+        let s = spec(
+            "daemon n1 sampler\n rate 100\n upstream agg\n standby agg2\n queue capacity=64 attempts=8\n\
+             daemon agg l1\n upstream store\n queue capacity=65536 attempts=8\n\
+             daemon agg2 l1\n upstream store\n queue capacity=65536 attempts=8\n\
+             daemon store l2\n subscribe darshanConnector\n\
+             outage agg 10 20\n outage agg 21 30\n",
+        );
+        let r = analyze_flow(&s, None);
+        assert!(
+            (236.0..=244.0).contains(&r.guaranteed_loss),
+            "verdict: {}",
+            r.verdict
+        );
+        assert!(r.hops[0].loss_ceiling >= 472.0);
     }
 
     #[test]

@@ -8,9 +8,10 @@
 //!   and retry-deadline feasibility against scheduled downtime,
 //!   duplicate producer names, Table I schema coverage,
 //!   single-point-of-failure aggregators, WAL and sampling-watermark
-//!   sizing. Runs on a live
-//!   [`Pipeline`]/[`LdmsNetwork`](ldms_sim::LdmsNetwork)
-//!   *before* any message flows, or on a declarative conf file in CI.
+//!   sizing. Runs on the daemon graph a
+//!   [`Pipeline`]/[`LdmsNetwork`](ldms_sim::LdmsNetwork) is built from,
+//!   *before* any message flows, or on a declarative conf file (which
+//!   yields the same graph) in CI.
 //! * **Flow** (`FLOW001`–`FLOW004`): a whole-pipeline abstract
 //!   interpretation ([`analyze_flow`]) deriving sound per-hop
 //!   worst-case bounds — peak queue depth, spill volume, WAL
@@ -55,18 +56,19 @@
 #![allow(clippy::cast_precision_loss)] // counts/capacities ≪ 2^52, so u64→f64 is exact in practice
 #![allow(clippy::too_many_lines)] // lint_topology/lint_trace are deliberately single linear sweeps
 
+mod conf;
 pub mod diag;
 mod flow;
 mod topology;
 mod trace;
 
+pub use conf::{parse_conf, ConfError};
 pub use diag::{
     find_lint, Diagnostic, LintCode, LintConfig, LintLevel, Report, Severity, REGISTRY,
 };
 pub use flow::{analyze_flow, effective_workload, lint_flow, FlowReport, HopBounds};
 pub use topology::{
-    lint_topology, parse_conf, ConfError, DaemonSpec, OutageKind, OutageSpec, OverloadSpec, Role,
-    TopologySpec,
+    lint_topology, pipeline_spec, DaemonConf, FaultWindows, OutageKind, OutageSpec, TopologySpec,
 };
 pub use trace::{
     events_from_cluster, events_from_csv, lint_detection_latency, lint_detections, lint_gaps,
@@ -74,7 +76,6 @@ pub use trace::{
 };
 
 use darshan_ldms_connector::Pipeline;
-use ldms_sim::fault::FaultScript;
 
 /// Runs the topology pass over a spec and folds the findings into a
 /// configured [`Report`].
@@ -82,17 +83,11 @@ pub fn check_topology(spec: &TopologySpec, config: &LintConfig) -> Report {
     Report::new(lint_topology(spec), config)
 }
 
-/// Pre-flight check of an assembled pipeline: extracts the topology
-/// (including the store schema and the fault script's downtime
-/// windows) and runs the topology pass.
-pub fn check_pipeline_topology(
-    p: &Pipeline,
-    tag: &str,
-    faults: &FaultScript,
-    config: &LintConfig,
-) -> Report {
-    let spec = TopologySpec::from_pipeline(p, tag, faults);
-    Report::new(lint_topology(&spec), config)
+/// Pre-flight check of an assembled pipeline: runs the topology pass
+/// over the graph and fault script the pipeline was built from, with
+/// its store schema and storage tier ([`pipeline_spec`]).
+pub fn check_pipeline_topology(p: &Pipeline, config: &LintConfig) -> Report {
+    Report::new(lint_topology(&pipeline_spec(p)), config)
 }
 
 /// Whole-pipeline flow analysis: runs the abstract interpreter over

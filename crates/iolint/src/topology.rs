@@ -1,188 +1,38 @@
 //! The topology pass: static validation of an aggregation pipeline.
 //!
-//! Works on a [`TopologySpec`] — a plain-data intermediate
-//! representation of the Figure 4 topology that can be extracted from
-//! a live [`ldms_sim::LdmsNetwork`] / `Pipeline` *or* parsed
-//! from a declarative conf file, so the same lints run pre-flight
-//! inside the experiment driver and ahead of time in CI.
-//!
-//! ## Conf format
-//!
-//! Line-oriented, `#` comments, whitespace-separated tokens:
-//!
-//! ```text
-//! tag darshanConnector
-//!
-//! daemon nid00040 sampler
-//!   upstream voltrino-head
-//!   link ugni
-//!   rate 120
-//!   batch 16
-//!   queue capacity=1024 policy=drop-oldest attempts=8 backoff=0.001 max-backoff=1.0
-//!
-//! daemon voltrino-head l1
-//!   upstream shirley-agg
-//!   link site-net
-//!
-//! daemon shirley-agg l2
-//!   subscribe darshanConnector
-//!
-//! outage shirley-agg 100 160      # daemon down [100, 160) virtual secs
-//! flap voltrino-head 10 20        # its upstream link down [10, 20)
-//! crash voltrino-head 100 130     # crash-stop: volatile state destroyed
-//! schema module uid ProducerName ...
-//! workload duration=120 start=0 rate=100 storm=1 accuracy-floor=0.9 latency-budget=30
-//!
-//! dsosd n=4 replicas=2 quorum=1   # storage tier: 4 dsosd, R=2, W=1
-//! crash-dsosd dsosd-0 100 130     # dsosd-0 down [100, 130) virtual secs
-//! ```
-//!
-//! `daemon` starts a section; the indented attribute lines apply to
-//! the most recent daemon. Roles are `sampler`, `l1`, `l2`. Queue
-//! policies are `drop-oldest`, `drop-newest`, `deadline:<secs>`.
-//! Additional per-daemon attributes for the crash-recovery layer:
-//! `standby <name>` declares a ranked alternative upstream route, and
-//! `wal capacity=N` attaches a crash-durable write-ahead log to the
-//! hop. `batch <records>` on a sampler declares frame-level batching:
-//! the sampler coalesces that many records per wire frame, so every
-//! queue and WAL capacity check downstream counts frames, not
-//! messages (hops park and journal whole frames).
-//!
-//! `overload rate=N [sample=N throttle=N spill=N keep-every=N
-//! window-ms=N]` attaches the overload-control ladder to a hop:
-//! `rate` is the sustainable service rate the fluid ingress meter
-//! drains at, and `sample` the meter depth at which the ladder
-//! degrades bulk traffic into summary sketches (defaulting to
-//! `2 * rate`, mirroring `OverloadConfig::for_rate`). The linter's
-//! `TOP013` fires when that sampling watermark sits at or beyond the
-//! hop's queue capacity — the queue overflows (or its deadline
-//! expires) before sampling can ever engage, so the run sheds
-//! messages instead of degrading accuracy.
-//!
-//! `workload duration=S [start=S rate=HZ storm=X accuracy-floor=F
-//! latency-budget=S]` declares the offered-load envelope the flow
-//! solver ([`crate::flow::analyze_flow`]) analyzes against: `rate`
-//! is the per-sampler default publish rate (a sampler's own `rate`
-//! wins), `storm` a uniform load multiplier, and the floor/budget
-//! keys arm the solver-backed `FLOW002`/`FLOW004` lints. Without the
-//! directive the solver assumes a default envelope stretched to cover
-//! every scheduled fault window.
-//!
-//! `dsosd n=N [replicas=R quorum=W]` declares the storage tier behind
-//! the terminal daemon: `n` backend `dsosd` daemons, each row stored
-//! on `replicas` of them (default 1) and acknowledged at write quorum
-//! `quorum` (default the majority of `replicas`). `crash-dsosd
-//! <name> <from_s> <until_s>` schedules a dsosd crash-stop window;
-//! `TOP014` fires when the script takes down at least `replicas`
-//! dsosd daemons concurrently, because then some shard can lose every
-//! copy of an acknowledged row.
+//! Lints a [`TopologySpec`]: the daemon graph and fault script a
+//! network is built from ([`ldms_sim::Topology`]), plus what only a
+//! conf file declares (publish rates, batching, conf lines, the
+//! workload envelope and the storage tier). [`crate::parse_conf`] yields it
+//! from a declarative conf file and [`pipeline_spec`] from an assembled
+//! `Pipeline`, which keeps the graph it was built from, so the same
+//! lints run pre-flight inside the experiment driver and ahead of time
+//! in CI, and the graph a conf file describes is the one
+//! [`ldms_sim::LdmsNetwork::build`] wires. The conf format is
+//! documented in `iolint::conf`.
 
 use crate::diag::{self, Diagnostic, Severity};
-use darshan_ldms_connector::{Pipeline, WorkloadSpec, COLUMNS};
-use iosim_time::{Epoch, SimDuration};
-use ldms_sim::fault::{FaultScript, FaultSpec};
-use ldms_sim::queue::{OverflowPolicy, QueueConfig};
-use ldms_sim::{DaemonRole, LdmsNetwork};
+use darshan_ldms_connector::{Pipeline, WorkloadSpec, COLUMNS, DEFAULT_STREAM_TAG};
+use iosim_time::Epoch;
+use ldms_sim::fault::FaultSpec;
+use ldms_sim::queue::OverflowPolicy;
+use ldms_sim::{DaemonRole, DaemonSpec, Topology};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::fmt;
 
-/// Role of a daemon in the spec (mirrors [`DaemonRole`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
-    /// Compute-node sampler daemon (publishes the stream).
-    Sampler,
-    /// First-level aggregator.
-    AggregatorL1,
-    /// Second-level aggregator.
-    AggregatorL2,
-}
-
-impl Role {
-    /// The conf-file spelling of the role.
-    #[cfg(test)]
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            Role::Sampler => "sampler",
-            Role::AggregatorL1 => "l1",
-            Role::AggregatorL2 => "l2",
-        }
-    }
-}
-
-/// Overload-control policy attached to a hop (conf-file only, like
-/// `rate_hz` — a live network's policy arrives via `NetworkOpts` and
-/// is checked pre-flight by the experiment driver, not the linter).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OverloadSpec {
-    /// Sustainable service rate (msgs/sec) the fluid meter drains at.
-    pub service_rate: f64,
-    /// Meter depth at which the degradation ladder escalates into
-    /// adaptive sampling (defaults to `2 * service_rate`, matching
-    /// `OverloadConfig::for_rate`).
-    pub sample_watermark: f64,
-}
-
-/// One daemon in the IR.
-#[derive(Debug, Clone)]
-pub struct DaemonSpec {
-    /// Producer / daemon name.
-    pub name: String,
-    /// Topology role.
-    pub role: Role,
-    /// Name of the daemon this one forwards to, if any.
-    pub upstream: Option<String>,
-    /// Ranked standby upstream targets (failover routes after the
-    /// primary `upstream`).
-    pub standbys: Vec<String>,
-    /// Name of the transport link used for the upstream hop.
-    pub link: Option<String>,
-    /// Retry-queue configuration guarding the upstream hop.
-    pub queue: QueueConfig,
-    /// Capacity of the crash-durable write-ahead log attached to the
-    /// hop (`None` = volatile queue only).
-    pub wal_capacity: Option<usize>,
-    /// Stream tags with subscribers attached at this daemon.
-    pub subscribers: Vec<String>,
-    /// Expected publish rate in messages per second (samplers;
-    /// conf-file only — live networks do not know their future rate).
+/// What a conf file declares about one daemon that the network does
+/// not carry.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DaemonConf {
+    /// Expected publish rate in messages per second (samplers).
     pub rate_hz: Option<f64>,
     /// Records coalesced per wire frame when the sampler batches
     /// (`None` / `Some(1)` = unbatched). Downstream hops park and
     /// journal whole frames, so capacity math divides `rate_hz` by
-    /// this. Conf-file only, like `rate_hz`.
+    /// this.
     pub batch: Option<u64>,
-    /// Overload-control ladder guarding the hop, when declared
-    /// (enables `TOP013`). Populated from conf files *and*, since the
-    /// flow solver, from live networks via `Ldmsd::overload_config`.
-    pub overload: Option<OverloadSpec>,
-    /// Conf line the daemon was declared on (1-based), when the spec
-    /// came from `parse_conf`. Lets diagnostics point back into the
-    /// file; `None` for specs lifted from live networks.
+    /// Conf line the daemon was declared on (1-based), so diagnostics
+    /// can point back into the file.
     pub line: Option<usize>,
-}
-
-impl DaemonSpec {
-    /// A daemon with no upstream, no subscribers, best-effort queue.
-    pub fn new(name: &str, role: Role) -> Self {
-        Self {
-            name: name.to_string(),
-            role,
-            upstream: None,
-            standbys: Vec::new(),
-            link: None,
-            queue: QueueConfig::best_effort(),
-            wal_capacity: None,
-            subscribers: Vec::new(),
-            rate_hz: None,
-            batch: None,
-            overload: None,
-            line: None,
-        }
-    }
-
-    fn subscribes(&self, tag: &str) -> bool {
-        self.subscribers.iter().any(|t| t == tag)
-    }
 }
 
 /// What a scheduled downtime window applies to.
@@ -198,8 +48,8 @@ pub enum OutageKind {
 }
 
 /// The storage tier behind the terminal daemon: `dsosd` backend
-/// count and replication policy (`dsosd` conf directive / lifted from
-/// a live [`dsos_sim::DsosCluster`]).
+/// count and replication policy (`dsosd` conf directive / a
+/// pipeline's [`dsos_sim::DsosCluster`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreSpec {
     /// Backend `dsosd` daemon count.
@@ -213,8 +63,8 @@ pub struct StoreSpec {
 }
 
 /// One scheduled `dsosd` downtime window `[from, until)` in virtual
-/// time (`crash-dsosd` conf directive / `CrashDsosd`+`RestartDsosd`
-/// fault pairs).
+/// time (a `CrashDsosd` fault and the first later `RestartDsosd` of
+/// the same daemon).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DsosdOutage {
     /// The `dsosd` daemon name (e.g. `dsosd-0`).
@@ -239,16 +89,93 @@ pub struct OutageSpec {
     pub until: Epoch,
 }
 
-/// Plain-data topology description the lints run against.
+/// A pipeline as the lints see it: the daemon graph and fault script
+/// the network is built from, and the conf-only facts around it.
 #[derive(Debug, Clone)]
 pub struct TopologySpec {
-    /// All daemons (order preserved from the source).
-    pub daemons: Vec<DaemonSpec>,
+    /// The daemon graph and its fault script.
+    pub graph: Topology,
     /// The stream tag the pipeline carries.
     pub stream_tag: String,
+    /// Conf-only facts per daemon, by position in `graph.daemons`
+    /// (missing entries declare nothing).
+    pub conf: Vec<DaemonConf>,
     /// Store schema column names, when known (enables `TOP008`).
     pub schema_columns: Option<Vec<String>>,
-    /// Scheduled downtime windows (enables `TOP009`).
+    /// Campaign envelope the flow solver evaluates the topology
+    /// against (`workload` conf directive / harness-supplied).
+    pub workload: Option<WorkloadSpec>,
+    /// Storage tier behind the terminal daemon, when declared
+    /// (enables `TOP014`).
+    pub store: Option<StoreSpec>,
+}
+
+impl TopologySpec {
+    /// An empty spec for the given tag.
+    pub fn new(tag: &str) -> Self {
+        Self {
+            graph: Topology::default(),
+            stream_tag: tag.to_string(),
+            conf: Vec::new(),
+            schema_columns: None,
+            workload: None,
+            store: None,
+        }
+    }
+
+    /// The conf-only facts of daemon `i`.
+    pub fn conf(&self, i: usize) -> DaemonConf {
+        self.conf.get(i).copied().unwrap_or_default()
+    }
+
+    /// Declares `conf` for every sampler and nothing for the other
+    /// daemons: a harness that knows the rate (and framing) it
+    /// publishes at states it this way.
+    pub fn set_sampler_conf(&mut self, conf: DaemonConf) {
+        self.conf = self
+            .graph
+            .daemons
+            .iter()
+            .map(|d| match d.role {
+                DaemonRole::Sampler => conf,
+                _ => DaemonConf::default(),
+            })
+            .collect();
+    }
+}
+
+/// The spec of an assembled pipeline: the graph it was built from,
+/// its tag, its store's schema columns (so `TOP008` can check Table I
+/// coverage) and its storage tier.
+pub fn pipeline_spec(p: &Pipeline) -> TopologySpec {
+    let repl = p.cluster().replication();
+    TopologySpec {
+        graph: p.topology().clone(),
+        schema_columns: Some(
+            p.store()
+                .schema()
+                .attrs()
+                .iter()
+                .map(|a| a.name.clone())
+                .collect(),
+        ),
+        store: Some(StoreSpec {
+            dsosd: p.cluster().daemon_count(),
+            replicas: repl.replicas,
+            write_quorum: repl.write_quorum,
+            line: None,
+        }),
+        ..TopologySpec::new(DEFAULT_STREAM_TAG)
+    }
+}
+
+/// A fault script read as downtime windows, every daemon named through
+/// [`Topology::resolve`] (the resolver the network builder uses, so an
+/// alias lands where the network applies it; specs naming no daemon
+/// are skipped, as the builder skips them).
+#[derive(Debug, Clone, Default)]
+pub struct FaultWindows {
+    /// Daemon, link and crash-stop windows, in script order.
     pub outages: Vec<OutageSpec>,
     /// Daemons whose upstream link drops traffic *silently*
     /// (probabilistic loss / drop-every faults). Unlike downtime
@@ -256,118 +183,19 @@ pub struct TopologySpec {
     /// flow solver treats the whole offered load through such a hop
     /// as at-risk.
     pub lossy_links: Vec<String>,
-    /// Campaign envelope the flow solver evaluates the topology
-    /// against (`workload` conf directive / harness-supplied).
-    pub workload: Option<WorkloadSpec>,
-    /// Storage tier behind the terminal daemon, when declared
-    /// (enables `TOP014`).
-    pub store: Option<StoreSpec>,
-    /// Scheduled `dsosd` downtime windows (enables `TOP014`).
-    pub dsosd_outages: Vec<DsosdOutage>,
+    /// `dsosd` crash windows: every crash paired with the earliest
+    /// unpaired restart of the same daemon after it.
+    pub dsosd: Vec<DsosdOutage>,
 }
 
-impl TopologySpec {
-    /// An empty spec for the given tag.
-    pub fn new(tag: &str) -> Self {
-        Self {
-            daemons: Vec::new(),
-            stream_tag: tag.to_string(),
-            schema_columns: None,
-            outages: Vec::new(),
-            lossy_links: Vec::new(),
-            workload: None,
-            store: None,
-            dsosd_outages: Vec::new(),
-        }
-    }
-
-    /// Extracts the IR from a live network: daemon roles, upstream
-    /// wiring, per-hop queue configs, and which daemons have
-    /// subscribers for `tag`. `faults` contributes the downtime
-    /// windows (the script the network was built with).
-    pub(crate) fn from_network(net: &LdmsNetwork, tag: &str, faults: &FaultScript) -> Self {
-        let daemons = net
-            .daemons()
-            .iter()
-            .map(|d| {
-                let n = d.subscriber_count(tag);
-                let targets = d.upstream_targets();
-                DaemonSpec {
-                    name: d.name().to_string(),
-                    role: match d.role() {
-                        DaemonRole::Sampler => Role::Sampler,
-                        DaemonRole::AggregatorL1 => Role::AggregatorL1,
-                        DaemonRole::AggregatorL2 => Role::AggregatorL2,
-                    },
-                    upstream: targets.first().map(|t| t.name().to_string()),
-                    standbys: targets
-                        .iter()
-                        .skip(1)
-                        .map(|t| t.name().to_string())
-                        .collect(),
-                    link: d.upstream_link_name(),
-                    queue: d.queue_config().unwrap_or_default(),
-                    wal_capacity: d.wal_capacity(),
-                    subscribers: vec![tag.to_string(); n],
-                    rate_hz: None,
-                    batch: None,
-                    overload: d.overload_config().map(|c| OverloadSpec {
-                        service_rate: c.service_rate,
-                        sample_watermark: c.sample_watermark,
-                    }),
-                    line: None,
-                }
-            })
-            .collect();
-        let mut spec = Self {
-            daemons,
-            stream_tag: tag.to_string(),
-            schema_columns: None,
-            outages: Vec::new(),
-            lossy_links: Vec::new(),
-            workload: None,
-            store: None,
-            dsosd_outages: Vec::new(),
-        };
-        spec.absorb_faults(faults);
-        spec
-    }
-
-    /// Extracts the IR from an assembled pipeline, additionally
-    /// capturing the store's schema columns so `TOP008` can check
-    /// Table I coverage.
-    pub fn from_pipeline(p: &Pipeline, tag: &str, faults: &FaultScript) -> Self {
-        let mut spec = Self::from_network(p.network(), tag, faults);
-        spec.schema_columns = Some(
-            p.store()
-                .schema()
-                .attrs()
-                .iter()
-                .map(|a| a.name.clone())
-                .collect(),
-        );
-        let repl = p.cluster().replication();
-        spec.store = Some(StoreSpec {
-            dsosd: p.cluster().daemon_count(),
-            replicas: repl.replicas,
-            write_quorum: repl.write_quorum,
-            line: None,
-        });
-        spec
-    }
-
-    /// Folds a chaos script's downtime windows into the spec. The
-    /// aliases `"l1"` / `"l2"` resolve to the first daemon with the
-    /// matching role; unknown components are skipped, as the network
-    /// builder skips them. Probabilistic loss specs
-    /// carry no window and are ignored here (the delivery ledger, not
-    /// the topology linter, accounts for them).
-    pub(crate) fn absorb_faults(&mut self, faults: &FaultScript) {
-        // Pair every dsosd crash with the earliest scripted restart of
-        // the same daemon after it; unpaired crashes stay down forever.
+impl FaultWindows {
+    /// Reads `graph`'s fault script.
+    pub fn of(graph: &Topology) -> Self {
+        let faults = graph.faults.specs();
+        let mut w = Self::default();
         let mut dsosd_crashes: Vec<(&str, Epoch)> = Vec::new();
         let mut dsosd_restarts: Vec<(&str, Epoch)> = Vec::new();
-        for f in faults.specs() {
+        for f in faults {
             match f {
                 FaultSpec::CrashDsosd { daemon, at } => dsosd_crashes.push((daemon, *at)),
                 FaultSpec::RestartDsosd { daemon, at } => dsosd_restarts.push((daemon, *at)),
@@ -386,15 +214,16 @@ impl TopologySpec {
                     restart_used[i] = true;
                     at
                 });
-            self.dsosd_outages.push(DsosdOutage {
+            w.dsosd.push(DsosdOutage {
                 daemon: daemon.to_string(),
                 from,
                 until,
             });
         }
 
-        for f in faults.specs() {
-            let (name, kind, from, until) = match f {
+        let name_of = |daemon: &str| graph.resolve(daemon).map(|i| graph.daemons[i].name.clone());
+        for f in faults {
+            let (daemon, kind, from, until) = match f {
                 FaultSpec::DaemonOutage {
                     daemon,
                     from,
@@ -418,16 +247,16 @@ impl TopologySpec {
                     // No downtime window, but the hop can silently eat
                     // any message: record it so the flow solver puts
                     // the full offered load at risk there.
-                    if let Some(component) = self.resolve_alias(daemon) {
-                        if !self.lossy_links.contains(&component) {
-                            self.lossy_links.push(component);
+                    if let Some(component) = name_of(daemon) {
+                        if !w.lossy_links.contains(&component) {
+                            w.lossy_links.push(component);
                         }
                     }
                     continue;
                 }
             };
-            if let Some(component) = self.resolve_alias(name) {
-                self.outages.push(OutageSpec {
+            if let Some(component) = name_of(daemon) {
+                w.outages.push(OutageSpec {
                     component,
                     kind,
                     from,
@@ -435,441 +264,8 @@ impl TopologySpec {
                 });
             }
         }
+        w
     }
-
-    fn resolve_alias(&self, name: &str) -> Option<String> {
-        if self.daemons.iter().any(|d| d.name == name) {
-            return Some(name.to_string());
-        }
-        let role = match name {
-            "l1" => Role::AggregatorL1,
-            "l2" => Role::AggregatorL2,
-            _ => return None,
-        };
-        self.daemons
-            .iter()
-            .find(|d| d.role == role)
-            .map(|d| d.name.clone())
-    }
-}
-
-/// A conf-file parse error with its 1-based line number.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConfError {
-    /// Offending line (1-based).
-    pub line: usize,
-    /// What went wrong.
-    pub msg: String,
-}
-
-impl fmt::Display for ConfError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "conf parse error at line {}: {}", self.line, self.msg)
-    }
-}
-
-impl std::error::Error for ConfError {}
-
-fn epoch_from_secs_f64(s: f64) -> Epoch {
-    Epoch::from_secs(0) + SimDuration::from_secs_f64(s)
-}
-
-fn parse_f64(tok: &str, line: usize, what: &str) -> Result<f64, ConfError> {
-    tok.parse::<f64>().map_err(|_| ConfError {
-        line,
-        msg: format!("bad {what}: {tok}"),
-    })
-}
-
-/// Parses the declarative conf format described in the module docs.
-pub fn parse_conf(text: &str) -> Result<TopologySpec, ConfError> {
-    let mut spec = TopologySpec::new(darshan_ldms_connector::DEFAULT_STREAM_TAG);
-    let mut current: Option<usize> = None;
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        let err = |msg: String| ConfError { line: line_no, msg };
-        match toks[0] {
-            "tag" => {
-                let t = toks.get(1).ok_or_else(|| err("tag needs a name".into()))?;
-                spec.stream_tag = (*t).to_string();
-            }
-            "daemon" => {
-                let (name, role) = match toks.as_slice() {
-                    [_, name, role] => (*name, *role),
-                    _ => return Err(err("usage: daemon <name> <sampler|l1|l2>".into())),
-                };
-                let role = match role {
-                    "sampler" => Role::Sampler,
-                    "l1" | "aggregator-l1" => Role::AggregatorL1,
-                    "l2" | "aggregator-l2" => Role::AggregatorL2,
-                    r => return Err(err(format!("unknown role: {r}"))),
-                };
-                if spec.daemons.iter().any(|d| d.name == name) {
-                    return Err(err(format!("duplicate daemon name: {name}")));
-                }
-                let mut d = DaemonSpec::new(name, role);
-                d.line = Some(line_no);
-                spec.daemons.push(d);
-                current = Some(spec.daemons.len() - 1);
-            }
-            "upstream" | "standby" | "link" | "rate" | "batch" | "subscribe" | "queue" | "wal"
-            | "overload" => {
-                let d = current
-                    .map(|i| &mut spec.daemons[i])
-                    .ok_or_else(|| err(format!("`{}` before any `daemon`", toks[0])))?;
-                match toks[0] {
-                    "upstream" => {
-                        let t = toks
-                            .get(1)
-                            .ok_or_else(|| err("upstream needs a name".into()))?;
-                        d.upstream = Some((*t).to_string());
-                    }
-                    "standby" => {
-                        let t = toks
-                            .get(1)
-                            .ok_or_else(|| err("standby needs a name".into()))?;
-                        d.standbys.push((*t).to_string());
-                    }
-                    "wal" => {
-                        d.wal_capacity = Some(parse_wal(&toks[1..], line_no)?);
-                    }
-                    "link" => {
-                        let t = toks.get(1).ok_or_else(|| err("link needs a name".into()))?;
-                        d.link = Some((*t).to_string());
-                    }
-                    "rate" => {
-                        let t = toks
-                            .get(1)
-                            .ok_or_else(|| err("rate needs msgs/sec".into()))?;
-                        d.rate_hz = Some(parse_f64(t, line_no, "rate")?);
-                    }
-                    "batch" => {
-                        let t = toks
-                            .get(1)
-                            .ok_or_else(|| err("batch needs records/frame".into()))?;
-                        let n = t
-                            .parse::<u64>()
-                            .ok()
-                            .filter(|&n| n >= 1)
-                            .ok_or_else(|| err(format!("bad batch (want >= 1): {t}")))?;
-                        d.batch = Some(n);
-                    }
-                    "subscribe" => {
-                        let t = toks
-                            .get(1)
-                            .ok_or_else(|| err("subscribe needs a tag".into()))?;
-                        d.subscribers.push((*t).to_string());
-                    }
-                    "queue" => {
-                        d.queue = parse_queue(&toks[1..], line_no)?;
-                    }
-                    "overload" => {
-                        d.overload = Some(parse_overload(&toks[1..], line_no)?);
-                    }
-                    _ => unreachable!("outer match arm"),
-                }
-            }
-            "dsosd" => {
-                spec.store = Some(parse_dsosd(&toks[1..], line_no)?);
-            }
-            "crash-dsosd" => {
-                let (name, from, until) = match toks.as_slice() {
-                    [_, name, from, until] => (*name, *from, *until),
-                    _ => return Err(err("usage: crash-dsosd <daemon> <from_s> <until_s>".into())),
-                };
-                spec.dsosd_outages.push(DsosdOutage {
-                    daemon: name.to_string(),
-                    from: epoch_from_secs_f64(parse_f64(from, line_no, "from")?),
-                    until: epoch_from_secs_f64(parse_f64(until, line_no, "until")?),
-                });
-            }
-            "outage" | "flap" | "crash" => {
-                let (name, from, until) = match toks.as_slice() {
-                    [_, name, from, until] => (*name, *from, *until),
-                    _ => {
-                        return Err(err(format!(
-                            "usage: {} <daemon> <from_s> <until_s>",
-                            toks[0]
-                        )))
-                    }
-                };
-                spec.outages.push(OutageSpec {
-                    component: name.to_string(),
-                    kind: match toks[0] {
-                        "outage" => OutageKind::Daemon,
-                        "crash" => OutageKind::Crash,
-                        _ => OutageKind::Link,
-                    },
-                    from: epoch_from_secs_f64(parse_f64(from, line_no, "from")?),
-                    until: epoch_from_secs_f64(parse_f64(until, line_no, "until")?),
-                });
-            }
-            "schema" => {
-                spec.schema_columns = Some(toks[1..].iter().map(|s| (*s).to_string()).collect());
-            }
-            "workload" => {
-                spec.workload = Some(parse_workload(&toks[1..], line_no)?);
-            }
-            other => return Err(err(format!("unknown directive: {other}"))),
-        }
-    }
-    // Outage components referencing aliases resolve after all daemons
-    // are known; unknown names are kept verbatim (they simply never
-    // match a hop, as the network builder skips unknown targets).
-    for o in &mut spec.outages {
-        if let Some(resolved) = resolve_after_parse(&spec.daemons, &o.component) {
-            o.component = resolved;
-        }
-    }
-    Ok(spec)
-}
-
-fn resolve_after_parse(daemons: &[DaemonSpec], name: &str) -> Option<String> {
-    if daemons.iter().any(|d| d.name == name) {
-        return Some(name.to_string());
-    }
-    let role = match name {
-        "l1" => Role::AggregatorL1,
-        "l2" => Role::AggregatorL2,
-        _ => return None,
-    };
-    daemons
-        .iter()
-        .find(|d| d.role == role)
-        .map(|d| d.name.clone())
-}
-
-fn parse_workload(kvs: &[&str], line: usize) -> Result<WorkloadSpec, ConfError> {
-    let mut w = WorkloadSpec::default();
-    for kv in kvs {
-        let (k, v) = kv.split_once('=').ok_or(ConfError {
-            line,
-            msg: format!("workload setting must be key=value: {kv}"),
-        })?;
-        match k {
-            "duration" => w.duration_s = parse_f64(v, line, "workload duration")?.max(0.0),
-            "start" => w.start_s = parse_f64(v, line, "workload start")?.max(0.0),
-            "storm" => w.storm = parse_f64(v, line, "workload storm")?.max(0.0),
-            "rate" => w.default_rate_hz = parse_f64(v, line, "workload rate")?.max(0.0),
-            "accuracy-floor" => {
-                let f = parse_f64(v, line, "workload accuracy-floor")?;
-                if !(0.0..=1.0).contains(&f) {
-                    return Err(ConfError {
-                        line,
-                        msg: format!("workload accuracy-floor must be in [0, 1]: {v}"),
-                    });
-                }
-                w.accuracy_floor = Some(f);
-            }
-            "latency-budget" => {
-                w.latency_budget_s = Some(parse_f64(v, line, "workload latency-budget")?.max(0.0));
-            }
-            other => {
-                return Err(ConfError {
-                    line,
-                    msg: format!("unknown workload setting: {other}"),
-                })
-            }
-        }
-    }
-    Ok(w)
-}
-
-fn parse_dsosd(kvs: &[&str], line: usize) -> Result<StoreSpec, ConfError> {
-    let mut n: Option<usize> = None;
-    let mut replicas: usize = 1;
-    let mut quorum: Option<usize> = None;
-    for kv in kvs {
-        let (k, v) = kv.split_once('=').ok_or(ConfError {
-            line,
-            msg: format!("dsosd setting must be key=value: {kv}"),
-        })?;
-        let parsed = v.parse::<usize>().ok().filter(|&x| x >= 1);
-        match k {
-            "n" => {
-                n = Some(parsed.ok_or(ConfError {
-                    line,
-                    msg: format!("bad dsosd n (want >= 1): {v}"),
-                })?);
-            }
-            "replicas" => {
-                replicas = parsed.ok_or(ConfError {
-                    line,
-                    msg: format!("bad dsosd replicas (want >= 1): {v}"),
-                })?;
-            }
-            "quorum" => {
-                quorum = Some(parsed.ok_or(ConfError {
-                    line,
-                    msg: format!("bad dsosd quorum (want >= 1): {v}"),
-                })?);
-            }
-            other => {
-                return Err(ConfError {
-                    line,
-                    msg: format!("unknown dsosd setting: {other}"),
-                })
-            }
-        }
-    }
-    let dsosd = n.ok_or(ConfError {
-        line,
-        msg: "dsosd needs n=<count>".into(),
-    })?;
-    let write_quorum = quorum.unwrap_or(replicas / 2 + 1);
-    if replicas > dsosd || write_quorum > replicas {
-        return Err(ConfError {
-            line,
-            msg: format!(
-                "dsosd policy must satisfy 1 <= quorum <= replicas <= n \
-                 (got n={dsosd} replicas={replicas} quorum={write_quorum})"
-            ),
-        });
-    }
-    Ok(StoreSpec {
-        dsosd,
-        replicas,
-        write_quorum,
-        line: Some(line),
-    })
-}
-
-fn parse_wal(kvs: &[&str], line: usize) -> Result<usize, ConfError> {
-    let mut capacity: Option<usize> = None;
-    for kv in kvs {
-        let (k, v) = kv.split_once('=').ok_or(ConfError {
-            line,
-            msg: format!("wal setting must be key=value: {kv}"),
-        })?;
-        match k {
-            "capacity" => {
-                capacity = Some(v.parse().map_err(|_| ConfError {
-                    line,
-                    msg: format!("bad wal capacity: {v}"),
-                })?);
-            }
-            // Cadence knobs are accepted for completeness but do not
-            // affect the static capacity lint.
-            "fsync-every" | "checkpoint-every" => {
-                v.parse::<u32>().map_err(|_| ConfError {
-                    line,
-                    msg: format!("bad wal {k}: {v}"),
-                })?;
-            }
-            other => {
-                return Err(ConfError {
-                    line,
-                    msg: format!("unknown wal setting: {other}"),
-                })
-            }
-        }
-    }
-    capacity.ok_or(ConfError {
-        line,
-        msg: "wal needs capacity=<n>".into(),
-    })
-}
-
-fn parse_overload(kvs: &[&str], line: usize) -> Result<OverloadSpec, ConfError> {
-    let mut rate: Option<f64> = None;
-    let mut sample: Option<f64> = None;
-    for kv in kvs {
-        let (k, v) = kv.split_once('=').ok_or(ConfError {
-            line,
-            msg: format!("overload setting must be key=value: {kv}"),
-        })?;
-        match k {
-            "rate" => rate = Some(parse_f64(v, line, "overload rate")?),
-            "sample" => sample = Some(parse_f64(v, line, "overload sample watermark")?),
-            // The remaining ladder knobs are accepted for completeness
-            // (so a conf can mirror a full `OverloadConfig`) but do not
-            // affect the static sampling-reachability lint.
-            "throttle" | "spill" => {
-                parse_f64(v, line, k)?;
-            }
-            "keep-every" | "window-ms" => {
-                v.parse::<u64>().map_err(|_| ConfError {
-                    line,
-                    msg: format!("bad overload {k}: {v}"),
-                })?;
-            }
-            other => {
-                return Err(ConfError {
-                    line,
-                    msg: format!("unknown overload setting: {other}"),
-                })
-            }
-        }
-    }
-    let service_rate = rate.filter(|r| *r > 0.0).ok_or(ConfError {
-        line,
-        msg: "overload needs rate=<msgs/sec> (> 0)".into(),
-    })?;
-    Ok(OverloadSpec {
-        service_rate,
-        // Mirrors `OverloadConfig::for_rate`: sampling engages at twice
-        // the sustainable rate unless the conf pins it explicitly.
-        sample_watermark: sample.unwrap_or(service_rate * 2.0),
-    })
-}
-
-fn parse_queue(kvs: &[&str], line: usize) -> Result<QueueConfig, ConfError> {
-    let mut q = QueueConfig::best_effort();
-    for kv in kvs {
-        let (k, v) = kv.split_once('=').ok_or(ConfError {
-            line,
-            msg: format!("queue setting must be key=value: {kv}"),
-        })?;
-        match k {
-            "capacity" => {
-                q.capacity = v.parse().map_err(|_| ConfError {
-                    line,
-                    msg: format!("bad capacity: {v}"),
-                })?;
-            }
-            "attempts" => {
-                q.max_attempts = v.parse().map_err(|_| ConfError {
-                    line,
-                    msg: format!("bad attempts: {v}"),
-                })?;
-            }
-            "backoff" => {
-                q.base_backoff = SimDuration::from_secs_f64(parse_f64(v, line, "backoff")?);
-            }
-            "max-backoff" => {
-                q.max_backoff = SimDuration::from_secs_f64(parse_f64(v, line, "max-backoff")?);
-            }
-            "jitter" => q.jitter = parse_f64(v, line, "jitter")?,
-            "policy" => {
-                q.policy = match v {
-                    "drop-oldest" => OverflowPolicy::DropOldest,
-                    "drop-newest" => OverflowPolicy::DropNewest,
-                    d if d.starts_with("deadline:") => {
-                        let secs = parse_f64(&d["deadline:".len()..], line, "deadline")?;
-                        OverflowPolicy::BlockWithDeadline(SimDuration::from_secs_f64(secs))
-                    }
-                    other => {
-                        return Err(ConfError {
-                            line,
-                            msg: format!("unknown policy: {other}"),
-                        })
-                    }
-                };
-            }
-            other => {
-                return Err(ConfError {
-                    line,
-                    msg: format!("unknown queue setting: {other}"),
-                })
-            }
-        }
-    }
-    Ok(q)
 }
 
 /// Where a forwarding walk ends.
@@ -893,9 +289,9 @@ pub(crate) fn walk(
     let mut seen: HashSet<usize> = HashSet::from([start]);
     let mut at = start;
     loop {
-        match &daemons[at].upstream {
+        match daemons[at].upstream() {
             None => return (path, WalkEnd::Terminal(at)),
-            Some(up) => match by_name.get(up.as_str()) {
+            Some(up) => match by_name.get(up) {
                 None => return (path, WalkEnd::Dangling),
                 Some(&next) => {
                     if !seen.insert(next) {
@@ -915,7 +311,8 @@ pub(crate) fn walk(
 pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let tag = &spec.stream_tag;
-    let daemons = &spec.daemons;
+    let daemons = &spec.graph.daemons;
+    let windows = FaultWindows::of(&spec.graph);
 
     // TOP007 — duplicate names. Later duplicates are excluded from the
     // name map so the remaining lints see one daemon per name.
@@ -937,8 +334,8 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
 
     // TOP010 — dangling upstream references.
     for d in daemons {
-        if let Some(up) = &d.upstream {
-            if !by_name.contains_key(up.as_str()) {
+        if let Some(up) = d.upstream() {
+            if !by_name.contains_key(up) {
                 diags.push(
                     Diagnostic::new(
                         &diag::TOP010,
@@ -953,7 +350,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
 
     // TOP002 — orphan samplers.
     for d in daemons {
-        if d.role == Role::Sampler && d.upstream.is_none() {
+        if d.role == DaemonRole::Sampler && d.upstream().is_none() {
             diags.push(
                 Diagnostic::new(
                     &diag::TOP002,
@@ -973,7 +370,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     let sampler_ids: Vec<usize> = daemons
         .iter()
         .enumerate()
-        .filter(|(_, d)| d.role == Role::Sampler)
+        .filter(|(_, d)| d.role == DaemonRole::Sampler)
         .map(|(i, _)| i)
         .collect();
     let mut reachable: HashSet<usize> = HashSet::new();
@@ -994,7 +391,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // flagged TOP003.
     let mut frontier: Vec<usize> = reachable.iter().copied().collect();
     while let Some(i) = frontier.pop() {
-        for n in daemons[i].upstream.iter().chain(daemons[i].standbys.iter()) {
+        for n in &daemons[i].routes {
             if let Some(&j) = by_name.get(n.as_str()) {
                 if reachable.insert(j) {
                     frontier.push(j);
@@ -1014,10 +411,8 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
             // the suffix starting at the re-entered daemon.
             let last = &daemons[*path.last().expect("non-empty path")];
             let reentry = by_name[last
-                .upstream
-                .as_ref()
-                .expect("cycle walk ends on a forwarding daemon")
-                .as_str()];
+                .upstream()
+                .expect("cycle walk ends on a forwarding daemon")];
             let pos = path
                 .iter()
                 .position(|&i| i == reentry)
@@ -1082,7 +477,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
 
     // TOP006 — deadline shorter than the first backoff.
     for d in daemons {
-        if d.upstream.is_none() || !d.queue.retries_enabled() {
+        if d.upstream().is_none() || !d.queue.retries_enabled() {
             continue;
         }
         if let OverflowPolicy::BlockWithDeadline(deadline) = d.queue.policy {
@@ -1111,7 +506,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // hop daemon index -> longest single crash-stop window its
     // upstream target is scripted for (feeds TOP012).
     let mut hop_crash_window: BTreeMap<usize, f64> = BTreeMap::new();
-    for o in &spec.outages {
+    for o in &windows.outages {
         let secs = o.until.since(o.from).as_secs_f64();
         if secs <= 0.0 {
             continue;
@@ -1121,7 +516,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
             // loss) is ridden out by every hop targeting it.
             OutageKind::Daemon | OutageKind::Crash => {
                 for (i, d) in daemons.iter().enumerate() {
-                    if d.upstream.as_deref() == Some(o.component.as_str()) {
+                    if d.upstream() == Some(o.component.as_str()) {
                         *hop_downtime.entry(i).or_default() += secs;
                         if o.kind == OutageKind::Crash {
                             let w = hop_crash_window.entry(i).or_default();
@@ -1133,7 +528,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
             // A link flap is ridden out by the link's owner.
             OutageKind::Link => {
                 if let Some(&i) = by_name.get(o.component.as_str()) {
-                    if daemons[i].upstream.is_some() {
+                    if daemons[i].upstream().is_some() {
                         *hop_downtime.entry(i).or_default() += secs;
                     }
                 }
@@ -1146,8 +541,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // rate/b frames per second, because downstream queues and WALs
     // park whole frames, not the records inside them. Returns the rate
     // plus the unit word for diagnostics ("frames" once any
-    // contributing sampler batches). Conf-file specs only; live
-    // networks carry no rates.
+    // contributing sampler batches). Only conf files declare rates.
     let through_rate = |i: usize| -> (f64, &'static str) {
         let mut rate = 0.0;
         let mut unit = "messages";
@@ -1155,10 +549,11 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
             if !paths.get(&s).is_some_and(|p| p.contains(&i)) {
                 continue;
             }
-            let Some(r) = daemons[s].rate_hz else {
+            let conf = spec.conf(s);
+            let Some(r) = conf.rate_hz else {
                 continue;
             };
-            match daemons[s].batch {
+            match conf.batch {
                 Some(b) if b > 1 => {
                     rate += r / b as f64;
                     unit = "frames";
@@ -1193,7 +588,9 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // volatile-only, so a crash of the hop itself loses them.
     for (&i, &win_secs) in &hop_crash_window {
         let d = &daemons[i];
-        let Some(cap) = d.wal_capacity else { continue };
+        let Some(cap) = d.wal.as_ref().map(|w| w.capacity) else {
+            continue;
+        };
         let (rate, unit) = through_rate(i);
         if rate <= 0.0 {
             continue;
@@ -1223,7 +620,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // into sketches. The operator configured accuracy-bounded
     // degradation but will get attributed drops instead.
     for d in daemons {
-        let (Some(ov), true) = (&d.overload, d.upstream.is_some()) else {
+        let (Some(ov), true) = (&d.overload, d.upstream().is_some()) else {
             continue;
         };
         if ov.sample_watermark >= d.queue.capacity as f64 {
@@ -1266,7 +663,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
             if subscriber_ids.contains(&i) {
                 return true;
             }
-            for n in daemons[i].upstream.iter().chain(daemons[i].standbys.iter()) {
+            for n in &daemons[i].routes {
                 if let Some(&j) = by_name.get(n.as_str()) {
                     if Some(j) != banned && seen.insert(j) {
                         frontier.push(j);
@@ -1283,7 +680,7 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
         .collect();
     if !connected.is_empty() {
         for (x, d) in daemons.iter().enumerate() {
-            if d.role == Role::Sampler || d.upstream.is_none() || d.subscribes(tag) {
+            if d.role == DaemonRole::Sampler || d.upstream().is_none() || d.subscribes(tag) {
                 // Samplers originate traffic and subscriber hosts are
                 // store endpoints, not forwarders; losing either is a
                 // different failure class than a forwarding SPOF.
@@ -1316,12 +713,12 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
     // restart at the same instant as another daemon's crash does not
     // overlap it. Without a `dsosd` declaration the store is assumed
     // unreplicated (replicas = 1), matching the live default.
-    if !spec.dsosd_outages.is_empty() {
+    if !windows.dsosd.is_empty() {
         let replicas = spec.store.map_or(1, |s| s.replicas);
         // Sweep window endpoints; ends sort before starts at equal
         // instants (half-open windows touch without overlapping).
         let mut events: Vec<(Epoch, i32)> = Vec::new();
-        for o in &spec.dsosd_outages {
+        for o in &windows.dsosd {
             if o.until <= o.from {
                 continue;
             }
@@ -1414,7 +811,10 @@ pub fn lint_topology(spec: &TopologySpec) -> Vec<Diagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ldms_sim::NetworkOpts;
+    use crate::conf::parse_conf;
+    use darshan_ldms_connector::PipelineOpts;
+    use ldms_sim::fault::FaultScript;
+    use ldms_sim::queue::QueueConfig;
 
     const PAPER: &str = "
 tag darshanConnector
@@ -1434,7 +834,7 @@ daemon shirley-agg l2
     #[test]
     fn paper_conf_parses_with_only_the_spof_warning() {
         let spec = parse_conf(PAPER).unwrap();
-        assert_eq!(spec.daemons.len(), 4);
+        assert_eq!(spec.graph.daemons.len(), 4);
         assert_eq!(spec.stream_tag, "darshanConnector");
         // The paper's single head-node aggregator is a genuine single
         // point of failure — that warning is the only finding.
@@ -1462,7 +862,7 @@ daemon voltrino-standby l1
             "daemon nid00041 sampler\n  upstream voltrino-head\n  standby voltrino-standby",
         );
         let spec = parse_conf(&with_standby).unwrap();
-        assert_eq!(spec.daemons[0].standbys, vec!["voltrino-standby"]);
+        assert_eq!(spec.graph.daemons[0].routes[1..], ["voltrino-standby"]);
         let codes: Vec<&str> = lint_topology(&spec).iter().map(|d| d.code.code).collect();
         assert!(
             !codes.contains(&"TOP011"),
@@ -1490,9 +890,13 @@ daemon store l2
 crash store 100 130
 ";
         let spec = parse_conf(conf).unwrap();
-        assert_eq!(spec.outages.len(), 1);
-        assert_eq!(spec.outages[0].kind, OutageKind::Crash);
-        assert_eq!(spec.daemons[1].wal_capacity, Some(50));
+        let outages = FaultWindows::of(&spec.graph).outages;
+        assert_eq!(outages.len(), 1);
+        assert_eq!(outages[0].kind, OutageKind::Crash);
+        assert_eq!(
+            spec.graph.daemons[1].wal.as_ref().map(|w| w.capacity),
+            Some(50)
+        );
         let codes: Vec<&str> = lint_topology(&spec).iter().map(|d| d.code.code).collect();
         // 100 msg/s × 30 s = 3000 records ≫ WAL capacity 50.
         assert!(codes.contains(&"TOP012"), "{codes:?}");
@@ -1503,27 +907,6 @@ crash store 100 130
             .map(|d| d.code.code)
             .collect();
         assert!(!codes.contains(&"TOP012"), "{codes:?}");
-    }
-
-    #[test]
-    fn overload_directive_parses_and_defaults_the_sample_watermark() {
-        let spec = parse_conf(
-            "daemon a l1\n  upstream b\n  queue capacity=4096 attempts=8\n\
-             \x20 overload rate=15 keep-every=8 window-ms=100\ndaemon b l2\n",
-        )
-        .unwrap();
-        let ov = spec.daemons[0].overload.expect("overload parsed");
-        assert!((ov.service_rate - 15.0).abs() < 1e-12);
-        // for_rate semantics: sampling engages at twice the rate.
-        assert!((ov.sample_watermark - 30.0).abs() < 1e-12);
-        let spec =
-            parse_conf("daemon a l1\n  upstream b\n  overload rate=15 sample=900\ndaemon b l2\n")
-                .unwrap();
-        assert!((spec.daemons[0].overload.unwrap().sample_watermark - 900.0).abs() < 1e-12);
-        // rate is mandatory and must be positive.
-        assert!(parse_conf("daemon a l1\n  overload sample=10\n").is_err());
-        assert!(parse_conf("daemon a l1\n  overload rate=0\n").is_err());
-        assert!(parse_conf("daemon a l1\n  overload rate=5 bogus=1\n").is_err());
     }
 
     #[test]
@@ -1559,117 +942,114 @@ daemon store l2
         assert!(codes.contains(&"TOP013"), "{codes:?}");
     }
 
-    #[test]
-    fn conf_parser_reports_line_numbers() {
-        let e = parse_conf("tag t\nbogus directive\n").unwrap_err();
-        assert_eq!(e.line, 2);
-        assert!(e.to_string().contains("bogus"));
-        let e = parse_conf("upstream x\n").unwrap_err();
-        assert!(e.msg.contains("before any `daemon`"));
-        let e = parse_conf("daemon a sampler\n  queue capacity=lots\n").unwrap_err();
-        assert!(e.msg.contains("capacity"));
+    /// The spec of a paper pipeline built with `opts`.
+    fn pipeline(opts: &PipelineOpts) -> TopologySpec {
+        let nodes = ["nid00040".to_string(), "nid00041".to_string()];
+        pipeline_spec(&Pipeline::build_with(&nodes, opts))
     }
 
-    #[test]
-    fn queue_settings_parse() {
-        let spec = parse_conf(
-            "daemon a l1\n  queue capacity=7 policy=deadline:0.5 attempts=3 backoff=0.002 jitter=0.1\n",
-        )
-        .unwrap();
-        let q = &spec.daemons[0].queue;
-        assert_eq!(q.capacity, 7);
-        assert_eq!(q.max_attempts, 3);
-        assert!(
-            matches!(q.policy, OverflowPolicy::BlockWithDeadline(d) if (d.as_secs_f64() - 0.5).abs() < 1e-12)
-        );
-        assert!((q.base_backoff.as_secs_f64() - 0.002).abs() < 1e-12);
-    }
-
-    #[test]
-    fn outage_aliases_resolve_to_role() {
-        let spec = parse_conf(&format!("{PAPER}\noutage l2 100 160\nflap l1 10 20\n")).unwrap();
-        assert_eq!(spec.outages.len(), 2);
-        assert_eq!(spec.outages[0].component, "shirley-agg");
-        assert_eq!(spec.outages[1].component, "voltrino-head");
+    fn codes(spec: &TopologySpec) -> Vec<&'static str> {
+        lint_topology(spec).iter().map(|d| d.code.code).collect()
     }
 
     #[test]
     fn spec_from_live_network_carries_only_the_spof_warning() {
-        let net = LdmsNetwork::build(
-            &["nid00040".into(), "nid00041".into()],
-            &NetworkOpts::default(),
-        );
-        net.l2()
-            .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
-        let spec = TopologySpec::from_network(&net, "darshanConnector", &FaultScript::new());
-        assert_eq!(spec.daemons.len(), 4);
-        assert!(spec.daemons.iter().any(|d| d.role == Role::AggregatorL2));
-        let codes: Vec<&str> = lint_topology(&spec).iter().map(|d| d.code.code).collect();
-        assert_eq!(codes, vec!["TOP011"]);
+        let spec = pipeline(&PipelineOpts::default());
+        assert_eq!(spec.graph.daemons.len(), 4);
+        assert!(spec.graph.daemons[3].subscribes(DEFAULT_STREAM_TAG));
+        assert_eq!(codes(&spec), ["TOP011"]);
+        // Without the store nothing subscribes at the terminal.
+        let spec = pipeline(&PipelineOpts {
+            attach_store: false,
+            ..PipelineOpts::default()
+        });
+        assert!(codes(&spec).contains(&"TOP004"));
     }
 
     #[test]
     fn spec_from_standby_network_is_clean() {
-        let net = LdmsNetwork::build(
-            &["nid00040".into(), "nid00041".into()],
-            &NetworkOpts {
-                queue: QueueConfig::reliable(),
-                standby_l1: true,
-                ..NetworkOpts::default()
-            },
-        );
-        net.l2()
-            .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
-        let spec = TopologySpec::from_network(&net, "darshanConnector", &FaultScript::new());
-        assert_eq!(spec.daemons.len(), 5);
-        assert_eq!(spec.daemons[0].standbys, vec!["voltrino-standby"]);
-        assert!(lint_topology(&spec).is_empty());
+        let spec = pipeline(&PipelineOpts {
+            queue: QueueConfig::reliable(),
+            standby_l1: true,
+            ..PipelineOpts::default()
+        });
+        assert_eq!(spec.graph.daemons.len(), 5);
+        assert_eq!(spec.graph.daemons[0].routes[1..], ["voltrino-standby"]);
+        assert!(codes(&spec).is_empty());
     }
 
     #[test]
     fn network_faults_become_outage_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
-        net.l2()
-            .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
-        let faults = FaultScript::new()
-            .daemon_outage("l2", Epoch::from_secs(10), Epoch::from_secs(20))
-            .link_loss_prob("nid0", 0.5, 1);
-        let spec = TopologySpec::from_network(&net, "darshanConnector", &faults);
-        assert_eq!(spec.outages.len(), 1, "loss-prob specs carry no window");
-        assert_eq!(spec.outages[0].component, "shirley-agg");
+        let spec = pipeline(&PipelineOpts {
+            faults: FaultScript::new()
+                .daemon_outage("l2", Epoch::from_secs(10), Epoch::from_secs(20))
+                .link_loss_prob("nid00040", 0.5, 1)
+                .crash("nid00099", Epoch::from_secs(1), Epoch::from_secs(2)),
+            ..PipelineOpts::default()
+        });
+        let w = FaultWindows::of(&spec.graph);
+        assert_eq!(
+            w.outages.len(),
+            1,
+            "no window for loss or an unknown daemon"
+        );
+        assert_eq!(w.outages[0].component, "shirley-agg");
+        assert_eq!(w.lossy_links, ["nid00040"]);
         // Best-effort hop behind the outage (TOP009) plus the default
         // topology's single-aggregator SPOF (TOP011).
-        let codes: Vec<&str> = lint_topology(&spec).iter().map(|d| d.code.code).collect();
-        assert_eq!(codes, vec!["TOP009", "TOP011"]);
+        assert_eq!(codes(&spec), ["TOP009", "TOP011"]);
     }
 
     #[test]
     fn crash_faults_become_crash_outage_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
-        net.l2()
-            .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
-        let faults = FaultScript::new().crash("l1", Epoch::from_secs(100), Epoch::from_secs(130));
-        let spec = TopologySpec::from_network(&net, "darshanConnector", &faults);
-        assert_eq!(spec.outages.len(), 1);
-        assert_eq!(spec.outages[0].kind, OutageKind::Crash);
-        assert_eq!(spec.outages[0].component, "voltrino-head");
+        let spec = pipeline(&PipelineOpts {
+            faults: FaultScript::new().crash("l1", Epoch::from_secs(100), Epoch::from_secs(130)),
+            ..PipelineOpts::default()
+        });
+        let outages = FaultWindows::of(&spec.graph).outages;
+        assert_eq!(outages.len(), 1);
+        assert_eq!(outages[0].kind, OutageKind::Crash);
+        assert_eq!(outages[0].component, "voltrino-head");
         // The sampler's best-effort hop rides out the crash: TOP009.
-        let codes: Vec<&str> = lint_topology(&spec).iter().map(|d| d.code.code).collect();
-        assert!(codes.contains(&"TOP009"), "{codes:?}");
+        assert!(codes(&spec).contains(&"TOP009"), "{:?}", codes(&spec));
     }
 
     #[test]
-    fn dsosd_directive_parses_and_validates() {
-        let spec = parse_conf("dsosd n=4 replicas=2 quorum=1\n").unwrap();
-        let s = spec.store.unwrap();
-        assert_eq!((s.dsosd, s.replicas, s.write_quorum), (4, 2, 1));
-        // Majority quorum by default.
-        let s = parse_conf("dsosd n=4 replicas=3\n").unwrap().store.unwrap();
-        assert_eq!(s.write_quorum, 2);
-        assert!(parse_conf("dsosd replicas=2\n").is_err(), "n is mandatory");
-        assert!(parse_conf("dsosd n=2 replicas=3\n").is_err());
-        assert!(parse_conf("dsosd n=4 replicas=2 quorum=3\n").is_err());
-        assert!(parse_conf("dsosd n=0\n").is_err());
+    fn a_crash_of_the_standby_alias_lands_on_the_standby() {
+        let crash =
+            || FaultScript::new().crash("standby", Epoch::from_secs(100), Epoch::from_secs(130));
+        let mut spec = pipeline(&PipelineOpts {
+            queue: QueueConfig::reliable(),
+            standby_l1: true,
+            faults: crash(),
+            ..PipelineOpts::default()
+        });
+        let outages = FaultWindows::of(&spec.graph).outages;
+        assert_eq!(outages.len(), 1);
+        assert_eq!(
+            (outages[0].component.as_str(), outages[0].kind),
+            ("voltrino-standby", OutageKind::Crash)
+        );
+        // The solver sees the window: its envelope stretches to cover
+        // it, and a crash of the standby hop puts its parked mass at
+        // risk, which no fault-free run of the same graph does.
+        spec.set_sampler_conf(DaemonConf {
+            rate_hz: Some(10.0),
+            ..DaemonConf::default()
+        });
+        let flow = crate::flow::analyze_flow(&spec, None);
+        assert!(flow.workload.end_s() >= 190.0, "{:?}", flow.workload);
+        let standby_loss = |f: &crate::flow::FlowReport| {
+            f.hops
+                .iter()
+                .find(|h| h.daemon == "voltrino-standby")
+                .unwrap()
+                .loss_ceiling
+        };
+        assert!(standby_loss(&flow) > 0.0, "{}", flow.render_table());
+        spec.graph.faults = FaultScript::new();
+        let calm = crate::flow::analyze_flow(&spec, Some(&flow.workload));
+        assert!(standby_loss(&calm) < standby_loss(&flow));
     }
 
     #[test]
@@ -1705,27 +1085,98 @@ daemon store l2
 
     #[test]
     fn dsosd_fault_specs_become_paired_windows() {
-        let net = LdmsNetwork::build(&["nid0".into()], &NetworkOpts::default());
-        net.l2()
-            .subscribe("darshanConnector", ldms_sim::stream::BufferSink::new());
-        let faults = FaultScript::new()
-            .crash_dsosd("dsosd-0", Epoch::from_secs(100))
-            .restart_dsosd("dsosd-0", Epoch::from_secs(130))
-            .crash_dsosd("dsosd-1", Epoch::from_secs(200));
-        let spec = TopologySpec::from_network(&net, "darshanConnector", &faults);
-        assert_eq!(spec.dsosd_outages.len(), 2);
-        assert_eq!(spec.dsosd_outages[0].daemon, "dsosd-0");
-        assert_eq!(spec.dsosd_outages[0].until, Epoch::from_secs(130));
+        let graph = Topology {
+            faults: FaultScript::new()
+                .crash_dsosd("dsosd-0", Epoch::from_secs(100))
+                .restart_dsosd("dsosd-0", Epoch::from_secs(130))
+                .crash_dsosd("dsosd-1", Epoch::from_secs(200)),
+            ..Topology::paper(&["nid0".into()], false)
+        };
+        let w = FaultWindows::of(&graph);
+        assert_eq!(w.dsosd.len(), 2);
+        assert_eq!(w.dsosd[0].daemon, "dsosd-0");
+        assert_eq!(w.dsosd[0].until, Epoch::from_secs(130));
         // The unpaired crash stays down forever.
-        assert_eq!(spec.dsosd_outages[1].until, Epoch::from_nanos(u64::MAX));
+        assert_eq!(w.dsosd[1].until, Epoch::from_nanos(u64::MAX));
         // dsosd faults never become LDMS-hop outages.
-        assert!(spec.outages.is_empty());
+        assert!(w.outages.is_empty());
     }
 
     #[test]
-    fn role_labels_render() {
-        assert_eq!(Role::Sampler.as_str(), "sampler");
-        assert_eq!(Role::AggregatorL1.as_str(), "l1");
-        assert_eq!(Role::AggregatorL2.as_str(), "l2");
+    fn overload_directive_parses_and_defaults_the_sample_watermark() {
+        let spec = parse_conf(
+            "daemon a l1\n  upstream b\n  queue capacity=4096 attempts=8\n\
+             \x20 overload rate=15 keep-every=8 window-ms=100\ndaemon b l2\n",
+        )
+        .unwrap();
+        let ov = spec.graph.daemons[0]
+            .overload
+            .clone()
+            .expect("overload parsed");
+        assert!((ov.service_rate - 15.0).abs() < 1e-12);
+        // for_rate semantics: sampling engages at twice the rate.
+        assert!((ov.sample_watermark - 30.0).abs() < 1e-12);
+        let spec =
+            parse_conf("daemon a l1\n  upstream b\n  overload rate=15 sample=900\ndaemon b l2\n")
+                .unwrap();
+        let ov = spec.graph.daemons[0].overload.as_ref().unwrap();
+        assert!((ov.sample_watermark - 900.0).abs() < 1e-12);
+        // rate is mandatory and must be positive.
+        assert!(parse_conf("daemon a l1\n  overload sample=10\n").is_err());
+        assert!(parse_conf("daemon a l1\n  overload rate=0\n").is_err());
+        assert!(parse_conf("daemon a l1\n  overload rate=5 bogus=1\n").is_err());
+    }
+
+    #[test]
+    fn conf_parser_reports_line_numbers() {
+        let e = parse_conf("tag t\nbogus directive\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("bogus"));
+        let e = parse_conf("upstream x\n").unwrap_err();
+        assert!(e.msg.contains("before any `daemon`"));
+        let e = parse_conf("daemon a sampler\n  queue capacity=lots\n").unwrap_err();
+        assert!(e.msg.contains("capacity"));
+    }
+
+    #[test]
+    fn queue_settings_parse() {
+        let spec = parse_conf(
+            "daemon a l1\n  queue capacity=7 policy=deadline:0.5 attempts=3 backoff=0.002 jitter=0.1\n",
+        )
+        .unwrap();
+        let q = &spec.graph.daemons[0].queue;
+        assert_eq!(q.capacity, 7);
+        assert_eq!(q.max_attempts, 3);
+        assert!(
+            matches!(q.policy, OverflowPolicy::BlockWithDeadline(d) if (d.as_secs_f64() - 0.5).abs() < 1e-12)
+        );
+        assert!((q.base_backoff.as_secs_f64() - 0.002).abs() < 1e-12);
+    }
+
+    #[test]
+    fn outage_aliases_resolve_to_role() {
+        let spec = parse_conf(
+            "daemon n sampler\n  upstream h\ndaemon h l1\n  upstream s\ndaemon s l2\n\
+             outage l2 100 160\nflap l1 10 20\n",
+        )
+        .unwrap();
+        let outages = FaultWindows::of(&spec.graph).outages;
+        assert_eq!(outages.len(), 2);
+        assert_eq!(outages[0].component, "s");
+        assert_eq!(outages[1].component, "h");
+    }
+
+    #[test]
+    fn dsosd_directive_parses_and_validates() {
+        let spec = parse_conf("dsosd n=4 replicas=2 quorum=1\n").unwrap();
+        let s = spec.store.unwrap();
+        assert_eq!((s.dsosd, s.replicas, s.write_quorum), (4, 2, 1));
+        // Majority quorum by default.
+        let s = parse_conf("dsosd n=4 replicas=3\n").unwrap().store.unwrap();
+        assert_eq!(s.write_quorum, 2);
+        assert!(parse_conf("dsosd replicas=2\n").is_err(), "n is mandatory");
+        assert!(parse_conf("dsosd n=2 replicas=3\n").is_err());
+        assert!(parse_conf("dsosd n=4 replicas=2 quorum=3\n").is_err());
+        assert!(parse_conf("dsosd n=0\n").is_err());
     }
 }

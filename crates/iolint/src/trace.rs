@@ -21,6 +21,7 @@ use darshan_ldms_connector::{GapReport, Pipeline, COLUMNS, CONTAINER};
 use dsos_sim::{DsosCluster, Scan, ValueRef};
 use hpcws_sim::online::{self, OnlineEvent};
 use ldms_sim::ledger::LossRecord;
+use ldms_sim::DaemonRole;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Reads every stored event from a cluster, in `job_rank_time` index
@@ -388,14 +389,12 @@ pub fn lint_gaps(gaps: &[GapReport], budget: &mut LossBudget) -> Vec<Diagnostic>
 pub(crate) fn lint_pipeline_trace(p: &Pipeline) -> Vec<Diagnostic> {
     let events = events_from_cluster(p.cluster());
     let mut diags = lint_trace(&events);
-    let producers: Vec<String> = p
-        .network()
-        .daemons()
+    let producers = p
+        .topology()
+        .daemons
         .iter()
-        .filter(|d| d.role() == ldms_sim::daemon::DaemonRole::Sampler)
-        .map(|d| d.name().to_string())
-        .collect();
-    let mut budget = LossBudget::new(&p.ledger().report(), producers.iter().map(String::as_str));
+        .filter(|d| d.role == DaemonRole::Sampler);
+    let mut budget = LossBudget::new(&p.ledger().report(), producers.map(|d| d.name.as_str()));
     diags.extend(lint_gaps(&p.store().gap_reports(), &mut budget));
     diags
 }

@@ -130,6 +130,24 @@ const CASES: &[Case] = &[
         msg: "unknown wal setting: color",
     },
     Case {
+        name: "overload-window-out-of-range",
+        conf: "daemon a l1\n  overload rate=10 window-ms=99999999999999999\n",
+        line: 2,
+        msg: "overload window-ms out of range: 99999999999999999",
+    },
+    Case {
+        name: "standby-before-upstream",
+        conf: "daemon a sampler\n  standby b\n",
+        line: 2,
+        msg: "`standby` needs an `upstream` first",
+    },
+    Case {
+        name: "link-off-role",
+        conf: "daemon a sampler\n  upstream b\n  link site-net\n",
+        line: 3,
+        msg: "`a` uses link `ugni`, not `site-net`",
+    },
+    Case {
         name: "outage-usage",
         conf: "daemon a sampler\noutage a 5\n",
         line: 2,

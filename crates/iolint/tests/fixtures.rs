@@ -111,17 +111,17 @@ fn top006_deadline_infeasible() {
 fn top007_duplicate_daemon() {
     // `parse_conf` now rejects duplicate names outright (CONF-level,
     // with a line number), so the spec-level lint is exercised the way
-    // it fires in practice: on an IR assembled programmatically (e.g.
-    // lifted from a live network with colliding producer names).
-    use iolint::{DaemonSpec, Role, TopologySpec};
+    // it fires in practice: on a graph assembled programmatically
+    // (which `LdmsNetwork::build` would refuse).
+    use iolint::TopologySpec;
+    use ldms_sim::{DaemonRole, DaemonSpec};
     let mut spec = TopologySpec::new(DEFAULT_STREAM_TAG);
-    let mut s1 = DaemonSpec::new("nid00040", Role::Sampler);
-    s1.upstream = Some("shirley-agg".into());
-    let mut s2 = DaemonSpec::new("nid00040", Role::Sampler);
-    s2.upstream = Some("shirley-agg".into());
-    let mut agg = DaemonSpec::new("shirley-agg", Role::AggregatorL2);
+    let mut s1 = DaemonSpec::new("nid00040", DaemonRole::Sampler);
+    s1.routes.push("shirley-agg".into());
+    let s2 = s1.clone();
+    let mut agg = DaemonSpec::new("shirley-agg", DaemonRole::AggregatorL2);
     agg.subscribers.push(DEFAULT_STREAM_TAG.into());
-    spec.daemons.extend([s1, s2, agg]);
+    spec.graph.daemons.extend([s1, s2, agg]);
     let report = check_topology(&spec, &LintConfig::new());
     let codes: Vec<&str> = report.codes().into_iter().collect();
     assert_eq!(codes, vec!["TOP007"], "report:\n{}", report.render_text());
@@ -312,13 +312,7 @@ fn trc006_gap_reconciliation_against_live_pipeline() {
     );
     // Pre-flight: the topology itself is sound (modulo the advisory
     // SPOF warning the default single-aggregator layout always draws).
-    assert!(check_pipeline_topology(
-        &p,
-        DEFAULT_STREAM_TAG,
-        &FaultScript::new(),
-        &LintConfig::new().allow("TOP011"),
-    )
-    .is_clean());
+    assert!(check_pipeline_topology(&p, &LintConfig::new().allow("TOP011")).is_clean());
 
     for i in 0..10u64 {
         let t = Epoch::from_secs(100) + SimDuration::from_millis(i * 10);

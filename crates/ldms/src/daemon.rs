@@ -53,11 +53,11 @@ use self::route::UpstreamSet;
 use self::telemetry::DaemonTelemetry;
 use crate::fault::{DaemonFaults, Lifecycle};
 use crate::ledger::{DeliveryLedger, LossCause};
-use crate::overload::{OverloadConfig, OverloadController, OverloadStats};
+use crate::network::DaemonSpec;
+use crate::overload::{OverloadController, OverloadStats};
 use crate::queue::{QueueConfig, QueueEntry, WakeSchedule};
 use crate::stream::{StreamHub, StreamMessage, StreamSink, StreamStats};
 use crate::transport::TransportLink;
-use crate::NetworkOpts;
 use iosim_telemetry::{CrashDump, HopKind, HubEventKind};
 use iosim_time::Epoch;
 use parking_lot::Mutex;
@@ -84,13 +84,12 @@ pub enum DaemonRole {
 pub(crate) struct Fabric<'a> {
     pub(crate) ledger: &'a Arc<DeliveryLedger>,
     pub(crate) wakes: &'a Arc<WakeSchedule>,
-    pub(crate) opts: &'a NetworkOpts,
+    pub(crate) telemetry: Option<&'a Arc<iosim_telemetry::Telemetry>>,
 }
 
 /// One LDMS daemon.
 pub struct Ldmsd {
     name: String,
-    role: DaemonRole,
     hub: StreamHub,
     lifecycle: Lifecycle,
     ledger: Arc<DeliveryLedger>,
@@ -110,17 +109,16 @@ pub struct Ldmsd {
 }
 
 impl Ldmsd {
-    /// Builds daemon `name` at position `index` of its network's pump
-    /// order, forwarding over `routes` (primary first; none at the
-    /// terminal) through a hop whose retry queue has the `queue`
-    /// configuration, with the `faults` its network's script gives it.
-    /// A forwarding hop gets the network's write-ahead log and overload
-    /// controller (`index` is the controller's hop ordinal, which keeps
-    /// sketch sequence numbers disjoint between hops); every daemon
-    /// gets telemetry handles when the network has a hub.
+    /// Builds the daemon `spec` describes at position `index` of its
+    /// network's pump order, forwarding over `routes` (primary first;
+    /// none at the terminal) through a hop whose retry queue has the
+    /// `queue` configuration, with the `faults` its network's script
+    /// gives it. A forwarding hop gets the spec's write-ahead log and
+    /// overload controller (`index` is the controller's hop ordinal,
+    /// which keeps sketch sequence numbers disjoint between hops);
+    /// every daemon gets telemetry handles when the network has a hub.
     pub(crate) fn build(
-        name: &str,
-        role: DaemonRole,
+        spec: &DaemonSpec,
         index: usize,
         routes: Vec<(TransportLink, Arc<Ldmsd>)>,
         queue: QueueConfig,
@@ -132,9 +130,9 @@ impl Ldmsd {
             crashes,
             link,
         } = faults;
-        let opts = fabric.opts;
-        let upstream = UpstreamSet::new(name, routes, link, queue, opts.wal.clone());
-        let overload = match (&opts.overload, &upstream) {
+        let name = spec.name.as_str();
+        let upstream = UpstreamSet::new(name, routes, link, queue, spec.wal.clone());
+        let overload = match (&spec.overload, &upstream) {
             (Some(config), Some(_)) => Some(
                 OverloadController::new(config.clone(), index as u64)
                     .with_ledger(fabric.ledger.clone()),
@@ -154,7 +152,6 @@ impl Ldmsd {
         }
         Arc::new(Self {
             name: name.to_string(),
-            role,
             hub: StreamHub::new(),
             lifecycle: down,
             ledger: fabric.ledger.clone(),
@@ -162,10 +159,7 @@ impl Ldmsd {
             has_crashes: AtomicBool::new(!crashes.is_empty()),
             crashes: Mutex::new(crashes.into_iter().map(CrashWindow::new).collect()),
             crash_count: AtomicU64::new(0),
-            tel: opts
-                .telemetry
-                .as_ref()
-                .map(|hub| DaemonTelemetry::new(hub, name)),
+            tel: fabric.telemetry.map(|hub| DaemonTelemetry::new(hub, name)),
             crash_dumps: Mutex::new(Vec::new()),
             overload,
             wakes: fabric.wakes.clone(),
@@ -185,37 +179,14 @@ impl Ldmsd {
         self.overload.as_ref().map(OverloadController::stats)
     }
 
-    /// The overload policy guarding this hop, if it has one. Static
-    /// analysis introspects the live ladder (service rate, watermarks,
-    /// window) instead of guessing from conf defaults.
-    pub fn overload_config(&self) -> Option<OverloadConfig> {
-        self.overload.as_ref().map(|c| c.config().clone())
-    }
-
     /// The daemon's name.
     pub fn name(&self) -> &str {
         &self.name
     }
 
-    /// The daemon's role.
-    pub fn role(&self) -> DaemonRole {
-        self.role
-    }
-
     /// Subscribes a sink to a stream tag at this daemon.
     pub fn subscribe(&self, tag: &str, sink: Arc<dyn StreamSink>) {
         self.hub.subscribe(tag, sink);
-    }
-
-    /// Number of sinks subscribed to `tag` at this daemon (topology
-    /// introspection, used by the `iolint` diagnostics passes).
-    pub fn subscriber_count(&self, tag: &str) -> usize {
-        self.hub.subscriber_count(tag)
-    }
-
-    /// The retry-queue configuration guarding the upstream hop, if any.
-    pub fn queue_config(&self) -> Option<QueueConfig> {
-        self.upstream.as_ref().map(|u| u.queue.config().clone())
     }
 
     /// Local stream statistics.
@@ -730,10 +701,7 @@ impl Ldmsd {
 
 impl std::fmt::Debug for Ldmsd {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ldmsd")
-            .field("name", &self.name)
-            .field("role", &self.role)
-            .finish()
+        f.debug_struct("Ldmsd").field("name", &self.name).finish()
     }
 }
 
@@ -746,7 +714,7 @@ mod sweep_oracle;
 mod tests {
     use super::*;
     use crate::stream::{BufferSink, MsgClass, MsgFormat};
-    use crate::{FaultScript, LdmsNetwork, RecoveryReport, WalConfig};
+    use crate::{FaultScript, LdmsNetwork, RecoveryReport, Topology, WalConfig};
     use iosim_telemetry::Telemetry;
     use iosim_time::SimDuration;
 
@@ -770,24 +738,35 @@ mod tests {
         )
     }
 
+    /// The paper's network over `nodes`, optionally with the standby
+    /// L1, with `queue` and `wal` at every forwarding hop, built with
+    /// `faults`.
+    pub(super) fn paper_net(
+        nodes: &[String],
+        standby: bool,
+        queue: QueueConfig,
+        wal: Option<WalConfig>,
+        faults: FaultScript,
+    ) -> LdmsNetwork {
+        let graph = Topology::paper(nodes, standby).with_hops(&queue, wal.as_ref(), None);
+        LdmsNetwork::build(&Topology { faults, ..graph }, None).expect("the paper graph builds")
+    }
+
     fn network() -> LdmsNetwork {
-        LdmsNetwork::build(
-            &["nid00040".into(), "nid00041".into()],
-            &NetworkOpts::default(),
+        let nodes = ["nid00040".into(), "nid00041".into()];
+        paper_net(
+            &nodes,
+            false,
+            QueueConfig::default(),
+            None,
+            FaultScript::new(),
         )
     }
 
     /// A one-node network with `queue` at every hop, built with
     /// `faults`.
     fn faulted(queue: QueueConfig, faults: FaultScript) -> LdmsNetwork {
-        LdmsNetwork::build(
-            &["nid0".into()],
-            &NetworkOpts {
-                queue,
-                faults,
-                ..NetworkOpts::default()
-            },
-        )
+        paper_net(&["nid0".into()], false, queue, None, faults)
     }
 
     #[test]
@@ -843,9 +822,12 @@ mod tests {
 
     #[test]
     fn concurrent_publishers_all_arrive() {
-        let net = Arc::new(LdmsNetwork::build(
+        let net = Arc::new(paper_net(
             &(0..8).map(|i| format!("nid{i:05}")).collect::<Vec<_>>(),
-            &NetworkOpts::default(),
+            false,
+            QueueConfig::default(),
+            None,
+            FaultScript::new(),
         ));
         let sink = BufferSink::new();
         net.l2().subscribe("darshanConnector", sink.clone());
@@ -927,15 +909,12 @@ mod tests {
     // ---- crash-recovery and failover ------------------------------
 
     fn recovery_net(wal: Option<WalConfig>, standby: bool, faults: FaultScript) -> LdmsNetwork {
-        LdmsNetwork::build(
+        paper_net(
             &["nid0".into()],
-            &NetworkOpts {
-                queue: QueueConfig::reliable(),
-                standby_l1: standby,
-                wal,
-                faults,
-                ..NetworkOpts::default()
-            },
+            standby,
+            QueueConfig::reliable(),
+            wal,
+            faults,
         )
     }
 
@@ -1066,18 +1045,16 @@ mod tests {
         ];
         for framed in [false, true] {
             for (ending, queue, fault, crowd) in endings.clone() {
-                let net = LdmsNetwork::build(
+                let net = paper_net(
                     &["nid0".into()],
-                    &NetworkOpts {
-                        queue,
-                        wal: Some(WalConfig::durable().with_checkpoint_every(1000)),
-                        faults: fault(
-                            FaultScript::new()
-                                .daemon_outage("l2", Epoch::from_secs(100), Epoch::from_secs(110))
-                                .crash("l1", Epoch::from_secs(120), Epoch::from_secs(130)),
-                        ),
-                        ..NetworkOpts::default()
-                    },
+                    false,
+                    queue,
+                    Some(WalConfig::durable().with_checkpoint_every(1000)),
+                    fault(
+                        FaultScript::new()
+                            .daemon_outage("l2", Epoch::from_secs(100), Epoch::from_secs(110))
+                            .crash("l1", Epoch::from_secs(120), Epoch::from_secs(130)),
+                    ),
                 );
                 let sink = BufferSink::new();
                 net.l2().subscribe("darshanConnector", sink.clone());
@@ -1174,16 +1151,13 @@ mod tests {
 
     fn traced_net(wal: Option<WalConfig>, faults: FaultScript) -> (LdmsNetwork, Arc<Telemetry>) {
         let hub = Telemetry::new(iosim_telemetry::TelemetryConfig::trace_all());
-        let net = LdmsNetwork::build(
-            &["nid0".into()],
-            &NetworkOpts {
-                queue: QueueConfig::reliable(),
-                wal,
-                telemetry: Some(hub.clone()),
-                faults,
-                ..NetworkOpts::default()
-            },
+        let graph = Topology::paper(&["nid0".into()], false).with_hops(
+            &QueueConfig::reliable(),
+            wal.as_ref(),
+            None,
         );
+        let net = LdmsNetwork::build(&Topology { faults, ..graph }, Some(&hub))
+            .expect("the paper graph builds");
         (net, hub)
     }
 
@@ -1266,12 +1240,13 @@ mod tests {
 
     #[test]
     fn default_network_has_no_recovery_machinery() {
-        let net = network();
-        assert!(net
-            .daemons()
+        let graph = Topology::paper(&["nid00040".into(), "nid00041".into()], false);
+        assert!(graph
+            .daemons
             .iter()
-            .all(|d| d.upstream_targets().len() <= 1));
-        assert_eq!(net.l1().wal_capacity(), None);
+            .all(|d| d.routes.len() <= 1 && d.wal.is_none()));
+        let net = network();
+        assert!(net.daemons().iter().all(|d| d.wal_stats().is_none()));
         net.l2().subscribe("darshanConnector", BufferSink::new());
         net.publish(msg("nid00040", "{}"));
         assert_eq!(net.recovery_report(), RecoveryReport::default());
@@ -1280,18 +1255,15 @@ mod tests {
     // ---- overload control -----------------------------------------
 
     fn overload_net(rate: f64) -> LdmsNetwork {
-        LdmsNetwork::build(
-            &["nid0".into()],
-            &NetworkOpts {
-                queue: QueueConfig::reliable().with_capacity(4096),
-                overload: Some(
-                    crate::overload::OverloadConfig::for_rate(rate)
-                        .with_propagation(SimDuration::ZERO)
-                        .with_window(SimDuration::from_millis(100)),
-                ),
-                ..NetworkOpts::default()
-            },
-        )
+        let overload = crate::overload::OverloadConfig::for_rate(rate)
+            .with_propagation(SimDuration::ZERO)
+            .with_window(SimDuration::from_millis(100));
+        let graph = Topology::paper(&["nid0".into()], false).with_hops(
+            &QueueConfig::reliable().with_capacity(4096),
+            None,
+            Some(&overload),
+        );
+        LdmsNetwork::build(&graph, None).expect("the paper graph builds")
     }
 
     #[test]
@@ -1393,12 +1365,9 @@ mod tests {
             let net = if overload {
                 overload_net(1000.0)
             } else {
-                LdmsNetwork::build(
-                    &["nid0".into()],
-                    &NetworkOpts {
-                        queue: QueueConfig::reliable().with_capacity(4096),
-                        ..NetworkOpts::default()
-                    },
+                faulted(
+                    QueueConfig::reliable().with_capacity(4096),
+                    FaultScript::new(),
                 )
             };
             let sink = BufferSink::new();

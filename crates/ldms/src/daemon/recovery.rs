@@ -47,13 +47,6 @@ impl Ldmsd {
         self.crash_dumps.lock().clone()
     }
 
-    /// The capacity of the hop's write-ahead log, if it has one.
-    pub fn wal_capacity(&self) -> Option<usize> {
-        self.upstream
-            .as_ref()
-            .and_then(|u| u.wal.as_ref().map(|w| w.config().capacity))
-    }
-
     /// Counter snapshot of the hop's write-ahead log, if it has one.
     pub fn wal_stats(&self) -> Option<WalStats> {
         self.upstream

@@ -242,14 +242,6 @@ impl Ldmsd {
         )
     }
 
-    /// Every upstream target in rank order (primary first, then
-    /// standbys).
-    pub fn upstream_targets(&self) -> Vec<Arc<Ldmsd>> {
-        self.upstream.as_ref().map_or(Vec::new(), |u| {
-            u.routes.iter().map(|r| r.target.clone()).collect()
-        })
-    }
-
     /// The currently *elected* upstream target (primary unless a
     /// failover switched routes), if any.
     #[cfg(test)]
@@ -257,12 +249,5 @@ impl Ldmsd {
         self.upstream
             .as_ref()
             .map(|u| u.routes[u.active_idx()].target.clone())
-    }
-
-    /// Name of the primary upstream transport link, if any.
-    pub fn upstream_link_name(&self) -> Option<String> {
-        self.upstream
-            .as_ref()
-            .map(|u| u.routes[0].link.name.clone())
     }
 }

@@ -7,7 +7,7 @@
 use super::*;
 use crate::queue::OverflowPolicy;
 use crate::stream::{MsgClass, MsgFormat, StreamSink};
-use crate::{FaultScript, LdmsNetwork, RecoveryReport, WalConfig};
+use crate::{FaultScript, LdmsNetwork, OverloadConfig, RecoveryReport, Topology, WalConfig};
 use iosim_telemetry::{HubConfig, HubEvent, Telemetry, TelemetryConfig};
 use iosim_time::SimDuration;
 use proptest::prelude::*;
@@ -147,40 +147,39 @@ impl Scenario {
                 _ => faults.crash(daemon, from, until),
             };
         }
-        LdmsNetwork::build(
-            &node_names(self.nodes),
-            &NetworkOpts {
-                queue,
-                standby_l1,
-                wal: match wal {
-                    0 => None,
-                    1 => Some(WalConfig::durable()),
-                    _ => Some(WalConfig::group_commit().with_checkpoint_every(2)),
+        let wal = match wal {
+            0 => None,
+            1 => Some(WalConfig::durable()),
+            _ => Some(WalConfig::group_commit().with_checkpoint_every(2)),
+        };
+        let telemetry = match telemetry {
+            0 => None,
+            1 => Some(Telemetry::new(TelemetryConfig::metrics_only())),
+            _ => Some(Telemetry::new(TelemetryConfig::trace_all().with_hub(
+                HubConfig {
+                    snapshot_every_s: 1,
                 },
-                telemetry: match telemetry {
-                    0 => None,
-                    1 => Some(Telemetry::new(TelemetryConfig::metrics_only())),
-                    _ => Some(Telemetry::new(TelemetryConfig::trace_all().with_hub(
-                        HubConfig {
-                            snapshot_every_s: 1,
-                        },
-                    ))),
-                },
-                overload: match overload {
-                    0 => None,
-                    1 => Some(OverloadConfig::for_rate(1e6)),
-                    _ => Some(
-                        OverloadConfig {
-                            service_rate: 5.0 / TICK_MS as f64,
-                            ..OverloadConfig::for_rate(5.0)
-                        }
-                        .with_window(ticks(200))
-                        .with_propagation(ticks(20)),
-                    ),
-                },
-                faults,
-            },
-        )
+            ))),
+        };
+        let overload = match overload {
+            0 => None,
+            1 => Some(OverloadConfig::for_rate(1e6)),
+            _ => Some(
+                OverloadConfig {
+                    service_rate: 5.0 / TICK_MS as f64,
+                    ..OverloadConfig::for_rate(5.0)
+                }
+                .with_window(ticks(200))
+                .with_propagation(ticks(20)),
+            ),
+        };
+        let graph = Topology::paper(&node_names(self.nodes), standby_l1).with_hops(
+            &queue,
+            wal.as_ref(),
+            overload.as_ref(),
+        );
+        LdmsNetwork::build(&Topology { faults, ..graph }, telemetry.as_ref())
+            .expect("the paper graph builds")
     }
 
     /// Publishes the traffic, settling once part-way and once at the
@@ -339,7 +338,8 @@ fn the_differential_scenarios_reach_every_mechanism() {
 
 #[test]
 fn a_fault_free_fleet_is_never_visited() {
-    let net = LdmsNetwork::build(&node_names(128), &NetworkOpts::default());
+    let net = LdmsNetwork::build(&Topology::paper(&node_names(128), false), None)
+        .expect("the paper graph builds");
     let sink = Arc::new(Recorder::default());
     net.l2().subscribe(TAG, sink.clone());
     for i in 0..2_000u64 {
@@ -365,13 +365,12 @@ fn a_fault_free_fleet_is_never_visited() {
 
 #[test]
 fn a_parked_message_costs_one_visit_per_retry_not_one_per_publish() {
-    let net = LdmsNetwork::build(
+    let net = super::tests::paper_net(
         &node_names(8),
-        &NetworkOpts {
-            queue: QueueConfig::reliable(),
-            faults: FaultScript::new().link_flap("nid00003", ms(0), ms(500)),
-            ..NetworkOpts::default()
-        },
+        false,
+        QueueConfig::reliable(),
+        None,
+        FaultScript::new().link_flap("nid00003", ms(0), ms(500)),
     );
     net.l2().subscribe(TAG, Arc::new(Recorder::default()));
     let publish = |node: u64, at: u64| {
@@ -425,15 +424,14 @@ impl StreamSink for Gate {
 fn a_wake_booked_behind_a_running_pass_waits_for_the_next_one() {
     // L2 is out until 140: a message published at 120 parks at L1
     // (position 2). nid00000's link (position 0) is down around 130.
-    let net = LdmsNetwork::build(
+    let net = super::tests::paper_net(
         &node_names(2),
-        &NetworkOpts {
-            queue: QueueConfig::reliable(),
-            faults: FaultScript::new()
-                .daemon_outage("l2", ms(100), ms(140))
-                .link_flap("nid00000", ms(125), ms(135)),
-            ..NetworkOpts::default()
-        },
+        false,
+        QueueConfig::reliable(),
+        None,
+        FaultScript::new()
+            .daemon_outage("l2", ms(100), ms(140))
+            .link_flap("nid00000", ms(125), ms(135)),
     );
     let (entered_tx, entered) = mpsc::channel();
     let (release, release_rx) = mpsc::channel();

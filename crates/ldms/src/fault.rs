@@ -6,7 +6,7 @@
 //! that, so this module models scheduled *downtime windows* in virtual
 //! time ([`Lifecycle`]) for both daemons and transport links, plus a
 //! declarative [`FaultScript`] a network is built with
-//! ([`crate::NetworkOpts::faults`]) to run a whole overhead campaign
+//! ([`crate::Topology::faults`]) to run a whole overhead campaign
 //! under injected faults. All randomness is drawn from the seeded,
 //! reproducible [`SimRng`] so campaigns stay replayable.
 
@@ -159,8 +159,9 @@ impl Lifecycle {
 }
 
 /// One fault to inject. Components are addressed by daemon name; the
-/// aliases `"l1"` / `"l2"` address the aggregators of a
-/// [`crate::LdmsNetwork`] without knowing their host names. Link
+/// aliases `"l1"`, `"l2"` and `"standby"` address the aggregators of a
+/// [`crate::LdmsNetwork`] without knowing their host names
+/// ([`crate::Topology::resolve`]). Link
 /// faults apply to the *upstream* link owned by the named daemon
 /// (e.g. the UGNI hop out of a compute node, or the site-network hop
 /// out of the L1 aggregator).

@@ -24,10 +24,11 @@ pub(crate) const MISS_THRESHOLD: u64 = 3;
 
 /// Hysteresis hold: a recovered higher-ranked route must stay up
 /// continuously this long before traffic fails back to it.
-pub(crate) const FAILBACK_HOLD: SimDuration = SimDuration::from_secs(10);
+pub const FAILBACK_HOLD: SimDuration = SimDuration::from_secs(10);
 
-/// Virtual time from a route going down to its death being detectable.
-pub(crate) const DETECT_AFTER: SimDuration =
+/// Virtual time from a route going down to its death being detectable:
+/// a hop with standbys parks traffic this long before failing over.
+pub const DETECT_AFTER: SimDuration =
     SimDuration::from_nanos(HEARTBEAT_INTERVAL.as_nanos() * MISS_THRESHOLD);
 
 #[cfg(test)]

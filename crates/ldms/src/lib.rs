@@ -15,8 +15,9 @@
 //!   [`TransportLink`]) — compute node daemons push to a first-level
 //!   aggregator (the paper's head node) which pushes to a second-level
 //!   aggregator on another cluster (Shirley) where the store plugin
-//!   runs. The network is built complete, faults included, before the
-//!   first publish.
+//!   runs. A [`Topology`] — the daemon graph and its fault script —
+//!   describes the pipeline, and the network is built from it
+//!   complete, faults included, before the first publish.
 //!
 //! [`sampler`] adds conventional metric-set sampling (meminfo/vmstat
 //! style) so system telemetry can be collected alongside the Darshan
@@ -67,9 +68,10 @@ mod wal;
 pub use batch::{BatchConfig, FrameRecord};
 pub use daemon::{DaemonRole, Ldmsd};
 pub use fault::{FaultScript, FaultSpec, Lifecycle, SimRng};
+pub use heartbeat::{DETECT_AFTER, FAILBACK_HOLD};
 pub use iosim_telemetry::{CrashDump, LatencySummary, Telemetry, TelemetryConfig};
 pub use ledger::{DeliveryKey, DeliveryLedger, LossCause, LossRecord, SeqRanges, StreamSeqs};
-pub use network::{LdmsNetwork, NetworkOpts, RecoveryReport};
+pub use network::{DaemonSpec, LdmsNetwork, RecoveryReport, Topology, TopologyError};
 pub use overload::{OverloadConfig, OverloadController, OverloadState, OverloadStats};
 pub use queue::{OverflowPolicy, QueueConfig, RetryQueue};
 pub use stream::{MsgClass, MsgFormat, StreamMessage, StreamSink, StreamStats};

@@ -1,10 +1,11 @@
-//! The assembled two-level aggregation network of the paper.
+//! The daemon graph of one pipeline, and the network built from it.
 //!
-//! [`LdmsNetwork::build`] is the one way daemons come to exist. It
-//! builds the whole tree — compute-node daemons → head-node L1
-//! aggregator (plus an optional standby) → remote L2 aggregator —
-//! complete from its [`NetworkOpts`], fault script included, before the
-//! first publish: every daemon's routes, queue seed, lifecycle windows,
+//! A [`Topology`] is the one description of an aggregation pipeline:
+//! its daemons and the [`FaultScript`] they run under.
+//! [`Topology::paper`] gives the paper's shape, `iolint`'s conf parser
+//! yields the same type, and `iolint` lints it. [`LdmsNetwork::build`]
+//! wires whatever graph it is given, complete, before the first
+//! publish: every daemon's routes, queue seed, lifecycle windows,
 //! telemetry handles, overload controller and wake-schedule slot. All
 //! daemons share one [`DeliveryLedger`] and one wake schedule. The
 //! network then publishes, pumps and settles, and reports what its
@@ -25,41 +26,147 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Host name of the head-node (L1) aggregator.
-const L1: &str = "voltrino-head";
-/// Host name of the standby L1 aggregator.
-const STANDBY: &str = "voltrino-standby";
-/// Host name of the remote-cluster (L2) aggregator.
-const L2: &str = "shirley-agg";
-
-/// Build options for an [`LdmsNetwork`]. The default reproduces the
-/// paper's topology and semantics exactly.
-#[derive(Debug, Clone, Default)]
-pub struct NetworkOpts {
-    /// Retry-queue configuration applied to every hop.
+/// One daemon of a [`Topology`].
+#[derive(Debug, Clone)]
+pub struct DaemonSpec {
+    /// Producer / host name.
+    pub name: String,
+    /// Topology role.
+    pub role: DaemonRole,
+    /// Daemons this one forwards to: the primary, then ranked standbys.
+    pub routes: Vec<String>,
+    /// Retry queue guarding the upstream hop (the builder decorrelates
+    /// its jitter seed per hop).
     pub queue: QueueConfig,
-    /// Deploy a standby L1 aggregator (`"voltrino-standby"`) and give
-    /// every sampler a ranked two-route upstream list.
-    pub standby_l1: bool,
-    /// Attach a write-ahead log with this configuration to every
-    /// forwarding hop, making retry queues crash-durable.
+    /// Write-ahead log making the hop's queue crash-durable.
     pub wal: Option<WalConfig>,
-    /// Attach every daemon to this telemetry hub (metric registry,
-    /// span log; each daemon keeps its own flight recorder). `None`
-    /// (the default) keeps the pipeline byte-identical to the
-    /// uninstrumented build.
-    pub telemetry: Option<Arc<Telemetry>>,
-    /// Attach an overload controller with this policy to every
-    /// forwarding hop (samplers and aggregators with an upstream).
-    /// `None` (the default) keeps every admission a pass-through.
+    /// Overload-control ladder guarding the hop.
     pub overload: Option<OverloadConfig>,
-    /// The chaos schedule the network is built with. A spec names a
-    /// compute node, an aggregator host, or one of the aliases `"l1"`,
-    /// `"l2"` and `"standby"`; link faults land on the named daemon's
-    /// primary upstream link. Specs naming no daemon of the network
-    /// are skipped, so one script serves any topology.
+    /// Stream tags a store plugin subscribes to here.
+    pub subscribers: Vec<String>,
+}
+
+impl DaemonSpec {
+    /// A terminal daemon: no routes, no subscribers, a best-effort
+    /// queue.
+    pub fn new(name: &str, role: DaemonRole) -> Self {
+        Self {
+            name: name.to_string(),
+            role,
+            routes: Vec::new(),
+            queue: QueueConfig::best_effort(),
+            wal: None,
+            overload: None,
+            subscribers: Vec::new(),
+        }
+    }
+
+    /// The primary route's target, if the daemon forwards.
+    pub fn upstream(&self) -> Option<&str> {
+        self.routes.first().map(String::as_str)
+    }
+
+    /// True when a store plugin subscribes to `tag` here.
+    pub fn subscribes(&self, tag: &str) -> bool {
+        self.subscribers.iter().any(|t| t == tag)
+    }
+}
+
+/// The daemon graph of one pipeline, in pump order, and the faults it
+/// runs under.
+#[derive(Debug, Clone, Default)]
+pub struct Topology {
+    /// Every daemon, in pump order.
+    pub daemons: Vec<DaemonSpec>,
+    /// Faults, each naming a daemon or an alias [`Topology::resolve`]
+    /// knows; specs naming no daemon are skipped.
     pub faults: FaultScript,
 }
+
+impl Topology {
+    /// The paper's shape: the compute nodes (sorted, each once) forward
+    /// to `voltrino-head`, which forwards to `shirley-agg`; with
+    /// `standby`, `voltrino-standby` is every node's second route.
+    /// Best-effort hops, no subscriber, no fault.
+    pub fn paper(nodes: &[String], standby: bool) -> Self {
+        let mut names = nodes.to_vec();
+        names.sort();
+        names.dedup();
+        let mut daemons: Vec<DaemonSpec> = names
+            .iter()
+            .map(|n| DaemonSpec::new(n, DaemonRole::Sampler))
+            .collect();
+        daemons.push(DaemonSpec::new(L1, DaemonRole::AggregatorL1));
+        if standby {
+            daemons.push(DaemonSpec::new(STANDBY, DaemonRole::AggregatorL1));
+        }
+        for d in &mut daemons {
+            d.routes = match d.role {
+                DaemonRole::Sampler if standby => vec![L1.into(), STANDBY.into()],
+                DaemonRole::Sampler => vec![L1.into()],
+                _ => vec![L2.into()],
+            };
+        }
+        daemons.push(DaemonSpec::new(L2, DaemonRole::AggregatorL2));
+        Self {
+            daemons,
+            faults: FaultScript::new(),
+        }
+    }
+
+    /// Gives every forwarding hop `queue`, `wal` and `overload`.
+    pub fn with_hops(
+        mut self,
+        queue: &QueueConfig,
+        wal: Option<&WalConfig>,
+        overload: Option<&OverloadConfig>,
+    ) -> Self {
+        for d in self.daemons.iter_mut().filter(|d| !d.routes.is_empty()) {
+            d.queue = queue.clone();
+            d.wal = wal.cloned();
+            d.overload = overload.cloned();
+        }
+        self
+    }
+
+    /// The daemon a fault spec names: by name, or through the aliases
+    /// `"l1"` / `"l2"` (the first aggregator of that role) and
+    /// `"standby"` (the first daemon held as a standby route). The
+    /// network builder and the linter both resolve through here.
+    pub fn resolve(&self, name: &str) -> Option<usize> {
+        let ds = &self.daemons;
+        let role = |role| ds.iter().position(|d| d.role == role);
+        ds.iter()
+            .position(|d| d.name == name)
+            .or_else(|| match name {
+                "l1" => role(DaemonRole::AggregatorL1),
+                "l2" => role(DaemonRole::AggregatorL2),
+                "standby" => ds.iter().position(|t| {
+                    ds.iter()
+                        .any(|d| d.routes.iter().skip(1).any(|r| *r == t.name))
+                }),
+                _ => None,
+            })
+    }
+}
+
+/// Why [`LdmsNetwork::build`] refused a [`Topology`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyError(String);
+
+impl std::fmt::Display for TopologyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for TopologyError {}
+
+/// Host names of the paper's head-node (L1) aggregator, its standby,
+/// and the remote-cluster (L2) aggregator.
+const L1: &str = "voltrino-head";
+const STANDBY: &str = "voltrino-standby";
+const L2: &str = "shirley-agg";
 
 /// Aggregated crash-recovery counters for one network (and its
 /// ledger): what the chaos CLI prints and the acceptance tests assert.
@@ -113,15 +220,12 @@ impl RecoveryReport {
     }
 }
 
-/// The assembled two-level aggregation network of the paper:
-/// compute-node daemons → head-node L1 aggregator → remote L2
-/// aggregator, optionally with a standby L1. All daemons share one
-/// [`DeliveryLedger`].
+/// An assembled aggregation network, built from a [`Topology`]. All
+/// daemons share one [`DeliveryLedger`].
 pub struct LdmsNetwork {
-    /// Entry daemon by producer name, looked up on every publish.
+    /// Sampler by producer name, looked up on every publish.
     pub(crate) nodes: HashMap<String, Arc<Ldmsd>, FnvBuildHasher>,
-    /// Deterministic pump/settle order: sorted samplers, then L1, the
-    /// standby (if any), and L2.
+    /// Pump/settle order: the graph's daemon order.
     pub(crate) ordered: Vec<Arc<Ldmsd>>,
     /// When each daemon next has something to do, by index into
     /// `ordered`; every daemon holds a handle and books itself.
@@ -135,93 +239,111 @@ pub struct LdmsNetwork {
 }
 
 impl LdmsNetwork {
-    /// Builds the network for the given compute-node names, complete:
-    /// queue preset, optional standby L1 aggregator, per-hop
-    /// write-ahead logs, telemetry, overload control and the fault
-    /// script. Each hop's jitter RNG is decorrelated by deriving its
-    /// seed from the configured seed and the hop.
-    pub fn build(node_names: &[String], opts: &NetworkOpts) -> Self {
-        let mut sorted: Vec<String> = node_names.to_vec();
-        sorted.sort();
-        // Pump order: sorted samplers, L1, the standby, L2.
-        let l1_at = sorted.len();
-        let standby_at = opts.standby_l1.then_some(l1_at + 1);
-        let l2_at = l1_at + 1 + usize::from(opts.standby_l1);
-        let positions: HashMap<&str, usize> = sorted
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.as_str(), i))
-            .collect();
-        let mut faults = opts.faults.by_daemon(l2_at + 1, |name| match name {
-            "l1" | L1 => Some(l1_at),
-            "l2" | L2 => Some(l2_at),
-            "standby" => standby_at,
-            STANDBY if standby_at.is_some() => standby_at,
-            n => positions.get(n).copied(),
-        });
+    /// Builds the network `graph` describes, complete: routes, queues,
+    /// write-ahead logs, overload control, telemetry and the fault
+    /// script. Daemons are pumped in graph order, and a daemon's
+    /// position is its overload controller's hop ordinal. Each hop's
+    /// jitter seed is decorrelated by the hop: a sampler's position, or
+    /// `u64::MAX` less the aggregator's rank among the aggregators.
+    /// Every route runs over its owner's role link. Refuses a duplicate
+    /// name, a dangling route, a route cycle and a graph without an L2
+    /// aggregator.
+    pub fn build(
+        graph: &Topology,
+        telemetry: Option<&Arc<Telemetry>>,
+    ) -> Result<Self, TopologyError> {
+        let specs = &graph.daemons;
+        let fail = |msg: String| Err(TopologyError(msg));
+        let mut index = HashMap::with_capacity(specs.len());
+        let mut targets: Vec<Vec<usize>> = Vec::with_capacity(specs.len());
+        for (i, d) in specs.iter().enumerate() {
+            if index.insert(d.name.as_str(), i).is_some() {
+                return fail(format!("daemon `{}` is declared twice", d.name));
+            }
+        }
+        for d in specs {
+            let mut routes = Vec::with_capacity(d.routes.len());
+            for r in &d.routes {
+                let Some(&t) = index.get(r.as_str()) else {
+                    return fail(format!("`{}` routes to `{r}`, which is no daemon", d.name));
+                };
+                routes.push(t);
+            }
+            targets.push(routes);
+        }
+        let Some(l2_at) = graph.resolve("l2") else {
+            return fail("no daemon has the l2 role".into());
+        };
+        let mut faults = graph
+            .faults
+            .by_daemon(specs.len(), |name| graph.resolve(name));
         let ledger = Arc::new(DeliveryLedger::new());
         let wakes = Arc::new(WakeSchedule::new());
         let fabric = Fabric {
             ledger: &ledger,
             wakes: &wakes,
-            opts,
+            telemetry,
         };
-        let queue = &opts.queue;
-        let hop_queue = |salt: u64| queue.clone().with_seed(queue.seed ^ mix64(salt));
-        let mut daemon = |name: &str, role, at: usize, routes, queue| {
-            let faults = std::mem::take(&mut faults[at]);
-            Ldmsd::build(name, role, at, routes, queue, faults, &fabric)
-        };
-        let l2 = daemon(
-            L2,
-            DaemonRole::AggregatorL2,
-            l2_at,
-            Vec::new(),
-            QueueConfig::default(),
-        );
-        let l1 = daemon(
-            L1,
-            DaemonRole::AggregatorL1,
-            l1_at,
-            vec![(TransportLink::site_network(), l2.clone())],
-            hop_queue(u64::MAX),
-        );
-        let standby = standby_at.map(|at| {
-            daemon(
-                STANDBY,
-                DaemonRole::AggregatorL1,
-                at,
-                vec![(TransportLink::site_network(), l2.clone())],
-                hop_queue(u64::MAX - 1),
-            )
-        });
-        let mut nodes = HashMap::with_capacity_and_hasher(sorted.len(), FnvBuildHasher::default());
-        let mut ordered = Vec::with_capacity(l2_at + 1);
-        for (i, n) in sorted.iter().enumerate() {
-            let mut routes = vec![(TransportLink::ugni(), l1.clone())];
-            if let Some(s) = &standby {
-                routes.push((TransportLink::ugni(), s.clone()));
+        let mut aggregators = 0;
+        let salts: Vec<u64> = (0..specs.len())
+            .map(|i| match specs[i].role {
+                DaemonRole::Sampler => i as u64,
+                _ => {
+                    aggregators += 1;
+                    u64::MAX - (aggregators - 1)
+                }
+            })
+            .collect();
+        // A daemon is built once its route targets are: sweeps in graph
+        // order, terminals first. A sweep that builds nothing leaves
+        // only daemons on or behind a route cycle.
+        let mut built: Vec<Option<Arc<Ldmsd>>> = vec![None; specs.len()];
+        while let Some(stuck) = built.iter().position(Option::is_none) {
+            let mut progress = false;
+            for (i, d) in specs.iter().enumerate() {
+                if built[i].is_some() || targets[i].iter().any(|&t| built[t].is_none()) {
+                    continue;
+                }
+                let routes = targets[i]
+                    .iter()
+                    .map(|&t| {
+                        let target = built[t].clone().expect("route target built");
+                        (TransportLink::out_of(d.role), target)
+                    })
+                    .collect();
+                let queue = d.queue.clone().with_seed(d.queue.seed ^ mix64(salts[i]));
+                let faults = std::mem::take(&mut faults[i]);
+                built[i] = Some(Ldmsd::build(d, i, routes, queue, faults, &fabric));
+                progress = true;
             }
-            let d = daemon(n, DaemonRole::Sampler, i, routes, hop_queue(i as u64));
-            nodes.insert(n.clone(), d.clone());
-            ordered.push(d);
+            if !progress {
+                let name = &specs[stuck].name;
+                return fail(format!("the routes out of `{name}` never reach a terminal"));
+            }
         }
-        ordered.push(l1.clone());
-        ordered.extend(standby);
-        ordered.push(l2.clone());
-        Self {
+        let ordered: Vec<Arc<Ldmsd>> = built.into_iter().flatten().collect();
+        let mut nodes = HashMap::with_capacity_and_hasher(specs.len(), FnvBuildHasher::default());
+        for (d, spec) in ordered.iter().zip(specs) {
+            if spec.role == DaemonRole::Sampler {
+                nodes.insert(spec.name.clone(), d.clone());
+            }
+        }
+        let l1 = graph.resolve("l1").unwrap_or(l2_at);
+        Ok(Self {
             nodes,
+            l1: ordered[l1].clone(),
+            l2: ordered[l2_at].clone(),
             ordered,
             wakes,
             daemon_pumps: AtomicU64::new(0),
-            l1,
-            l2,
             ledger,
-            telemetry: opts.telemetry.clone(),
-        }
+            telemetry: telemetry.cloned(),
+        })
     }
 
-    /// The first-level (head node) aggregator.
+    /// The first-level (head node) aggregator, where a producer with
+    /// no sampler of its own publishes (the L2 aggregator when the
+    /// graph has no L1).
     pub fn l1(&self) -> &Arc<Ldmsd> {
         &self.l1
     }
@@ -232,9 +354,7 @@ impl LdmsNetwork {
         &self.l2
     }
 
-    /// Every daemon in deterministic order: sorted samplers, then the
-    /// L1, standby (if any), and L2 aggregators (topology
-    /// introspection for `iolint`).
+    /// Every daemon, in the graph's order.
     pub fn daemons(&self) -> &[Arc<Ldmsd>] {
         &self.ordered
     }
@@ -434,5 +554,76 @@ impl LdmsNetwork {
         }
         r.max_failover_latency_s = max_latency.as_secs_f64();
         r
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chain(links: &[(&str, DaemonRole, &[&str])]) -> Topology {
+        let daemons = links
+            .iter()
+            .map(|&(name, role, routes)| {
+                let mut d = DaemonSpec::new(name, role);
+                d.routes = routes.iter().map(|r| (*r).to_string()).collect();
+                d
+            })
+            .collect();
+        Topology {
+            daemons,
+            faults: FaultScript::new(),
+        }
+    }
+
+    #[test]
+    fn aliases_resolve_by_role_and_standby_route() {
+        let graph = Topology::paper(&["b".into(), "a".into(), "a".into()], true);
+        let names: Vec<&str> = graph.daemons.iter().map(|d| d.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", L1, STANDBY, L2]);
+        assert_eq!(graph.resolve("l1"), Some(2));
+        assert_eq!(graph.resolve("standby"), Some(3));
+        assert_eq!(graph.resolve("l2"), Some(4));
+        assert_eq!(graph.resolve("b"), Some(1));
+        assert_eq!(graph.resolve("nid9"), None);
+        assert_eq!(
+            Topology::paper(&["a".into()], false).resolve("standby"),
+            None
+        );
+    }
+
+    #[test]
+    fn malformed_graphs_are_refused_not_built() {
+        use DaemonRole::{AggregatorL1 as L1R, AggregatorL2 as L2R, Sampler};
+        let err = |g: Topology| LdmsNetwork::build(&g, None).err().map(|e| e.to_string());
+        let refused = |g: Topology, what: &str| {
+            let e = err(g).expect("refused");
+            assert!(e.contains(what), "{e}");
+        };
+        refused(
+            chain(&[("n", Sampler, &["agg"]), ("n", L2R, &[])]),
+            "`n` is declared twice",
+        );
+        refused(
+            chain(&[("n", Sampler, &["agg"]), ("top", L2R, &[])]),
+            "`agg`, which is no daemon",
+        );
+        refused(
+            chain(&[
+                ("n", Sampler, &["a"]),
+                ("a", L1R, &["b"]),
+                ("b", L1R, &["a"]),
+                ("top", L2R, &[]),
+            ]),
+            "out of `n` never reach",
+        );
+        refused(
+            chain(&[("n", Sampler, &["a"]), ("a", L1R, &[])]),
+            "no daemon has the l2 role",
+        );
+        // A sampler straight into L2 builds, and L2 stands in for L1.
+        let net = LdmsNetwork::build(&chain(&[("n", Sampler, &["top"]), ("top", L2R, &[])]), None)
+            .expect("a two-daemon chain builds");
+        assert_eq!(net.l1().name(), "top");
     }
 }

@@ -336,11 +336,6 @@ impl OverloadController {
         self
     }
 
-    /// The policy in force.
-    pub(crate) fn config(&self) -> &OverloadConfig {
-        &self.config
-    }
-
     /// Current ladder state.
     pub(crate) fn state(&self) -> OverloadState {
         self.inner.lock().state

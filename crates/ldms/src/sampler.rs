@@ -225,8 +225,9 @@ mod tests {
     #[test]
     fn metric_sets_publish_through_the_pipeline() {
         use crate::stream::BufferSink;
-        use crate::{LdmsNetwork, NetworkOpts};
-        let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
+        use crate::{LdmsNetwork, Topology};
+        let graph = Topology::paper(&["nid00040".to_string()], false);
+        let net = LdmsNetwork::build(&graph, None).expect("the paper graph builds");
         let sink = BufferSink::new();
         net.l2().subscribe("vmstat", sink.clone());
         let s = VmstatSampler { seed: 3 };

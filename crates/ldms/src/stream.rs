@@ -280,11 +280,6 @@ impl StreamHub {
             .push(sink);
     }
 
-    /// Number of subscribers on a tag.
-    pub(crate) fn subscriber_count(&self, tag: &str) -> usize {
-        self.subs.read().get(tag).map_or(0, Vec::len)
-    }
-
     /// Delivers a message to all subscribers of its tag. Returns how
     /// many sinks received it (0 = dropped, best-effort semantics).
     /// Counters move in logical-message units: a batch frame counts

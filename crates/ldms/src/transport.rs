@@ -17,6 +17,7 @@
 //! for retry instead of offering it to a dead link. All of it is fixed
 //! when the link is built ([`LinkFaults`]).
 
+use crate::daemon::DaemonRole;
 use crate::fault::{AtomicRng, Lifecycle, LinkFaults};
 use crate::stream::StreamMessage;
 use iosim_time::{Epoch, SimDuration};
@@ -65,6 +66,15 @@ impl TransportLink {
     /// Site-network defaults for the head→remote-cluster hop.
     pub fn site_network() -> Self {
         Self::new("site-net", 250.0e-6, 1.0e9)
+    }
+
+    /// The link out of a daemon of `role`: UGNI off a compute node, the
+    /// site network off an aggregator.
+    pub fn out_of(role: DaemonRole) -> Self {
+        match role {
+            DaemonRole::Sampler => Self::ugni(),
+            _ => Self::site_network(),
+        }
     }
 
     /// The link with `faults` scripted on it. A flapped-down link

@@ -186,11 +186,6 @@ impl WriteAheadLog {
         }
     }
 
-    /// The configuration in force.
-    pub(crate) fn config(&self) -> &WalConfig {
-        &self.config
-    }
-
     /// Live (uncompleted or un-truncated) records.
     #[cfg(test)]
     pub(crate) fn len(&self) -> usize {

@@ -80,27 +80,6 @@ impl FileStore {
     }
 }
 
-/// Namespace operations only the unit tests use.
-#[cfg(test)]
-impl FileStore {
-    /// True when the path exists.
-    pub(crate) fn exists(&self, path: &str) -> bool {
-        self.by_path.read().contains_key(path)
-    }
-
-    /// Removes a file from the namespace (unlink). Open handles keep
-    /// their metadata alive through the `Arc`.
-    pub(crate) fn unlink(&self, path: &str) -> FsResult<()> {
-        let fid = self
-            .by_path
-            .write()
-            .remove(path)
-            .ok_or_else(|| FsError::NotFound(path.to_string()))?;
-        self.metas.write().remove(&fid);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,15 +111,6 @@ mod tests {
         assert_eq!(meta.size.load(Ordering::Relaxed), 100);
         FileStore::extend(&meta, 200, 1);
         assert_eq!(meta.size.load(Ordering::Relaxed), 201);
-    }
-
-    #[test]
-    fn unlink_removes_namespace_entry() {
-        let store = FileStore::new();
-        store.open("/gone", true).unwrap();
-        store.unlink("/gone").unwrap();
-        assert!(!store.exists("/gone"));
-        assert!(store.unlink("/gone").is_err());
     }
 
     #[test]

@@ -35,12 +35,6 @@ impl Interconnect {
     pub(crate) fn collective_transfer(&self, ranks: u32, bytes: u64) -> SimDuration {
         self.collective_latency(ranks) + SimDuration::from_secs_f64(bytes as f64 / self.node_bw)
     }
-
-    /// Point-to-point transfer of `bytes`.
-    #[cfg(test)]
-    pub(crate) fn p2p(&self, bytes: u64) -> SimDuration {
-        SimDuration::from_secs_f64(self.latency_s + bytes as f64 / self.node_bw)
-    }
 }
 
 #[cfg(test)]
@@ -62,12 +56,5 @@ mod tests {
         let small = ic.collective_transfer(4, 0);
         let big = ic.collective_transfer(4, 10_000_000_000);
         assert!(big.as_secs_f64() - small.as_secs_f64() >= 0.99);
-    }
-
-    #[test]
-    fn p2p_sanity() {
-        let ic = Interconnect::default();
-        assert!(ic.p2p(0).as_secs_f64() < 1e-5);
-        assert!((ic.p2p(10_000_000_000).as_secs_f64() - 1.0).abs() < 0.01);
     }
 }

@@ -55,17 +55,6 @@ impl SimDuration {
         self.0 as f64 / 1e9
     }
 
-    /// Checked scaling by a non-negative float (used for weather
-    /// factors); NaN or negative factors clamp to zero.
-    #[cfg(test)]
-    pub(crate) fn scale(self, factor: f64) -> SimDuration {
-        if factor.is_finite() && factor > 0.0 {
-            SimDuration((self.0 as f64 * factor).round() as u64)
-        } else {
-            SimDuration(0)
-        }
-    }
-
     /// True if zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0
@@ -143,14 +132,6 @@ mod tests {
             SimDuration::ZERO - SimDuration::from_secs(1),
             SimDuration::ZERO
         );
-    }
-
-    #[test]
-    fn scaling() {
-        let d = SimDuration::from_secs(10);
-        assert_eq!(d.scale(1.5), SimDuration::from_secs(15));
-        assert_eq!(d.scale(0.0), SimDuration::ZERO);
-        assert_eq!(d.scale(f64::NAN), SimDuration::ZERO);
     }
 
     #[test]

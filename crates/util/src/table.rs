@@ -64,18 +64,6 @@ impl TextTable {
         }
         out
     }
-
-    /// Renders as CSV (header + rows).
-    #[cfg(test)]
-    pub(crate) fn to_csv(&self) -> String {
-        let mut out = crate::csv::encode_row(&self.header);
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&crate::csv::encode_row(row));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -104,12 +92,5 @@ mod tests {
         t.row(vec!["only-one"]);
         assert_eq!(t.rows.len(), 1);
         assert!(t.render().contains("only-one"));
-    }
-
-    #[test]
-    fn csv_export() {
-        let mut t = TextTable::new(vec!["x", "y"]);
-        t.row(vec!["1", "2,3"]);
-        assert_eq!(t.to_csv(), "x,y\n1,\"2,3\"\n");
     }
 }

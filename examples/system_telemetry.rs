@@ -14,14 +14,15 @@ use repro_suite::ldms::sampler::{
     publish_metric_set, sample_window, MeminfoSampler, VmstatSampler,
 };
 use repro_suite::ldms::stream::BufferSink;
-use repro_suite::ldms::{LdmsNetwork, NetworkOpts};
+use repro_suite::ldms::{LdmsNetwork, Topology};
 use repro_suite::simtime::{Epoch, SimDuration};
 use repro_suite::util::chart::sparkline;
 use repro_suite::util::json;
 
 fn main() {
     let nodes: Vec<String> = (0..4).map(|i| format!("nid{:05}", 40 + i)).collect();
-    let net = LdmsNetwork::build(&nodes, &NetworkOpts::default());
+    let net = LdmsNetwork::build(&Topology::paper(&nodes, false), None)
+        .expect("the paper topology is well formed");
 
     // Subscribe analysis taps at the L2 aggregator, one per schema —
     // exactly how the DSOS store subscribes to the Darshan tag.

@@ -7,9 +7,8 @@
 //! suite makes that promise falsifiable: it re-runs the scenarios the
 //! equivalence suites exercise — calm storms, storms through a link
 //! outage, storms through a crash-stop (batched and unbatched), plus
-//! seed-derived chaos scenarios — with self-telemetry enabled, lifts
-//! the topology the run actually used into a [`TopologySpec`], and
-//! gates the run's ledger, queue, WAL, overload, and latency telemetry
+//! seed-derived chaos scenarios — with self-telemetry enabled, solves
+//! the daemon graph the run was built from, and gates the run's ledger, queue, WAL, overload, and latency telemetry
 //! against the solver's bounds:
 //!
 //! * ledger-attributed loss      ≤ network loss ceiling
@@ -28,12 +27,18 @@
 mod fault_common;
 
 use fault_common::{
-    base_epoch, check_invariants, random_scenario, run_instrumented_scenario, Scenario, TAG,
+    base_epoch, check_invariants, random_scenario, run_instrumented_scenario, Scenario,
 };
-use iolint::{analyze_flow, FlowReport, HopBounds, Role, TopologySpec};
+use iolint::{
+    analyze_flow, check_flow, effective_workload, parse_conf, pipeline_spec, DaemonConf,
+    FaultWindows, FlowReport, HopBounds, LintConfig,
+};
 use repro_suite::connector::{FaultScript, OverloadConfig, QueueConfig, WalConfig, WorkloadSpec};
-use repro_suite::simtime::SimDuration;
+use repro_suite::ldms::{DaemonRole, LdmsNetwork, MsgFormat, StreamMessage, StreamSink};
+use repro_suite::simtime::{Epoch, SimDuration};
 use std::collections::HashMap;
+use std::path::Path;
+use std::sync::Arc;
 
 /// The oversubscribed controller `overload_equivalence.rs` storms
 /// through: service 15 msg/s against 100 msg/s per node.
@@ -91,15 +96,14 @@ fn check_run(
     let (p, o) = run_instrumented_scenario(sc, frame);
     check_invariants(&o).unwrap_or_else(|e| panic!("{name}: {e}"));
 
-    // Lift the topology the run used; the publish loops' rate and
-    // framing are not observable from the network, so inject them.
-    let mut spec = TopologySpec::from_pipeline(&p, TAG, &sc.script);
-    for d in &mut spec.daemons {
-        if d.role == Role::Sampler {
-            d.rate_hz = Some(100.0);
-            d.batch = frame.map(|f| f as u64);
-        }
-    }
+    // Solve the graph the run was built from; the publish loops' rate
+    // and framing are what a conf file would declare, so state them.
+    let mut spec = pipeline_spec(&p);
+    spec.set_sampler_conf(DaemonConf {
+        rate_hz: Some(100.0),
+        batch: frame.map(|f| f as u64),
+        line: None,
+    });
     let w = workload_of(sc);
     let report = analyze_flow(&spec, Some(&w));
 
@@ -129,7 +133,8 @@ fn check_run(
     // fluid model overstates per-window arrivals by at most one
     // message per flow per window edge (10 ms cadence vs. continuous
     // rate), so allow that discretization slack.
-    let cadence_slack = (sc.nodes as f64 + 2.0) * (spec.outages.len() as f64 + 1.0);
+    let windows = FaultWindows::of(&spec.graph).outages.len();
+    let cadence_slack = (sc.nodes as f64 + 2.0) * (windows as f64 + 1.0);
     assert!(
         report.guaranteed_loss <= o.lost as f64 + cadence_slack,
         "{name}: solver guarantees {:.1} lost but the run only lost {}",
@@ -158,7 +163,7 @@ fn check_run(
     }
     assert!(
         gated_hops > 0,
-        "{name}: no live queue matched a solver hop — name lift broken?"
+        "{name}: no live queue matched a solver hop — graph and network disagree?"
     );
     for d in p.network().daemons() {
         let Some(h) = by_daemon.get(d.name()) else {
@@ -280,4 +285,161 @@ fn calm_storm_ceilings_are_tight() {
     // matches the observation with no slack at all.
     assert_eq!(o.lost, 0);
     assert!(report.loss_ceiling < 1.0);
+}
+
+// ── The example confs, built and run ───────────────────────────────────
+
+/// A store plugin that keeps nothing.
+struct Discard;
+
+impl StreamSink for Discard {
+    fn deliver(&self, _: &StreamMessage) {}
+}
+
+/// Builds the graph `conf` declares through `LdmsNetwork::build`,
+/// publishes every sampler's declared rate across the conf's workload
+/// envelope (interleaved in virtual-time order, sequence- and
+/// origin-stamped as the connector stamps them), settles, and asserts
+/// the observed loss (between the guaranteed loss and the ceiling),
+/// queue high-water and WAL high-water within the bounds `iolint
+/// analyze` prints for the conf.
+fn run_conf(name: &str, conf: &str) {
+    let spec = parse_conf(conf).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let w = effective_workload(&spec);
+    let (_, report) = check_flow(&spec, None, &LintConfig::new());
+    let net = LdmsNetwork::build(&spec.graph, None)
+        .unwrap_or_else(|e| panic!("{name}: a conf without lint errors must build: {e}"));
+    for (daemon, d) in net.daemons().iter().zip(&spec.graph.daemons) {
+        for tag in &d.subscribers {
+            daemon.subscribe(tag, Arc::new(Discard));
+        }
+    }
+    // (sampler, period, next publish instant, messages published)
+    let mut samplers: Vec<(&str, f64, f64, u64)> = spec
+        .graph
+        .daemons
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.role == DaemonRole::Sampler)
+        .map(|(i, d)| {
+            let rate = spec.conf(i).rate_hz.unwrap_or(w.default_rate_hz) * w.storm;
+            (d.name.as_str(), 1.0 / rate, w.start_s, 0)
+        })
+        .collect();
+    let at = |s: f64| Epoch::from_secs(0) + SimDuration::from_secs_f64(s);
+    let mut published = 0u64;
+    while let Some(next) = samplers
+        .iter_mut()
+        .filter(|s| s.2 < w.end_s())
+        .min_by(|a, b| a.2.total_cmp(&b.2))
+    {
+        next.3 += 1;
+        let data = format!("{{\"len\":64,\"dur\":0.001,\"seq\":{}}}", next.3);
+        net.publish(
+            StreamMessage::new(&spec.stream_tag, MsgFormat::Json, data, next.0, at(next.2))
+                .with_seq(next.3)
+                .with_origin(7, 0),
+        );
+        published += 1;
+        next.2 = w.start_s + next.1 * next.3 as f64;
+    }
+    net.settle(at(w.end_s() + report.e2e_latency_s + 60.0));
+
+    let ledger = net.ledger();
+    assert_eq!(ledger.published(), published, "{name}");
+    assert!(ledger.balances(), "{name}: {}", ledger.summary());
+    // One message per flow per window edge of discretization slack, as
+    // in `check_run`.
+    let windows = FaultWindows::of(&spec.graph).outages.len();
+    let cadence_slack = (samplers.len() as f64 + 2.0) * (windows as f64 + 1.0);
+    assert!(
+        report.guaranteed_loss <= ledger.total_lost() as f64 + cadence_slack,
+        "{name}: solver guarantees {:.1} lost but the run only lost {}",
+        report.guaranteed_loss,
+        ledger.total_lost()
+    );
+    assert!(
+        (ledger.total_lost() as f64) <= report.loss_ceiling + 0.5,
+        "{name}: observed loss {} exceeds static ceiling {:.1}",
+        ledger.total_lost(),
+        report.loss_ceiling
+    );
+    let hops: HashMap<&str, &HopBounds> =
+        report.hops.iter().map(|h| (h.daemon.as_str(), h)).collect();
+    for (daemon, _parked, high_water) in net.queue_depths() {
+        if let Some(h) = hops.get(daemon.as_str()) {
+            assert!(
+                (high_water as f64) <= h.peak_queue_frames + 0.5,
+                "{name}/{daemon}: queue high-water {high_water} exceeds bound {:.1}",
+                h.peak_queue_frames
+            );
+        }
+    }
+    for d in net.daemons() {
+        if let (Some(ws), Some(bound)) = (
+            d.wal_stats(),
+            hops.get(d.name()).and_then(|h| h.wal_high_water),
+        ) {
+            assert!(
+                (ws.high_water as f64) <= bound + 0.5,
+                "{name}/{}: WAL high-water {} exceeds bound {bound:.1}",
+                d.name(),
+                ws.high_water
+            );
+        }
+    }
+}
+
+#[test]
+fn a_standby_crash_alone_loses_nothing() {
+    // Best-effort samplers with a standby route; only the standby
+    // crashes. Traffic never leaves the live primary, so nothing is
+    // lost and no loss is provable.
+    let conf = "daemon nid00040 sampler\n  upstream voltrino-head\n  standby voltrino-standby\n  rate 10\n\
+                daemon nid00041 sampler\n  upstream voltrino-head\n  standby voltrino-standby\n  rate 10\n\
+                daemon voltrino-head l1\n  upstream shirley-agg\n\
+                daemon voltrino-standby l1\n  upstream shirley-agg\n\
+                daemon shirley-agg l2\n  subscribe darshanConnector\n\
+                crash voltrino-standby 100 130\n";
+    let spec = parse_conf(conf).expect("conf parses");
+    let (lints, report) = check_flow(&spec, None, &LintConfig::new());
+    assert!(report.guaranteed_loss < 1.0, "{}", report.verdict);
+    assert!(!lints.codes().contains("FLOW001"));
+    run_conf("standby-crash", conf);
+}
+
+#[test]
+fn example_confs_run_within_their_analyzed_bounds() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/configs");
+    let mut confs: Vec<_> = std::fs::read_dir(&dir)
+        .expect("examples/configs exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "conf"))
+        .collect();
+    confs.sort();
+    let mut ran = Vec::new();
+    for path in confs {
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        let conf = std::fs::read_to_string(&path).expect("readable conf");
+        let spec = parse_conf(&conf).unwrap_or_else(|e| panic!("{name}: {e}"));
+        if check_flow(&spec, None, &LintConfig::new()).0.has_errors() {
+            assert_eq!(
+                name, "broken-pipeline.conf",
+                "only the broken conf may error"
+            );
+            continue;
+        }
+        run_conf(&name, &conf);
+        ran.push(name);
+    }
+    assert_eq!(
+        ran,
+        [
+            "overload-pipeline.conf",
+            "paper-pipeline.conf",
+            "reliable-pipeline.conf",
+            "spof-topology.conf",
+            "standby-topology.conf"
+        ]
+    );
 }

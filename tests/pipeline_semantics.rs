@@ -7,8 +7,13 @@ use repro_suite::dsos::{DsosCluster, Value};
 use repro_suite::ldms::store::CsvStreamStore;
 use repro_suite::ldms::stream::{BufferSink, MsgFormat};
 use repro_suite::ldms::StreamSink;
-use repro_suite::ldms::{FaultScript, LdmsNetwork, NetworkOpts, StreamMessage};
+use repro_suite::ldms::{FaultScript, LdmsNetwork, StreamMessage, Topology};
 use repro_suite::simtime::Epoch;
+
+fn paper_net() -> LdmsNetwork {
+    let graph = Topology::paper(&["nid00040".to_string()], false);
+    LdmsNetwork::build(&graph, None).expect("the paper graph builds")
+}
 
 fn connector_msg(ts: f64) -> StreamMessage {
     connector_msg_rank(ts, 0)
@@ -44,13 +49,11 @@ impl EpochExt for Epoch {
 fn lossy_link_drops_are_tolerated_not_fatal() {
     // Best effort "without a reconnect or resend": build a topology
     // with a lossy UGNI hop and verify the store simply sees fewer rows.
-    let net = LdmsNetwork::build(
-        &["nid00040".to_string()],
-        &NetworkOpts {
-            faults: FaultScript::new().link_drop_every("nid00040", 4),
-            ..NetworkOpts::default()
-        },
-    );
+    let graph = Topology {
+        faults: FaultScript::new().link_drop_every("nid00040", 4),
+        ..Topology::paper(&["nid00040".to_string()], false)
+    };
+    let net = LdmsNetwork::build(&graph, None).expect("the paper graph builds");
 
     let cluster = DsosCluster::new(2);
     let store = DsosStreamStore::new(cluster.clone(), Some(net.ledger().clone()), None);
@@ -69,7 +72,7 @@ fn lossy_link_drops_are_tolerated_not_fatal() {
 
 #[test]
 fn no_caching_means_late_subscribers_lose_history() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
+    let net = paper_net();
     net.publish(connector_msg(1.0));
     let sink = BufferSink::new();
     net.l2().subscribe(DEFAULT_STREAM_TAG, sink.clone());
@@ -80,7 +83,7 @@ fn no_caching_means_late_subscribers_lose_history() {
 
 #[test]
 fn csv_store_matches_figure3_header_shape() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
+    let net = paper_net();
     let csv_store = CsvStreamStore::new();
     net.l2().subscribe(DEFAULT_STREAM_TAG, csv_store.clone());
     net.publish(connector_msg(1_650_000_000.5));
@@ -94,7 +97,7 @@ fn csv_store_matches_figure3_header_shape() {
 
 #[test]
 fn aggregation_adds_measurable_transport_delay() {
-    let net = LdmsNetwork::build(&["nid00040".to_string()], &NetworkOpts::default());
+    let net = paper_net();
     let at_l1 = BufferSink::new();
     let at_l2 = BufferSink::new();
     net.l1().subscribe(DEFAULT_STREAM_TAG, at_l1.clone());

@@ -3,16 +3,19 @@
 #[path = "fault_common/mod.rs"]
 mod fault_common;
 
+use iolint::{check_flow, parse_conf, LintConfig};
 use proptest::prelude::*;
 use repro_suite::connector::{FaultScript, QueueConfig, WalConfig};
 use repro_suite::dsos::{DsosCluster, ReplicationConfig, Schema, Type, Value};
 use repro_suite::ldms::batch::{decode_frame, encode_frame, is_frame_payload, FrameRecord};
 use repro_suite::ldms::store::json_to_rows;
+use repro_suite::ldms::LdmsNetwork;
 use repro_suite::simtime::{Clock, Epoch, SimDuration};
 use repro_suite::util::json::{self, JsonValue, JsonWriter};
 use repro_suite::util::merge::merge_sorted;
 use repro_suite::util::{csv, fnv1a64};
 use std::collections::BTreeMap;
+use std::path::Path;
 
 // --- JSON -----------------------------------------------------------
 
@@ -566,6 +569,131 @@ proptest! {
         }
         if let Err(e) = fault_common::check_no_duplicate_rows(&p, 7) {
             prop_assert!(false, "{} (scenario: {:?})", e, sc);
+        }
+    }
+}
+
+// --- Conf parser ----------------------------------------------------
+
+/// Every `examples/configs/*.conf`, in name order.
+fn example_confs() -> Vec<String> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/configs");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("examples/configs exists")
+        .map(|e| e.expect("readable entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "conf"))
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| std::fs::read_to_string(p).expect("readable conf"))
+        .collect()
+}
+
+/// Tokens a mutation splices into a conf line: numbers at and past
+/// every bound, key=value shapes the parsers accept and reject, names
+/// of daemons, aliases and links, and directive keywords.
+const SPLICE: &[&str] = &[
+    "",
+    "0",
+    "-1",
+    "1e400",
+    "1e300",
+    "99999999999999999",
+    "nan",
+    "inf",
+    "x",
+    "=",
+    "k=v",
+    "capacity=0",
+    "rate=0",
+    "rate=nan",
+    "sample=-5",
+    "throttle=inf",
+    "spill=0",
+    "window-ms=0",
+    "window-ms=99999999999999999",
+    "keep-every=0",
+    "fsync-every=0",
+    "checkpoint-every=0",
+    "policy=deadline:0",
+    "attempts=0",
+    "n=0",
+    "replicas=9",
+    "ugni",
+    "site-net",
+    "carrier-pigeon",
+    "l1",
+    "l2",
+    "standby",
+    "sampler",
+    "daemon",
+    "upstream",
+    "voltrino-head",
+    "shirley-agg",
+    "nid00040",
+    "dsosd-0",
+    "#",
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// A mutated example conf either fails to parse with the line of a
+    /// directive, or yields a graph that lints, is analyzed, and builds
+    /// or is refused, without a panic.
+    #[test]
+    fn mutated_confs_fail_on_a_line_or_lint_and_build(
+        conf in 0usize..64,
+        line in any::<usize>(),
+        kind in 0u8..6,
+        tok in any::<usize>(),
+        splice in 0usize..SPLICE.len(),
+        other in any::<usize>(),
+    ) {
+        let confs = example_confs();
+        let mut lines: Vec<String> = confs[conf % confs.len()].lines().map(str::to_string).collect();
+        let (at, swap) = (line % lines.len(), other % lines.len());
+        let mut toks: Vec<String> = lines[at].split_whitespace().map(str::to_string).collect();
+        let t = tok % toks.len().max(1);
+        match kind {
+            0 => drop(lines.remove(at)),
+            1 => lines.insert(at, lines[at].clone()),
+            2 => lines.swap(at, swap),
+            3 => lines.insert(at, format!("  {}", SPLICE[splice])),
+            4 if !toks.is_empty() => drop(toks.remove(t)),
+            _ if !toks.is_empty() => {
+                // Replace a whole token, or only a setting's value.
+                toks[t] = match toks[t].split_once('=') {
+                    Some((k, _)) if other % 2 == 0 => format!("{k}={}", SPLICE[splice]),
+                    _ => SPLICE[splice].to_string(),
+                };
+            }
+            _ => {}
+        }
+        if kind >= 4 {
+            lines[at] = toks.join(" ");
+        }
+        let text = lines.join("\n");
+        match parse_conf(&text) {
+            Err(e) => {
+                let directive = text
+                    .lines()
+                    .nth(e.line.wrapping_sub(1))
+                    .map(|l| l.split('#').next().unwrap_or("").trim());
+                prop_assert!(
+                    directive.is_some_and(|d| !d.is_empty()),
+                    "error `{}` names no directive line of:\n{}",
+                    e,
+                    text
+                );
+            }
+            Ok(spec) => {
+                check_flow(&spec, None, &LintConfig::new());
+                if let Ok(net) = LdmsNetwork::build(&spec.graph, None) {
+                    prop_assert_eq!(net.daemons().len(), spec.graph.daemons.len());
+                }
+            }
         }
     }
 }
