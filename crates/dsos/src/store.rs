@@ -5,7 +5,7 @@ use crate::row::{Column, RowRef, Symbols};
 use crate::schema::{IndexDef, IndexKey, Schema};
 use crate::value::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -25,17 +25,141 @@ trait Index: Send + Sync {
     fn between(&self, range: KeyRange) -> Box<dyn Iterator<Item = Entry> + '_>;
 }
 
-impl<const N: usize> Index for BTreeSet<([u64; N], RowNo)> {
+/// Entries a [`Blocks`] block holds at most: of 64 to 512, 256 left
+/// the benchmark's stored rows the fewest bytes.
+const BLOCK: usize = 256;
+
+/// One block of a [`Blocks`] index: its entries in order, keys and
+/// ordinals in arrays of their own, so no entry is padded.
+struct Block<const N: usize> {
+    keys: Vec<[u64; N]>,
+    rows: Vec<RowNo>,
+}
+
+impl<const N: usize> Block<N> {
+    fn new() -> Self {
+        Self {
+            keys: Vec::with_capacity(BLOCK),
+            rows: Vec::with_capacity(BLOCK),
+        }
+    }
+
+    fn entry(&self, at: usize) -> ([u64; N], RowNo) {
+        (self.keys[at], self.rows[at])
+    }
+
+    /// How many of the block's entries lie `below` a bound.
+    fn count(&self, below: impl Fn(([u64; N], RowNo)) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.keys.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            if below(self.entry(mid)) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// The block's entries from `at` on, which leave it.
+    fn split_off(&mut self, at: usize) -> Self {
+        let mut right = Self::new();
+        right.keys.extend(self.keys.drain(at..));
+        right.rows.extend(self.rows.drain(at..));
+        right
+    }
+}
+
+/// A joint index as a two-level sorted array: blocks of at most
+/// [`BLOCK`] entries, in order, and each block's first entry (its
+/// fence). A full block splits where the new entry goes when that is in
+/// its upper half, the entry ending the left block, and in the middle
+/// otherwise; an entry past a full block's end opens a new block. So an
+/// ascending stream leaves its blocks full, however many others it is
+/// interleaved with, once it has a block's worth of entries.
+#[derive(Default)]
+struct Blocks<const N: usize> {
+    fences: Vec<([u64; N], RowNo)>,
+    blocks: Vec<Block<N>>,
+}
+
+impl<const N: usize> Blocks<N> {
+    /// The first position, as (block, slot), whose entry does not lie
+    /// `below` a bound; the slot may be its block's length.
+    fn seek(&self, below: impl Fn(([u64; N], RowNo)) -> bool) -> (usize, usize) {
+        let block = self.fences.partition_point(|&f| below(f)).saturating_sub(1);
+        self.blocks
+            .get(block)
+            .map_or((0, 0), |b| (block, b.count(&below)))
+    }
+
+    fn insert(&mut self, entry: ([u64; N], RowNo)) {
+        let below = |e| e < entry;
+        // Appends to the last block are tried first, and an entry past a
+        // block's last before a search of the block.
+        let mut at = match self.fences.last() {
+            Some(&last) if last < entry => self.blocks.len() - 1,
+            Some(_) => self.fences.partition_point(|&f| below(f)).saturating_sub(1),
+            None => {
+                self.fences.push(entry);
+                self.blocks.push(Block::new());
+                0
+            }
+        };
+        let block = &mut self.blocks[at];
+        let len = block.keys.len();
+        let mut slot = match len.checked_sub(1) {
+            Some(last) if block.entry(last) < entry => len,
+            _ => block.count(below),
+        };
+        if len == BLOCK {
+            if slot == BLOCK {
+                (at, slot) = (at + 1, 0);
+                self.fences.insert(at, entry);
+                self.blocks.insert(at, Block::new());
+            } else {
+                let right = block.split_off(slot.max(BLOCK / 2));
+                self.fences.insert(at + 1, right.entry(0));
+                self.blocks.insert(at + 1, right);
+            }
+        }
+        let block = &mut self.blocks[at];
+        block.keys.insert(slot, entry.0);
+        block.rows.insert(slot, entry.1);
+        if slot == 0 {
+            self.fences[at] = entry;
+        }
+    }
+}
+
+impl<const N: usize> Index for Blocks<N> {
     fn add(&mut self, (key, row): Entry) {
         self.insert((narrow(key), row));
     }
 
     fn between(&self, (lo, hi): KeyRange) -> Box<dyn Iterator<Item = Entry> + '_> {
-        let at_width = |bound: Bound<Entry>| bound.map(|(key, row)| (narrow(key), row));
-        Box::new(self.range((at_width(lo), at_width(hi))).map(|&(key, row)| {
-            let mut wide = IndexKey::default();
-            wide[..N].copy_from_slice(&key);
-            (wide, row)
+        let at_width = |bound: Bound<Entry>| bound.map(|(key, row)| (narrow::<N>(key), row));
+        let start = match at_width(lo) {
+            Bound::Included(e) => self.seek(|x| x < e),
+            Bound::Excluded(e) => self.seek(|x| x <= e),
+            Bound::Unbounded => (0, 0),
+        };
+        let end = match at_width(hi) {
+            Bound::Included(e) => self.seek(|x| x <= e),
+            Bound::Excluded(e) => self.seek(|x| x < e),
+            Bound::Unbounded => self.seek(|_| true),
+        };
+        let (blocks, last) = if start < end {
+            (&self.blocks[start.0..=end.0], end.0 - start.0)
+        } else {
+            (&[][..], 0)
+        };
+        Box::new(blocks.iter().enumerate().flat_map(move |(i, b)| {
+            let from = if i == 0 { start.1 } else { 0 };
+            let to = if i == last { end.1 } else { b.keys.len() };
+            let entries = b.keys[from..to].iter().zip(&b.rows[from..to]);
+            entries.map(|(&key, &row)| widen((key, row)))
         }))
     }
 }
@@ -44,13 +168,19 @@ fn narrow<const N: usize>(key: IndexKey) -> [u64; N] {
     std::array::from_fn(|word| key[word])
 }
 
+fn widen<const N: usize>((key, row): ([u64; N], RowNo)) -> Entry {
+    let mut wide = IndexKey::default();
+    wide[..N].copy_from_slice(&key);
+    (wide, row)
+}
+
 /// An empty index as wide as `def`'s key.
 fn new_index(def: &IndexDef) -> Box<dyn Index> {
     match def.attrs.len() {
-        0 | 1 => Box::new(BTreeSet::<([u64; 1], RowNo)>::new()),
-        2 => Box::new(BTreeSet::<([u64; 2], RowNo)>::new()),
-        3 => Box::new(BTreeSet::<([u64; 3], RowNo)>::new()),
-        _ => Box::new(BTreeSet::<(IndexKey, RowNo)>::new()),
+        0 | 1 => Box::new(Blocks::<1>::default()),
+        2 => Box::new(Blocks::<2>::default()),
+        3 => Box::new(Blocks::<3>::default()),
+        _ => Box::new(Blocks::<4>::default()),
     }
 }
 
@@ -378,7 +508,7 @@ impl Scan<'_> {
             ),
             Scan::Range(from, to) => (schema.cut(index, from, false), schema.cut(index, to, false)),
         };
-        // `BTreeSet::range` panics on an inverted range.
+        // Bounds that meet or cross select nothing: no shard need search.
         (lo < hi).then_some((
             match lo {
                 (key, false) => Bound::Included((key, 0)),
@@ -510,6 +640,7 @@ mod tests {
     use super::*;
     use crate::schema::SchemaError;
     use crate::value::Type;
+    use std::collections::BTreeSet;
 
     /// A shard on its own, with the symbols its cluster would keep.
     struct Fixture {
@@ -722,6 +853,127 @@ mod tests {
                     check(Scan::Range(from, to));
                 }
             }
+        }
+    }
+
+    /// What `BTreeSet::range` yields for a range, and nothing for one it
+    /// refuses as inverted.
+    fn model_range<const N: usize>(
+        model: &BTreeSet<([u64; N], RowNo)>,
+        (lo, hi): KeyRange,
+    ) -> Vec<Entry> {
+        let narrowed = |bound: Bound<Entry>| bound.map(|(key, row)| (narrow::<N>(key), row));
+        let (lo, hi) = (narrowed(lo), narrowed(hi));
+        let inverted = match (lo, hi) {
+            (Bound::Included(a), Bound::Included(b)) => a > b,
+            (Bound::Included(a) | Bound::Excluded(a), Bound::Included(b) | Bound::Excluded(b)) => {
+                a >= b
+            }
+            _ => false,
+        };
+        if inverted {
+            return Vec::new();
+        }
+        model.range((lo, hi)).map(|&e| widen(e)).collect()
+    }
+
+    /// Indexes `keys` (row `i` under `keys[i]`) in a [`Blocks`] and in
+    /// the `BTreeSet` it replaced, checks the blocks' shape, and compares
+    /// `between` over ranges whose bounds are each block's first and
+    /// last entry and the `probes`, each bound included and excluded:
+    /// empty, one-entry, short, inverted and open-ended ranges.
+    fn check_against_btree<const N: usize>(keys: &[IndexKey], probes: &[Entry], seed: u64) {
+        let mut index = Blocks::<N>::default();
+        let mut model = BTreeSet::new();
+        for (row, &key) in keys.iter().enumerate() {
+            index.add((key, row as RowNo));
+            model.insert((narrow::<N>(key), row as RowNo));
+        }
+        assert_eq!(index.fences.len(), index.blocks.len());
+        for (&fence, block) in index.fences.iter().zip(&index.blocks) {
+            assert!((1..=BLOCK).contains(&block.keys.len()));
+            assert_eq!(block.rows.len(), block.keys.len());
+            assert_eq!(fence, block.entry(0));
+        }
+        let edges = index
+            .blocks
+            .iter()
+            .flat_map(|b| [b.entry(0), b.entry(b.keys.len() - 1)]);
+        let mut points: Vec<Entry> = edges.map(widen).collect();
+        points.extend(
+            probes
+                .iter()
+                .map(|&(key, row)| widen((narrow::<N>(key), row))),
+        );
+        points.sort();
+        let bounds: Vec<Bound<Entry>> = points
+            .iter()
+            .flat_map(|&p| [Bound::Included(p), Bound::Excluded(p)])
+            .chain([Bound::Unbounded])
+            .collect();
+        let check = |range: KeyRange| {
+            let got: Vec<Entry> = index.between(range).collect();
+            assert_eq!(got, model_range(&model, range), "{range:?}");
+        };
+        let mut z = seed;
+        for (i, &lo) in bounds.iter().enumerate() {
+            for step in [0, 1, 2, 5] {
+                let hi = bounds[(i + step).min(bounds.len() - 1)];
+                check((lo, hi));
+                check((hi, lo));
+            }
+            z = z.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            check((lo, bounds[(z >> 33) as usize % bounds.len()]));
+        }
+        check((Bound::Unbounded, Bound::Unbounded));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Random, ascending and interleaved-stream orders (1 to 4 096
+        /// streams, each ascending), with runs of equal keys up to four
+        /// blocks long; three-word keys, and one-word keys over the
+        /// third word, as the `time` index keys.
+        #[test]
+        fn blocks_range_like_the_btree_they_replace(
+            shape in (0usize..3, 0u32..13, 0usize..4_000, 0u32..11),
+            seed in proptest::prelude::any::<u64>(),
+            probes in proptest::collection::vec(
+                (0usize..4_000, proptest::prelude::any::<u64>()),
+                0..16,
+            ),
+        ) {
+            let (order, streams_log, n, run_log) = shape;
+            let streams = (1usize << streams_log) + seed as usize % 3;
+            let streams = streams.min(4_096);
+            let run = 1usize << run_log;
+            let mut z = seed;
+            let mut next = || {
+                z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let x = (z ^ z >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                x ^ x >> 31
+            };
+            let keys: Vec<IndexKey> = (0..n)
+                .map(|i| match order {
+                    0 => [next() % 4, next() % 64, next() % (n / run + 1) as u64, 0],
+                    1 => [7, (i / run) as u64, 0, 0],
+                    _ => [7, (i % streams) as u64, (i / streams / run) as u64, 0],
+                })
+                .collect();
+            // Probes: stored keys at either end of their run of equal
+            // keys and at a stored row, and a key drawn at random.
+            let probes: Vec<Entry> = probes
+                .iter()
+                .flat_map(|&(at, word)| {
+                    let key = keys.get(at).copied().unwrap_or([word; 4]);
+                    [(key, 0), (key, RowNo::MAX), (key, at as RowNo), ([word; 4], 0)]
+                })
+                .collect();
+            check_against_btree::<3>(&keys, &probes, seed);
+            let time = |k: &IndexKey| [k[2], 0, 0, 0];
+            let probes: Vec<Entry> = probes.iter().map(|(k, row)| (time(k), *row)).collect();
+            check_against_btree::<1>(&keys.iter().map(time).collect::<Vec<_>>(), &probes, seed);
         }
     }
 }

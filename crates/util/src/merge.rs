@@ -1,9 +1,9 @@
 //! K-way merge of sorted streams.
 //!
-//! The DSOS client queries every `dsosd` instance in parallel and merges
-//! the per-daemon result streams in index order (Section II: "results of
+//! The paper's DSOS client queries every `dsosd` in parallel ("results of
 //! the queried data are then returned in parallel and sorted based on the
-//! index selected by the user"). This module provides the merge.
+//! index selected by the user", Section II). Here the cluster's scan walks
+//! the live daemons in the caller's thread; this merges their streams.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
