@@ -102,8 +102,8 @@ struct LiveState {
     /// later arrival stays here.
     pending: BinaryHeap<Pending>,
     /// Events fed to the streaming engine, in feed order: the oracle's
-    /// input up to the frontier, kept for the reorder fallback. Its
-    /// last entry is the largest event fed.
+    /// input up to the frontier, kept for the reorder fallback until
+    /// `finalize`. Its last entry is the largest event fed.
     fed: Vec<Pending>,
     /// Per-rank maximum `end` seen so far.
     watermark: BTreeMap<u64, f64>,
@@ -117,6 +117,22 @@ struct LiveState {
     reordered: bool,
     /// Live emissions so far.
     live: Vec<LiveDetection>,
+}
+
+impl LiveState {
+    /// The state of a tap that has been offered nothing.
+    fn new(cfg: DetectionConfig) -> Self {
+        Self {
+            arrivals: 0,
+            pending: BinaryHeap::new(),
+            fed: Vec::new(),
+            watermark: BTreeMap::new(),
+            engine: OnlineDetector::new(cfg),
+            emitted: 0,
+            reordered: false,
+            live: Vec::new(),
+        }
+    }
 }
 
 /// One buffered event awaiting the watermark frontier. Ordered so the
@@ -216,20 +232,11 @@ impl LiveDetectorTap {
             cfg: cfg.clone(),
             expected_ranks: expected_ranks.max(1),
             hub,
-            state: Mutex::new(LiveState {
-                arrivals: 0,
-                pending: BinaryHeap::new(),
-                fed: Vec::new(),
-                watermark: BTreeMap::new(),
-                engine: OnlineDetector::new(cfg),
-                emitted: 0,
-                reordered: false,
-                live: Vec::new(),
-            }),
+            state: Mutex::new(LiveState::new(cfg)),
         })
     }
 
-    /// Events offered so far (fed or pending).
+    /// Events offered since the tap was made or last finalized.
     pub fn buffered(&self) -> usize {
         self.state.lock().arrivals
     }
@@ -302,42 +309,33 @@ impl LiveDetectorTap {
     /// remainder has seen exactly the oracle's input sequence, so its
     /// `finish` is the canonical set; only a reordered run sorts every
     /// buffered event and replays them through a fresh engine. Every
-    /// finding not already emitted in-run is emitted at the horizon.
+    /// finding not already emitted in-run is emitted at the horizon. The
+    /// whole state leaves the tap, which the store keeps as its observer.
     pub fn finalize(&self, horizon: Epoch) -> LiveFinalize {
-        let mut st = self.state.lock();
-        let st = &mut *st;
-        let inrun = std::mem::take(&mut st.live);
-        if st.reordered {
-            let all = arrival_order(std::mem::take(&mut st.fed), std::mem::take(&mut st.pending));
+        let st = std::mem::replace(&mut *self.state.lock(), LiveState::new(self.cfg.clone()));
+        let (detector, detections, order) = if st.reordered {
+            let all = arrival_order(st.fed, st.pending);
             let (detector, detections) = settle_replay(all, self.cfg.clone());
-            let live = self.reconcile(inrun, &detections, horizon);
-            return LiveFinalize {
-                detector,
-                detections,
-                live,
-            };
-        }
-        // Feed the sorted remainder: fed prefix + remainder is exactly
-        // the oracle's input sequence. (`Pending`'s order is reversed
-        // for the max-heap, hence `rev`; taking the heap also frees its
-        // buffer, which otherwise outlives the run at its high-water
-        // size.)
-        let rest = std::mem::take(&mut st.pending).into_sorted_vec();
-        for p in rest.iter().rev() {
-            st.engine.observe(&p.event);
-        }
-        let fed = st.engine.detections().len();
-        let detections = st.engine.finish();
-        // The stream's order: emission order for what feeding found,
-        // then report order for what closing the open windows found.
-        let mut order = st.engine.detections().to_vec();
-        order[fed..].sort_by(report_order);
-        let live = self.reconcile(inrun, &order, horizon);
-        let detector = std::mem::replace(&mut st.engine, OnlineDetector::new(self.cfg.clone()));
+            (detector, detections.clone(), detections)
+        } else {
+            // Fed prefix + sorted remainder is exactly the oracle's
+            // input. (`Pending`'s order is reversed, hence `rev`.)
+            let mut engine = st.engine;
+            for p in st.pending.into_sorted_vec().iter().rev() {
+                engine.observe(&p.event);
+            }
+            let fed = engine.detections().len();
+            let detections = engine.finish();
+            // Emission order for what feeding found, then report order
+            // for what closing the open windows found.
+            let mut order = engine.detections().to_vec();
+            order[fed..].sort_by(report_order);
+            (engine, detections, order)
+        };
         LiveFinalize {
             detector,
             detections,
-            live,
+            live: self.reconcile(st.live, &order, horizon),
         }
     }
 

@@ -1,8 +1,9 @@
 //! What watching costs, counted by an allocator rather than timed by a
 //! clock: the figures repeat on any host. The live detector tap may
-//! keep one copy of what it reads, and a span offered to a full span
-//! log is a drop count, not an allocation. Counts are per thread, so
-//! the two tests do not see each other's allocations.
+//! keep one copy of what it reads until it is finalized, and none
+//! after; a span offered to a full span log is a drop count, not an
+//! allocation. Counts are per thread, so the tests do not see each
+//! other's allocations.
 
 use darshan_ldms_connector::{IngestObserver, COLUMNS};
 use dsos_sim::Value;
@@ -16,28 +17,35 @@ use std::sync::Arc;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static LIVE_BYTES: Cell<i64> = const { Cell::new(0) };
+}
+
+fn count(allocs: u64, bytes: i64) {
+    ALLOCS.with(|n| n.set(n.get() + allocs));
+    LIVE_BYTES.with(|n| n.set(n.get() + bytes));
 }
 
 struct Counting;
 
 // SAFETY: every call is handed to `System` with the caller's own
-// arguments; the counter is a plain per-thread statistic with no
-// destructor, so touching it never allocates.
+// arguments; the counters are plain per-thread statistics with no
+// destructor, so touching them never allocates.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(1, layout.size() as i64);
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count(0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
         // above with this `layout`, as the caller guarantees.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|n| n.set(n.get() + 1));
+        count(1, new_size as i64 - layout.size() as i64);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -48,6 +56,10 @@ static GLOBAL: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn live_bytes() -> i64 {
+    LIVE_BYTES.with(Cell::get)
 }
 
 const ROWS: usize = 10_000;
@@ -88,6 +100,35 @@ fn a_tapped_row_costs_at_most_1_1_allocations() {
     println!("allocations per tapped row {per_row:.3}");
     assert_eq!(tap.buffered(), ROWS);
     assert!(per_row <= 1.1, "{per_row:.3} allocations per row");
+}
+
+/// Bytes a tap offered every row of `rows` still holds once finalized,
+/// itself included.
+fn kept_after_finalize(rows: &[Vec<Value>]) -> i64 {
+    let before = live_bytes();
+    let tap = LiveDetectorTap::new(DetectionConfig::default(), 1, None);
+    for (i, batch) in rows.chunks(100).enumerate() {
+        tap.on_rows(batch, Epoch::from_secs(i as u64));
+    }
+    drop(tap.finalize(Epoch::from_secs(1_000_000)));
+    live_bytes() - before
+}
+
+/// The store holds its observer for the pipeline's lifetime, so a tap
+/// must let go of the trace when it closes: on the streaming path, and
+/// on the reordered one, which one row offered out of its rank's order
+/// forces.
+#[test]
+fn a_finalized_tap_keeps_no_copy_of_the_trace() {
+    let in_order: Vec<Vec<Value>> = (0..ROWS).map(row).collect();
+    let mut reordered = in_order.clone();
+    let straggler = reordered.remove(ROWS / 2);
+    reordered.push(straggler);
+    for (name, rows) in [("streaming", &in_order), ("reordered", &reordered)] {
+        let kept = kept_after_finalize(rows);
+        println!("{name}: a finalized tap keeps {kept} bytes");
+        assert!(kept <= 4_096, "{name}: a finalized tap keeps {kept} bytes");
+    }
 }
 
 #[test]

@@ -583,10 +583,10 @@ impl DsosStreamStore {
     }
 
     /// Attaches an off-path [`IngestObserver`] that sees every parsed
-    /// row batch before it is handed to the cluster. Purely
-    /// observational: rows, acknowledgements, and ledger accounting
-    /// are byte-identical with and without an observer attached. A
-    /// store takes one observer; attaching a second panics.
+    /// row batch before it is handed to the cluster; rows, acks and
+    /// ledgers are byte-identical with or without one. A store takes one
+    /// observer (a second panics) and holds it for the pipeline's
+    /// lifetime, so an observer releases its own state when it closes.
     pub fn attach_observer(&self, observer: Arc<dyn IngestObserver>) {
         assert!(
             self.observer.set(observer).is_ok(),

@@ -19,8 +19,11 @@
 //!   windows per daemon in virtual time; a crash destroys the daemon's
 //!   volatile replica state, and [`recover`](DsosCluster::recover)
 //!   replays the schedule: each restart runs an anti-entropy pass that
-//!   rebuilds the returning replica from any live holder (sequence-
-//!   keyed by row id, idempotent, dedup-checked).
+//!   rebuilds the returning replica from any live holder (in row-id
+//!   order, idempotent, dedup-checked).
+//! * **Row ids** are per container: a row's id is its ingest ordinal
+//!   in the container, which indexes its replication record, so no map
+//!   from ids to rows is kept anywhere.
 //! * **Queries** are one scan ([`scan_at`](DsosCluster::scan_at)) of the
 //!   shards of the daemons that are up at the query instant, read in
 //!   place and merged in index order in the caller's thread: replica
@@ -68,7 +71,6 @@ fn arrival(t: Epoch) -> u64 {
 /// Per-row replication record.
 #[derive(Debug, Clone, Copy)]
 struct RowMeta {
-    rid: u64,
     write_t: Epoch,
     shard: u32,
     quorum: bool,
@@ -82,9 +84,8 @@ struct ContainerRepl {
     key_attrs: Vec<usize>,
     /// The container's shard on each daemon, by daemon index.
     shards: Vec<Arc<ContainerShard>>,
-    /// Every ingested row, in row-id order: ids are handed out under
-    /// the `repl` write lock, so within a container they only grow and
-    /// a push keeps the order.
+    /// Every ingested row, by row id: a row's id is its position here,
+    /// handed out under the `repl` write lock.
     rows: Vec<RowMeta>,
     /// `replicas` slots per row, parallel to `rows`: when the row
     /// arrived (ingest, rebuild or repair instant, see [`arrival`]) on
@@ -129,9 +130,9 @@ impl ContainerRepl {
         }
     }
 
-    /// Position in `rows` of a row id.
+    /// Position in `rows` of a row id: the id itself, if it is one.
     fn find(&self, rid: u64) -> Option<usize> {
-        self.rows.binary_search_by_key(&rid, |meta| meta.rid).ok()
+        usize::try_from(rid).ok().filter(|&i| i < self.rows.len())
     }
 
     /// The daemons of row `i`'s replica set, each with whether it
@@ -200,7 +201,6 @@ pub struct DsosCluster {
     daemons: Vec<Arc<Dsosd>>,
     cfg: ReplicationConfig,
     map: ShardMap,
-    next_rid: AtomicU64,
     repl: RwLock<Containers>,
     schedules: RwLock<Vec<DaemonSchedule>>,
     /// Fault-schedule events already replayed by `recover` (idempotency
@@ -227,7 +227,6 @@ impl DsosCluster {
             daemons: (0..n).map(|i| Dsosd::new(&format!("dsosd-{i}"))).collect(),
             cfg,
             map: ShardMap::new(n, cfg.replicas),
-            next_rid: AtomicU64::new(0),
             repl: RwLock::default(),
             schedules: RwLock::new((0..n).map(|_| DaemonSchedule::default()).collect()),
             recovered_events: AtomicUsize::new(0),
@@ -330,9 +329,8 @@ impl DsosCluster {
 
     /// Replays the fault schedule up to `horizon`: crashes destroy the
     /// crashed replica's rows, restarts rebuild the returning replica
-    /// from any live holder (anti-entropy: sequence-keyed by row id,
-    /// idempotent — a second call replays nothing). Returns rows
-    /// rebuilt by this call.
+    /// from any live holder (anti-entropy: in row-id order, idempotent —
+    /// a second call replays nothing). Returns rows rebuilt by this call.
     ///
     /// Call after ingest is quiesced (the pipeline calls it from
     /// `settle`); events are replayed in virtual-time order, crashes
@@ -463,13 +461,14 @@ impl DsosCluster {
     ) -> u64 {
         let mut rebuilt = 0u64;
         for cr in repl.values_mut() {
-            // In row-id order, so the rebuilt shard indexes its copies
-            // in the order they were first ingested.
+            let dest = &cr.shards[d];
+            // Rows to copy onto `d`: those no earlier rebuild already
+            // materialized there (dedup check), in row-id order.
+            let mut copy = Vec::new();
             for i in 0..cr.rows.len() {
-                let meta = cr.rows[i];
                 // Only rows that exist by the restart instant: replay
                 // must not hand the returning daemon future writes.
-                if meta.write_t >= at {
+                if cr.rows[i].write_t >= at {
                     continue;
                 }
                 let Some(slot) = cr.slot(&self.map, i, d) else {
@@ -481,20 +480,24 @@ impl DsosCluster {
                 if cr.arrivals[slot] != NOT_HELD || !source {
                     continue;
                 }
-                // Copy the words from any peer that physically has the
-                // row (dedup check: skip if an earlier rebuild already
-                // materialized it on this daemon).
-                let dest = &cr.shards[d];
-                if !dest.has_rid(meta.rid) {
-                    let words = cr
-                        .copies(&self.map, i)
-                        .find_map(|(p, _)| cr.shards[p].fetch_by_rid(meta.rid));
-                    if let Some(words) = words {
-                        dest.insert_tagged(meta.rid, &words);
-                    }
+                if !dest.has_rid(i as u64) {
+                    copy.push(i as u64);
                 }
                 cr.arrivals[slot] = arrival(at);
                 rebuilt += 1;
+            }
+            // Every physical copy of a row holds the same words: one
+            // pass over each shard finds one, and they are stored in
+            // row-id order, so the rebuilt shard indexes its copies in
+            // the order they were first ingested.
+            let mut words = vec![None; copy.len()];
+            for shard in &cr.shards {
+                shard.fetch_rows(&copy, &mut words);
+            }
+            for (&rid, words) in copy.iter().zip(words) {
+                if let Some(words) = words {
+                    dest.insert_tagged(rid, &words);
+                }
             }
         }
         rebuilt
@@ -549,7 +552,7 @@ impl DsosCluster {
     ) -> Result<IngestAck, StoreError> {
         cr.schema.validate(obj)?;
         let shard = self.map.shard_of_hash(cr.shard_hash(obj));
-        let rid = self.next_rid.fetch_add(1, Ordering::Relaxed);
+        let rid = cr.rows.len() as u64;
         let peers = self.map.replicas_of(shard);
         let first = cr.arrivals.len();
         reserve_frugally(&mut cr.arrivals, peers.len());
@@ -576,10 +579,8 @@ impl DsosCluster {
         if quorum {
             cr.acked_per_shard[shard] += 1;
         }
-        debug_assert!(cr.rows.last().is_none_or(|prev| prev.rid < rid));
         reserve_frugally(&mut cr.rows, 1);
         cr.rows.push(RowMeta {
-            rid,
             write_t: t,
             shard: u32::try_from(shard).expect("shard ids fit u32"),
             quorum,

@@ -308,7 +308,8 @@ impl Completeness {
 /// Acknowledgement for one ingested row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestAck {
-    /// Cluster-global row id (the replication sequence key).
+    /// The row's id in its container: its ingest ordinal there (the
+    /// replication sequence key).
     pub rid: u64,
     /// Virtual shard the row hashed to.
     pub shard: usize,

@@ -6,7 +6,6 @@ use crate::schema::{IndexDef, IndexKey, Schema};
 use crate::value::Value;
 use parking_lot::{RwLock, RwLockReadGuard};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -325,45 +324,21 @@ impl Rows {
 
 /// Everything a shard stores, behind the shard's one lock.
 struct ShardState {
-    /// Every row with the cluster-global row id it was replicated
-    /// under ([`NO_RID`] for direct inserts).
+    /// Every row with its row id in the container ([`NO_RID`] for
+    /// direct inserts).
     rows: Rows,
     /// One index per `schema.indices()` entry, in that order.
     indices: Vec<Box<dyn Index>>,
-    /// Cluster row id → row, for anti-entropy rebuild and read repair
-    /// (direct [`NO_RID`] inserts are not tracked). Rebuild and repair
-    /// append older rows after newer ones, so ordinals are not in row-id
-    /// order and a search over them would not do.
-    by_rid: HashMap<u64, RowNo, BuildHasherDefault<RidHasher>>,
+    /// The container's row ids this shard physically holds, one bit
+    /// each, so rebuild and read repair never store a second copy. A
+    /// crash clears none: the cluster's arrival slots say which copies
+    /// count.
+    held: Vec<u64>,
     /// First ordinal of each storage partition, the last being the
     /// active one (DSOS rotates partitions for retention; queries span
     /// all of them). Nothing outside the tests rotates one yet.
     #[cfg(test)]
     partitions: Vec<RowNo>,
-}
-
-/// The hash of a row id: the id itself in the low bits, which pick the
-/// bucket, so ids ingested one after another fill neighbouring buckets
-/// instead of a random cache line each; its low seven bits repeated at
-/// the top, which tell the entries of a bucket group apart.
-#[derive(Default)]
-struct RidHasher(u64);
-
-impl Hasher for RidHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Only `u64` keys are hashed here; other input is folded in.
-        self.0 = bytes
-            .iter()
-            .fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
-    }
-
-    fn write_u64(&mut self, rid: u64) {
-        self.0 = rid ^ rid << 57;
-    }
 }
 
 /// One container shard on one daemon. Its rows are words; the strings
@@ -380,7 +355,7 @@ impl ContainerShard {
             state: RwLock::new(ShardState {
                 rows: Rows::new(1 + schema.attrs().len()),
                 indices,
-                by_rid: HashMap::default(),
+                held: Vec::new(),
                 #[cfg(test)]
                 partitions: vec![0],
             }),
@@ -394,8 +369,8 @@ impl ContainerShard {
     }
 
     /// Stores the words of a row the cluster has validated and encoded,
-    /// under its cluster-global row id, so replicated queries can
-    /// deduplicate copies and anti-entropy can locate rows.
+    /// under its row id, so replicated queries can deduplicate copies
+    /// and anti-entropy can locate rows.
     pub(crate) fn insert_tagged(&self, rid: u64, words: &[u64]) {
         let st = &mut *self.state.write();
         let row = RowNo::try_from(st.rows.len()).expect("a shard holds under 2^32 objects");
@@ -404,21 +379,31 @@ impl ContainerShard {
         }
         st.rows.push(rid, words);
         if rid != NO_RID {
-            st.by_rid.insert(rid, row);
+            let word = (rid / 64) as usize;
+            if st.held.len() <= word {
+                st.held.resize(word + 1, 0);
+            }
+            st.held[word] |= 1 << (rid % 64);
         }
     }
 
-    /// A copy of the words of a row, by its cluster-global row id
-    /// (anti-entropy source path).
-    pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<u64>> {
+    /// Fills each still empty `words[i]` with the words of row `rids[i]`
+    /// if this shard holds it, in one pass over its rows (anti-entropy
+    /// source path). `rids` ascends.
+    pub(crate) fn fetch_rows(&self, rids: &[u64], words: &mut [Option<Vec<u64>>]) {
         let st = self.state.read();
-        let (_, columns, row) = st.rows.get(*st.by_rid.get(&rid)?);
-        Some(columns.iter().map(|c| c.word(row)).collect())
+        for row in 0..st.rows.len() as RowNo {
+            let (rid, columns, row) = st.rows.get(row);
+            if let Ok(i) = rids.binary_search(&rid) {
+                words[i].get_or_insert_with(|| columns.iter().map(|c| c.word(row)).collect());
+            }
+        }
     }
 
     /// Whether this shard physically holds a row id.
     pub(crate) fn has_rid(&self, rid: u64) -> bool {
-        self.state.read().by_rid.contains_key(&rid)
+        let held = self.state.read().held.get((rid / 64) as usize).copied();
+        held.is_some_and(|word| word >> (rid % 64) & 1 == 1)
     }
 
     /// Holds the shard for reading through index `pos` (a position in
@@ -437,6 +422,13 @@ impl ContainerShard {
 /// and keeps the container's symbols.
 #[cfg(test)]
 impl ContainerShard {
+    /// A copy of the words of a row, by its row id.
+    pub(crate) fn fetch_by_rid(&self, rid: u64) -> Option<Vec<u64>> {
+        let mut words = [None];
+        self.fetch_rows(&[rid], &mut words);
+        words[0].take()
+    }
+
     /// Starts a new active partition.
     pub(crate) fn begin_partition(&self) {
         let st = &mut *self.state.write();
@@ -522,8 +514,7 @@ impl Scan<'_> {
     }
 }
 
-/// One index hit, read in place: `(packed index key, row, cluster row
-/// id)`.
+/// One index hit, read in place: `(packed index key, row, row id)`.
 pub(crate) type Hit<'a> = (IndexKey, RowRef<'a>, u64);
 
 /// A shard held for reading (see [`ContainerShard::read`]): hits borrow
@@ -553,7 +544,7 @@ impl ShardRead<'_> {
 }
 
 /// What the read path cloned out per hit before the in-place scan:
-/// `(index key, cluster row id, object)`.
+/// `(index key, row id, object)`.
 #[cfg(test)]
 pub(crate) type TaggedRow = (Vec<Value>, u64, Vec<Value>);
 

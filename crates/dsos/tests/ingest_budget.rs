@@ -1,9 +1,8 @@
 //! What a stored row costs the store, whole — its cells' words, the
-//! strings they name, the indices, the row-id map and the replication
-//! bookkeeping — counted by an allocator rather than timed by a clock:
-//! the figures repeat on any host. Rows are offered as borrowed cells
-//! built on the stack, so everything counted is what the store keeps or
-//! spends. Most of it is the row's three index entries, 68 bytes in
+//! strings they name, the indices and the replication bookkeeping —
+//! counted by an allocator rather than timed by a clock: the figures
+//! repeat on any host. Rows are offered as borrowed cells built on the
+//! stack, so everything counted is what the store keeps or spends. Most of it is the row's three index entries, 68 bytes in
 //! blocks of 256 that ascending streams leave full, then the row's 25
 //! words, packed once their chunk of 1 024 rows fills. Its 20 000 rows
 //! over two daemons fill some 40 blocks of each index on each shard.
@@ -149,10 +148,10 @@ fn cost(
 }
 
 #[test]
-fn a_stored_row_costs_at_most_193_bytes_and_0_0384_allocations_whole() {
+fn a_stored_row_costs_at_most_156_bytes_and_0_0384_allocations_whole() {
     let (allocs, bytes) = cost(row::<16>, false);
     assert!(allocs <= 0.0384, "{allocs:.4} allocations per row");
-    assert!(bytes <= 193.0, "{bytes:.1} live bytes per row");
+    assert!(bytes <= 156.0, "{bytes:.1} live bytes per row");
 }
 
 /// Sealing never costs more than keeping every word whole did.
@@ -168,13 +167,13 @@ fn a_row_of_random_numbers_costs_at_most_440_bytes_whole() {
 /// splits leave partly empty, as random order does, where the
 /// timestamps also no longer pack.
 #[test]
-fn a_row_costs_at_most_210_bytes_at_any_stream_count_and_265_shuffled() {
+fn a_row_costs_at_most_174_bytes_at_any_stream_count_and_229_shuffled() {
     type Row = for<'a> fn(usize, &'a [String]) -> [ValueRef<'a>; 24];
     let cases: [(&str, Row, bool, f64); 4] = [
-        ("16 ranks", row::<16>, false, 193.0),
-        ("256 ranks", row::<256>, false, 210.0),
-        ("4 096 ranks", row::<4096>, false, 209.0),
-        ("16 ranks, shuffled", row::<16>, true, 265.0),
+        ("16 ranks", row::<16>, false, 156.0),
+        ("256 ranks", row::<256>, false, 174.0),
+        ("4 096 ranks", row::<4096>, false, 173.0),
+        ("16 ranks, shuffled", row::<16>, true, 229.0),
     ];
     for (name, row, shuffled, most) in cases {
         let (_, bytes) = cost(row, shuffled);
