@@ -1886,6 +1886,91 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// An index keeps only ordinals and reads every key but its
+        /// fences' from the rows: from sealed and active chunks alike,
+        /// for every odd number a key word packs.
+        #[test]
+        fn index_keys_read_from_rows_match_packed_keys(
+            shape in (1usize..4, 0usize..2, 1_400usize..2_000),
+            seed in any::<u64>(),
+            queries in prop::collection::vec((0usize..3, 0usize..2, 0usize..5, any::<u64>()), 1..12),
+        ) {
+            let (n, r_draw, count) = shape;
+            let r = 1 + r_draw.min(n - 1);
+            let schema = round_trip_schema();
+            let cl = DsosCluster::new_replicated(n, ReplicationConfig::new(r)).unwrap();
+            cl.create_container("rt", &schema);
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let z = (state ^ state >> 30).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                let z = (z ^ z >> 27).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ z >> 31
+            };
+            // In no order: every index splits blocks mid-way. Mostly
+            // job 1, rank 0, so one shard seals a chunk and keeps an
+            // active one; the rest any of the integer extremes.
+            let rows: Vec<Vec<Value>> = (0..count)
+                .map(|i| {
+                    let mut row: Vec<Value> =
+                        schema.attrs().iter().map(|attr| round_trip_cell(attr.ty, next(), i)).collect();
+                    for (col, usual) in [(0, 1), (1, 0)] {
+                        let draw = next();
+                        let odd = ODD_U64[(draw >> 8) as usize % ODD_U64.len()];
+                        row[col] = Value::U64(if draw % 16 == 0 { odd } else { usual });
+                    }
+                    row
+                })
+                .collect();
+            let mut ingested = std::collections::HashMap::new();
+            for (i, row) in rows.iter().enumerate() {
+                let ack = cl.ingest_at("rt", row.clone(), Epoch::from_nanos(i as u64)).unwrap();
+                ingested.insert(ack.rid, row);
+            }
+            prop_assert!((0..n).any(|d| cl.daemon(d).object_count() > 1024));
+            // Key cells are numbers: their words need no symbols.
+            let mut no_symbols = Symbols::default();
+            for d in 0..n {
+                for (rid, keys) in cl.daemon(d).get_container("rt").unwrap().stored_keys() {
+                    let words: Vec<u64> = ingested[&rid]
+                        .iter()
+                        .enumerate()
+                        .map(|(col, v)| encode(v.as_ref(), col, &mut no_symbols))
+                        .collect();
+                    for (def, key) in schema.indices().iter().zip(keys) {
+                        prop_assert_eq!(key, schema.pack_key(def, |attr| words[attr]), "{} row {}", def.name, rid);
+                    }
+                }
+            }
+            // Every index whole, then the drawn scans: bounds cut from
+            // stored keys to any length, one past the key's included.
+            let at = END_OF_TIME;
+            let whole = schema.indices().iter().map(|def| (def, 0, 0, 0));
+            let drawn = queries.iter().map(|&(index, kind, len, draw)| (&schema.indices()[index], kind, len, draw));
+            for (def, kind, len, draw) in whole.chain(drawn) {
+                let key = |pick: u64| -> Vec<Value> {
+                    let row = &rows[pick as usize % rows.len()];
+                    let mut key: Vec<Value> = def.attrs.iter().take(len).map(|&i| row[i].clone()).collect();
+                    if len > def.attrs.len() {
+                        key.push(Value::U64(0));
+                    }
+                    key
+                };
+                let (from, to) = (key(draw), key(draw >> 20));
+                let scan = if kind == 0 { Scan::Prefix(&from) } else { Scan::Range(&from, &to) };
+                let want = cl.oracle_query_at("rt", &def.name, scan, at);
+                let got = match scan {
+                    Scan::Prefix(p) => cl.query_prefix_at("rt", &def.name, p, at),
+                    Scan::Range(f, t) => cl.query_range_at("rt", &def.name, f, t, at),
+                };
+                prop_assert_eq!(printed(&got), printed(&want), "{:?} on {}", scan, def.name);
+            }
+        }
+    }
+
     /// `(daemon, from, duration)` of a down window, in ms: about the
     /// instant the shard that takes most rows seals its first chunk,
     /// and short enough that it still takes more than a chunk.

@@ -51,15 +51,14 @@ fn key_word(v: ValueRef<'_>) -> u64 {
     match v {
         ValueRef::U64(x) => x,
         ValueRef::I64(x) => x as u64 ^ SIGN,
-        ValueRef::F64(x) if x.is_nan() => NAN_WORD,
-        ValueRef::F64(x) => {
-            let bits = if x == 0.0 { 0 } else { x.to_bits() };
-            if bits & SIGN == 0 {
-                bits | SIGN
-            } else {
-                !bits
-            }
-        }
+        // With the sign shifted out both zeros are 0, and a NaN lies
+        // above `∞`'s bits.
+        ValueRef::F64(x) => match x.to_bits() {
+            bits if bits << 1 == 0 => SIGN,
+            bits if bits << 1 > 0xffe0_0000_0000_0000 => NAN_WORD,
+            bits if bits & SIGN == 0 => bits | SIGN,
+            bits => !bits,
+        },
         ValueRef::Str(_) => unreachable!("Schema::build admits no Str index attribute"),
     }
 }
@@ -260,12 +259,13 @@ impl Schema {
         Ok(())
     }
 
-    /// Packs the index key of a stored row, from its words.
-    pub(crate) fn pack_key(&self, index: &IndexDef, words: &[u64]) -> IndexKey {
+    /// Packs the index key of a stored row from its words, `word(attr)`
+    /// being attribute `attr`'s: a row's cells or the row read in place.
+    pub(crate) fn pack_key(&self, index: &IndexDef, word: impl Fn(usize) -> u64) -> IndexKey {
         let mut key = [0; MAX_KEY_ATTRS];
-        for (word, &attr) in key.iter_mut().zip(&index.attrs) {
-            let cell = number(self.attrs[attr].ty, words[attr]);
-            *word = key_word(cell.expect("Schema::build admits no Str index attribute"));
+        for (packed, &attr) in key.iter_mut().zip(&index.attrs) {
+            let cell = number(self.attrs[attr].ty, word(attr));
+            *packed = key_word(cell.expect("Schema::build admits no Str index attribute"));
         }
         key
     }
@@ -490,10 +490,11 @@ mod tests {
                 .unwrap();
             let (a, b) = (key_tuple(&picks[..4], a), key_tuple(&picks[4..], b));
             for def in s.indices() {
-                let packed = s.pack_key(def, &words(&a)).cmp(&s.pack_key(def, &words(&b)));
+                let (wa, wb) = (words(&a), words(&b));
+                let packed = s.pack_key(def, |i| wa[i]).cmp(&s.pack_key(def, |i| wb[i]));
                 prop_assert_eq!(packed, s.key_for(def, &a).cmp(&s.key_for(def, &b)), "{:?} {:?}", a, b);
                 // A full-length bound cuts where its key sorts.
-                prop_assert_eq!(s.cut(def, &s.key_for(def, &a), false), (s.pack_key(def, &words(&a)), false));
+                prop_assert_eq!(s.cut(def, &s.key_for(def, &a), false), (s.pack_key(def, |i| wa[i]), false));
             }
         }
     }
